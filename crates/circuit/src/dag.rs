@@ -7,6 +7,7 @@
 
 use crate::circuit::{Circuit, GateId};
 use crate::gate::Gate;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Immediate-dependence DAG of a circuit.
@@ -29,33 +30,63 @@ use std::collections::VecDeque;
 pub struct DependenceDag {
     predecessors: Vec<Vec<GateId>>,
     successors: Vec<Vec<GateId>>,
+    /// Last gate on each qubit: where [`DependenceDag::push`] attaches
+    /// the next gate. Empty for a commutation-relaxed DAG, which cannot
+    /// be appended to.
+    last_on_qubit: Vec<Option<GateId>>,
 }
 
 impl DependenceDag {
-    /// Builds the DAG in `O(gates × operands)`.
+    /// Builds the DAG in `O(gates × operands)`: one [`push`](Self::push)
+    /// per gate.
     pub fn new(circuit: &Circuit) -> Self {
-        let n = circuit.len();
-        let mut predecessors: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        let mut successors: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        let mut last_on_qubit: Vec<Option<GateId>> = vec![None; circuit.num_qubits() as usize];
+        let mut dag = DependenceDag::with_qubits(circuit.num_qubits());
+        dag.predecessors.reserve(circuit.len());
+        dag.successors.reserve(circuit.len());
+        for (_, gate) in circuit.iter() {
+            dag.push(gate);
+        }
+        dag
+    }
 
-        for (id, gate) in circuit.iter() {
-            for q in gate.qubits() {
-                if let Some(prev) = last_on_qubit[q as usize] {
-                    // A two-qubit gate may repeat a predecessor if both
-                    // operands last touched the same gate; dedupe.
-                    if !predecessors[id].contains(&prev) {
-                        predecessors[id].push(prev);
-                        successors[prev].push(id);
-                    }
+    /// An empty plain DAG over `num_qubits` qubits, grown gate by gate
+    /// with [`push`](Self::push).
+    pub fn with_qubits(num_qubits: u32) -> Self {
+        DependenceDag {
+            predecessors: Vec::new(),
+            successors: Vec::new(),
+            last_on_qubit: vec![None; num_qubits as usize],
+        }
+    }
+
+    /// Appends `gate` as the next gate id, with an edge from the last
+    /// gate on each of its operands, and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is beyond the DAG's qubit count — always the
+    /// case for a [`with_commutation`](Self::with_commutation) DAG, whose
+    /// commuting sets a plain last-writer edge cannot extend.
+    pub fn push(&mut self, gate: &Gate) -> GateId {
+        let id = self.len();
+        let mut preds = Vec::new();
+        for q in gate.qubits() {
+            let last = self
+                .last_on_qubit
+                .get_mut(q as usize)
+                .expect("push needs a plain DAG covering the gate's qubits");
+            if let Some(prev) = last.replace(id) {
+                // A two-qubit gate may repeat a predecessor if both
+                // operands last touched the same gate; dedupe.
+                if !preds.contains(&prev) {
+                    preds.push(prev);
+                    self.successors[prev].push(id);
                 }
-                last_on_qubit[q as usize] = Some(id);
             }
         }
-        DependenceDag {
-            predecessors,
-            successors,
-        }
+        self.predecessors.push(preds);
+        self.successors.push(Vec::new());
+        id
     }
 
     /// Builds the *commutation-relaxed* DAG: gates acting in the same
@@ -119,6 +150,7 @@ impl DependenceDag {
         DependenceDag {
             predecessors,
             successors,
+            last_on_qubit: Vec::new(),
         }
     }
 
@@ -200,6 +232,13 @@ impl DependenceDag {
 /// ready (all predecessors completed), lets a scheduler complete them in
 /// any order, and surfaces newly released gates.
 ///
+/// The frontier borrows a pre-built DAG ([`Frontier::new`]) or owns one
+/// that grows while it drains ([`Frontier::appendable`] and
+/// [`Frontier::push`]): a gate appended after the frontier was created
+/// waits only on predecessors not yet completed. Appending every gate
+/// up front releases gates in exactly the order of a frontier over the
+/// finished DAG.
+///
 /// # Examples
 ///
 /// ```
@@ -221,7 +260,7 @@ impl DependenceDag {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Frontier<'a> {
-    dag: &'a DependenceDag,
+    dag: Cow<'a, DependenceDag>,
     remaining_preds: Vec<usize>,
     ready: Vec<GateId>,
     completed: Vec<bool>,
@@ -229,18 +268,64 @@ pub struct Frontier<'a> {
 }
 
 impl<'a> Frontier<'a> {
-    /// Starts a frontier with every root gate ready.
+    /// Starts a frontier over `dag` with every root gate ready.
     pub fn new(dag: &'a DependenceDag) -> Self {
-        let remaining_preds: Vec<usize> =
-            (0..dag.len()).map(|g| dag.predecessors(g).len()).collect();
-        let ready = dag.roots();
-        Frontier {
+        Frontier::over(Cow::Borrowed(dag))
+    }
+
+    /// An empty frontier owning an empty plain DAG over `num_qubits`
+    /// qubits; gates arrive through [`push`](Self::push).
+    pub fn appendable(num_qubits: u32) -> Self {
+        Frontier::over(Cow::Owned(DependenceDag::with_qubits(num_qubits)))
+    }
+
+    fn over(dag: Cow<'a, DependenceDag>) -> Self {
+        let mut frontier = Frontier {
             dag,
-            remaining_preds,
-            ready,
-            completed: vec![false; dag.len()],
-            outstanding: dag.len(),
+            remaining_preds: Vec::new(),
+            ready: Vec::new(),
+            completed: Vec::new(),
+            outstanding: 0,
+        };
+        frontier.admit_new_gates();
+        frontier
+    }
+
+    /// Appends `gate` to the DAG ([`DependenceDag::push`]) and admits
+    /// it: it is ready at once if every predecessor has completed.
+    /// Returns its id. A frontier over a borrowed DAG copies it first.
+    pub fn push(&mut self, gate: &Gate) -> GateId {
+        let id = self.dag.to_mut().push(gate);
+        self.admit_new_gates();
+        id
+    }
+
+    /// Admits the DAG's gates the frontier has not seen yet, in id
+    /// order, counting only predecessors not yet completed.
+    fn admit_new_gates(&mut self) {
+        let seen = self.remaining_preds.len();
+        let total = self.dag.len();
+        self.remaining_preds.reserve(total - seen);
+        self.completed.reserve(total - seen);
+        for g in seen..total {
+            let waiting = self
+                .dag
+                .predecessors(g)
+                .iter()
+                .filter(|&&p| !self.completed[p])
+                .count();
+            self.remaining_preds.push(waiting);
+            self.completed.push(false);
+            self.outstanding += 1;
+            if waiting == 0 {
+                self.ready.push(g);
+            }
         }
+    }
+
+    /// The DAG the frontier drains.
+    pub fn dag(&self) -> &DependenceDag {
+        &self.dag
     }
 
     /// The currently ready gates, in release order.
@@ -587,6 +672,75 @@ mod tests {
         let mut c = Circuit::new(1);
         c.z(0).x(0).z(0);
         assert_eq!(DependenceDag::with_commutation(&c).depth(), 3);
+    }
+
+    /// Seeded random circuits of assorted widths and gate mixes.
+    fn random_circuits() -> impl Iterator<Item = (u64, Circuit)> {
+        (0..24u64).map(|seed| {
+            let n = 2 + (seed % 7) as u32;
+            let fraction = [0.0, 0.3, 0.7, 1.0][(seed % 4) as usize];
+            let c = crate::generators::random::random_circuit(n, 60, fraction, seed).unwrap();
+            (seed, c)
+        })
+    }
+
+    #[test]
+    fn fully_appended_frontier_matches_a_prebuilt_one() {
+        for (seed, c) in random_circuits() {
+            let dag = DependenceDag::new(&c);
+            let mut prebuilt = Frontier::new(&dag);
+            let mut appended = Frontier::appendable(c.num_qubits());
+            for (id, gate) in c.iter() {
+                assert_eq!(appended.push(gate), id);
+            }
+            let mut rng = autobraid_telemetry::Rng64::seed_from_u64(seed);
+            while !prebuilt.is_drained() {
+                assert_eq!(appended.ready(), prebuilt.ready(), "seed {seed}");
+                let g = prebuilt.ready()[rng.gen_range(0..prebuilt.ready().len())];
+                prebuilt.complete(g);
+                appended.complete(g);
+            }
+            assert!(appended.is_drained(), "seed {seed}");
+            assert_eq!(appended.dag().len(), c.len());
+        }
+    }
+
+    #[test]
+    fn chunked_appends_interleaved_with_completions_respect_dependences() {
+        for (seed, c) in random_circuits() {
+            let dag = DependenceDag::new(&c);
+            let gates: Vec<Gate> = c.iter().map(|(_, g)| *g).collect();
+            let mut rng = autobraid_telemetry::Rng64::seed_from_u64(seed ^ 0x5eed);
+            let mut frontier = Frontier::appendable(c.num_qubits());
+            let mut done = vec![false; c.len()];
+            let mut pushed = 0;
+            while pushed < gates.len() || !frontier.is_drained() {
+                assert!(
+                    pushed < gates.len() || !frontier.ready().is_empty(),
+                    "seed {seed}: frontier stuck with {} outstanding",
+                    frontier.outstanding()
+                );
+                let chunk = rng.gen_range(0..8usize).min(gates.len() - pushed);
+                for gate in &gates[pushed..pushed + chunk] {
+                    frontier.push(gate);
+                }
+                pushed += chunk;
+                for _ in 0..rng.gen_range(0..4usize) {
+                    let ready = frontier.ready();
+                    if ready.is_empty() {
+                        break;
+                    }
+                    let g = ready[rng.gen_range(0..ready.len())];
+                    assert!(
+                        dag.predecessors(g).iter().all(|&p| done[p]),
+                        "seed {seed}: gate {g} released before its predecessors"
+                    );
+                    frontier.complete(g);
+                    done[g] = true;
+                }
+            }
+            assert!(done.iter().all(|&d| d), "seed {seed}: every gate drains");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::config::{Recording, ScheduleConfig};
 use crate::metrics::{LayerPolicy, ScheduleResult, Step};
 use crate::strategy::Strategy;
 use crate::swap::plan_swap_layer;
-use autobraid_circuit::{Circuit, DependenceDag, Frontier, GateId};
+use autobraid_circuit::{Circuit, DependenceDag, Frontier, Gate, GateId};
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
 use autobraid_router::pathfinder::{route_negotiated_with, PathFinderConfig};
@@ -19,6 +19,7 @@ use autobraid_router::stack_finder::{
 };
 use autobraid_router::{CxRequest, IncrementalInterference, InterferenceGraph};
 use autobraid_telemetry as telemetry;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Errors the scheduling engine can report.
@@ -459,18 +460,17 @@ pub fn run_with_dag(
     config: &ScheduleConfig,
     dag: &DependenceDag,
 ) -> (ScheduleResult, Placement) {
-    let base = Occupancy::new(grid);
-    run_with_base_and_dag(
+    Engine::new(
         scheduler_name,
-        circuit,
+        Cow::Borrowed(circuit),
+        Frontier::new(dag),
         grid,
         placement,
-        policy,
         allow_layout_optimizer,
         config,
-        &base,
-        dag,
+        Cow::Owned(Occupancy::new(grid)),
     )
+    .drain(policy)
     .expect("an empty base occupancy never makes a gate unroutable")
 }
 
@@ -500,113 +500,236 @@ pub fn run_with_base_occupancy(
     } else {
         DependenceDag::new(circuit)
     };
-    run_with_base_and_dag(
+    Engine::new(
         scheduler_name,
-        circuit,
+        Cow::Borrowed(circuit),
+        Frontier::new(&dag),
         grid,
         placement,
-        policy,
         allow_layout_optimizer,
         config,
-        base,
-        &dag,
+        Cow::Borrowed(base),
     )
+    .drain(policy)
 }
 
-/// [`run_with_base_occupancy`] against a caller-supplied dependence DAG
-/// (see [`run_with_dag`] for the sharing contract).
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_base_and_dag(
-    scheduler_name: &str,
-    circuit: &Circuit,
-    grid: &Grid,
-    mut placement: Placement,
-    policy: &dyn RoutePolicy,
+/// What [`Engine::route`] did with the ready gates.
+pub(crate) enum Routing {
+    /// Nothing is ready: every gate has completed.
+    Drained,
+    /// A local-only step executed this many gates (already committed).
+    Local(usize),
+    /// The layout optimizer spent a swap layer (already committed).
+    Swapped,
+    /// A braiding layer is routed and waits for [`Engine::commit`].
+    Braid(RoutedLayer),
+}
+
+/// A routed braiding layer, not yet committed: its paths are reserved in
+/// the engine's scratch occupancy and its gates are still in the
+/// frontier.
+pub(crate) struct RoutedLayer {
+    /// The layer's requests, in the order the policy saw them.
+    pub(crate) requests: Vec<CxRequest>,
+    /// The policy's routing outcome.
+    pub(crate) outcome: RouteOutcome,
+    /// Ready two-qubit gates the budget trim kept out of the layer.
+    pub(crate) trimmed: usize,
+    /// Ready local gates, executed alongside the braids.
+    locals: Vec<GateId>,
+    chosen: &'static str,
+    reason: &'static str,
+}
+
+/// The braiding engine: AutoBraid's scheduling loop (paper §3, Fig. 13)
+/// as a stepper. Each step takes the ready gates off the dependence
+/// frontier and either executes a local-only step, or routes the ready
+/// CX layer and then commits it or spends a swap layer instead.
+///
+/// Batch compiles ([`run`] and friends) construct it over a whole
+/// circuit and drain it. A stream ([`crate::streaming`]) starts it
+/// empty, appends gates between steps, and checks each routed layer
+/// before committing it.
+pub(crate) struct Engine<'a> {
+    /// The gates scheduled so far; a stream appends to it.
+    pub(crate) circuit: Cow<'a, Circuit>,
+    pub(crate) grid: Grid,
+    /// Defective channel vertices; every layer routes on a copy.
+    pub(crate) base: Cow<'a, Occupancy>,
+    pub(crate) placement: Placement,
+    pub(crate) result: ScheduleResult,
+    frontier: Frontier<'a>,
+    config: ScheduleConfig,
     allow_layout_optimizer: bool,
-    config: &ScheduleConfig,
-    base: &Occupancy,
-    dag: &DependenceDag,
-) -> Result<(ScheduleResult, Placement), ScheduleError> {
-    let started = Instant::now();
-    let _span = telemetry::span("engine");
-    if telemetry::decisions_enabled() {
-        telemetry::decision(&telemetry::Decision::EngineBegin {
-            scheduler: scheduler_name.to_string(),
-            circuit: circuit.name().to_string(),
-            grid_side: grid.cells_per_side(),
-        });
-    }
-    let mut result = ScheduleResult::new(scheduler_name, circuit.name(), config.timing);
-    let mut frontier = Frontier::new(dag);
-    let mut occupancy = Occupancy::new(grid);
-    // Interference maintained across layers by gate-commit deltas: gates
-    // arrive when they become ready, leave when committed, and refresh
-    // when a swap layer moves an operand (`sync` detects the stale
-    // tiles). Each layer's graph is then assembled in O(V + E).
-    let mut interference = IncrementalInterference::new();
-    let mut utilization_sum = 0.0;
-    let mut consecutive_swap_rounds = 0usize;
-    let record = config.recording == Recording::Full;
+    record: bool,
+    /// Per-layer scratch occupancy.
+    occupancy: Occupancy,
+    /// Interference maintained across layers by gate-commit deltas: gates
+    /// arrive when they become ready, leave when committed, and refresh
+    /// when a swap layer moves an operand (`sync` detects the stale
+    /// tiles). Each layer's graph is then assembled in O(V + E).
+    interference: IncrementalInterference,
+    /// Remaining critical-path weight of each gate (itself included), in
+    /// engine cycles: the routing priority, so congestion defers
+    /// slack-rich gates instead of dependence-critical ones. Rebuilt
+    /// whenever gates have been appended since the last build.
+    remaining_cp: Vec<u64>,
+    utilization_sum: f64,
+    consecutive_swap_rounds: usize,
+    step_index: u64,
+    started: Instant,
+}
 
-    // Remaining critical-path weight of each gate (itself included):
-    // routing priority, so congestion defers slack-rich gates instead of
-    // dependence-critical ones.
-    let remaining_cp: Vec<u64> = {
-        let mut remaining = vec![0u64; circuit.len()];
-        for g in (0..circuit.len()).rev() {
-            let tail = dag
-                .successors(g)
-                .iter()
-                .map(|&s| remaining[s])
-                .max()
-                .unwrap_or(0);
-            remaining[g] =
-                tail + crate::critical_path::gate_cycles(circuit.gate(g), &config.timing);
+impl<'a> Engine<'a> {
+    /// An engine about to drain `frontier` (over `circuit`'s DAG) from
+    /// `placement`, every layer routing on a copy of `base`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        scheduler_name: &str,
+        circuit: Cow<'a, Circuit>,
+        frontier: Frontier<'a>,
+        grid: &Grid,
+        placement: Placement,
+        allow_layout_optimizer: bool,
+        config: &ScheduleConfig,
+        base: Cow<'a, Occupancy>,
+    ) -> Self {
+        Engine {
+            result: ScheduleResult::new(scheduler_name, circuit.name(), config.timing),
+            circuit,
+            grid: grid.clone(),
+            occupancy: Occupancy::new(grid),
+            base,
+            placement,
+            frontier,
+            config: config.clone(),
+            allow_layout_optimizer,
+            record: config.recording == Recording::Full,
+            interference: IncrementalInterference::new(),
+            remaining_cp: Vec::new(),
+            utilization_sum: 0.0,
+            consecutive_swap_rounds: 0,
+            step_index: 0,
+            started: Instant::now(),
         }
-        remaining
-    };
+    }
 
-    let mut step_index = 0u64;
-    while !frontier.is_drained() {
-        let ready: Vec<GateId> = frontier.ready().to_vec();
-        let locals: Vec<GateId> = ready
+    /// Appends `gate` to the circuit and the frontier, returning its id.
+    pub(crate) fn push(&mut self, gate: Gate) -> GateId {
+        self.circuit.to_mut().push(gate);
+        self.frontier.push(&gate)
+    }
+
+    /// Gates not yet executed.
+    pub(crate) fn outstanding(&self) -> usize {
+        self.frontier.outstanding()
+    }
+
+    /// Steps taken so far (local, braid and swap layers).
+    pub(crate) fn steps_taken(&self) -> u64 {
+        self.step_index
+    }
+
+    /// Drains the frontier, committing every routed layer.
+    pub(crate) fn drain(
+        mut self,
+        policy: &dyn RoutePolicy,
+    ) -> Result<(ScheduleResult, Placement), ScheduleError> {
+        let _span = telemetry::span("engine");
+        if telemetry::decisions_enabled() {
+            telemetry::decision(&telemetry::Decision::EngineBegin {
+                scheduler: self.result.scheduler.clone(),
+                circuit: self.circuit.name().to_string(),
+                grid_side: self.grid.cells_per_side(),
+            });
+        }
+        loop {
+            match self.route(policy, false)? {
+                Routing::Drained => break,
+                Routing::Braid(layer) => self.commit(layer),
+                Routing::Local(_) | Routing::Swapped => {}
+            }
+        }
+        self.finish();
+        Ok((self.result, self.placement))
+    }
+
+    /// Closes the result: mean utilization over braid steps and the
+    /// wall-clock compile time.
+    pub(crate) fn finish(&mut self) {
+        if self.result.braid_steps > 0 {
+            self.result.mean_utilization = self.utilization_sum / self.result.braid_steps as f64;
+        }
+        self.result.compile_seconds = self.started.elapsed().as_secs_f64();
+    }
+
+    /// Takes the next step up to its commit. Local-only steps and swap
+    /// layers commit at once; a braiding layer is routed with `policy`
+    /// and handed back for [`commit`](Self::commit). With
+    /// `trim_to_critical_half`, only the most critical half of the ready
+    /// CX gates is offered to the router (ties broken by gate id).
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::UnroutableGate`] when not one gate of the layer
+    /// routes and the layout optimizer cannot help.
+    pub(crate) fn route(
+        &mut self,
+        policy: &dyn RoutePolicy,
+        trim_to_critical_half: bool,
+    ) -> Result<Routing, ScheduleError> {
+        if self.frontier.is_drained() {
+            return Ok(Routing::Drained);
+        }
+        let (mut braids, locals): (Vec<GateId>, Vec<GateId>) = self
+            .frontier
+            .ready()
             .iter()
-            .copied()
-            .filter(|&g| !circuit.gate(g).is_two_qubit())
-            .collect();
-        let braids: Vec<GateId> = ready
-            .iter()
-            .copied()
-            .filter(|&g| circuit.gate(g).is_two_qubit())
-            .collect();
+            .partition(|&&g| self.circuit.gate(g).is_two_qubit());
         if telemetry::fine_decisions_enabled() {
             telemetry::decision(&telemetry::Decision::StepBegin {
-                step: step_index,
+                step: self.step_index,
                 braids: braids.len(),
                 locals: locals.len(),
             });
         }
-        step_index += 1;
+        let step = self.step_index;
+        self.step_index += 1;
 
         if braids.is_empty() {
             debug_assert!(!locals.is_empty(), "frontier non-empty but nothing ready");
             for &g in &locals {
-                frontier.complete(g);
+                self.frontier.complete(g);
             }
-            result.local_steps += 1;
+            self.result.local_steps += 1;
             telemetry::fine_counter("scheduler.steps.local", 1);
-            result.total_cycles += config.timing.local_step_cycles();
-            if record {
-                result.steps.push(Step::Local { gates: locals });
+            self.result.total_cycles += self.config.timing.local_step_cycles();
+            let executed = locals.len();
+            if self.record {
+                self.result.steps.push(Step::Local { gates: locals });
             }
-            continue;
+            return Ok(Routing::Local(executed));
         }
 
+        self.refresh_critical_path();
+        let remaining_cp = &self.remaining_cp;
+        let mut trimmed = 0;
+        if trim_to_critical_half && braids.len() > 1 {
+            braids.sort_by_key(|&g| (std::cmp::Reverse(remaining_cp[g]), g));
+            let keep = braids.len().div_ceil(2);
+            trimmed = braids.len() - keep;
+            braids.truncate(keep);
+            telemetry::fine_counter("streaming.budget.trimmed_gates", trimmed as u64);
+        }
         let requests: Vec<CxRequest> = braids
             .iter()
             .map(|&g| {
-                let (a, b) = circuit.gate(g).pair().expect("braid gates are two-qubit");
-                CxRequest::new(g, placement.cell_of(a), placement.cell_of(b))
+                let (a, b) = self
+                    .circuit
+                    .gate(g)
+                    .pair()
+                    .expect("braid gates are two-qubit");
+                CxRequest::new(g, self.placement.cell_of(a), self.placement.cell_of(b))
                     .with_priority(remaining_cp[g] as i64)
             })
             .collect();
@@ -615,21 +738,21 @@ pub fn run_with_base_and_dag(
         // arrive, and gates whose operands a swap layer moved get their
         // tiles (and edges) recomputed.
         for r in &requests {
-            interference.sync(r);
+            self.interference.sync(r);
         }
-        let graph = layer_interference(&interference, &requests);
+        let graph = layer_interference(&self.interference, &requests);
 
-        occupancy.clone_from(base);
+        self.occupancy.clone_from(&self.base);
         let LayerRoute {
             outcome,
             chosen,
             reason,
         } = policy.route_layer(
-            grid,
-            &mut occupancy,
+            &self.grid,
+            &mut self.occupancy,
             LayerView {
-                step: step_index - 1,
-                base,
+                step,
+                base: &self.base,
                 requests: &requests,
                 interference: &graph,
             },
@@ -643,20 +766,20 @@ pub fn run_with_base_and_dag(
 
         // Dynamic layout optimization (AutoBraid-full): if too few gates
         // scheduled, spend a swap layer instead of committing this step.
-        if allow_layout_optimizer
-            && outcome.ratio() < config.layout_threshold
-            && consecutive_swap_rounds < config.max_consecutive_swap_rounds
+        if self.allow_layout_optimizer
+            && outcome.ratio() < self.config.layout_threshold
+            && self.consecutive_swap_rounds < self.config.max_consecutive_swap_rounds
         {
             let swaps = plan_swap_layer(
-                grid,
-                &placement,
+                &self.grid,
+                &self.placement,
                 &requests,
-                config.max_swaps_per_round,
-                base,
+                self.config.max_swaps_per_round,
+                &self.base,
             );
             if !swaps.is_empty() {
                 for swap in &swaps {
-                    placement.swap_qubits(swap.a, swap.b);
+                    self.placement.swap_qubits(swap.a, swap.b);
                     if telemetry::fine_decisions_enabled() {
                         telemetry::decision(&telemetry::Decision::SwapInserted {
                             a: swap.a,
@@ -664,19 +787,19 @@ pub fn run_with_base_and_dag(
                         });
                     }
                 }
-                result.swap_layers += 1;
-                result.swap_count += swaps.len() as u64;
+                self.result.swap_layers += 1;
+                self.result.swap_count += swaps.len() as u64;
                 telemetry::fine_counter("scheduler.steps.swap", 1);
                 telemetry::fine_counter("scheduler.swaps.inserted", swaps.len() as u64);
-                result.total_cycles += 3 * config.timing.braid_step_cycles();
-                consecutive_swap_rounds += 1;
-                if record {
-                    result.steps.push(Step::SwapLayer { swaps });
+                self.result.total_cycles += 3 * self.config.timing.braid_step_cycles();
+                self.consecutive_swap_rounds += 1;
+                if self.record {
+                    self.result.steps.push(Step::SwapLayer { swaps });
                 }
-                continue;
+                return Ok(Routing::Swapped);
             }
         }
-        consecutive_swap_rounds = 0;
+        self.consecutive_swap_rounds = 0;
 
         if outcome.routed.is_empty() {
             // On a defect-free lattice at least one gate always routes; a
@@ -685,53 +808,84 @@ pub fn run_with_base_and_dag(
                 gate: requests.first().map(|r| r.id).unwrap_or_default(),
             });
         }
+        Ok(Routing::Braid(RoutedLayer {
+            requests,
+            outcome,
+            trimmed,
+            locals,
+            chosen,
+            reason,
+        }))
+    }
 
-        let utilization = occupancy.utilization();
-        result.peak_utilization = result.peak_utilization.max(utilization);
-        utilization_sum += utilization;
+    /// Commits a layer [`route`](Self::route) just returned: its routed
+    /// gates and the ready local gates execute as one braiding step.
+    pub(crate) fn commit(&mut self, layer: RoutedLayer) {
+        let step = self.step_index - 1;
+        let utilization = self.occupancy.utilization();
+        self.result.peak_utilization = self.result.peak_utilization.max(utilization);
+        self.utilization_sum += utilization;
 
-        for routed in &outcome.routed {
-            frontier.complete(routed.request.id);
-            interference.remove(routed.request.id);
+        for routed in &layer.outcome.routed {
+            self.frontier.complete(routed.request.id);
+            self.interference.remove(routed.request.id);
         }
-        for &g in &locals {
-            frontier.complete(g);
+        for &g in &layer.locals {
+            self.frontier.complete(g);
         }
-        result.braid_steps += 1;
+        self.result.braid_steps += 1;
         telemetry::fine_counter("scheduler.steps.braid", 1);
-        result.total_cycles += config.timing.braid_step_cycles();
+        self.result.total_cycles += self.config.timing.braid_step_cycles();
         // Strategy attribution describes *committed* layers only — a
         // routing pass discarded in favour of a swap layer never shows
         // up here or in the trace.
         if telemetry::fine_decisions_enabled() {
             telemetry::decision(&telemetry::Decision::StrategyChosen {
-                step: step_index - 1,
-                policy: chosen.to_string(),
-                reason: reason.to_string(),
+                step,
+                policy: layer.chosen.to_string(),
+                reason: layer.reason.to_string(),
             });
         }
-        if record {
-            result.layer_policies.push(LayerPolicy {
-                step: step_index - 1,
-                policy: chosen.to_string(),
-                reason: reason.to_string(),
+        if self.record {
+            self.result.layer_policies.push(LayerPolicy {
+                step,
+                policy: layer.chosen.to_string(),
+                reason: layer.reason.to_string(),
             });
-            result.steps.push(Step::Braid {
-                braids: outcome
+            self.result.steps.push(Step::Braid {
+                braids: layer
+                    .outcome
                     .routed
                     .into_iter()
                     .map(|r| (r.request.id, r.path))
                     .collect(),
-                locals,
+                locals: layer.locals,
             });
         }
     }
 
-    if result.braid_steps > 0 {
-        result.mean_utilization = utilization_sum / result.braid_steps as f64;
+    /// Rebuilds [`Self::remaining_cp`] if gates were appended since the
+    /// last build. Gate ids are topologically ordered, so one reverse
+    /// sweep suffices; appends only ever add successors, so a stream
+    /// pays one sweep per push batch, not one per step.
+    fn refresh_critical_path(&mut self) {
+        let dag = self.frontier.dag();
+        if self.remaining_cp.len() == dag.len() {
+            return;
+        }
+        self.remaining_cp.clear();
+        self.remaining_cp.resize(dag.len(), 0);
+        for g in (0..dag.len()).rev() {
+            let tail = dag
+                .successors(g)
+                .iter()
+                .map(|&s| self.remaining_cp[s])
+                .max()
+                .unwrap_or(0);
+            self.remaining_cp[g] =
+                tail + crate::critical_path::gate_cycles(self.circuit.gate(g), &self.config.timing);
+        }
     }
-    result.compile_seconds = started.elapsed().as_secs_f64();
-    Ok((result, placement))
 }
 
 #[cfg(test)]

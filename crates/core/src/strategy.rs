@@ -42,12 +42,6 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// Former name of [`Strategy::Stack`], kept so existing code and
-    /// match arms keep compiling.
-    #[deprecated(note = "renamed to `Strategy::Stack`")]
-    #[allow(non_upper_case_globals)]
-    pub const StackOnly: Strategy = Strategy::Stack;
-
     /// Every strategy, in report order — the differential oracle and
     /// other exhaustive sweeps iterate this instead of hand-listing
     /// variants. Derived from [`REGISTRY`].
@@ -211,17 +205,5 @@ mod tests {
         assert!(!Strategy::Baseline.info().supports_defects);
         assert!(!Strategy::Maslov.info().supports_defects);
         assert!(Strategy::ALL.iter().all(|s| s.info().deterministic));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn stack_only_shim_still_matches() {
-        let s = Strategy::Stack;
-        // The deprecated alias works both as a value and in a pattern.
-        assert_eq!(Strategy::StackOnly, s);
-        match s {
-            Strategy::StackOnly => {}
-            _ => panic!("alias must match the renamed variant"),
-        }
     }
 }

@@ -4,15 +4,17 @@
 //!
 //! A [`StreamingPipeline`] is opened for a fixed qubit capacity, fed
 //! gates one at a time (or in bursts) with [`StreamingPipeline::push_gate`],
-//! and stepped with [`StreamingPipeline::step`]. Each step mirrors one
-//! iteration of the batch engine loop ([`crate::scheduler::run_with_base_and_dag`]):
+//! and stepped with [`StreamingPipeline::step`]. It *is* the batch
+//! engine (`scheduler::Engine`, the stepper behind
+//! [`crate::scheduler::run`]) fed gate by gate: pushes append to the
+//! engine's dependence frontier, and each step is one engine step —
 //! ready local gates execute together, ready two-qubit gates become a
-//! braiding layer routed by the strategy's [`RoutePolicy`], and gates the
-//! router defers stay in the frontier for a later step. Because the
+//! braiding layer routed by the strategy's [`RoutePolicy`], and gates
+//! the router defers stay in the frontier for a later step. Because the
 //! stepping reuses the same policies ([`crate::scheduler::policy_for`]),
 //! every registry strategy works online; the Maslov swap network — whose
 //! construction needs the whole circuit up front — degrades to the stack
-//! finder.
+//! finder. The layout optimizer never runs online.
 //!
 //! Streaming also accepts *dynamic events* injected mid-run via
 //! [`StreamingPipeline::inject`]:
@@ -29,32 +31,34 @@
 //! counters; gates whose routes a fault or congestion displaced are
 //! retried on later steps (counted under `streaming.reroutes`).
 //!
-//! Every committed layer is re-validated by the router probe
+//! Every routed layer is re-validated by the router probe
 //! ([`autobraid_router::probe::check_route_outcome`]) and
-//! [`Placement::validate`], so the invariants the conformance oracle
-//! enforces on batch compiles hold on the online path too — violations
-//! are typed [`StreamError`]s, never silent corruption.
+//! [`Placement::validate`] before it commits, so the invariants the
+//! conformance oracle enforces on batch compiles hold on the online path
+//! too — violations are typed [`StreamError`]s, never silent corruption.
 //!
 //! When the same gate sequence is pushed up front and drained with no
 //! faults and no step budget, the streaming schedule is *identical* to
 //! the batch engine run with the same policy, placement, and base
-//! occupancy — the equality the conformance oracle's streaming
-//! differential check enforces. With a [`StreamingOptions::step_budget`],
+//! occupancy, since it is the same loop over the same frontier — the
+//! equality the conformance oracle's streaming differential check
+//! enforces. With a [`StreamingOptions::step_budget`],
 //! overrunning steps deterministically shrink the next layer to its
 //! most critical half, trading schedule quality for bounded per-step
 //! routing work (see `docs/STREAMING.md` for the budget semantics).
 
 use crate::autobraid::ScheduleOutcome;
-use crate::config::{Recording, ScheduleConfig};
-use crate::metrics::{LayerPolicy, ScheduleResult, Step};
+use crate::config::ScheduleConfig;
 use crate::pipeline::{CompileReport, StageTimings};
-use crate::scheduler::{policy_for, LayerRoute, LayerView, ParallelStackPolicy, RoutePolicy};
+use crate::scheduler::{
+    policy_for, Engine, ParallelStackPolicy, RoutePolicy, Routing, ScheduleError,
+};
 use crate::strategy::Strategy;
-use autobraid_circuit::{Circuit, CircuitStats, Gate, GateId};
+use autobraid_circuit::{Circuit, CircuitStats, Frontier, Gate, GateId};
 use autobraid_lattice::{Grid, Occupancy, Vertex};
 use autobraid_placement::Placement;
-use autobraid_router::{CxRequest, InterferenceGraph};
 use autobraid_telemetry as telemetry;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// How a [`StreamingPipeline`] is opened.
@@ -254,96 +258,6 @@ pub enum StepOutcome {
     },
 }
 
-/// Incremental dependence frontier: the growable online counterpart of
-/// [`autobraid_circuit::Frontier`]. Gates arrive one at a time; edges
-/// are the same per-qubit last-writer edges [`autobraid_circuit::DependenceDag::new`]
-/// builds, so draining a fully pushed stream visits gates in exactly
-/// the batch frontier's order.
-#[derive(Debug, Default)]
-struct StreamFrontier {
-    /// Last gate touching each qubit (for edge construction).
-    last_on_qubit: Vec<Option<GateId>>,
-    /// Unsatisfied predecessor count per gate.
-    remaining_preds: Vec<usize>,
-    /// Forward edges (only from gates not yet done at push time).
-    successors: Vec<Vec<GateId>>,
-    /// Gates with no unsatisfied predecessors, in release order.
-    ready: Vec<GateId>,
-    /// Completion flags.
-    done: Vec<bool>,
-    /// Pushed but not yet completed gates.
-    outstanding: usize,
-}
-
-impl StreamFrontier {
-    fn with_qubits(num_qubits: u32) -> Self {
-        StreamFrontier {
-            last_on_qubit: vec![None; num_qubits as usize],
-            ..StreamFrontier::default()
-        }
-    }
-
-    /// Registers gate `id` (which must equal the next dense id) with
-    /// the given operands; returns nothing — the gate becomes ready
-    /// immediately if every live predecessor has completed.
-    fn push(&mut self, id: GateId, gate: &Gate) {
-        debug_assert_eq!(id, self.remaining_preds.len());
-        let mut preds = 0usize;
-        let mut first_pred: Option<GateId> = None;
-        for q in gate.qubits() {
-            let slot = &mut self.last_on_qubit[q as usize];
-            if let Some(p) = *slot {
-                // Dedup: a two-qubit gate whose operands were both last
-                // written by the same gate gets a single edge, matching
-                // DependenceDag::new.
-                if first_pred != Some(p) && !self.done[p] {
-                    self.successors[p].push(id);
-                    preds += 1;
-                }
-                if first_pred.is_none() {
-                    first_pred = Some(p);
-                }
-            }
-            *slot = Some(id);
-        }
-        self.remaining_preds.push(preds);
-        self.successors.push(Vec::new());
-        self.done.push(false);
-        self.outstanding += 1;
-        if preds == 0 {
-            self.ready.push(id);
-        }
-    }
-
-    /// Ready gates in release order (mirrors `Frontier::ready`).
-    fn ready(&self) -> &[GateId] {
-        &self.ready
-    }
-
-    /// Marks `gate` executed, releasing newly ready successors in the
-    /// same `swap_remove` + push order as the batch frontier.
-    fn complete(&mut self, gate: GateId) {
-        let pos = self
-            .ready
-            .iter()
-            .position(|&g| g == gate)
-            .expect("completed gate must be ready");
-        self.ready.swap_remove(pos);
-        self.done[gate] = true;
-        self.outstanding -= 1;
-        // Successor lists are append-only and edges only come from
-        // not-yet-done predecessors, so each decrement here is unique.
-        let successors = std::mem::take(&mut self.successors[gate]);
-        for &s in &successors {
-            self.remaining_preds[s] -= 1;
-            if self.remaining_preds[s] == 0 {
-                self.ready.push(s);
-            }
-        }
-        self.successors[gate] = successors;
-    }
-}
-
 /// The streaming compiler: see the [module docs](crate::streaming).
 ///
 /// # Examples
@@ -361,45 +275,28 @@ impl StreamFrontier {
 /// ```
 pub struct StreamingPipeline {
     options: StreamingOptions,
-    config: ScheduleConfig,
-    grid: Grid,
-    placement: Placement,
-    initial_placement: Placement,
     policy: Box<dyn RoutePolicy>,
-    /// Defective channel vertices: initial overlay plus injected tile
-    /// failures. Every step's routing starts from a copy of this.
-    base: Occupancy,
-    /// Per-step scratch occupancy.
-    occupancy: Occupancy,
-    circuit: Circuit,
-    frontier: StreamFrontier,
-    result: ScheduleResult,
-    utilization_sum: f64,
-    step_index: u64,
+    /// The batch engine, fed gate by gate. Its base occupancy holds the
+    /// initial defect overlay plus injected tile failures; its placement
+    /// never changes, since streams never run the layout optimizer.
+    engine: Engine<'static>,
     /// Remaining magic-stall slots.
     stall_steps: u64,
-    /// Cached remaining critical-path weight per known gate (see
-    /// [`Self::refresh_critical_path`]).
-    cp_cache: Vec<u64>,
-    /// Whether gates were pushed since [`Self::cp_cache`] was rebuilt.
-    cp_dirty: bool,
     /// Fault kinds injected but not yet acknowledged by a committed step.
     pending_recovery: Vec<&'static str>,
     /// Gates deferred by an earlier routing pass (for reroute counting).
     deferred_before: Vec<bool>,
     /// Whether the last braid step overran the budget (trims the next).
     over_budget: bool,
-    started: Instant,
-    record: bool,
 }
 
 impl std::fmt::Debug for StreamingPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingPipeline")
             .field("strategy", &self.options.strategy)
-            .field("pushed", &self.circuit.len())
-            .field("outstanding", &self.frontier.outstanding)
-            .field("steps", &self.step_index)
+            .field("pushed", &self.pushed())
+            .field("outstanding", &self.outstanding())
+            .field("steps", &self.steps_taken())
             .finish_non_exhaustive()
     }
 }
@@ -434,14 +331,6 @@ impl StreamingPipeline {
                 base.reserve(&grid, v);
             }
         }
-        let mut circuit = Circuit::new(num_qubits);
-        circuit.set_name(options.label.clone());
-        let result = ScheduleResult::new(
-            options.strategy.name(),
-            options.label.clone(),
-            config.timing,
-        );
-        let record = config.recording == Recording::Full;
         if telemetry::decisions_enabled() {
             telemetry::decision(&telemetry::Decision::EngineBegin {
                 scheduler: format!("{}+stream", options.strategy.name()),
@@ -449,66 +338,62 @@ impl StreamingPipeline {
                 grid_side: grid.cells_per_side(),
             });
         }
-        StreamingPipeline {
-            frontier: StreamFrontier::with_qubits(num_qubits),
-            occupancy: Occupancy::new(&grid),
-            initial_placement: placement.clone(),
+        let engine = Engine::new(
+            options.strategy.name(),
+            Cow::Owned(Circuit::named(num_qubits, options.label.clone())),
+            Frontier::appendable(num_qubits),
+            &grid,
             placement,
+            false,
+            &config,
+            Cow::Owned(base),
+        );
+        StreamingPipeline {
+            options,
             policy,
-            base,
-            circuit,
-            result,
-            utilization_sum: 0.0,
-            step_index: 0,
+            engine,
             stall_steps: 0,
-            cp_cache: Vec::new(),
-            cp_dirty: false,
             pending_recovery: Vec::new(),
             deferred_before: Vec::new(),
             over_budget: false,
-            started: Instant::now(),
-            record,
-            options,
-            config,
-            grid,
         }
     }
 
     /// The lattice the stream schedules on.
     pub fn grid(&self) -> &Grid {
-        &self.grid
+        &self.engine.grid
     }
 
     /// The (fixed) placement of logical qubits.
     pub fn placement(&self) -> &Placement {
-        &self.placement
+        &self.engine.placement
     }
 
     /// The fixed qubit capacity the stream was opened with: gates
     /// addressing a qubit at or beyond this are rejected by
     /// [`Self::push_gate`].
     pub fn capacity(&self) -> u32 {
-        self.circuit.num_qubits()
+        self.engine.circuit.num_qubits()
     }
 
     /// Gates pushed so far.
     pub fn pushed(&self) -> usize {
-        self.circuit.len()
+        self.engine.circuit.len()
     }
 
     /// Gates pushed but not yet executed.
     pub fn outstanding(&self) -> usize {
-        self.frontier.outstanding
+        self.engine.outstanding()
     }
 
     /// Whether every pushed gate has executed.
     pub fn is_drained(&self) -> bool {
-        self.frontier.outstanding == 0 && self.stall_steps == 0
+        self.outstanding() == 0 && self.stall_steps == 0
     }
 
     /// Engine steps taken so far (local + braid; stall slots excluded).
     pub fn steps_taken(&self) -> u64 {
-        self.step_index
+        self.engine.steps_taken()
     }
 
     /// Appends one gate to the stream.
@@ -519,17 +404,14 @@ impl StreamingPipeline {
     /// at or beyond the capacity the stream was opened with.
     pub fn push_gate(&mut self, gate: Gate) -> Result<GateId, StreamError> {
         let max = gate.max_qubit();
-        if max >= self.circuit.num_qubits() {
+        if max >= self.capacity() {
             return Err(StreamError::QubitOutOfRange {
                 qubit: max,
-                capacity: self.circuit.num_qubits(),
+                capacity: self.capacity(),
             });
         }
-        let id = self.circuit.len();
-        self.circuit.push(gate);
-        self.frontier.push(id, &gate);
+        let id = self.engine.push(gate);
         self.deferred_before.push(false);
-        self.cp_dirty = true;
         telemetry::fine_counter("streaming.gates.pushed", 1);
         Ok(id)
     }
@@ -550,15 +432,16 @@ impl StreamingPipeline {
         let detail = match fault {
             FaultEvent::TileFailure { row, col } => {
                 let v = Vertex::new(row, col);
-                if !self.grid.contains_vertex(v) {
+                let grid = &self.engine.grid;
+                if !grid.contains_vertex(v) {
                     return Err(StreamError::InvalidFault {
                         detail: format!(
                             "vertex ({row}, {col}) is outside the {0}x{0} grid",
-                            self.grid.cells_per_side()
+                            grid.cells_per_side()
                         ),
                     });
                 }
-                self.base.reserve(&self.grid, v);
+                self.engine.base.to_mut().reserve(grid, v);
                 format!("vertex ({row}, {col}) failed")
             }
             FaultEvent::MagicStall { steps } => {
@@ -576,7 +459,7 @@ impl StreamingPipeline {
             telemetry::decision(&telemetry::Decision::FaultInjected {
                 kind: fault.kind().to_string(),
                 detail,
-                step: self.step_index,
+                step: self.steps_taken(),
             });
         }
         self.pending_recovery.push(fault.kind());
@@ -593,196 +476,78 @@ impl StreamingPipeline {
     pub fn step(&mut self) -> Result<StepOutcome, StreamError> {
         if self.stall_steps > 0 {
             self.stall_steps -= 1;
-            self.result.total_cycles += self.config.timing.braid_step_cycles();
+            let result = &mut self.engine.result;
+            result.total_cycles += result.timing().braid_step_cycles();
             telemetry::counter("streaming.stall.steps", 1);
             return Ok(StepOutcome::Stalled {
                 remaining: self.stall_steps,
             });
         }
-        if self.frontier.outstanding == 0 {
+
+        let route_started = Instant::now();
+        let routing = self.engine.route(self.policy.as_ref(), self.over_budget);
+        if matches!(routing, Ok(Routing::Braid(_)) | Err(_)) {
+            let wall = route_started.elapsed();
+            if let Some(budget) = self.options.step_budget {
+                self.over_budget = wall > budget;
+                if self.over_budget {
+                    telemetry::fine_counter("streaming.budget.overruns", 1);
+                }
+            }
+            telemetry::fine_observe("streaming.step.route_us", wall.as_secs_f64() * 1e6);
+        }
+        let layer = match routing {
+            Ok(Routing::Braid(layer)) => layer,
+            Ok(Routing::Local(gates)) => {
+                self.acknowledge_recovery();
+                return Ok(StepOutcome::Local { gates });
+            }
             // A drained frontier trivially survives any pending fault;
             // acknowledge here so every `fault.injected` gets its
             // `fault.recovered` even when no further step ever commits.
-            self.acknowledge_recovery();
-            return Ok(StepOutcome::Idle);
-        }
-
-        let ready: Vec<GateId> = self.frontier.ready().to_vec();
-        let locals: Vec<GateId> = ready
-            .iter()
-            .copied()
-            .filter(|&g| !self.circuit.gate(g).is_two_qubit())
-            .collect();
-        let mut braids: Vec<GateId> = ready
-            .iter()
-            .copied()
-            .filter(|&g| self.circuit.gate(g).is_two_qubit())
-            .collect();
-        if telemetry::fine_decisions_enabled() {
-            telemetry::decision(&telemetry::Decision::StepBegin {
-                step: self.step_index,
-                braids: braids.len(),
-                locals: locals.len(),
-            });
-        }
-        self.step_index += 1;
-
-        if braids.is_empty() {
-            debug_assert!(!locals.is_empty(), "frontier non-empty but nothing ready");
-            let executed = locals.len();
-            for &g in &locals {
-                self.frontier.complete(g);
+            Ok(Routing::Drained) => {
+                self.acknowledge_recovery();
+                return Ok(StepOutcome::Idle);
             }
-            self.result.local_steps += 1;
-            telemetry::fine_counter("streaming.steps.local", 1);
-            self.result.total_cycles += self.config.timing.local_step_cycles();
-            if self.record {
-                self.result.steps.push(Step::Local { gates: locals });
+            Ok(Routing::Swapped) => unreachable!("streams never run the layout optimizer"),
+            Err(ScheduleError::UnroutableGate { gate }) => {
+                return Err(StreamError::Unroutable { gate })
             }
-            self.acknowledge_recovery();
-            return Ok(StepOutcome::Local { gates: executed });
-        }
+        };
 
-        // Routing priority: remaining critical-path weight over the
-        // gates known *so far*, cached between steps and rebuilt only
-        // when new gates have arrived — a push-then-drain session is
-        // linear in pushed gates, not quadratic. With every gate pushed
-        // up front this equals the batch engine's priorities exactly.
-        self.refresh_critical_path();
-
-        // Budget trimming: after an overrun, offer the router only the
-        // most critical half of the layer (ties broken by gate id, so
-        // the trim is deterministic for a given overrun pattern).
-        let mut trimmed = 0usize;
-        if self.over_budget && braids.len() > 1 {
-            braids.sort_by_key(|&g| (std::cmp::Reverse(self.cp_cache[g]), g));
-            let keep = braids.len().div_ceil(2);
-            trimmed = braids.len() - keep;
-            braids.truncate(keep);
-            telemetry::fine_counter("streaming.budget.trimmed_gates", trimmed as u64);
-        }
-
-        let requests: Vec<CxRequest> = braids
-            .iter()
-            .map(|&g| {
-                let (a, b) = self
-                    .circuit
-                    .gate(g)
-                    .pair()
-                    .expect("braid gates are two-qubit");
-                CxRequest::new(g, self.placement.cell_of(a), self.placement.cell_of(b))
-                    .with_priority(self.cp_cache[g] as i64)
-            })
-            .collect();
-        let graph = InterferenceGraph::build(&requests);
-
-        let route_started = Instant::now();
-        self.occupancy.clone_from(&self.base);
-        let LayerRoute {
-            outcome,
-            chosen,
-            reason,
-        } = self.policy.route_layer(
-            &self.grid,
-            &mut self.occupancy,
-            LayerView {
-                step: self.step_index - 1,
-                base: &self.base,
-                requests: &requests,
-                interference: &graph,
-            },
-        );
-        let wall = route_started.elapsed();
-        if let Some(budget) = self.options.step_budget {
-            self.over_budget = wall > budget;
-            if self.over_budget {
-                telemetry::fine_counter("streaming.budget.overruns", 1);
-            }
-        }
-        if telemetry::fine_metrics_enabled() {
-            telemetry::observe("streaming.step.route_us", wall.as_secs_f64() * 1e6);
-            telemetry::counter("streaming.gates.routed", outcome.routed.len() as u64);
-            telemetry::counter(
-                "streaming.gates.deferred",
-                (outcome.failed.len() + trimmed) as u64,
-            );
-        }
-
-        if outcome.routed.is_empty() {
-            // On a defect-free lattice at least one gate always routes;
-            // injected tile failures can disconnect operand tiles for
-            // good.
-            return Err(StreamError::Unroutable {
-                gate: requests.first().map(|r| r.id).unwrap_or_default(),
-            });
-        }
-
-        // Satellite invariants: the probe re-derives accounting, path
-        // validity, disjointness, and defect avoidance from nothing but
-        // the batch and the outcome; the placement validator guards the
-        // qubit→cell map. Both ran only on batch compiles before.
+        // Every streamed layer is re-checked before it commits: the probe
+        // re-derives accounting, path validity, disjointness, and defect
+        // avoidance from nothing but the batch and the outcome; the
+        // placement validator guards the qubit→cell map.
+        let step = self.steps_taken() - 1;
+        let engine = &self.engine;
         if let Err(detail) = autobraid_router::probe::check_route_outcome(
-            &self.grid, &requests, &self.base, &outcome,
+            &engine.grid,
+            &layer.requests,
+            &engine.base,
+            &layer.outcome,
         ) {
-            return Err(StreamError::RouteInvariant {
-                step: self.step_index - 1,
-                detail,
-            });
+            return Err(StreamError::RouteInvariant { step, detail });
         }
-        if let Err(detail) = self.placement.validate(&self.grid) {
-            return Err(StreamError::PlacementInvariant {
-                step: self.step_index - 1,
-                detail,
-            });
+        if let Err(detail) = engine.placement.validate(&engine.grid) {
+            return Err(StreamError::PlacementInvariant { step, detail });
         }
 
-        let utilization = self.occupancy.utilization();
-        self.result.peak_utilization = self.result.peak_utilization.max(utilization);
-        self.utilization_sum += utilization;
-
-        let routed = outcome.routed.len();
-        let deferred = outcome.failed.len() + trimmed;
-        let mut reroutes = 0u64;
-        for r in &outcome.routed {
-            if self.deferred_before[r.request.id] {
-                reroutes += 1;
-            }
-            self.frontier.complete(r.request.id);
+        let routed = layer.outcome.routed.len();
+        let deferred = layer.outcome.failed.len() + layer.trimmed;
+        let reroutes = layer
+            .outcome
+            .routed
+            .iter()
+            .filter(|r| self.deferred_before[r.request.id])
+            .count();
+        if reroutes > 0 {
+            telemetry::fine_counter("streaming.reroutes", reroutes as u64);
         }
-        for &g in &outcome.failed {
+        for &g in &layer.outcome.failed {
             self.deferred_before[g] = true;
         }
-        if reroutes > 0 {
-            telemetry::fine_counter("streaming.reroutes", reroutes);
-        }
-        for &g in &locals {
-            self.frontier.complete(g);
-        }
-        self.result.braid_steps += 1;
-        telemetry::fine_counter("streaming.steps.braid", 1);
-        self.result.total_cycles += self.config.timing.braid_step_cycles();
-        if telemetry::fine_decisions_enabled() {
-            telemetry::decision(&telemetry::Decision::StrategyChosen {
-                step: self.step_index - 1,
-                policy: chosen.to_string(),
-                reason: reason.to_string(),
-            });
-        }
-        if self.record {
-            self.result.layer_policies.push(LayerPolicy {
-                step: self.step_index - 1,
-                policy: chosen.to_string(),
-                reason: reason.to_string(),
-            });
-            self.result.steps.push(Step::Braid {
-                braids: outcome
-                    .routed
-                    .into_iter()
-                    .map(|r| (r.request.id, r.path))
-                    .collect(),
-                locals,
-            });
-        }
+        self.engine.commit(layer);
         self.acknowledge_recovery();
         Ok(StepOutcome::Braid { routed, deferred })
     }
@@ -813,53 +578,31 @@ impl StreamingPipeline {
     /// Propagates the first [`StreamError`] hit while draining.
     pub fn finish(mut self) -> Result<CompileReport, StreamError> {
         self.drain()?;
-        if self.result.braid_steps > 0 {
-            self.result.mean_utilization = self.utilization_sum / self.result.braid_steps as f64;
-        }
-        self.result.compile_seconds = self.started.elapsed().as_secs_f64();
-        let timings = StageTimings {
-            schedule_seconds: self.result.compile_seconds,
-            ..StageTimings::default()
-        };
-        let stats = CircuitStats::of(&self.circuit);
+        self.engine.finish();
+        let Engine {
+            circuit,
+            grid,
+            placement,
+            result,
+            ..
+        } = self.engine;
+        let circuit = circuit.into_owned();
         Ok(CompileReport {
-            stats,
+            stats: CircuitStats::of(&circuit),
             gates_removed: 0,
-            outcome: ScheduleOutcome {
-                result: self.result,
-                grid: self.grid,
-                initial_placement: self.initial_placement,
+            timings: StageTimings {
+                schedule_seconds: result.compile_seconds,
+                ..StageTimings::default()
             },
-            timings,
+            outcome: ScheduleOutcome {
+                result,
+                grid,
+                initial_placement: placement,
+            },
             telemetry: None,
             trace: None,
-            circuit: self.circuit,
+            circuit,
         })
-    }
-
-    /// Rebuilds [`Self::cp_cache`]: the remaining critical-path weight
-    /// of each known gate (itself included), in engine cycles — the
-    /// same priority the batch engine assigns, over the prefix of the
-    /// circuit seen so far. Gate ids are topologically ordered by
-    /// construction, so one reverse sweep suffices; weights only change
-    /// when gates are pushed (successor lists are append-only), so the
-    /// sweep runs once per push batch instead of once per step.
-    fn refresh_critical_path(&mut self) {
-        if !self.cp_dirty {
-            return;
-        }
-        self.cp_cache.clear();
-        self.cp_cache.resize(self.circuit.len(), 0);
-        for g in (0..self.circuit.len()).rev() {
-            let tail = self.frontier.successors[g]
-                .iter()
-                .map(|&s| self.cp_cache[s])
-                .max()
-                .unwrap_or(0);
-            self.cp_cache[g] =
-                tail + crate::critical_path::gate_cycles(self.circuit.gate(g), &self.config.timing);
-        }
-        self.cp_dirty = false;
     }
 
     /// Emits `fault.recovered` for every fault the stream has survived:
@@ -877,7 +620,7 @@ impl StreamingPipeline {
                     // Saturating: a fault can be acknowledged before any
                     // step was ever taken (injection into an empty or
                     // fully drained stream).
-                    step: self.step_index.saturating_sub(1),
+                    step: self.steps_taken().saturating_sub(1),
                 });
             }
         }
@@ -887,7 +630,7 @@ impl StreamingPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::verify_schedule;
+    use crate::metrics::{verify_schedule, ScheduleResult};
     use crate::report::schedule_result_json;
     use crate::scheduler::run_with_base_occupancy;
     use autobraid_circuit::generators::{ising::ising, qft::qft};
@@ -1133,6 +876,32 @@ mod tests {
                 .with_step_budget(Duration::ZERO)
                 .with_label(circuit.name()),
         );
+        assert_eq!(report.circuit.len(), circuit.len());
+        verify_schedule(
+            &report.circuit,
+            &report.outcome.grid,
+            &report.outcome.initial_placement,
+            &report.outcome.result,
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn zero_budget_with_interleaved_pushes_still_verifies() {
+        let circuit = qft(7).unwrap();
+        let mut stream = StreamingPipeline::open(
+            7,
+            StreamingOptions::default().with_step_budget(Duration::ZERO),
+        );
+        for (i, (_, gate)) in circuit.iter().enumerate() {
+            stream.push_gate(*gate).unwrap();
+            if i % 4 == 0 {
+                // Every routed layer overruns a zero budget, so the
+                // trimmed halves meet freshly pushed gates.
+                let _ = stream.step().unwrap();
+            }
+        }
+        let report = stream.finish().unwrap();
         assert_eq!(report.circuit.len(), circuit.len());
         verify_schedule(
             &report.circuit,

@@ -6,8 +6,11 @@
 use autobraid::pipeline::{Pipeline, Strategy};
 use autobraid_circuit::Circuit;
 use autobraid_conformance::ConformanceCase;
-use autobraid_service::protocol::{CacheStatus, ErrorKind};
+use autobraid_service::protocol::{
+    read_frame, write_frame, CacheStatus, ErrorKind, DEFAULT_MAX_FRAME, PROTOCOL,
+};
 use autobraid_service::{Client, ClientError, CompileRequest, Server, ServiceConfig};
+use autobraid_telemetry::JsonValue;
 use std::time::{Duration, Instant};
 
 fn server(configure: impl FnOnce(&mut ServiceConfig)) -> Server {
@@ -249,6 +252,46 @@ fn parse_errors_are_typed_and_do_not_poison_the_connection() {
             .cache,
         CacheStatus::Miss
     );
+}
+
+#[test]
+fn deeply_nested_frame_is_a_protocol_error_not_a_crash() {
+    let server = server(|_| {});
+    // Raw frames: the nested document is far too deep to build as a
+    // `JsonValue` on the test side.
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut exchange = |payload: &str| {
+        write_frame(&mut stream, payload).expect("request frame");
+        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+            .expect("readable response")
+            .expect("response frame");
+        JsonValue::parse(&frame).expect("valid JSON")
+    };
+
+    // ~10 KB of `[`: well under the frame cap, far past the nesting cap.
+    let nested = exchange(&"[".repeat(10_000));
+    assert_eq!(
+        nested.get("status").and_then(JsonValue::as_str),
+        Some("error")
+    );
+    let error = nested.get("error").expect("error body");
+    assert_eq!(
+        error.get("kind").and_then(JsonValue::as_str),
+        Some("protocol")
+    );
+    let detail = error
+        .get("detail")
+        .and_then(JsonValue::as_str)
+        .unwrap_or("");
+    assert!(detail.contains("nesting"), "{detail}");
+
+    // The daemon and the connection both survive.
+    let ping = JsonValue::object([
+        ("proto", JsonValue::from(PROTOCOL)),
+        ("kind", JsonValue::from("ping")),
+    ]);
+    let pong = exchange(&ping.render_compact());
+    assert_eq!(pong.get("kind").and_then(JsonValue::as_str), Some("pong"));
 }
 
 #[test]

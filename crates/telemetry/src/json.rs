@@ -9,6 +9,11 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so without a cap a hostile document of a
+/// few kilobytes of `[` overflows the stack of the thread parsing it.
+const MAX_NESTING: usize = 128;
+
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -87,11 +92,13 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns a message naming the byte offset of the first syntax
-    /// error.
+    /// error, or of the first array or object nested deeper than 128
+    /// levels.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -231,6 +238,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -272,8 +281,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object_value(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(format!(
+                        "nesting deeper than {MAX_NESTING} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object_value()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -531,6 +554,21 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "nul", "{\"a\" 1}", "1 2", "{]"] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(JsonValue::parse(&arrays(MAX_NESTING)).is_ok());
+        assert!(JsonValue::parse(&objects(MAX_NESTING)).is_ok());
+        let err = JsonValue::parse(&arrays(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_NESTING} levels at byte {MAX_NESTING}")
+        );
+        let err = JsonValue::parse(&objects(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 
     #[test]
