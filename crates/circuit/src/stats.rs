@@ -2,7 +2,6 @@
 
 use crate::circuit::Circuit;
 use crate::dag::DependenceDag;
-use crate::layers::ParallelismProfile;
 use std::fmt;
 
 /// A one-line summary of a circuit's size and communication structure.
@@ -37,18 +36,39 @@ pub struct CircuitStats {
 }
 
 impl CircuitStats {
-    /// Computes all statistics in one pass over the circuit.
+    /// Computes all statistics over one freshly built dependence DAG.
     pub fn of(circuit: &Circuit) -> Self {
-        let dag = DependenceDag::new(circuit);
-        let profile = ParallelismProfile::analyze(circuit);
+        CircuitStats::with_dag(circuit, &DependenceDag::new(circuit))
+    }
+
+    /// Computes all statistics from `circuit`'s plain dependence DAG,
+    /// already built by the caller: depth and per-level CX counts come
+    /// from one [`DependenceDag::asap_levels`] pass, with the
+    /// [`ParallelismProfile`](crate::layers::ParallelismProfile)
+    /// max/mean formulas. A commutation-relaxed DAG has other levels,
+    /// so it gives other numbers than [`CircuitStats::of`].
+    pub fn with_dag(circuit: &Circuit, dag: &DependenceDag) -> Self {
+        let levels = dag.asap_levels();
+        let depth = levels.iter().max().map_or(0, |d| d + 1);
+        let mut cx_per_level = vec![0usize; depth];
+        for (gate, &level) in circuit.gates().iter().zip(&levels) {
+            if gate.is_two_qubit() {
+                cx_per_level[level] += 1;
+            }
+        }
+        let mean_concurrent_cx = if depth == 0 {
+            0.0
+        } else {
+            cx_per_level.iter().sum::<usize>() as f64 / depth as f64
+        };
         CircuitStats {
             name: circuit.name().to_string(),
             qubits: circuit.num_qubits(),
             gates: circuit.len(),
             two_qubit_gates: circuit.two_qubit_count(),
-            depth: dag.depth(),
-            max_concurrent_cx: profile.max_concurrent_cx(),
-            mean_concurrent_cx: profile.mean_concurrent_cx(),
+            depth,
+            max_concurrent_cx: cx_per_level.iter().copied().max().unwrap_or(0),
+            mean_concurrent_cx,
         }
     }
 
@@ -97,6 +117,29 @@ mod tests {
         assert_eq!(s.max_concurrent_cx, 1);
         assert!((s.communication_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert!(s.to_string().contains("demo"));
+    }
+
+    #[test]
+    fn one_dag_matches_the_parallelism_profile() {
+        use crate::generators::{by_name, random::random_circuit};
+        use crate::layers::ParallelismProfile;
+        let mut circuits: Vec<Circuit> = ["qft", "im", "bv", "qaoa"]
+            .iter()
+            .map(|kind| by_name(kind, 12).unwrap())
+            .collect();
+        circuits.push(by_name("urf2_277", 0).unwrap());
+        circuits.extend((0..8).map(|seed| random_circuit(6, 60, 0.5, seed).unwrap()));
+        for c in &circuits {
+            let s = CircuitStats::of(c);
+            let profile = ParallelismProfile::analyze(c);
+            assert_eq!(s.depth, DependenceDag::new(c).depth());
+            assert_eq!(s.depth, profile.layer_count());
+            assert_eq!(s.max_concurrent_cx, profile.max_concurrent_cx());
+            assert_eq!(
+                s.mean_concurrent_cx.to_bits(),
+                profile.mean_concurrent_cx().to_bits()
+            );
+        }
     }
 
     #[test]

@@ -122,6 +122,12 @@ pub fn comparison_row(
 /// a measurement, so it also appears in — and is byte-checked by — the
 /// canonical report.
 pub fn schedule_result_json(result: &ScheduleResult) -> JsonValue {
+    schedule_json(result, result.compile_seconds)
+}
+
+/// [`schedule_result_json`] with `compile_seconds` rendered as given,
+/// so the canonical report can zero it without copying the schedule.
+fn schedule_json(result: &ScheduleResult, compile_seconds: f64) -> JsonValue {
     let layer_policies: Vec<JsonValue> = result
         .layer_policies
         .iter()
@@ -144,7 +150,7 @@ pub fn schedule_result_json(result: &ScheduleResult) -> JsonValue {
         ("swap_count", JsonValue::from(result.swap_count)),
         ("peak_utilization", JsonValue::from(result.peak_utilization)),
         ("mean_utilization", JsonValue::from(result.mean_utilization)),
-        ("compile_seconds", JsonValue::from(result.compile_seconds)),
+        ("compile_seconds", JsonValue::from(compile_seconds)),
         ("layer_policies", JsonValue::Array(layer_policies)),
     ])
 }
@@ -201,14 +207,12 @@ pub fn compile_report_json(report: &CompileReport) -> JsonValue {
 /// the contract `docs/RUNTIME.md` documents — timings and telemetry are
 /// measurements of the run, not part of the compiled result.
 pub fn canonical_compile_report_json(report: &CompileReport) -> JsonValue {
-    let mut result = report.outcome.result.clone();
-    result.compile_seconds = 0.0;
     JsonValue::object([
         ("circuit", JsonValue::from(report.stats.name.as_str())),
         ("qubits", JsonValue::from(report.stats.qubits)),
         ("gates", JsonValue::from(report.stats.gates)),
         ("gates_removed", JsonValue::from(report.gates_removed)),
-        ("schedule", schedule_result_json(&result)),
+        ("schedule", schedule_json(&report.outcome.result, 0.0)),
     ])
 }
 

@@ -380,7 +380,15 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
         let req_scope = telemetry::begin_request(request_id);
         let started = Instant::now();
-        let (response, outcome) = match process(shared, &mut session, &payload, request_id) {
+        let mut latency_from = None;
+        let (response, outcome) = match process(
+            shared,
+            &mut session,
+            &payload,
+            request_id,
+            started,
+            &mut latency_from,
+        ) {
             Ok(ok) => (ok, "ok"),
             Err(err) => {
                 let outcome = err.kind.name();
@@ -393,8 +401,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         });
         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
         maybe_dump_flight(shared, request_id, outcome, elapsed_ms);
+        let frame = response.render_compact();
+        // Observed once the frame is rendered, so the histogram covers
+        // the whole request: decode, compile or cache hit, and render.
+        if let Some(from) = latency_from {
+            telemetry::observe("service.latency_ms", from.elapsed().as_secs_f64() * 1e3);
+        }
         drop(req_scope);
-        if write_frame(&mut write, &response.render_compact()).is_err() {
+        if write_frame(&mut write, &frame).is_err() {
             break;
         }
     }
@@ -407,12 +421,17 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = write.shutdown(Shutdown::Both);
 }
 
-/// Handles one request frame, start to finish.
+/// Handles one request frame, start to finish. A completed compile or
+/// closed session sets `latency_from` to where its `service.latency_ms`
+/// observation starts: the frame's arrival at `received`, or the
+/// session's opening.
 fn process(
     shared: &Arc<Shared>,
     session: &mut Option<OpenSession>,
     payload: &str,
     request_id: u64,
+    received: Instant,
+    latency_from: &mut Option<Instant>,
 ) -> Result<JsonValue, ServiceError> {
     let doc = JsonValue::parse(payload)
         .map_err(|e| ServiceError::new(ErrorKind::Protocol, format!("invalid JSON: {e}")))?;
@@ -442,7 +461,9 @@ fn process(
         }
         Request::Compile(req) => {
             telemetry::counter("service.requests.compile", 1);
-            handle_compile(shared, &req, request_id)
+            let response = handle_compile(shared, &req, request_id)?;
+            *latency_from = Some(received);
+            Ok(response)
         }
         Request::SessionOpen(open) => {
             telemetry::counter("service.requests.session", 1);
@@ -541,7 +562,7 @@ fn process(
                 stream.finish().map_err(stream_error)?
             };
             let elapsed = start.elapsed().as_secs_f64() * 1e3;
-            telemetry::observe("service.latency_ms", elapsed);
+            *latency_from = Some(start);
             let canonical = canonical_compile_report_json(&finished).render_compact();
             let report_doc = JsonValue::parse(&canonical)
                 .expect("canonical report is valid JSON by construction");
@@ -886,7 +907,6 @@ fn handle_compile(
                 status: CacheStatus::Hit.name(),
             });
             let elapsed = start.elapsed().as_secs_f64() * 1e3;
-            telemetry::observe("service.latency_ms", elapsed);
             let report = JsonValue::parse(&report_json).map_err(|e| {
                 ServiceError::new(ErrorKind::Internal, format!("cache corrupt: {e}"))
             })?;
@@ -968,7 +988,6 @@ fn handle_compile(
         CacheStatus::Bypass
     };
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    telemetry::observe("service.latency_ms", elapsed);
     let report_doc =
         JsonValue::parse(&canonical).expect("canonical report is valid JSON by construction");
     let telemetry_doc = report.telemetry.as_ref().map(|s| s.to_json_value());

@@ -323,6 +323,32 @@ fn stats_report_counters_cache_and_latency() {
 }
 
 #[test]
+fn latency_histogram_covers_the_whole_compile_request() {
+    let server = server(|_| {});
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let request = CompileRequest::qasm(BELL_QASM);
+    let miss = client.compile(&request).expect("cold");
+    let hit = client.compile(&request).expect("warm");
+    assert_eq!(
+        (miss.cache, hit.cache),
+        (CacheStatus::Miss, CacheStatus::Hit)
+    );
+    let stats = client.stats().expect("stats");
+    let latency = stats.get("latency_ms").expect("latency block");
+    let count = latency.get("count").and_then(|v| v.as_u64());
+    let mean = latency.get("mean").and_then(|v| v.as_f64()).expect("mean");
+    assert_eq!(count, Some(2));
+    // Each observation is taken once the response frame is rendered,
+    // after the span the response's own `elapsed_ms` reports ends.
+    assert!(
+        2.0 * mean > miss.elapsed_ms + hit.elapsed_ms,
+        "latency mean {mean} ms does not cover elapsed {} + {} ms",
+        miss.elapsed_ms,
+        hit.elapsed_ms
+    );
+}
+
+#[test]
 fn ping_and_stats_carry_version_and_uptime() {
     let server = server(|_| {});
     let mut client = Client::connect(server.addr()).expect("connect");

@@ -136,3 +136,39 @@ fn bigger_code_distance_means_longer_wall_clock() {
     }
     assert!(times[0] < times[1] && times[1] < times[2], "{times:?}");
 }
+
+#[test]
+fn report_stats_match_a_fresh_circuit_stats_on_every_family() {
+    use autobraid::pipeline::Pipeline;
+    use autobraid::{StreamingOptions, StreamingPipeline};
+    use autobraid_circuit::CircuitStats;
+
+    for circuit in workloads() {
+        let name = circuit.name().to_string();
+        // The plain pipeline reuses its scheduling DAG for the stats; a
+        // commutation-aware one must not, its DAG being relaxed.
+        for commutation_aware in [false, true] {
+            let report = Pipeline::new()
+                .with_config(ScheduleConfig::default().with_commutation_aware(commutation_aware))
+                .compile(&circuit)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                report.stats,
+                CircuitStats::of(&report.circuit),
+                "{name}: commutation_aware={commutation_aware}"
+            );
+        }
+        // A stream reuses its frontier's DAG.
+        let mut stream = StreamingPipeline::open(circuit.num_qubits(), StreamingOptions::default());
+        for (_, gate) in circuit.iter() {
+            stream.push_gate(*gate).expect("in-range gate");
+        }
+        let streamed = stream.finish().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(streamed.stats.gates, circuit.len(), "{name}");
+        assert_eq!(
+            streamed.stats,
+            CircuitStats::of(&streamed.circuit),
+            "{name}"
+        );
+    }
+}
