@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the multilevel partitioner (the METIS
 //! substitute) and the placement pipeline.
 
-use autobraid_circuit::generators::{qaoa::qaoa, qft::qft};
+use autobraid_circuit::generators::{cc::counterfeit_coin, qaoa::qaoa, qft::qft};
 use autobraid_lattice::Grid;
 use autobraid_placement::initial::partition_placement;
 use autobraid_placement::partition::bisect::Balance;
@@ -32,6 +32,11 @@ fn bench_bisection() {
             bisect_multilevel(&g, Balance::even(g.total_vertex_weight(), 2))
         });
     }
+    let edges: Vec<(usize, usize, u64)> = (1..=1000).map(|v| (0, v, 1)).collect();
+    let star = PartGraph::from_edges(1001, &edges);
+    group.bench("star1000", || {
+        bisect_multilevel(&star, Balance::even(star.total_vertex_weight(), 0))
+    });
     group.finish();
 }
 
@@ -43,6 +48,10 @@ fn bench_placement() {
     let qaoa_c = qaoa(300, 4, 3, 9).unwrap();
     let qaoa_grid = Grid::with_capacity_for(300);
     group.bench("qaoa300", || partition_placement(&qaoa_c, &qaoa_grid));
+    // A star coupling graph: one hub, 300 leaves.
+    let cc_c = counterfeit_coin(300).unwrap();
+    let cc_grid = Grid::with_capacity_for(cc_c.num_qubits() as usize);
+    group.bench("cc300_star", || partition_placement(&cc_c, &cc_grid));
     group.finish();
 }
 

@@ -18,10 +18,10 @@
 
 use autobraid::pipeline::{CompileOptions, Pipeline, Strategy};
 use autobraid::streaming::{StreamingOptions, StreamingPipeline};
-use autobraid_circuit::generators::{ising::ising, qft::qft, random};
+use autobraid_circuit::generators::{cc::counterfeit_coin, ising::ising, qft::qft, random};
 use autobraid_circuit::Circuit;
 use autobraid_lattice::{Cell, Grid, Occupancy};
-use autobraid_placement::{anneal, AnnealConfig, Placement};
+use autobraid_placement::{anneal, partition_placement, AnnealConfig, Placement};
 use autobraid_router::astar::{find_path, SearchLimits};
 use autobraid_router::path::CxRequest;
 use autobraid_router::route_negotiated;
@@ -317,6 +317,17 @@ pub fn suite() -> Vec<BenchCase> {
                     ..AnnealConfig::default()
                 },
             ));
+        }),
+    });
+
+    // --- micro: the placement seed on a star coupling graph (one hub,
+    // 300 leaves), where the partitioner must stop coarsening early ---
+    let circuit = counterfeit_coin(300).expect("cc builds");
+    let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
+    cases.push(BenchCase {
+        name: "placement/seed_star",
+        run: Box::new(move || {
+            black_box(partition_placement(&circuit, &grid));
         }),
     });
 

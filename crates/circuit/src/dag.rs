@@ -436,6 +436,33 @@ pub fn is_valid_execution_order(circuit: &Circuit, order: &[GateId]) -> bool {
     true
 }
 
+/// [`DependenceDag::asap_levels`] of `circuit`'s plain DAG
+/// ([`DependenceDag::new`]) without building it: one sweep that keeps,
+/// per qubit, the level just past the last gate on it.
+pub fn plain_asap_levels(circuit: &Circuit) -> Vec<usize> {
+    let mut next_free = vec![0usize; circuit.num_qubits() as usize];
+    circuit
+        .gates()
+        .iter()
+        .map(|gate| match *gate {
+            Gate::Single { qubit, .. } => {
+                let level = next_free[qubit as usize];
+                next_free[qubit as usize] = level + 1;
+                level
+            }
+            Gate::Two {
+                control, target, ..
+            } => {
+                let (c, t) = (control as usize, target as usize);
+                let level = next_free[c].max(next_free[t]);
+                next_free[c] = level + 1;
+                next_free[t] = level + 1;
+                level
+            }
+        })
+        .collect()
+}
+
 /// Longest-path layering by breadth-first traversal — used to cross-check
 /// [`DependenceDag::asap_levels`] in tests and by the parallelism analysis.
 pub fn bfs_levels(dag: &DependenceDag) -> Vec<usize> {
@@ -606,6 +633,17 @@ mod tests {
         let c = diamond();
         let dag = DependenceDag::new(&c);
         assert_eq!(bfs_levels(&dag), dag.asap_levels());
+    }
+
+    #[test]
+    fn the_plain_sweep_matches_the_dag_levels() {
+        let mut circuits: Vec<Circuit> = random_circuits().map(|(_, c)| c).collect();
+        circuits.push(diamond());
+        circuits.push(Circuit::new(3));
+        circuits.push(crate::generators::by_name("urf2_277", 0).unwrap());
+        for c in &circuits {
+            assert_eq!(plain_asap_levels(c), DependenceDag::new(c).asap_levels());
+        }
     }
 
     #[test]

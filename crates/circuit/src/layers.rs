@@ -6,7 +6,7 @@
 //! from communication-heavy ones (Ising, QFT).
 
 use crate::circuit::{Circuit, GateId};
-use crate::dag::DependenceDag;
+use crate::dag::plain_asap_levels;
 
 /// ASAP layering of a circuit with per-layer communication statistics.
 ///
@@ -31,9 +31,11 @@ pub struct ParallelismProfile {
 
 impl ParallelismProfile {
     /// Computes the ASAP layering and per-layer CX counts.
+    ///
+    /// The levels are the plain dependence DAG's, swept from the gate
+    /// list without building the DAG ([`plain_asap_levels`]).
     pub fn analyze(circuit: &Circuit) -> Self {
-        let dag = DependenceDag::new(circuit);
-        let levels = dag.asap_levels();
+        let levels = plain_asap_levels(circuit);
         let depth = levels.iter().max().map_or(0, |d| d + 1);
         let mut layers: Vec<Vec<GateId>> = vec![Vec::new(); depth];
         for (g, &lvl) in levels.iter().enumerate() {

@@ -10,7 +10,7 @@
 //!   better of the two is kept, as in §3.3.2).
 
 use crate::config::ScheduleConfig;
-use crate::maslov::schedule_maslov_with_dag;
+use crate::maslov::schedule_maslov_below;
 use crate::metrics::ScheduleResult;
 use crate::scheduler::{
     run, run_with_dag, ParallelStackPolicy, PathFinderPolicy, PortfolioPolicy, RoutePolicy,
@@ -213,10 +213,12 @@ impl AutoBraid {
                     };
                 }
             }
+            // Maslov only wins with strictly fewer cycles, so it quits
+            // once it reaches the incumbent's.
             if is_all_to_all(circuit) {
-                let (maslov, maslov_initial) = schedule_maslov_with_dag(circuit, &self.config, dag);
-                if maslov.total_cycles < outcome.result.total_cycles {
-                    let mut result = maslov;
+                if let Some((mut result, maslov_initial)) =
+                    schedule_maslov_below(circuit, &self.config, dag, outcome.result.total_cycles)
+                {
                     result.scheduler = "autobraid-full".into();
                     outcome = ScheduleOutcome {
                         grid,

@@ -47,6 +47,19 @@ pub fn schedule_maslov_with_dag(
     config: &ScheduleConfig,
     dag: &DependenceDag,
 ) -> (ScheduleResult, Placement) {
+    schedule_maslov_below(circuit, config, dag, u64::MAX).expect("an unbounded schedule completes")
+}
+
+/// [`schedule_maslov_with_dag`] that quits once the schedule reaches
+/// `bound` cycles: `None` unless it drains in fewer. Cycles only grow as
+/// steps commit, so the race in `schedule_full` abandons a Maslov
+/// candidate as soon as it can no longer beat the incumbent.
+pub(crate) fn schedule_maslov_below(
+    circuit: &Circuit,
+    config: &ScheduleConfig,
+    dag: &DependenceDag,
+    bound: u64,
+) -> Option<(ScheduleResult, Placement)> {
     let started = Instant::now();
     let n = circuit.num_qubits();
     let grid = Grid::with_capacity_for(n as usize);
@@ -78,6 +91,9 @@ pub fn schedule_maslov_with_dag(
     let mut pairs: Vec<(QubitId, QubitId)> = Vec::new();
 
     while !frontier.is_drained() {
+        if result.total_cycles >= bound {
+            return None;
+        }
         ready.clear();
         ready.extend_from_slice(frontier.ready());
         let locals: Vec<GateId> = ready
@@ -243,7 +259,7 @@ pub fn schedule_maslov_with_dag(
         result.mean_utilization = utilization_sum / result.braid_steps as f64;
     }
     result.compile_seconds = started.elapsed().as_secs_f64();
-    (result, initial)
+    (result.total_cycles < bound).then_some((result, initial))
 }
 
 /// Change in summed partner distance (old − new) over `ready_pairs` if
@@ -329,6 +345,20 @@ mod tests {
         let (r, _) = schedule_maslov(&c, &ScheduleConfig::default());
         assert_eq!(r.swap_layers, 0, "chain on the line is already adjacent");
         assert_eq!(r.braid_steps, 3);
+    }
+
+    #[test]
+    fn bounded_run_quits_at_the_bound_and_matches_below_it() {
+        let circuit = qft(16).unwrap();
+        let config = ScheduleConfig::default();
+        let dag = DependenceDag::new(&circuit);
+        let (full, _) = schedule_maslov_with_dag(&circuit, &config, &dag);
+        assert!(schedule_maslov_below(&circuit, &config, &dag, full.total_cycles).is_none());
+        assert!(schedule_maslov_below(&circuit, &config, &dag, 1).is_none());
+        let (below, _) =
+            schedule_maslov_below(&circuit, &config, &dag, full.total_cycles + 1).unwrap();
+        assert_eq!(below.steps, full.steps);
+        assert_eq!(below.total_cycles, full.total_cycles);
     }
 
     #[test]

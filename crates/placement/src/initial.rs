@@ -131,7 +131,10 @@ fn embed(graph: &PartGraph, vertices: &[usize], rect: Rect, out: &mut [Option<Ce
             let (sub, _) = induced_subgraph(graph, vertices);
             let weight = sub.total_vertex_weight();
             let balance = Balance::capacities(weight, ra.capacity(), rb.capacity());
-            let side = bisect_and_fit(&sub, balance);
+            let side = bisect_multilevel(&sub, balance);
+            // Unit vertex weights: the multilevel bisection's balance
+            // repair is exact.
+            debug_assert!(balance.admits(sub.side_weight(&side)), "region overfull");
             let mut left = Vec::new();
             let mut right = Vec::new();
             for (i, &v) in vertices.iter().enumerate() {
@@ -145,40 +148,6 @@ fn embed(graph: &PartGraph, vertices: &[usize], rect: Rect, out: &mut [Option<Ce
             embed(graph, &right, rb, out);
         }
     }
-}
-
-/// Multilevel bisection hardened to always satisfy the capacity bounds
-/// (unit vertex weights make forcing trivial).
-fn bisect_and_fit(sub: &PartGraph, balance: Balance) -> Vec<bool> {
-    let mut side = bisect_multilevel(sub, balance);
-    let mut w0 = sub.side_weight(&side);
-    while w0 > balance.max_side0 {
-        let v = (0..sub.num_vertices())
-            .filter(|&v| !side[v])
-            .min_by_key(|&v| internal_weight(sub, &side, v))
-            .expect("side 0 non-empty while over capacity");
-        side[v] = true;
-        w0 -= sub.vertex_weight(v);
-    }
-    while w0 < balance.min_side0 {
-        let v = (0..sub.num_vertices())
-            .filter(|&v| side[v])
-            .min_by_key(|&v| internal_weight(sub, &side, v))
-            .expect("side 1 non-empty while under capacity");
-        side[v] = false;
-        w0 += sub.vertex_weight(v);
-    }
-    side
-}
-
-fn internal_weight(graph: &PartGraph, side: &[bool], v: usize) -> (u64, usize) {
-    let w = graph
-        .neighbors(v)
-        .iter()
-        .filter(|&&(m, _)| side[m] == side[v])
-        .map(|&(_, w)| w)
-        .sum();
-    (w, v)
 }
 
 /// Sum over coupled pairs of `weight × Manhattan distance` — the locality

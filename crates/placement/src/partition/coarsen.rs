@@ -14,9 +14,7 @@ pub type Matching = Vec<Option<usize>>;
 pub fn heavy_edge_matching(graph: &PartGraph) -> Matching {
     let n = graph.num_vertices();
     let mut partner: Matching = vec![None; n];
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| (graph.degree(v), v));
-    for v in order {
+    for v in degree_order(graph) {
         if partner[v].is_some() {
             continue;
         }
@@ -34,6 +32,27 @@ pub fn heavy_edge_matching(graph: &PartGraph) -> Matching {
     partner
 }
 
+/// The vertices sorted by `(degree, v)`, by counting sort: one bucket per
+/// degree, filled in ascending vertex order.
+fn degree_order(graph: &PartGraph) -> Vec<usize> {
+    let n = graph.num_vertices();
+    // start[d + 1] counts degree-d vertices, then becomes bucket d's end.
+    let mut start = vec![0usize; n + 1];
+    for v in 0..n {
+        start[graph.degree(v) + 1] += 1;
+    }
+    for d in 1..n {
+        start[d + 1] += start[d];
+    }
+    let mut order = vec![0; n];
+    for v in 0..n {
+        let slot = &mut start[graph.degree(v)];
+        order[*slot] = v;
+        *slot += 1;
+    }
+    order
+}
+
 /// Contracts matched pairs into single coarse vertices.
 ///
 /// Returns the coarse graph and the fine → coarse vertex map. Coarse
@@ -41,6 +60,42 @@ pub fn heavy_edge_matching(graph: &PartGraph) -> Matching {
 /// coarse vertices accumulate all fine edge weights (internal matched
 /// edges disappear).
 pub fn coarsen(graph: &PartGraph, matching: &Matching) -> (PartGraph, Vec<usize>) {
+    let n = graph.num_vertices();
+    let mut fine_to_coarse = vec![usize::MAX; n];
+    let mut weight = Vec::new();
+    // The constituents' summed degrees bound each coarse list's length.
+    let mut capacity = Vec::new();
+    for v in 0..n {
+        if fine_to_coarse[v] != usize::MAX {
+            continue;
+        }
+        fine_to_coarse[v] = weight.len();
+        let (mut w, mut deg) = (graph.vertex_weight(v), graph.degree(v));
+        if let Some(m) = matching[v] {
+            fine_to_coarse[m] = weight.len();
+            w += graph.vertex_weight(m);
+            deg += graph.degree(m);
+        }
+        weight.push(w);
+        capacity.push(deg);
+    }
+    let mut coarse = PartGraph::with_capacity(weight, &capacity);
+    for v in 0..n {
+        let cv = fine_to_coarse[v];
+        for &(m, w) in graph.neighbors(v) {
+            let cm = fine_to_coarse[m];
+            if v < m && cv != cm {
+                coarse.add_edge(cv, cm, w);
+            }
+        }
+    }
+    (coarse, fine_to_coarse)
+}
+
+/// [`coarsen`] as first written: growing lists and the reference
+/// [`PartGraph::add_edge_reference`] scan.
+#[cfg(test)]
+pub(crate) fn coarsen_reference(graph: &PartGraph, matching: &Matching) -> (PartGraph, Vec<usize>) {
     let n = graph.num_vertices();
     let mut fine_to_coarse = vec![usize::MAX; n];
     let mut next = 0;
@@ -64,7 +119,7 @@ pub fn coarsen(graph: &PartGraph, matching: &Matching) -> (PartGraph, Vec<usize>
         for &(m, w) in graph.neighbors(v) {
             let cm = fine_to_coarse[m];
             if v < m && cv != cm {
-                coarse.add_edge(cv, cm, w);
+                coarse.add_edge_reference(cv, cm, w);
             }
         }
     }
@@ -74,6 +129,30 @@ pub fn coarsen(graph: &PartGraph, matching: &Matching) -> (PartGraph, Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::graph::random_edges;
+
+    #[test]
+    fn matches_the_reference_at_every_level_of_a_full_descent() {
+        // No stall rule here: descend until matching finds nothing, so
+        // hub-heavy graphs run their full one-leaf-per-level cascade.
+        for seed in 0..40 {
+            let n = 3 + seed as usize * 4;
+            let mut graph = PartGraph::from_edges(n, &random_edges(n, seed as usize % 3, seed));
+            loop {
+                let mut sorted: Vec<usize> = (0..graph.num_vertices()).collect();
+                sorted.sort_by_key(|&v| (graph.degree(v), v));
+                assert_eq!(degree_order(&graph), sorted, "seed {seed}");
+                let matching = heavy_edge_matching(&graph);
+                let (coarse, map) = coarsen(&graph, &matching);
+                let reference = coarsen_reference(&graph, &matching);
+                assert_eq!((&coarse, &map), (&reference.0, &reference.1), "seed {seed}");
+                if coarse.num_vertices() == graph.num_vertices() {
+                    break;
+                }
+                graph = coarse;
+            }
+        }
+    }
 
     fn path4() -> PartGraph {
         PartGraph::from_edges(4, &[(0, 1, 5), (1, 2, 1), (2, 3, 5)])

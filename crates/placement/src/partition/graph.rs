@@ -29,6 +29,16 @@ impl PartGraph {
         }
     }
 
+    /// An edgeless graph with the given vertex weights whose neighbour
+    /// lists start with room for `capacity[v]` entries each.
+    pub(crate) fn with_capacity(vertex_weight: Vec<u64>, capacity: &[usize]) -> Self {
+        debug_assert_eq!(vertex_weight.len(), capacity.len());
+        PartGraph {
+            vertex_weight,
+            adjacency: capacity.iter().map(|&c| Vec::with_capacity(c)).collect(),
+        }
+    }
+
     /// Builds a graph from weighted edges (`u < v` not required; parallel
     /// edges accumulate).
     ///
@@ -49,6 +59,34 @@ impl PartGraph {
     ///
     /// Panics on self-loops or out-of-range endpoints.
     pub fn add_edge(&mut self, u: usize, v: usize, w: u64) {
+        assert_ne!(u, v, "self-loop at {u}");
+        assert!(u < self.num_vertices() && v < self.num_vertices());
+        // An edge is in both lists or in neither, so the shorter list
+        // decides; a hub's long list is only walked to accumulate.
+        let (short, long) = if self.adjacency[v].len() < self.adjacency[u].len() {
+            (v, u)
+        } else {
+            (u, v)
+        };
+        let Some(i) = self.adjacency[short].iter().position(|&(m, _)| m == long) else {
+            self.adjacency[u].push((v, w));
+            self.adjacency[v].push((u, w));
+            return;
+        };
+        self.adjacency[short][i].1 += w;
+        for entry in &mut self.adjacency[long] {
+            if entry.0 == short {
+                entry.1 += w;
+                return;
+            }
+        }
+        unreachable!("edge ({short}, {long}) missing from {long}'s list");
+    }
+
+    /// [`Self::add_edge`] as first written: always scans `u`'s list. The
+    /// differential tests hold the shorter-list search to it.
+    #[cfg(test)]
+    pub(crate) fn add_edge_reference(&mut self, u: usize, v: usize, w: u64) {
         assert_ne!(u, v, "self-loop at {u}");
         assert!(u < self.num_vertices() && v < self.num_vertices());
         for &mut (m, ref mut weight) in &mut self.adjacency[u] {
@@ -130,9 +168,54 @@ impl PartGraph {
     }
 }
 
+/// Seeded random edge lists for the partitioner's differential tests:
+/// each of the first `hubs` vertices links to about half of the others,
+/// every vertex gets two random edges, and about one pair in eight
+/// repeats (reversed) so weights accumulate. The list is shuffled.
+#[cfg(test)]
+pub(crate) fn random_edges(n: usize, hubs: usize, seed: u64) -> Vec<(usize, usize, u64)> {
+    let mut rng = autobraid_telemetry::Rng64::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for hub in 0..hubs.min(n) {
+        for v in 0..n {
+            if v != hub && rng.gen_bool(0.5) {
+                edges.push((hub, v, rng.gen_range(1..4u64)));
+            }
+        }
+    }
+    for _ in 0..2 * n {
+        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if u != v {
+            edges.push((u, v, rng.gen_range(1..10u64)));
+        }
+    }
+    for i in 0..edges.len() / 8 {
+        let (u, v, w) = edges[i * 7 % edges.len()];
+        edges.push((v, u, w));
+    }
+    rng.shuffle(&mut edges);
+    edges
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn add_edge_matches_the_reference_scan() {
+        for seed in 0..60 {
+            let n = 2 + seed as usize * 5;
+            let hubs = seed as usize % 4;
+            let edges = random_edges(n, hubs, seed);
+            let fast = PartGraph::from_edges(n, &edges);
+            let mut reference = PartGraph::new(n);
+            for &(u, v, w) in &edges {
+                reference.add_edge_reference(u, v, w);
+            }
+            // Equality covers every neighbour list's order and weights.
+            assert_eq!(fast, reference, "seed {seed}");
+        }
+    }
 
     #[test]
     fn parallel_edges_accumulate() {

@@ -9,12 +9,19 @@ use crate::partition::refine::refine;
 /// Coarsest graph size at which we stop descending and bisect directly.
 const COARSE_LIMIT: usize = 24;
 
+/// Coarsening has stalled once a level keeps more than `STALL_KEEP.0 /
+/// STALL_KEEP.1` (90%) of its vertices: that level is bisected directly.
+/// This is the METIS coarsening stop (METIS uses 85%). Without it,
+/// heavy-edge matching on a star merges one leaf per level and the
+/// V-cycle runs about `n` levels.
+const STALL_KEEP: (usize, usize) = (9, 10);
+
 /// FM passes per uncoarsening level.
 const REFINE_PASSES: usize = 6;
 
 /// Multilevel bisection: coarsen with heavy-edge matching until the graph
-/// is small, grow an initial bisection, then project back up refining with
-/// FM at every level.
+/// is small or coarsening stalls, grow an initial bisection, then project
+/// back up refining with FM at every level.
 ///
 /// The balance constraint is honoured at every level (vertex weights are
 /// conserved by coarsening).
@@ -41,35 +48,48 @@ const REFINE_PASSES: usize = 6;
 /// assert_eq!(g.edge_cut(&side), 1);
 /// ```
 pub fn bisect_multilevel(graph: &PartGraph, balance: Balance) -> Vec<bool> {
-    let mut side = bisect_multilevel_inner(graph, balance);
+    let (mut side, _levels) = v_cycle(graph, balance, coarsening_stalled);
     // Growth and refinement are balance-aware but can land one vertex off
     // at coarse granularities; repair cheaply (exact for unit weights,
-    // best-effort otherwise).
+    // best-effort otherwise). The last FM pass only makes admissible
+    // moves, so a repaired split stays balanced.
     force_balance(graph, &mut side, balance);
     refine(graph, &mut side, balance, 1);
     side
 }
 
-fn bisect_multilevel_inner(graph: &PartGraph, balance: Balance) -> Vec<bool> {
-    if graph.num_vertices() <= COARSE_LIMIT {
+/// Whether coarsening `fine` vertices into `coarse` ones kept more than
+/// [`STALL_KEEP`] of them.
+fn coarsening_stalled(fine: usize, coarse: usize) -> bool {
+    STALL_KEEP.1 * coarse > STALL_KEEP.0 * fine
+}
+
+/// The V-cycle below [`bisect_multilevel`]'s balance repair: a level for
+/// which `stalled(fine, coarse)` holds is bisected directly. Returns the
+/// split and the number of levels.
+fn v_cycle(
+    graph: &PartGraph,
+    balance: Balance,
+    stalled: fn(usize, usize) -> bool,
+) -> (Vec<bool>, usize) {
+    let direct = |graph: &PartGraph| {
         let mut side = grow_bisection(graph, balance);
         refine(graph, &mut side, balance, REFINE_PASSES);
-        return side;
+        (side, 1)
+    };
+    let n = graph.num_vertices();
+    if n <= COARSE_LIMIT {
+        return direct(graph);
     }
     let matching = heavy_edge_matching(graph);
     let (coarse, fine_to_coarse) = coarsen(graph, &matching);
-    // Coarsening stalled (no matchable edges): bisect directly.
-    if coarse.num_vertices() == graph.num_vertices() {
-        let mut side = grow_bisection(graph, balance);
-        refine(graph, &mut side, balance, REFINE_PASSES);
-        return side;
+    if stalled(n, coarse.num_vertices()) {
+        return direct(graph);
     }
-    let coarse_side = bisect_multilevel_inner(&coarse, balance);
-    let mut side: Vec<bool> = (0..graph.num_vertices())
-        .map(|v| coarse_side[fine_to_coarse[v]])
-        .collect();
+    let (coarse_side, levels) = v_cycle(&coarse, balance, stalled);
+    let mut side: Vec<bool> = (0..n).map(|v| coarse_side[fine_to_coarse[v]]).collect();
     refine(graph, &mut side, balance, REFINE_PASSES);
-    side
+    (side, levels + 1)
 }
 
 /// Recursive k-way partition into parts of the given capacities:
@@ -126,8 +146,7 @@ fn split(
     let (sub, _to_sub) = induced_subgraph(graph, vertices);
     let weight: u64 = vertices.iter().map(|&v| graph.vertex_weight(v)).sum();
     let balance = Balance::capacities(weight, cap0, cap1);
-    let mut side = bisect_multilevel(&sub, balance);
-    force_balance(&sub, &mut side, balance);
+    let side = bisect_multilevel(&sub, balance);
 
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -206,6 +225,69 @@ pub fn induced_subgraph(graph: &PartGraph, vertices: &[usize]) -> (PartGraph, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::coarsen::coarsen_reference;
+    use crate::partition::graph::random_edges;
+    use crate::partition::refine::fm_pass_reference;
+
+    /// The V-cycle as first written, from the reference coarsening and
+    /// FM pass, stopping only when matching finds nothing.
+    fn v_cycle_reference(graph: &PartGraph, balance: Balance) -> Vec<bool> {
+        let refine = |side: &mut [bool]| {
+            for _ in 0..REFINE_PASSES {
+                if fm_pass_reference(graph, side, balance) == 0 {
+                    break;
+                }
+            }
+        };
+        let n = graph.num_vertices();
+        let coarse =
+            (n > COARSE_LIMIT).then(|| coarsen_reference(graph, &heavy_edge_matching(graph)));
+        let mut side = match coarse {
+            Some((coarse, map)) if coarse.num_vertices() < n => {
+                let coarse_side = v_cycle_reference(&coarse, balance);
+                (0..n).map(|v| coarse_side[map[v]]).collect()
+            }
+            _ => grow_bisection(graph, balance),
+        };
+        refine(&mut side);
+        side
+    }
+
+    fn star(leaves: usize) -> PartGraph {
+        let edges: Vec<(usize, usize, u64)> = (1..=leaves).map(|v| (0, v, 1)).collect();
+        PartGraph::from_edges(leaves + 1, &edges)
+    }
+
+    #[test]
+    fn v_cycle_matches_the_reference_with_the_stall_rule_off() {
+        let stall_off = |fine: usize, coarse: usize| coarse == fine;
+        for seed in 0..40 {
+            let n = 20 + seed as usize * 7;
+            let g = PartGraph::from_edges(n, &random_edges(n, seed as usize % 4, seed));
+            let balance = Balance::even(n as u64, seed % 2);
+            let (side, _) = v_cycle(&g, balance, stall_off);
+            assert_eq!(side, v_cycle_reference(&g, balance), "seed {seed}");
+        }
+        let g = star(120);
+        let balance = Balance::even(121, 0);
+        assert_eq!(
+            v_cycle(&g, balance, stall_off).0,
+            v_cycle_reference(&g, balance)
+        );
+    }
+
+    #[test]
+    fn star_bisects_in_a_constant_number_of_levels() {
+        let g = star(300);
+        let balance = Balance::even(301, 0);
+        let (_, levels) = v_cycle(&g, balance, coarsening_stalled);
+        assert!(levels <= 2, "{levels} V-cycle levels on a 300-leaf star");
+        // Without the stall rule, matching merges one leaf per level.
+        let (_, levels) = v_cycle(&g, balance, |fine, coarse| coarse == fine);
+        assert!(levels > 250, "{levels} levels with the stall rule off");
+        let side = bisect_multilevel(&g, balance);
+        assert!(balance.admits(g.side_weight(&side)));
+    }
 
     fn two_cliques(k: usize, bridge: u64) -> PartGraph {
         let mut edges = Vec::new();

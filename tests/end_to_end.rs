@@ -66,13 +66,21 @@ fn every_scheduler_produces_a_verified_schedule_on_every_family() {
 #[test]
 fn serial_communication_families_hit_critical_path() {
     // BV and CC have zero CX parallelism: every scheduler should reach CP,
-    // and AutoBraid must (Table 2).
+    // and AutoBraid must (Table 2). Their star coupling graphs stop the
+    // partitioner's coarsening early, so the Table 2 sizes are checked too.
     let config = ScheduleConfig::default();
     let compiler = AutoBraid::new(config.clone());
-    for circuit in [
+    let mut circuits = vec![
         generators::bv::bv_all_ones(40).unwrap(),
         generators::cc::counterfeit_coin(40).unwrap(),
-    ] {
+    ];
+    for n in [100, 150, 200] {
+        circuits.push(generators::bv::bv_all_ones(n).unwrap());
+    }
+    for n in [100, 200, 300] {
+        circuits.push(generators::cc::counterfeit_coin(n).unwrap());
+    }
+    for circuit in circuits {
         let cp = critical_path_cycles(&circuit, &config.timing);
         let full = compiler.schedule_full(&circuit);
         assert_eq!(full.result.total_cycles, cp, "{}", circuit.name());
