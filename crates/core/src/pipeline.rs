@@ -371,14 +371,7 @@ impl Pipeline {
             timings.verify_seconds = started.elapsed().as_secs_f64();
         }
 
-        // The statistics describe the plain dependence structure; a
-        // commutation-relaxed DAG has other levels, so only a plain one
-        // is reused.
-        let stats = if config.commutation_aware {
-            CircuitStats::of(&circuit)
-        } else {
-            CircuitStats::with_dag(&circuit, &dag)
-        };
+        let stats = CircuitStats::of(&circuit);
         Ok(CompileReport {
             circuit,
             stats,

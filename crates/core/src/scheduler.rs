@@ -625,11 +625,6 @@ impl<'a> Engine<'a> {
         self.frontier.outstanding()
     }
 
-    /// The plain dependence DAG of every gate the engine has been given.
-    pub(crate) fn dag(&self) -> &DependenceDag {
-        self.frontier.dag()
-    }
-
     /// Steps taken so far (local, braid and swap layers).
     pub(crate) fn steps_taken(&self) -> u64 {
         self.step_index

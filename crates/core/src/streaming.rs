@@ -579,9 +579,6 @@ impl StreamingPipeline {
     pub fn finish(mut self) -> Result<CompileReport, StreamError> {
         self.drain()?;
         self.engine.finish();
-        // The appendable frontier already holds the plain DAG of every
-        // pushed gate; the statistics reuse it.
-        let stats = CircuitStats::with_dag(&self.engine.circuit, self.engine.dag());
         let Engine {
             circuit,
             grid,
@@ -591,7 +588,7 @@ impl StreamingPipeline {
         } = self.engine;
         let circuit = circuit.into_owned();
         Ok(CompileReport {
-            stats,
+            stats: CircuitStats::of(&circuit),
             gates_removed: 0,
             timings: StageTimings {
                 schedule_seconds: result.compile_seconds,
