@@ -154,12 +154,7 @@ impl AutoBraid {
     /// paper sweeps `p` and "chooses the best one among all"), and, for
     /// all-to-all communication patterns, Maslov's swap-network schedule.
     pub fn schedule_full(&self, circuit: &Circuit) -> ScheduleOutcome {
-        let dag = if self.config.commutation_aware {
-            DependenceDag::with_commutation(circuit)
-        } else {
-            DependenceDag::new(circuit)
-        };
-        self.schedule_full_with_dag(circuit, &dag)
+        self.schedule_full_with_dag(circuit, &self.config.dag(circuit))
     }
 
     /// [`Self::schedule_full`] against a caller-supplied dependence DAG,
@@ -173,18 +168,22 @@ impl AutoBraid {
     ) -> ScheduleOutcome {
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let placement = self.initial_placement(circuit, &grid);
-        let (result, _) = run_with_dag(
-            "autobraid-full",
-            circuit,
-            &grid,
-            placement.clone(),
-            &ParallelStackPolicy::new(self.config.effective_threads()),
-            self.config.layout_threshold > 0.0,
-            &self.config,
-            dag,
-        );
+        let policy = ParallelStackPolicy::new(self.config.effective_threads());
+        let drive = |layout_optimizer: bool| {
+            run_with_dag(
+                "autobraid-full",
+                circuit,
+                &grid,
+                placement.clone(),
+                &policy,
+                layout_optimizer,
+                &self.config,
+                dag,
+            )
+            .0
+        };
         let mut outcome = ScheduleOutcome {
-            result,
+            result: drive(self.config.layout_threshold > 0.0),
             grid: grid.clone(),
             initial_placement: placement.clone(),
         };
@@ -195,16 +194,7 @@ impl AutoBraid {
             // layers the optimizer branch fell through on every step, so
             // the p = 0 run would replay the exact same schedule. Skip it.
             if outcome.result.swap_layers > 0 {
-                let (sp, _) = run_with_dag(
-                    "autobraid-full",
-                    circuit,
-                    &grid,
-                    placement.clone(),
-                    &ParallelStackPolicy::new(self.config.effective_threads()),
-                    false,
-                    &self.config,
-                    dag,
-                );
+                let sp = drive(false);
                 if sp.total_cycles < outcome.result.total_cycles {
                     outcome = ScheduleOutcome {
                         result: sp,
@@ -216,10 +206,9 @@ impl AutoBraid {
             // Maslov only wins with strictly fewer cycles, so it quits
             // once it reaches the incumbent's.
             if is_all_to_all(circuit) {
-                if let Some((mut result, maslov_initial)) =
+                if let Some((result, maslov_initial)) =
                     schedule_maslov_below(circuit, &self.config, dag, outcome.result.total_cycles)
                 {
-                    result.scheduler = "autobraid-full".into();
                     outcome = ScheduleOutcome {
                         grid,
                         result,

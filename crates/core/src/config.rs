@@ -1,5 +1,6 @@
 //! Scheduler configuration.
 
+use autobraid_circuit::{Circuit, DependenceDag};
 use autobraid_lattice::TimingModel;
 use autobraid_placement::AnnealConfig;
 
@@ -120,6 +121,17 @@ impl ScheduleConfig {
     /// The effective parallelism: `threads` clamped to at least 1.
     pub fn effective_threads(&self) -> usize {
         self.threads.max(1)
+    }
+
+    /// The dependence DAG every scheduler drains `circuit` under: the
+    /// commutation-relaxed DAG when [`ScheduleConfig::commutation_aware`]
+    /// is set, the plain shared-qubit DAG otherwise.
+    pub fn dag(&self, circuit: &Circuit) -> DependenceDag {
+        if self.commutation_aware {
+            DependenceDag::with_commutation(circuit)
+        } else {
+            DependenceDag::new(circuit)
+        }
     }
 }
 

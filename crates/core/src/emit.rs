@@ -8,10 +8,13 @@
 //! bandwidth pressure that hardware-managed QEC controllers (Tannu et al.,
 //! MICRO'17) are designed to absorb.
 
+use crate::critical_path::gate_cycles;
 use crate::metrics::{ScheduleResult, Step};
+use autobraid_circuit::Circuit;
 use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::TimingModel;
 use autobraid_router::lowering::{lower_braid, LatticeInstruction};
+use autobraid_router::BraidPath;
 
 /// A schedule lowered to physical lattice instructions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,43 +42,32 @@ impl PhysicalProgram {
     /// Largest number of instructions issued in one cycle — the burst the
     /// controller must sustain.
     pub fn peak_instructions_per_cycle(&self) -> usize {
-        let mut best = 0;
-        let mut i = 0;
-        while i < self.instructions.len() {
-            let cycle = self.instructions[i].cycle;
-            let mut j = i;
-            while j < self.instructions.len() && self.instructions[j].cycle == cycle {
-                j += 1;
-            }
-            best = best.max(j - i);
-            i = j;
-        }
-        best
+        self.bursts().map(<[_]>::len).max().unwrap_or(0)
     }
 
     /// Mean instructions per active cycle.
     pub fn mean_instructions_per_active_cycle(&self) -> f64 {
-        if self.instructions.is_empty() {
-            return 0.0;
+        match self.bursts().count() {
+            0 => 0.0,
+            active => self.instructions.len() as f64 / active as f64,
         }
-        let mut active = 0usize;
-        let mut last = u64::MAX;
-        for ins in &self.instructions {
-            if ins.cycle != last {
-                active += 1;
-                last = ins.cycle;
-            }
-        }
-        self.instructions.len() as f64 / active as f64
+    }
+
+    /// The instructions of each active cycle, in cycle order.
+    fn bursts(&self) -> impl Iterator<Item = &[LatticeInstruction]> {
+        self.instructions.chunk_by(|a, b| a.cycle == b.cycle)
     }
 }
 
-/// Lowers a fully recorded schedule to its physical instruction timeline.
+/// Lowers a fully recorded schedule of `circuit` to its physical
+/// instruction timeline.
 ///
 /// Step costs mirror the scheduling engine exactly: a local layer advances
 /// the clock `d` cycles (no lattice control traffic — tiles stabilize
-/// autonomously), a braid step `2d`, a swap layer `3 × 2d` (three chained
-/// CX braids per swap, each re-braided along the same path).
+/// autonomously), a braid step as long as its longest gate
+/// ([`gate_cycles`]: `2d` per CX, `6d` per native SWAP), a swap layer
+/// `3 × 2d`. A SWAP, native or inserted by the layout optimizer, is three
+/// chained CX braids re-braided along the same path.
 ///
 /// # Errors
 ///
@@ -83,6 +75,7 @@ impl PhysicalProgram {
 /// a circuit that has gates, or if the emitted duration disagrees with the
 /// scheduler's accounting — either indicates a scheduling bug.
 pub fn emit_physical(
+    circuit: &Circuit,
     result: &ScheduleResult,
     layout: &PhysicalLayout,
 ) -> Result<PhysicalProgram, String> {
@@ -90,9 +83,21 @@ pub fn emit_physical(
         autobraid_lattice::CodeParams::with_distance(layout.distance())
             .map_err(|e| e.to_string())?,
     );
-    let d = u64::from(layout.distance());
+    let braid = timing.braid_step_cycles();
     let mut cycle = 0u64;
     let mut instructions: Vec<LatticeInstruction> = Vec::new();
+    // `cycles / braid` chained braids along `path`, from `start`.
+    let mut chain = |path: &BraidPath, start: u64, cycles: u64| {
+        let program = lower_braid(layout, path);
+        for sub in 0..cycles / braid {
+            for ins in program.instructions() {
+                instructions.push(LatticeInstruction {
+                    cycle: start + sub * braid + ins.cycle,
+                    op: ins.op,
+                });
+            }
+        }
+    };
 
     for step in &result.steps {
         match step {
@@ -100,32 +105,19 @@ pub fn emit_physical(
                 cycle += timing.local_step_cycles();
             }
             Step::Braid { braids, .. } => {
-                for (_, path) in braids {
-                    let program = lower_braid(layout, path);
-                    for ins in program.instructions() {
-                        instructions.push(LatticeInstruction {
-                            cycle: cycle + ins.cycle,
-                            op: ins.op,
-                        });
-                    }
+                let mut longest = 0;
+                for (g, path) in braids {
+                    let cycles = gate_cycles(circuit.gate(*g), &timing);
+                    chain(path, cycle, cycles);
+                    longest = longest.max(cycles);
                 }
-                cycle += timing.braid_step_cycles();
+                cycle += longest;
             }
             Step::SwapLayer { swaps } => {
-                // Three chained CX braids per swap, sharing the path.
-                for sub in 0..3u64 {
-                    let offset = cycle + sub * 2 * d;
-                    for swap in swaps {
-                        let program = lower_braid(layout, &swap.path);
-                        for ins in program.instructions() {
-                            instructions.push(LatticeInstruction {
-                                cycle: offset + ins.cycle,
-                                op: ins.op,
-                            });
-                        }
-                    }
+                for swap in swaps {
+                    chain(&swap.path, cycle, 3 * braid);
                 }
-                cycle += 3 * timing.braid_step_cycles();
+                cycle += 3 * braid;
             }
         }
     }
@@ -166,7 +158,7 @@ mod tests {
         let compiler = AutoBraid::new(config_d(5));
         let outcome = compiler.schedule_full(&circuit);
         let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 5).unwrap();
-        let program = emit_physical(&outcome.result, &layout).unwrap();
+        let program = emit_physical(&circuit, &outcome.result, &layout).unwrap();
         assert_eq!(program.duration_cycles(), outcome.result.total_cycles);
         assert!(program.instruction_count() > 0);
         // Disables and enables balance exactly.
@@ -186,7 +178,7 @@ mod tests {
         let compiler = AutoBraid::new(config_d(3));
         let outcome = compiler.schedule_sp(&circuit);
         let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 3).unwrap();
-        let program = emit_physical(&outcome.result, &layout).unwrap();
+        let program = emit_physical(&circuit, &outcome.result, &layout).unwrap();
         let cycles: Vec<u64> = program.instructions().iter().map(|i| i.cycle).collect();
         assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
         assert!(cycles.iter().all(|&c| c < program.duration_cycles()));
@@ -201,7 +193,34 @@ mod tests {
         let compiler = AutoBraid::new(cfg);
         let outcome = compiler.schedule_sp(&circuit);
         let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 3).unwrap();
-        assert!(emit_physical(&outcome.result, &layout).is_err());
+        assert!(emit_physical(&circuit, &outcome.result, &layout).is_err());
+    }
+
+    #[test]
+    fn native_swaps_cost_three_braids_under_every_strategy() {
+        use crate::critical_path::critical_path_cycles;
+        use crate::pipeline::{CompileOptions, Pipeline};
+        use crate::strategy::Strategy;
+        let mut circuit = Circuit::new(4);
+        circuit.swap(0, 1).swap(2, 3).swap(1, 2).cx(0, 3);
+        for strategy in Strategy::ALL {
+            let report = Pipeline::new()
+                .with_options(CompileOptions {
+                    strategy,
+                    optimize: false,
+                    ..CompileOptions::default()
+                })
+                .compile(&circuit)
+                .unwrap();
+            let result = &report.outcome.result;
+            let cp = critical_path_cycles(&circuit, result.timing());
+            assert_eq!(cp, 396);
+            assert!(result.total_cycles >= cp, "{}: below CP", strategy.name());
+            let d = result.timing().params().distance();
+            let layout = PhysicalLayout::new(report.outcome.grid.cells_per_side(), d).unwrap();
+            let program = emit_physical(&circuit, result, &layout).unwrap();
+            assert_eq!(program.duration_cycles(), result.total_cycles);
+        }
     }
 
     #[test]
@@ -227,7 +246,7 @@ mod tests {
         });
         result.total_cycles = 3 * timing.braid_step_cycles();
         let layout = PhysicalLayout::new(3, 3).unwrap();
-        let program = emit_physical(&result, &layout).unwrap();
+        let program = emit_physical(&Circuit::new(2), &result, &layout).unwrap();
         let single = autobraid_router::lowering::lower_braid(&layout, &path);
         assert_eq!(program.instruction_count(), 3 * single.instructions().len());
     }

@@ -10,6 +10,7 @@
 //! `n` layers, so an all-to-all program drains in linear depth.
 
 use crate::config::{Recording, ScheduleConfig};
+use crate::critical_path::gate_cycles;
 use crate::metrics::{ScheduleResult, Step, SwapOp};
 use autobraid_circuit::{Circuit, DependenceDag, Frontier, GateId, QubitId};
 use autobraid_lattice::{Grid, Occupancy};
@@ -30,12 +31,7 @@ use std::time::Instant;
 /// `n` transposition layers every pair of line positions has been
 /// adjacent, so the dependence frontier always progresses.
 pub fn schedule_maslov(circuit: &Circuit, config: &ScheduleConfig) -> (ScheduleResult, Placement) {
-    let dag = if config.commutation_aware {
-        DependenceDag::with_commutation(circuit)
-    } else {
-        DependenceDag::new(circuit)
-    };
-    schedule_maslov_with_dag(circuit, config, &dag)
+    schedule_maslov_with_dag(circuit, config, &config.dag(circuit))
 }
 
 /// [`schedule_maslov`] against a caller-supplied dependence DAG, so one
@@ -125,14 +121,17 @@ pub(crate) fn schedule_maslov_below(
             let utilization = occupancy.utilization();
             result.peak_utilization = result.peak_utilization.max(utilization);
             utilization_sum += utilization;
+            let mut cycles = 0;
             for routed in &outcome.routed {
                 frontier.complete(routed.request.id);
+                let gate = circuit.gate(routed.request.id);
+                cycles = cycles.max(gate_cycles(gate, &config.timing));
             }
             for &g in &locals {
                 frontier.complete(g);
             }
             result.braid_steps += 1;
-            result.total_cycles += config.timing.braid_step_cycles();
+            result.total_cycles += cycles;
             if record {
                 result.steps.push(Step::Braid {
                     braids: outcome

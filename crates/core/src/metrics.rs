@@ -24,8 +24,8 @@ pub enum Step {
         /// Completed single-qubit gate ids.
         gates: Vec<GateId>,
     },
-    /// A braiding step (`2d` cycles): concurrent CX braids plus any local
-    /// gates riding along.
+    /// A braiding step, as long as its longest gate (`2d`, or `6d` with a
+    /// native SWAP): concurrent braids plus any local gates riding along.
     Braid {
         /// `(gate id, braiding path)` for each routed CX.
         braids: Vec<(GateId, BraidPath)>,
@@ -61,7 +61,7 @@ pub struct ScheduleResult {
     pub scheduler: String,
     /// Benchmark name, copied from the circuit.
     pub benchmark: String,
-    /// Braiding steps taken (each `2d` cycles).
+    /// Braiding steps taken (each `2d` cycles, `6d` with a native SWAP).
     pub braid_steps: u64,
     /// Pure local layers taken (each `d` cycles).
     pub local_steps: u64,

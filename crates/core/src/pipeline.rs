@@ -13,7 +13,7 @@ use crate::baseline::schedule_baseline;
 use crate::config::{Recording, ScheduleConfig};
 use crate::metrics::verify_schedule_with_dag;
 use crate::AutoBraid;
-use autobraid_circuit::{qasm, Circuit, CircuitError, CircuitStats, DependenceDag};
+use autobraid_circuit::{qasm, Circuit, CircuitError, CircuitStats};
 use autobraid_lattice::Grid;
 use autobraid_telemetry::{
     self as telemetry, FanoutRecorder, MemoryRecorder, Recorder, TelemetrySnapshot, Trace,
@@ -320,33 +320,23 @@ impl Pipeline {
         let compiler = AutoBraid::new(config.clone());
         // One dependence DAG serves every strategy `schedule_full` races
         // *and* the post-schedule verification below.
-        let dag = if config.commutation_aware {
-            DependenceDag::with_commutation(&circuit)
-        } else {
-            DependenceDag::new(&circuit)
-        };
+        let dag = config.dag(&circuit);
         let outcome = match self.options.strategy {
             Strategy::Full => compiler.schedule_full_with_dag(&circuit, &dag),
             Strategy::Stack => compiler.schedule_sp(&circuit),
             Strategy::PathFinder => compiler.schedule_pathfinder(&circuit),
             Strategy::Portfolio => compiler.schedule_portfolio(&circuit),
-            Strategy::Baseline => {
-                let (result, placement) = schedule_baseline(&circuit, &config);
+            strategy @ (Strategy::Baseline | Strategy::Maslov) => {
+                let (result, initial_placement) = if strategy == Strategy::Baseline {
+                    schedule_baseline(&circuit, &config)
+                } else {
+                    crate::maslov::schedule_maslov_with_dag(&circuit, &config, &dag)
+                };
                 let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
                 ScheduleOutcome {
                     result,
                     grid,
-                    initial_placement: placement,
-                }
-            }
-            Strategy::Maslov => {
-                let (result, placement) =
-                    crate::maslov::schedule_maslov_with_dag(&circuit, &config, &dag);
-                let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
-                ScheduleOutcome {
-                    result,
-                    grid,
-                    initial_placement: placement,
+                    initial_placement,
                 }
             }
         };

@@ -1,12 +1,16 @@
 //! The shared scheduling engine.
 //!
-//! Every scheduler in this crate — AutoBraid-sp, AutoBraid-full, and the
-//! greedy baseline — drains the dependence DAG through the same engine and
-//! is charged by the same timing model; they differ only in routing policy,
-//! initial placement, and whether the dynamic layout optimizer may run.
-//! This makes every reported speedup a pure algorithm comparison.
+//! Every scheduler in this crate — AutoBraid-sp, AutoBraid-full, the
+//! greedy baseline, and the event-driven engine — drains the dependence
+//! DAG through the same engine and is charged by the same gate-cost
+//! function ([`gate_cycles`]); they differ only in routing policy,
+//! initial placement, whether the dynamic layout optimizer may run, and
+//! the engine's clock. This makes every reported speedup a pure
+//! algorithm comparison.
 
+use crate::async_engine::Assignment;
 use crate::config::{Recording, ScheduleConfig};
+use crate::critical_path::gate_cycles;
 use crate::metrics::{LayerPolicy, ScheduleResult, Step};
 use crate::strategy::Strategy;
 use crate::swap::plan_swap_layer;
@@ -15,9 +19,9 @@ use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
 use autobraid_router::pathfinder::{route_negotiated_with, PathFinderConfig};
 use autobraid_router::stack_finder::{
-    route_concurrent, route_concurrent_seeded, route_concurrent_with, route_greedy, RouteOutcome,
+    route_concurrent_seeded, route_concurrent_with, route_greedy, RouteOutcome,
 };
-use autobraid_router::{CxRequest, IncrementalInterference, InterferenceGraph};
+use autobraid_router::{BraidPath, CxRequest, IncrementalInterference, InterferenceGraph};
 use autobraid_telemetry as telemetry;
 use std::borrow::Cow;
 use std::time::Instant;
@@ -109,7 +113,8 @@ pub trait RoutePolicy {
     }
 }
 
-/// The paper's stack-based path finder (Fig. 13).
+/// The paper's stack-based path finder (Fig. 13): a serial
+/// [`ParallelStackPolicy`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StackPolicy;
 
@@ -124,21 +129,11 @@ impl RoutePolicy for StackPolicy {
         occupancy: &mut Occupancy,
         requests: &[CxRequest],
     ) -> RouteOutcome {
-        route_concurrent(grid, occupancy, requests)
+        ParallelStackPolicy::new(1).route(grid, occupancy, requests)
     }
 
     fn route_layer(&self, grid: &Grid, occupancy: &mut Occupancy, layer: LayerView) -> LayerRoute {
-        LayerRoute {
-            outcome: route_concurrent_seeded(
-                grid,
-                occupancy,
-                layer.requests,
-                1,
-                layer.interference,
-            ),
-            chosen: self.name(),
-            reason: "fixed",
-        }
+        ParallelStackPolicy::new(1).route_layer(grid, occupancy, layer)
     }
 }
 
@@ -431,8 +426,8 @@ pub fn run(
     allow_layout_optimizer: bool,
     config: &ScheduleConfig,
 ) -> (ScheduleResult, Placement) {
-    let base = Occupancy::new(grid);
-    run_with_base_occupancy(
+    let dag = config.dag(circuit);
+    run_with_dag(
         scheduler_name,
         circuit,
         grid,
@@ -440,9 +435,8 @@ pub fn run(
         policy,
         allow_layout_optimizer,
         config,
-        &base,
+        &dag,
     )
-    .expect("an empty base occupancy never makes a gate unroutable")
 }
 
 /// [`run`] against a caller-supplied dependence DAG, so one DAG build can
@@ -471,6 +465,7 @@ pub fn run_with_dag(
         Cow::Owned(Occupancy::new(grid)),
     )
     .drain(policy)
+    .map(|engine| (engine.result, engine.placement))
     .expect("an empty base occupancy never makes a gate unroutable")
 }
 
@@ -495,11 +490,7 @@ pub fn run_with_base_occupancy(
     config: &ScheduleConfig,
     base: &Occupancy,
 ) -> Result<(ScheduleResult, Placement), ScheduleError> {
-    let dag = if config.commutation_aware {
-        DependenceDag::with_commutation(circuit)
-    } else {
-        DependenceDag::new(circuit)
-    };
+    let dag = config.dag(circuit);
     Engine::new(
         scheduler_name,
         Cow::Borrowed(circuit),
@@ -511,6 +502,7 @@ pub fn run_with_base_occupancy(
         Cow::Borrowed(base),
     )
     .drain(policy)
+    .map(|engine| (engine.result, engine.placement))
 }
 
 /// What [`Engine::route`] did with the ready gates.
@@ -541,15 +533,90 @@ pub(crate) struct RoutedLayer {
     reason: &'static str,
 }
 
+/// When engine time advances. Both clocks count `d`-cycle slots and
+/// charge every gate [`gate_cycles`]; they decide only which ready gates
+/// the next step takes, when a committed gate releases its successors,
+/// and what is recorded.
+pub(crate) enum Clock {
+    /// The paper's engine: a step takes every ready gate in frontier
+    /// order and lasts as long as its longest gate; successors are
+    /// released when the step ends. Records [`Step`]s.
+    LockStep,
+    /// Event-driven: a step takes the ready gates released earliest, in
+    /// release order; a gate releases its successors at its own finish
+    /// slot, and a deferred braid retries one slot later. Records
+    /// [`Assignment`]s.
+    PerQubit(SlotClock),
+}
+
+/// The per-qubit clock's state.
+pub(crate) struct SlotClock {
+    /// The slot the current step starts in.
+    now: u64,
+    /// Per gate: its release slot (when its last predecessor finishes)
+    /// and a sequence number ordering releases.
+    release: Vec<(u64, u64)>,
+    next_seq: u64,
+    /// Indices into `assignments` of braids that may still hold their
+    /// path.
+    active: Vec<usize>,
+    pub(crate) assignments: Vec<Assignment>,
+}
+
+impl SlotClock {
+    /// Every root is released at slot 0, in id order.
+    pub(crate) fn new(gates: usize) -> Self {
+        SlotClock {
+            now: 0,
+            release: (0..gates as u64).map(|g| (0, g)).collect(),
+            next_seq: gates as u64,
+            active: Vec::new(),
+            assignments: Vec::with_capacity(gates),
+        }
+    }
+
+    /// The ready gates released earliest, in release order; moves `now`
+    /// to their release slot.
+    fn next_batch(&mut self, ready: &[GateId]) -> Vec<GateId> {
+        let release = &self.release;
+        let mut batch = ready.to_vec();
+        batch.sort_unstable_by_key(|&g| release[g]);
+        self.now = release[batch[0]].0;
+        batch.retain(|&g| release[g].0 == self.now);
+        batch
+    }
+
+    /// Releases `g` no earlier than `slot`, after every release so far.
+    fn release_at(&mut self, g: GateId, slot: u64) {
+        let release = &mut self.release[g];
+        *release = (release.0.max(slot), self.next_seq);
+        self.next_seq += 1;
+    }
+
+    /// Reserves in `occupancy` the path of every braid still running at
+    /// `now`, forgetting those that have finished.
+    fn reserve_active(&mut self, grid: &Grid, occupancy: &mut Occupancy) {
+        let (now, assignments) = (self.now, &self.assignments);
+        self.active
+            .retain(|&i| assignments[i].start_slot + assignments[i].slots > now);
+        for &i in &self.active {
+            let path = assignments[i].path.iter().flat_map(BraidPath::vertices);
+            occupancy.try_reserve(grid, path.copied());
+        }
+    }
+}
+
 /// The braiding engine: AutoBraid's scheduling loop (paper §3, Fig. 13)
-/// as a stepper. Each step takes the ready gates off the dependence
-/// frontier and either executes a local-only step, or routes the ready
-/// CX layer and then commits it or spends a swap layer instead.
+/// as a stepper. Each step takes ready gates off the dependence frontier
+/// (which ones is the [`Clock`]'s call) and either executes a local-only
+/// step, or routes the ready CX layer and then commits it or spends a
+/// swap layer instead.
 ///
 /// Batch compiles ([`run`] and friends) construct it over a whole
 /// circuit and drain it. A stream ([`crate::streaming`]) starts it
 /// empty, appends gates between steps, and checks each routed layer
-/// before committing it.
+/// before committing it. The event-driven engine
+/// ([`crate::async_engine`]) drains it on the per-qubit clock.
 pub(crate) struct Engine<'a> {
     /// The gates scheduled so far; a stream appends to it.
     pub(crate) circuit: Cow<'a, Circuit>,
@@ -562,6 +629,8 @@ pub(crate) struct Engine<'a> {
     config: ScheduleConfig,
     allow_layout_optimizer: bool,
     record: bool,
+    /// Lock-step unless the entry point sets another clock.
+    pub(crate) clock: Clock,
     /// Per-layer scratch occupancy.
     occupancy: Occupancy,
     /// Interference maintained across layers by gate-commit deltas: gates
@@ -575,6 +644,8 @@ pub(crate) struct Engine<'a> {
     /// whenever gates have been appended since the last build.
     remaining_cp: Vec<u64>,
     utilization_sum: f64,
+    /// Committed braiding layers: the utilization samples.
+    layers: u64,
     consecutive_swap_rounds: usize,
     step_index: u64,
     started: Instant,
@@ -605,9 +676,11 @@ impl<'a> Engine<'a> {
             config: config.clone(),
             allow_layout_optimizer,
             record: config.recording == Recording::Full,
+            clock: Clock::LockStep,
             interference: IncrementalInterference::new(),
             remaining_cp: Vec::new(),
             utilization_sum: 0.0,
+            layers: 0,
             consecutive_swap_rounds: 0,
             step_index: 0,
             started: Instant::now(),
@@ -631,10 +704,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Drains the frontier, committing every routed layer.
-    pub(crate) fn drain(
-        mut self,
-        policy: &dyn RoutePolicy,
-    ) -> Result<(ScheduleResult, Placement), ScheduleError> {
+    pub(crate) fn drain(mut self, policy: &dyn RoutePolicy) -> Result<Self, ScheduleError> {
         let _span = telemetry::span("engine");
         if telemetry::decisions_enabled() {
             telemetry::decision(&telemetry::Decision::EngineBegin {
@@ -651,14 +721,14 @@ impl<'a> Engine<'a> {
             }
         }
         self.finish();
-        Ok((self.result, self.placement))
+        Ok(self)
     }
 
-    /// Closes the result: mean utilization over braid steps and the
-    /// wall-clock compile time.
+    /// Closes the result: mean utilization over committed braiding
+    /// layers and the wall-clock compile time.
     pub(crate) fn finish(&mut self) {
-        if self.result.braid_steps > 0 {
-            self.result.mean_utilization = self.utilization_sum / self.result.braid_steps as f64;
+        if self.layers > 0 {
+            self.result.mean_utilization = self.utilization_sum / self.layers as f64;
         }
         self.result.compile_seconds = self.started.elapsed().as_secs_f64();
     }
@@ -681,11 +751,14 @@ impl<'a> Engine<'a> {
         if self.frontier.is_drained() {
             return Ok(Routing::Drained);
         }
-        let (mut braids, locals): (Vec<GateId>, Vec<GateId>) = self
-            .frontier
-            .ready()
-            .iter()
-            .partition(|&&g| self.circuit.gate(g).is_two_qubit());
+        let is_braid = |&g: &GateId| self.circuit.gate(g).is_two_qubit();
+        let (mut braids, mut locals): (Vec<GateId>, Vec<GateId>) = match &mut self.clock {
+            Clock::LockStep => self.frontier.ready().iter().partition(|g| is_braid(g)),
+            Clock::PerQubit(clock) => clock
+                .next_batch(self.frontier.ready())
+                .into_iter()
+                .partition(is_braid),
+        };
         if telemetry::fine_decisions_enabled() {
             telemetry::decision(&telemetry::Decision::StepBegin {
                 step: self.step_index,
@@ -696,7 +769,16 @@ impl<'a> Engine<'a> {
         let step = self.step_index;
         self.step_index += 1;
 
-        if braids.is_empty() {
+        if matches!(self.clock, Clock::PerQubit(_)) {
+            // Local gates start at once, ahead of their batch's braids.
+            let executed = locals.len();
+            for g in std::mem::take(&mut locals) {
+                self.start(g, None);
+            }
+            if braids.is_empty() {
+                return Ok(Routing::Local(executed));
+            }
+        } else if braids.is_empty() {
             debug_assert!(!locals.is_empty(), "frontier non-empty but nothing ready");
             for &g in &locals {
                 self.frontier.complete(g);
@@ -743,6 +825,9 @@ impl<'a> Engine<'a> {
         let graph = layer_interference(&self.interference, &requests);
 
         self.occupancy.clone_from(&self.base);
+        if let Clock::PerQubit(clock) = &mut self.clock {
+            clock.reserve_active(&self.grid, &mut self.occupancy);
+        }
         let LayerRoute {
             outcome,
             chosen,
@@ -801,9 +886,11 @@ impl<'a> Engine<'a> {
         }
         self.consecutive_swap_rounds = 0;
 
-        if outcome.routed.is_empty() {
-            // On a defect-free lattice at least one gate always routes; a
-            // defective channel map can disconnect operand tiles for good.
+        let in_flight = matches!(&self.clock, Clock::PerQubit(c) if !c.active.is_empty());
+        if outcome.routed.is_empty() && !in_flight {
+            // On a defect-free lattice with no braid in flight at least
+            // one gate always routes; a defective channel map can
+            // disconnect operand tiles for good.
             return Err(ScheduleError::UnroutableGate {
                 gate: requests.first().map(|r| r.id).unwrap_or_default(),
             });
@@ -818,24 +905,17 @@ impl<'a> Engine<'a> {
         }))
     }
 
-    /// Commits a layer [`route`](Self::route) just returned: its routed
-    /// gates and the ready local gates execute as one braiding step.
+    /// Commits a layer [`route`](Self::route) just returned. On the
+    /// lock-step clock its routed gates and the ready local gates execute
+    /// as one braiding step, as long as its longest gate; on the
+    /// per-qubit clock each routed braid starts now and each failed one
+    /// retries next slot.
     pub(crate) fn commit(&mut self, layer: RoutedLayer) {
         let step = self.step_index - 1;
         let utilization = self.occupancy.utilization();
         self.result.peak_utilization = self.result.peak_utilization.max(utilization);
         self.utilization_sum += utilization;
-
-        for routed in &layer.outcome.routed {
-            self.frontier.complete(routed.request.id);
-            self.interference.remove(routed.request.id);
-        }
-        for &g in &layer.locals {
-            self.frontier.complete(g);
-        }
-        self.result.braid_steps += 1;
-        telemetry::fine_counter("scheduler.steps.braid", 1);
-        self.result.total_cycles += self.config.timing.braid_step_cycles();
+        self.layers += 1;
         // Strategy attribution describes *committed* layers only — a
         // routing pass discarded in favour of a swap layer never shows
         // up here or in the trace.
@@ -846,6 +926,34 @@ impl<'a> Engine<'a> {
                 reason: layer.reason.to_string(),
             });
         }
+        for routed in &layer.outcome.routed {
+            self.interference.remove(routed.request.id);
+        }
+
+        if let Clock::PerQubit(clock) = &mut self.clock {
+            // Congested braids retry next slot; the routed ones finish
+            // later, so the order of the two releases never matters.
+            for &g in &layer.outcome.failed {
+                clock.release_at(g, clock.now + 1);
+            }
+            for routed in layer.outcome.routed {
+                self.start(routed.request.id, Some(routed.path));
+            }
+            return;
+        }
+
+        let mut cycles = 0;
+        for routed in &layer.outcome.routed {
+            self.frontier.complete(routed.request.id);
+            let gate = self.circuit.gate(routed.request.id);
+            cycles = cycles.max(gate_cycles(gate, &self.config.timing));
+        }
+        for &g in &layer.locals {
+            self.frontier.complete(g);
+        }
+        self.result.braid_steps += 1;
+        telemetry::fine_counter("scheduler.steps.braid", 1);
+        self.result.total_cycles += cycles;
         if self.record {
             self.result.layer_policies.push(LayerPolicy {
                 step,
@@ -862,6 +970,34 @@ impl<'a> Engine<'a> {
                 locals: layer.locals,
             });
         }
+    }
+
+    /// Per-qubit clock: runs `g` from the current slot on `path` (`None`
+    /// for a local gate) and releases its successors at its finish slot.
+    fn start(&mut self, g: GateId, path: Option<BraidPath>) {
+        let Clock::PerQubit(clock) = &mut self.clock else {
+            unreachable!("only the per-qubit clock starts gates one by one")
+        };
+        let slot_cycles = self.config.timing.local_step_cycles();
+        let slots = gate_cycles(self.circuit.gate(g), &self.config.timing) / slot_cycles;
+        let finish = clock.now + slots;
+        for &s in self.frontier.dag().successors(g) {
+            clock.release_at(s, finish);
+        }
+        self.frontier.complete(g);
+        if path.is_some() {
+            clock.active.push(clock.assignments.len());
+            self.result.braid_steps += 1;
+        } else {
+            self.result.local_steps += 1;
+        }
+        clock.assignments.push(Assignment {
+            gate: g,
+            start_slot: clock.now,
+            slots,
+            path,
+        });
+        self.result.total_cycles = self.result.total_cycles.max(finish * slot_cycles);
     }
 
     /// Rebuilds [`Self::remaining_cp`] if gates were appended since the
@@ -882,8 +1018,7 @@ impl<'a> Engine<'a> {
                 .map(|&s| self.remaining_cp[s])
                 .max()
                 .unwrap_or(0);
-            self.remaining_cp[g] =
-                tail + crate::critical_path::gate_cycles(self.circuit.gate(g), &self.config.timing);
+            self.remaining_cp[g] = tail + gate_cycles(self.circuit.gate(g), &self.config.timing);
         }
     }
 }

@@ -6,9 +6,9 @@
 //! sites. They now all derive from [`REGISTRY`], a single const table
 //! of [`StrategyInfo`] descriptors: [`Strategy::ALL`] is its projection,
 //! [`Strategy::name`] reads it, [`Strategy::from_name`] inverts it, and
-//! capability flags ([`StrategyInfo::supports_defects`],
-//! [`StrategyInfo::deterministic`]) let sweeps like the conformance
-//! oracle select applicable strategies instead of hand-listing them.
+//! the capability flag [`StrategyInfo::supports_defects`] lets sweeps
+//! like the conformance oracle select applicable strategies instead of
+//! hand-listing them.
 //!
 //! Adding a strategy is: add the variant, add one `StrategyInfo` row,
 //! and give the pipeline a scheduler arm — everything else (oracle
@@ -113,11 +113,6 @@ pub struct StrategyInfo {
     /// bypass the braiding engine (swap networks, the distance-ordered
     /// baseline's fixed grid) cannot.
     pub supports_defects: bool,
-    /// Whether compile outputs are bit-identical across runs and thread
-    /// counts (the `docs/RUNTIME.md` contract). Every built-in strategy
-    /// is deterministic; the flag exists so a future randomized
-    /// strategy can be excluded from byte-equality sweeps.
-    pub deterministic: bool,
 }
 
 /// The single source of truth every strategy-keyed surface derives
@@ -129,42 +124,36 @@ pub const REGISTRY: [StrategyInfo; 6] = [
         name: "autobraid-full",
         summary: "stack finder + dynamic placement (paper's best)",
         supports_defects: true,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::Stack,
         name: "autobraid-sp",
         summary: "stack-based path finder only",
         supports_defects: true,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::Baseline,
         name: "baseline",
         summary: "greedy shortest-first comparison baseline",
         supports_defects: false,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::Maslov,
         name: "maslov",
         summary: "linear-depth swap network for all-to-all patterns",
         supports_defects: false,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::PathFinder,
         name: "pathfinder",
         summary: "negotiated-congestion rip-up-and-reroute routing",
         supports_defects: true,
-        deterministic: true,
     },
     StrategyInfo {
         strategy: Strategy::Portfolio,
         name: "portfolio",
         summary: "per-layer chooser between stack finder and PathFinder",
         supports_defects: true,
-        deterministic: true,
     },
 ];
 
@@ -204,6 +193,5 @@ mod tests {
         assert!(Strategy::Portfolio.info().supports_defects);
         assert!(!Strategy::Baseline.info().supports_defects);
         assert!(!Strategy::Maslov.info().supports_defects);
-        assert!(Strategy::ALL.iter().all(|s| s.info().deterministic));
     }
 }

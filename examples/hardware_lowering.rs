@@ -60,7 +60,7 @@ fn main() {
         layout.physical_qubit_count(),
         distance
     );
-    let program = emit_physical(&outcome.result, &layout).expect("full recording");
+    let program = emit_physical(&circuit, &outcome.result, &layout).expect("full recording");
     println!(
         "control stream: {} instructions over {} cycles",
         program.instruction_count(),

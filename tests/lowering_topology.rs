@@ -27,7 +27,7 @@ fn full_qft_schedule_lowers_to_physical_instructions() {
     let compiler = AutoBraid::new(config_d(5));
     let outcome = compiler.schedule_full(&circuit);
     let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 5).unwrap();
-    let program = emit_physical(&outcome.result, &layout).unwrap();
+    let program = emit_physical(&circuit, &outcome.result, &layout).unwrap();
 
     assert_eq!(program.duration_cycles(), outcome.result.total_cycles);
     // One braid per two-qubit gate plus 3 per swap — every one emits at
