@@ -13,8 +13,20 @@
 //! future persistent cache can reuse them), but the full key string is
 //! retained and compared on lookup — a 64-bit hash collision degrades
 //! to a miss, never to a wrong report.
+//!
+//! Beside the reports sits a memo from the exact source text of a
+//! request (and its format) to the [`CanonicalSource`] the key is built
+//! from, bounded by the same capacity. A byte-identical resubmission
+//! then builds its key without parsing or re-emitting the circuit, while
+//! a reformatted one still parses to the same canonical text and so
+//! shares the report entry. The memo too keeps the full source and
+//! compares it on lookup: a collision costs a parse, never a wrong key.
 
+use crate::protocol::SourceFormat;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::sync::Arc;
 
 /// 64-bit FNV-1a over a byte string: small, stable, and fast for the
 /// kilobyte-scale keys a circuit produces.
@@ -55,11 +67,66 @@ impl CacheKey {
     }
 }
 
+/// What a submitted source contributes to the content address: the
+/// circuit's own name (the key uses it when the request carries no
+/// label) and its re-emitted canonical QASM.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CanonicalSource {
+    /// The name the parser gave the circuit.
+    pub name: String,
+    /// `qasm::emit` of the parsed circuit.
+    pub qasm: String,
+}
+
 #[derive(Debug)]
-struct Entry {
-    key_text: String,
-    value: String,
+struct Slot<K, V> {
+    key: K,
+    value: V,
     last_used: u64,
+}
+
+/// A least-recently-used map from a 64-bit hash to a value, holding the
+/// full key beside it: a lookup whose key differs from the stored one
+/// (a hash collision) finds nothing.
+#[derive(Debug)]
+struct Lru<K, V> {
+    slots: HashMap<u64, Slot<K, V>>,
+}
+
+impl<K, V> Lru<K, V> {
+    fn new() -> Self {
+        Lru {
+            slots: HashMap::new(),
+        }
+    }
+
+    /// The value under `hash` if its key passes `same`, marked used at
+    /// `tick`.
+    fn get(&mut self, hash: u64, same: impl FnOnce(&K) -> bool, tick: u64) -> Option<&V> {
+        let slot = self.slots.get_mut(&hash).filter(|slot| same(&slot.key))?;
+        slot.last_used = tick;
+        Some(&slot.value)
+    }
+
+    /// Inserts (or replaces) the entry under `hash`, first evicting the
+    /// least-recently-used one when `capacity` entries are resident.
+    /// Returns whether an entry was evicted.
+    fn insert(&mut self, hash: u64, key: K, value: V, capacity: usize, tick: u64) -> bool {
+        let mut evicted = false;
+        if !self.slots.contains_key(&hash) && self.slots.len() >= capacity {
+            let oldest = self.slots.iter().min_by_key(|(_, slot)| slot.last_used);
+            if let Some(oldest) = oldest.map(|(&h, _)| h) {
+                evicted = self.slots.remove(&oldest).is_some();
+            }
+        }
+        let slot = Slot {
+            key,
+            value,
+            last_used: tick,
+        };
+        self.slots.insert(hash, slot);
+        evicted
+    }
 }
 
 /// Point-in-time cache counters, reported by the `stats` request.
@@ -75,10 +142,15 @@ pub struct CacheStats {
     pub entries: usize,
     /// Configured capacity (0 = caching disabled).
     pub capacity: usize,
+    /// Sources currently memoized (at most `capacity`).
+    pub memo_entries: usize,
 }
 
 /// A least-recently-used map from [`CacheKey`] to canonical report
-/// JSON, with hit/miss/eviction counters.
+/// JSON, with hit/miss/eviction counters, and beside it a memo from
+/// submitted source text to its [`CanonicalSource`], so a byte-identical
+/// resubmission finds its key without parsing. Both hold at most
+/// `capacity` entries.
 ///
 /// ```
 /// use autobraid_service::cache::{CacheKey, ReportCache};
@@ -86,14 +158,19 @@ pub struct CacheStats {
 /// let mut cache = ReportCache::new(2);
 /// let key = CacheKey::new("qreg q[2];", "qubits=2", "strategy=autobraid-full");
 /// assert!(cache.get(&key).is_none());
-/// cache.insert(key.clone(), "{\"circuit\":\"x\"}".to_string());
+/// cache.insert(key.clone(), "{\"circuit\":\"x\"}");
 /// assert_eq!(cache.get(&key).as_deref(), Some("{\"circuit\":\"x\"}"));
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
 #[derive(Debug)]
 pub struct ReportCache {
     capacity: usize,
-    entries: HashMap<u64, Entry>,
+    reports: Lru<String, Arc<str>>,
+    sources: Lru<(SourceFormat, String), Arc<CanonicalSource>>,
+    /// Hashes submitted sources. Keyed per process, unlike
+    /// [`fnv1a64`]: source text comes straight off the wire, and a
+    /// crafted collision should not be able to pin one memo slot.
+    source_hasher: RandomState,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -101,12 +178,15 @@ pub struct ReportCache {
 }
 
 impl ReportCache {
-    /// A cache holding at most `capacity` reports (0 disables caching:
-    /// every lookup misses and inserts are dropped).
+    /// A cache holding at most `capacity` reports and as many memoized
+    /// sources (0 disables both: every lookup misses and inserts are
+    /// dropped).
     pub fn new(capacity: usize) -> ReportCache {
         ReportCache {
             capacity,
-            entries: HashMap::new(),
+            reports: Lru::new(),
+            sources: Lru::new(),
+            source_hasher: RandomState::new(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -114,48 +194,60 @@ impl ReportCache {
         }
     }
 
-    /// Looks up a key, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<String> {
+    /// Looks up a key, refreshing its recency on a hit. The report is
+    /// shared, not copied.
+    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<str>> {
         self.tick += 1;
-        match self.entries.get_mut(&key.hash) {
-            Some(entry) if entry.key_text == key.text => {
-                entry.last_used = self.tick;
-                self.hits += 1;
-                Some(entry.value.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
+        let found = self
+            .reports
+            .get(key.hash, |text| *text == key.text, self.tick)
+            .cloned();
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        found
     }
 
     /// Inserts (or replaces) an entry, evicting the least-recently-used
     /// one when at capacity.
-    pub fn insert(&mut self, key: CacheKey, value: String) {
+    pub fn insert(&mut self, key: CacheKey, value: impl Into<Arc<str>>) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
-        if !self.entries.contains_key(&key.hash) && self.entries.len() >= self.capacity {
-            if let Some(&oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(h, _)| h)
-            {
-                self.entries.remove(&oldest);
-                self.evictions += 1;
-            }
+        let evicted =
+            self.reports
+                .insert(key.hash, key.text, value.into(), self.capacity, self.tick);
+        self.evictions += u64::from(evicted);
+    }
+
+    /// The canonical form memoized for this exact source text, if any,
+    /// refreshing its recency.
+    pub fn source(&mut self, format: SourceFormat, source: &str) -> Option<Arc<CanonicalSource>> {
+        self.tick += 1;
+        let hash = self.source_hasher.hash_one((format, source));
+        self.sources
+            .get(hash, |(f, s)| *f == format && s == source, self.tick)
+            .cloned()
+    }
+
+    /// Memoizes the canonical form of a source that parsed, evicting
+    /// the least-recently-used memo when `capacity` are resident.
+    pub fn remember_source(
+        &mut self,
+        format: SourceFormat,
+        source: &str,
+        canonical: Arc<CanonicalSource>,
+    ) {
+        if self.capacity == 0 {
+            return;
         }
-        self.entries.insert(
-            key.hash,
-            Entry {
-                key_text: key.text,
-                value,
-                last_used: self.tick,
-            },
-        );
+        self.tick += 1;
+        let hash = self.source_hasher.hash_one((format, source));
+        let key = (format, source.to_string());
+        self.sources
+            .insert(hash, key, canonical, self.capacity, self.tick);
     }
 
     /// Current counters and occupancy.
@@ -164,19 +256,20 @@ impl ReportCache {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
-            entries: self.entries.len(),
+            entries: self.reports.slots.len(),
             capacity: self.capacity,
+            memo_entries: self.sources.slots.len(),
         }
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.reports.slots.len()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.reports.slots.is_empty()
     }
 }
 
@@ -208,17 +301,17 @@ mod tests {
         let k2 = CacheKey::new("a", "bc", "x");
         assert_ne!(k1, k2);
         let mut cache = ReportCache::new(4);
-        cache.insert(k1, "one".into());
+        cache.insert(k1, "one");
         assert!(cache.get(&k2).is_none());
     }
 
     #[test]
     fn lru_evicts_the_coldest_entry() {
         let mut cache = ReportCache::new(2);
-        cache.insert(key(1), "v1".into());
-        cache.insert(key(2), "v2".into());
+        cache.insert(key(1), "v1");
+        cache.insert(key(2), "v2");
         assert_eq!(cache.get(&key(1)).as_deref(), Some("v1")); // warm 1
-        cache.insert(key(3), "v3".into()); // evicts 2
+        cache.insert(key(3), "v3"); // evicts 2
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key(2)).is_none());
         assert_eq!(cache.get(&key(1)).as_deref(), Some("v1"));
@@ -233,8 +326,8 @@ mod tests {
     #[test]
     fn reinserting_replaces_without_eviction() {
         let mut cache = ReportCache::new(1);
-        cache.insert(key(1), "old".into());
-        cache.insert(key(1), "new".into());
+        cache.insert(key(1), "old");
+        cache.insert(key(1), "new");
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.get(&key(1)).as_deref(), Some("new"));
     }
@@ -242,7 +335,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = ReportCache::new(0);
-        cache.insert(key(1), "v".into());
+        cache.insert(key(1), "v");
         assert!(cache.is_empty());
         assert!(cache.get(&key(1)).is_none());
         assert_eq!(cache.stats().misses, 1);
@@ -257,7 +350,44 @@ mod tests {
             hash: k.hash(),
             text: "something else".into(),
         };
-        cache.insert(k, "real".into());
+        cache.insert(k, "real");
         assert!(cache.get(&forged).is_none(), "collision must miss");
+    }
+
+    #[test]
+    fn the_memo_matches_format_and_full_source_and_stays_bounded() {
+        let canonical = |name: &str| {
+            Arc::new(CanonicalSource {
+                name: name.to_string(),
+                qasm: format!("// {name}"),
+            })
+        };
+        let mut cache = ReportCache::new(2);
+        cache.remember_source(SourceFormat::Qasm, "a", canonical("a"));
+        assert_eq!(cache.source(SourceFormat::Qasm, "a"), Some(canonical("a")));
+        assert_eq!(cache.source(SourceFormat::Conformance, "a"), None);
+        // A forged slot under the hash of "b" holding another source.
+        let hash = cache.source_hasher.hash_one((SourceFormat::Qasm, "b"));
+        let forged = (SourceFormat::Qasm, "not b".to_string());
+        cache.sources.insert(hash, forged, canonical("x"), 2, 0);
+        assert_eq!(
+            cache.source(SourceFormat::Qasm, "b"),
+            None,
+            "collision must miss"
+        );
+        cache.source(SourceFormat::Qasm, "a"); // warm "a"
+        cache.remember_source(SourceFormat::Qasm, "c", canonical("c")); // evicts the forgery
+        assert_eq!(cache.stats().memo_entries, 2);
+        assert!(cache.source(SourceFormat::Qasm, "a").is_some());
+        assert!(cache.source(SourceFormat::Qasm, "c").is_some());
+        assert_eq!(
+            cache.stats().evictions,
+            0,
+            "memo evictions are not report evictions"
+        );
+
+        let mut disabled = ReportCache::new(0);
+        disabled.remember_source(SourceFormat::Qasm, "a", canonical("a"));
+        assert_eq!(disabled.stats().memo_entries, 0);
     }
 }

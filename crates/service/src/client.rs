@@ -191,7 +191,7 @@ impl Client {
     /// `overloaded`, `timeout`, …) or transport/protocol failures.
     pub fn compile(&mut self, request: &CompileRequest) -> Result<CompileOutcome, ClientError> {
         let response = self.request(&request.to_json())?;
-        parse_report_response(&response)
+        parse_report_response(response)
     }
 
     /// Opens a streaming session on this connection. The session holds
@@ -283,7 +283,7 @@ impl Client {
             ("proto", JsonValue::from(PROTOCOL)),
             ("kind", JsonValue::from("session.close")),
         ]))?;
-        parse_report_response(&response)
+        parse_report_response(response)
     }
 }
 
@@ -300,26 +300,36 @@ fn expect_session<'a>(response: &'a JsonValue, op: &str) -> Result<&'a JsonValue
     }
 }
 
-/// Unwraps a `{kind: "report"}` response into a [`CompileOutcome`].
-fn parse_report_response(response: &JsonValue) -> Result<CompileOutcome, ClientError> {
-    let cache = response
-        .get("cache")
+/// Unwraps a `{kind: "report"}` response into a [`CompileOutcome`],
+/// moving the report and its attachments out rather than copying them.
+fn parse_report_response(response: JsonValue) -> Result<CompileOutcome, ClientError> {
+    let mut fields = match response {
+        JsonValue::Object(fields) => fields,
+        _ => Vec::new(),
+    };
+    // The first field of a name wins, as with `JsonValue::get`.
+    let mut take = |name: &str| {
+        fields
+            .iter_mut()
+            .find(|(key, _)| key == name)
+            .map(|(_, value)| std::mem::replace(value, JsonValue::Null))
+    };
+    let cache = take("cache")
+        .as_ref()
         .and_then(JsonValue::as_str)
         .and_then(CacheStatus::from_name)
         .ok_or_else(|| ClientError::Protocol("report without a cache status".into()))?;
-    let elapsed_ms = response
-        .get("elapsed_ms")
+    let elapsed_ms = take("elapsed_ms")
+        .as_ref()
         .and_then(JsonValue::as_f64)
         .unwrap_or(0.0);
-    let report = response
-        .get("report")
-        .cloned()
+    let report = take("report")
         .ok_or_else(|| ClientError::Protocol("report response without a report".into()))?;
     Ok(CompileOutcome {
         cache,
         elapsed_ms,
         report,
-        telemetry: response.get("telemetry").cloned(),
-        trace: response.get("trace").cloned(),
+        telemetry: take("telemetry"),
+        trace: take("trace"),
     })
 }

@@ -25,7 +25,8 @@
 //!   `overloaded`, `timeout`, `internal`). Specified in
 //!   `docs/SERVICE.md`.
 //! - [`server`] — the daemon: bounded admission queue, per-request
-//!   deadlines, LRU report cache, and `service.*` telemetry (request
+//!   deadlines, LRU report cache (with a memo that lets a resubmitted
+//!   source skip the parse), and `service.*` telemetry (request
 //!   counters, cache hit/miss/bypass, latency percentiles).
 //! - [`client`] — a minimal blocking client used by tests, the
 //!   `autobraid-client` CLI, and the `bench serve` load generator.

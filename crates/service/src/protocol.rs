@@ -232,7 +232,7 @@ impl CacheStatus {
 }
 
 /// The circuit text formats a compile request may carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SourceFormat {
     /// Plain OpenQASM 2.0 (the subset of `autobraid_circuit::qasm`).
     #[default]

@@ -8,7 +8,7 @@
 //! abandoned (timed-out) compile keeps its queue slot until the worker
 //! actually finishes it, so admission control reflects real load.
 
-use crate::cache::{CacheKey, CacheStats, ReportCache};
+use crate::cache::{CacheKey, CacheStats, CanonicalSource, ReportCache};
 use crate::protocol::{
     read_frame, write_frame, CacheStatus, CompileRequest, ErrorKind, FrameError, Request,
     ServiceError, SessionOpen, SourceFormat, PROTOCOL,
@@ -25,12 +25,13 @@ use autobraid_telemetry::{
     self as telemetry, Decision, FanoutRecorder, FlightRecorder, JsonValue, MemoryRecorder,
     Recorder, TraceRecorder, WindowedRecorder, METRICS_SCHEMA,
 };
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -130,6 +131,17 @@ struct Shared {
     connections: Mutex<Vec<TcpStream>>,
 }
 
+impl Shared {
+    /// The report cache, also after a thread panicked while holding it.
+    /// Every `ReportCache` method leaves the cache consistent at every
+    /// step (an eviction removes a whole entry, counters only grow), so
+    /// a poisoned guard holds a usable cache, and one failed request
+    /// must not take every later one down with it.
+    fn cache(&self) -> MutexGuard<'_, ReportCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A running daemon. Dropping the handle shuts the server down and
 /// joins every thread.
 pub struct Server {
@@ -204,7 +216,7 @@ impl Server {
 
     /// Current cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.lock().expect("cache poisoned").stats()
+        self.shared.cache().stats()
     }
 
     /// Snapshot of every service metric recorded so far (request
@@ -381,7 +393,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         let req_scope = telemetry::begin_request(request_id);
         let started = Instant::now();
         let mut latency_from = None;
-        let (response, outcome) = match process(
+        let (reply, outcome) = match process(
             shared,
             &mut session,
             &payload,
@@ -392,7 +404,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             Ok(ok) => (ok, "ok"),
             Err(err) => {
                 let outcome = err.kind.name();
-                (err.to_response(), outcome)
+                (Reply::Doc(err.to_response()), outcome)
             }
         };
         telemetry::decision(&Decision::RequestEnd {
@@ -401,7 +413,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         });
         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
         maybe_dump_flight(shared, request_id, outcome, elapsed_ms);
-        let frame = response.render_compact();
+        let frame = reply.render();
         // Observed once the frame is rendered, so the histogram covers
         // the whole request: decode, compile or cache hit, and render.
         if let Some(from) = latency_from {
@@ -421,6 +433,56 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = write.shutdown(Shutdown::Both);
 }
 
+/// A response on its way out, rendered once by `handle_connection`.
+enum Reply {
+    /// Any response built as a document.
+    Doc(JsonValue),
+    /// A compile report. Its canonical bytes go into the frame as they
+    /// are: they are a compact rendering, which parses and renders back
+    /// to itself, so the frame is byte-for-byte the one rendered from a
+    /// document holding the parsed report.
+    Report {
+        status: CacheStatus,
+        elapsed_ms: f64,
+        report: Arc<str>,
+        /// Attached documents in wire order (`telemetry`, then `trace`).
+        attachments: Vec<(&'static str, JsonValue)>,
+    },
+}
+
+impl Reply {
+    fn render(self) -> String {
+        match self {
+            Reply::Doc(doc) => doc.render_compact(),
+            Reply::Report {
+                status,
+                elapsed_ms,
+                report,
+                attachments,
+            } => {
+                let mut frame = JsonValue::object([
+                    ("proto", JsonValue::from(PROTOCOL)),
+                    ("status", JsonValue::from("ok")),
+                    ("kind", JsonValue::from("report")),
+                    ("cache", JsonValue::from(status.name())),
+                    ("elapsed_ms", JsonValue::from(elapsed_ms)),
+                ])
+                .render_compact();
+                // Reopen the envelope's closing brace to append the report.
+                frame.pop();
+                frame.reserve(report.len() + 12);
+                frame.push_str(",\"report\":");
+                frame.push_str(&report);
+                for (name, doc) in attachments {
+                    let _ = write!(frame, ",\"{name}\":{}", doc.render_compact());
+                }
+                frame.push('}');
+                frame
+            }
+        }
+    }
+}
+
 /// Handles one request frame, start to finish. A completed compile or
 /// closed session sets `latency_from` to where its `service.latency_ms`
 /// observation starts: the frame's arrival at `received`, or the
@@ -432,7 +494,7 @@ fn process(
     request_id: u64,
     received: Instant,
     latency_from: &mut Option<Instant>,
-) -> Result<JsonValue, ServiceError> {
+) -> Result<Reply, ServiceError> {
     let doc = JsonValue::parse(payload)
         .map_err(|e| ServiceError::new(ErrorKind::Protocol, format!("invalid JSON: {e}")))?;
     let request = Request::from_json(&doc)?;
@@ -443,31 +505,31 @@ fn process(
     match request {
         Request::Ping => {
             telemetry::counter("service.requests.ping", 1);
-            Ok(JsonValue::object([
+            Ok(Reply::Doc(JsonValue::object([
                 ("proto", JsonValue::from(PROTOCOL)),
                 ("status", JsonValue::from("ok")),
                 ("kind", JsonValue::from("pong")),
                 ("version", JsonValue::from(env!("CARGO_PKG_VERSION"))),
                 ("uptime_ms", JsonValue::from(uptime_ms(shared))),
-            ]))
+            ])))
         }
         Request::Stats => {
             telemetry::counter("service.requests.stats", 1);
-            Ok(stats_response(shared))
+            Ok(Reply::Doc(stats_response(shared)))
         }
         Request::Metrics => {
             telemetry::counter("service.requests.metrics", 1);
-            Ok(metrics_response(shared))
+            Ok(Reply::Doc(metrics_response(shared)))
         }
         Request::Compile(req) => {
             telemetry::counter("service.requests.compile", 1);
-            let response = handle_compile(shared, &req, request_id)?;
+            let reply = handle_compile(shared, &req, request_id)?;
             *latency_from = Some(received);
-            Ok(response)
+            Ok(reply)
         }
         Request::SessionOpen(open) => {
             telemetry::counter("service.requests.session", 1);
-            handle_session_open(shared, session, &open, request_id)
+            handle_session_open(shared, session, &open, request_id).map(Reply::Doc)
         }
         Request::SessionGate(gates) => {
             telemetry::counter("service.requests.session", 1);
@@ -490,13 +552,13 @@ fn process(
                 Ok::<(), ServiceError>(())
             })?;
             let outstanding = open.stream.outstanding();
-            Ok(session_response(
+            Ok(Reply::Doc(session_response(
                 "gate",
                 vec![
                     ("accepted".to_string(), JsonValue::from(gates.len())),
                     ("outstanding".to_string(), JsonValue::from(outstanding)),
                 ],
-            ))
+            )))
         }
         Request::SessionStep { count } => {
             telemetry::counter("service.requests.session", 1);
@@ -520,23 +582,23 @@ fn process(
             })?;
             let outstanding = open.stream.outstanding();
             let steps_taken = open.stream.steps_taken();
-            Ok(session_response(
+            Ok(Reply::Doc(session_response(
                 "step",
                 vec![
                     ("outcomes".to_string(), JsonValue::Array(outcomes)),
                     ("outstanding".to_string(), JsonValue::from(outstanding)),
                     ("steps_taken".to_string(), JsonValue::from(steps_taken)),
                 ],
-            ))
+            )))
         }
         Request::SessionInject(fault) => {
             telemetry::counter("service.requests.session", 1);
             let open = require_session(session)?;
             open.scoped(|stream| stream.inject(fault).map_err(stream_error))?;
-            Ok(session_response(
+            Ok(Reply::Doc(session_response(
                 "inject",
                 vec![("fault".to_string(), JsonValue::from(fault.kind()))],
-            ))
+            )))
         }
         Request::SessionClose => {
             telemetry::counter("service.requests.session", 1);
@@ -563,19 +625,17 @@ fn process(
             };
             let elapsed = start.elapsed().as_secs_f64() * 1e3;
             *latency_from = Some(start);
-            let canonical = canonical_compile_report_json(&finished).render_compact();
-            let report_doc = JsonValue::parse(&canonical)
-                .expect("canonical report is valid JSON by construction");
             let trace_doc = tracer
                 .as_ref()
                 .and_then(|tracer| JsonValue::parse(&tracer.snapshot().to_chrome_json()).ok());
-            Ok(report_response(
-                CacheStatus::Bypass,
-                elapsed,
-                report_doc,
-                None,
-                trace_doc,
-            ))
+            Ok(Reply::Report {
+                status: CacheStatus::Bypass,
+                elapsed_ms: elapsed,
+                report: canonical_compile_report_json(&finished)
+                    .render_compact()
+                    .into(),
+                attachments: trace_doc.map(|t| ("trace", t)).into_iter().collect(),
+            })
         }
     }
 }
@@ -747,7 +807,7 @@ fn maybe_dump_flight(shared: &Arc<Shared>, request_id: u64, outcome: &str, elaps
 /// The `autobraid.metrics/v1` live-operations frame: windowed
 /// counters/histograms, lifetime aggregates, and point-in-time gauges.
 fn metrics_response(shared: &Arc<Shared>) -> JsonValue {
-    let cache = shared.cache.lock().expect("cache poisoned").stats();
+    let cache = shared.cache().stats();
     let windowed = shared.windowed.snapshot();
     let lifetime = shared.recorder.snapshot();
     JsonValue::object([
@@ -796,7 +856,7 @@ fn metrics_response(shared: &Arc<Shared>) -> JsonValue {
 }
 
 fn stats_response(shared: &Arc<Shared>) -> JsonValue {
-    let cache = shared.cache.lock().expect("cache poisoned").stats();
+    let cache = shared.cache().stats();
     let snapshot = shared.recorder.snapshot();
     let latency = snapshot
         .histogram("service.latency_ms")
@@ -815,6 +875,7 @@ fn stats_response(shared: &Arc<Shared>) -> JsonValue {
         "service.requests.stats",
         "service.requests.metrics",
         "service.requests.compile",
+        "service.cache.source_memo_hit",
         "service.overloaded",
         "service.timeouts",
         "service.flight.dumps",
@@ -868,67 +929,77 @@ fn handle_compile(
     shared: &Arc<Shared>,
     req: &CompileRequest,
     request_id: u64,
-) -> Result<JsonValue, ServiceError> {
+) -> Result<Reply, ServiceError> {
     let start = Instant::now();
-    let circuit = parse_source(req)?;
     let effective = Effective {
         strategy: req.strategy.unwrap_or(shared.config.defaults.strategy),
         optimize: req.optimize.unwrap_or(shared.config.defaults.optimize),
         verify: req.verify.unwrap_or(shared.config.defaults.verify),
     };
 
-    // The content address: canonical circuit text (name + re-emitted
-    // QASM, so formatting differences in the submission don't fragment
-    // the cache), the lattice geometry, and the semantics-affecting
-    // options. `threads` is deliberately absent — the determinism
-    // contract guarantees thread count cannot change the canonical
-    // report, so all thread counts share one entry.
-    let key = CacheKey::new(
-        &format!("{}\n{}", circuit.name(), qasm::emit(&circuit)),
-        &match req.distance {
-            Some(d) => format!("distance={d}"),
-            None => "distance=default".to_string(),
-        },
-        &format!(
-            "strategy={};optimize={};verify={}",
-            effective.strategy.name(),
-            effective.optimize,
-            effective.verify
-        ),
-    );
-
     let cacheable = req.use_cache && !req.telemetry && !req.trace;
-    if cacheable {
-        let cached = shared.cache.lock().expect("cache poisoned").get(&key);
-        if let Some(report_json) = cached {
+    // A source seen before skips the parse: the memo holds what the key
+    // needs from it. Any other source parses here, and the circuit is
+    // kept for the compile.
+    let mut parsed = None;
+    let key = if cacheable {
+        // Looked up apart from the match: the guard must be gone before
+        // the miss arm locks the cache again.
+        let memo = shared.cache().source(req.format, &req.source);
+        let canonical = match memo {
+            Some(canonical) => {
+                telemetry::counter("service.cache.source_memo_hit", 1);
+                canonical
+            }
+            None => {
+                let circuit = parse_source(req)?;
+                let canonical = Arc::new(CanonicalSource {
+                    name: circuit.name().to_string(),
+                    qasm: qasm::emit(&circuit),
+                });
+                shared
+                    .cache()
+                    .remember_source(req.format, &req.source, Arc::clone(&canonical));
+                parsed = Some(circuit);
+                canonical
+            }
+        };
+        let key = content_key(&canonical, req, &effective);
+        let cached = shared.cache().get(&key);
+        if let Some(report) = cached {
             telemetry::counter("service.cache.hit", 1);
             telemetry::decision(&Decision::CacheLookup {
                 id: request_id,
                 status: CacheStatus::Hit.name(),
             });
-            let elapsed = start.elapsed().as_secs_f64() * 1e3;
-            let report = JsonValue::parse(&report_json).map_err(|e| {
-                ServiceError::new(ErrorKind::Internal, format!("cache corrupt: {e}"))
-            })?;
-            return Ok(report_response(
-                CacheStatus::Hit,
-                elapsed,
+            return Ok(Reply::Report {
+                status: CacheStatus::Hit,
+                elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
                 report,
-                None,
-                None,
-            ));
+                attachments: Vec::new(),
+            });
         }
         telemetry::counter("service.cache.miss", 1);
         telemetry::decision(&Decision::CacheLookup {
             id: request_id,
             status: CacheStatus::Miss.name(),
         });
+        Some(key)
     } else {
+        parsed = Some(parse_source(req)?);
         telemetry::counter("service.cache.bypass", 1);
         telemetry::decision(&Decision::CacheLookup {
             id: request_id,
             status: CacheStatus::Bypass.name(),
         });
+        None
+    };
+    let mut circuit = match parsed {
+        Some(circuit) => circuit,
+        None => parse_source(req)?,
+    };
+    if let Some(label) = &req.label {
+        circuit.set_name(label.clone());
     }
 
     let pipeline = build_pipeline(req, &effective)?;
@@ -976,39 +1047,70 @@ fn handle_compile(
         other => ServiceError::new(ErrorKind::Internal, other.to_string()),
     })?;
 
-    let canonical = canonical_compile_report_json(&report).render_compact();
-    let status = if cacheable {
-        shared
-            .cache
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, canonical.clone());
-        CacheStatus::Miss
-    } else {
-        CacheStatus::Bypass
+    let canonical: Arc<str> = canonical_compile_report_json(&report)
+        .render_compact()
+        .into();
+    let status = match key {
+        Some(key) => {
+            shared.cache().insert(key, Arc::clone(&canonical));
+            CacheStatus::Miss
+        }
+        None => CacheStatus::Bypass,
     };
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    let report_doc =
-        JsonValue::parse(&canonical).expect("canonical report is valid JSON by construction");
+    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     let telemetry_doc = report.telemetry.as_ref().map(|s| s.to_json_value());
     let trace_doc = report
         .trace
         .as_ref()
         .and_then(|t| JsonValue::parse(&t.to_chrome_json()).ok());
-    Ok(report_response(
+    let attachments = [("telemetry", telemetry_doc), ("trace", trace_doc)]
+        .into_iter()
+        .filter_map(|(name, doc)| Some((name, doc?)))
+        .collect();
+    Ok(Reply::Report {
         status,
-        elapsed,
-        report_doc,
-        telemetry_doc,
-        trace_doc,
-    ))
+        elapsed_ms,
+        report: canonical,
+        attachments,
+    })
 }
 
-/// Parses the request's circuit text per its declared format.
+/// The content address: canonical circuit text (the label, or else the
+/// circuit's own name, then the re-emitted QASM, so formatting
+/// differences in the submission don't fragment the cache), the lattice
+/// geometry, and the semantics-affecting options. `threads` is
+/// deliberately absent — the determinism contract guarantees thread
+/// count cannot change the canonical report, so all thread counts share
+/// one entry.
+fn content_key(
+    canonical: &CanonicalSource,
+    req: &CompileRequest,
+    effective: &Effective,
+) -> CacheKey {
+    let name = req.label.as_deref().unwrap_or(&canonical.name);
+    CacheKey::new(
+        &format!("{name}\n{}", canonical.qasm),
+        &match req.distance {
+            Some(d) => format!("distance={d}"),
+            None => "distance=default".to_string(),
+        },
+        &format!(
+            "strategy={};optimize={};verify={}",
+            effective.strategy.name(),
+            effective.optimize,
+            effective.verify
+        ),
+    )
+}
+
+/// Parses the request's circuit text per its declared format. The
+/// circuit keeps the name the source gives it; the label is applied by
+/// the caller.
 fn parse_source(req: &CompileRequest) -> Result<autobraid_circuit::Circuit, ServiceError> {
-    let mut circuit = match req.format {
-        SourceFormat::Qasm => qasm::parse(&req.source)
-            .map_err(|e| ServiceError::new(ErrorKind::Parse, e.to_string()))?,
+    match req.format {
+        SourceFormat::Qasm => {
+            qasm::parse(&req.source).map_err(|e| ServiceError::new(ErrorKind::Parse, e.to_string()))
+        }
         SourceFormat::Conformance => {
             let case = ConformanceCase::from_repro(&req.source)
                 .map_err(|e| ServiceError::new(ErrorKind::Parse, e.to_string()))?;
@@ -1023,13 +1125,9 @@ fn parse_source(req: &CompileRequest) -> Result<autobraid_circuit::Circuit, Serv
                     ),
                 ));
             }
-            case.circuit
+            Ok(case.circuit)
         }
-    };
-    if let Some(label) = &req.label {
-        circuit.set_name(label.clone());
     }
-    Ok(circuit)
 }
 
 /// Builds the per-request pipeline (always single-threaded inside: the
@@ -1071,26 +1169,125 @@ fn admit(shared: &Arc<Shared>) -> Result<(), ServiceError> {
     Ok(())
 }
 
-fn report_response(
-    status: CacheStatus,
-    elapsed_ms: f64,
-    report: JsonValue,
-    telemetry_doc: Option<JsonValue>,
-    trace_doc: Option<JsonValue>,
-) -> JsonValue {
-    let mut fields = vec![
-        ("proto".to_string(), JsonValue::from(PROTOCOL)),
-        ("status".to_string(), JsonValue::from("ok")),
-        ("kind".to_string(), JsonValue::from("report")),
-        ("cache".to_string(), JsonValue::from(status.name())),
-        ("elapsed_ms".to_string(), JsonValue::from(elapsed_ms)),
-        ("report".to_string(), report),
-    ];
-    if let Some(t) = telemetry_doc {
-        fields.push(("telemetry".to_string(), t));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use autobraid::pipeline::Pipeline;
+
+    const BELL: &str = "qreg q[2]; h q[0]; cx q[0],q[1];";
+
+    /// How report frames were built before splicing: a document holding
+    /// the parsed canonical report and the attachments, rendered.
+    fn document_frame(
+        status: CacheStatus,
+        elapsed_ms: f64,
+        canonical: &str,
+        attachments: &[(&'static str, JsonValue)],
+    ) -> String {
+        let mut fields = vec![
+            ("proto".to_string(), JsonValue::from(PROTOCOL)),
+            ("status".to_string(), JsonValue::from("ok")),
+            ("kind".to_string(), JsonValue::from("report")),
+            ("cache".to_string(), JsonValue::from(status.name())),
+            ("elapsed_ms".to_string(), JsonValue::from(elapsed_ms)),
+            (
+                "report".to_string(),
+                JsonValue::parse(canonical).expect("canonical JSON"),
+            ),
+        ];
+        fields.extend(
+            attachments
+                .iter()
+                .map(|(name, doc)| (name.to_string(), doc.clone())),
+        );
+        JsonValue::Object(fields).render_compact()
     }
-    if let Some(t) = trace_doc {
-        fields.push(("trace".to_string(), t));
+
+    #[test]
+    fn spliced_reports_render_like_the_document() {
+        let report = Pipeline::new()
+            .with_options(CompileOptions {
+                telemetry: true,
+                trace: true,
+                ..CompileOptions::default()
+            })
+            .compile_qasm(BELL)
+            .expect("compile");
+        let canonical = canonical_compile_report_json(&report).render_compact();
+        let telemetry = report
+            .telemetry
+            .as_ref()
+            .expect("telemetry")
+            .to_json_value();
+        let trace = JsonValue::parse(&report.trace.as_ref().expect("trace").to_chrome_json())
+            .expect("trace JSON");
+        let attachment_sets = [
+            vec![],
+            vec![("telemetry", telemetry.clone())],
+            vec![("trace", trace.clone())],
+            vec![("telemetry", telemetry), ("trace", trace)],
+        ];
+        for status in [CacheStatus::Hit, CacheStatus::Miss, CacheStatus::Bypass] {
+            for elapsed_ms in [0.0, 0.125, 1234.5678, 1e-7] {
+                for attachments in &attachment_sets {
+                    let spliced = Reply::Report {
+                        status,
+                        elapsed_ms,
+                        report: canonical.as_str().into(),
+                        attachments: attachments.clone(),
+                    }
+                    .render();
+                    assert_eq!(
+                        spliced,
+                        document_frame(status, elapsed_ms, &canonical, attachments)
+                    );
+                }
+            }
+        }
     }
-    JsonValue::Object(fields)
+
+    #[test]
+    fn a_poisoned_cache_lock_still_serves_stats_and_hits() {
+        let server = Server::start(ServiceConfig {
+            dump_dir: String::new(),
+            ..ServiceConfig::default()
+        })
+        .expect("server starts");
+        // A raw connection with a read deadline: a daemon that stopped
+        // answering fails the test instead of hanging it.
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut exchange = |request: JsonValue| {
+            write_frame(&mut stream, &request.render_compact()).expect("send");
+            let frame = read_frame(&mut stream, crate::protocol::DEFAULT_MAX_FRAME)
+                .expect("the daemon answers")
+                .expect("a frame");
+            JsonValue::parse(&frame).expect("JSON")
+        };
+        let compile = CompileRequest::qasm(BELL).to_json();
+        let stats = JsonValue::object([
+            ("proto", JsonValue::from(PROTOCOL)),
+            ("kind", JsonValue::from("stats")),
+        ]);
+        let cold = exchange(compile.clone());
+        assert_eq!(cold.get("cache").and_then(JsonValue::as_str), Some("miss"));
+
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.cache.lock().expect("first lock");
+            panic!("request panicked while holding the cache");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.cache.is_poisoned());
+
+        let answer = exchange(stats);
+        let hits = answer.get("cache").and_then(|c| c.get("hits"));
+        assert_eq!(hits.and_then(JsonValue::as_u64), Some(0), "{answer:?}");
+        let warm = exchange(compile);
+        assert_eq!(warm.get("cache").and_then(JsonValue::as_str), Some("hit"));
+        assert_eq!(warm.get("report"), cold.get("report"));
+        assert_eq!(server.cache_stats().hits, 1);
+    }
 }

@@ -496,3 +496,104 @@ fn canonical_report_is_byte_identical_with_ambient_observability() {
     };
     assert_eq!(bare, full);
 }
+
+/// The `counters` entry `name` of a `stats` frame.
+fn stats_counter(client: &mut Client, name: &str) -> u64 {
+    let stats = client.stats().expect("stats");
+    stats
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(JsonValue::as_u64)
+        .unwrap_or(0)
+}
+
+#[test]
+fn one_source_under_two_labels_gives_two_reports_with_their_own_labels() {
+    let server = server(|_| {});
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let compile = |client: &mut Client, label: &str| {
+        let outcome = client
+            .compile(&CompileRequest::qasm(BELL_QASM).with_label(label))
+            .expect("compile");
+        let name = outcome
+            .report
+            .get("circuit")
+            .and_then(JsonValue::as_str)
+            .map(str::to_string);
+        (outcome.cache, name)
+    };
+    assert_eq!(
+        compile(&mut client, "alpha"),
+        (CacheStatus::Miss, Some("alpha".into()))
+    );
+    // The memo knows the source, but the label is part of the key.
+    assert_eq!(
+        compile(&mut client, "beta"),
+        (CacheStatus::Miss, Some("beta".into()))
+    );
+    assert_eq!(
+        compile(&mut client, "alpha"),
+        (CacheStatus::Hit, Some("alpha".into()))
+    );
+    assert_eq!(
+        compile(&mut client, "beta"),
+        (CacheStatus::Hit, Some("beta".into()))
+    );
+    assert_eq!(server.cache_stats().memo_entries, 1);
+    assert_eq!(
+        stats_counter(&mut client, "service.cache.source_memo_hit"),
+        3
+    );
+}
+
+#[test]
+fn unparseable_source_is_a_parse_error_every_time_and_never_memoized() {
+    let server = server(|_| {});
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let bad = CompileRequest::qasm("qreg q[2];\ncx q[0],q[7];");
+    for _ in 0..3 {
+        let (kind, _) = expect_service_error(client.compile(&bad));
+        assert_eq!(kind, ErrorKind::Parse);
+    }
+    assert_eq!(server.cache_stats().memo_entries, 0);
+    assert_eq!(
+        stats_counter(&mut client, "service.cache.source_memo_hit"),
+        0
+    );
+    // The connection and the memo still work for a good source.
+    client
+        .compile(&CompileRequest::qasm(BELL_QASM))
+        .expect("good");
+    assert_eq!(server.cache_stats().memo_entries, 1);
+}
+
+#[test]
+fn the_memo_is_bounded_by_the_cache_capacity() {
+    let sources: Vec<String> = (1..=5)
+        .map(|n| format!("qreg q[{}]; h q[0]; cx q[0],q[{n}];", n + 1))
+        .collect();
+    let bounded = server(|c| c.cache_capacity = 2);
+    let mut client = Client::connect(bounded.addr()).expect("connect");
+    for source in &sources {
+        client
+            .compile(&CompileRequest::qasm(source))
+            .expect("compile");
+        assert!(bounded.cache_stats().memo_entries <= 2);
+    }
+    assert_eq!(bounded.cache_stats().memo_entries, 2);
+
+    // Capacity 0 memoizes nothing: every resubmission parses again.
+    let disabled = server(|c| c.cache_capacity = 0);
+    let mut client = Client::connect(disabled.addr()).expect("connect");
+    for _ in 0..3 {
+        let outcome = client
+            .compile(&CompileRequest::qasm(&sources[0]))
+            .expect("compile");
+        assert_eq!(outcome.cache, CacheStatus::Miss);
+    }
+    assert_eq!(disabled.cache_stats().memo_entries, 0);
+    assert_eq!(
+        stats_counter(&mut client, "service.cache.source_memo_hit"),
+        0
+    );
+}

@@ -461,19 +461,28 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, and ASCII bytes never
+    // occur inside a multi-byte UTF-8 sequence, so the runs between
+    // them split `s` on char boundaries and copy wholesale.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -514,6 +523,50 @@ mod tests {
         let rendered = JsonValue::from("a\nb\x01").render_compact();
         let expected = format!("\"a\\nb\\u{:04x}\"", 1);
         assert_eq!(rendered, expected);
+    }
+
+    #[test]
+    fn run_escaping_matches_a_char_wise_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let cases = [
+            String::new(),
+            "plain ascii".to_string(),
+            controls.clone(),
+            format!("a{controls}b"),
+            "\"quoted\" and back\\slash\\".to_string(),
+            "q\"0\"\n\t".to_string(),
+            "é ü 中文 🦀 \u{2028} \u{2029} \u{7f}".to_string(),
+            format!("🦀\"{controls}\u{2028}\\é"),
+            "\\\"".repeat(5),
+            "\u{2028}".to_string(),
+        ];
+        for case in &cases {
+            let mut out = String::new();
+            write_escaped(&mut out, case);
+            assert_eq!(out, reference(case), "{case:?}");
+            assert_eq!(
+                JsonValue::parse(&out).unwrap(),
+                JsonValue::from(case.as_str())
+            );
+        }
     }
 
     #[test]
