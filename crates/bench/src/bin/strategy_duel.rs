@@ -19,8 +19,7 @@ use autobraid::config::ScheduleConfig;
 use autobraid::report::Table;
 use autobraid::scheduler::{run, ParallelStackPolicy, PathFinderPolicy, RoutePolicy};
 use autobraid::AutoBraid;
-use autobraid_bench::eval_config;
-use autobraid_circuit::generators::{ising::ising, qft::qft, random};
+use autobraid_bench::{duel_families, eval_config};
 use autobraid_circuit::Circuit;
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_router::path::CxRequest;
@@ -124,24 +123,7 @@ fn main() {
     let markdown = autobraid_bench::flag_requested("--markdown");
     let config = eval_config();
 
-    let families: Vec<(&'static str, Circuit)> = vec![
-        (
-            "layered",
-            random::layered_cx(16, 6, 0.3, 7).expect("layered builds"),
-        ),
-        (
-            "burst",
-            random::all_to_all_burst(16, 5, 6, 7).expect("burst builds"),
-        ),
-        (
-            "chain",
-            random::neighbor_chain(16, 6, 7).expect("chain builds"),
-        ),
-        ("qft", qft(16).expect("qft builds")),
-        ("ising", ising(16, 2).expect("ising builds")),
-    ];
-
-    let results: Vec<FamilyResult> = families
+    let results: Vec<FamilyResult> = duel_families()
         .iter()
         .map(|(family, circuit)| duel_family(family, circuit, &config))
         .collect();

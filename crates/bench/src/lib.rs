@@ -121,6 +121,29 @@ pub fn eval_config() -> ScheduleConfig {
     ScheduleConfig::default().with_recording(Recording::StatsOnly)
 }
 
+/// The circuits of the `strategy_duel` experiment: one 16-qubit
+/// instance of each conformance generator family, seed 7, in table
+/// order.
+pub fn duel_families() -> Vec<(&'static str, Circuit)> {
+    use generators::{ising::ising, qft::qft, random};
+    vec![
+        (
+            "layered",
+            random::layered_cx(16, 6, 0.3, 7).expect("layered builds"),
+        ),
+        (
+            "burst",
+            random::all_to_all_burst(16, 5, 6, 7).expect("burst builds"),
+        ),
+        (
+            "chain",
+            random::neighbor_chain(16, 6, 7).expect("chain builds"),
+        ),
+        ("qft", qft(16).expect("qft builds")),
+        ("ising", ising(16, 2).expect("ising builds")),
+    ]
+}
+
 /// A full comparison for one circuit: CP cycles, baseline, autobraid-sp,
 /// autobraid-full, and the event-driven engine.
 #[derive(Debug, Clone)]

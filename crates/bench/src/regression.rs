@@ -275,8 +275,8 @@ pub fn suite() -> Vec<BenchCase> {
     });
 
     // --- micro: negotiated congestion on an oversubscribed all-to-all
-    // burst (most gates cannot route; measures rip-up churn plus the
-    // cap-hit serial commit) ---
+    // burst (most gates cannot route; measures rip-up churn up to the
+    // stall exit plus the serial commit) ---
     let grid = Grid::new(8).expect("valid grid");
     let base = Occupancy::new(&grid);
     let corners = [

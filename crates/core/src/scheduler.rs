@@ -207,8 +207,8 @@ impl RoutePolicy for GreedyPolicy {
 /// The negotiated-congestion PathFinder policy
 /// ([`autobraid_router::pathfinder`]): route every gate of the layer
 /// optimistically, then rip up and reroute under rising present +
-/// history congestion costs until the paths are disjoint (or the
-/// iteration cap forces a deterministic serial commit).
+/// history congestion costs until the paths are disjoint (or a stall
+/// or the iteration cap forces a deterministic serial commit).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PathFinderPolicy {
     /// Negotiation knobs (iteration cap, cost weights).

@@ -8,9 +8,12 @@
 //! a *history* cost (accumulated across iterations), and only the gates
 //! whose paths touch an overused vertex are ripped up and rerouted.
 //! Congestion pressure, not a priori ordering, decides who detours.
-//! The loop ends when no vertex is shared (converged) or at a fixed
-//! iteration cap, after which a deterministic serial commit resolves
-//! any residual conflicts.
+//! The loop ends when no vertex is shared (converged), when the
+//! overused-vertex count has not reached a new minimum for
+//! `STALL_ROUNDS` rounds (stalled), or at the
+//! [`max_iterations`](PathFinderConfig::max_iterations) backstop; after
+//! a stall or a cap hit a deterministic serial commit resolves any
+//! residual conflicts.
 //!
 //! All costs are small integers, so the negotiation is bit-for-bit
 //! deterministic across platforms and thread counts; the router itself
@@ -36,13 +39,22 @@ use std::cmp::Reverse;
 /// per-vertex cost for the heuristic to remain admissible.
 const BASE_COST: u64 = 16;
 
+/// Rounds without a new minimum overused-vertex count after which
+/// negotiation gives up and hands the layer to the serial commit.
+/// Congested layers plateau within two or three rounds and then
+/// oscillate; 8 keeps the late improvements that 4 would cut off
+/// (see `docs/ROUTING.md`).
+const STALL_ROUNDS: u32 = 8;
+
 /// Tuning knobs of the negotiation loop.
 ///
-/// The defaults converge within a handful of iterations on every
-/// generator family in the conformance corpus; raise
-/// [`max_iterations`](PathFinderConfig::max_iterations) only for
-/// pathological oversubscribed layers (where the cap-hit serial commit
-/// already guarantees a valid, if partial, outcome).
+/// Feasible layers converge within a handful of iterations, but an
+/// oversubscribed one (more demand than the lattice carries, as on
+/// congested streaming layers) never does: its overuse plateaus and
+/// oscillates. Such layers end at the stall exit long before
+/// [`max_iterations`](PathFinderConfig::max_iterations), which is only
+/// a backstop; either way the serial commit guarantees a valid, if
+/// partial, outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct PathFinderConfig {
     /// Upper bound on negotiation iterations before the deterministic
@@ -75,7 +87,8 @@ pub struct NegotiationStats {
     /// Iterations actually run (1-based; 0 only for an empty batch).
     pub iterations: u32,
     /// Whether the loop ended with zero shared vertices (as opposed to
-    /// hitting the iteration cap and falling back to serial commit).
+    /// stalling or hitting the iteration cap, and falling back to the
+    /// serial commit).
     pub converged: bool,
 }
 
@@ -135,7 +148,8 @@ pub fn route_negotiated_with(
     // Criticality order: DAG slack arrives as `CxRequest::priority`
     // (larger = closer to the critical path). Critical, large gates
     // route first each round so they claim direct corridors and the
-    // serial cap-hit commit favors them deterministically.
+    // serial commit after a stall or cap hit favors them
+    // deterministically.
     let mut order: Vec<usize> = (0..requests.len()).collect();
     order.sort_by_key(|&i| {
         let b = requests[i].outer_bbox();
@@ -158,6 +172,8 @@ pub fn route_negotiated_with(
     let mut present_factor = config.initial_present_factor;
     let mut converged = false;
     let mut iterations = 0u32;
+    let mut fewest_overused = usize::MAX;
+    let mut stale_rounds = 0u32;
 
     while iterations < config.max_iterations {
         let first_round = iterations == 0;
@@ -221,6 +237,15 @@ pub fn route_negotiated_with(
             converged = true;
             break;
         }
+        if overused < fewest_overused {
+            fewest_overused = overused;
+            stale_rounds = 0;
+        } else {
+            stale_rounds += 1;
+            if stale_rounds == STALL_ROUNDS {
+                break;
+            }
+        }
         for (v, &u) in usage.iter().enumerate() {
             if u > 1 {
                 history[v] += u64::from(u - 1);
@@ -232,15 +257,18 @@ pub fn route_negotiated_with(
     telemetry::fine_observe("router.pathfinder.iterations", f64::from(iterations));
     if converged {
         telemetry::fine_counter("router.pathfinder.converged", 1);
+    } else if stale_rounds == STALL_ROUNDS {
+        telemetry::fine_counter("router.pathfinder.stalls", 1);
     } else {
         telemetry::fine_counter("router.pathfinder.cap_hits", 1);
     }
 
     // Commit. On convergence every path is disjoint by construction;
-    // after a cap hit the serial walk (same criticality order) keeps
-    // the first claimant of each contested vertex and gives later
-    // gates one plain shortest-path retry against what actually
-    // committed. Either way the outcome satisfies the router probe.
+    // after a stall or a cap hit the serial walk (same criticality
+    // order) keeps the first claimant of each contested vertex and
+    // gives later gates one plain shortest-path retry against what
+    // actually committed. Either way the outcome satisfies the router
+    // probe.
     let mut outcome = RouteOutcome::default();
     for &i in &order {
         let r = requests[i];
@@ -622,10 +650,9 @@ mod tests {
         assert_eq!(out.failed, vec![7]);
     }
 
-    #[test]
-    fn criticality_orders_the_cap_hit_commit() {
-        // Two gates forced through the same 1-vertex-wide gap: only one
-        // can route. The higher-priority gate must win the corridor.
+    /// Two gates forced through the same 1-vertex-wide gap in a wall:
+    /// only one can route, and the gap vertex stays overused every round.
+    fn shared_gap_layer() -> (Grid, Occupancy, Vec<CxRequest>) {
         let (g, mut occ) = setup(5);
         for r in 0..=5 {
             if r != 2 {
@@ -636,6 +663,13 @@ mod tests {
             CxRequest::new(0, Cell::new(1, 0), Cell::new(1, 4)).with_priority(1),
             CxRequest::new(1, Cell::new(2, 0), Cell::new(2, 4)).with_priority(9),
         ];
+        (g, occ, rs)
+    }
+
+    #[test]
+    fn criticality_orders_the_cap_hit_commit() {
+        // The higher-priority gate must win the corridor.
+        let (g, mut occ, rs) = shared_gap_layer();
         let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
         assert!(
             !stats.converged,
@@ -644,6 +678,25 @@ mod tests {
         assert_eq!(out.routed.len(), 1);
         assert_eq!(out.routed[0].request.id, 1, "critical gate wins the gap");
         assert_eq!(out.failed, vec![0]);
+    }
+
+    #[test]
+    fn stalled_negotiation_exits_before_the_cap() {
+        // Overuse is 1 from the first round on and can never fall, so
+        // the loop must stop once STALL_ROUNDS rounds bring no new
+        // minimum, not grind to the cap.
+        let (g, mut occ, rs) = shared_gap_layer();
+        let cfg = PathFinderConfig::default();
+        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &cfg);
+        assert!(!stats.converged);
+        assert!(
+            stats.iterations <= STALL_ROUNDS + 1,
+            "ran {} rounds, stall window is {STALL_ROUNDS}",
+            stats.iterations
+        );
+        assert!(stats.iterations < cfg.max_iterations);
+        assert_eq!(out.routed.len(), 1);
+        assert_eq!(out.routed[0].request.id, 1, "critical gate wins the gap");
     }
 
     #[test]

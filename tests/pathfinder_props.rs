@@ -37,8 +37,8 @@ fn spread_cells(side: u32) -> Vec<Cell> {
 }
 
 /// An all-to-all burst massively oversubscribes the lattice: most of the
-/// 15 gates cannot route concurrently. Negotiation must still terminate
-/// within its iteration cap and hand back a probe-clean partial outcome.
+/// 15 gates cannot route concurrently. Negotiation must stall out before
+/// its iteration cap and hand back a probe-clean partial outcome.
 #[test]
 fn all_to_all_burst_terminates_within_cap_and_probes_clean() {
     let grid = Grid::new(8).unwrap();
@@ -48,9 +48,10 @@ fn all_to_all_burst_terminates_within_cap_and_probes_clean() {
     let config = PathFinderConfig::default();
     let mut occupancy = base.clone();
     let (outcome, stats) = route_negotiated_with(&grid, &mut occupancy, &requests, &config);
+    assert!(!stats.converged);
     assert!(
-        stats.iterations <= config.max_iterations,
-        "negotiation ran {} iterations past the {} cap",
+        stats.iterations < config.max_iterations,
+        "negotiation ran {} iterations, up to the {} cap: the stall exit never fired",
         stats.iterations,
         config.max_iterations
     );
@@ -90,8 +91,8 @@ fn defect_overlay_burst_avoids_defects_and_terminates() {
 }
 
 /// Negotiated routing is a pure function of its inputs: identical calls
-/// give identical outcomes, including on adversarial bursts that hit the
-/// iteration cap.
+/// give identical outcomes, including on adversarial bursts that never
+/// converge.
 #[test]
 fn adversarial_bursts_route_deterministically() {
     let grid = Grid::new(8).unwrap();
