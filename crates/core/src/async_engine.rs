@@ -17,7 +17,7 @@
 
 use crate::config::ScheduleConfig;
 use crate::metrics::ScheduleResult;
-use crate::scheduler::{Clock, Engine, SlotClock, StackPolicy};
+use crate::scheduler::{Clock, Engine, LayoutMove, SlotClock, StackPolicy};
 use autobraid_circuit::{Circuit, DependenceDag, Frontier, GateId};
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
@@ -73,13 +73,13 @@ pub fn schedule_async(
         Frontier::new(&dag),
         grid,
         placement.clone(),
-        false,
+        LayoutMove::None,
         config,
         Cow::Owned(Occupancy::new(grid)),
     );
     engine.clock = Clock::PerQubit(SlotClock::new(circuit.len()));
     let engine = engine
-        .drain(&StackPolicy)
+        .drain(&StackPolicy, u64::MAX)
         .expect("an empty base occupancy never makes a gate unroutable");
     let Clock::PerQubit(clock) = engine.clock else {
         unreachable!("the per-qubit clock was set above")

@@ -13,7 +13,7 @@ use crate::config::ScheduleConfig;
 use crate::maslov::schedule_maslov_below;
 use crate::metrics::ScheduleResult;
 use crate::scheduler::{
-    run, run_with_dag, ParallelStackPolicy, PathFinderPolicy, PortfolioPolicy, RoutePolicy,
+    run, run_below, LayoutMove, ParallelStackPolicy, PathFinderPolicy, PortfolioPolicy, RoutePolicy,
 };
 use autobraid_circuit::{Circuit, DependenceDag};
 use autobraid_lattice::Grid;
@@ -153,6 +153,8 @@ impl AutoBraid {
     /// engine with the optimizer off (`p = 0`, i.e. autobraid-sp — the
     /// paper sweeps `p` and "chooses the best one among all"), and, for
     /// all-to-all communication patterns, Maslov's swap-network schedule.
+    /// A later candidate wins only with strictly fewer cycles, so each
+    /// one quits once it reaches the incumbent's.
     pub fn schedule_full(&self, circuit: &Circuit) -> ScheduleOutcome {
         self.schedule_full_with_dag(circuit, &self.config.dag(circuit))
     }
@@ -169,56 +171,42 @@ impl AutoBraid {
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let placement = self.initial_placement(circuit, &grid);
         let policy = ParallelStackPolicy::new(self.config.effective_threads());
-        let drive = |layout_optimizer: bool| {
-            run_with_dag(
+        let drive = |layout_optimizer: bool, bound: u64| {
+            run_below(
                 "autobraid-full",
                 circuit,
                 &grid,
                 placement.clone(),
                 &policy,
-                layout_optimizer,
+                LayoutMove::swap_insertion_if(layout_optimizer),
                 &self.config,
                 dag,
+                bound,
             )
-            .0
+            .map(|(result, _)| (result, placement.clone()))
         };
-        let mut outcome = ScheduleOutcome {
-            result: drive(self.config.layout_threshold > 0.0),
-            grid: grid.clone(),
-            initial_placement: placement.clone(),
-        };
-
-        if self.config.layout_threshold > 0.0 {
+        let optimizer = self.config.layout_threshold > 0.0;
+        let mut best = drive(optimizer, u64::MAX).expect("an unbounded drain completes");
+        if optimizer {
             // The optimizer-off candidate can only differ when the first
             // run actually committed a swap layer: with zero committed
             // layers the optimizer branch fell through on every step, so
             // the p = 0 run would replay the exact same schedule. Skip it.
-            if outcome.result.swap_layers > 0 {
-                let sp = drive(false);
-                if sp.total_cycles < outcome.result.total_cycles {
-                    outcome = ScheduleOutcome {
-                        result: sp,
-                        grid: grid.clone(),
-                        initial_placement: placement,
-                    };
-                }
+            if best.0.swap_layers > 0 {
+                best = drive(false, best.0.total_cycles).unwrap_or(best);
             }
-            // Maslov only wins with strictly fewer cycles, so it quits
-            // once it reaches the incumbent's.
             if is_all_to_all(circuit) {
-                if let Some((result, maslov_initial)) =
-                    schedule_maslov_below(circuit, &self.config, dag, outcome.result.total_cycles)
-                {
-                    outcome = ScheduleOutcome {
-                        grid,
-                        result,
-                        initial_placement: maslov_initial,
-                    };
-                }
+                let bound = best.0.total_cycles;
+                best = schedule_maslov_below(circuit, &self.config, dag, bound).unwrap_or(best);
             }
         }
-        outcome.result.scheduler = "autobraid-full".into();
-        outcome
+        let (mut result, initial_placement) = best;
+        result.scheduler = "autobraid-full".into();
+        ScheduleOutcome {
+            result,
+            grid,
+            initial_placement,
+        }
     }
 }
 

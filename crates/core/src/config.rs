@@ -32,13 +32,10 @@ pub struct ScheduleConfig {
     pub timing: TimingModel,
     /// The paper's `p` threshold in `[0, 1]`: the layout optimizer runs
     /// when the fraction of scheduled CX gates in a step falls *below*
-    /// this value. `0.0` disables dynamic layout (autobraid-sp).
+    /// this value, inserting up to 64 swap pairs per layer and at most
+    /// two swap layers in a row (fixed, to guard against oscillation).
+    /// `0.0` disables dynamic layout (autobraid-sp).
     pub layout_threshold: f64,
-    /// Maximum swap pairs inserted per optimizer invocation.
-    pub max_swaps_per_round: usize,
-    /// Maximum consecutive optimizer rounds before a normal step is
-    /// forced (guards against oscillation).
-    pub max_consecutive_swap_rounds: usize,
     /// Simulated-annealing refinement of the initial placement
     /// (`None` skips it — the "Before LLG" configuration of Table 1).
     pub annealing: Option<AnnealConfig>,
@@ -62,8 +59,6 @@ impl Default for ScheduleConfig {
         ScheduleConfig {
             timing: TimingModel::default(),
             layout_threshold: 0.5,
-            max_swaps_per_round: 64,
-            max_consecutive_swap_rounds: 2,
             annealing: Some(AnnealConfig::default()),
             recording: Recording::Full,
             commutation_aware: false,

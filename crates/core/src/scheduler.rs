@@ -1,16 +1,18 @@
 //! The shared scheduling engine.
 //!
 //! Every scheduler in this crate — AutoBraid-sp, AutoBraid-full, the
-//! greedy baseline, and the event-driven engine — drains the dependence
-//! DAG through the same engine and is charged by the same gate-cost
-//! function ([`gate_cycles`]); they differ only in routing policy,
-//! initial placement, whether the dynamic layout optimizer may run, and
-//! the engine's clock. This makes every reported speedup a pure
-//! algorithm comparison.
+//! greedy baseline, the Maslov swap network, and the event-driven engine
+//! — drains the dependence DAG through the same engine and is charged by
+//! the same gate-cost function ([`gate_cycles`]); they differ only in
+//! routing policy, initial placement, the layout move (none, swap
+//! insertion below `p`, or Maslov's transposition layers), and the
+//! engine's clock. This makes every reported speedup a pure algorithm
+//! comparison.
 
 use crate::async_engine::Assignment;
 use crate::config::{Recording, ScheduleConfig};
 use crate::critical_path::gate_cycles;
+use crate::maslov::SwapNetwork;
 use crate::metrics::{LayerPolicy, ScheduleResult, Step};
 use crate::strategy::Strategy;
 use crate::swap::plan_swap_layer;
@@ -395,8 +397,10 @@ fn layer_interference(
     graph
 }
 
-/// The [`RoutePolicy`] a strategy drives the braiding engine with, or
-/// `None` for strategies that bypass it (the Maslov swap network).
+/// The [`RoutePolicy`] a strategy drives the braiding engine with on its
+/// own, or `None` for the Maslov swap network: its adjacency policy makes
+/// progress only together with the swap-network layout move and the
+/// serpentine placement, so a stream degrades it to the stack finder.
 /// Derived from the strategy itself so sweeps — like the conformance
 /// oracle's defective-lattice pass over every
 /// [`crate::strategy::StrategyInfo::supports_defects`] row — never
@@ -454,19 +458,48 @@ pub fn run_with_dag(
     config: &ScheduleConfig,
     dag: &DependenceDag,
 ) -> (ScheduleResult, Placement) {
-    Engine::new(
+    run_below(
+        scheduler_name,
+        circuit,
+        grid,
+        placement,
+        policy,
+        LayoutMove::swap_insertion_if(allow_layout_optimizer),
+        config,
+        dag,
+        u64::MAX,
+    )
+    .expect("an unbounded drain completes")
+}
+
+/// [`run_with_dag`] with any layout move, racing an incumbent of `bound`
+/// cycles: `None` once the schedule reaches `bound`, so only a strictly
+/// better schedule comes back.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_below(
+    scheduler_name: &str,
+    circuit: &Circuit,
+    grid: &Grid,
+    placement: Placement,
+    policy: &dyn RoutePolicy,
+    layout: LayoutMove,
+    config: &ScheduleConfig,
+    dag: &DependenceDag,
+    bound: u64,
+) -> Option<(ScheduleResult, Placement)> {
+    let engine = Engine::new(
         scheduler_name,
         Cow::Borrowed(circuit),
         Frontier::new(dag),
         grid,
         placement,
-        allow_layout_optimizer,
+        layout,
         config,
         Cow::Owned(Occupancy::new(grid)),
     )
-    .drain(policy)
-    .map(|engine| (engine.result, engine.placement))
-    .expect("an empty base occupancy never makes a gate unroutable")
+    .drain(policy, bound)
+    .expect("an empty base occupancy never makes a gate unroutable");
+    (engine.result.total_cycles < bound).then_some((engine.result, engine.placement))
 }
 
 /// [`run`] on a lattice with *defective channels*: every vertex reserved
@@ -491,18 +524,45 @@ pub fn run_with_base_occupancy(
     base: &Occupancy,
 ) -> Result<(ScheduleResult, Placement), ScheduleError> {
     let dag = config.dag(circuit);
-    Engine::new(
+    let engine = Engine::new(
         scheduler_name,
         Cow::Borrowed(circuit),
         Frontier::new(&dag),
         grid,
         placement,
-        allow_layout_optimizer,
+        LayoutMove::swap_insertion_if(allow_layout_optimizer),
         config,
         Cow::Borrowed(base),
     )
-    .drain(policy)
-    .map(|engine| (engine.result, engine.placement))
+    .drain(policy, u64::MAX)?;
+    Ok((engine.result, engine.placement))
+}
+
+/// How the engine may change the layout instead of committing a routed
+/// braiding layer: the paper's dynamic qubit placement (§3.3), in both
+/// its forms.
+pub(crate) enum LayoutMove {
+    /// Never: every routed layer commits.
+    None,
+    /// Swap insertion below `p` (AutoBraid-full): when a layer routes
+    /// less than [`ScheduleConfig::layout_threshold`] of its gates, spend
+    /// a [`plan_swap_layer`] layer instead. Holds the swap layers in a
+    /// row so far.
+    SwapInsertion(usize),
+    /// Maslov's swap network: a transposition layer whenever no ready CX
+    /// routed.
+    SwapNetwork(SwapNetwork),
+}
+
+impl LayoutMove {
+    /// The move behind the public entry points' `allow_layout_optimizer`.
+    pub(crate) fn swap_insertion_if(allow: bool) -> Self {
+        if allow {
+            LayoutMove::SwapInsertion(0)
+        } else {
+            LayoutMove::None
+        }
+    }
 }
 
 /// What [`Engine::route`] did with the ready gates.
@@ -511,7 +571,7 @@ pub(crate) enum Routing {
     Drained,
     /// A local-only step executed this many gates (already committed).
     Local(usize),
-    /// The layout optimizer spent a swap layer (already committed).
+    /// The layout move spent a swap layer (already committed).
     Swapped,
     /// A braiding layer is routed and waits for [`Engine::commit`].
     Braid(RoutedLayer),
@@ -612,8 +672,8 @@ impl SlotClock {
 /// step, or routes the ready CX layer and then commits it or spends a
 /// swap layer instead.
 ///
-/// Batch compiles ([`run`] and friends) construct it over a whole
-/// circuit and drain it. A stream ([`crate::streaming`]) starts it
+/// Batch compiles ([`run`] and friends, [`crate::maslov`]) drain it
+/// over a whole circuit. A stream ([`crate::streaming`]) starts it
 /// empty, appends gates between steps, and checks each routed layer
 /// before committing it. The event-driven engine
 /// ([`crate::async_engine`]) drains it on the per-qubit clock.
@@ -627,7 +687,7 @@ pub(crate) struct Engine<'a> {
     pub(crate) result: ScheduleResult,
     frontier: Frontier<'a>,
     config: ScheduleConfig,
-    allow_layout_optimizer: bool,
+    layout: LayoutMove,
     record: bool,
     /// Lock-step unless the entry point sets another clock.
     pub(crate) clock: Clock,
@@ -646,7 +706,6 @@ pub(crate) struct Engine<'a> {
     utilization_sum: f64,
     /// Committed braiding layers: the utilization samples.
     layers: u64,
-    consecutive_swap_rounds: usize,
     step_index: u64,
     started: Instant,
 }
@@ -661,7 +720,7 @@ impl<'a> Engine<'a> {
         frontier: Frontier<'a>,
         grid: &Grid,
         placement: Placement,
-        allow_layout_optimizer: bool,
+        layout: LayoutMove,
         config: &ScheduleConfig,
         base: Cow<'a, Occupancy>,
     ) -> Self {
@@ -674,14 +733,13 @@ impl<'a> Engine<'a> {
             placement,
             frontier,
             config: config.clone(),
-            allow_layout_optimizer,
+            layout,
             record: config.recording == Recording::Full,
             clock: Clock::LockStep,
             interference: IncrementalInterference::new(),
             remaining_cp: Vec::new(),
             utilization_sum: 0.0,
             layers: 0,
-            consecutive_swap_rounds: 0,
             step_index: 0,
             started: Instant::now(),
         }
@@ -703,8 +761,15 @@ impl<'a> Engine<'a> {
         self.step_index
     }
 
-    /// Drains the frontier, committing every routed layer.
-    pub(crate) fn drain(mut self, policy: &dyn RoutePolicy) -> Result<Self, ScheduleError> {
+    /// Drains the frontier, committing every routed layer, until the
+    /// schedule reaches `bound` cycles: cycles only grow as steps commit,
+    /// so a candidate racing an incumbent of `bound` cycles stops as soon
+    /// as it can no longer beat it.
+    pub(crate) fn drain(
+        mut self,
+        policy: &dyn RoutePolicy,
+        bound: u64,
+    ) -> Result<Self, ScheduleError> {
         let _span = telemetry::span("engine");
         if telemetry::decisions_enabled() {
             telemetry::decision(&telemetry::Decision::EngineBegin {
@@ -713,7 +778,7 @@ impl<'a> Engine<'a> {
                 grid_side: self.grid.cells_per_side(),
             });
         }
-        loop {
+        while self.result.total_cycles < bound {
             match self.route(policy, false)? {
                 Routing::Drained => break,
                 Routing::Braid(layer) => self.commit(layer),
@@ -742,7 +807,7 @@ impl<'a> Engine<'a> {
     /// # Errors
     ///
     /// [`ScheduleError::UnroutableGate`] when not one gate of the layer
-    /// routes and the layout optimizer cannot help.
+    /// routes and the layout move cannot help.
     pub(crate) fn route(
         &mut self,
         policy: &dyn RoutePolicy,
@@ -849,42 +914,9 @@ impl<'a> Engine<'a> {
             telemetry::observe("scheduler.step.ratio", outcome.ratio());
         }
 
-        // Dynamic layout optimization (AutoBraid-full): if too few gates
-        // scheduled, spend a swap layer instead of committing this step.
-        if self.allow_layout_optimizer
-            && outcome.ratio() < self.config.layout_threshold
-            && self.consecutive_swap_rounds < self.config.max_consecutive_swap_rounds
-        {
-            let swaps = plan_swap_layer(
-                &self.grid,
-                &self.placement,
-                &requests,
-                self.config.max_swaps_per_round,
-                &self.base,
-            );
-            if !swaps.is_empty() {
-                for swap in &swaps {
-                    self.placement.swap_qubits(swap.a, swap.b);
-                    if telemetry::fine_decisions_enabled() {
-                        telemetry::decision(&telemetry::Decision::SwapInserted {
-                            a: swap.a,
-                            b: swap.b,
-                        });
-                    }
-                }
-                self.result.swap_layers += 1;
-                self.result.swap_count += swaps.len() as u64;
-                telemetry::fine_counter("scheduler.steps.swap", 1);
-                telemetry::fine_counter("scheduler.swaps.inserted", swaps.len() as u64);
-                self.result.total_cycles += 3 * self.config.timing.braid_step_cycles();
-                self.consecutive_swap_rounds += 1;
-                if self.record {
-                    self.result.steps.push(Step::SwapLayer { swaps });
-                }
-                return Ok(Routing::Swapped);
-            }
+        if self.spend_swap_layer(&requests, &outcome) {
+            return Ok(Routing::Swapped);
         }
-        self.consecutive_swap_rounds = 0;
 
         let in_flight = matches!(&self.clock, Clock::PerQubit(c) if !c.active.is_empty());
         if outcome.routed.is_empty() && !in_flight {
@@ -903,6 +935,53 @@ impl<'a> Engine<'a> {
             chosen,
             reason,
         }))
+    }
+
+    /// Dynamic qubit placement: spends a swap layer instead of committing
+    /// the routed layer when the layout move asks for one, and reports
+    /// whether it did.
+    fn spend_swap_layer(&mut self, requests: &[CxRequest], outcome: &RouteOutcome) -> bool {
+        let swaps = match &mut self.layout {
+            LayoutMove::None => return false,
+            LayoutMove::SwapInsertion(rounds) => {
+                // At most 64 swap pairs per layer, and two swap layers in
+                // a row before a routed layer must commit (guards against
+                // oscillation).
+                const MAX_SWAPS: usize = 64;
+                const MAX_ROUNDS: usize = 2;
+                let swaps = if outcome.ratio() < self.config.layout_threshold
+                    && *rounds < MAX_ROUNDS
+                {
+                    plan_swap_layer(&self.grid, &self.placement, requests, MAX_SWAPS, &self.base)
+                } else {
+                    Vec::new()
+                };
+                *rounds = if swaps.is_empty() { 0 } else { *rounds + 1 };
+                swaps
+            }
+            LayoutMove::SwapNetwork(network) if outcome.routed.is_empty() => {
+                network.transpose(&self.grid, &self.placement, requests)
+            }
+            LayoutMove::SwapNetwork(_) => return false,
+        };
+        if swaps.is_empty() {
+            return false;
+        }
+        for (a, b) in swaps.iter().map(|swap| (swap.a, swap.b)) {
+            self.placement.swap_qubits(a, b);
+            if telemetry::fine_decisions_enabled() {
+                telemetry::decision(&telemetry::Decision::SwapInserted { a, b });
+            }
+        }
+        self.result.swap_layers += 1;
+        self.result.swap_count += swaps.len() as u64;
+        telemetry::fine_counter("scheduler.steps.swap", 1);
+        telemetry::fine_counter("scheduler.swaps.inserted", swaps.len() as u64);
+        self.result.total_cycles += 3 * self.config.timing.braid_step_cycles();
+        if self.record {
+            self.result.steps.push(Step::SwapLayer { swaps });
+        }
+        true
     }
 
     /// Commits a layer [`route`](Self::route) just returned. On the

@@ -109,9 +109,9 @@ pub struct StrategyInfo {
     /// One-line description for `--help`-style listings.
     pub summary: &'static str,
     /// Whether the strategy can schedule on a lattice with defective
-    /// channel vertices (a pre-seeded base occupancy). Strategies that
-    /// bypass the braiding engine (swap networks, the distance-ordered
-    /// baseline's fixed grid) cannot.
+    /// channel vertices (a pre-seeded base occupancy). The Maslov swap
+    /// network (its transposition layers route on an empty lattice) and
+    /// the distance-ordered baseline's fixed grid cannot.
     pub supports_defects: bool,
 }
 

@@ -13,8 +13,8 @@
 //! the router defers stay in the frontier for a later step. Because the
 //! stepping reuses the same policies ([`crate::scheduler::policy_for`]),
 //! every registry strategy works online; the Maslov swap network — whose
-//! construction needs the whole circuit up front — degrades to the stack
-//! finder. The layout optimizer never runs online.
+//! adjacency rule needs its layout move and serpentine placement —
+//! degrades to the stack finder. No layout move runs online.
 //!
 //! Streaming also accepts *dynamic events* injected mid-run via
 //! [`StreamingPipeline::inject`]:
@@ -51,7 +51,7 @@ use crate::autobraid::ScheduleOutcome;
 use crate::config::ScheduleConfig;
 use crate::pipeline::{CompileReport, StageTimings};
 use crate::scheduler::{
-    policy_for, Engine, ParallelStackPolicy, RoutePolicy, Routing, ScheduleError,
+    policy_for, Engine, LayoutMove, ParallelStackPolicy, RoutePolicy, Routing, ScheduleError,
 };
 use crate::strategy::Strategy;
 use autobraid_circuit::{Circuit, CircuitStats, Frontier, Gate, GateId};
@@ -320,8 +320,8 @@ impl StreamingPipeline {
         let grid = Grid::with_capacity_for(num_qubits.max(2) as usize);
         let placement = Placement::row_major(&grid, num_qubits);
         // Every registry strategy streams: strategies without an online
-        // policy (the Maslov swap network needs the whole circuit up
-        // front) degrade to the stack finder.
+        // policy (the Maslov swap network needs its layout move) degrade
+        // to the stack finder.
         let policy = policy_for(options.strategy, config.effective_threads())
             .unwrap_or_else(|| Box::new(ParallelStackPolicy::new(config.effective_threads())));
         let mut base = Occupancy::new(&grid);
@@ -344,7 +344,7 @@ impl StreamingPipeline {
             Frontier::appendable(num_qubits),
             &grid,
             placement,
-            false,
+            LayoutMove::None,
             &config,
             Cow::Owned(base),
         );
