@@ -189,7 +189,7 @@ fn report_failure(
 /// writes its `autobraid.trace/v1` Chrome trace next to the repro file,
 /// so the divergence ships with an event-level account of the compile
 /// that produced it (open in Perfetto, or pipe through
-/// `autobraid::render::explain_trace`).
+/// `autobraid_telemetry::explain::explain_trace`).
 fn write_failure_trace(small: &ConformanceCase, cfg: &OracleConfig, repro_path: &Path) {
     let recorder = std::sync::Arc::new(autobraid_telemetry::TraceRecorder::new());
     {

@@ -45,7 +45,7 @@ impl DuelPolicy {
     fn new() -> Self {
         DuelPolicy {
             stack: ParallelStackPolicy::new(1),
-            pathfinder: PathFinderPolicy::default(),
+            pathfinder: PathFinderPolicy,
             scores: RefCell::new(Vec::new()),
         }
     }

@@ -13,7 +13,7 @@
 //!
 //! [`schedule_async`] drains the shared [`crate::scheduler`] engine on
 //! its per-qubit clock, with the lock-step schedulers' frontier,
-//! priorities, interference and stack finder.
+//! priorities and stack finder.
 
 use crate::config::ScheduleConfig;
 use crate::metrics::ScheduleResult;

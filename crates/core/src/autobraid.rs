@@ -103,7 +103,7 @@ impl AutoBraid {
     /// initial placement as [`schedule_sp`](AutoBraid::schedule_sp) —
     /// the rival of the paper's stack finder, no dynamic placement.
     pub fn schedule_pathfinder(&self, circuit: &Circuit) -> ScheduleOutcome {
-        self.schedule_with_policy("pathfinder", &PathFinderPolicy::default(), circuit)
+        self.schedule_with_policy("pathfinder", &PathFinderPolicy, circuit)
     }
 
     /// Schedules with the per-layer strategy portfolio

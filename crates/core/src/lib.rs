@@ -83,9 +83,8 @@ pub use metrics::{
     verify_schedule, verify_schedule_with_dag, LayerPolicy, ScheduleResult, Step, SwapOp,
 };
 pub use scheduler::{
-    policy_for, run, run_with_base_occupancy, GreedyPolicy, LayerRoute, LayerView,
-    ParallelStackPolicy, PathFinderPolicy, PortfolioPolicy, RoutePolicy, ScheduleError,
-    StackPolicy,
+    policy_for, run, run_with_base_occupancy, GreedyPolicy, LayerRoute, ParallelStackPolicy,
+    PathFinderPolicy, PortfolioPolicy, RoutePolicy, ScheduleError, StackPolicy,
 };
 pub use strategy::{Strategy, StrategyInfo, REGISTRY};
 pub use streaming::{FaultEvent, StepOutcome, StreamError, StreamingOptions, StreamingPipeline};

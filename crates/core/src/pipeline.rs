@@ -55,7 +55,7 @@ pub struct CompileOptions {
     /// Collect an event-level [`Trace`] per compile (default `false`).
     /// The `autobraid.trace/v1` event schema is documented in
     /// `docs/METRICS.md`; export with [`Trace::to_chrome_json`] and
-    /// replay with [`crate::render::explain_trace`].
+    /// replay with [`autobraid_telemetry::explain::explain_trace`].
     pub trace: bool,
     /// Thread budget (default 1 — fully serial). A single
     /// [`Pipeline::compile`] spends it inside the compile (parallel LLG

@@ -151,23 +151,6 @@ pub fn render_telemetry(snapshot: &TelemetrySnapshot) -> String {
     out
 }
 
-/// Replays exported Chrome trace-event JSON (`autobraid.trace/v1`) into
-/// a per-braiding-step narrative with lattice-occupancy ASCII frames —
-/// the terminal answer to "why did step 7 only route 3 of 9 gates".
-///
-/// This is a re-export-style wrapper over
-/// [`autobraid_telemetry::explain::explain_trace`] so downstream users
-/// find it next to the other renderers; see that function for the
-/// accepted input and error conditions.
-///
-/// # Errors
-///
-/// Propagates the explainer's errors: malformed JSON, a non-array
-/// document, or a trace with nothing to explain.
-pub fn explain_trace(chrome_json: &str) -> Result<String, String> {
-    autobraid_telemetry::explain::explain_trace(chrome_json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

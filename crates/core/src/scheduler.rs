@@ -19,11 +19,9 @@ use crate::swap::plan_swap_layer;
 use autobraid_circuit::{Circuit, DependenceDag, Frontier, Gate, GateId};
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
-use autobraid_router::pathfinder::{route_negotiated_with, PathFinderConfig};
-use autobraid_router::stack_finder::{
-    route_concurrent_seeded, route_concurrent_with, route_greedy, RouteOutcome,
-};
-use autobraid_router::{BraidPath, CxRequest, IncrementalInterference, InterferenceGraph};
+use autobraid_router::pathfinder::route_negotiated;
+use autobraid_router::stack_finder::{route_concurrent_with, route_greedy, RouteOutcome};
+use autobraid_router::{BraidPath, CxRequest, InterferenceGraph};
 use autobraid_telemetry as telemetry;
 use std::borrow::Cow;
 use std::time::Instant;
@@ -54,26 +52,6 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// One whole braiding layer, as the engine hands it to a policy: every
-/// concurrent request at once plus the step context, so a policy can
-/// compute layer features (interference density, LLG sizes, defect
-/// count) before — or instead of — routing gate by gate.
-#[derive(Debug, Clone, Copy)]
-pub struct LayerView<'a> {
-    /// Zero-based engine step index this layer would commit as.
-    pub step: u64,
-    /// The pre-step base occupancy: defective channel vertices only,
-    /// no paths. `occupancy` starts as a copy of this.
-    pub base: &'a Occupancy,
-    /// Every ready CX of the layer, priorities already assigned.
-    pub requests: &'a [CxRequest],
-    /// The layer's interference graph over `requests` (every node
-    /// live), equal to `InterferenceGraph::build(requests)`. The engine
-    /// assembles it from incrementally maintained gate-commit deltas;
-    /// policies consume it instead of rebuilding per layer.
-    pub interference: &'a InterferenceGraph,
-}
-
 /// What a policy reports about one routed layer: the outcome plus
 /// which finder actually handled it and why — the per-layer strategy
 /// attribution recorded in [`ScheduleResult::layer_policies`] and
@@ -100,15 +78,20 @@ pub trait RoutePolicy {
     fn route(&self, grid: &Grid, occupancy: &mut Occupancy, requests: &[CxRequest])
         -> RouteOutcome;
 
-    /// Routes one whole layer, reporting which finder handled it and
-    /// why. The engine calls this; the default defers to
-    /// [`route`](RoutePolicy::route) with a `"fixed"` attribution, so
-    /// existing policies (including downstream implementors) keep
-    /// working unchanged. Override to make per-layer decisions, like
+    /// Routes one whole braiding layer — every concurrent request at
+    /// once, so a policy can compute layer features before routing —
+    /// reporting which finder handled it and why. The engine calls
+    /// this; the default defers to [`route`](RoutePolicy::route) with a
+    /// `"fixed"` attribution. Override to make per-layer decisions, like
     /// [`PortfolioPolicy`].
-    fn route_layer(&self, grid: &Grid, occupancy: &mut Occupancy, layer: LayerView) -> LayerRoute {
+    fn route_layer(
+        &self,
+        grid: &Grid,
+        occupancy: &mut Occupancy,
+        requests: &[CxRequest],
+    ) -> LayerRoute {
         LayerRoute {
-            outcome: self.route(grid, occupancy, layer.requests),
+            outcome: self.route(grid, occupancy, requests),
             chosen: self.name(),
             reason: "fixed",
         }
@@ -132,10 +115,6 @@ impl RoutePolicy for StackPolicy {
         requests: &[CxRequest],
     ) -> RouteOutcome {
         ParallelStackPolicy::new(1).route(grid, occupancy, requests)
-    }
-
-    fn route_layer(&self, grid: &Grid, occupancy: &mut Occupancy, layer: LayerView) -> LayerRoute {
-        ParallelStackPolicy::new(1).route_layer(grid, occupancy, layer)
     }
 }
 
@@ -171,20 +150,6 @@ impl RoutePolicy for ParallelStackPolicy {
     ) -> RouteOutcome {
         route_concurrent_with(grid, occupancy, requests, self.threads.max(1))
     }
-
-    fn route_layer(&self, grid: &Grid, occupancy: &mut Occupancy, layer: LayerView) -> LayerRoute {
-        LayerRoute {
-            outcome: route_concurrent_seeded(
-                grid,
-                occupancy,
-                layer.requests,
-                self.threads.max(1),
-                layer.interference,
-            ),
-            chosen: self.name(),
-            reason: "fixed",
-        }
-    }
 }
 
 /// The greedy shortest-distance-first policy of the baseline \[10\].
@@ -212,10 +177,7 @@ impl RoutePolicy for GreedyPolicy {
 /// history congestion costs until the paths are disjoint (or a stall
 /// or the iteration cap forces a deterministic serial commit).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PathFinderPolicy {
-    /// Negotiation knobs (iteration cap, cost weights).
-    pub config: PathFinderConfig,
-}
+pub struct PathFinderPolicy;
 
 impl RoutePolicy for PathFinderPolicy {
     fn name(&self) -> &'static str {
@@ -228,7 +190,7 @@ impl RoutePolicy for PathFinderPolicy {
         occupancy: &mut Occupancy,
         requests: &[CxRequest],
     ) -> RouteOutcome {
-        route_negotiated_with(grid, occupancy, requests, &self.config).0
+        route_negotiated(grid, occupancy, requests).0
     }
 }
 
@@ -254,27 +216,22 @@ pub struct PortfolioPolicy {
     /// Worker threads handed to the stack finder (the PathFinder side
     /// is single-threaded by construction).
     pub threads: usize,
-    /// Negotiation knobs for the PathFinder side.
-    pub config: PathFinderConfig,
 }
 
 impl PortfolioPolicy {
-    /// A portfolio over `threads` stack-finder workers and a default
-    /// PathFinder configuration.
+    /// A portfolio over `threads` stack-finder workers.
     pub fn new(threads: usize) -> Self {
-        PortfolioPolicy {
-            threads,
-            config: PathFinderConfig::default(),
-        }
+        PortfolioPolicy { threads }
     }
 
     /// Interference-graph edge density in `[0, 1]` (1 = every pair of
-    /// gates interferes), read off the layer's pre-built graph.
-    fn interference_density(graph: &InterferenceGraph) -> f64 {
-        let n = graph.len();
+    /// gates interferes).
+    fn interference_density(requests: &[CxRequest]) -> f64 {
+        let n = requests.len();
         if n < 2 {
             return 0.0;
         }
+        let graph = InterferenceGraph::build(requests);
         let edge_ends: usize = (0..n).map(|i| graph.degree(i)).sum();
         edge_ends as f64 / (n * (n - 1)) as f64
     }
@@ -291,28 +248,17 @@ impl RoutePolicy for PortfolioPolicy {
         occupancy: &mut Occupancy,
         requests: &[CxRequest],
     ) -> RouteOutcome {
-        let base = occupancy.clone();
-        let interference = InterferenceGraph::build(requests);
-        self.route_layer(
-            grid,
-            occupancy,
-            LayerView {
-                step: 0,
-                base: &base,
-                requests,
-                interference: &interference,
-            },
-        )
-        .outcome
+        self.route_layer(grid, occupancy, requests).outcome
     }
 
-    fn route_layer(&self, grid: &Grid, occupancy: &mut Occupancy, layer: LayerView) -> LayerRoute {
-        let requests = layer.requests;
-        let stack = |occ: &mut Occupancy| {
-            route_concurrent_seeded(grid, occ, requests, self.threads, layer.interference)
-        };
-        let negotiate =
-            |occ: &mut Occupancy| route_negotiated_with(grid, occ, requests, &self.config).0;
+    fn route_layer(
+        &self,
+        grid: &Grid,
+        occupancy: &mut Occupancy,
+        requests: &[CxRequest],
+    ) -> LayerRoute {
+        let stack = |occ: &mut Occupancy| route_concurrent_with(grid, occ, requests, self.threads);
+        let negotiate = |occ: &mut Occupancy| route_negotiated(grid, occ, requests).0;
 
         if requests.len() <= 3 {
             telemetry::fine_counter("scheduler.portfolio.stack_picks", 1);
@@ -322,7 +268,7 @@ impl RoutePolicy for PortfolioPolicy {
                 reason: "tiny-layer",
             };
         }
-        let density = Self::interference_density(layer.interference);
+        let density = Self::interference_density(requests);
         telemetry::fine_observe("scheduler.portfolio.density", density);
         if density <= 0.25 {
             let oversized = autobraid_router::llg::decompose(requests)
@@ -375,28 +321,6 @@ impl RoutePolicy for PortfolioPolicy {
     }
 }
 
-/// The layer's interference graph, assembled from the engine's
-/// incrementally maintained gate-commit deltas. Debug builds cross-check
-/// it against a from-scratch `InterferenceGraph::build`; reference mode
-/// uses the from-scratch build outright so differential tests can diff
-/// the two end to end.
-fn layer_interference(
-    incremental: &IncrementalInterference,
-    requests: &[CxRequest],
-) -> InterferenceGraph {
-    #[cfg(any(test, feature = "reference"))]
-    if telemetry::reference_mode() {
-        return InterferenceGraph::build(requests);
-    }
-    let graph = incremental.layer_graph(requests);
-    debug_assert_eq!(
-        graph,
-        InterferenceGraph::build(requests),
-        "incremental interference diverged from a from-scratch build"
-    );
-    graph
-}
-
 /// The [`RoutePolicy`] a strategy drives the braiding engine with on its
 /// own, or `None` for the Maslov swap network: its adjacency policy makes
 /// progress only together with the swap-network layout move and the
@@ -408,7 +332,7 @@ fn layer_interference(
 pub fn policy_for(strategy: Strategy, threads: usize) -> Option<Box<dyn RoutePolicy>> {
     match strategy {
         Strategy::Full | Strategy::Stack => Some(Box::new(ParallelStackPolicy::new(threads))),
-        Strategy::PathFinder => Some(Box::new(PathFinderPolicy::default())),
+        Strategy::PathFinder => Some(Box::new(PathFinderPolicy)),
         Strategy::Portfolio => Some(Box::new(PortfolioPolicy::new(threads))),
         Strategy::Baseline => Some(Box::new(GreedyPolicy)),
         _ => None,
@@ -693,11 +617,6 @@ pub(crate) struct Engine<'a> {
     pub(crate) clock: Clock,
     /// Per-layer scratch occupancy.
     occupancy: Occupancy,
-    /// Interference maintained across layers by gate-commit deltas: gates
-    /// arrive when they become ready, leave when committed, and refresh
-    /// when a swap layer moves an operand (`sync` detects the stale
-    /// tiles). Each layer's graph is then assembled in O(V + E).
-    interference: IncrementalInterference,
     /// Remaining critical-path weight of each gate (itself included), in
     /// engine cycles: the routing priority, so congestion defers
     /// slack-rich gates instead of dependence-critical ones. Rebuilt
@@ -736,7 +655,6 @@ impl<'a> Engine<'a> {
             layout,
             record: config.recording == Recording::Full,
             clock: Clock::LockStep,
-            interference: IncrementalInterference::new(),
             remaining_cp: Vec::new(),
             utilization_sum: 0.0,
             layers: 0,
@@ -831,7 +749,6 @@ impl<'a> Engine<'a> {
                 locals: locals.len(),
             });
         }
-        let step = self.step_index;
         self.step_index += 1;
 
         if matches!(self.clock, Clock::PerQubit(_)) {
@@ -881,14 +798,6 @@ impl<'a> Engine<'a> {
             })
             .collect();
 
-        // Refresh the incremental interference state: newly ready gates
-        // arrive, and gates whose operands a swap layer moved get their
-        // tiles (and edges) recomputed.
-        for r in &requests {
-            self.interference.sync(r);
-        }
-        let graph = layer_interference(&self.interference, &requests);
-
         self.occupancy.clone_from(&self.base);
         if let Clock::PerQubit(clock) = &mut self.clock {
             clock.reserve_active(&self.grid, &mut self.occupancy);
@@ -897,16 +806,7 @@ impl<'a> Engine<'a> {
             outcome,
             chosen,
             reason,
-        } = policy.route_layer(
-            &self.grid,
-            &mut self.occupancy,
-            LayerView {
-                step,
-                base: &self.base,
-                requests: &requests,
-                interference: &graph,
-            },
-        );
+        } = policy.route_layer(&self.grid, &mut self.occupancy, &requests);
         if telemetry::fine_metrics_enabled() {
             telemetry::counter("scheduler.gates.routed", outcome.routed.len() as u64);
             telemetry::counter("scheduler.gates.deferred", outcome.failed.len() as u64);
@@ -1005,10 +905,6 @@ impl<'a> Engine<'a> {
                 reason: layer.reason.to_string(),
             });
         }
-        for routed in &layer.outcome.routed {
-            self.interference.remove(routed.request.id);
-        }
-
         if let Clock::PerQubit(clock) = &mut self.clock {
             // Congested braids retry next slot; the routed ones finish
             // later, so the order of the two releases never matters.

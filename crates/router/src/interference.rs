@@ -4,15 +4,13 @@
 //! bounding boxes intersect. The stack-based path finder peels
 //! maximum-degree nodes off this graph.
 //!
-//! Two representations live here: the per-layer [`InterferenceGraph`]
-//! the finders peel (positional, over one request slice), and
-//! [`IncrementalInterference`], a gate-id-keyed structure the
-//! scheduling engine maintains *across* braiding layers so each layer's
-//! graph is assembled from O(changes) edge updates instead of an
-//! O(n²) rebuild of pairwise bbox tests.
+//! The graph is built per layer, by whoever reads it: the stack finder
+//! when a layer has an LLG of more than 3 gates to peel, and the
+//! portfolio policy to score a layer's interference density. Policies
+//! that never read it (PathFinder, greedy, Maslov adjacency) never pay
+//! for it.
 
 use crate::path::CxRequest;
-use autobraid_lattice::{BBox, Cell};
 
 /// Mutable CX interference graph over a slice of requests.
 ///
@@ -54,27 +52,6 @@ impl InterferenceGraph {
                 }
             }
         }
-        let degrees = adjacency.iter().map(Vec::len).collect();
-        InterferenceGraph {
-            adjacency,
-            removed: vec![false; n],
-            degrees,
-            live: n,
-        }
-    }
-
-    /// Wraps pre-computed adjacency lists as a graph with every node
-    /// live. Each list must be ascending and the relation symmetric —
-    /// exactly what [`InterferenceGraph::build`] produces, so a graph
-    /// assembled from [`IncrementalInterference`] deltas compares equal
-    /// to a from-scratch build over the same requests.
-    pub fn from_adjacency(adjacency: Vec<Vec<usize>>) -> Self {
-        debug_assert!(adjacency.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
-        debug_assert!(adjacency
-            .iter()
-            .enumerate()
-            .all(|(i, l)| l.iter().all(|&j| adjacency[j].binary_search(&i).is_ok())));
-        let n = adjacency.len();
         let degrees = adjacency.iter().map(Vec::len).collect();
         InterferenceGraph {
             adjacency,
@@ -181,134 +158,6 @@ impl InterferenceGraph {
     }
 }
 
-/// Gate-id-keyed interference maintained across braiding layers.
-///
-/// The scheduling engine's ready set changes by small deltas between
-/// layers: gates arrive when their DAG predecessors complete, leave
-/// when committed, and move only when a swap layer relocates an
-/// operand. This structure applies exactly those deltas — O(live) bbox
-/// tests per arrival, O(degree) unlinks per commit — and then emits
-/// each layer's positional [`InterferenceGraph`] in O(V + E), instead
-/// of the engine re-running the O(n²) pairwise build every layer.
-///
-/// All storage is sorted by gate id, so iteration order (and therefore
-/// every emitted graph) is deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalInterference {
-    /// Live gate ids, ascending. Parallel to `cells`/`boxes`/`edges`.
-    ids: Vec<usize>,
-    /// Operand tiles at sync time, to detect placement moves.
-    cells: Vec<(Cell, Cell)>,
-    boxes: Vec<BBox>,
-    /// Neighbour gate ids (open bbox overlap), ascending.
-    edges: Vec<Vec<usize>>,
-}
-
-impl IncrementalInterference {
-    /// An empty structure; the engine creates one per run.
-    pub fn new() -> Self {
-        IncrementalInterference::default()
-    }
-
-    /// Number of live gates.
-    pub fn live_count(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Brings `r` up to date: inserts it if unseen, refreshes its box
-    /// and edges if a swap layer moved an operand since the last sync,
-    /// and does nothing when the gate is unchanged (the common case).
-    pub fn sync(&mut self, r: &CxRequest) {
-        match self.ids.binary_search(&r.id) {
-            Ok(pos) if self.cells[pos] == (r.a, r.b) => {}
-            Ok(pos) => {
-                self.remove_at(pos);
-                self.insert(r);
-            }
-            Err(_) => self.insert(r),
-        }
-    }
-
-    /// Drops a committed gate, unlinking it from each neighbour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate is not live.
-    pub fn remove(&mut self, id: usize) {
-        let pos = self
-            .ids
-            .binary_search(&id)
-            .expect("removing a gate that is not live");
-        self.remove_at(pos);
-    }
-
-    fn insert(&mut self, r: &CxRequest) {
-        let bbox = r.outer_bbox();
-        let pos = match self.ids.binary_search(&r.id) {
-            Ok(_) => unreachable!("gate {} inserted twice", r.id),
-            Err(pos) => pos,
-        };
-        let mut neighbors = Vec::new();
-        for (i, other) in self.boxes.iter().enumerate() {
-            if bbox.overlaps_open(other) {
-                neighbors.push(self.ids[i]);
-                let list = &mut self.edges[i];
-                let at = list.binary_search(&r.id).unwrap_err();
-                list.insert(at, r.id);
-            }
-        }
-        self.ids.insert(pos, r.id);
-        self.cells.insert(pos, (r.a, r.b));
-        self.boxes.insert(pos, bbox);
-        self.edges.insert(pos, neighbors);
-    }
-
-    fn remove_at(&mut self, pos: usize) {
-        let id = self.ids[pos];
-        let neighbors = self.edges.remove(pos);
-        self.ids.remove(pos);
-        self.cells.remove(pos);
-        self.boxes.remove(pos);
-        for nb in neighbors {
-            let nb_pos = self
-                .ids
-                .binary_search(&nb)
-                .expect("edge lists reference live gates");
-            let list = &mut self.edges[nb_pos];
-            let at = list.binary_search(&id).expect("edges are symmetric");
-            list.remove(at);
-        }
-    }
-
-    /// Assembles the positional graph over `requests` — equal, node for
-    /// node and list for list, to `InterferenceGraph::build(requests)`.
-    /// Every request must have been [`sync`](Self::sync)ed.
-    pub fn layer_graph(&self, requests: &[CxRequest]) -> InterferenceGraph {
-        let n = requests.len();
-        let mut by_id: Vec<(usize, usize)> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.id, i))
-            .collect();
-        by_id.sort_unstable();
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, r) in requests.iter().enumerate() {
-            let pos = self
-                .ids
-                .binary_search(&r.id)
-                .expect("layer request was not synced");
-            debug_assert_eq!(self.cells[pos], (r.a, r.b), "stale sync for gate {}", r.id);
-            for &nb in &self.edges[pos] {
-                if let Ok(k) = by_id.binary_search_by_key(&nb, |&(id, _)| id) {
-                    adjacency[i].push(by_id[k].1);
-                }
-            }
-            adjacency[i].sort_unstable();
-        }
-        InterferenceGraph::from_adjacency(adjacency)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,98 +237,5 @@ mod tests {
         let mut g = InterferenceGraph::build(&chain_of(2));
         g.remove(0);
         g.remove(0);
-    }
-
-    #[test]
-    fn from_adjacency_equals_build() {
-        let rs = chain_of(5);
-        let built = InterferenceGraph::build(&rs);
-        let manual = InterferenceGraph::from_adjacency(vec![
-            vec![1],
-            vec![0, 2],
-            vec![1, 3],
-            vec![2, 4],
-            vec![3],
-        ]);
-        assert_eq!(built, manual);
-    }
-
-    #[test]
-    fn incremental_tracks_inserts_and_removes() {
-        let rs = chain_of(4);
-        let mut inc = IncrementalInterference::new();
-        for r in &rs {
-            inc.sync(r);
-        }
-        assert_eq!(inc.live_count(), 4);
-        assert_eq!(inc.layer_graph(&rs), InterferenceGraph::build(&rs));
-        // Commit gate 1: the remaining layer must equal a fresh build.
-        inc.remove(1);
-        let rest = [rs[0], rs[2], rs[3]];
-        assert_eq!(inc.layer_graph(&rest), InterferenceGraph::build(&rest));
-    }
-
-    #[test]
-    fn incremental_resyncs_moved_gates() {
-        let mut inc = IncrementalInterference::new();
-        let a = req(0, (0, 0), (0, 2));
-        let b = req(1, (0, 1), (0, 3));
-        inc.sync(&a);
-        inc.sync(&b);
-        // Gate 0's operand moves away: the edge must disappear.
-        let moved = req(0, (5, 5), (5, 7));
-        inc.sync(&moved);
-        let layer = [moved, b];
-        assert_eq!(inc.layer_graph(&layer), InterferenceGraph::build(&layer));
-        assert_eq!(inc.layer_graph(&layer).degree(0), 0);
-    }
-
-    #[test]
-    fn incremental_matches_build_on_random_streams() {
-        use autobraid_telemetry::Rng64;
-        let mut rng = Rng64::seed_from_u64(41);
-        for _ in 0..20 {
-            let mut inc = IncrementalInterference::new();
-            let mut live: Vec<CxRequest> = Vec::new();
-            let mut next_id = 0usize;
-            for _ in 0..60 {
-                let roll = rng.gen_range(0..10u32);
-                if roll < 5 || live.is_empty() {
-                    // Arrive.
-                    let a = (rng.gen_range(0..8u32), rng.gen_range(0..8u32));
-                    let mut b = a;
-                    while b == a {
-                        b = (rng.gen_range(0..8u32), rng.gen_range(0..8u32));
-                    }
-                    live.push(req(next_id, a, b));
-                    next_id += 1;
-                } else if roll < 8 {
-                    // Commit.
-                    let at = rng.gen_range(0..live.len() as u32) as usize;
-                    let gone = live.remove(at);
-                    inc.sync(&gone); // a gate may commit the layer it arrives
-                    inc.remove(gone.id);
-                } else {
-                    // Swap layer moves one gate's operands.
-                    let at = rng.gen_range(0..live.len() as u32) as usize;
-                    let id = live[at].id;
-                    let a = (rng.gen_range(0..8u32), rng.gen_range(0..8u32));
-                    let mut b = a;
-                    while b == a {
-                        b = (rng.gen_range(0..8u32), rng.gen_range(0..8u32));
-                    }
-                    live[at] = req(id, a, b);
-                }
-                for r in &live {
-                    inc.sync(r);
-                }
-                assert_eq!(inc.live_count(), live.len());
-                assert_eq!(
-                    inc.layer_graph(&live),
-                    InterferenceGraph::build(&live),
-                    "incremental and from-scratch graphs diverged"
-                );
-            }
-        }
     }
 }

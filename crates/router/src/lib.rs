@@ -54,10 +54,10 @@ pub mod topology;
 
 pub use arena::{warm_thread_arena, with_search_arena, SearchArena};
 pub use astar::{find_path, SearchLimits};
-pub use interference::{IncrementalInterference, InterferenceGraph};
+pub use interference::InterferenceGraph;
 pub use llg::{decompose, Llg};
 pub use path::{BraidPath, CxRequest};
-pub use pathfinder::{route_negotiated, route_negotiated_with, NegotiationStats, PathFinderConfig};
+pub use pathfinder::{route_negotiated, NegotiationStats};
 pub use probe::check_route_outcome;
 pub use stack_finder::{
     route_concurrent, route_greedy, route_stack_flat, RouteOutcome, RoutedGate,

@@ -10,10 +10,9 @@
 //! Congestion pressure, not a priori ordering, decides who detours.
 //! The loop ends when no vertex is shared (converged), when the
 //! overused-vertex count has not reached a new minimum for
-//! `STALL_ROUNDS` rounds (stalled), or at the
-//! [`max_iterations`](PathFinderConfig::max_iterations) backstop; after
-//! a stall or a cap hit a deterministic serial commit resolves any
-//! residual conflicts.
+//! `STALL_ROUNDS` rounds (stalled), or at the [`MAX_ITERATIONS`]
+//! backstop; after a stall or a cap hit a deterministic serial commit
+//! resolves any residual conflicts.
 //!
 //! All costs are small integers, so the negotiation is bit-for-bit
 //! deterministic across platforms and thread counts; the router itself
@@ -46,39 +45,26 @@ const BASE_COST: u64 = 16;
 /// (see `docs/ROUTING.md`).
 const STALL_ROUNDS: u32 = 8;
 
-/// Tuning knobs of the negotiation loop.
+/// Upper bound on negotiation iterations before the deterministic
+/// serial commit takes over.
 ///
 /// Feasible layers converge within a handful of iterations, but an
 /// oversubscribed one (more demand than the lattice carries, as on
 /// congested streaming layers) never does: its overuse plateaus and
-/// oscillates. Such layers end at the stall exit long before
-/// [`max_iterations`](PathFinderConfig::max_iterations), which is only
-/// a backstop; either way the serial commit guarantees a valid, if
-/// partial, outcome.
-#[derive(Debug, Clone, Copy)]
-pub struct PathFinderConfig {
-    /// Upper bound on negotiation iterations before the deterministic
-    /// serial commit takes over.
-    pub max_iterations: u32,
-    /// Cost added per unit of accumulated history on a vertex.
-    pub history_weight: u64,
-    /// Present-congestion factor of the first iteration; each extra
-    /// user of a vertex multiplies its cost by `1 + users * factor`.
-    pub initial_present_factor: u64,
-    /// Ceiling on the present factor as it doubles per iteration.
-    pub max_present_factor: u64,
-}
+/// oscillates. Such layers end at the stall exit long before this cap,
+/// which is only a backstop; either way the serial commit guarantees a
+/// valid, if partial, outcome.
+pub const MAX_ITERATIONS: u32 = 24;
 
-impl Default for PathFinderConfig {
-    fn default() -> PathFinderConfig {
-        PathFinderConfig {
-            max_iterations: 24,
-            history_weight: 4,
-            initial_present_factor: 1,
-            max_present_factor: 64,
-        }
-    }
-}
+/// Cost added per unit of accumulated history on a vertex.
+const HISTORY_WEIGHT: u64 = 4;
+
+/// Present-congestion factor of the first iteration; each extra user of
+/// a vertex multiplies its cost by `1 + users * factor`.
+const INITIAL_PRESENT_FACTOR: u64 = 1;
+
+/// Ceiling on the present factor as it doubles per iteration.
+const MAX_PRESENT_FACTOR: u64 = 64;
 
 /// How one negotiation pass went — exposed for convergence tests and
 /// the strategy-duel experiment, not consumed by the schedulers.
@@ -98,7 +84,8 @@ pub struct NegotiationStats {
 /// `occupancy` plays the same role as in
 /// [`crate::stack_finder::route_concurrent`]: vertices already reserved
 /// on entry (defects, pre-seeded walls) are hard obstacles, and every
-/// committed path is reserved into it before returning.
+/// committed path is reserved into it before returning. The
+/// [`NegotiationStats`] say how the pass went.
 ///
 /// # Examples
 ///
@@ -113,25 +100,15 @@ pub struct NegotiationStats {
 ///     CxRequest::new(0, Cell::new(0, 0), Cell::new(0, 5)),
 ///     CxRequest::new(1, Cell::new(3, 0), Cell::new(3, 5)),
 /// ];
-/// let outcome = route_negotiated(&grid, &mut occ, &requests);
+/// let (outcome, stats) = route_negotiated(&grid, &mut occ, &requests);
 /// assert!(outcome.is_complete());
+/// assert!(stats.converged);
 /// # Ok::<(), autobraid_lattice::LatticeError>(())
 /// ```
 pub fn route_negotiated(
     grid: &Grid,
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
-) -> RouteOutcome {
-    route_negotiated_with(grid, occupancy, requests, &PathFinderConfig::default()).0
-}
-
-/// [`route_negotiated`] with explicit knobs, also returning the
-/// [`NegotiationStats`] of the pass.
-pub fn route_negotiated_with(
-    grid: &Grid,
-    occupancy: &mut Occupancy,
-    requests: &[CxRequest],
-    config: &PathFinderConfig,
 ) -> (RouteOutcome, NegotiationStats) {
     let _span = telemetry::fine_span("route_negotiated");
     telemetry::fine_counter("router.pathfinder.requests", requests.len() as u64);
@@ -169,13 +146,13 @@ pub fn route_negotiated_with(
     // Gates proven disconnected under the *base* occupancy alone; the
     // base never changes inside the loop, so never retry them.
     let mut unroutable: Vec<bool> = vec![false; requests.len()];
-    let mut present_factor = config.initial_present_factor;
+    let mut present_factor = INITIAL_PRESENT_FACTOR;
     let mut converged = false;
     let mut iterations = 0u32;
     let mut fewest_overused = usize::MAX;
     let mut stale_rounds = 0u32;
 
-    while iterations < config.max_iterations {
+    while iterations < MAX_ITERATIONS {
         let first_round = iterations == 0;
         iterations += 1;
         let mut rerouted = 0usize;
@@ -206,7 +183,6 @@ pub fn route_negotiated_with(
                 &usage,
                 &history,
                 present_factor,
-                config.history_weight,
                 requests[i].a,
                 requests[i].b,
             );
@@ -251,7 +227,7 @@ pub fn route_negotiated_with(
                 history[v] += u64::from(u - 1);
             }
         }
-        present_factor = (present_factor * 2).min(config.max_present_factor);
+        present_factor = (present_factor * 2).min(MAX_PRESENT_FACTOR);
     }
 
     telemetry::fine_observe("router.pathfinder.iterations", f64::from(iterations));
@@ -309,7 +285,7 @@ pub fn route_negotiated_with(
 /// but with per-vertex costs
 ///
 /// ```text
-/// cost(v) = (BASE_COST + history[v] * history_weight) * (1 + usage[v] * present_factor)
+/// cost(v) = (BASE_COST + history[v] * HISTORY_WEIGHT) * (1 + usage[v] * present_factor)
 /// ```
 ///
 /// instead of unit steps — the multiplicative form of VPR's PathFinder:
@@ -320,42 +296,21 @@ pub fn route_negotiated_with(
 /// Reserved vertices of `base` are impassable;
 /// vertices used by other paths are merely expensive. Ties break on
 /// `(f, g, vertex index)` so the result is deterministic.
-#[allow(clippy::too_many_arguments)]
 fn find_negotiated(
     grid: &Grid,
     base: &Occupancy,
     usage: &[u32],
     history: &[u64],
     present_factor: u64,
-    history_weight: u64,
     a: autobraid_lattice::Cell,
     b: autobraid_lattice::Cell,
 ) -> Option<BraidPath> {
     #[cfg(any(test, feature = "reference"))]
     if telemetry::reference_mode() {
-        return find_negotiated_reference(
-            grid,
-            base,
-            usage,
-            history,
-            present_factor,
-            history_weight,
-            a,
-            b,
-        );
+        return find_negotiated_reference(grid, base, usage, history, present_factor, a, b);
     }
     with_search_arena(|arena| {
-        find_negotiated_in(
-            arena,
-            grid,
-            base,
-            usage,
-            history,
-            present_factor,
-            history_weight,
-            a,
-            b,
-        )
+        find_negotiated_in(arena, grid, base, usage, history, present_factor, a, b)
     })
 }
 
@@ -371,7 +326,6 @@ fn find_negotiated_in(
     usage: &[u32],
     history: &[u64],
     present_factor: u64,
-    history_weight: u64,
     a: autobraid_lattice::Cell,
     b: autobraid_lattice::Cell,
 ) -> Option<BraidPath> {
@@ -398,7 +352,7 @@ fn find_negotiated_in(
         u64::from(d) * BASE_COST
     };
     let vertex_cost = |i: usize| -> u64 {
-        (BASE_COST + history[i] * history_weight) * (1 + u64::from(usage[i]) * present_factor)
+        (BASE_COST + history[i] * HISTORY_WEIGHT) * (1 + u64::from(usage[i]) * present_factor)
     };
 
     arena.begin_weighted(grid.vertex_count());
@@ -456,14 +410,12 @@ fn reconstruct_arena(
 /// allocate-per-call structure (fresh cost vectors, fresh heap), kept
 /// for differential testing against the arena-backed fast path.
 #[cfg(any(test, feature = "reference"))]
-#[allow(clippy::too_many_arguments)]
 fn find_negotiated_reference(
     grid: &Grid,
     base: &Occupancy,
     usage: &[u32],
     history: &[u64],
     present_factor: u64,
-    history_weight: u64,
     a: autobraid_lattice::Cell,
     b: autobraid_lattice::Cell,
 ) -> Option<BraidPath> {
@@ -484,7 +436,7 @@ fn find_negotiated_reference(
         u64::from(d) * BASE_COST
     };
     let vertex_cost = |i: usize| -> u64 {
-        (BASE_COST + history[i] * history_weight) * (1 + u64::from(usage[i]) * present_factor)
+        (BASE_COST + history[i] * HISTORY_WEIGHT) * (1 + u64::from(usage[i]) * present_factor)
     };
 
     let n = grid.vertex_count();
@@ -556,7 +508,7 @@ mod tests {
     #[test]
     fn empty_batch_converges_immediately() {
         let (g, mut occ) = setup(3);
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &[], &PathFinderConfig::default());
+        let (out, stats) = route_negotiated(&g, &mut occ, &[]);
         assert!(out.is_complete());
         assert_eq!(stats.iterations, 0);
         assert!(stats.converged);
@@ -569,7 +521,7 @@ mod tests {
         let rs: Vec<CxRequest> = (0..6)
             .map(|r| CxRequest::new(r, Cell::new(r as u32, 0), Cell::new(r as u32, 5)))
             .collect();
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, stats) = route_negotiated(&g, &mut occ, &rs);
         assert!(out.is_complete(), "failed: {:?}", out.failed);
         assert!(stats.converged);
         assert_eq!(stats.iterations, 1, "disjoint rows need no negotiation");
@@ -590,7 +542,7 @@ mod tests {
             CxRequest::new(3, Cell::new(1, 5), Cell::new(1, 6)),
             CxRequest::new(4, Cell::new(1, 7), Cell::new(1, 8)),
         ];
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, stats) = route_negotiated(&g, &mut occ, &rs);
         assert!(out.is_complete(), "failed: {:?}", out.failed);
         assert!(stats.converged, "fig8 must converge within the cap");
         probe(&g, &base, &rs, &out);
@@ -618,9 +570,8 @@ mod tests {
                 id += 1;
             }
         }
-        let cfg = PathFinderConfig::default();
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &cfg);
-        assert!(stats.iterations <= cfg.max_iterations);
+        let (out, stats) = route_negotiated(&g, &mut occ, &rs);
+        assert!(stats.iterations <= MAX_ITERATIONS);
         assert!(!out.routed.is_empty(), "some gates must still route");
         assert_eq!(out.routed.len() + out.failed.len(), rs.len());
         probe(&g, &base, &rs, &out);
@@ -634,7 +585,7 @@ mod tests {
         }
         let base = occ.clone();
         let rs = vec![CxRequest::new(0, Cell::new(0, 0), Cell::new(0, 4))];
-        let (out, _) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, _) = route_negotiated(&g, &mut occ, &rs);
         assert!(out.is_complete());
         probe(&g, &base, &rs, &out);
     }
@@ -646,7 +597,7 @@ mod tests {
             occ.reserve(&g, v);
         }
         let rs = vec![CxRequest::new(7, Cell::new(0, 0), Cell::new(2, 2))];
-        let (out, _) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, _) = route_negotiated(&g, &mut occ, &rs);
         assert_eq!(out.failed, vec![7]);
     }
 
@@ -670,7 +621,7 @@ mod tests {
     fn criticality_orders_the_cap_hit_commit() {
         // The higher-priority gate must win the corridor.
         let (g, mut occ, rs) = shared_gap_layer();
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, stats) = route_negotiated(&g, &mut occ, &rs);
         assert!(
             !stats.converged,
             "a shared mandatory vertex cannot converge"
@@ -686,15 +637,14 @@ mod tests {
         // the loop must stop once STALL_ROUNDS rounds bring no new
         // minimum, not grind to the cap.
         let (g, mut occ, rs) = shared_gap_layer();
-        let cfg = PathFinderConfig::default();
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &cfg);
+        let (out, stats) = route_negotiated(&g, &mut occ, &rs);
         assert!(!stats.converged);
         assert!(
             stats.iterations <= STALL_ROUNDS + 1,
             "ran {} rounds, stall window is {STALL_ROUNDS}",
             stats.iterations
         );
-        assert!(stats.iterations < cfg.max_iterations);
+        assert!(stats.iterations < MAX_ITERATIONS);
         assert_eq!(out.routed.len(), 1);
         assert_eq!(out.routed[0].request.id, 1, "critical gate wins the gap");
     }
@@ -707,8 +657,8 @@ mod tests {
             .collect();
         let mut occ1 = occ.clone();
         let mut occ2 = occ.clone();
-        let (a, sa) = route_negotiated_with(&g, &mut occ1, &rs, &PathFinderConfig::default());
-        let (b, sb) = route_negotiated_with(&g, &mut occ2, &rs, &PathFinderConfig::default());
+        let (a, sa) = route_negotiated(&g, &mut occ1, &rs);
+        let (b, sb) = route_negotiated(&g, &mut occ2, &rs);
         assert_eq!(sa, sb);
         assert_eq!(a.failed, b.failed);
         assert_eq!(a.routed, b.routed);
@@ -735,12 +685,10 @@ mod tests {
                 );
             }
             let mut fast_occ = occ.clone();
-            let (fast, fast_stats) =
-                route_negotiated_with(&g, &mut fast_occ, &rs, &PathFinderConfig::default());
+            let (fast, fast_stats) = route_negotiated(&g, &mut fast_occ, &rs);
             let was = autobraid_telemetry::set_reference_mode(true);
             let mut ref_occ = occ.clone();
-            let (reference, ref_stats) =
-                route_negotiated_with(&g, &mut ref_occ, &rs, &PathFinderConfig::default());
+            let (reference, ref_stats) = route_negotiated(&g, &mut ref_occ, &rs);
             autobraid_telemetry::set_reference_mode(was);
             assert_eq!(fast_stats, ref_stats);
             assert_eq!(fast.routed, reference.routed);
@@ -759,7 +707,7 @@ mod tests {
         let rs: Vec<CxRequest> = (0..5)
             .map(|r| CxRequest::new(r, Cell::new(4, r as u32), Cell::new(4, (9 - r) as u32)))
             .collect();
-        let (out, stats) = route_negotiated_with(&g, &mut occ, &rs, &PathFinderConfig::default());
+        let (out, stats) = route_negotiated(&g, &mut occ, &rs);
         assert!(out.is_complete(), "failed: {:?}", out.failed);
         assert!(stats.converged, "nested band must converge within the cap");
         probe(&g, &base, &rs, &out);

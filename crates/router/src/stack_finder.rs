@@ -149,37 +149,10 @@ pub fn route_concurrent_with(
     requests: &[CxRequest],
     threads: usize,
 ) -> RouteOutcome {
-    route_concurrent_impl(grid, occupancy, requests, threads, None)
-}
-
-/// [`route_concurrent_with`] seeded with the layer's interference graph
-/// (every node live), so the scheduling engine's incrementally
-/// maintained graph replaces the per-layer O(n²) rebuild. The outcome
-/// is byte-identical to the unseeded call whenever `interference`
-/// equals `InterferenceGraph::build(requests)` — which
-/// [`crate::interference::IncrementalInterference::layer_graph`]
-/// guarantees.
-pub fn route_concurrent_seeded(
-    grid: &Grid,
-    occupancy: &mut Occupancy,
-    requests: &[CxRequest],
-    threads: usize,
-    interference: &InterferenceGraph,
-) -> RouteOutcome {
-    route_concurrent_impl(grid, occupancy, requests, threads, Some(interference))
-}
-
-fn route_concurrent_impl(
-    grid: &Grid,
-    occupancy: &mut Occupancy,
-    requests: &[CxRequest],
-    threads: usize,
-    interference: Option<&InterferenceGraph>,
-) -> RouteOutcome {
     let _span = telemetry::fine_span("route_concurrent");
     telemetry::fine_counter("router.route.requests", requests.len() as u64);
     let snapshot = occupancy.clone();
-    let outcome = route_stack_order(grid, occupancy, requests, threads, interference);
+    let outcome = route_stack_order(grid, occupancy, requests, threads);
     let chosen = if outcome.is_complete() {
         outcome
     } else {
@@ -299,7 +272,6 @@ fn route_stack_order(
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
     threads: usize,
-    interference: Option<&InterferenceGraph>,
 ) -> RouteOutcome {
     let mut outcome = RouteOutcome::default();
 
@@ -346,13 +318,9 @@ fn route_stack_order(
 
     // Peel max-degree nodes of the residual interference graph onto the
     // stack until max degree ≤ 2 (paper Fig. 13). The graph spans all
-    // requests (seeded by the engine's incremental maintenance when
-    // available); small-LLG members are already routed and isolated, so
+    // requests; small-LLG members are already routed and isolated, so
     // only deferred nodes matter.
-    let mut graph = match interference {
-        Some(seed) => seed.clone(),
-        None => InterferenceGraph::build(requests),
-    };
+    let mut graph = InterferenceGraph::build(requests);
     for (i, deferred) in is_deferred.iter().enumerate() {
         if !deferred {
             graph.remove(i);

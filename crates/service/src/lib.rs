@@ -60,6 +60,7 @@ pub mod server;
 pub use cache::{CacheKey, CacheStats, ReportCache};
 pub use client::{Client, ClientError, CompileOutcome};
 pub use protocol::{
-    CacheStatus, CompileRequest, ErrorKind, Request, ServiceError, SessionOpen, PROTOCOL,
+    CacheStatus, CompileRequest, ErrorKind, Request, ServiceError, SessionOpen, MAX_QUBITS,
+    PROTOCOL,
 };
 pub use server::{Server, ServiceConfig};

@@ -22,6 +22,15 @@ pub const PROTOCOL: &str = "autobraid.service/v1";
 /// memory.
 pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// The widest register the service compiles or streams. The lattice,
+/// placement and optimizer allocate per qubit, so a one-line request
+/// like `qreg q[4000000000];` would otherwise abort the daemon on a
+/// failed allocation, which no panic isolation catches. 16,384 is 16×
+/// the largest registry circuit (IM-1000). Wider `session.open` frames
+/// and compile sources are refused with an `unsupported` error before
+/// anything is allocated.
+pub const MAX_QUBITS: u32 = 1 << 14;
+
 /// Writes one frame: length prefix, then the payload bytes.
 ///
 /// # Errors
@@ -570,6 +579,17 @@ pub fn gate_to_json(gate: &Gate) -> JsonValue {
     JsonValue::Object(fields)
 }
 
+/// Narrows a wire integer to `u32`, answering a protocol error instead
+/// of wrapping it (`4294967298` must not become `2`).
+fn narrow(value: u64, what: &str) -> Result<u32, ServiceError> {
+    u32::try_from(value).map_err(|_| {
+        ServiceError::new(
+            ErrorKind::Protocol,
+            format!("{what} {value} does not fit in 32 bits"),
+        )
+    })
+}
+
 /// Parses a gate wire object.
 ///
 /// # Errors
@@ -584,9 +604,13 @@ pub fn gate_from_json(doc: &JsonValue) -> Result<Gate, ServiceError> {
     let qubits: Vec<u32> = match doc.get("qubits") {
         Some(JsonValue::Array(items)) => items
             .iter()
-            .map(|q| q.as_u64().map(|q| q as u32))
-            .collect::<Option<Vec<u32>>>()
-            .ok_or_else(|| proto_err("gate `qubits` must be non-negative integers".to_string()))?,
+            .map(|q| {
+                let q = q.as_u64().ok_or_else(|| {
+                    proto_err("gate `qubits` must be non-negative integers".to_string())
+                })?;
+                narrow(q, "gate qubit")
+            })
+            .collect::<Result<Vec<u32>, _>>()?,
         _ => return Err(proto_err("gate missing `qubits` array".to_string())),
     };
     let angle = doc.get("angle").and_then(JsonValue::as_f64);
@@ -661,8 +685,8 @@ pub fn fault_from_json(doc: &JsonValue) -> Result<FaultEvent, ServiceError> {
     };
     match doc.get("fault").and_then(JsonValue::as_str) {
         Some("tile-failure") => Ok(FaultEvent::TileFailure {
-            row: field("row")? as u32,
-            col: field("col")? as u32,
+            row: narrow(field("row")?, "fault `row`")?,
+            col: narrow(field("col")?, "fault `col`")?,
         }),
         Some("magic-stall") => Ok(FaultEvent::MagicStall {
             steps: field("steps")?,
@@ -760,7 +784,8 @@ impl Request {
                     distance: doc
                         .get("distance")
                         .and_then(JsonValue::as_u64)
-                        .map(|d| d as u32),
+                        .map(|d| narrow(d, "`distance`"))
+                        .transpose()?,
                     timeout_ms: doc.get("timeout_ms").and_then(JsonValue::as_u64),
                     use_cache: doc
                         .get("cache")
@@ -772,8 +797,10 @@ impl Request {
                 let qubits = doc
                     .get("qubits")
                     .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| proto_err("session.open missing numeric `qubits`".to_string()))?
-                    as u32;
+                    .ok_or_else(|| {
+                        proto_err("session.open missing numeric `qubits`".to_string())
+                    })?;
+                let qubits = narrow(qubits, "session.open `qubits`")?;
                 let strategy = match doc.get("strategy").and_then(JsonValue::as_str) {
                     None => None,
                     Some(name) => Some(Strategy::from_name(name).ok_or_else(|| {
@@ -783,27 +810,22 @@ impl Request {
                         ))
                     })?),
                 };
+                let not_pairs =
+                    || proto_err("`defects` must be an array of [row, col] pairs".to_string());
                 let defects = match doc.get("defects") {
                     None => Vec::new(),
                     Some(JsonValue::Array(items)) => items
                         .iter()
                         .map(|pair| match pair {
                             JsonValue::Array(rc) if rc.len() == 2 => {
-                                let r = rc[0].as_u64()?;
-                                let c = rc[1].as_u64()?;
-                                Some((r as u32, c as u32))
+                                let r = rc[0].as_u64().ok_or_else(not_pairs)?;
+                                let c = rc[1].as_u64().ok_or_else(not_pairs)?;
+                                Ok((narrow(r, "defect row")?, narrow(c, "defect column")?))
                             }
-                            _ => None,
+                            _ => Err(not_pairs()),
                         })
-                        .collect::<Option<Vec<_>>>()
-                        .ok_or_else(|| {
-                            proto_err("`defects` must be an array of [row, col] pairs".to_string())
-                        })?,
-                    Some(_) => {
-                        return Err(proto_err(
-                            "`defects` must be an array of [row, col] pairs".to_string(),
-                        ))
-                    }
+                        .collect::<Result<Vec<_>, _>>()?,
+                    Some(_) => return Err(not_pairs()),
                 };
                 Ok(Request::SessionOpen(Box::new(SessionOpen {
                     qubits,
@@ -1072,6 +1094,29 @@ mod tests {
         };
         let cases = vec![
             (frame("session.open", vec![]), "missing numeric `qubits`"),
+            (
+                frame(
+                    "session.open",
+                    vec![("qubits", JsonValue::from(4_294_967_298u64))],
+                ),
+                "`qubits` 4294967298 does not fit in 32 bits",
+            ),
+            (
+                frame(
+                    "session.open",
+                    vec![
+                        ("qubits", JsonValue::from(4u32)),
+                        (
+                            "defects",
+                            JsonValue::Array(vec![JsonValue::Array(vec![
+                                JsonValue::from(1u32),
+                                JsonValue::from(1u64 << 32),
+                            ])]),
+                        ),
+                    ],
+                ),
+                "defect column 4294967296 does not fit",
+            ),
             (frame("session.gate", vec![]), "missing `gates`"),
             (
                 frame("session.gate", vec![("gates", JsonValue::Array(vec![]))]),

@@ -11,7 +11,7 @@
 use crate::cache::{CacheKey, CacheStats, CanonicalSource, ReportCache};
 use crate::protocol::{
     read_frame, write_frame, CacheStatus, CompileRequest, ErrorKind, FrameError, Request,
-    ServiceError, SessionOpen, SourceFormat, PROTOCOL,
+    ServiceError, SessionOpen, SourceFormat, MAX_QUBITS, PROTOCOL,
 };
 use autobraid::pipeline::{CompileOptions, CompileReport, Pipeline, PipelineError, Strategy};
 use autobraid::report::canonical_compile_report_json;
@@ -663,6 +663,7 @@ fn handle_session_open(
             "a session is already open on this connection (close it first)",
         ));
     }
+    check_width(open.qubits)?;
     // Admission control: an open stream is held work, exactly like an
     // in-flight batch compile.
     admit(shared)?;
@@ -1107,10 +1108,9 @@ fn content_key(
 /// circuit keeps the name the source gives it; the label is applied by
 /// the caller.
 fn parse_source(req: &CompileRequest) -> Result<autobraid_circuit::Circuit, ServiceError> {
-    match req.format {
-        SourceFormat::Qasm => {
-            qasm::parse(&req.source).map_err(|e| ServiceError::new(ErrorKind::Parse, e.to_string()))
-        }
+    let circuit = match req.format {
+        SourceFormat::Qasm => qasm::parse(&req.source)
+            .map_err(|e| ServiceError::new(ErrorKind::Parse, e.to_string()))?,
         SourceFormat::Conformance => {
             let case = ConformanceCase::from_repro(&req.source)
                 .map_err(|e| ServiceError::new(ErrorKind::Parse, e.to_string()))?;
@@ -1125,9 +1125,23 @@ fn parse_source(req: &CompileRequest) -> Result<autobraid_circuit::Circuit, Serv
                     ),
                 ));
             }
-            Ok(case.circuit)
+            case.circuit
         }
+    };
+    check_width(circuit.num_qubits())?;
+    Ok(circuit)
+}
+
+/// Refuses a register wider than [`MAX_QUBITS`] before anything
+/// allocates per qubit.
+fn check_width(qubits: u32) -> Result<(), ServiceError> {
+    if qubits > MAX_QUBITS {
+        return Err(ServiceError::new(
+            ErrorKind::Unsupported,
+            format!("{qubits} qubits exceed the service limit of {MAX_QUBITS}"),
+        ));
     }
+    Ok(())
 }
 
 /// Builds the per-request pipeline (always single-threaded inside: the

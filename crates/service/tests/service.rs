@@ -295,6 +295,68 @@ fn deeply_nested_frame_is_a_protocol_error_not_a_crash() {
 }
 
 #[test]
+fn oversized_registers_get_typed_errors_and_the_daemon_survives() {
+    let server = server(|_| {});
+    // Raw frames: a `SessionOpen` cannot even hold these widths.
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut exchange = |payload: JsonValue| {
+        write_frame(&mut stream, &payload.render_compact()).expect("request frame");
+        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+            .expect("readable response")
+            .expect("response frame");
+        JsonValue::parse(&frame).expect("valid JSON")
+    };
+    let frame = |kind: &str, field: &str, value: JsonValue| {
+        JsonValue::object([
+            ("proto", JsonValue::from(PROTOCOL)),
+            ("kind", JsonValue::from(kind)),
+            (field, value),
+        ])
+    };
+    let error_kind = |reply: &JsonValue| {
+        assert_eq!(
+            reply.get("status").and_then(JsonValue::as_str),
+            Some("error"),
+            "{}",
+            reply.render_compact()
+        );
+        reply
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(JsonValue::as_str)
+            .map(str::to_string)
+    };
+
+    // Wider than the ceiling: refused before the lattice is allocated.
+    let wide = exchange(frame(
+        "session.open",
+        "qubits",
+        JsonValue::from(4_000_000_000u64),
+    ));
+    assert_eq!(error_kind(&wide).as_deref(), Some("unsupported"));
+    // Past u32: refused, not wrapped into a 2-qubit session.
+    let wrapped = exchange(frame(
+        "session.open",
+        "qubits",
+        JsonValue::from(4_294_967_298u64),
+    ));
+    assert_eq!(error_kind(&wrapped).as_deref(), Some("protocol"));
+    // A compile whose register is wider than the ceiling.
+    let source = exchange(frame(
+        "compile",
+        "source",
+        JsonValue::from("qreg q[4000000000]; h q[0];"),
+    ));
+    assert_eq!(error_kind(&source).as_deref(), Some("unsupported"));
+
+    let pong = exchange(JsonValue::object([
+        ("proto", JsonValue::from(PROTOCOL)),
+        ("kind", JsonValue::from("ping")),
+    ]));
+    assert_eq!(pong.get("kind").and_then(JsonValue::as_str), Some("pong"));
+}
+
+#[test]
 fn stats_report_counters_cache_and_latency() {
     let server = server(|_| {});
     let mut client = Client::connect(server.addr()).expect("connect");

@@ -2,9 +2,8 @@
 //! observationally identical to their reference implementations.
 //!
 //! The performance work (arena-allocated bucket-queue A*, bitset
-//! occupancy overlap tests, incremental interference maintenance,
-//! incremental annealing objective) must never change a single byte of
-//! compiler output. This suite compiles conformance generator families
+//! occupancy overlap tests, incremental annealing objective) must never
+//! change a single byte of compiler output. This suite compiles conformance generator families
 //! and the named paper benchmarks twice — once on the optimized kernels,
 //! once with `autobraid_telemetry::reference_mode` routing every call to
 //! the original allocating implementations — and demands byte-identical

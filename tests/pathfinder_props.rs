@@ -11,8 +11,8 @@ use autobraid_circuit::generators::qft::qft;
 use autobraid_circuit::sim::circuits_equivalent;
 use autobraid_lattice::{Cell, Grid, Occupancy, Vertex};
 use autobraid_router::path::CxRequest;
+use autobraid_router::pathfinder::{route_negotiated, MAX_ITERATIONS};
 use autobraid_router::probe::check_route_outcome;
-use autobraid_router::{route_negotiated_with, PathFinderConfig};
 
 /// Every ordered pair of the given cells, as one concurrent burst.
 fn all_to_all_burst(cells: &[Cell]) -> Vec<CxRequest> {
@@ -45,15 +45,14 @@ fn all_to_all_burst_terminates_within_cap_and_probes_clean() {
     let base = Occupancy::new(&grid);
     let requests = all_to_all_burst(&spread_cells(8));
     assert_eq!(requests.len(), 15);
-    let config = PathFinderConfig::default();
     let mut occupancy = base.clone();
-    let (outcome, stats) = route_negotiated_with(&grid, &mut occupancy, &requests, &config);
+    let (outcome, stats) = route_negotiated(&grid, &mut occupancy, &requests);
     assert!(!stats.converged);
     assert!(
-        stats.iterations < config.max_iterations,
+        stats.iterations < MAX_ITERATIONS,
         "negotiation ran {} iterations, up to the {} cap: the stall exit never fired",
         stats.iterations,
-        config.max_iterations
+        MAX_ITERATIONS
     );
     check_route_outcome(&grid, &requests, &base, &outcome).unwrap();
     assert!(
@@ -80,10 +79,9 @@ fn defect_overlay_burst_avoids_defects_and_terminates() {
         }
     }
     let requests = all_to_all_burst(&spread_cells(8));
-    let config = PathFinderConfig::default();
     let mut occupancy = base.clone();
-    let (outcome, stats) = route_negotiated_with(&grid, &mut occupancy, &requests, &config);
-    assert!(stats.iterations <= config.max_iterations);
+    let (outcome, stats) = route_negotiated(&grid, &mut occupancy, &requests);
+    assert!(stats.iterations <= MAX_ITERATIONS);
     // The probe enforces defect avoidance, path validity, disjointness,
     // and id accounting from nothing but the inputs and the outcome.
     check_route_outcome(&grid, &requests, &base, &outcome).unwrap();
@@ -98,10 +96,9 @@ fn adversarial_bursts_route_deterministically() {
     let grid = Grid::new(8).unwrap();
     let base = Occupancy::new(&grid);
     let requests = all_to_all_burst(&spread_cells(8));
-    let config = PathFinderConfig::default();
     let run = || {
         let mut occupancy = base.clone();
-        route_negotiated_with(&grid, &mut occupancy, &requests, &config)
+        route_negotiated(&grid, &mut occupancy, &requests)
     };
     let (first, first_stats) = run();
     let (second, second_stats) = run();

@@ -9,10 +9,10 @@
 //! `docs/METRICS.md`).
 
 use autobraid::pipeline::{CompileOptions, Pipeline};
-use autobraid::render::explain_trace;
 use autobraid::runtime::{CompileJob, WorkerPool};
 use autobraid_circuit::generators::ising::ising;
 use autobraid_circuit::generators::qft::qft;
+use autobraid_telemetry::explain::explain_trace;
 use autobraid_telemetry::{install, Decision, JsonValue, Trace, TraceEventKind, TraceRecorder};
 use std::sync::{Arc, Barrier};
 
