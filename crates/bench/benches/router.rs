@@ -2,7 +2,7 @@
 //! stack-based vs greedy batch routers.
 
 use autobraid_lattice::{Cell, Grid, Occupancy};
-use autobraid_router::astar::{find_path, SearchLimits};
+use autobraid_router::astar::find_path;
 use autobraid_router::path::CxRequest;
 use autobraid_router::stack_finder::{route_concurrent, route_greedy};
 use autobraid_telemetry::bench::BenchGroup;
@@ -40,7 +40,7 @@ fn bench_astar() {
                 &occ,
                 Cell::new(0, 0),
                 Cell::new(side - 1, side - 1),
-                SearchLimits::default(),
+                None,
             )
         });
     }

@@ -1,8 +1,7 @@
 //! Micro-benchmarks for end-to-end scheduling throughput.
 
 use autobraid::config::{Recording, ScheduleConfig};
-use autobraid::maslov::schedule_maslov;
-use autobraid::{schedule_baseline, AutoBraid};
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::generators::{ising::ising, qaoa::qaoa, qft::qft};
 use autobraid_telemetry::bench::BenchGroup;
 
@@ -16,14 +15,18 @@ fn bench_schedulers() {
     let im200 = ising(200, 2).unwrap();
     let qaoa100 = qaoa(100, 8, 3, 2021).unwrap();
 
-    let cfg = config();
-    let compiler = AutoBraid::new(cfg.clone());
-    group.bench("baseline/qft50", || schedule_baseline(&qft50, &cfg));
-    group.bench("autobraid-sp/qft50", || compiler.schedule_sp(&qft50));
-    group.bench("autobraid-full/qft50", || compiler.schedule_full(&qft50));
-    group.bench("maslov/qft50", || schedule_maslov(&qft50, &cfg));
-    group.bench("autobraid-sp/im200", || compiler.schedule_sp(&im200));
-    group.bench("autobraid-sp/qaoa100", || compiler.schedule_sp(&qaoa100));
+    let compiler = AutoBraid::new(config());
+    let runs = [
+        ("baseline/qft50", Strategy::Baseline, &qft50),
+        ("autobraid-sp/qft50", Strategy::Stack, &qft50),
+        ("autobraid-full/qft50", Strategy::Full, &qft50),
+        ("maslov/qft50", Strategy::Maslov, &qft50),
+        ("autobraid-sp/im200", Strategy::Stack, &im200),
+        ("autobraid-sp/qaoa100", Strategy::Stack, &qaoa100),
+    ];
+    for (name, strategy, circuit) in runs {
+        group.bench(name, || compiler.schedule(strategy, circuit));
+    }
     group.finish();
 }
 

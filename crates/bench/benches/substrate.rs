@@ -8,7 +8,7 @@ use autobraid_circuit::transform::optimize;
 use autobraid_lattice::decoder::Patch;
 use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::{Cell, Grid, Occupancy};
-use autobraid_router::astar::{find_path, SearchLimits};
+use autobraid_router::astar::find_path;
 use autobraid_router::lowering::lower_braid;
 use autobraid_telemetry::bench::BenchGroup;
 use autobraid_telemetry::Rng64;
@@ -31,14 +31,7 @@ fn bench_lowering() {
     let mut group = BenchGroup::new("lowering");
     let grid = Grid::new(10).unwrap();
     let occ = Occupancy::new(&grid);
-    let path = find_path(
-        &grid,
-        &occ,
-        Cell::new(0, 0),
-        Cell::new(9, 9),
-        SearchLimits::default(),
-    )
-    .unwrap();
+    let path = find_path(&grid, &occ, Cell::new(0, 0), Cell::new(9, 9), None).unwrap();
     for d in [9u32, 21, 33] {
         let layout = PhysicalLayout::new(10, d).unwrap();
         group.bench(&format!("corner_braid/{d}"), || lower_braid(&layout, &path));

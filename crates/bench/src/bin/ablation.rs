@@ -8,10 +8,9 @@
 
 use autobraid::async_engine::schedule_async;
 use autobraid::config::ScheduleConfig;
-use autobraid::maslov::schedule_maslov;
 use autobraid::report::Table;
 use autobraid::scheduler::{run, GreedyPolicy, RoutePolicy, StackPolicy};
-use autobraid::AutoBraid;
+use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::eval_config;
 use autobraid_circuit::{generators, Circuit};
 use autobraid_lattice::Grid;
@@ -164,7 +163,7 @@ fn main() {
         );
 
         // Maslov swap network.
-        let (maslov, _) = schedule_maslov(circuit, &config);
+        let maslov = compiler.schedule(Strategy::Maslov, circuit).result;
         table.add_row([
             "maslov swap network".to_string(),
             maslov.braid_steps.to_string(),

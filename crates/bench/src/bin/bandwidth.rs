@@ -11,7 +11,7 @@
 use autobraid::config::ScheduleConfig;
 use autobraid::emit::emit_physical;
 use autobraid::report::Table;
-use autobraid::AutoBraid;
+use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::full_run_requested;
 use autobraid_circuit::generators;
 use autobraid_lattice::physical::PhysicalLayout;
@@ -51,7 +51,7 @@ fn main() {
     ]);
     for (kind, n) in workloads {
         let circuit = generators::by_name(kind, n).expect("valid benchmark");
-        let outcome = compiler.schedule_full(&circuit);
+        let outcome = compiler.schedule(Strategy::Full, &circuit);
         let layout =
             PhysicalLayout::new(outcome.grid.cells_per_side(), distance).expect("valid layout");
         let program = emit_physical(&circuit, &outcome.result, &layout).expect("full recording");

@@ -8,7 +8,7 @@
 //! snapshot of the whole run).
 
 use autobraid::report::Table;
-use autobraid::AutoBraid;
+use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::{eval_config, full_run_requested, BenchEntry, TABLE2};
 
 fn main() {
@@ -40,9 +40,9 @@ fn main() {
     for entry in entries {
         let circuit = entry.build().expect("registry entries build");
         // Wall-clock over the whole compilation, including every candidate
-        // strategy schedule_full evaluates internally.
+        // strategy autobraid-full evaluates internally.
         let started = std::time::Instant::now();
-        let outcome = compiler.schedule_full(&circuit);
+        let outcome = compiler.schedule(Strategy::Full, &circuit);
         let compile = started.elapsed().as_secs_f64();
         let execution = outcome.result.time_seconds();
         table.add_row([

@@ -12,7 +12,7 @@ use autobraid::config::ScheduleConfig;
 use autobraid::magic::{place_with_factories, rewrite_with_factories};
 use autobraid::report::Table;
 use autobraid::scheduler::{run, StackPolicy};
-use autobraid::AutoBraid;
+use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::eval_config;
 use autobraid_circuit::Circuit;
 use autobraid_lattice::Grid;
@@ -42,7 +42,7 @@ fn main() {
     let t_gates = circuit.len() - (n as usize - 1) * 6;
 
     // The paper's assumption: magic states are free (T gates local).
-    let free = compiler.schedule_sp(&circuit).result;
+    let free = compiler.schedule(Strategy::Stack, &circuit).result;
     println!(
         "\nworkload: {} qubits, {} gates ({} T gates)\n",
         n,

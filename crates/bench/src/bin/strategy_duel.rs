@@ -18,7 +18,7 @@
 use autobraid::config::ScheduleConfig;
 use autobraid::report::Table;
 use autobraid::scheduler::{run, ParallelStackPolicy, PathFinderPolicy, RoutePolicy};
-use autobraid::AutoBraid;
+use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::{duel_families, eval_config};
 use autobraid_circuit::Circuit;
 use autobraid_lattice::{Grid, Occupancy};
@@ -85,9 +85,10 @@ struct FamilyResult {
 
 fn duel_family(family: &'static str, circuit: &Circuit, config: &ScheduleConfig) -> FamilyResult {
     let compiler = AutoBraid::new(config.clone());
-    let stack_steps = compiler.schedule_sp(circuit).result.braid_steps;
-    let pathfinder_steps = compiler.schedule_pathfinder(circuit).result.braid_steps;
-    let portfolio_steps = compiler.schedule_portfolio(circuit).result.braid_steps;
+    let steps = |strategy| compiler.schedule(strategy, circuit).result.braid_steps;
+    let stack_steps = steps(Strategy::Stack);
+    let pathfinder_steps = steps(Strategy::PathFinder);
+    let portfolio_steps = steps(Strategy::Portfolio);
 
     // The duel replays the stack trajectory with both finders attempting
     // every layer, over the same LLG-optimized placement the strategies

@@ -17,7 +17,7 @@
 
 use autobraid::config::{Recording, ScheduleConfig};
 use autobraid::critical_path::critical_path_cycles;
-use autobraid::{schedule_async, schedule_baseline, AutoBraid, ScheduleResult};
+use autobraid::{schedule_async, AutoBraid, ScheduleResult, Strategy};
 use autobraid_circuit::{generators, Circuit, CircuitError};
 use autobraid_lattice::Grid;
 use autobraid_lattice::{CodeParams, TimingModel};
@@ -164,9 +164,11 @@ impl Comparison {
     /// Runs all schedulers on `circuit` under `config`.
     pub fn run(circuit: &Circuit, config: &ScheduleConfig) -> Self {
         let compiler = AutoBraid::new(config.clone());
-        let (baseline, _) = schedule_baseline(circuit, config);
-        let sp = compiler.schedule_sp(circuit).result;
-        let full = compiler.schedule_full(circuit).result;
+        let dag = config.dag(circuit);
+        let schedule = |strategy| compiler.schedule_with_dag(strategy, circuit, &dag).result;
+        let baseline = schedule(Strategy::Baseline);
+        let sp = schedule(Strategy::Stack);
+        let full = schedule(Strategy::Full);
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let placement = compiler.initial_placement(circuit, &grid);
         let asynchronous = schedule_async(circuit, &grid, placement, config).result;

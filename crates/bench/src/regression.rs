@@ -22,7 +22,7 @@ use autobraid_circuit::generators::{cc::counterfeit_coin, ising::ising, qft::qft
 use autobraid_circuit::Circuit;
 use autobraid_lattice::{Cell, Grid, Occupancy};
 use autobraid_placement::{anneal, partition_placement, AnnealConfig, Placement};
-use autobraid_router::astar::{find_path, SearchLimits};
+use autobraid_router::astar::find_path;
 use autobraid_router::path::CxRequest;
 use autobraid_router::route_negotiated;
 use autobraid_router::stack_finder::route_concurrent;
@@ -210,7 +210,7 @@ pub fn suite() -> Vec<BenchCase> {
                 &occ,
                 Cell::new(0, 0),
                 Cell::new(15, 15),
-                SearchLimits::default(),
+                None,
             ));
         }),
     });
@@ -232,7 +232,7 @@ pub fn suite() -> Vec<BenchCase> {
                 &occ,
                 Cell::new(0, 0),
                 Cell::new(11, 11),
-                SearchLimits::default(),
+                None,
             ));
         }),
     });

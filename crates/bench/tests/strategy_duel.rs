@@ -4,7 +4,7 @@
 //! strategies may fall but never rise, and negotiation keeps its QFT
 //! win of 32 steps against the stack finder's 34.
 
-use autobraid::AutoBraid;
+use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::{duel_families, eval_config};
 
 /// Steps-to-drain ceilings per family: (stack, PathFinder, Portfolio),
@@ -24,19 +24,13 @@ fn no_duel_family_drains_in_more_steps() {
     assert_eq!(families.len(), CEILINGS.len());
     for ((family, circuit), (pinned, ceiling)) in families.iter().zip(CEILINGS) {
         assert_eq!(*family, pinned);
-        let steps = [
-            compiler.schedule_sp(circuit).result.braid_steps,
-            compiler.schedule_pathfinder(circuit).result.braid_steps,
-            compiler.schedule_portfolio(circuit).result.braid_steps,
-        ];
-        for ((strategy, got), max) in ["stack", "pathfinder", "portfolio"]
-            .iter()
-            .zip(steps)
-            .zip(ceiling)
-        {
+        let strategies = [Strategy::Stack, Strategy::PathFinder, Strategy::Portfolio];
+        for (strategy, max) in strategies.into_iter().zip(ceiling) {
+            let got = compiler.schedule(strategy, circuit).result.braid_steps;
             assert!(
                 got <= max,
-                "{family}/{strategy}: {got} braid steps, ceiling {max}"
+                "{family}/{}: {got} braid steps, ceiling {max}",
+                strategy.name()
             );
         }
     }

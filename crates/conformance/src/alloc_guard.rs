@@ -28,7 +28,7 @@
 use crate::case::ConformanceCase;
 use crate::oracle::Divergence;
 use autobraid_lattice::Cell;
-use autobraid_router::astar::{search_in, SearchLimits};
+use autobraid_router::astar::search_in;
 use autobraid_router::with_search_arena;
 
 /// Proves the steady-state A* loop allocates nothing on this case's
@@ -86,14 +86,7 @@ pub fn check_search_allocs(
     let run_all = || {
         with_search_arena(|arena| {
             for &(a, b) in &pairs {
-                std::hint::black_box(search_in(
-                    arena,
-                    &grid,
-                    &occupancy,
-                    a,
-                    b,
-                    SearchLimits::default(),
-                ));
+                std::hint::black_box(search_in(arena, &grid, &occupancy, a, b, None));
             }
         });
     };

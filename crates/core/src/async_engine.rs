@@ -173,7 +173,7 @@ pub fn verify_async_with_dag(
 mod tests {
     use super::*;
     use crate::critical_path::critical_path_cycles;
-    use crate::AutoBraid;
+    use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::{self, random::random_circuit};
 
     fn run_async(circuit: &Circuit) -> AsyncSchedule {
@@ -447,7 +447,10 @@ mod tests {
         let compiler = AutoBraid::new(config.clone());
         for seed in 0..4 {
             let circuit = random_circuit(10, 250, 0.5, seed).unwrap();
-            let sync = compiler.schedule_sp(&circuit).result.total_cycles;
+            let sync = compiler
+                .schedule(Strategy::Stack, &circuit)
+                .result
+                .total_cycles;
             let schedule = run_async(&circuit);
             let cp = critical_path_cycles(&circuit, schedule.result.timing());
             assert!(schedule.result.total_cycles >= cp, "seed {seed}: below CP");

@@ -142,7 +142,7 @@ pub fn emit_physical(
 mod tests {
     use super::*;
     use crate::config::{Recording, ScheduleConfig};
-    use crate::AutoBraid;
+    use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::{ising::ising, qft::qft};
     use autobraid_lattice::{CodeParams, TimingModel};
     use autobraid_router::lowering::LatticeOp;
@@ -156,7 +156,7 @@ mod tests {
     fn emits_qft_schedule() {
         let circuit = qft(9).unwrap();
         let compiler = AutoBraid::new(config_d(5));
-        let outcome = compiler.schedule_full(&circuit);
+        let outcome = compiler.schedule(Strategy::Full, &circuit);
         let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 5).unwrap();
         let program = emit_physical(&circuit, &outcome.result, &layout).unwrap();
         assert_eq!(program.duration_cycles(), outcome.result.total_cycles);
@@ -176,7 +176,7 @@ mod tests {
     fn instructions_are_cycle_sorted_and_bounded() {
         let circuit = ising(12, 1).unwrap();
         let compiler = AutoBraid::new(config_d(3));
-        let outcome = compiler.schedule_sp(&circuit);
+        let outcome = compiler.schedule(Strategy::Stack, &circuit);
         let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 3).unwrap();
         let program = emit_physical(&circuit, &outcome.result, &layout).unwrap();
         let cycles: Vec<u64> = program.instructions().iter().map(|i| i.cycle).collect();
@@ -191,7 +191,7 @@ mod tests {
         let circuit = qft(8).unwrap();
         let cfg = config_d(3).with_recording(Recording::StatsOnly);
         let compiler = AutoBraid::new(cfg);
-        let outcome = compiler.schedule_sp(&circuit);
+        let outcome = compiler.schedule(Strategy::Stack, &circuit);
         let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 3).unwrap();
         assert!(emit_physical(&circuit, &outcome.result, &layout).is_err());
     }

@@ -9,13 +9,13 @@
 //! paths* routed through the channels of a tile grid; simultaneous paths
 //! must be vertex-disjoint. This crate schedules those paths:
 //!
-//! * [`autobraid::AutoBraid`] — the paper's scheduler, in its
-//!   `schedule_sp` (stack-based path finder) and `schedule_full`
-//!   (+ dynamic qubit placement) configurations;
-//! * [`baseline::schedule_baseline`] — the greedy "GP w. initM"
-//!   comparison point of Javadi-Abhari et al.;
-//! * [`maslov::schedule_maslov`] — the linear-depth swap-network
-//!   specialization for all-to-all patterns;
+//! * [`autobraid::AutoBraid::schedule`] — one entry point for every
+//!   registry [`Strategy`]: the paper's scheduler in its autobraid-sp
+//!   (stack-based path finder) and autobraid-full (+ dynamic qubit
+//!   placement) configurations, the greedy "GP w. initM" baseline of
+//!   Javadi-Abhari et al., Maslov's linear-depth swap network for
+//!   all-to-all patterns ([`maslov`]), and the PathFinder and portfolio
+//!   routers;
 //! * [`critical_path`] — the ideal lower bound ("CP");
 //! * [`metrics::verify_schedule`] — exhaustive schedule validation;
 //! * [`pipeline::Pipeline`] — the end-to-end compile façade, configured
@@ -39,13 +39,13 @@
 //! # Quick example
 //!
 //! ```
-//! use autobraid::{AutoBraid, config::ScheduleConfig};
+//! use autobraid::{AutoBraid, Strategy, config::ScheduleConfig};
 //! use autobraid::critical_path::critical_path_cycles;
 //! use autobraid_circuit::generators::ising::ising;
 //!
 //! let circuit = ising(16, 2)?;
 //! let compiler = AutoBraid::new(ScheduleConfig::default());
-//! let outcome = compiler.schedule_full(&circuit);
+//! let outcome = compiler.schedule(Strategy::Full, &circuit);
 //! // The Ising model schedules at exactly the critical path (Table 2).
 //! let cp = critical_path_cycles(&circuit, outcome.result.timing());
 //! assert_eq!(outcome.result.total_cycles, cp);
@@ -57,7 +57,6 @@
 
 pub mod async_engine;
 pub mod autobraid;
-pub mod baseline;
 pub mod config;
 pub mod critical_path;
 pub mod emit;
@@ -76,7 +75,6 @@ pub mod swap;
 
 pub use async_engine::{schedule_async, verify_async, AsyncSchedule};
 pub use autobraid::{AutoBraid, ScheduleOutcome};
-pub use baseline::schedule_baseline;
 pub use config::{Recording, ScheduleConfig};
 pub use critical_path::{critical_path_cycles, critical_path_cycles_relaxed, critical_path_us};
 pub use metrics::{

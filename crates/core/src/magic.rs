@@ -143,7 +143,7 @@ mod tests {
     use crate::critical_path::critical_path_cycles;
     use crate::metrics::verify_schedule;
     use crate::scheduler::{run, StackPolicy};
-    use crate::AutoBraid;
+    use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::qft::qft;
 
     fn t_heavy_circuit(n: u32, layers: usize) -> Circuit {
@@ -234,7 +234,10 @@ mod tests {
         let t_circuit = t_heavy_circuit(9, 3);
         let config = ScheduleConfig::default();
         let compiler = AutoBraid::new(config.clone());
-        let free = compiler.schedule_sp(&t_circuit).result.total_cycles;
+        let free = compiler
+            .schedule(Strategy::Stack, &t_circuit)
+            .result
+            .total_cycles;
 
         let data_grid = Grid::with_capacity_for(9);
         let data_placement = compiler.initial_placement(&t_circuit, &data_grid);

@@ -28,20 +28,14 @@ use autobraid_router::stack_finder::{route_concurrent, RouteOutcome};
 use autobraid_router::CxRequest;
 
 /// Schedules `circuit` with the Maslov swap-network strategy on the
-/// smallest square grid. Returns the result and the *initial* placement
-/// (the serpentine identity order).
+/// smallest square grid, against a caller-supplied dependence DAG.
+/// Returns the result and the *initial* placement (the serpentine
+/// identity order). `dag` must have been built from `circuit`
+/// consistently with `config.commutation_aware`.
 ///
 /// Each step executes every ready CX whose operands are currently
 /// adjacent on the serpentine line (plus ready local gates); when no ready
 /// CX is adjacent, an odd/even transposition layer advances the network.
-pub fn schedule_maslov(circuit: &Circuit, config: &ScheduleConfig) -> (ScheduleResult, Placement) {
-    schedule_maslov_with_dag(circuit, config, &config.dag(circuit))
-}
-
-/// [`schedule_maslov`] against a caller-supplied dependence DAG, so one
-/// DAG build can be shared with the other strategies `schedule_full`
-/// races. `dag` must have been built from `circuit` consistently with
-/// `config.commutation_aware`.
 pub fn schedule_maslov_with_dag(
     circuit: &Circuit,
     config: &ScheduleConfig,
@@ -210,23 +204,30 @@ mod tests {
     use super::*;
     use crate::metrics::verify_schedule;
     use crate::scheduler::{run_with_dag, ParallelStackPolicy};
-    use crate::AutoBraid;
+    use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::{self, qft::qft, random::random_circuit};
+
+    fn maslov(circuit: &Circuit) -> crate::ScheduleOutcome {
+        AutoBraid::default().schedule(Strategy::Maslov, circuit)
+    }
 
     #[test]
     fn qft_schedule_verifies() {
         let circuit = qft(12).unwrap();
-        let config = ScheduleConfig::default();
-        let grid = Grid::with_capacity_for(12);
-        let (result, initial) = schedule_maslov(&circuit, &config);
-        verify_schedule(&circuit, &grid, &initial, &result).unwrap();
+        let outcome = maslov(&circuit);
+        verify_schedule(
+            &circuit,
+            &outcome.grid,
+            &outcome.initial_placement,
+            &outcome.result,
+        )
+        .unwrap();
     }
 
     #[test]
     fn qft_braid_steps_scale_linearly() {
-        let config = ScheduleConfig::default();
-        let (r16, _) = schedule_maslov(&qft(16).unwrap(), &config);
-        let (r32, _) = schedule_maslov(&qft(32).unwrap(), &config);
+        let r16 = maslov(&qft(16).unwrap()).result;
+        let r32 = maslov(&qft(32).unwrap()).result;
         // QFT-n has Θ(n²) gates; the Maslov schedule must stay near-linear
         // in n (each doubling roughly doubles, not quadruples, the steps).
         let ratio = r32.total_cycles as f64 / r16.total_cycles as f64;
@@ -240,7 +241,7 @@ mod tests {
     fn serial_circuit_needs_no_swaps_when_adjacent() {
         let mut c = Circuit::new(4);
         c.cx(0, 1).cx(1, 2).cx(2, 3);
-        let (r, _) = schedule_maslov(&c, &ScheduleConfig::default());
+        let r = maslov(&c).result;
         assert_eq!(r.swap_layers, 0, "chain on the line is already adjacent");
         assert_eq!(r.braid_steps, 3);
     }
@@ -258,7 +259,7 @@ mod tests {
         assert_eq!(below.steps, full.steps);
         assert_eq!(below.total_cycles, full.total_cycles);
 
-        // The same bound on `schedule_full`'s optimizer-off rerun.
+        // The same bound on autobraid-full's optimizer-off rerun.
         let grid = Grid::with_capacity_for(16);
         let placement = AutoBraid::new(config.clone()).initial_placement(&circuit, &grid);
         let policy = ParallelStackPolicy::new(1);
@@ -322,7 +323,7 @@ mod tests {
     fn distant_pair_triggers_swaps() {
         let mut c = Circuit::new(9);
         c.cx(0, 8);
-        let (r, _) = schedule_maslov(&c, &ScheduleConfig::default());
+        let r = maslov(&c).result;
         assert!(r.swap_layers > 0);
         assert_eq!(r.braid_steps, 1);
     }

@@ -13,8 +13,8 @@
 //! Covers the pipeline façade ([`Pipeline`], [`CompileOptions`],
 //! [`Strategy`], [`CompileReport`], [`PipelineError`]), batch
 //! compilation ([`CompileJob`], [`merged_batch_telemetry`]), the
-//! scheduler front end ([`AutoBraid`], [`ScheduleConfig`], [`Step`],
-//! [`verify_schedule`], [`critical_path_cycles`]), report rendering
+//! scheduler front end ([`AutoBraid::schedule`], [`ScheduleConfig`],
+//! [`Step`], [`verify_schedule`], [`critical_path_cycles`]), report rendering
 //! ([`compile_report_json`], [`canonical_compile_report_json`],
 //! [`render_telemetry`]), and the circuit/lattice types every compile
 //! touches ([`Circuit`], [`CircuitStats`], [`Grid`]).

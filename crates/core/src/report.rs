@@ -97,25 +97,6 @@ impl Table {
     }
 }
 
-/// One comparison row: benchmark metadata plus per-scheduler times, in the
-/// shape of the paper's Table 2.
-pub fn comparison_row(
-    circuit_stats: &autobraid_circuit::CircuitStats,
-    cp_us: f64,
-    baseline: &ScheduleResult,
-    ours: &ScheduleResult,
-) -> Vec<String> {
-    vec![
-        circuit_stats.name.clone(),
-        circuit_stats.qubits.to_string(),
-        circuit_stats.gates.to_string(),
-        format_us(cp_us),
-        format_us(baseline.time_us()),
-        format_us(ours.time_us()),
-        format!("{:.2}", ours.speedup_over(baseline)),
-    ]
-}
-
 /// Serializes one [`ScheduleResult`]'s headline statistics, including
 /// the per-layer strategy attribution (`layer_policies`, empty under
 /// stats-only recording). The attribution is part of the schedule, not
@@ -248,23 +229,6 @@ mod tests {
         assert!(widths.windows(2).all(|w| w[0] == w[1]), "{text}");
         assert!(!t.is_empty());
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn comparison_row_shape() {
-        use autobraid_circuit::generators::qft::qft;
-        use autobraid_lattice::TimingModel;
-        let c = qft(8).unwrap();
-        let stats = autobraid_circuit::CircuitStats::of(&c);
-        let timing = TimingModel::default();
-        let mut fast = ScheduleResult::new("ours", "qft8", timing);
-        fast.total_cycles = 500;
-        let mut slow = ScheduleResult::new("base", "qft8", timing);
-        slow.total_cycles = 1500;
-        let row = comparison_row(&stats, 900.0, &slow, &fast);
-        assert_eq!(row.len(), 7);
-        assert_eq!(row[1], "8");
-        assert_eq!(row[6], "3.00");
     }
 
     #[test]

@@ -325,17 +325,17 @@ impl RoutePolicy for PortfolioPolicy {
 /// own, or `None` for the Maslov swap network: its adjacency policy makes
 /// progress only together with the swap-network layout move and the
 /// serpentine placement, so a stream degrades it to the stack finder.
-/// Derived from the strategy itself so sweeps — like the conformance
+/// [`crate::AutoBraid::schedule_with_dag`] and the streaming pipeline
+/// both take their policy from here, as do sweeps like the conformance
 /// oracle's defective-lattice pass over every
-/// [`crate::strategy::StrategyInfo::supports_defects`] row — never
-/// hand-maintain the mapping.
+/// [`crate::strategy::StrategyInfo::supports_defects`] row.
 pub fn policy_for(strategy: Strategy, threads: usize) -> Option<Box<dyn RoutePolicy>> {
     match strategy {
         Strategy::Full | Strategy::Stack => Some(Box::new(ParallelStackPolicy::new(threads))),
         Strategy::PathFinder => Some(Box::new(PathFinderPolicy)),
         Strategy::Portfolio => Some(Box::new(PortfolioPolicy::new(threads))),
         Strategy::Baseline => Some(Box::new(GreedyPolicy)),
-        _ => None,
+        Strategy::Maslov => None,
     }
 }
 

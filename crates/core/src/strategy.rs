@@ -11,9 +11,12 @@
 //! hand-listing them.
 //!
 //! Adding a strategy is: add the variant, add one `StrategyInfo` row,
-//! and give the pipeline a scheduler arm — everything else (oracle
-//! sweep, `--strategy` parsing, service wire format, report naming)
-//! picks it up from the table.
+//! and give [`AutoBraid::schedule_with_dag`](crate::AutoBraid::schedule_with_dag)
+//! an arm, and [`policy_for`](crate::scheduler::policy_for) one if it
+//! streams — both matches are exhaustive, so a new variant does not
+//! compile until it has them. Everything else (oracle sweep,
+//! `--strategy` parsing, service wire format, report naming) picks it
+//! up from the table.
 
 /// Which scheduler the pipeline drives.
 ///

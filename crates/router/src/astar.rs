@@ -12,35 +12,29 @@ use crate::path::BraidPath;
 use autobraid_lattice::{BBox, Cell, Grid, Occupancy, Vertex};
 use autobraid_telemetry as telemetry;
 
-/// Search configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SearchLimits {
-    /// If set, the path must stay inside or on the boundary of this box
-    /// (used to confine LLG-local routing and in theorem tests).
-    pub region: Option<BBox>,
-    /// If set, the search aborts (returning `None`) after expanding this
-    /// many vertices. Aborts are reported on the
-    /// `router.astar.limit_hits` telemetry counter, so a capped
-    /// production configuration can see how often it gives up early.
-    pub max_expansions: Option<u32>,
-}
-
 /// Finds a shortest free braiding path from tile `a` to tile `b` with A*.
 ///
 /// Occupied vertices are impassable; the returned path's vertices are
 /// **not** reserved — callers reserve via [`Occupancy::try_reserve`].
+/// If `region` is set, the path must stay inside or on the boundary of
+/// that box (used to confine LLG-local routing and in theorem tests).
 /// Returns `None` when the two tiles are disconnected under the current
 /// occupancy (or the region constraint).
+///
+/// The search runs on the thread's arena ([`search_in`]) and pops the
+/// open set in (f asc, **g desc**, index asc) order — on f-ties the
+/// deepest node wins, so an open grid is traversed goal-first instead of
+/// expanding the whole equal-f plateau (see `arena.rs` module docs).
 ///
 /// # Examples
 ///
 /// ```
 /// use autobraid_lattice::{Cell, Grid, Occupancy};
-/// use autobraid_router::astar::{find_path, SearchLimits};
+/// use autobraid_router::astar::find_path;
 ///
 /// let grid = Grid::new(4)?;
 /// let occ = Occupancy::new(&grid);
-/// let path = find_path(&grid, &occ, Cell::new(0, 0), Cell::new(3, 3), SearchLimits::default())
+/// let path = find_path(&grid, &occ, Cell::new(0, 0), Cell::new(3, 3), None)
 ///     .expect("empty grid always routes");
 /// assert!(path.len() >= 5); // closest corners are 4 apart
 /// # Ok::<(), autobraid_lattice::LatticeError>(())
@@ -50,31 +44,16 @@ pub fn find_path(
     occupancy: &Occupancy,
     a: Cell,
     b: Cell,
-    limits: SearchLimits,
+    region: Option<BBox>,
 ) -> Option<BraidPath> {
     #[cfg(any(test, feature = "reference"))]
     if telemetry::reference_mode() {
-        return find_path_reference(grid, occupancy, a, b, limits);
+        return find_path_reference(grid, occupancy, a, b, region);
     }
-    with_search_arena(|arena| find_path_in(arena, grid, occupancy, a, b, limits))
-}
-
-/// [`find_path`] against caller-provided scratch. Pops the open set in
-/// (f asc, **g desc**, index asc) order — on f-ties the deepest node
-/// wins, so an open grid is traversed goal-first instead of expanding
-/// the whole equal-f plateau (see `arena.rs` module docs). The search
-/// loop performs **zero heap allocations** once the arena is warm; the
-/// fuzz oracle's counting-allocator guard enforces this.
-pub fn find_path_in(
-    arena: &mut SearchArena,
-    grid: &Grid,
-    occupancy: &Occupancy,
-    a: Cell,
-    b: Cell,
-    limits: SearchLimits,
-) -> Option<BraidPath> {
-    let goal = search_in(arena, grid, occupancy, a, b, limits)?;
-    Some(reconstruct_arena(grid, a, b, arena, goal))
+    with_search_arena(|arena| {
+        let goal = search_in(arena, grid, occupancy, a, b, region)?;
+        Some(reconstruct_arena(grid, a, b, arena, goal))
+    })
 }
 
 /// The arena search loop alone: runs the bucket-queue A* and returns
@@ -90,12 +69,11 @@ pub fn search_in(
     occupancy: &Occupancy,
     a: Cell,
     b: Cell,
-    limits: SearchLimits,
+    region: Option<BBox>,
 ) -> Option<usize> {
     telemetry::fine_counter("router.astar.searches", 1);
-    let allowed = |v: Vertex| -> bool {
-        occupancy.is_free(grid, v) && limits.region.is_none_or(|r| r.contains(v))
-    };
+    let allowed =
+        |v: Vertex| -> bool { occupancy.is_free(grid, v) && region.is_none_or(|r| r.contains(v)) };
     let mut targets = [Vertex::new(0, 0); 4];
     let mut target_count = 0usize;
     for v in b.corners() {
@@ -129,13 +107,6 @@ pub fn search_in(
 
     let mut expansions = 0u32;
     while let Some((g, idx)) = arena.pop() {
-        if limits.max_expansions.is_some_and(|cap| expansions >= cap) {
-            telemetry::fine_counter("router.astar.limit_hits", 1);
-            telemetry::fine_counter("router.astar.failures", 1);
-            telemetry::fine_observe("router.astar.expansions", f64::from(expansions));
-            record_search(expansions, false);
-            return None;
-        }
         expansions += 1;
         let v = grid.vertex_at(idx as usize);
         if b.has_corner(v) {
@@ -172,15 +143,14 @@ pub fn find_path_reference(
     occupancy: &Occupancy,
     a: Cell,
     b: Cell,
-    limits: SearchLimits,
+    region: Option<BBox>,
 ) -> Option<BraidPath> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     telemetry::fine_counter("router.astar.searches", 1);
-    let allowed = |v: Vertex| -> bool {
-        occupancy.is_free(grid, v) && limits.region.is_none_or(|r| r.contains(v))
-    };
+    let allowed =
+        |v: Vertex| -> bool { occupancy.is_free(grid, v) && region.is_none_or(|r| r.contains(v)) };
     let targets: Vec<Vertex> = b.corners().into_iter().filter(|&v| allowed(v)).collect();
     if targets.is_empty() {
         telemetry::fine_counter("router.astar.failures", 1);
@@ -213,13 +183,6 @@ pub fn find_path_reference(
     while let Some(Reverse((_, Reverse(g), idx))) = open.pop() {
         if g > g_cost[idx] {
             continue; // stale entry
-        }
-        if limits.max_expansions.is_some_and(|cap| expansions >= cap) {
-            telemetry::fine_counter("router.astar.limit_hits", 1);
-            telemetry::fine_counter("router.astar.failures", 1);
-            telemetry::fine_observe("router.astar.expansions", f64::from(expansions));
-            record_search(expansions, false);
-            return None;
         }
         expansions += 1;
         let v = grid.vertex_at(idx);
@@ -366,11 +329,10 @@ pub fn find_path_bfs(
     occupancy: &Occupancy,
     a: Cell,
     b: Cell,
-    limits: SearchLimits,
+    region: Option<BBox>,
 ) -> Option<BraidPath> {
-    let allowed = |v: Vertex| -> bool {
-        occupancy.is_free(grid, v) && limits.region.is_none_or(|r| r.contains(v))
-    };
+    let allowed =
+        |v: Vertex| -> bool { occupancy.is_free(grid, v) && region.is_none_or(|r| r.contains(v)) };
     let n = grid.vertex_count();
     let mut parent: Vec<usize> = vec![usize::MAX; n];
     let mut visited = vec![false; n];
@@ -414,14 +376,7 @@ mod tests {
     #[test]
     fn shortest_on_empty_grid() {
         let (g, occ) = setup(5);
-        let p = find_path(
-            &g,
-            &occ,
-            Cell::new(0, 0),
-            Cell::new(0, 4),
-            SearchLimits::default(),
-        )
-        .unwrap();
+        let p = find_path(&g, &occ, Cell::new(0, 0), Cell::new(0, 4), None).unwrap();
         // Closest corners (0,1)→(0,4): 3 edges = 4 vertices.
         assert_eq!(p.len(), 4);
     }
@@ -429,14 +384,7 @@ mod tests {
     #[test]
     fn adjacent_cells_share_corner() {
         let (g, occ) = setup(3);
-        let p = find_path(
-            &g,
-            &occ,
-            Cell::new(0, 0),
-            Cell::new(0, 1),
-            SearchLimits::default(),
-        )
-        .unwrap();
+        let p = find_path(&g, &occ, Cell::new(0, 0), Cell::new(0, 1), None).unwrap();
         assert_eq!(p.len(), 1, "shared corner is a 1-vertex path");
     }
 
@@ -447,14 +395,7 @@ mod tests {
         for r in 0..4 {
             occ.reserve(&g, Vertex::new(r, 2));
         }
-        let p = find_path(
-            &g,
-            &occ,
-            Cell::new(1, 0),
-            Cell::new(1, 3),
-            SearchLimits::default(),
-        )
-        .unwrap();
+        let p = find_path(&g, &occ, Cell::new(1, 0), Cell::new(1, 3), None).unwrap();
         assert!(p.vertices().iter().all(|&v| occ.is_free(&g, v)));
         assert!(p.len() > 3, "detour is longer than the straight line");
     }
@@ -465,14 +406,7 @@ mod tests {
         for r in 0..=4 {
             occ.reserve(&g, Vertex::new(r, 2));
         }
-        assert!(find_path(
-            &g,
-            &occ,
-            Cell::new(1, 0),
-            Cell::new(1, 3),
-            SearchLimits::default()
-        )
-        .is_none());
+        assert!(find_path(&g, &occ, Cell::new(1, 0), Cell::new(1, 3), None).is_none());
     }
 
     #[test]
@@ -481,60 +415,18 @@ mod tests {
         for v in Cell::new(2, 2).corners() {
             occ.reserve(&g, v);
         }
-        assert!(find_path(
-            &g,
-            &occ,
-            Cell::new(0, 0),
-            Cell::new(2, 2),
-            SearchLimits::default()
-        )
-        .is_none());
+        assert!(find_path(&g, &occ, Cell::new(0, 0), Cell::new(2, 2), None).is_none());
     }
 
     #[test]
     fn region_confinement() {
         let (g, occ) = setup(6);
         let region = BBox::new(0, 0, 2, 6);
-        let p = find_path(
-            &g,
-            &occ,
-            Cell::new(0, 0),
-            Cell::new(1, 5),
-            SearchLimits {
-                region: Some(region),
-                ..SearchLimits::default()
-            },
-        )
-        .unwrap();
+        let p = find_path(&g, &occ, Cell::new(0, 0), Cell::new(1, 5), Some(region)).unwrap();
         assert!(p.confined_to(&region));
         // An unreachable region constraint fails cleanly.
         let tiny = BBox::new(0, 0, 1, 1);
-        assert!(find_path(
-            &g,
-            &occ,
-            Cell::new(0, 0),
-            Cell::new(1, 5),
-            SearchLimits {
-                region: Some(tiny),
-                ..SearchLimits::default()
-            }
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn expansion_cap_aborts_search() {
-        let (g, occ) = setup(8);
-        let capped = SearchLimits {
-            max_expansions: Some(2),
-            ..SearchLimits::default()
-        };
-        assert!(find_path(&g, &occ, Cell::new(0, 0), Cell::new(7, 7), capped).is_none());
-        let generous = SearchLimits {
-            max_expansions: Some(10_000),
-            ..SearchLimits::default()
-        };
-        assert!(find_path(&g, &occ, Cell::new(0, 0), Cell::new(7, 7), generous).is_some());
+        assert!(find_path(&g, &occ, Cell::new(0, 0), Cell::new(1, 5), Some(tiny)).is_none());
     }
 
     #[test]
@@ -553,8 +445,8 @@ mod tests {
             while b == a {
                 b = Cell::new(rng.gen_range(0..8u32), rng.gen_range(0..8u32));
             }
-            let astar = find_path(&g, &occ, a, b, SearchLimits::default());
-            let bfs = find_path_bfs(&g, &occ, a, b, SearchLimits::default());
+            let astar = find_path(&g, &occ, a, b, None);
+            let bfs = find_path_bfs(&g, &occ, a, b, None);
             match (astar, bfs) {
                 (Some(p1), Some(p2)) => {
                     assert_eq!(p1.len(), p2.len(), "trial {trial}: suboptimal A*")
@@ -585,8 +477,8 @@ mod tests {
             while b == a {
                 b = Cell::new(rng.gen_range(0..8u32), rng.gen_range(0..8u32));
             }
-            let optimized = find_path(&g, &occ, a, b, SearchLimits::default());
-            let reference = find_path_reference(&g, &occ, a, b, SearchLimits::default());
+            let optimized = find_path(&g, &occ, a, b, None);
+            let reference = find_path_reference(&g, &occ, a, b, None);
             assert_eq!(
                 optimized, reference,
                 "trial {trial}: arena and reference searches diverged"
@@ -597,21 +489,9 @@ mod tests {
     #[test]
     fn reference_mode_dispatches_identically() {
         let (g, occ) = setup(6);
-        let direct = find_path(
-            &g,
-            &occ,
-            Cell::new(0, 0),
-            Cell::new(5, 5),
-            SearchLimits::default(),
-        );
+        let direct = find_path(&g, &occ, Cell::new(0, 0), Cell::new(5, 5), None);
         let prev = autobraid_telemetry::set_reference_mode(true);
-        let via_flag = find_path(
-            &g,
-            &occ,
-            Cell::new(0, 0),
-            Cell::new(5, 5),
-            SearchLimits::default(),
-        );
+        let via_flag = find_path(&g, &occ, Cell::new(0, 0), Cell::new(5, 5), None);
         autobraid_telemetry::set_reference_mode(prev);
         assert_eq!(direct, via_flag);
     }
@@ -619,20 +499,8 @@ mod tests {
     #[test]
     fn deterministic_output() {
         let (g, occ) = setup(6);
-        let p1 = find_path(
-            &g,
-            &occ,
-            Cell::new(0, 0),
-            Cell::new(5, 5),
-            SearchLimits::default(),
-        );
-        let p2 = find_path(
-            &g,
-            &occ,
-            Cell::new(0, 0),
-            Cell::new(5, 5),
-            SearchLimits::default(),
-        );
+        let p1 = find_path(&g, &occ, Cell::new(0, 0), Cell::new(5, 5), None);
+        let p2 = find_path(&g, &occ, Cell::new(0, 0), Cell::new(5, 5), None);
         assert_eq!(p1, p2);
     }
 }

@@ -53,7 +53,7 @@ pub mod stack_finder;
 pub mod topology;
 
 pub use arena::{warm_thread_arena, with_search_arena, SearchArena};
-pub use astar::{find_path, SearchLimits};
+pub use astar::find_path;
 pub use interference::InterferenceGraph;
 pub use llg::{decompose, Llg};
 pub use path::{BraidPath, CxRequest};

@@ -332,16 +332,6 @@ fn score_boxes_large(scratch: &mut LlgScratch, input: &[BBox]) -> u64 {
     total
 }
 
-/// Number of LLGs of size > 3 that are not strictly nested — the paper's
-/// Table 1 metric and the simulated-annealing objective for initial
-/// placement.
-pub fn count_unguaranteed(requests: &[CxRequest]) -> usize {
-    decompose(requests)
-        .iter()
-        .filter(|g| !g.guaranteed_schedulable(requests))
-        .count()
-}
-
 /// Number of LLGs with size > 3 (the raw "# of LLG's (size > 3)" column of
 /// Table 1).
 pub fn count_oversized(requests: &[CxRequest]) -> usize {
@@ -443,7 +433,6 @@ mod tests {
         assert!(llgs[0].is_strictly_nested(&rs));
         assert!(llgs[0].guaranteed_schedulable(&rs));
         assert_eq!(count_oversized(&rs), 1);
-        assert_eq!(count_unguaranteed(&rs), 0);
     }
 
     #[test]
@@ -456,8 +445,8 @@ mod tests {
             req(3, (0, 5), (5, 5)),
         ];
         assert_eq!(count_oversized(&rs), 1);
-        assert_eq!(count_unguaranteed(&rs), 1);
         let llgs = decompose(&rs);
+        assert!(!llgs[0].guaranteed_schedulable(&rs));
         assert!(!llgs[0].is_strictly_nested(&rs));
     }
 

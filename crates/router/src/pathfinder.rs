@@ -25,7 +25,6 @@
 
 use crate::arena::{with_search_arena, SearchArena, NO_PARENT};
 use crate::astar::find_path;
-use crate::astar::SearchLimits;
 use crate::path::{BraidPath, CxRequest};
 use crate::stack_finder::{RouteOutcome, RoutedGate};
 use autobraid_lattice::{Grid, Occupancy, Vertex};
@@ -257,7 +256,7 @@ pub fn route_negotiated(
             continue;
         }
         debug_assert!(!converged, "converged passes commit without conflicts");
-        match find_path(grid, occupancy, r.a, r.b, SearchLimits::default()) {
+        match find_path(grid, occupancy, r.a, r.b, None) {
             Some(retry) => {
                 let reserved = occupancy.try_reserve(grid, retry.vertices().iter().copied());
                 debug_assert!(reserved, "A* avoids reserved vertices");

@@ -14,10 +14,10 @@
 //!    the strictly-nested case of Theorem 2, since an enclosing gate is
 //!    always handled after everything it encloses.
 
-use crate::astar::{find_path, Connectivity, SearchLimits};
+use crate::astar::{find_path, Connectivity};
 use crate::interference::InterferenceGraph;
 use crate::path::{BraidPath, CxRequest};
-use autobraid_lattice::{Grid, Occupancy};
+use autobraid_lattice::{BBox, Grid, Occupancy};
 use autobraid_telemetry as telemetry;
 
 /// One successfully routed gate.
@@ -240,30 +240,9 @@ pub fn route_stack_flat(
             i,
         )
     });
-    let mut conn = ConnCache::default();
-    let order: Vec<usize> = residual
-        .into_iter()
-        .chain(stack.into_iter().rev())
-        .collect();
-    for i in order {
-        let r = requests[i];
-        if !conn.may_connect(grid, occupancy, r.a, r.b) {
-            outcome.failed.push(r.id);
-            continue;
-        }
-        match find_path(grid, occupancy, r.a, r.b, SearchLimits::default()) {
-            Some(path) => {
-                let reserved = occupancy.try_reserve(grid, path.vertices().iter().copied());
-                debug_assert!(reserved, "A* returned a path through reserved vertices");
-                outcome.routed.push(RoutedGate { request: r, path });
-                conn.invalidate();
-            }
-            None => {
-                conn.note_failure();
-                outcome.failed.push(r.id);
-            }
-        }
-    }
+    // LIFO order: the last (most interfering / largest) removed routes last.
+    let order = residual.into_iter().chain(stack.into_iter().rev());
+    route_in_order(grid, occupancy, requests, order, &mut outcome);
     outcome
 }
 
@@ -359,35 +338,9 @@ fn route_stack_order(
         )
     });
 
-    let mut conn = ConnCache::default();
-    let try_route =
-        |i: usize, outcome: &mut RouteOutcome, occupancy: &mut Occupancy, conn: &mut ConnCache| {
-            let r = requests[i];
-            if !conn.may_connect(grid, occupancy, r.a, r.b) {
-                outcome.failed.push(r.id);
-                return;
-            }
-            match find_path(grid, occupancy, r.a, r.b, SearchLimits::default()) {
-                Some(path) => {
-                    let reserved = occupancy.try_reserve(grid, path.vertices().iter().copied());
-                    debug_assert!(reserved, "A* returned a path through reserved vertices");
-                    outcome.routed.push(RoutedGate { request: r, path });
-                    conn.invalidate();
-                }
-                None => {
-                    conn.note_failure();
-                    outcome.failed.push(r.id);
-                }
-            }
-        };
-
-    for i in residual {
-        try_route(i, &mut outcome, occupancy, &mut conn);
-    }
     // LIFO order: the last (most interfering / largest) removed routes last.
-    while let Some(i) = stack.pop() {
-        try_route(i, &mut outcome, occupancy, &mut conn);
-    }
+    let order = residual.into_iter().chain(stack.into_iter().rev());
+    route_in_order(grid, occupancy, requests, order, &mut outcome);
     repair_failures(grid, occupancy, requests, &mut outcome);
     outcome
 }
@@ -436,21 +389,16 @@ fn repair_failures(
         for j in candidates {
             let victim = outcome.routed[j].clone();
             occupancy.release_path(grid, victim.path.vertices().iter().copied());
-            let Some(new_path) = find_path(grid, occupancy, req.a, req.b, SearchLimits::default())
-            else {
+            let Some(new_path) = find_path(grid, occupancy, req.a, req.b, None) else {
                 let restored = occupancy.try_reserve(grid, victim.path.vertices().iter().copied());
                 debug_assert!(restored, "rollback re-reserves the released path");
                 continue;
             };
             let reserved = occupancy.try_reserve(grid, new_path.vertices().iter().copied());
             debug_assert!(reserved);
-            if let Some(victim_path) = find_path(
-                grid,
-                occupancy,
-                victim.request.a,
-                victim.request.b,
-                SearchLimits::default(),
-            ) {
+            if let Some(victim_path) =
+                find_path(grid, occupancy, victim.request.a, victim.request.b, None)
+            {
                 let reserved = occupancy.try_reserve(grid, victim_path.vertices().iter().copied());
                 debug_assert!(reserved);
                 outcome.routed[j].path = victim_path;
@@ -485,12 +433,8 @@ fn route_small_llg_confined(
     requests: &[CxRequest],
     group: &crate::llg::Llg,
 ) -> Option<Vec<RoutedGate>> {
-    let limits = SearchLimits {
-        region: Some(group.bbox),
-        ..SearchLimits::default()
-    };
     for order in &permutations(&group.members) {
-        if let Some(paths) = try_route_all(grid, occupancy, requests, order, limits) {
+        if let Some(paths) = try_route_all(grid, occupancy, requests, order, Some(group.bbox)) {
             return Some(
                 order
                     .iter()
@@ -525,9 +469,7 @@ fn route_small_llg(
     }
     let orders = permutations(&group.members);
     for order in &orders {
-        if let Some(paths) =
-            try_route_all(grid, occupancy, requests, order, SearchLimits::default())
-        {
+        if let Some(paths) = try_route_all(grid, occupancy, requests, order, None) {
             for (i, path) in order.iter().zip(paths) {
                 outcome.routed.push(RoutedGate {
                     request: requests[*i],
@@ -551,7 +493,7 @@ fn route_small_llg(
     });
     for i in order {
         let r = requests[i];
-        match find_path(grid, occupancy, r.a, r.b, SearchLimits::default()) {
+        match find_path(grid, occupancy, r.a, r.b, None) {
             Some(path) => {
                 occupancy.try_reserve(grid, path.vertices().iter().copied());
                 outcome.routed.push(RoutedGate { request: r, path });
@@ -667,12 +609,12 @@ fn try_route_all(
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
     order: &[usize],
-    limits: SearchLimits,
+    region: Option<BBox>,
 ) -> Option<Vec<BraidPath>> {
     let mut paths: Vec<BraidPath> = Vec::with_capacity(order.len());
     for &i in order {
         let r = requests[i];
-        match find_path(grid, occupancy, r.a, r.b, limits) {
+        match find_path(grid, occupancy, r.a, r.b, region) {
             Some(path) => {
                 let reserved = occupancy.try_reserve(grid, path.vertices().iter().copied());
                 debug_assert!(reserved, "A* avoids reserved vertices");
@@ -719,6 +661,22 @@ pub fn route_greedy(
     let mut order: Vec<usize> = (0..requests.len()).collect();
     order.sort_by_key(|&i| (requests[i].a.corner_distance(requests[i].b), i));
     let mut outcome = RouteOutcome::default();
+    route_in_order(grid, occupancy, requests, order, &mut outcome);
+    outcome
+}
+
+/// Routes `requests[i]` for each `i` of `order` in turn, each on its
+/// shortest free path at the time, reserving it in `occupancy`. A gate
+/// that finds no path is recorded as failed; once one has, the
+/// connectivity labels skip the A* of gates whose tiles are provably
+/// disconnected until the next reservation.
+fn route_in_order(
+    grid: &Grid,
+    occupancy: &mut Occupancy,
+    requests: &[CxRequest],
+    order: impl IntoIterator<Item = usize>,
+    outcome: &mut RouteOutcome,
+) {
     let mut conn = ConnCache::default();
     for i in order {
         let r = requests[i];
@@ -726,7 +684,7 @@ pub fn route_greedy(
             outcome.failed.push(r.id);
             continue;
         }
-        match find_path(grid, occupancy, r.a, r.b, SearchLimits::default()) {
+        match find_path(grid, occupancy, r.a, r.b, None) {
             Some(path) => {
                 let reserved = occupancy.try_reserve(grid, path.vertices().iter().copied());
                 debug_assert!(reserved, "A* returned a path through reserved vertices");
@@ -739,7 +697,6 @@ pub fn route_greedy(
             }
         }
     }
-    outcome
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use autobraid::scheduler::{run, GreedyPolicy, RoutePolicy, StackPolicy};
 use autobraid_circuit::generators::random::random_circuit;
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
-use autobraid_router::astar::{find_path, SearchLimits};
+use autobraid_router::astar::find_path;
 use autobraid_router::stack_finder::{RouteOutcome, RoutedGate};
 use autobraid_router::CxRequest;
 
@@ -40,7 +40,7 @@ impl RoutePolicy for LargestFirstPolicy {
         let mut outcome = RouteOutcome::default();
         for i in order {
             let r = requests[i];
-            match find_path(grid, occupancy, r.a, r.b, SearchLimits::default()) {
+            match find_path(grid, occupancy, r.a, r.b, None) {
                 Some(path) => {
                     occupancy.try_reserve(grid, path.vertices().iter().copied());
                     outcome.routed.push(RoutedGate { request: r, path });

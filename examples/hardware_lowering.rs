@@ -8,7 +8,7 @@
 use autobraid::config::ScheduleConfig;
 use autobraid::emit::emit_physical;
 use autobraid::render::{render_placement, render_step};
-use autobraid::{AutoBraid, Step};
+use autobraid::{AutoBraid, Step, Strategy};
 use autobraid_circuit::generators::qft::qft;
 use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::{CodeParams, TimingModel};
@@ -20,7 +20,7 @@ fn main() {
         CodeParams::with_distance(distance).unwrap(),
     ));
     let compiler = AutoBraid::new(config);
-    let outcome = compiler.schedule_full(&circuit);
+    let outcome = compiler.schedule(Strategy::Full, &circuit);
 
     println!(
         "placement on the {0}×{0} tile grid:",

@@ -10,7 +10,7 @@
 
 use autobraid::config::{Recording, ScheduleConfig};
 use autobraid::critical_path::critical_path_cycles;
-use autobraid::{schedule_baseline, AutoBraid};
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::generators::ising::ising;
 use autobraid_lattice::{CodeParams, TimingModel};
 use autobraid_placement::CouplingGraph;
@@ -47,8 +47,8 @@ fn main() {
         .with_timing(TimingModel::new(params))
         .with_recording(Recording::StatsOnly);
     let compiler = AutoBraid::new(config.clone());
-    let full = compiler.schedule_full(&circuit).result;
-    let (baseline, _) = schedule_baseline(&circuit, &config);
+    let full = compiler.schedule(Strategy::Full, &circuit).result;
+    let baseline = compiler.schedule(Strategy::Baseline, &circuit).result;
     let cp = critical_path_cycles(&circuit, &config.timing);
 
     println!(

@@ -5,7 +5,7 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::metrics::verify_schedule;
-use autobraid::AutoBraid;
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::{qasm, CircuitStats, ParallelismProfile};
 
 const PROGRAM: &str = r#"
@@ -44,7 +44,7 @@ fn main() {
     );
 
     let compiler = AutoBraid::new(ScheduleConfig::default());
-    let outcome = compiler.schedule_full(&circuit);
+    let outcome = compiler.schedule(Strategy::Full, &circuit);
     verify_schedule(
         &circuit,
         &outcome.grid,

@@ -7,7 +7,7 @@
 use autobraid::config::{Recording, ScheduleConfig};
 use autobraid::critical_path::critical_path_us;
 use autobraid::report::{format_us, Table};
-use autobraid::{schedule_baseline, AutoBraid};
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::generators::qft::qft;
 
 fn main() {
@@ -25,9 +25,9 @@ fn main() {
     ]);
     for n in [16u32, 50, 100, 200] {
         let circuit = qft(n).expect("n >= 2");
-        let (baseline, _) = schedule_baseline(&circuit, &config);
-        let sp = compiler.schedule_sp(&circuit).result;
-        let full = compiler.schedule_full(&circuit).result;
+        let baseline = compiler.schedule(Strategy::Baseline, &circuit).result;
+        let sp = compiler.schedule(Strategy::Stack, &circuit).result;
+        let full = compiler.schedule(Strategy::Full, &circuit).result;
         table.add_row([
             n.to_string(),
             circuit.len().to_string(),

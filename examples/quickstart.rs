@@ -21,7 +21,7 @@ fn main() {
 
     // Compile with the paper's defaults: d = 33, one cycle = 2.2 µs.
     let compiler = AutoBraid::new(ScheduleConfig::default());
-    let outcome = compiler.schedule_full(&circuit);
+    let outcome = compiler.schedule(Strategy::Full, &circuit);
     let result = &outcome.result;
 
     println!(

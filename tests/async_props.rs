@@ -6,7 +6,7 @@
 use autobraid::async_engine::{schedule_async, verify_async};
 use autobraid::config::ScheduleConfig;
 use autobraid::critical_path::critical_path_cycles;
-use autobraid::AutoBraid;
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::generators::random::random_circuit;
 use autobraid_circuit::sim::circuits_equivalent;
 use autobraid_circuit::{Circuit, Gate};
@@ -32,7 +32,10 @@ fn async_schedules_verify_and_bound() {
 
         let cp = critical_path_cycles(&circuit, schedule.result.timing());
         assert!(schedule.result.total_cycles >= cp);
-        let sync = compiler.schedule_sp(&circuit).result.total_cycles;
+        let sync = compiler
+            .schedule(Strategy::Stack, &circuit)
+            .result
+            .total_cycles;
         assert!(schedule.result.total_cycles <= sync);
     }
 }
@@ -78,7 +81,10 @@ fn async_is_strictly_better_on_mixed_chains() {
     let grid = Grid::with_capacity_for(6);
     let placement = compiler.initial_placement(&circuit, &grid);
     let asynchronous = schedule_async(&circuit, &grid, placement, &config);
-    let sync = compiler.schedule_sp(&circuit).result.total_cycles;
+    let sync = compiler
+        .schedule(Strategy::Stack, &circuit)
+        .result
+        .total_cycles;
     assert!(
         asynchronous.result.total_cycles < sync,
         "async {} should beat sync {sync} on mixed chains",

@@ -3,11 +3,9 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::critical_path::critical_path_cycles;
-use autobraid::maslov::schedule_maslov;
 use autobraid::metrics::verify_schedule;
-use autobraid::{schedule_baseline, AutoBraid};
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::{generators, Circuit};
-use autobraid_lattice::Grid;
 
 fn workloads() -> Vec<Circuit> {
     vec![
@@ -34,18 +32,25 @@ fn every_scheduler_produces_a_verified_schedule_on_every_family() {
         let name = circuit.name().to_string();
         let cp = critical_path_cycles(&circuit, &config.timing);
 
-        let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
-        let (baseline, base_placement) = schedule_baseline(&circuit, &config);
-        verify_schedule(&circuit, &grid, &base_placement, &baseline)
-            .unwrap_or_else(|e| panic!("{name}/baseline: {e}"));
-        assert!(baseline.total_cycles >= cp, "{name}: baseline below CP");
+        let baseline = compiler.schedule(Strategy::Baseline, &circuit);
+        verify_schedule(
+            &circuit,
+            &baseline.grid,
+            &baseline.initial_placement,
+            &baseline.result,
+        )
+        .unwrap_or_else(|e| panic!("{name}/baseline: {e}"));
+        assert!(
+            baseline.result.total_cycles >= cp,
+            "{name}: baseline below CP"
+        );
 
-        let sp = compiler.schedule_sp(&circuit);
+        let sp = compiler.schedule(Strategy::Stack, &circuit);
         verify_schedule(&circuit, &sp.grid, &sp.initial_placement, &sp.result)
             .unwrap_or_else(|e| panic!("{name}/sp: {e}"));
         assert!(sp.result.total_cycles >= cp, "{name}: sp below CP");
 
-        let full = compiler.schedule_full(&circuit);
+        let full = compiler.schedule(Strategy::Full, &circuit);
         verify_schedule(&circuit, &full.grid, &full.initial_placement, &full.result)
             .unwrap_or_else(|e| panic!("{name}/full: {e}"));
         assert!(full.result.total_cycles >= cp, "{name}: full below CP");
@@ -56,10 +61,15 @@ fn every_scheduler_produces_a_verified_schedule_on_every_family() {
             sp.result.total_cycles
         );
 
-        let (maslov, maslov_placement) = schedule_maslov(&circuit, &config);
-        verify_schedule(&circuit, &grid, &maslov_placement, &maslov)
-            .unwrap_or_else(|e| panic!("{name}/maslov: {e}"));
-        assert!(maslov.total_cycles >= cp, "{name}: maslov below CP");
+        let maslov = compiler.schedule(Strategy::Maslov, &circuit);
+        verify_schedule(
+            &circuit,
+            &maslov.grid,
+            &maslov.initial_placement,
+            &maslov.result,
+        )
+        .unwrap_or_else(|e| panic!("{name}/maslov: {e}"));
+        assert!(maslov.result.total_cycles >= cp, "{name}: maslov below CP");
     }
 }
 
@@ -82,7 +92,7 @@ fn serial_communication_families_hit_critical_path() {
     }
     for circuit in circuits {
         let cp = critical_path_cycles(&circuit, &config.timing);
-        let full = compiler.schedule_full(&circuit);
+        let full = compiler.schedule(Strategy::Full, &circuit);
         assert_eq!(full.result.total_cycles, cp, "{}", circuit.name());
     }
 }
@@ -94,7 +104,7 @@ fn linear_chain_families_hit_critical_path() {
     for n in [9u32, 16, 30, 50] {
         let circuit = generators::ising::ising(n, 2).unwrap();
         let cp = critical_path_cycles(&circuit, &config.timing);
-        let full = compiler.schedule_full(&circuit);
+        let full = compiler.schedule(Strategy::Full, &circuit);
         assert_eq!(full.result.total_cycles, cp, "ising-{n}");
     }
 }
@@ -105,11 +115,21 @@ fn schedulers_are_deterministic_across_processes_worth_of_calls() {
     let compiler = AutoBraid::new(config.clone());
     let circuit = generators::qaoa::qaoa(16, 2, 3, 99).unwrap();
     let runs: Vec<u64> = (0..3)
-        .map(|_| compiler.schedule_full(&circuit).result.total_cycles)
+        .map(|_| {
+            compiler
+                .schedule(Strategy::Full, &circuit)
+                .result
+                .total_cycles
+        })
         .collect();
     assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
     let base: Vec<u64> = (0..3)
-        .map(|_| schedule_baseline(&circuit, &config).0.total_cycles)
+        .map(|_| {
+            compiler
+                .schedule(Strategy::Baseline, &circuit)
+                .result
+                .total_cycles
+        })
         .collect();
     assert!(base.windows(2).all(|w| w[0] == w[1]), "{base:?}");
 }
@@ -119,7 +139,7 @@ fn gate_conservation_in_recorded_schedules() {
     let config = ScheduleConfig::default();
     let compiler = AutoBraid::new(config.clone());
     let circuit = generators::qft::qft(12).unwrap();
-    let outcome = compiler.schedule_sp(&circuit);
+    let outcome = compiler.schedule(Strategy::Stack, &circuit);
     let mut executed = 0usize;
     for step in &outcome.result.steps {
         executed += match step {
@@ -140,7 +160,12 @@ fn bigger_code_distance_means_longer_wall_clock() {
         let config = ScheduleConfig::default()
             .with_timing(TimingModel::new(CodeParams::with_distance(d).unwrap()));
         let compiler = AutoBraid::new(config);
-        times.push(compiler.schedule_sp(&circuit).result.time_us());
+        times.push(
+            compiler
+                .schedule(Strategy::Stack, &circuit)
+                .result
+                .time_us(),
+        );
     }
     assert!(times[0] < times[1] && times[1] < times[2], "{times:?}");
 }

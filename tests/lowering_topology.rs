@@ -4,12 +4,11 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::emit::emit_physical;
-use autobraid::AutoBraid;
-use autobraid::Step;
+use autobraid::{AutoBraid, Step, Strategy};
 use autobraid_circuit::generators::{ising::ising, qft::qft};
 use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::{Cell, CodeParams, Grid, Occupancy, TimingModel, Vertex};
-use autobraid_router::astar::{find_path, SearchLimits};
+use autobraid_router::astar::find_path;
 use autobraid_router::lowering::{lower_step, LatticeOp};
 use autobraid_router::topology::equivalent;
 use autobraid_router::BraidPath;
@@ -25,7 +24,7 @@ fn config_d(d: u32) -> ScheduleConfig {
 fn full_qft_schedule_lowers_to_physical_instructions() {
     let circuit = qft(12).unwrap();
     let compiler = AutoBraid::new(config_d(5));
-    let outcome = compiler.schedule_full(&circuit);
+    let outcome = compiler.schedule(Strategy::Full, &circuit);
     let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 5).unwrap();
     let program = emit_physical(&circuit, &outcome.result, &layout).unwrap();
 
@@ -50,7 +49,7 @@ fn full_qft_schedule_lowers_to_physical_instructions() {
 fn every_scheduled_step_lowers_disjointly() {
     let circuit = ising(16, 2).unwrap();
     let compiler = AutoBraid::new(config_d(3));
-    let outcome = compiler.schedule_sp(&circuit);
+    let outcome = compiler.schedule(Strategy::Stack, &circuit);
     let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 3).unwrap();
     for step in &outcome.result.steps {
         if let Step::Braid { braids, .. } = step {
@@ -77,14 +76,14 @@ fn router_detours_remain_topologically_equivalent_when_free() {
     let grid = Grid::new(5).unwrap();
     let (a, b) = (Cell::new(2, 0), Cell::new(2, 4));
     let occ = Occupancy::new(&grid);
-    let straight = find_path(&grid, &occ, a, b, SearchLimits::default()).unwrap();
+    let straight = find_path(&grid, &occ, a, b, None).unwrap();
 
     let mut blocked = Occupancy::new(&grid);
     for c in 1..=3 {
         blocked.reserve(&grid, Vertex::new(2, c));
         blocked.reserve(&grid, Vertex::new(3, c));
     }
-    let detour = find_path(&grid, &blocked, a, b, SearchLimits::default()).unwrap();
+    let detour = find_path(&grid, &blocked, a, b, None).unwrap();
     assert_ne!(straight, detour);
 
     // No other logical qubits: all detours are equivalent.
@@ -118,7 +117,7 @@ fn all_sixteen_endpoint_configurations_route_and_compare() {
     let (a, b) = (Cell::new(2, 1), Cell::new(2, 4));
     let reference = {
         let occ = Occupancy::new(&grid);
-        find_path(&grid, &occ, a, b, SearchLimits::default()).unwrap()
+        find_path(&grid, &occ, a, b, None).unwrap()
     };
     let mut routed = 0;
     for ca in a.corners() {
@@ -134,7 +133,7 @@ fn all_sixteen_endpoint_configurations_route_and_compare() {
                     occ.reserve(&grid, v);
                 }
             }
-            if let Some(path) = find_path(&grid, &occ, a, b, SearchLimits::default()) {
+            if let Some(path) = find_path(&grid, &occ, a, b, None) {
                 assert_eq!(path.start(), ca);
                 assert_eq!(path.end(), cb);
                 assert!(

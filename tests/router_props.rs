@@ -3,7 +3,7 @@
 //! property-based generation so the suite stays zero-dependency.
 
 use autobraid_lattice::{Cell, Grid, Occupancy, Vertex};
-use autobraid_router::astar::{find_path, find_path_bfs, SearchLimits};
+use autobraid_router::astar::{find_path, find_path_bfs};
 use autobraid_telemetry::Rng64;
 
 fn random_cell(rng: &mut Rng64, l: u32) -> Cell {
@@ -30,8 +30,8 @@ fn astar_is_optimal_under_obstacles() {
                 occ.reserve(&grid, grid.vertex_at(i));
             }
         }
-        let astar = find_path(&grid, &occ, a, b, SearchLimits::default());
-        let bfs = find_path_bfs(&grid, &occ, a, b, SearchLimits::default());
+        let astar = find_path(&grid, &occ, a, b, None);
+        let bfs = find_path_bfs(&grid, &occ, a, b, None);
         match (astar, bfs) {
             (Some(p), Some(q)) => {
                 assert_eq!(p.len(), q.len(), "trial {trial}: length mismatch");
@@ -63,7 +63,7 @@ fn empty_grid_paths_are_tight() {
         if a == b {
             continue;
         }
-        let p = find_path(&grid, &occ, a, b, SearchLimits::default()).expect("reachable");
+        let p = find_path(&grid, &occ, a, b, None).expect("reachable");
         assert_eq!(p.len() as u32, a.corner_distance(b) + 1);
     }
 }
@@ -88,13 +88,9 @@ fn region_constrained_search() {
             .fold(autobraid_lattice::BBox::of_cell(a), |acc, &v| {
                 acc.union(&autobraid_lattice::BBox::of_vertex(v))
             });
-        let limits = SearchLimits {
-            region: Some(region),
-            ..SearchLimits::default()
-        };
-        if let Some(p) = find_path(&grid, &occ, a, b, limits) {
+        if let Some(p) = find_path(&grid, &occ, a, b, Some(region)) {
             assert!(p.confined_to(&region));
-            let free = find_path(&grid, &occ, a, b, SearchLimits::default()).expect("reachable");
+            let free = find_path(&grid, &occ, a, b, None).expect("reachable");
             assert!(p.len() >= free.len());
         }
     }

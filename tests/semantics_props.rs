@@ -5,7 +5,7 @@
 //! zero-dependency.
 
 use autobraid::config::ScheduleConfig;
-use autobraid::{AutoBraid, Step};
+use autobraid::{AutoBraid, Step, Strategy};
 use autobraid_circuit::generators::random::random_circuit;
 use autobraid_circuit::sim::{circuits_equivalent, StateVector};
 use autobraid_circuit::transform::optimize;
@@ -47,7 +47,7 @@ fn scheduled_order_preserves_semantics() {
         let frac = rng.gen_range(0.2..0.8);
         let seed = rng.next_u64();
         let circuit = random_circuit(6, gates, frac, seed).unwrap();
-        let outcome = compiler.schedule_sp(&circuit);
+        let outcome = compiler.schedule(Strategy::Stack, &circuit);
         let order = execution_order(&outcome.result.steps);
         assert_eq!(order.len(), circuit.len());
         let scheduled = reordered(&circuit, &order);
@@ -70,7 +70,7 @@ fn commutation_aware_order_preserves_semantics() {
         let frac = rng.gen_range(0.2..0.8);
         let seed = rng.next_u64();
         let circuit = random_circuit(6, gates, frac, seed).unwrap();
-        let outcome = compiler.schedule_sp(&circuit);
+        let outcome = compiler.schedule(Strategy::Stack, &circuit);
         let order = execution_order(&outcome.result.steps);
         assert_eq!(order.len(), circuit.len());
         let scheduled = reordered(&circuit, &order);
@@ -122,8 +122,14 @@ fn optimize_then_schedule_never_costs_cycles() {
     for seed in 0..5 {
         let circuit = random_circuit(10, 200, 0.5, seed).unwrap();
         let (optimized, stats) = optimize(&circuit, 1e-12);
-        let raw = compiler.schedule_sp(&circuit).result.total_cycles;
-        let opt = compiler.schedule_sp(&optimized).result.total_cycles;
+        let raw = compiler
+            .schedule(Strategy::Stack, &circuit)
+            .result
+            .total_cycles;
+        let opt = compiler
+            .schedule(Strategy::Stack, &optimized)
+            .result
+            .total_cycles;
         assert!(
             opt <= raw,
             "seed {seed}: optimization (−{} gates) must not slow the schedule ({opt} vs {raw})",
