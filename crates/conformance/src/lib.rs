@@ -42,7 +42,7 @@ pub use shrink::shrink;
 /// the kind of subtle corruption the oracle exists to catch.
 #[cfg(test)]
 mod selftest {
-    use crate::oracle::{check_schedule_with_policy, Divergence};
+    use crate::oracle::{check_policy_schedule, Divergence};
     use crate::{shrink, ConformanceCase};
     use autobraid::{RoutePolicy, StackPolicy};
     use autobraid_circuit::generators::qft::qft;
@@ -79,7 +79,7 @@ mod selftest {
 
     fn failure(case: &ConformanceCase) -> Option<Divergence> {
         let mut divergences = Vec::new();
-        check_schedule_with_policy(case, &PathSwappingPolicy, &mut divergences);
+        check_policy_schedule(case, &PathSwappingPolicy, &mut divergences);
         divergences.into_iter().next()
     }
 
@@ -88,7 +88,7 @@ mod selftest {
         // Sanity: the honest policy sails through the same checks.
         let case = ConformanceCase::new(qft(6).unwrap(), 0);
         let mut clean = Vec::new();
-        check_schedule_with_policy(&case, &StackPolicy, &mut clean);
+        check_policy_schedule(&case, &StackPolicy, &mut clean);
         assert!(clean.is_empty(), "{clean:?}");
 
         // The corrupted router must be caught...
