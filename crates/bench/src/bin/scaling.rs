@@ -11,7 +11,8 @@
 //! `--telemetry <path>` (dump the merged `autobraid.telemetry/v1`
 //! snapshot).
 
-use autobraid::pipeline::{CompileOptions, Pipeline};
+use autobraid::config::ScheduleConfig;
+use autobraid::pipeline::Pipeline;
 use autobraid::report::{canonical_compile_report_json, Table};
 use autobraid::runtime::CompileJob;
 use autobraid_bench::{flag_requested, usize_flag};
@@ -19,10 +20,7 @@ use autobraid_circuit::generators::{ising::ising, qaoa::qaoa, qft::qft};
 use std::time::Instant;
 
 fn pipeline(threads: usize) -> Pipeline {
-    Pipeline::new().with_options(CompileOptions {
-        threads,
-        ..CompileOptions::default()
-    })
+    Pipeline::new().with_config(ScheduleConfig::default().with_threads(threads))
 }
 
 /// Wall-clock seconds for one batch compile, panicking on any job error.

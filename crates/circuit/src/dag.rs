@@ -370,28 +370,6 @@ impl<'a> Frontier<'a> {
         }
     }
 
-    /// Completes every currently ready gate whose circuit gate satisfies
-    /// `pred`, returning how many were completed. Useful for draining local
-    /// (single-qubit) gates between braiding rounds.
-    pub fn complete_all_where(&mut self, circuit: &Circuit, pred: impl Fn(&Gate) -> bool) -> usize {
-        let mut count = 0;
-        loop {
-            let batch: Vec<GateId> = self
-                .ready
-                .iter()
-                .copied()
-                .filter(|&g| pred(circuit.gate(g)))
-                .collect();
-            if batch.is_empty() {
-                return count;
-            }
-            for g in batch {
-                self.complete(g);
-                count += 1;
-            }
-        }
-    }
-
     /// A breadth-first topological drain used for validation: repeatedly
     /// completes all ready gates, returning the layer structure.
     pub fn drain_layers(mut self) -> Vec<Vec<GateId>> {
@@ -600,18 +578,6 @@ mod tests {
         f.complete(0);
         // Re-completing a done gate: remaining_preds is 0 but completed.
         f.complete(0);
-    }
-
-    #[test]
-    fn frontier_complete_all_where() {
-        let mut c = Circuit::new(2);
-        c.h(0).h(1).cx(0, 1).h(0);
-        let dag = DependenceDag::new(&c);
-        let mut f = Frontier::new(&dag);
-        // Drains h(0), h(1); the trailing h is blocked behind the CX.
-        let done = f.complete_all_where(&c, |g| !g.is_two_qubit());
-        assert_eq!(done, 2);
-        assert_eq!(f.ready(), &[2]);
     }
 
     #[test]

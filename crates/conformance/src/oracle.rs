@@ -132,14 +132,15 @@ fn check_pipeline_matrix(case: &ConformanceCase, cfg: &OracleConfig, out: &mut V
                     setting: setting.clone(),
                     detail,
                 };
-                let pipeline = Pipeline::new().with_options(CompileOptions {
-                    strategy,
-                    optimize,
-                    verify: true,
-                    telemetry: false,
-                    trace: false,
-                    threads,
-                });
+                let pipeline = Pipeline::new()
+                    .with_config(ScheduleConfig::default().with_threads(threads))
+                    .with_options(CompileOptions {
+                        strategy,
+                        optimize,
+                        verify: true,
+                        telemetry: false,
+                        trace: false,
+                    });
                 let compiled = catch_unwind(AssertUnwindSafe(|| pipeline.compile(&case.circuit)));
                 let report = match compiled {
                     Err(payload) => {
@@ -186,14 +187,15 @@ fn check_pipeline_matrix(case: &ConformanceCase, cfg: &OracleConfig, out: &mut V
     // options.
     for optimize in [false, true] {
         let compile = |strategy| {
-            let pipeline = Pipeline::new().with_options(CompileOptions {
-                strategy,
-                optimize,
-                verify: false,
-                telemetry: false,
-                trace: false,
-                threads: cfg.threads[0],
-            });
+            let pipeline = Pipeline::new()
+                .with_config(ScheduleConfig::default().with_threads(cfg.threads[0]))
+                .with_options(CompileOptions {
+                    strategy,
+                    optimize,
+                    verify: false,
+                    telemetry: false,
+                    trace: false,
+                });
             catch_unwind(AssertUnwindSafe(|| pipeline.compile(&case.circuit)))
         };
         if let (Ok(Ok(full)), Ok(Ok(sp))) = (compile(Strategy::Full), compile(Strategy::Stack)) {
@@ -381,11 +383,15 @@ fn check_streaming_differential(
 
             let options = StreamingOptions::default()
                 .with_strategy(info.strategy)
-                .with_threads(threads)
                 .with_label(case.circuit.name())
                 .with_defects(case.defects.clone());
+            let config = ScheduleConfig::default().with_threads(threads);
             let streamed = catch_unwind(AssertUnwindSafe(|| {
-                let mut stream = StreamingPipeline::open(case.circuit.num_qubits().max(1), options);
+                let mut stream = StreamingPipeline::open_with_config(
+                    case.circuit.num_qubits().max(1),
+                    options,
+                    config.clone(),
+                );
                 for (_, gate) in case.circuit.iter() {
                     stream.push_gate(*gate)?;
                 }
@@ -416,7 +422,7 @@ fn check_streaming_differential(
                 placement.clone(),
                 policy.as_ref(),
                 false,
-                &ScheduleConfig::default().with_threads(threads),
+                &config,
                 &case.base_occupancy(),
             );
 

@@ -46,11 +46,15 @@ pub struct ScheduleConfig {
     /// the plain shared-qubit DAG. An extension beyond the paper; exposed
     /// for the ablation study.
     pub commutation_aware: bool,
-    /// Worker threads for intra-circuit parallelism (concurrent routing
-    /// of independent LLGs, multi-chain annealing portfolios). `0` and
-    /// `1` both mean fully serial. Compile *outputs* are bit-identical
-    /// for every value — parallel paths only precompute what the serial
-    /// order would have produced (see `docs/RUNTIME.md`).
+    /// The thread budget, and the only one (default 1; `0` and `1` both
+    /// mean fully serial). A single compile or stream spends it inside
+    /// the circuit: concurrent routing of independent LLGs, and the
+    /// annealing chains when [`AnnealConfig::chains`] is above 1.
+    /// [`Pipeline::compile_batch`](crate::pipeline::Pipeline::compile_batch)
+    /// spends it across circuits instead.
+    /// Compile *outputs* are bit-identical for every value — parallel
+    /// paths only precompute what the serial order would have produced
+    /// (see `docs/RUNTIME.md`).
     pub threads: usize,
 }
 

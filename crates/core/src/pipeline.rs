@@ -3,9 +3,10 @@
 //! timing — the shape a downstream tool would embed.
 //!
 //! Configuration is carried by [`CompileOptions`] (what to run: strategy,
-//! optimizer, verifier, telemetry, thread budget) next to the scheduling
-//! [`ScheduleConfig`] (how to schedule). Batch compilation over a worker
-//! pool lives in [`crate::runtime`]; the parallel runtime's design and
+//! optimizer, verifier, telemetry) next to the scheduling
+//! [`ScheduleConfig`] (how to schedule, including the one thread budget,
+//! [`ScheduleConfig::threads`]). Batch compilation over a worker pool
+//! lives in [`crate::runtime`]; the parallel runtime's design and
 //! determinism contract are documented in `docs/RUNTIME.md`.
 
 use crate::autobraid::ScheduleOutcome;
@@ -32,7 +33,6 @@ pub use crate::strategy::{Strategy, StrategyInfo};
 ///
 /// let options = CompileOptions {
 ///     strategy: Strategy::Stack,
-///     threads: 4,
 ///     ..CompileOptions::default()
 /// };
 /// assert!(options.verify);
@@ -55,13 +55,6 @@ pub struct CompileOptions {
     /// `docs/METRICS.md`; export with [`Trace::to_chrome_json`] and
     /// replay with [`autobraid_telemetry::explain::explain_trace`].
     pub trace: bool,
-    /// Thread budget (default 1 — fully serial). A single
-    /// [`Pipeline::compile`] spends it inside the compile (parallel LLG
-    /// routing, annealing portfolio); [`Pipeline::compile_batch`] spends
-    /// it across circuits instead. Compile *outputs* are bit-identical
-    /// for every value — see `docs/RUNTIME.md` for the determinism
-    /// contract.
-    pub threads: usize,
 }
 
 impl Default for CompileOptions {
@@ -72,7 +65,6 @@ impl Default for CompileOptions {
             verify: true,
             telemetry: false,
             trace: false,
-            threads: 1,
         }
     }
 }
@@ -291,15 +283,8 @@ impl Pipeline {
         )
     }
 
-    /// The scheduling configuration a compile actually runs with: the
-    /// configured [`ScheduleConfig`] with the thread budget from
-    /// [`CompileOptions::threads`] wired in.
-    fn effective_config(&self) -> ScheduleConfig {
-        self.config.clone().with_threads(self.options.threads)
-    }
-
     fn compile_impl(&self, circuit: &Circuit) -> Result<CompileReport, PipelineError> {
-        let config = self.effective_config();
+        let config = &self.config;
         let mut timings = StageTimings::default();
 
         let started = Instant::now();
@@ -492,21 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn options_threads_reach_schedule_config() {
-        let p = Pipeline::new().with_options(CompileOptions {
-            threads: 4,
-            ..CompileOptions::default()
-        });
-        assert_eq!(p.effective_config().effective_threads(), 4);
-        // threads = 0 normalizes to serial.
-        let p = Pipeline::new().with_options(CompileOptions {
-            threads: 0,
-            ..CompileOptions::default()
-        });
-        assert_eq!(p.effective_config().effective_threads(), 1);
-    }
-
-    #[test]
     fn strategy_all_is_exhaustive_and_ordered() {
         assert_eq!(Strategy::ALL.len(), crate::strategy::REGISTRY.len());
         let names: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
@@ -521,10 +491,7 @@ mod tests {
         let c = qft(8).unwrap();
         let compile = |threads| {
             Pipeline::new()
-                .with_options(CompileOptions {
-                    threads,
-                    ..CompileOptions::default()
-                })
+                .with_config(ScheduleConfig::default().with_threads(threads))
                 .compile(&c)
                 .unwrap()
                 .canonical_json()

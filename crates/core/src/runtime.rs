@@ -4,12 +4,15 @@
 //! [`WorkerPool`] is a channel-fed pool of named worker threads with
 //! panic isolation (a panicking job never takes its worker down) and
 //! graceful shutdown (dropping the pool joins every worker).
-//! [`Pipeline::compile_batch`] fans a slice of [`CompileJob`]s across the
-//! pool and returns results in input order, regardless of completion
-//! order. The design, determinism contract, and telemetry-merge
-//! semantics are documented in `docs/RUNTIME.md`.
+//! [`Pipeline::compile_batch`] fans a slice of [`CompileJob`]s across a
+//! pool sized by the pipeline's one thread budget,
+//! [`ScheduleConfig::threads`](crate::config::ScheduleConfig::threads)
+//! (each job then compiles with one thread), and returns results in
+//! input order, regardless of completion order. The design, determinism
+//! contract, and telemetry-merge semantics are documented in
+//! `docs/RUNTIME.md`.
 
-use crate::pipeline::{CompileOptions, CompileReport, Pipeline, PipelineError};
+use crate::pipeline::{CompileReport, Pipeline, PipelineError};
 use autobraid_circuit::Circuit;
 use autobraid_telemetry::{self as telemetry, TelemetrySnapshot};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -251,7 +254,8 @@ impl Pipeline {
     }
 
     /// Compiles a batch of jobs, fanning them across
-    /// [`CompileOptions::threads`] workers.
+    /// [`ScheduleConfig::threads`](crate::config::ScheduleConfig::threads)
+    /// workers.
     ///
     /// Results come back **in input order** regardless of completion
     /// order, and each compile output is bit-identical to what a serial
@@ -264,14 +268,12 @@ impl Pipeline {
     /// # Examples
     ///
     /// ```
-    /// use autobraid::pipeline::{CompileOptions, Pipeline};
+    /// use autobraid::config::ScheduleConfig;
+    /// use autobraid::pipeline::Pipeline;
     /// use autobraid::runtime::CompileJob;
     /// use autobraid_circuit::generators::qft::qft;
     ///
-    /// let pipeline = Pipeline::new().with_options(CompileOptions {
-    ///     threads: 2,
-    ///     ..CompileOptions::default()
-    /// });
+    /// let pipeline = Pipeline::new().with_config(ScheduleConfig::default().with_threads(2));
     /// let jobs = vec![
     ///     CompileJob::circuit(qft(6)?),
     ///     CompileJob::qasm("qreg q[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2];"),
@@ -282,13 +284,12 @@ impl Pipeline {
     /// # Ok::<(), autobraid_circuit::CircuitError>(())
     /// ```
     pub fn compile_batch(&self, jobs: &[CompileJob]) -> Vec<Result<CompileReport, PipelineError>> {
-        // Each job gets the whole compile-options surface except the
-        // thread budget, which the pool consumes at the batch level.
-        let worker_pipeline = self.clone().with_options(CompileOptions {
-            threads: 1,
-            ..self.options().clone()
-        });
-        let threads = self.options().threads.max(1).min(jobs.len().max(1));
+        // Each job gets the whole configuration except the thread
+        // budget, which the pool consumes at the batch level.
+        let worker_pipeline = self
+            .clone()
+            .with_config(self.config().clone().with_threads(1));
+        let threads = self.config().effective_threads().min(jobs.len().max(1));
         if threads <= 1 {
             return jobs
                 .iter()
@@ -372,6 +373,8 @@ pub fn merged_batch_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ScheduleConfig;
+    use crate::pipeline::CompileOptions;
     use crate::report::canonical_compile_report_json;
     use autobraid_circuit::generators::{ising::ising, qft::qft};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -435,10 +438,7 @@ mod tests {
         let circuits = [qft(8).unwrap(), ising(9, 2).unwrap(), qft(6).unwrap()];
         let jobs: Vec<CompileJob> = circuits.iter().cloned().map(CompileJob::circuit).collect();
         let serial = Pipeline::new();
-        let batched = Pipeline::new().with_options(CompileOptions {
-            threads: 4,
-            ..CompileOptions::default()
-        });
+        let batched = Pipeline::new().with_config(ScheduleConfig::default().with_threads(4));
         let batch_reports = batched.compile_batch(&jobs);
         for (circuit, batch) in circuits.iter().zip(&batch_reports) {
             let expected = serial.compile(circuit).unwrap();
@@ -459,10 +459,7 @@ mod tests {
             CompileJob::circuit(Circuit::new(0)).with_label("poison"),
             CompileJob::circuit(ising(8, 1).unwrap()),
         ];
-        let pipeline = Pipeline::new().with_options(CompileOptions {
-            threads: 2,
-            ..CompileOptions::default()
-        });
+        let pipeline = Pipeline::new().with_config(ScheduleConfig::default().with_threads(2));
         let reports = pipeline.compile_batch(&jobs);
         assert!(reports[0].is_ok());
         match &reports[1] {
@@ -478,11 +475,12 @@ mod tests {
             CompileJob::circuit(qft(8).unwrap()),
             CompileJob::circuit(qft(8).unwrap()),
         ];
-        let pipeline = Pipeline::new().with_options(CompileOptions {
-            telemetry: true,
-            threads: 2,
-            ..CompileOptions::default()
-        });
+        let pipeline = Pipeline::new()
+            .with_config(ScheduleConfig::default().with_threads(2))
+            .with_options(CompileOptions {
+                telemetry: true,
+                ..CompileOptions::default()
+            });
         let reports = pipeline.compile_batch(&jobs);
         let merged = merged_batch_telemetry(&reports).expect("telemetry was on");
         let single = reports[0].as_ref().unwrap().telemetry.as_ref().unwrap();

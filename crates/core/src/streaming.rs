@@ -14,7 +14,10 @@
 //! stepping reuses the same policies ([`crate::scheduler::policy_for`]),
 //! every registry strategy works online; the Maslov swap network — whose
 //! adjacency rule needs its layout move and serpentine placement —
-//! degrades to the stack finder. No layout move runs online.
+//! degrades to the stack finder. No layout move runs online. The policy
+//! routes with the thread budget of the [`ScheduleConfig`] the stream
+//! was opened with ([`StreamingPipeline::open_with_config`]; serial by
+//! default), the same knob a batch compile reads.
 //!
 //! Streaming also accepts *dynamic events* injected mid-run via
 //! [`StreamingPipeline::inject`]:
@@ -68,8 +71,6 @@ pub struct StreamingOptions {
     /// [`Strategy::Full`]; note the layout optimizer never runs online,
     /// so `Full` and `Stack` route identically in a stream).
     pub strategy: Strategy,
-    /// Worker-thread budget handed to the routing policy (default 1).
-    pub threads: usize,
     /// Per-step wall-clock routing budget. `None` (the default) means
     /// unbounded: every ready gate is offered to the router each step.
     /// With a budget, a step that overruns it makes the *next* braiding
@@ -89,7 +90,6 @@ impl Default for StreamingOptions {
     fn default() -> Self {
         StreamingOptions {
             strategy: Strategy::default(),
-            threads: 1,
             step_budget: None,
             label: "stream".to_string(),
             defects: Vec::new(),
@@ -101,12 +101,6 @@ impl StreamingOptions {
     /// Sets the routing strategy.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Sets the worker-thread budget.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -309,14 +303,13 @@ impl StreamingPipeline {
     }
 
     /// Opens a stream with an explicit engine configuration (timing
-    /// model, recording mode). `config.threads` is overridden by
-    /// [`StreamingOptions::threads`].
+    /// model, recording mode, and the thread budget
+    /// [`ScheduleConfig::threads`] handed to the routing policy).
     pub fn open_with_config(
         num_qubits: u32,
         options: StreamingOptions,
         config: ScheduleConfig,
     ) -> Self {
-        let config = config.with_threads(options.threads.max(1));
         let grid = Grid::with_capacity_for(num_qubits.max(2) as usize);
         let placement = Placement::row_major(&grid, num_qubits);
         // Every registry strategy streams: strategies without an online

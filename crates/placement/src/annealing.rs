@@ -9,18 +9,20 @@ use autobraid_router::llg;
 use autobraid_router::path::CxRequest;
 use autobraid_telemetry::{self as telemetry, Rng64};
 
+/// Initial annealing temperature, in objective units.
+const INITIAL_TEMPERATURE: f64 = 2.0;
+/// Geometric cooling factor per proposal.
+const COOLING: f64 = 0.995;
+/// Widest CX layers sampled for the objective.
+const MAX_SAMPLED_LAYERS: usize = 8;
+
 /// Annealing parameters. The defaults are tuned so Table 1 regenerates in
-/// seconds; scale `iterations` with available time.
+/// seconds; scale `iterations` with available time. The temperature
+/// schedule and the objective's layer sample are fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealConfig {
     /// Swap proposals to evaluate.
     pub iterations: usize,
-    /// Initial temperature (in objective units).
-    pub initial_temperature: f64,
-    /// Geometric cooling factor per iteration.
-    pub cooling: f64,
-    /// Maximum number of CX layers sampled for the objective.
-    pub max_sampled_layers: usize,
     /// RNG seed (the optimizer is fully deterministic).
     pub seed: u64,
     /// Independent annealing chains for [`anneal_portfolio`]: each chain
@@ -34,9 +36,6 @@ impl Default for AnnealConfig {
     fn default() -> Self {
         AnnealConfig {
             iterations: 600,
-            initial_temperature: 2.0,
-            cooling: 0.995,
-            max_sampled_layers: 8,
             seed: 0xB81D,
             chains: 1,
         }
@@ -57,8 +56,9 @@ pub struct AnnealOutcome {
     pub accepted_moves: usize,
 }
 
-/// The widest CX layers of the circuit — where oversized LLGs can occur.
-fn sample_layers(circuit: &Circuit, max_layers: usize) -> Vec<Vec<GateId>> {
+/// The [`MAX_SAMPLED_LAYERS`] widest CX layers of the circuit — where
+/// oversized LLGs can occur.
+fn sample_layers(circuit: &Circuit) -> Vec<Vec<GateId>> {
     let profile = ParallelismProfile::analyze(circuit);
     let mut cx_layers: Vec<Vec<GateId>> = profile
         .layers()
@@ -73,7 +73,7 @@ fn sample_layers(circuit: &Circuit, max_layers: usize) -> Vec<Vec<GateId>> {
         .filter(|layer| layer.len() >= 4) // LLGs of size > 3 need ≥ 4 CXs
         .collect();
     cx_layers.sort_by_key(|layer| std::cmp::Reverse(layer.len()));
-    cx_layers.truncate(max_layers);
+    cx_layers.truncate(MAX_SAMPLED_LAYERS);
     cx_layers
 }
 
@@ -340,7 +340,7 @@ pub fn anneal(
         "inconsistent starting placement"
     );
     let _span = telemetry::fine_span("anneal");
-    let layers = sample_layers(circuit, config.max_sampled_layers);
+    let layers = sample_layers(circuit);
     let initial_objective = llg_objective(circuit, &layers, &initial);
     let n = circuit.num_qubits();
 
@@ -369,7 +369,7 @@ pub fn anneal(
     );
     let mut best = initial;
     let mut best_obj = initial_objective;
-    let mut temperature = config.initial_temperature;
+    let mut temperature = INITIAL_TEMPERATURE;
     let mut accepted = 0usize;
 
     // Effort auto-scaling: one objective evaluation costs roughly
@@ -437,7 +437,7 @@ pub fn anneal(
                 cache.revert();
             }
         }
-        temperature *= config.cooling;
+        temperature *= COOLING;
     }
 
     // Per-anneal profiling detail: skipped for always-on ambient
@@ -576,7 +576,7 @@ mod tests {
         let grid = Grid::with_capacity_for(16);
         let mut start = crate::linear::place_along_serpentine(&grid, &(0..16).collect::<Vec<_>>());
         start.swap_qubits(2, 13);
-        let layers = sample_layers(&c, 8);
+        let layers = sample_layers(&c);
         let damaged = llg_objective(&c, &layers, &start);
         assert!(damaged > 0, "the perturbation must create oversized LLGs");
         let out = anneal(

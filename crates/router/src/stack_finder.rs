@@ -219,7 +219,17 @@ pub fn route_stack_flat(
     requests: &[CxRequest],
 ) -> RouteOutcome {
     let mut outcome = RouteOutcome::default();
-    let mut graph = InterferenceGraph::build(requests);
+    let order = stack_order(requests, InterferenceGraph::build(requests));
+    route_in_order(grid, occupancy, requests, order, &mut outcome);
+    outcome
+}
+
+/// The stack-based routing order over `graph`'s live nodes (paper
+/// Fig. 13): peel max-degree nodes onto a stack until max degree ≤ 2,
+/// then route the residual nodes by priority (highest first) and
+/// smallest bounding box, then the stack LIFO — the last (most
+/// interfering / largest) node removed routes last.
+fn stack_order(requests: &[CxRequest], mut graph: InterferenceGraph) -> Vec<usize> {
     let mut stack: Vec<usize> = Vec::new();
     while graph.max_degree() > 2 {
         let candidates = graph.max_degree_nodes();
@@ -227,11 +237,20 @@ pub fn route_stack_flat(
             .iter()
             .max_by_key(|&&i| tie_break_key(&requests[i]))
             .expect("max_degree > 2 implies a live node");
+        if telemetry::fine_decisions_enabled() {
+            telemetry::decision(&telemetry::Decision::StackPeel {
+                gate: requests[chosen].id,
+                degree: graph.max_degree(),
+            });
+        }
         stack.push(chosen);
         graph.remove(chosen);
     }
-    let mut residual = graph.live_nodes();
-    residual.sort_by_key(|&i| {
+    telemetry::fine_observe("router.stack.peel_depth", stack.len() as f64);
+    telemetry::fine_observe("router.stack.residual_degree", graph.max_degree() as f64);
+
+    let mut order = graph.live_nodes();
+    order.sort_by_key(|&i| {
         let b = requests[i].outer_bbox();
         (
             std::cmp::Reverse(requests[i].priority),
@@ -240,10 +259,8 @@ pub fn route_stack_flat(
             i,
         )
     });
-    // LIFO order: the last (most interfering / largest) removed routes last.
-    let order = residual.into_iter().chain(stack.into_iter().rev());
-    route_in_order(grid, occupancy, requests, order, &mut outcome);
-    outcome
+    order.extend(stack.into_iter().rev());
+    order
 }
 
 fn route_stack_order(
@@ -306,40 +323,7 @@ fn route_stack_order(
         }
     }
     telemetry::fine_observe("router.stack.initial_degree", graph.max_degree() as f64);
-    let mut stack: Vec<usize> = Vec::new();
-    while graph.max_degree() > 2 {
-        let candidates = graph.max_degree_nodes();
-        let &chosen = candidates
-            .iter()
-            .max_by_key(|&&i| tie_break_key(&requests[i]))
-            .expect("max_degree > 2 implies a live node");
-        if telemetry::fine_decisions_enabled() {
-            telemetry::decision(&telemetry::Decision::StackPeel {
-                gate: requests[chosen].id,
-                degree: graph.max_degree(),
-            });
-        }
-        stack.push(chosen);
-        graph.remove(chosen);
-    }
-    telemetry::fine_observe("router.stack.peel_depth", stack.len() as f64);
-    telemetry::fine_observe("router.stack.residual_degree", graph.max_degree() as f64);
-
-    // Route the residual graph, smallest bounding boxes first so short
-    // local pairs keep their short paths.
-    let mut residual = graph.live_nodes();
-    residual.sort_by_key(|&i| {
-        let b = requests[i].outer_bbox();
-        (
-            std::cmp::Reverse(requests[i].priority),
-            b.area(),
-            b.width(),
-            i,
-        )
-    });
-
-    // LIFO order: the last (most interfering / largest) removed routes last.
-    let order = residual.into_iter().chain(stack.into_iter().rev());
+    let order = stack_order(requests, graph);
     route_in_order(grid, occupancy, requests, order, &mut outcome);
     repair_failures(grid, occupancy, requests, &mut outcome);
     outcome

@@ -73,7 +73,6 @@ pub struct CompileOutcome {
 /// One connection to an `autobraidd` instance.
 pub struct Client {
     stream: TcpStream,
-    max_frame_bytes: usize,
 }
 
 impl Client {
@@ -87,10 +86,7 @@ impl Client {
         // Request/response ping-pong with small frames: Nagle buys
         // nothing and costs a delayed-ACK round trip per exchange.
         stream.set_nodelay(true)?;
-        Ok(Client {
-            stream,
-            max_frame_bytes: DEFAULT_MAX_FRAME,
-        })
+        Ok(Client { stream })
     }
 
     /// One raw request/response exchange with an already-rendered
@@ -103,7 +99,7 @@ impl Client {
     /// typed error response.
     pub fn request(&mut self, request: &JsonValue) -> Result<JsonValue, ClientError> {
         write_frame(&mut self.stream, &request.render_compact())?;
-        let payload = read_frame(&mut self.stream, self.max_frame_bytes)?
+        let payload = read_frame(&mut self.stream, DEFAULT_MAX_FRAME)?
             .ok_or_else(|| ClientError::Protocol("server closed before responding".into()))?;
         let doc = JsonValue::parse(&payload)
             .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;

@@ -11,7 +11,7 @@
 use crate::cache::{CacheKey, CacheStats, CanonicalSource, ReportCache};
 use crate::protocol::{
     read_frame, write_frame, CacheStatus, CompileRequest, ErrorKind, FrameError, Request,
-    ServiceError, SessionOpen, SourceFormat, MAX_QUBITS, PROTOCOL,
+    ServiceError, SessionOpen, SourceFormat, DEFAULT_MAX_FRAME, MAX_QUBITS, PROTOCOL,
 };
 use autobraid::pipeline::{CompileOptions, CompileReport, Pipeline, PipelineError, Strategy};
 use autobraid::report::canonical_compile_report_json;
@@ -35,6 +35,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Upper clamp on any request's deadline, in milliseconds.
+const MAX_TIMEOUT_MS: u64 = 300_000;
+
 /// Everything tunable about a daemon instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -48,12 +51,9 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Content-addressed cache capacity in reports (0 disables caching).
     pub cache_capacity: usize,
-    /// Deadline applied when a request does not set `timeout_ms`.
+    /// Deadline applied when a request does not set `timeout_ms`. Every
+    /// deadline, this one included, is clamped to 300 000 ms.
     pub default_timeout_ms: u64,
-    /// Upper clamp on any request's deadline.
-    pub max_timeout_ms: u64,
-    /// Per-frame payload cap.
-    pub max_frame_bytes: usize,
     /// How long an open streaming session may sit idle (no frames from
     /// the client) before the server times it out, releases its queue
     /// slot, and closes the connection with a typed `timeout` error.
@@ -74,9 +74,6 @@ pub struct ServiceConfig {
     /// (`req-<id>-<reason>.trace.json`). Empty disables dumping
     /// entirely; the directory is created on first dump.
     pub dump_dir: String,
-    /// Compile defaults a request can override per-field (`threads` is
-    /// ignored: batch parallelism belongs to the pool).
-    pub defaults: CompileOptions,
 }
 
 impl Default for ServiceConfig {
@@ -87,13 +84,10 @@ impl Default for ServiceConfig {
             queue_capacity: 32,
             cache_capacity: 256,
             default_timeout_ms: 30_000,
-            max_timeout_ms: 300_000,
-            max_frame_bytes: crate::protocol::DEFAULT_MAX_FRAME,
             session_idle_timeout_ms: 30_000,
             max_session_steps: 4096,
             slow_request_ms: 0,
             dump_dir: "target/flight-dumps".to_string(),
-            defaults: CompileOptions::default(),
         }
     }
 }
@@ -344,7 +338,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         // a read deadline while one is open.
         let idle = Duration::from_millis(shared.config.session_idle_timeout_ms.max(1));
         let _ = read.set_read_timeout(session.as_ref().map(|_| idle));
-        let payload = match read_frame(&mut read, shared.config.max_frame_bytes) {
+        let payload = match read_frame(&mut read, DEFAULT_MAX_FRAME) {
             Ok(Some(payload)) => payload,
             Ok(None) => break, // clean close
             Err(FrameError::TooLarge { announced, max }) => {
@@ -674,7 +668,7 @@ fn handle_session_open(
     };
     telemetry::counter("service.sessions.opened", 1);
     telemetry::decision(&Decision::SessionOpened { id: request_id });
-    let strategy = open.strategy.unwrap_or(shared.config.defaults.strategy);
+    let strategy = open.strategy.unwrap_or_default();
     let mut options = StreamingOptions::default()
         .with_strategy(strategy)
         .with_defects(open.defects.clone());
@@ -919,7 +913,7 @@ fn stats_response(shared: &Arc<Shared>) -> JsonValue {
 }
 
 /// The effective compile settings after merging request overrides into
-/// the server defaults.
+/// the [`CompileOptions::default`] values.
 struct Effective {
     strategy: Strategy,
     optimize: bool,
@@ -932,10 +926,11 @@ fn handle_compile(
     request_id: u64,
 ) -> Result<Reply, ServiceError> {
     let start = Instant::now();
+    let defaults = CompileOptions::default();
     let effective = Effective {
-        strategy: req.strategy.unwrap_or(shared.config.defaults.strategy),
-        optimize: req.optimize.unwrap_or(shared.config.defaults.optimize),
-        verify: req.verify.unwrap_or(shared.config.defaults.verify),
+        strategy: req.strategy.unwrap_or(defaults.strategy),
+        optimize: req.optimize.unwrap_or(defaults.optimize),
+        verify: req.verify.unwrap_or(defaults.verify),
     };
 
     let cacheable = req.use_cache && !req.telemetry && !req.trace;
@@ -1026,7 +1021,7 @@ fn handle_compile(
     let deadline = req
         .timeout_ms
         .unwrap_or(shared.config.default_timeout_ms)
-        .min(shared.config.max_timeout_ms);
+        .min(MAX_TIMEOUT_MS);
     let result = match rx.recv_timeout(Duration::from_millis(deadline)) {
         Ok(result) => result,
         Err(RecvTimeoutError::Timeout) => {
@@ -1153,7 +1148,6 @@ fn build_pipeline(req: &CompileRequest, effective: &Effective) -> Result<Pipelin
         verify: effective.verify,
         telemetry: req.telemetry,
         trace: req.trace,
-        threads: 1,
     });
     if let Some(d) = req.distance {
         let params = CodeParams::with_distance(d).map_err(|e| {
@@ -1275,7 +1269,7 @@ mod tests {
             .expect("read timeout");
         let mut exchange = |request: JsonValue| {
             write_frame(&mut stream, &request.render_compact()).expect("send");
-            let frame = read_frame(&mut stream, crate::protocol::DEFAULT_MAX_FRAME)
+            let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME)
                 .expect("the daemon answers")
                 .expect("a frame");
             JsonValue::parse(&frame).expect("JSON")

@@ -112,20 +112,9 @@ impl FlightRecorder {
 
     fn push(&self, decision: &Decision) {
         let ts_ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let key = crate::trace::thread_key();
         let request = crate::current_request();
         let mut inner = self.inner.lock().unwrap();
-        let track = match inner.tracks.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                let name = std::thread::current()
-                    .name()
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("thread-{key}"));
-                inner.tracks.push((key, name));
-                inner.tracks.len() - 1
-            }
-        };
+        let track = crate::trace::current_track(&mut inner.tracks);
         if inner.events.len() >= self.capacity {
             inner.events.pop_front();
             self.overwritten.fetch_add(1, Ordering::Relaxed);

@@ -454,8 +454,24 @@ thread_local! {
 /// This thread's stable track key, shared by every event recorder
 /// ([`TraceRecorder`], [`crate::FlightRecorder`]) so the same thread
 /// maps to the same track in each.
-pub(crate) fn thread_key() -> u64 {
+fn thread_key() -> u64 {
     THREAD_KEY.with(|k| *k)
+}
+
+/// The calling thread's index in a recorder's `(thread_key, name)`
+/// track table, appending a track named after the thread (or
+/// `thread-{key}` when it has no name) the first time it records.
+pub(crate) fn current_track(tracks: &mut Vec<(u64, String)>) -> usize {
+    let key = thread_key();
+    if let Some(i) = tracks.iter().position(|(k, _)| *k == key) {
+        return i;
+    }
+    let name = std::thread::current()
+        .name()
+        .map(str::to_string)
+        .unwrap_or_else(|| format!("thread-{key}"));
+    tracks.push((key, name));
+    tracks.len() - 1
 }
 
 /// A [`Recorder`] that keeps every event.
@@ -501,20 +517,9 @@ impl TraceRecorder {
 
     fn push(&self, kind: TraceEventKind) {
         let ts_ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let key = thread_key();
         let request = crate::current_request();
         let mut inner = self.inner.lock().unwrap();
-        let track = match inner.tracks.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                let name = std::thread::current()
-                    .name()
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("thread-{key}"));
-                inner.tracks.push((key, name));
-                inner.tracks.len() - 1
-            }
-        };
+        let track = current_track(&mut inner.tracks);
         let seq = inner.events.len() as u64;
         inner.events.push(TraceEvent {
             ts_ns,

@@ -6,7 +6,10 @@
 //! the runtime's own.
 
 use autobraid::prelude::*;
+use autobraid::streaming::{StreamingOptions, StreamingPipeline};
 use autobraid_circuit::generators::{cc::counterfeit_coin, ising::ising, qft::qft};
+use autobraid_telemetry::{self as telemetry, MemoryRecorder};
+use std::sync::Arc;
 
 /// The canonical (measurement-free) form of a report, as a JSON string.
 fn canonical(report: &CompileReport) -> String {
@@ -14,10 +17,7 @@ fn canonical(report: &CompileReport) -> String {
 }
 
 fn pipeline_with_threads(threads: usize) -> Pipeline {
-    Pipeline::new().with_options(CompileOptions {
-        threads,
-        ..CompileOptions::default()
-    })
+    Pipeline::new().with_config(ScheduleConfig::default().with_threads(threads))
 }
 
 fn sample_circuits() -> Vec<Circuit> {
@@ -92,9 +92,8 @@ fn batch_covers_every_strategy_deterministically() {
     // swept here automatically.
     for strategy in Strategy::ALL {
         let make = |threads| {
-            Pipeline::new().with_options(CompileOptions {
+            pipeline_with_threads(threads).with_options(CompileOptions {
                 strategy,
-                threads,
                 ..CompileOptions::default()
             })
         };
@@ -143,9 +142,8 @@ fn merged_batch_telemetry_sums_job_counters() {
         CompileJob::circuit(qft(10).unwrap()),
         CompileJob::circuit(qft(10).unwrap()),
     ];
-    let pipeline = Pipeline::new().with_options(CompileOptions {
+    let pipeline = pipeline_with_threads(2).with_options(CompileOptions {
         telemetry: true,
-        threads: 2,
         ..CompileOptions::default()
     });
     let reports = pipeline.compile_batch(&jobs);
@@ -159,4 +157,36 @@ fn merged_batch_telemetry_sums_job_counters() {
         .counter("scheduler.steps.braid");
     assert!(per_job > 0);
     assert_eq!(merged.counter("scheduler.steps.braid"), 3 * per_job);
+}
+
+#[test]
+fn config_threads_reach_the_router() {
+    // `ScheduleConfig::threads` is the one thread budget: a batch
+    // compile and a stream opened with four threads must both take the
+    // parallel LLG routing path.
+    let circuit = ising(25, 2).unwrap();
+    let report = pipeline_with_threads(4)
+        .with_options(CompileOptions {
+            telemetry: true,
+            ..CompileOptions::default()
+        })
+        .compile(&circuit)
+        .unwrap();
+    let snapshot = report.telemetry.expect("telemetry enabled");
+    assert!(snapshot.counter("router.llg.parallel_commits") > 0);
+
+    let recorder = Arc::new(MemoryRecorder::new());
+    {
+        let _guard = telemetry::install(recorder.clone());
+        let mut stream = StreamingPipeline::open_with_config(
+            circuit.num_qubits(),
+            StreamingOptions::default(),
+            ScheduleConfig::default().with_threads(4),
+        );
+        for (_, gate) in circuit.iter() {
+            stream.push_gate(*gate).unwrap();
+        }
+        stream.finish().unwrap();
+    }
+    assert!(recorder.snapshot().counter("router.llg.parallel_commits") > 0);
 }

@@ -16,6 +16,7 @@
 //! unaffected.
 
 use autobraid::pipeline::{CompileOptions, Pipeline, Strategy};
+use autobraid::ScheduleConfig;
 use autobraid_circuit::generators::{
     bv::bv_all_ones, cc::counterfeit_coin, ising::ising, qft::qft,
 };
@@ -38,14 +39,15 @@ fn reference_lock() -> MutexGuard<'static, ()> {
 /// Compiles `circuit` under `strategy`/`threads` and returns the
 /// canonical (timing-stripped) report rendering.
 fn canonical(circuit: &Circuit, strategy: Strategy, threads: usize) -> String {
-    let pipeline = Pipeline::new().with_options(CompileOptions {
-        strategy,
-        optimize: true,
-        verify: true,
-        telemetry: false,
-        trace: false,
-        threads,
-    });
+    let pipeline = Pipeline::new()
+        .with_config(ScheduleConfig::default().with_threads(threads))
+        .with_options(CompileOptions {
+            strategy,
+            optimize: true,
+            verify: true,
+            telemetry: false,
+            trace: false,
+        });
     pipeline
         .compile(circuit)
         .expect("conformance circuits compile")

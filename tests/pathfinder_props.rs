@@ -115,14 +115,15 @@ fn adversarial_bursts_route_deterministically() {
 fn pathfinder_strategies_agree_with_simulator_oracle() {
     let circuit = qft(7).unwrap();
     for strategy in [Strategy::PathFinder, Strategy::Portfolio] {
-        let pipeline = Pipeline::new().with_options(CompileOptions {
-            strategy,
-            optimize: true,
-            verify: true,
-            telemetry: false,
-            trace: false,
-            threads: 1,
-        });
+        let pipeline = Pipeline::new()
+            .with_config(ScheduleConfig::default().with_threads(1))
+            .with_options(CompileOptions {
+                strategy,
+                optimize: true,
+                verify: true,
+                telemetry: false,
+                trace: false,
+            });
         let report = pipeline
             .compile(&circuit)
             .unwrap_or_else(|e: PipelineError| panic!("{strategy:?}: {e}"));

@@ -10,7 +10,8 @@ use autobraid::critical_path::critical_path_cycles;
 use autobraid::pipeline::{CompileOptions, Pipeline};
 use autobraid::report::schedule_result_json;
 use autobraid::{
-    verify_schedule_with_dag, ScheduleResult, Step, StreamingOptions, StreamingPipeline, REGISTRY,
+    verify_schedule_with_dag, ScheduleConfig, ScheduleResult, Step, StreamingOptions,
+    StreamingPipeline, REGISTRY,
 };
 use autobraid_circuit::generators::ising::ising;
 use autobraid_circuit::generators::qft::qft;
@@ -95,9 +96,10 @@ fn unbudgeted_stream_matches_offline_pipeline_semantics() {
 
                 let options = StreamingOptions::default()
                     .with_strategy(info.strategy)
-                    .with_threads(threads)
                     .with_label(circuit.name());
-                let mut stream = StreamingPipeline::open(circuit.num_qubits(), options);
+                let config = ScheduleConfig::default().with_threads(threads);
+                let mut stream =
+                    StreamingPipeline::open_with_config(circuit.num_qubits(), options, config);
                 for (_, gate) in circuit.iter() {
                     stream.push_gate(*gate).expect("in-range gate");
                 }
@@ -106,9 +108,9 @@ fn unbudgeted_stream_matches_offline_pipeline_semantics() {
                 });
 
                 let offline = Pipeline::new()
+                    .with_config(ScheduleConfig::default().with_threads(threads))
                     .with_options(CompileOptions {
                         strategy: info.strategy,
-                        threads,
                         ..CompileOptions::default()
                     })
                     .compile(&circuit)
@@ -159,9 +161,10 @@ fn stream_schedule_is_thread_invariant() {
             for threads in THREADS {
                 let options = StreamingOptions::default()
                     .with_strategy(info.strategy)
-                    .with_threads(threads)
                     .with_label(circuit.name());
-                let mut stream = StreamingPipeline::open(circuit.num_qubits(), options);
+                let config = ScheduleConfig::default().with_threads(threads);
+                let mut stream =
+                    StreamingPipeline::open_with_config(circuit.num_qubits(), options, config);
                 for (_, gate) in circuit.iter() {
                     stream.push_gate(*gate).expect("in-range gate");
                 }

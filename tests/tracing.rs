@@ -10,6 +10,7 @@
 
 use autobraid::pipeline::{CompileOptions, Pipeline};
 use autobraid::runtime::{CompileJob, WorkerPool};
+use autobraid::ScheduleConfig;
 use autobraid_circuit::generators::ising::ising;
 use autobraid_circuit::generators::qft::qft;
 use autobraid_telemetry::explain::explain_trace;
@@ -17,11 +18,12 @@ use autobraid_telemetry::{install, Decision, JsonValue, Trace, TraceEventKind, T
 use std::sync::{Arc, Barrier};
 
 fn batch_pipeline(threads: usize, trace: bool) -> Pipeline {
-    Pipeline::new().with_options(CompileOptions {
-        threads,
-        trace,
-        ..CompileOptions::default()
-    })
+    Pipeline::new()
+        .with_config(ScheduleConfig::default().with_threads(threads))
+        .with_options(CompileOptions {
+            trace,
+            ..CompileOptions::default()
+        })
 }
 
 fn qft_jobs(n: usize) -> Vec<CompileJob> {
