@@ -407,17 +407,7 @@ pub fn trace_sink() -> Option<TraceSink> {
         if arg == "--trace" {
             let path = args.next().unwrap_or_else(|| "-".into());
             let recorder = std::sync::Arc::new(TraceRecorder::new());
-            let installed: std::sync::Arc<dyn autobraid_telemetry::Recorder> =
-                match autobraid_telemetry::current() {
-                    Some(existing) => {
-                        std::sync::Arc::new(autobraid_telemetry::FanoutRecorder::new(vec![
-                            existing,
-                            recorder.clone(),
-                        ]))
-                    }
-                    None => recorder.clone(),
-                };
-            let guard = install(installed);
+            let guard = autobraid_telemetry::install_alongside(recorder.clone());
             return Some(TraceSink {
                 recorder,
                 path,

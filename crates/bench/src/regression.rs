@@ -28,10 +28,7 @@ use autobraid_router::route_negotiated;
 use autobraid_router::stack_finder::route_concurrent;
 use autobraid_service::{Client, CompileRequest, Server, ServiceConfig};
 use autobraid_telemetry::bench::black_box;
-use autobraid_telemetry::{
-    install, FanoutRecorder, FlightRecorder, JsonValue, MemoryRecorder, Recorder, Rng64,
-    WindowedRecorder,
-};
+use autobraid_telemetry::{AmbientStack, JsonValue, Rng64};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -465,9 +462,8 @@ pub fn suite() -> Vec<BenchCase> {
 
 /// The `bench observe` pair: the same `qft(10)` end-to-end compile
 /// measured bare (`compile/qft`, the suite's reference entry) and under
-/// the service's always-on ambient observability stack — lifetime
-/// aggregates, windowed metrics, and the flight recorder fanned out
-/// exactly as `autobraidd` installs them. The "on" case doubles as the
+/// the service's always-on [`AmbientStack`] — the type `autobraidd`
+/// installs. The "on" case doubles as the
 /// suite's `observe/overhead` entry; the delta between the two is the
 /// cost of observability, which `docs/METRICS.md` budgets at <2% of
 /// the bare median.
@@ -480,15 +476,11 @@ pub fn observe_cases() -> (BenchCase, BenchCase) {
         }),
     };
     let circuit = qft(10).expect("qft builds");
-    let ambient: Arc<dyn Recorder> = Arc::new(FanoutRecorder::new(vec![
-        Arc::new(MemoryRecorder::ambient()),
-        Arc::new(WindowedRecorder::new()),
-        Arc::new(FlightRecorder::new()),
-    ]));
+    let ambient = AmbientStack::new();
     let on = BenchCase {
         name: "observe/overhead",
         run: Box::new(move || {
-            let _ambient = install(Arc::clone(&ambient));
+            let _ambient = ambient.install();
             black_box(Pipeline::new().compile(&circuit).expect("compiles"));
         }),
     };
@@ -601,52 +593,15 @@ pub fn run_baseline(repeats: usize, mut progress: impl FnMut(&str, f64)) -> Base
     }
 }
 
-/// One entry that slowed down past its allowed threshold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Suite entry name.
-    pub name: String,
-    /// Recorded normalized score.
-    pub base_normalized: f64,
-    /// Fresh normalized score.
-    pub fresh_normalized: f64,
-    /// `fresh / base`.
-    pub ratio: f64,
-    /// The noise-aware threshold the ratio exceeded.
-    pub allowed: f64,
-}
-
-/// Compares a fresh run against the recorded baseline.
-///
-/// The per-entry threshold is `BASE_SLACK` widened by both runs'
-/// measured dispersion (and capped): an entry regresses only when its
-/// machine-normalized score grows beyond what the noise of either
-/// measurement can explain. Entries present in only one of the two
-/// baselines are skipped — the gate compares, it does not enforce
-/// suite membership.
-pub fn compare(base: &Baseline, fresh: &Baseline) -> Vec<Regression> {
-    classify(base, fresh)
-        .into_iter()
-        .filter(Comparison::regressed)
-        .map(|c| Regression {
-            name: c.name,
-            base_normalized: c.base_normalized,
-            fresh_normalized: c.fresh_normalized,
-            ratio: c.ratio,
-            allowed: c.allowed,
-        })
-        .collect()
-}
-
 /// Fraction of its allowed threshold an entry must consume to count as
 /// *near-threshold* in [`Comparison::is_near_threshold`]: close enough
 /// that the next bit of drift would fire the gate.
 pub const NEAR_THRESHOLD: f64 = 0.9;
 
 /// One suite entry's comparison against the baseline — regressed or
-/// not. [`compare`] keeps only the failures; perf-gate tooling that
-/// also wants the *near misses* (for proactive tracing) uses
-/// [`classify`] and [`Comparison::is_near_threshold`].
+/// not. The gate fails on [`Comparison::regressed`] entries; perf-gate
+/// tooling that also wants the *near misses* (for proactive tracing)
+/// reads [`Comparison::is_near_threshold`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// Suite entry name.
@@ -675,8 +630,14 @@ impl Comparison {
 }
 
 /// Compares every shared suite entry against the baseline, regressed
-/// or not, using the same noise-aware threshold as [`compare`].
-/// Entries present in only one of the two baselines are skipped.
+/// or not.
+///
+/// The per-entry threshold is `BASE_SLACK` widened by both runs'
+/// measured dispersion (and capped): an entry regresses only when its
+/// machine-normalized score grows beyond what the noise of either
+/// measurement can explain. Entries present in only one of the two
+/// baselines are skipped — the gate compares, it does not enforce
+/// suite membership.
 pub fn classify(base: &Baseline, fresh: &Baseline) -> Vec<Comparison> {
     let mut out = Vec::new();
     for b in &base.entries {
@@ -720,6 +681,14 @@ mod tests {
         }
     }
 
+    /// The entries the gate fails on.
+    fn regressed(base: &Baseline, fresh: &Baseline) -> Vec<Comparison> {
+        classify(base, fresh)
+            .into_iter()
+            .filter(Comparison::regressed)
+            .collect()
+    }
+
     #[test]
     fn json_round_trips() {
         let b = baseline(vec![
@@ -745,21 +714,21 @@ mod tests {
     #[test]
     fn identical_runs_pass() {
         let b = baseline(vec![entry("a", 10.0, 0.05), entry("b", 2.0, 0.01)]);
-        assert!(compare(&b, &b).is_empty());
+        assert!(regressed(&b, &b).is_empty());
     }
 
     #[test]
     fn small_drift_within_slack_passes() {
         let base = baseline(vec![entry("a", 10.0, 0.05)]);
         let fresh = baseline(vec![entry("a", 12.0, 0.05)]); // +20% < 35% slack
-        assert!(compare(&base, &fresh).is_empty());
+        assert!(regressed(&base, &fresh).is_empty());
     }
 
     #[test]
     fn large_slowdown_fires() {
         let base = baseline(vec![entry("a", 10.0, 0.02), entry("b", 5.0, 0.02)]);
         let fresh = baseline(vec![entry("a", 25.0, 0.02), entry("b", 5.1, 0.02)]);
-        let regressions = compare(&base, &fresh);
+        let regressions = regressed(&base, &fresh);
         assert_eq!(regressions.len(), 1);
         let r = &regressions[0];
         assert_eq!(r.name, "a");
@@ -773,7 +742,7 @@ mod tests {
         // the noisy one whose dispersion explains it.
         let base = baseline(vec![entry("quiet", 10.0, 0.0), entry("noisy", 10.0, 0.4)]);
         let fresh = baseline(vec![entry("quiet", 16.0, 0.0), entry("noisy", 16.0, 0.4)]);
-        let regressions = compare(&base, &fresh);
+        let regressions = regressed(&base, &fresh);
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].name, "quiet");
     }
@@ -800,8 +769,8 @@ mod tests {
         assert!(!by_name("ok").regressed() && !by_name("ok").is_near_threshold());
         assert!(!by_name("near").regressed() && by_name("near").is_near_threshold());
         assert!(by_name("fired").regressed() && !by_name("fired").is_near_threshold());
-        // compare() remains exactly the regressed subset.
-        let regressions = compare(&base, &fresh);
+        // The gate fails on exactly the regressed subset.
+        let regressions = regressed(&base, &fresh);
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].name, "fired");
     }
@@ -810,7 +779,7 @@ mod tests {
     fn missing_entries_are_skipped_not_errors() {
         let base = baseline(vec![entry("gone", 10.0, 0.0)]);
         let fresh = baseline(vec![entry("new", 10.0, 0.0)]);
-        assert!(compare(&base, &fresh).is_empty());
+        assert!(regressed(&base, &fresh).is_empty());
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl Circuit {
         self.gates.iter().filter(|g| g.is_two_qubit()).count()
     }
 
-    /// Number of single-qubit (local) gates.
-    pub fn single_qubit_count(&self) -> usize {
-        self.len() - self.two_qubit_count()
-    }
-
     /// Appends an already-constructed gate.
     ///
     /// # Panics
@@ -290,7 +285,6 @@ mod tests {
         c.h(0).cx(0, 1).cz(1, 2).cphase(0.25, 2, 3).t(3).swap(0, 3);
         assert_eq!(c.len(), 6);
         assert_eq!(c.two_qubit_count(), 4);
-        assert_eq!(c.single_qubit_count(), 2);
     }
 
     #[test]

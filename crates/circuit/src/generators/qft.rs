@@ -44,18 +44,6 @@ pub fn qft(n: u32) -> Result<Circuit, CircuitError> {
     Ok(c)
 }
 
-/// QFT followed by its mirror (approximate inverse), doubling depth while
-/// keeping the all-to-all pattern. Used to stress schedulers in tests.
-pub fn qft_mirrored(n: u32) -> Result<Circuit, CircuitError> {
-    let forward = qft(n)?;
-    let mut c = Circuit::named(n, format!("qft{n}_mirror"));
-    c.extend_from(&forward);
-    for gate in forward.gates().iter().rev() {
-        c.push(*gate);
-    }
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,11 +80,5 @@ mod tests {
         let c = qft(20).unwrap();
         let depth = DependenceDag::new(&c).depth();
         assert!((20..=60).contains(&depth), "depth = {depth}");
-    }
-
-    #[test]
-    fn mirrored_doubles_gates() {
-        let c = qft_mirrored(8).unwrap();
-        assert_eq!(c.len(), 2 * qft(8).unwrap().len());
     }
 }

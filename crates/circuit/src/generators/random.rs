@@ -50,30 +50,6 @@ pub fn random_circuit(
     Ok(c)
 }
 
-/// One maximally parallel layer of CX gates over disjoint random pairs:
-/// `pairs` gates touching `2 × pairs` distinct qubits. All gates are
-/// theoretically concurrent — the router stress case.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::InvalidSize`] if `2 * pairs > n`.
-pub fn random_cx_layer(n: u32, pairs: u32, seed: u64) -> Result<Circuit, CircuitError> {
-    if 2 * pairs > n {
-        return Err(CircuitError::InvalidSize(format!(
-            "{pairs} disjoint pairs need {} qubits, have {n}",
-            2 * pairs
-        )));
-    }
-    let mut rng = Rng64::seed_from_u64(seed);
-    let mut qubits: Vec<u32> = (0..n).collect();
-    rng.shuffle(&mut qubits);
-    let mut c = Circuit::named(n, format!("cxlayer{n}x{pairs}"));
-    for chunk in qubits.chunks(2).take(pairs as usize) {
-        c.cx(chunk[0], chunk[1]);
-    }
-    Ok(c)
-}
-
 /// A layered random circuit: `layers` rounds, each a maximal set of CX
 /// gates over disjoint random pairs followed (with probability
 /// `single_fraction` per qubit) by a random single-qubit gate. The
@@ -221,19 +197,9 @@ mod tests {
     }
 
     #[test]
-    fn cx_layer_is_fully_parallel() {
-        let c = random_cx_layer(20, 10, 3).unwrap();
-        assert_eq!(c.len(), 10);
-        let p = ParallelismProfile::analyze(&c);
-        assert_eq!(p.layer_count(), 1);
-        assert_eq!(p.max_concurrent_cx(), 10);
-    }
-
-    #[test]
     fn rejects_bad_parameters() {
         assert!(random_circuit(1, 10, 0.5, 0).is_err());
         assert!(random_circuit(4, 10, 1.5, 0).is_err());
-        assert!(random_cx_layer(5, 3, 0).is_err());
         assert!(layered_cx(1, 3, 0.0, 0).is_err());
         assert!(layered_cx(4, 3, -0.1, 0).is_err());
         assert!(all_to_all_burst(1, 2, 0, 0).is_err());

@@ -65,15 +65,6 @@ impl CircuitStats {
             mean_concurrent_cx,
         }
     }
-
-    /// Fraction of gates requiring braiding.
-    pub fn communication_fraction(&self) -> f64 {
-        if self.gates == 0 {
-            0.0
-        } else {
-            self.two_qubit_gates as f64 / self.gates as f64
-        }
-    }
 }
 
 impl fmt::Display for CircuitStats {
@@ -110,7 +101,6 @@ mod tests {
         assert_eq!(s.two_qubit_gates, 2);
         assert_eq!(s.depth, 2);
         assert_eq!(s.max_concurrent_cx, 1);
-        assert!((s.communication_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert!(s.to_string().contains("demo"));
     }
 
@@ -141,6 +131,5 @@ mod tests {
     fn empty_circuit_stats() {
         let s = CircuitStats::of(&Circuit::new(2));
         assert_eq!(s.depth, 0);
-        assert_eq!(s.communication_fraction(), 0.0);
     }
 }

@@ -65,7 +65,7 @@ use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// How a [`StreamingPipeline`] is opened.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamingOptions {
     /// Routing strategy driving the online steps (default
     /// [`Strategy::Full`]; note the layout optimizer never runs online,

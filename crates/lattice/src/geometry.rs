@@ -106,12 +106,6 @@ impl Cell {
         ]
     }
 
-    /// Top-left corner vertex.
-    #[inline]
-    pub fn top_left(self) -> Vertex {
-        Vertex::new(self.row, self.col)
-    }
-
     /// Manhattan distance between tile centres, in cell units.
     #[inline]
     pub fn manhattan_distance(self, other: Cell) -> u32 {

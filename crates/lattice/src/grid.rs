@@ -152,12 +152,6 @@ impl Grid {
         }
         out.into_iter().flatten()
     }
-
-    /// Whether `v` lies on the outer boundary of the grid.
-    #[inline]
-    pub fn on_boundary(&self, v: Vertex) -> bool {
-        v.row == 0 || v.col == 0 || v.row == self.cells_per_side || v.col == self.cells_per_side
-    }
 }
 
 #[cfg(test)]
@@ -234,14 +228,5 @@ mod tests {
                 assert!(g.contains_vertex(n));
             }
         }
-    }
-
-    #[test]
-    fn boundary_detection() {
-        let g = Grid::new(3).unwrap();
-        assert!(g.on_boundary(Vertex::new(0, 2)));
-        assert!(g.on_boundary(Vertex::new(3, 1)));
-        assert!(g.on_boundary(Vertex::new(2, 0)));
-        assert!(!g.on_boundary(Vertex::new(1, 1)));
     }
 }

@@ -137,31 +137,6 @@ impl PhysicalLayout {
         }
     }
 
-    /// The two defect sites of the double-defect logical qubit living in
-    /// `cell`: two same-type measurement ancillas separated by `d` data
-    /// qubits inside the tile.
-    pub fn defect_pair(&self, cell: Cell) -> (PhysicalQubit, PhysicalQubit) {
-        let center = self.tile_center(cell);
-        let half = self.distance / 2 + 1;
-        // Keep both sites on measurement-ancilla parity (odd sum).
-        let fix_parity = |mut q: PhysicalQubit| {
-            if (q.row + q.col).is_multiple_of(2) {
-                q.col += 1;
-            }
-            q
-        };
-        (
-            fix_parity(PhysicalQubit {
-                row: center.row,
-                col: center.col - half,
-            }),
-            fix_parity(PhysicalQubit {
-                row: center.row,
-                col: center.col + half,
-            }),
-        )
-    }
-
     /// The physical measurement qubits along one channel segment of a
     /// braiding path (between two adjacent routing vertices) that must be
     /// disabled to extend a defect through it.
@@ -261,24 +236,6 @@ mod tests {
                 let q = l.tile_center(Cell::new(r, c));
                 assert!(q.row < l.physical_side() && q.col < l.physical_side());
                 assert!(seen.insert(q));
-            }
-        }
-    }
-
-    #[test]
-    fn defect_pairs_are_measurement_sites() {
-        let l = PhysicalLayout::new(3, 5).unwrap();
-        for r in 0..3 {
-            for c in 0..3 {
-                let (d1, d2) = l.defect_pair(Cell::new(r, c));
-                assert_ne!(d1, d2);
-                for d in [d1, d2] {
-                    assert_ne!(
-                        l.role_at(d.row, d.col),
-                        QubitRole::Data,
-                        "defect on data site"
-                    );
-                }
             }
         }
     }

@@ -211,20 +211,6 @@ impl TimingModel {
         }
     }
 
-    /// Overrides the surface-code cycle duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle_time_us` is not positive and finite.
-    pub fn with_cycle_time(mut self, cycle_time_us: f64) -> Self {
-        assert!(
-            cycle_time_us > 0.0 && cycle_time_us.is_finite(),
-            "cycle time must be positive, got {cycle_time_us}"
-        );
-        self.cycle_time_us = cycle_time_us;
-        self
-    }
-
     /// The underlying code parameters.
     #[inline]
     pub fn params(&self) -> &CodeParams {
@@ -348,13 +334,5 @@ mod tests {
         assert_eq!(t.local_step_cycles(), 33);
         assert!((t.cycles_to_us(100) - 220.0).abs() < 1e-9);
         assert!((t.cycles_to_seconds(1_000_000) - 2.2).abs() < 1e-9);
-        let fast = t.with_cycle_time(1.0);
-        assert!((fast.cycles_to_us(100) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "cycle time must be positive")]
-    fn timing_rejects_nonpositive_cycle() {
-        let _ = TimingModel::default().with_cycle_time(0.0);
     }
 }

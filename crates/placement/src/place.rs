@@ -101,21 +101,6 @@ impl Placement {
         self.cell_to_qubit.swap(ia, ib);
     }
 
-    /// Moves qubit `q` to a currently empty cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is occupied.
-    pub fn move_to_empty(&mut self, grid: &Grid, q: QubitId, target: Cell) {
-        let ti = grid.cell_index(target);
-        assert!(self.cell_to_qubit[ti].is_none(), "{target} is occupied");
-        let from = self.qubit_to_cell[q as usize];
-        let fi = grid.cell_index(from);
-        self.cell_to_qubit[fi] = None;
-        self.cell_to_qubit[ti] = Some(q);
-        self.qubit_to_cell[q as usize] = target;
-    }
-
     /// The qubit → cell assignment as a slice.
     pub fn cells(&self) -> &[Cell] {
         &self.qubit_to_cell
@@ -189,24 +174,6 @@ mod tests {
         assert!(p.is_consistent(&grid));
         p.swap_qubits(2, 2); // no-op
         assert!(p.is_consistent(&grid));
-    }
-
-    #[test]
-    fn move_to_empty_cell() {
-        let grid = Grid::new(3).unwrap();
-        let mut p = Placement::row_major(&grid, 4);
-        p.move_to_empty(&grid, 0, Cell::new(2, 2));
-        assert_eq!(p.cell_of(0), Cell::new(2, 2));
-        assert_eq!(p.qubit_at(&grid, Cell::new(0, 0)), None);
-        assert!(p.is_consistent(&grid));
-    }
-
-    #[test]
-    #[should_panic(expected = "is occupied")]
-    fn move_to_occupied_panics() {
-        let grid = Grid::new(2).unwrap();
-        let mut p = Placement::row_major(&grid, 4);
-        p.move_to_empty(&grid, 0, Cell::new(1, 1));
     }
 
     #[test]

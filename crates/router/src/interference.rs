@@ -71,16 +71,6 @@ impl InterferenceGraph {
         self.adjacency.is_empty()
     }
 
-    /// Number of nodes not yet removed.
-    pub fn live_count(&self) -> usize {
-        self.live
-    }
-
-    /// Whether `node` has been removed.
-    pub fn is_removed(&self, node: usize) -> bool {
-        self.removed[node]
-    }
-
     /// Current degree of `node` (removed neighbours do not count).
     pub fn degree(&self, node: usize) -> usize {
         if self.removed[node] {
@@ -189,14 +179,11 @@ mod tests {
     fn removal_updates_degrees() {
         let mut g = InterferenceGraph::build(&chain_of(4));
         g.remove(1);
-        assert_eq!(g.live_count(), 3);
         assert_eq!(g.degree(0), 0);
         assert_eq!(g.degree(2), 1);
         assert_eq!(g.degree(1), 0, "removed node reports degree 0");
-        assert!(g.is_removed(1));
         g.restore(1);
         assert_eq!(g.degree(0), 1);
-        assert_eq!(g.live_count(), 4);
     }
 
     #[test]

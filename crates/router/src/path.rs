@@ -47,11 +47,6 @@ impl CxRequest {
     pub fn outer_bbox(&self) -> autobraid_lattice::BBox {
         autobraid_lattice::BBox::of_gate(self.a, self.b)
     }
-
-    /// Inner bounding box of the gate (spans the closest corner pair).
-    pub fn inner_bbox(&self) -> autobraid_lattice::BBox {
-        autobraid_lattice::BBox::inner_of_gate(self.a, self.b)
-    }
 }
 
 /// A validated braiding path: a simple sequence of pairwise-adjacent

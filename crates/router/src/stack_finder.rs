@@ -250,6 +250,14 @@ fn stack_order(requests: &[CxRequest], mut graph: InterferenceGraph) -> Vec<usiz
     telemetry::fine_observe("router.stack.residual_degree", graph.max_degree() as f64);
 
     let mut order = graph.live_nodes();
+    by_priority_then_box(requests, &mut order);
+    order.extend(stack.into_iter().rev());
+    order
+}
+
+/// Sorts request indices highest priority first, then by smallest
+/// bounding box (area, then width), then by index.
+fn by_priority_then_box(requests: &[CxRequest], order: &mut [usize]) {
     order.sort_by_key(|&i| {
         let b = requests[i].outer_bbox();
         (
@@ -259,8 +267,6 @@ fn stack_order(requests: &[CxRequest], mut graph: InterferenceGraph) -> Vec<usiz
             i,
         )
     });
-    order.extend(stack.into_iter().rev());
-    order
 }
 
 fn route_stack_order(
@@ -405,40 +411,39 @@ fn repair_failures(
     }
 }
 
-/// The box-confined full-group attempt of [`route_small_llg`]: tries all
-/// member orderings (≤ 3! = 6) with the search region clamped to the
-/// group's bounding box and commits the first ordering that routes the
-/// whole group, returning the routed gates in commit order. On `None`
-/// nothing is reserved. Shared by the serial path and the parallel
-/// precompute so both produce identical plans on identical occupancy.
-fn route_small_llg_confined(
+/// The full-group attempt of [`route_small_llg`]: tries all member
+/// orderings (≤ 3! = 6) with the search clamped to `region`, and
+/// commits the first ordering that routes the whole group, returning
+/// the routed gates in commit order. On `None` nothing is reserved.
+/// The parallel precompute shares the confined attempt with the serial
+/// path, so both produce identical plans on identical occupancy.
+fn route_permuted(
     grid: &Grid,
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
     group: &crate::llg::Llg,
+    region: Option<BBox>,
 ) -> Option<Vec<RoutedGate>> {
-    for order in &permutations(&group.members) {
-        if let Some(paths) = try_route_all(grid, occupancy, requests, order, Some(group.bbox)) {
-            return Some(
-                order
-                    .iter()
-                    .zip(paths)
-                    .map(|(&i, path)| RoutedGate {
-                        request: requests[i],
-                        path,
-                    })
-                    .collect(),
-            );
-        }
-    }
-    None
+    permutations(&group.members).into_iter().find_map(|order| {
+        let paths = try_route_all(grid, occupancy, requests, &order, region)?;
+        Some(
+            order
+                .iter()
+                .zip(paths)
+                .map(|(&i, path)| RoutedGate {
+                    request: requests[i],
+                    path,
+                })
+                .collect(),
+        )
+    })
 }
 
 /// Routes every member of a ≤3-gate LLG simultaneously, preferring paths
 /// confined to the group's bounding box. Tries all member orderings
-/// (≤ 3! = 6) confined first, then unconfined; commits the first ordering
-/// that routes the whole group, otherwise routes best-effort and records
-/// failures.
+/// confined first, then unconfined; commits the first ordering that
+/// routes the whole group, otherwise routes best-effort in
+/// [`by_priority_then_box`] order and records failures.
 fn route_small_llg(
     grid: &Grid,
     occupancy: &mut Occupancy,
@@ -447,42 +452,14 @@ fn route_small_llg(
     outcome: &mut RouteOutcome,
 ) {
     debug_assert!(group.size() <= 3);
-    if let Some(routed) = route_small_llg_confined(grid, occupancy, requests, group) {
-        outcome.routed.extend(routed);
-        return;
-    }
-    let orders = permutations(&group.members);
-    for order in &orders {
-        if let Some(paths) = try_route_all(grid, occupancy, requests, order, None) {
-            for (i, path) in order.iter().zip(paths) {
-                outcome.routed.push(RoutedGate {
-                    request: requests[*i],
-                    path,
-                });
-            }
-            return;
-        }
-    }
-    // No full simultaneous routing found: commit whatever fits,
-    // highest-priority first, largest boxes last.
-    let mut order = group.members.clone();
-    order.sort_by_key(|&i| {
-        let b = requests[i].outer_bbox();
-        (
-            std::cmp::Reverse(requests[i].priority),
-            b.area(),
-            b.width(),
-            i,
-        )
-    });
-    for i in order {
-        let r = requests[i];
-        match find_path(grid, occupancy, r.a, r.b, None) {
-            Some(path) => {
-                occupancy.try_reserve(grid, path.vertices().iter().copied());
-                outcome.routed.push(RoutedGate { request: r, path });
-            }
-            None => outcome.failed.push(r.id),
+    let full = route_permuted(grid, occupancy, requests, group, Some(group.bbox))
+        .or_else(|| route_permuted(grid, occupancy, requests, group, None));
+    match full {
+        Some(routed) => outcome.routed.extend(routed),
+        None => {
+            let mut order = group.members.clone();
+            by_priority_then_box(requests, &mut order);
+            route_in_order(grid, occupancy, requests, order, outcome);
         }
     }
 }
@@ -535,7 +512,13 @@ fn route_small_llgs_parallel(
                         break;
                     }
                     scratch.clone_from(base);
-                    let plan = route_small_llg_confined(grid, &mut scratch, requests, groups[i]);
+                    let plan = route_permuted(
+                        grid,
+                        &mut scratch,
+                        requests,
+                        groups[i],
+                        Some(groups[i].bbox),
+                    );
                     *plans[i].lock().expect("plan slot never poisoned") = plan;
                 }
             });

@@ -35,7 +35,7 @@
 use autobraid::pipeline::Strategy;
 use autobraid::streaming::FaultEvent;
 use autobraid_circuit::{qasm, Gate};
-use autobraid_service::protocol::{SessionOpen, SourceFormat};
+use autobraid_service::protocol::{parse_strategy, SessionOpen, SourceFormat};
 use autobraid_service::{Client, CompileRequest};
 use autobraid_telemetry::JsonValue;
 use std::io::Read;
@@ -119,12 +119,7 @@ fn parse_args() -> Args {
             }
             "--strategy" => {
                 let name = value("--strategy");
-                parsed.strategy = Some(Strategy::from_name(&name).unwrap_or_else(|| {
-                    fail(format!(
-                        "unknown strategy `{name}` (valid: {})",
-                        Strategy::names().join(", ")
-                    ))
-                }));
+                parsed.strategy = Some(parse_strategy(&name).unwrap_or_else(|e| fail(e.detail)));
             }
             "--no-cache" => parsed.no_cache = true,
             "--telemetry" => parsed.telemetry = true,

@@ -7,8 +7,8 @@
 //! (see `docs/SERVICE.md` for a `python3`-only quickstart).
 
 use crate::protocol::{
-    fault_to_json, gate_to_json, read_frame, write_frame, CacheStatus, CompileRequest, ErrorKind,
-    FrameError, ServiceError, SessionOpen, DEFAULT_MAX_FRAME, PROTOCOL,
+    read_frame, write_frame, CacheStatus, CompileRequest, ErrorKind, FrameError, Request,
+    ServiceError, SessionOpen, DEFAULT_MAX_FRAME,
 };
 use autobraid::streaming::FaultEvent;
 use autobraid_circuit::Gate;
@@ -134,10 +134,7 @@ impl Client {
     ///
     /// [`ClientError`] on failure.
     pub fn ping(&mut self) -> Result<JsonValue, ClientError> {
-        let response = self.request(&JsonValue::object([
-            ("proto", JsonValue::from(PROTOCOL)),
-            ("kind", JsonValue::from("ping")),
-        ]))?;
+        let response = self.request(&Request::Ping.to_json())?;
         match response.get("kind").and_then(JsonValue::as_str) {
             Some("pong") => Ok(response),
             other => Err(ClientError::Protocol(format!(
@@ -153,10 +150,7 @@ impl Client {
     ///
     /// [`ClientError`] on failure.
     pub fn stats(&mut self) -> Result<JsonValue, ClientError> {
-        self.request(&JsonValue::object([
-            ("proto", JsonValue::from(PROTOCOL)),
-            ("kind", JsonValue::from("stats")),
-        ]))
+        self.request(&Request::Stats.to_json())
     }
 
     /// Fetches the live-operations frame: the `autobraid.metrics/v1`
@@ -167,10 +161,7 @@ impl Client {
     ///
     /// [`ClientError`] on failure.
     pub fn metrics(&mut self) -> Result<JsonValue, ClientError> {
-        let response = self.request(&JsonValue::object([
-            ("proto", JsonValue::from(PROTOCOL)),
-            ("kind", JsonValue::from("metrics")),
-        ]))?;
+        let response = self.request(&Request::Metrics.to_json())?;
         match response.get("kind").and_then(JsonValue::as_str) {
             Some("metrics") => Ok(response),
             other => Err(ClientError::Protocol(format!(
@@ -210,15 +201,7 @@ impl Client {
     /// [`ClientError`] on failure (e.g. `parse` for an out-of-range
     /// qubit — the session stays open).
     pub fn session_gate(&mut self, gates: &[Gate]) -> Result<usize, ClientError> {
-        let frame = JsonValue::object([
-            ("proto", JsonValue::from(PROTOCOL)),
-            ("kind", JsonValue::from("session.gate")),
-            (
-                "gates",
-                JsonValue::Array(gates.iter().map(gate_to_json).collect()),
-            ),
-        ]);
-        let response = self.request(&frame)?;
+        let response = self.request(&Request::SessionGate(gates.to_vec()).to_json())?;
         let doc = expect_session(&response, "gate")?;
         Ok(doc
             .get("outstanding")
@@ -234,12 +217,7 @@ impl Client {
     /// [`ClientError`] on failure (notably `unsupported` when the
     /// frontier became unroutable).
     pub fn session_step(&mut self, count: u64) -> Result<Vec<JsonValue>, ClientError> {
-        let frame = JsonValue::object([
-            ("proto", JsonValue::from(PROTOCOL)),
-            ("kind", JsonValue::from("session.step")),
-            ("count", JsonValue::from(count)),
-        ]);
-        let response = self.request(&frame)?;
+        let response = self.request(&Request::SessionStep { count }.to_json())?;
         let doc = expect_session(&response, "step")?;
         match doc.get("outcomes") {
             Some(JsonValue::Array(items)) => Ok(items.clone()),
@@ -256,14 +234,7 @@ impl Client {
     /// [`ClientError`] on failure (`protocol` for an off-grid tile or a
     /// zero-length stall).
     pub fn session_inject(&mut self, fault: &FaultEvent) -> Result<(), ClientError> {
-        let mut fields = vec![
-            ("proto".to_string(), JsonValue::from(PROTOCOL)),
-            ("kind".to_string(), JsonValue::from("session.inject")),
-        ];
-        if let JsonValue::Object(fault_fields) = fault_to_json(fault) {
-            fields.extend(fault_fields);
-        }
-        let response = self.request(&JsonValue::Object(fields))?;
+        let response = self.request(&Request::SessionInject(*fault).to_json())?;
         expect_session(&response, "inject").map(|_| ())
     }
 
@@ -275,10 +246,7 @@ impl Client {
     /// [`ClientError`] on failure (notably `unsupported` when the
     /// remaining frontier is unroutable).
     pub fn session_close(&mut self) -> Result<CompileOutcome, ClientError> {
-        let response = self.request(&JsonValue::object([
-            ("proto", JsonValue::from(PROTOCOL)),
-            ("kind", JsonValue::from("session.close")),
-        ]))?;
+        let response = self.request(&Request::SessionClose.to_json())?;
         parse_report_response(response)
     }
 }

@@ -7,11 +7,12 @@
 //! JSON schemas are specified in `docs/SERVICE.md`; both sides parse
 //! with the zero-dependency [`JsonValue`] reader.
 
-use autobraid::pipeline::Strategy;
-use autobraid::streaming::FaultEvent;
+use autobraid::pipeline::{CompileOptions, Strategy};
+use autobraid::streaming::{FaultEvent, StreamingOptions};
 use autobraid_circuit::{Gate, SingleKind, TwoKind};
 use autobraid_telemetry::JsonValue;
 use std::io::{self, Read, Write};
+use std::time::Duration;
 
 /// Protocol identifier, carried in the `proto` field of every message.
 /// Bump the suffix when the schema changes incompatibly.
@@ -268,6 +269,46 @@ impl SourceFormat {
     }
 }
 
+/// The `proto` and `kind` fields every request message opens with.
+fn request_header(kind: &str) -> Vec<(String, JsonValue)> {
+    vec![
+        ("proto".to_string(), JsonValue::from(PROTOCOL)),
+        ("kind".to_string(), JsonValue::from(kind)),
+    ]
+}
+
+/// A success response: the `proto`, `status: "ok"` and `kind` header,
+/// then `fields` in order.
+pub(crate) fn ok_response<'a>(
+    kind: &str,
+    fields: impl IntoIterator<Item = (&'a str, JsonValue)>,
+) -> JsonValue {
+    let mut all = vec![
+        ("proto".to_string(), JsonValue::from(PROTOCOL)),
+        ("status".to_string(), JsonValue::from("ok")),
+        ("kind".to_string(), JsonValue::from(kind)),
+    ];
+    all.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    JsonValue::Object(all)
+}
+
+/// Parses a wire strategy name.
+///
+/// # Errors
+///
+/// [`ErrorKind::Protocol`], listing the valid names.
+pub fn parse_strategy(name: &str) -> Result<Strategy, ServiceError> {
+    Strategy::from_name(name).ok_or_else(|| {
+        ServiceError::new(
+            ErrorKind::Protocol,
+            format!(
+                "unknown strategy `{name}` (valid: {})",
+                Strategy::names().join(", ")
+            ),
+        )
+    })
+}
+
 /// One compile submission, with builder-style construction on the
 /// client side.
 ///
@@ -290,18 +331,10 @@ pub struct CompileRequest {
     /// Optional circuit name override (part of the cache key — the
     /// canonical report carries the name).
     pub label: Option<String>,
-    /// Scheduler override; `None` uses the server default.
-    pub strategy: Option<Strategy>,
-    /// Peephole-optimizer override; `None` uses the server default.
-    pub optimize: Option<bool>,
-    /// Verification override; `None` uses the server default.
-    pub verify: Option<bool>,
-    /// Attach an `autobraid.telemetry/v1` snapshot to the response
-    /// (forces a cache bypass).
-    pub telemetry: bool,
-    /// Attach an `autobraid.trace/v1` Chrome trace to the response
-    /// (forces a cache bypass).
-    pub trace: bool,
+    /// The compile settings, passed to the daemon's `Pipeline` as they
+    /// are. `telemetry` and `trace` attach a snapshot or a Chrome trace
+    /// to the response and force a cache bypass.
+    pub options: CompileOptions,
     /// Code-distance override: changes the lattice timing model, hence
     /// the cache key and the reported wall-clock scaling.
     pub distance: Option<u32>,
@@ -319,11 +352,7 @@ impl CompileRequest {
             format: SourceFormat::Qasm,
             source: source.into(),
             label: None,
-            strategy: None,
-            optimize: None,
-            verify: None,
-            telemetry: false,
-            trace: false,
+            options: CompileOptions::default(),
             distance: None,
             timeout_ms: None,
             use_cache: true,
@@ -344,33 +373,33 @@ impl CompileRequest {
         self
     }
 
-    /// Overrides the scheduler strategy.
+    /// Sets the scheduler strategy.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = Some(strategy);
+        self.options.strategy = strategy;
         self
     }
 
-    /// Overrides the peephole-optimizer setting.
+    /// Sets the peephole-optimizer setting.
     pub fn with_optimize(mut self, on: bool) -> Self {
-        self.optimize = Some(on);
+        self.options.optimize = on;
         self
     }
 
-    /// Overrides the verification setting.
+    /// Sets the verification setting.
     pub fn with_verify(mut self, on: bool) -> Self {
-        self.verify = Some(on);
+        self.options.verify = on;
         self
     }
 
     /// Requests an attached telemetry snapshot (cache bypass).
     pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
+        self.options.telemetry = on;
         self
     }
 
     /// Requests an attached event trace (cache bypass).
     pub fn with_trace(mut self, on: bool) -> Self {
-        self.trace = on;
+        self.options.trace = on;
         self
     }
 
@@ -392,35 +421,28 @@ impl CompileRequest {
         self
     }
 
-    /// Renders the request message.
+    /// Renders the request message. An option equal to its
+    /// [`CompileOptions::default`] value is left out.
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("proto".to_string(), JsonValue::from(PROTOCOL)),
-            ("kind".to_string(), JsonValue::from("compile")),
-            ("format".to_string(), JsonValue::from(self.format.name())),
-            ("source".to_string(), JsonValue::from(self.source.as_str())),
-        ];
+        let mut fields = request_header("compile");
+        fields.push(("format".to_string(), JsonValue::from(self.format.name())));
+        fields.push(("source".to_string(), JsonValue::from(self.source.as_str())));
         if let Some(label) = &self.label {
             fields.push(("label".to_string(), JsonValue::from(label.as_str())));
         }
-        let mut options: Vec<(String, JsonValue)> = Vec::new();
-        if let Some(s) = self.strategy {
-            options.push(("strategy".to_string(), JsonValue::from(s.name())));
-        }
-        if let Some(o) = self.optimize {
-            options.push(("optimize".to_string(), JsonValue::from(o)));
-        }
-        if let Some(v) = self.verify {
-            options.push(("verify".to_string(), JsonValue::from(v)));
-        }
-        if self.telemetry {
-            options.push(("telemetry".to_string(), JsonValue::from(true)));
-        }
-        if self.trace {
-            options.push(("trace".to_string(), JsonValue::from(true)));
-        }
+        let (set, default) = (&self.options, CompileOptions::default());
+        let options: Vec<(&str, JsonValue)> = [
+            (set.strategy != default.strategy).then(|| ("strategy", set.strategy.name().into())),
+            (set.optimize != default.optimize).then(|| ("optimize", set.optimize.into())),
+            (set.verify != default.verify).then(|| ("verify", set.verify.into())),
+            (set.telemetry != default.telemetry).then(|| ("telemetry", set.telemetry.into())),
+            (set.trace != default.trace).then(|| ("trace", set.trace.into())),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
         if !options.is_empty() {
-            fields.push(("options".to_string(), JsonValue::Object(options)));
+            fields.push(("options".to_string(), JsonValue::object(options)));
         }
         if let Some(d) = self.distance {
             fields.push(("distance".to_string(), JsonValue::from(d)));
@@ -453,47 +475,39 @@ impl CompileRequest {
 pub struct SessionOpen {
     /// Register width of the incoming stream.
     pub qubits: u32,
-    /// Optional circuit name carried into the final report.
-    pub label: Option<String>,
-    /// Scheduler override; `None` uses the server default.
-    pub strategy: Option<Strategy>,
-    /// Defective-channel vertices reserved before the first gate.
-    pub defects: Vec<(u32, u32)>,
+    /// The session settings, passed to the daemon's
+    /// `StreamingPipeline` as they are. On the wire, `step_budget`
+    /// travels as whole microseconds (`budget_us`).
+    pub options: StreamingOptions,
     /// Attach an `autobraid.trace/v1` Chrome trace to the close report.
     pub trace: bool,
-    /// Per-step wall-clock budget in microseconds; `None` streams
-    /// unbudgeted (fully deterministic — see `docs/STREAMING.md`).
-    pub budget_us: Option<u64>,
 }
 
 impl SessionOpen {
-    /// A session over a `qubits`-wide register with server defaults.
+    /// A session over a `qubits`-wide register with default options.
     pub fn new(qubits: u32) -> Self {
         SessionOpen {
             qubits,
-            label: None,
-            strategy: None,
-            defects: Vec::new(),
+            options: StreamingOptions::default(),
             trace: false,
-            budget_us: None,
         }
     }
 
     /// Sets the circuit name used in the close report.
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
+        self.options.label = label.into();
         self
     }
 
-    /// Overrides the scheduler strategy.
+    /// Sets the scheduler strategy.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = Some(strategy);
+        self.options.strategy = strategy;
         self
     }
 
     /// Pre-reserves defective channel vertices.
     pub fn with_defects(mut self, defects: Vec<(u32, u32)>) -> Self {
-        self.defects = defects;
+        self.options.defects = defects;
         self
     }
 
@@ -505,41 +519,35 @@ impl SessionOpen {
 
     /// Sets the per-step routing budget.
     pub fn with_budget_us(mut self, budget_us: u64) -> Self {
-        self.budget_us = Some(budget_us);
+        self.options.step_budget = Some(Duration::from_micros(budget_us));
         self
     }
 
-    /// Renders the request message.
+    /// Renders the request message. An option equal to its
+    /// [`StreamingOptions::default`] value is left out.
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("proto".to_string(), JsonValue::from(PROTOCOL)),
-            ("kind".to_string(), JsonValue::from("session.open")),
-            ("qubits".to_string(), JsonValue::from(self.qubits)),
-        ];
-        if let Some(label) = &self.label {
-            fields.push(("label".to_string(), JsonValue::from(label.as_str())));
+        let (set, default) = (&self.options, StreamingOptions::default());
+        let mut fields = request_header("session.open");
+        fields.push(("qubits".to_string(), JsonValue::from(self.qubits)));
+        if set.label != default.label {
+            fields.push(("label".to_string(), JsonValue::from(set.label.as_str())));
         }
-        if let Some(s) = self.strategy {
-            fields.push(("strategy".to_string(), JsonValue::from(s.name())));
+        if set.strategy != default.strategy {
+            fields.push(("strategy".to_string(), JsonValue::from(set.strategy.name())));
         }
-        if !self.defects.is_empty() {
-            fields.push((
-                "defects".to_string(),
-                JsonValue::Array(
-                    self.defects
-                        .iter()
-                        .map(|&(r, c)| {
-                            JsonValue::Array(vec![JsonValue::from(r), JsonValue::from(c)])
-                        })
-                        .collect(),
-                ),
-            ));
+        if set.defects != default.defects {
+            let pairs = set
+                .defects
+                .iter()
+                .map(|&(r, c)| JsonValue::Array(vec![JsonValue::from(r), JsonValue::from(c)]));
+            fields.push(("defects".to_string(), JsonValue::Array(pairs.collect())));
         }
         if self.trace {
             fields.push(("trace".to_string(), JsonValue::from(true)));
         }
-        if let Some(b) = self.budget_us {
-            fields.push(("budget_us".to_string(), JsonValue::from(b)));
+        if let Some(budget) = set.step_budget {
+            let micros = u64::try_from(budget.as_micros()).unwrap_or(u64::MAX);
+            fields.push(("budget_us".to_string(), JsonValue::from(micros)));
         }
         JsonValue::Object(fields)
     }
@@ -759,15 +767,15 @@ impl Request {
                     })?,
                 };
                 let options = doc.get("options");
-                let opt_bool = |key: &str| options.and_then(|o| o.get(key)?.as_bool());
+                let default = CompileOptions::default();
+                let opt_bool = |key: &str, fallback: bool| {
+                    options
+                        .and_then(|o| o.get(key)?.as_bool())
+                        .unwrap_or(fallback)
+                };
                 let strategy = match options.and_then(|o| o.get("strategy")?.as_str()) {
-                    None => None,
-                    Some(name) => Some(Strategy::from_name(name).ok_or_else(|| {
-                        proto_err(format!(
-                            "unknown strategy `{name}` (valid: {})",
-                            Strategy::names().join(", ")
-                        ))
-                    })?),
+                    None => default.strategy,
+                    Some(name) => parse_strategy(name)?,
                 };
                 Ok(Request::Compile(Box::new(CompileRequest {
                     format,
@@ -776,11 +784,13 @@ impl Request {
                         .get("label")
                         .and_then(JsonValue::as_str)
                         .map(str::to_string),
-                    strategy,
-                    optimize: opt_bool("optimize"),
-                    verify: opt_bool("verify"),
-                    telemetry: opt_bool("telemetry").unwrap_or(false),
-                    trace: opt_bool("trace").unwrap_or(false),
+                    options: CompileOptions {
+                        strategy,
+                        optimize: opt_bool("optimize", default.optimize),
+                        verify: opt_bool("verify", default.verify),
+                        telemetry: opt_bool("telemetry", default.telemetry),
+                        trace: opt_bool("trace", default.trace),
+                    },
                     distance: doc
                         .get("distance")
                         .and_then(JsonValue::as_u64)
@@ -801,18 +811,13 @@ impl Request {
                         proto_err("session.open missing numeric `qubits`".to_string())
                     })?;
                 let qubits = narrow(qubits, "session.open `qubits`")?;
-                let strategy = match doc.get("strategy").and_then(JsonValue::as_str) {
-                    None => None,
-                    Some(name) => Some(Strategy::from_name(name).ok_or_else(|| {
-                        proto_err(format!(
-                            "unknown strategy `{name}` (valid: {})",
-                            Strategy::names().join(", ")
-                        ))
-                    })?),
-                };
+                let mut options = StreamingOptions::default();
+                if let Some(name) = doc.get("strategy").and_then(JsonValue::as_str) {
+                    options.strategy = parse_strategy(name)?;
+                }
                 let not_pairs =
                     || proto_err("`defects` must be an array of [row, col] pairs".to_string());
-                let defects = match doc.get("defects") {
+                options.defects = match doc.get("defects") {
                     None => Vec::new(),
                     Some(JsonValue::Array(items)) => items
                         .iter()
@@ -827,19 +832,20 @@ impl Request {
                         .collect::<Result<Vec<_>, _>>()?,
                     Some(_) => return Err(not_pairs()),
                 };
+                if let Some(label) = doc.get("label").and_then(JsonValue::as_str) {
+                    options.label = label.to_string();
+                }
+                options.step_budget = doc
+                    .get("budget_us")
+                    .and_then(JsonValue::as_u64)
+                    .map(Duration::from_micros);
                 Ok(Request::SessionOpen(Box::new(SessionOpen {
                     qubits,
-                    label: doc
-                        .get("label")
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string),
-                    strategy,
-                    defects,
+                    options,
                     trace: doc
                         .get("trace")
                         .and_then(JsonValue::as_bool)
                         .unwrap_or(false),
-                    budget_us: doc.get("budget_us").and_then(JsonValue::as_u64),
                 })))
             }
             Some("session.gate") => match doc.get("gates") {
@@ -867,6 +873,43 @@ impl Request {
             ))),
             None => Err(proto_err("missing request `kind`".to_string())),
         }
+    }
+
+    /// The wire `kind` this request travels under.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Request::Ping => "ping",
+            Request::Stats => "stats",
+            Request::Metrics => "metrics",
+            Request::Compile(_) => "compile",
+            Request::SessionOpen(_) => "session.open",
+            Request::SessionGate(_) => "session.gate",
+            Request::SessionStep { .. } => "session.step",
+            Request::SessionInject(_) => "session.inject",
+            Request::SessionClose => "session.close",
+        }
+    }
+
+    /// Renders the request message; the inverse of
+    /// [`Request::from_json`].
+    pub fn to_json(&self) -> JsonValue {
+        let extra = match self {
+            Request::Compile(req) => return req.to_json(),
+            Request::SessionOpen(open) => return open.to_json(),
+            Request::SessionGate(gates) => vec![(
+                "gates".to_string(),
+                JsonValue::Array(gates.iter().map(gate_to_json).collect()),
+            )],
+            Request::SessionStep { count } => vec![("count".to_string(), JsonValue::from(*count))],
+            Request::SessionInject(fault) => match fault_to_json(fault) {
+                JsonValue::Object(fault_fields) => fault_fields,
+                _ => Vec::new(),
+            },
+            Request::Ping | Request::Stats | Request::Metrics | Request::SessionClose => Vec::new(),
+        };
+        let mut fields = request_header(self.kind());
+        fields.extend(extra);
+        JsonValue::Object(fields)
     }
 }
 
@@ -958,8 +1001,7 @@ mod tests {
         };
         assert_eq!(req.format, SourceFormat::Qasm);
         assert!(req.use_cache);
-        assert!(req.strategy.is_none() && req.optimize.is_none() && req.verify.is_none());
-        assert!(!req.telemetry && !req.trace);
+        assert_eq!(req.options, CompileOptions::default());
     }
 
     #[test]
@@ -1028,7 +1070,63 @@ mod tests {
             panic!("expected session.open");
         };
         assert_eq!(open.qubits, 3);
-        assert!(open.defects.is_empty() && !open.trace && open.budget_us.is_none());
+        assert!(!open.trace);
+        assert_eq!(open.options, StreamingOptions::default());
+    }
+
+    #[test]
+    fn every_request_kind_round_trips_through_to_json() {
+        let requests = [
+            Request::Ping,
+            Request::Stats,
+            Request::Metrics,
+            Request::Compile(Box::new(
+                CompileRequest::conformance("qreg q[2]; cx q[0],q[1];")
+                    .with_label("bell")
+                    .with_strategy(Strategy::Baseline)
+                    .with_verify(false)
+                    .with_trace(true),
+            )),
+            Request::Compile(Box::new(CompileRequest::qasm("qreg q[1];"))),
+            Request::SessionOpen(Box::new(
+                SessionOpen::new(5)
+                    .with_label("s")
+                    .with_defects(vec![(0, 1)])
+                    .with_budget_us(0),
+            )),
+            Request::SessionOpen(Box::new(SessionOpen::new(2))),
+            Request::SessionGate(vec![Gate::Two {
+                kind: TwoKind::Cz,
+                control: 0,
+                target: 1,
+            }]),
+            Request::SessionStep { count: 7 },
+            Request::SessionInject(FaultEvent::MagicStall { steps: 3 }),
+            Request::SessionClose,
+        ];
+        let mut kinds: Vec<&str> = Vec::new();
+        for request in &requests {
+            let doc = request.to_json();
+            assert_eq!(
+                doc.get("kind").and_then(JsonValue::as_str),
+                Some(request.kind())
+            );
+            assert_eq!(&Request::from_json(&doc).unwrap(), request);
+            if !kinds.contains(&request.kind()) {
+                kinds.push(request.kind());
+            }
+        }
+        assert_eq!(kinds.len(), 9);
+    }
+
+    #[test]
+    fn default_options_are_left_off_the_wire() {
+        let compile = CompileRequest::qasm("qreg q[1];")
+            .with_optimize(true)
+            .to_json();
+        assert!(compile.get("options").is_none(), "{compile:?}");
+        let open = SessionOpen::new(2).with_label("stream").to_json();
+        assert!(open.get("label").is_none() && open.get("strategy").is_none());
     }
 
     #[test]

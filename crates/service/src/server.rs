@@ -10,23 +10,23 @@
 
 use crate::cache::{CacheKey, CacheStats, CanonicalSource, ReportCache};
 use crate::protocol::{
-    read_frame, write_frame, CacheStatus, CompileRequest, ErrorKind, FrameError, Request,
-    ServiceError, SessionOpen, SourceFormat, DEFAULT_MAX_FRAME, MAX_QUBITS, PROTOCOL,
+    ok_response, read_frame, write_frame, CacheStatus, CompileRequest, ErrorKind, FrameError,
+    Request, ServiceError, SessionOpen, SourceFormat, DEFAULT_MAX_FRAME, MAX_QUBITS,
 };
-use autobraid::pipeline::{CompileOptions, CompileReport, Pipeline, PipelineError, Strategy};
+use autobraid::pipeline::{CompileReport, Pipeline, PipelineError};
 use autobraid::report::canonical_compile_report_json;
 use autobraid::runtime::{CompileJob, WorkerPool};
-use autobraid::streaming::{StepOutcome, StreamError, StreamingOptions, StreamingPipeline};
+use autobraid::streaming::{StepOutcome, StreamError, StreamingPipeline};
 use autobraid::ScheduleConfig;
 use autobraid_circuit::qasm;
 use autobraid_conformance::ConformanceCase;
 use autobraid_lattice::{CodeParams, TimingModel};
 use autobraid_telemetry::{
-    self as telemetry, Decision, FanoutRecorder, FlightRecorder, JsonValue, MemoryRecorder,
-    Recorder, TraceRecorder, WindowedRecorder, METRICS_SCHEMA,
+    self as telemetry, export, AmbientStack, Decision, JsonValue, TraceRecorder, METRICS_SCHEMA,
 };
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{self, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -103,16 +103,10 @@ struct Shared {
     /// their own clone of this Arc so a queued job never keeps the pool
     /// alive through `Shared`.
     in_flight: Arc<AtomicUsize>,
-    recorder: Arc<MemoryRecorder>,
-    /// Rolling per-second buckets of the same counter/histogram stream
-    /// the lifetime recorder sees (the `autobraid.metrics/v1` source).
-    windowed: Arc<WindowedRecorder>,
-    /// Always-on ring of coarse decisions, dumped on error/slow/shed
-    /// requests.
-    flight: Arc<FlightRecorder>,
-    /// The fanout of the three recorders above, installed on every
-    /// connection thread and inherited by the worker pool.
-    ambient: Arc<dyn Recorder>,
+    /// Lifetime, windowed (the `autobraid.metrics/v1` source) and
+    /// flight recorders, installed on every connection thread and
+    /// inherited by the worker pool.
+    ambient: AmbientStack,
     /// Streaming sessions currently open (gauge for `metrics`).
     sessions_active: Arc<AtomicUsize>,
     /// Request-id source; ids are unique per daemon process, assigned
@@ -120,9 +114,10 @@ struct Shared {
     next_request_id: AtomicU64,
     started: Instant,
     shutting_down: AtomicBool,
-    /// Read halves of live connections, shut down to unblock their
-    /// threads on server shutdown.
-    connections: Mutex<Vec<TcpStream>>,
+    /// Live connections by id: a clone of the socket, shut down to
+    /// unblock the reader on server shutdown, and the thread serving
+    /// it. A connection's thread removes its entry as it ends.
+    connections: Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>,
 }
 
 impl Shared {
@@ -142,7 +137,6 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -154,52 +148,39 @@ impl Server {
     pub fn start(config: ServiceConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.bind_addr)?;
         let addr = listener.local_addr()?;
-        let recorder = Arc::new(MemoryRecorder::ambient());
-        let windowed = Arc::new(WindowedRecorder::new());
-        let flight = Arc::new(FlightRecorder::new());
-        let ambient: Arc<dyn Recorder> = Arc::new(FanoutRecorder::new(vec![
-            Arc::clone(&recorder) as Arc<dyn Recorder>,
-            Arc::clone(&windowed) as Arc<dyn Recorder>,
-            Arc::clone(&flight) as Arc<dyn Recorder>,
-        ]));
-        // Create the pool with the service fanout ambient so every
+        let ambient = AmbientStack::new();
+        // Create the pool with the ambient stack installed so every
         // worker inherits it (WorkerPool propagates the creator's
         // recorder) — compile-side counters and coarse decisions land
         // in the same lifetime/windowed/flight sinks as
         // connection-side ones.
         let pool = {
-            let _guard = telemetry::install(Arc::clone(&ambient));
+            let _guard = ambient.install();
             WorkerPool::new(config.threads.max(1))
         };
         let shared = Arc::new(Shared {
             cache: Mutex::new(ReportCache::new(config.cache_capacity)),
             in_flight: Arc::new(AtomicUsize::new(0)),
-            recorder,
-            windowed,
-            flight,
             ambient,
             sessions_active: Arc::new(AtomicUsize::new(0)),
             next_request_id: AtomicU64::new(0),
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
-            connections: Mutex::new(Vec::new()),
+            connections: Mutex::new(HashMap::new()),
             pool,
             config,
         });
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let conn_threads = Arc::clone(&conn_threads);
             std::thread::Builder::new()
                 .name("autobraidd-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &conn_threads))
+                .spawn(move || accept_loop(&listener, &shared))
                 .expect("failed to spawn acceptor")
         };
         Ok(Server {
             addr,
             shared,
             acceptor: Some(acceptor),
-            conn_threads,
         })
     }
 
@@ -216,21 +197,21 @@ impl Server {
     /// Snapshot of every service metric recorded so far (request
     /// counters, cache counters, `service.latency_ms` percentiles).
     pub fn telemetry(&self) -> telemetry::TelemetrySnapshot {
-        self.shared.recorder.snapshot()
+        self.shared.ambient.lifetime().snapshot()
     }
 
     /// Snapshot of the trailing metrics window (the same data the
     /// `metrics` wire request serves; see `docs/METRICS.md`).
     pub fn windowed(&self) -> telemetry::WindowedSnapshot {
-        self.shared.windowed.snapshot()
+        self.shared.ambient.windowed().snapshot()
     }
 
     /// Snapshot of the always-on flight-recorder ring.
     pub fn flight(&self) -> telemetry::Trace {
-        self.shared.flight.snapshot()
+        self.shared.ambient.flight().snapshot()
     }
 
-    /// Stops accepting, unblocks and joins every connection thread, and
+    /// Stops accepting, unblocks and joins every live connection thread, and
     /// joins the acceptor. Idempotent.
     pub fn shutdown(&mut self) {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
@@ -241,15 +222,17 @@ impl Server {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        for conn in self.shared.connections.lock().expect("poisoned").drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        let threads: Vec<JoinHandle<()>> = {
-            let mut guard = self.conn_threads.lock().expect("poisoned");
-            guard.drain(..).collect()
+        // Collected first: an ending thread takes the lock to remove
+        // its own entry, so it must not be held across the joins.
+        let live: Vec<_> = {
+            let mut connections = self.shared.connections.lock().expect("poisoned");
+            connections.drain().map(|(_, entry)| entry).collect()
         };
-        for t in threads {
-            let _ = t.join();
+        for (socket, _) in &live {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        for (_, thread) in live {
+            let _ = thread.join();
         }
     }
 }
@@ -260,26 +243,34 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    for stream in listener.incoming() {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         let _ = stream.set_nodelay(true); // see Client::connect
-        if let Ok(clone) = stream.try_clone() {
-            shared.connections.lock().expect("poisoned").push(clone);
-        }
-        let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("autobraidd-conn".to_string())
-            .spawn(move || handle_connection(&shared, stream))
-            .expect("failed to spawn connection thread");
-        conn_threads.lock().expect("poisoned").push(handle);
+        let Ok(socket) = stream.try_clone() else {
+            continue;
+        };
+        // Held across the spawn, so the thread's removal of its entry
+        // cannot run before the entry exists.
+        let mut connections = shared.connections.lock().expect("poisoned");
+        let thread = {
+            let shared = Arc::clone(shared);
+            std::thread::Builder::new()
+                .name("autobraidd-conn".to_string())
+                .spawn(move || {
+                    handle_connection(&shared, stream);
+                    // Reached only when the connection ended without a
+                    // panic: a panicked thread keeps its entry, and
+                    // shutdown joins it. Dropping the socket clone
+                    // closes the connection.
+                    shared.connections.lock().expect("poisoned").remove(&id);
+                })
+                .expect("failed to spawn connection thread")
+        };
+        connections.insert(id, (socket, thread));
     }
 }
 
@@ -320,13 +311,21 @@ impl OpenSession {
     /// ambient (service) recorder, so session decisions reach the trace
     /// while `service.*` counters still reach the daemon snapshot.
     fn scoped<T>(&mut self, f: impl FnOnce(&mut StreamingPipeline) -> T) -> T {
-        let _guard = self.tracer.as_ref().map(session_trace_guard);
+        let _guard = trace_alongside(&self.tracer);
         f(&mut self.stream)
     }
 }
 
+/// Installs a session's trace recorder, when it has one, alongside the
+/// ambient stack until the guard drops.
+fn trace_alongside(tracer: &Option<Arc<TraceRecorder>>) -> Option<telemetry::RecorderGuard> {
+    tracer
+        .as_ref()
+        .map(|tracer| telemetry::install_alongside(tracer.clone()))
+}
+
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _guard = telemetry::install(Arc::clone(&shared.ambient));
+    let _guard = shared.ambient.install();
     let mut read = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -420,11 +419,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
     // An abandoned session's slot is released here, by drop.
     drop(session);
-    let _ = write.flush();
-    // The shutdown list holds a clone of this socket; shut the shared
-    // descriptor down explicitly so the peer sees EOF now rather than
-    // at server shutdown.
-    let _ = write.shutdown(Shutdown::Both);
 }
 
 /// A response on its way out, rendered once by `handle_connection`.
@@ -454,13 +448,13 @@ impl Reply {
                 report,
                 attachments,
             } => {
-                let mut frame = JsonValue::object([
-                    ("proto", JsonValue::from(PROTOCOL)),
-                    ("status", JsonValue::from("ok")),
-                    ("kind", JsonValue::from("report")),
-                    ("cache", JsonValue::from(status.name())),
-                    ("elapsed_ms", JsonValue::from(elapsed_ms)),
-                ])
+                let mut frame = ok_response(
+                    "report",
+                    [
+                        ("cache", JsonValue::from(status.name())),
+                        ("elapsed_ms", JsonValue::from(elapsed_ms)),
+                    ],
+                )
                 .render_compact();
                 // Reopen the envelope's closing brace to append the report.
                 frame.pop();
@@ -494,18 +488,18 @@ fn process(
     let request = Request::from_json(&doc)?;
     telemetry::decision(&Decision::RequestBegin {
         id: request_id,
-        kind: request_kind(&request).to_string(),
+        kind: request.kind().to_string(),
     });
     match request {
         Request::Ping => {
             telemetry::counter("service.requests.ping", 1);
-            Ok(Reply::Doc(JsonValue::object([
-                ("proto", JsonValue::from(PROTOCOL)),
-                ("status", JsonValue::from("ok")),
-                ("kind", JsonValue::from("pong")),
-                ("version", JsonValue::from(env!("CARGO_PKG_VERSION"))),
-                ("uptime_ms", JsonValue::from(uptime_ms(shared))),
-            ])))
+            Ok(Reply::Doc(ok_response(
+                "pong",
+                [
+                    ("version", JsonValue::from(env!("CARGO_PKG_VERSION"))),
+                    ("uptime_ms", JsonValue::from(uptime_ms(shared))),
+                ],
+            )))
         }
         Request::Stats => {
             telemetry::counter("service.requests.stats", 1);
@@ -549,8 +543,8 @@ fn process(
             Ok(Reply::Doc(session_response(
                 "gate",
                 vec![
-                    ("accepted".to_string(), JsonValue::from(gates.len())),
-                    ("outstanding".to_string(), JsonValue::from(outstanding)),
+                    ("accepted", JsonValue::from(gates.len())),
+                    ("outstanding", JsonValue::from(outstanding)),
                 ],
             )))
         }
@@ -579,9 +573,9 @@ fn process(
             Ok(Reply::Doc(session_response(
                 "step",
                 vec![
-                    ("outcomes".to_string(), JsonValue::Array(outcomes)),
-                    ("outstanding".to_string(), JsonValue::from(outstanding)),
-                    ("steps_taken".to_string(), JsonValue::from(steps_taken)),
+                    ("outcomes", JsonValue::Array(outcomes)),
+                    ("outstanding", JsonValue::from(outstanding)),
+                    ("steps_taken", JsonValue::from(steps_taken)),
                 ],
             )))
         }
@@ -591,7 +585,7 @@ fn process(
             open.scoped(|stream| stream.inject(fault).map_err(stream_error))?;
             Ok(Reply::Doc(session_response(
                 "inject",
-                vec![("fault".to_string(), JsonValue::from(fault.kind()))],
+                vec![("fault", JsonValue::from(fault.kind()))],
             )))
         }
         Request::SessionClose => {
@@ -614,14 +608,12 @@ fn process(
             // in the session trace too. The slot is held (by `_slot`)
             // until the drain finishes — admission stays honest.
             let finished = {
-                let _guard = tracer.as_ref().map(session_trace_guard);
+                let _guard = trace_alongside(&tracer);
                 stream.finish().map_err(stream_error)?
             };
             let elapsed = start.elapsed().as_secs_f64() * 1e3;
             *latency_from = Some(start);
-            let trace_doc = tracer
-                .as_ref()
-                .and_then(|tracer| JsonValue::parse(&tracer.snapshot().to_chrome_json()).ok());
+            let trace_doc = tracer.map(|tracer| export::chrome_trace_json(&tracer.snapshot()));
             Ok(Reply::Report {
                 status: CacheStatus::Bypass,
                 elapsed_ms: elapsed,
@@ -632,16 +624,6 @@ fn process(
             })
         }
     }
-}
-
-/// Installs the session trace recorder fanned into the ambient
-/// (service) recorder for the duration of the returned guard.
-fn session_trace_guard(tracer: &Arc<TraceRecorder>) -> telemetry::RecorderGuard {
-    let mut sinks: Vec<Arc<dyn Recorder>> = vec![Arc::clone(tracer) as Arc<dyn Recorder>];
-    if let Some(ambient) = telemetry::current() {
-        sinks.push(ambient);
-    }
-    telemetry::install(Arc::new(FanoutRecorder::new(sinks)))
 }
 
 /// Opens a streaming session on this connection, claiming a queue slot.
@@ -668,20 +650,10 @@ fn handle_session_open(
     };
     telemetry::counter("service.sessions.opened", 1);
     telemetry::decision(&Decision::SessionOpened { id: request_id });
-    let strategy = open.strategy.unwrap_or_default();
-    let mut options = StreamingOptions::default()
-        .with_strategy(strategy)
-        .with_defects(open.defects.clone());
-    if let Some(label) = &open.label {
-        options = options.with_label(label.clone());
-    }
-    if let Some(budget_us) = open.budget_us {
-        options = options.with_step_budget(Duration::from_micros(budget_us));
-    }
     let tracer = open.trace.then(|| Arc::new(TraceRecorder::new()));
     let stream = {
-        let _guard = tracer.as_ref().map(session_trace_guard);
-        StreamingPipeline::open(open.qubits.max(1), options)
+        let _guard = trace_alongside(&tracer);
+        StreamingPipeline::open(open.qubits.max(1), open.options.clone())
     };
     *session = Some(OpenSession {
         stream,
@@ -693,8 +665,8 @@ fn handle_session_open(
     Ok(session_response(
         "open",
         vec![
-            ("qubits".to_string(), JsonValue::from(open.qubits.max(1))),
-            ("strategy".to_string(), JsonValue::from(strategy.name())),
+            ("qubits", JsonValue::from(open.qubits.max(1))),
+            ("strategy", JsonValue::from(open.options.strategy.name())),
         ],
     ))
 }
@@ -739,36 +711,16 @@ fn step_outcome_json(outcome: StepOutcome) -> JsonValue {
 }
 
 /// The `{status: ok, kind: session, session: <op>, ...}` envelope.
-fn session_response(op: &str, extra: Vec<(String, JsonValue)>) -> JsonValue {
-    let mut fields = vec![
-        ("proto".to_string(), JsonValue::from(PROTOCOL)),
-        ("status".to_string(), JsonValue::from("ok")),
-        ("kind".to_string(), JsonValue::from("session")),
-        ("session".to_string(), JsonValue::from(op)),
-    ];
-    fields.extend(extra);
-    JsonValue::Object(fields)
+fn session_response(op: &str, extra: Vec<(&str, JsonValue)>) -> JsonValue {
+    ok_response(
+        "session",
+        std::iter::once(("session", JsonValue::from(op))).chain(extra),
+    )
 }
 
 /// Milliseconds this daemon has been serving.
 fn uptime_ms(shared: &Arc<Shared>) -> u64 {
     u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX)
-}
-
-/// The wire kind string a parsed request arrived under (for
-/// `request.begin` decisions).
-fn request_kind(request: &Request) -> &'static str {
-    match request {
-        Request::Ping => "ping",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Compile(_) => "compile",
-        Request::SessionOpen(_) => "session.open",
-        Request::SessionGate(_) => "session.gate",
-        Request::SessionStep { .. } => "session.step",
-        Request::SessionInject(_) => "session.inject",
-        Request::SessionClose => "session.close",
-    }
 }
 
 /// Dumps the flight-recorder history of `request_id` when the request
@@ -788,7 +740,7 @@ fn maybe_dump_flight(shared: &Arc<Shared>, request_id: u64, outcome: &str, elaps
     } else {
         return;
     };
-    let trace = shared.flight.dump_for(request_id);
+    let trace = shared.ambient.flight().dump_for(request_id);
     let dir = PathBuf::from(&shared.config.dump_dir);
     if std::fs::create_dir_all(&dir).is_err() {
         return;
@@ -803,56 +755,57 @@ fn maybe_dump_flight(shared: &Arc<Shared>, request_id: u64, outcome: &str, elaps
 /// counters/histograms, lifetime aggregates, and point-in-time gauges.
 fn metrics_response(shared: &Arc<Shared>) -> JsonValue {
     let cache = shared.cache().stats();
-    let windowed = shared.windowed.snapshot();
-    let lifetime = shared.recorder.snapshot();
-    JsonValue::object([
-        ("proto", JsonValue::from(PROTOCOL)),
-        ("status", JsonValue::from("ok")),
-        ("kind", JsonValue::from("metrics")),
-        ("schema", JsonValue::from(METRICS_SCHEMA)),
-        ("version", JsonValue::from(env!("CARGO_PKG_VERSION"))),
-        ("uptime_ms", JsonValue::from(uptime_ms(shared))),
-        ("window", windowed.to_json_value()),
-        ("lifetime", lifetime.to_json_value()),
-        (
-            "gauges",
-            JsonValue::object([
-                (
-                    "in_flight",
-                    JsonValue::from(shared.in_flight.load(Ordering::SeqCst)),
-                ),
-                (
-                    "queue_capacity",
-                    JsonValue::from(shared.config.queue_capacity),
-                ),
-                (
-                    "sessions_active",
-                    JsonValue::from(shared.sessions_active.load(Ordering::SeqCst)),
-                ),
-                (
-                    "cache",
-                    JsonValue::object([
-                        ("hits", JsonValue::from(cache.hits)),
-                        ("misses", JsonValue::from(cache.misses)),
-                        ("entries", JsonValue::from(cache.entries)),
-                        ("capacity", JsonValue::from(cache.capacity)),
-                    ]),
-                ),
-                (
-                    "flight",
-                    JsonValue::object([
-                        ("capacity", JsonValue::from(shared.flight.capacity())),
-                        ("dropped", JsonValue::from(shared.flight.overwritten())),
-                    ]),
-                ),
-            ]),
-        ),
-    ])
+    let windowed = shared.ambient.windowed().snapshot();
+    let lifetime = shared.ambient.lifetime().snapshot();
+    let flight = shared.ambient.flight();
+    ok_response(
+        "metrics",
+        [
+            ("schema", JsonValue::from(METRICS_SCHEMA)),
+            ("version", JsonValue::from(env!("CARGO_PKG_VERSION"))),
+            ("uptime_ms", JsonValue::from(uptime_ms(shared))),
+            ("window", windowed.to_json_value()),
+            ("lifetime", lifetime.to_json_value()),
+            (
+                "gauges",
+                JsonValue::object([
+                    (
+                        "in_flight",
+                        JsonValue::from(shared.in_flight.load(Ordering::SeqCst)),
+                    ),
+                    (
+                        "queue_capacity",
+                        JsonValue::from(shared.config.queue_capacity),
+                    ),
+                    (
+                        "sessions_active",
+                        JsonValue::from(shared.sessions_active.load(Ordering::SeqCst)),
+                    ),
+                    (
+                        "cache",
+                        JsonValue::object([
+                            ("hits", JsonValue::from(cache.hits)),
+                            ("misses", JsonValue::from(cache.misses)),
+                            ("entries", JsonValue::from(cache.entries)),
+                            ("capacity", JsonValue::from(cache.capacity)),
+                        ]),
+                    ),
+                    (
+                        "flight",
+                        JsonValue::object([
+                            ("capacity", JsonValue::from(flight.capacity())),
+                            ("dropped", JsonValue::from(flight.overwritten())),
+                        ]),
+                    ),
+                ]),
+            ),
+        ],
+    )
 }
 
 fn stats_response(shared: &Arc<Shared>) -> JsonValue {
     let cache = shared.cache().stats();
-    let snapshot = shared.recorder.snapshot();
+    let snapshot = shared.ambient.lifetime().snapshot();
     let latency = snapshot
         .histogram("service.latency_ms")
         .map(|h| {
@@ -875,49 +828,41 @@ fn stats_response(shared: &Arc<Shared>) -> JsonValue {
         "service.timeouts",
         "service.flight.dumps",
     ];
-    JsonValue::object([
-        ("proto", JsonValue::from(PROTOCOL)),
-        ("status", JsonValue::from("ok")),
-        ("kind", JsonValue::from("stats")),
-        ("version", JsonValue::from(env!("CARGO_PKG_VERSION"))),
-        ("uptime_ms", JsonValue::from(uptime_ms(shared))),
-        (
-            "in_flight",
-            JsonValue::from(shared.in_flight.load(Ordering::SeqCst)),
-        ),
-        (
-            "queue_capacity",
-            JsonValue::from(shared.config.queue_capacity),
-        ),
-        (
-            "cache",
-            JsonValue::object([
-                ("hits", JsonValue::from(cache.hits)),
-                ("misses", JsonValue::from(cache.misses)),
-                ("evictions", JsonValue::from(cache.evictions)),
-                ("entries", JsonValue::from(cache.entries)),
-                ("capacity", JsonValue::from(cache.capacity)),
-            ]),
-        ),
-        (
-            "counters",
-            JsonValue::Object(
-                counter_names
-                    .iter()
-                    .map(|n| (n.to_string(), JsonValue::from(snapshot.counter(n))))
-                    .collect(),
+    ok_response(
+        "stats",
+        [
+            ("version", JsonValue::from(env!("CARGO_PKG_VERSION"))),
+            ("uptime_ms", JsonValue::from(uptime_ms(shared))),
+            (
+                "in_flight",
+                JsonValue::from(shared.in_flight.load(Ordering::SeqCst)),
             ),
-        ),
-        ("latency_ms", latency),
-    ])
-}
-
-/// The effective compile settings after merging request overrides into
-/// the [`CompileOptions::default`] values.
-struct Effective {
-    strategy: Strategy,
-    optimize: bool,
-    verify: bool,
+            (
+                "queue_capacity",
+                JsonValue::from(shared.config.queue_capacity),
+            ),
+            (
+                "cache",
+                JsonValue::object([
+                    ("hits", JsonValue::from(cache.hits)),
+                    ("misses", JsonValue::from(cache.misses)),
+                    ("evictions", JsonValue::from(cache.evictions)),
+                    ("entries", JsonValue::from(cache.entries)),
+                    ("capacity", JsonValue::from(cache.capacity)),
+                ]),
+            ),
+            (
+                "counters",
+                JsonValue::Object(
+                    counter_names
+                        .iter()
+                        .map(|n| (n.to_string(), JsonValue::from(snapshot.counter(n))))
+                        .collect(),
+                ),
+            ),
+            ("latency_ms", latency),
+        ],
+    )
 }
 
 fn handle_compile(
@@ -926,14 +871,7 @@ fn handle_compile(
     request_id: u64,
 ) -> Result<Reply, ServiceError> {
     let start = Instant::now();
-    let defaults = CompileOptions::default();
-    let effective = Effective {
-        strategy: req.strategy.unwrap_or(defaults.strategy),
-        optimize: req.optimize.unwrap_or(defaults.optimize),
-        verify: req.verify.unwrap_or(defaults.verify),
-    };
-
-    let cacheable = req.use_cache && !req.telemetry && !req.trace;
+    let cacheable = req.use_cache && !req.options.telemetry && !req.options.trace;
     // A source seen before skips the parse: the memo holds what the key
     // needs from it. Any other source parses here, and the circuit is
     // kept for the compile.
@@ -960,7 +898,7 @@ fn handle_compile(
                 canonical
             }
         };
-        let key = content_key(&canonical, req, &effective);
+        let key = content_key(&canonical, req);
         let cached = shared.cache().get(&key);
         if let Some(report) = cached {
             telemetry::counter("service.cache.hit", 1);
@@ -998,7 +936,7 @@ fn handle_compile(
         circuit.set_name(label.clone());
     }
 
-    let pipeline = build_pipeline(req, &effective)?;
+    let pipeline = build_pipeline(req)?;
 
     // Admission control: claim a queue slot or degrade to `overloaded`.
     admit(shared)?;
@@ -1055,10 +993,7 @@ fn handle_compile(
     };
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     let telemetry_doc = report.telemetry.as_ref().map(|s| s.to_json_value());
-    let trace_doc = report
-        .trace
-        .as_ref()
-        .and_then(|t| JsonValue::parse(&t.to_chrome_json()).ok());
+    let trace_doc = report.trace.as_ref().map(export::chrome_trace_json);
     let attachments = [("telemetry", telemetry_doc), ("trace", trace_doc)]
         .into_iter()
         .filter_map(|(name, doc)| Some((name, doc?)))
@@ -1078,11 +1013,7 @@ fn handle_compile(
 /// deliberately absent — the determinism contract guarantees thread
 /// count cannot change the canonical report, so all thread counts share
 /// one entry.
-fn content_key(
-    canonical: &CanonicalSource,
-    req: &CompileRequest,
-    effective: &Effective,
-) -> CacheKey {
+fn content_key(canonical: &CanonicalSource, req: &CompileRequest) -> CacheKey {
     let name = req.label.as_deref().unwrap_or(&canonical.name);
     CacheKey::new(
         &format!("{name}\n{}", canonical.qasm),
@@ -1092,9 +1023,9 @@ fn content_key(
         },
         &format!(
             "strategy={};optimize={};verify={}",
-            effective.strategy.name(),
-            effective.optimize,
-            effective.verify
+            req.options.strategy.name(),
+            req.options.optimize,
+            req.options.verify
         ),
     )
 }
@@ -1139,24 +1070,18 @@ fn check_width(qubits: u32) -> Result<(), ServiceError> {
     Ok(())
 }
 
-/// Builds the per-request pipeline (always single-threaded inside: the
-/// pool provides the parallelism across requests).
-fn build_pipeline(req: &CompileRequest, effective: &Effective) -> Result<Pipeline, ServiceError> {
-    let mut pipeline = Pipeline::new().with_options(CompileOptions {
-        strategy: effective.strategy,
-        optimize: effective.optimize,
-        verify: effective.verify,
-        telemetry: req.telemetry,
-        trace: req.trace,
-    });
-    if let Some(d) = req.distance {
-        let params = CodeParams::with_distance(d).map_err(|e| {
-            ServiceError::new(ErrorKind::Protocol, format!("invalid distance {d}: {e}"))
-        })?;
-        pipeline =
-            pipeline.with_config(ScheduleConfig::default().with_timing(TimingModel::new(params)));
-    }
-    Ok(pipeline)
+/// Builds the per-request pipeline from the request's options, with
+/// the timing model of its code distance (always single-threaded
+/// inside: the pool provides the parallelism across requests).
+fn build_pipeline(req: &CompileRequest) -> Result<Pipeline, ServiceError> {
+    let pipeline = Pipeline::new().with_options(req.options.clone());
+    let Some(d) = req.distance else {
+        return Ok(pipeline);
+    };
+    let params = CodeParams::with_distance(d).map_err(|e| {
+        ServiceError::new(ErrorKind::Protocol, format!("invalid distance {d}: {e}"))
+    })?;
+    Ok(pipeline.with_config(ScheduleConfig::default().with_timing(TimingModel::new(params))))
 }
 
 /// Claims one bounded-queue slot, or reports `overloaded`.
@@ -1180,7 +1105,9 @@ fn admit(shared: &Arc<Shared>) -> Result<(), ServiceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autobraid::pipeline::Pipeline;
+    use crate::protocol::PROTOCOL;
+    use crate::Client;
+    use autobraid::pipeline::{CompileOptions, Pipeline};
 
     const BELL: &str = "qreg q[2]; h q[0]; cx q[0],q[1];";
 
@@ -1297,5 +1224,29 @@ mod tests {
         assert_eq!(warm.get("cache").and_then(JsonValue::as_str), Some("hit"));
         assert_eq!(warm.get("report"), cold.get("report"));
         assert_eq!(server.cache_stats().hits, 1);
+    }
+
+    #[test]
+    fn finished_connections_leave_no_bookkeeping() {
+        let server = Server::start(ServiceConfig {
+            dump_dir: String::new(),
+            ..ServiceConfig::default()
+        })
+        .expect("server starts");
+        for _ in 0..64 {
+            let mut client = Client::connect(server.addr()).expect("connect");
+            client.ping().expect("pong");
+        }
+        // Each connection thread ends once it reads its client's EOF.
+        let live = || server.shared.connections.lock().expect("lock").len();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while live() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(live(), 0, "entries of finished connections remain");
+        // A live connection keeps its entry and is still served.
+        let mut client = Client::connect(server.addr()).expect("connect");
+        client.ping().expect("pong");
+        assert_eq!(live(), 1);
     }
 }

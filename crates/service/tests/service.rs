@@ -527,21 +527,15 @@ fn slow_request_threshold_triggers_a_dump() {
 
 #[test]
 fn canonical_report_is_byte_identical_with_ambient_observability() {
-    use autobraid_telemetry::{
-        FanoutRecorder, FlightRecorder, MemoryRecorder, Recorder, WindowedRecorder,
-    };
+    use autobraid_telemetry::{AmbientStack, MemoryRecorder};
     use std::sync::Arc;
     let bare = Pipeline::new()
         .compile_qasm(BELL_QASM)
         .expect("bare compile")
         .canonical_json();
-    let ambient: Arc<dyn Recorder> = Arc::new(FanoutRecorder::new(vec![
-        Arc::new(MemoryRecorder::ambient()),
-        Arc::new(WindowedRecorder::new()),
-        Arc::new(FlightRecorder::new()),
-    ]));
+    let ambient = AmbientStack::new();
     let observed = {
-        let _guard = autobraid_telemetry::install(ambient);
+        let _guard = ambient.install();
         Pipeline::new()
             .compile_qasm(BELL_QASM)
             .expect("observed compile")

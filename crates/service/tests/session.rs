@@ -226,6 +226,29 @@ fn fault_injection_mid_stream_recovers_and_traces() {
 }
 
 #[test]
+fn a_traced_session_feeds_no_fine_metrics_into_the_daemon() {
+    let server = server(|_| {});
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut circuit = Circuit::new(8);
+    for q in 0..4 {
+        circuit.cx(q, q + 4).cx(q + 4, (q + 1) % 4);
+    }
+    let gates: Vec<Gate> = circuit.iter().map(|(_, g)| *g).collect();
+    client
+        .session_open(&SessionOpen::new(8).with_trace(true))
+        .expect("session opens");
+    client.session_gate(&gates).expect("gates accepted");
+    client.session_step(4).expect("steps");
+    let outcome = client.session_close().expect("session closes");
+    assert!(outcome.trace.is_some(), "trace attached when requested");
+    // The router's per-search counter is fine-grained: the trace drops
+    // it, and the ambient sinks decline it.
+    assert_eq!(server.telemetry().counter("router.route.requests"), 0);
+    assert_eq!(server.windowed().counter("router.route.requests"), 0);
+    assert_eq!(server.telemetry().counter("service.sessions.closed"), 1);
+}
+
+#[test]
 fn session_step_count_is_clamped_and_stops_at_idle() {
     let server = server(|c| c.max_session_steps = 2);
     let (qubits, gates) = bell_gates();

@@ -42,8 +42,8 @@ struct FlightInner {
 
 /// A [`Recorder`] holding the last N coarse decisions in a ring.
 ///
-/// Shared across every connection and worker thread of a daemon (one
-/// `Arc`, fanned out via [`crate::FanoutRecorder`]); each recording
+/// Shared across every connection and worker thread of a daemon (as
+/// part of one [`crate::AmbientStack`]); each recording
 /// thread gets its own track, and every event carries the request id
 /// active on that thread ([`crate::begin_request`]), so
 /// [`FlightRecorder::dump_for`] can cut one request's history out of

@@ -58,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod ambient;
 pub mod bench;
 pub mod explain;
 pub mod export;
@@ -72,10 +73,13 @@ mod span;
 pub mod trace;
 mod window;
 
+pub use ambient::AmbientStack;
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use json::JsonValue;
 pub use memory::{HistogramSummary, MemoryRecorder, SpanStat, TelemetrySnapshot, SCHEMA};
-pub use recorder::{current, install, is_enabled, FanoutRecorder, Recorder, RecorderGuard};
+pub use recorder::{
+    current, install, install_alongside, is_enabled, FanoutRecorder, Recorder, RecorderGuard,
+};
 pub use reference::{reference_mode, set_reference_mode};
 pub use request::{begin_request, current_request, RequestGuard};
 pub use rng::{Rng64, SampleRange};

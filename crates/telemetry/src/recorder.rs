@@ -200,6 +200,17 @@ pub fn install(recorder: Arc<dyn Recorder>) -> RecorderGuard {
     }
 }
 
+/// Installs `sink` next to this thread's current recorder, if any:
+/// both see every event until the guard drops. This is how a trace
+/// capture joins an already-installed recorder (an ambient stack, a
+/// `--telemetry` sink) without taking its events away.
+pub fn install_alongside(sink: Arc<dyn Recorder>) -> RecorderGuard {
+    match current() {
+        Some(existing) => install(Arc::new(FanoutRecorder::new(vec![existing, sink]))),
+        None => install(sink),
+    }
+}
+
 /// This thread's cached capability snapshot (all-false when no
 /// recorder is installed).
 pub(crate) fn caps() -> Caps {

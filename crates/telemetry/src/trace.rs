@@ -482,7 +482,10 @@ pub(crate) fn current_track(tracks: &mut Vec<(u64, String)>) -> usize {
 /// aggregates belong to [`crate::MemoryRecorder`]; combine both with
 /// [`crate::FanoutRecorder`] to capture a trace and a snapshot in one
 /// run. Each dropped call increments the [`Trace::dropped`] count so
-/// the loss is visible in the snapshot instead of silent.
+/// the loss is visible in the snapshot instead of silent. For the same
+/// reason it declines fine-grained metrics: a trace installed next to
+/// an ambient stack ([`crate::install_alongside`]) must not switch the
+/// inner-loop counters on for the stack's sinks.
 pub struct TraceRecorder {
     epoch: Instant,
     inner: Mutex<TraceInner>,
@@ -562,6 +565,10 @@ impl Recorder for TraceRecorder {
 
     fn wants_decisions(&self) -> bool {
         true
+    }
+
+    fn wants_fine_metrics(&self) -> bool {
+        false
     }
 }
 

@@ -39,8 +39,8 @@ struct Bucket {
 /// A [`Recorder`] that aggregates counters and histograms into a ring
 /// of one-second buckets.
 ///
-/// Install it alongside the lifetime [`crate::MemoryRecorder`] via a
-/// [`crate::FanoutRecorder`]; both see the same `add`/`observe`
+/// An [`crate::AmbientStack`] installs it alongside the lifetime
+/// [`crate::MemoryRecorder`]; both see the same `add`/`observe`
 /// stream, one keeps forever, this one keeps the trailing window.
 /// Spans and decisions are declined — windowed span aggregation would
 /// duplicate what the lifetime recorder already answers.
