@@ -28,8 +28,18 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DependenceDag {
-    predecessors: Vec<Vec<GateId>>,
-    successors: Vec<Vec<GateId>>,
+    /// Predecessors of gate `g`: `preds[pred_start[g]..pred_start[g + 1]]`.
+    pred_start: Vec<usize>,
+    preds: Vec<GateId>,
+    /// Successors of gate `g`: the first `succ_len[g]` of its slots
+    /// `succs[succ_start[g]..succ_start[g + 1]]`. A plain DAG gives each
+    /// gate one slot per operand (a later gate attaches through an
+    /// operand whose last writer it is, so at most one per operand),
+    /// filled as [`push`](Self::push) appends; a relaxed DAG sizes the
+    /// slots exactly.
+    succ_start: Vec<usize>,
+    succ_len: Vec<u32>,
+    succs: Vec<GateId>,
     /// Last gate on each qubit: where [`DependenceDag::push`] attaches
     /// the next gate. Empty for a commutation-relaxed DAG, which cannot
     /// be appended to.
@@ -41,8 +51,12 @@ impl DependenceDag {
     /// per gate.
     pub fn new(circuit: &Circuit) -> Self {
         let mut dag = DependenceDag::with_qubits(circuit.num_qubits());
-        dag.predecessors.reserve(circuit.len());
-        dag.successors.reserve(circuit.len());
+        let n = circuit.len();
+        dag.pred_start.reserve(n);
+        dag.preds.reserve(2 * n);
+        dag.succ_start.reserve(n);
+        dag.succ_len.reserve(n);
+        dag.succs.reserve(2 * n);
         for (_, gate) in circuit.iter() {
             dag.push(gate);
         }
@@ -53,8 +67,11 @@ impl DependenceDag {
     /// with [`push`](Self::push).
     pub fn with_qubits(num_qubits: u32) -> Self {
         DependenceDag {
-            predecessors: Vec::new(),
-            successors: Vec::new(),
+            pred_start: vec![0],
+            preds: Vec::new(),
+            succ_start: vec![0],
+            succ_len: Vec::new(),
+            succs: Vec::new(),
             last_on_qubit: vec![None; num_qubits as usize],
         }
     }
@@ -69,8 +86,9 @@ impl DependenceDag {
     /// commuting sets a plain last-writer edge cannot extend.
     pub fn push(&mut self, gate: &Gate) -> GateId {
         let id = self.len();
-        let mut preds = Vec::new();
-        for q in gate.qubits() {
+        let first = self.preds.len();
+        let operands = gate.qubits();
+        for &q in operands.iter() {
             let last = self
                 .last_on_qubit
                 .get_mut(q as usize)
@@ -78,14 +96,18 @@ impl DependenceDag {
             if let Some(prev) = last.replace(id) {
                 // A two-qubit gate may repeat a predecessor if both
                 // operands last touched the same gate; dedupe.
-                if !preds.contains(&prev) {
-                    preds.push(prev);
-                    self.successors[prev].push(id);
+                if !self.preds[first..].contains(&prev) {
+                    self.preds.push(prev);
+                    let slot = self.succ_start[prev] + self.succ_len[prev] as usize;
+                    self.succs[slot] = id;
+                    self.succ_len[prev] += 1;
                 }
             }
         }
-        self.predecessors.push(preds);
-        self.successors.push(Vec::new());
+        self.pred_start.push(self.preds.len());
+        self.succs.extend(operands.iter().map(|_| 0));
+        self.succ_start.push(self.succs.len());
+        self.succ_len.push(0);
         id
     }
 
@@ -109,8 +131,9 @@ impl DependenceDag {
     pub fn with_commutation(circuit: &Circuit) -> Self {
         use crate::commutation::commutes;
         let n = circuit.len();
-        let mut predecessors: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        let mut successors: Vec<Vec<GateId>> = vec![Vec::new(); n];
+        let mut pred_start = Vec::with_capacity(n + 1);
+        pred_start.push(0);
+        let mut preds: Vec<GateId> = Vec::new();
         // Per qubit: the previous (closed) commuting set and the current
         // (open) one. A new gate joining the current set depends on all of
         // the previous set; a non-commuting gate closes the current set.
@@ -118,17 +141,8 @@ impl DependenceDag {
         let mut prev_set: Vec<Vec<GateId>> = vec![Vec::new(); qubits];
         let mut cur_set: Vec<Vec<GateId>> = vec![Vec::new(); qubits];
 
-        let add_edge = |from: GateId,
-                        to: GateId,
-                        predecessors: &mut Vec<Vec<GateId>>,
-                        successors: &mut Vec<Vec<GateId>>| {
-            if !predecessors[to].contains(&from) {
-                predecessors[to].push(from);
-                successors[from].push(to);
-            }
-        };
-
         for (id, gate) in circuit.iter() {
+            let first = preds.len();
             for q in gate.qubits() {
                 let qi = q as usize;
                 let joins = cur_set[qi].iter().all(|&g| commutes(circuit.gate(g), gate));
@@ -136,48 +150,70 @@ impl DependenceDag {
                     prev_set[qi] = std::mem::take(&mut cur_set[qi]);
                 }
                 for &p in &prev_set[qi] {
-                    add_edge(p, id, &mut predecessors, &mut successors);
+                    if !preds[first..].contains(&p) {
+                        preds.push(p);
+                    }
                 }
                 cur_set[qi].push(id);
             }
+            preds[first..].sort_unstable();
+            pred_start.push(preds.len());
         }
-        for preds in &mut predecessors {
-            preds.sort_unstable();
+
+        // Successor lists by counting sort over the edges; filling in
+        // increasing `to` order leaves each list sorted.
+        let mut succ_len = vec![0u32; n];
+        for &p in &preds {
+            succ_len[p] += 1;
         }
-        for succs in &mut successors {
-            succs.sort_unstable();
+        let mut succ_start = Vec::with_capacity(n + 1);
+        succ_start.push(0);
+        for &len in &succ_len {
+            succ_start.push(succ_start[succ_start.len() - 1] + len as usize);
+        }
+        let mut fill = succ_start[..n].to_vec();
+        let mut succs = vec![0; preds.len()];
+        for to in 0..n {
+            for &from in &preds[pred_start[to]..pred_start[to + 1]] {
+                succs[fill[from]] = to;
+                fill[from] += 1;
+            }
         }
         DependenceDag {
-            predecessors,
-            successors,
+            pred_start,
+            preds,
+            succ_start,
+            succ_len,
+            succs,
             last_on_qubit: Vec::new(),
         }
     }
 
     /// Number of gates (nodes).
     pub fn len(&self) -> usize {
-        self.predecessors.len()
+        self.succ_len.len()
     }
 
     /// Whether the DAG is empty.
     pub fn is_empty(&self) -> bool {
-        self.predecessors.is_empty()
+        self.succ_len.is_empty()
     }
 
     /// Immediate predecessors of `gate`.
     pub fn predecessors(&self, gate: GateId) -> &[GateId] {
-        &self.predecessors[gate]
+        &self.preds[self.pred_start[gate]..self.pred_start[gate + 1]]
     }
 
     /// Immediate successors of `gate`.
     pub fn successors(&self, gate: GateId) -> &[GateId] {
-        &self.successors[gate]
+        let start = self.succ_start[gate];
+        &self.succs[start..start + self.succ_len[gate] as usize]
     }
 
     /// Gates with no predecessors.
     pub fn roots(&self) -> Vec<GateId> {
         (0..self.len())
-            .filter(|&g| self.predecessors[g].is_empty())
+            .filter(|&g| self.predecessors(g).is_empty())
             .collect()
     }
 
@@ -192,7 +228,7 @@ impl DependenceDag {
         let mut level = vec![0usize; self.len()];
         // Program order is a topological order by construction.
         for g in 0..self.len() {
-            for &p in &self.predecessors[g] {
+            for &p in self.predecessors(g) {
                 level[g] = level[g].max(level[p] + 1);
             }
         }
@@ -216,7 +252,8 @@ impl DependenceDag {
         let mut finish = vec![0u64; self.len()];
         let mut best = 0;
         for g in 0..self.len() {
-            let start = self.predecessors[g]
+            let start = self
+                .predecessors(g)
                 .iter()
                 .map(|&p| finish[p])
                 .max()

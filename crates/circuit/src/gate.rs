@@ -108,10 +108,10 @@ impl TwoKind {
 ///
 /// let g = Gate::two(TwoKind::Cx, 0, 3);
 /// assert!(g.is_two_qubit());
-/// assert_eq!(g.qubits(), vec![0, 3]);
+/// assert_eq!(*g.qubits(), [0, 3]);
 ///
 /// let h = Gate::single(SingleKind::H, 2);
-/// assert_eq!(h.qubits(), vec![2]);
+/// assert_eq!(*h.qubits(), [2]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
@@ -164,13 +164,19 @@ impl Gate {
         matches!(self, Gate::Two { .. })
     }
 
-    /// The operand qubits (one or two entries).
-    pub fn qubits(&self) -> Vec<QubitId> {
+    /// The operand qubits (one or two entries), without allocating.
+    pub fn qubits(&self) -> Operands {
         match *self {
-            Gate::Single { qubit, .. } => vec![qubit],
+            Gate::Single { qubit, .. } => Operands {
+                qubits: [qubit, qubit],
+                len: 1,
+            },
             Gate::Two {
                 control, target, ..
-            } => vec![control, target],
+            } => Operands {
+                qubits: [control, target],
+                len: 2,
+            },
         }
     }
 
@@ -224,6 +230,37 @@ impl Gate {
     }
 }
 
+/// A gate's operand qubits, in operand order ([`Gate::qubits`]): one or
+/// two entries held inline. Derefs to a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct Operands {
+    qubits: [QubitId; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [QubitId];
+
+    fn deref(&self) -> &[QubitId] {
+        &self.qubits[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::DerefMut for Operands {
+    fn deref_mut(&mut self) -> &mut [QubitId] {
+        &mut self.qubits[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = QubitId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<QubitId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.qubits.into_iter().take(usize::from(self.len))
+    }
+}
+
 impl fmt::Display for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -253,7 +290,7 @@ mod tests {
     fn qubits_and_arity() {
         let g = Gate::cx(1, 4);
         assert!(g.is_two_qubit());
-        assert_eq!(g.qubits(), vec![1, 4]);
+        assert_eq!(*g.qubits(), [1, 4]);
         assert_eq!(g.pair(), Some((1, 4)));
         assert_eq!(g.max_qubit(), 4);
 

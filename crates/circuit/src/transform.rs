@@ -370,7 +370,7 @@ fn optimize_reference(circuit: &Circuit, epsilon: f64) -> (Circuit, TransformSta
                 let mut q2 = g2.qubits();
                 q1.sort_unstable();
                 q2.sort_unstable();
-                q1 == q2
+                *q1 == *q2
             };
             if !same_qubits {
                 continue;

@@ -44,26 +44,24 @@ pub fn schedule_maslov_with_dag(
     schedule_maslov_below(circuit, config, dag, u64::MAX).expect("an unbounded schedule completes")
 }
 
-/// [`schedule_maslov_with_dag`] that quits once the schedule reaches
-/// `bound` cycles: `None` unless it drains in fewer.
+/// [`schedule_maslov_with_dag`] racing an incumbent of `bound` cycles:
+/// `None` unless it drains in fewer (see
+/// [`run_below`]).
 pub(crate) fn schedule_maslov_below(
     circuit: &Circuit,
     config: &ScheduleConfig,
     dag: &DependenceDag,
     bound: u64,
 ) -> Option<(ScheduleResult, Placement)> {
-    let n = circuit.num_qubits();
-    let grid = Grid::with_capacity_for(n as usize);
-    let initial = place_along_serpentine(&grid, &(0..n).collect::<Vec<QubitId>>());
+    let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
+    let (initial, layout) = swap_network_start(&grid, circuit.num_qubits());
     let (mut result, _) = run_below(
         "maslov",
         circuit,
         &grid,
         initial.clone(),
         &AdjacentPolicy,
-        LayoutMove::SwapNetwork(SwapNetwork {
-            cells: serpentine_cells(&grid)[..n as usize].to_vec(),
-        }),
+        layout,
         config,
         dag,
         bound,
@@ -73,6 +71,16 @@ pub(crate) fn schedule_maslov_below(
     // canonical bytes keep it so.
     result.layer_policies.clear();
     Some((result, initial))
+}
+
+/// The swap network's start on `grid` for `n` qubits: the serpentine
+/// identity placement and the transposition layout move.
+pub(crate) fn swap_network_start(grid: &Grid, n: QubitId) -> (Placement, LayoutMove) {
+    let placement = place_along_serpentine(grid, &(0..n).collect::<Vec<QubitId>>());
+    let layout = LayoutMove::SwapNetwork(SwapNetwork {
+        cells: serpentine_cells(grid)[..n as usize].to_vec(),
+    });
+    (placement, layout)
 }
 
 /// Position of `cell` along the serpentine line of `grid` (the inverse of
@@ -92,7 +100,7 @@ fn line_position(grid: &Grid, cell: Cell) -> u32 {
 /// rest. It makes progress only together with the swap-network layout
 /// move and the serpentine placement, so no registry strategy streams
 /// with it.
-struct AdjacentPolicy;
+pub(crate) struct AdjacentPolicy;
 
 impl RoutePolicy for AdjacentPolicy {
     fn name(&self) -> &'static str {

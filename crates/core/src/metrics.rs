@@ -1,7 +1,7 @@
 //! Schedule results, step records, and verification.
 
 use autobraid_circuit::{Circuit, GateId, QubitId};
-use autobraid_lattice::{Grid, Occupancy, TimingModel};
+use autobraid_lattice::{Cell, Grid, Occupancy, TimingModel, Vertex};
 use autobraid_router::BraidPath;
 
 /// A SWAP inserted by the layout optimizer: exchanges the tiles of two
@@ -47,10 +47,10 @@ pub struct LayerPolicy {
     /// Zero-based engine step index of the committed layer.
     pub step: u64,
     /// Name of the finder that routed it (`"stack"`, `"pathfinder"`, …).
-    pub policy: String,
+    pub policy: &'static str,
     /// Short justification (`"fixed"`, `"dense-interference"`,
     /// `"race-stack-won"`, …).
-    pub reason: String,
+    pub reason: &'static str,
 }
 
 /// The outcome of scheduling one circuit.
@@ -207,13 +207,18 @@ pub fn verify_schedule_with_dag(
                         return Err(format!("step {step_no}: gate {g} is not two-qubit"));
                     };
                     let (ca, cb) = (placement.cell_of(qa), placement.cell_of(qb));
-                    if BraidPath::new(grid, ca, cb, path.vertices().to_vec()).is_none() {
-                        return Err(format!(
-                            "step {step_no}: invalid path for gate {g} between {ca} and {cb}"
-                        ));
-                    }
-                    if !occ.try_reserve(grid, path.vertices().iter().copied()) {
-                        return Err(format!("step {step_no}: path for gate {g} crosses another"));
+                    match reserve_route(grid, &mut occ, ca, cb, path.vertices()) {
+                        Ok(()) => {}
+                        Err(PathFault::Invalid) => {
+                            return Err(format!(
+                                "step {step_no}: invalid path for gate {g} between {ca} and {cb}"
+                            ))
+                        }
+                        Err(PathFault::Crosses) => {
+                            return Err(format!(
+                                "step {step_no}: path for gate {g} crosses another"
+                            ))
+                        }
                     }
                     complete(*g, &mut done_at)?;
                 }
@@ -235,17 +240,20 @@ pub fn verify_schedule_with_dag(
                         ));
                     }
                     let (ca, cb) = (placement.cell_of(swap.a), placement.cell_of(swap.b));
-                    if BraidPath::new(grid, ca, cb, swap.path.vertices().to_vec()).is_none() {
-                        return Err(format!(
-                            "step {step_no}: invalid swap path ({},{})",
-                            swap.a, swap.b
-                        ));
-                    }
-                    if !occ.try_reserve(grid, swap.path.vertices().iter().copied()) {
-                        return Err(format!(
-                            "step {step_no}: swap path ({},{}) crosses another",
-                            swap.a, swap.b
-                        ));
+                    match reserve_route(grid, &mut occ, ca, cb, swap.path.vertices()) {
+                        Ok(()) => {}
+                        Err(PathFault::Invalid) => {
+                            return Err(format!(
+                                "step {step_no}: invalid swap path ({},{})",
+                                swap.a, swap.b
+                            ))
+                        }
+                        Err(PathFault::Crosses) => {
+                            return Err(format!(
+                                "step {step_no}: swap path ({},{}) crosses another",
+                                swap.a, swap.b
+                            ))
+                        }
                     }
                 }
                 for swap in swaps {
@@ -259,6 +267,39 @@ pub fn verify_schedule_with_dag(
         return Err(format!("gate {missing} never executed"));
     }
     Ok(())
+}
+
+/// Why [`reserve_route`] rejected a recorded path.
+enum PathFault {
+    /// It would fail [`BraidPath::new`] between its operands' tiles.
+    Invalid,
+    /// It is valid but shares a vertex with a path reserved before it.
+    Crosses,
+}
+
+/// Checks a recorded path between tiles `a` and `b` in place and
+/// reserves it in `occ`. A vertex already reserved is either a repeat
+/// within the path (invalid, as [`BraidPath::new`] would find) or a
+/// crossing; the repeat scan only runs on that rare failure.
+fn reserve_route(
+    grid: &Grid,
+    occ: &mut Occupancy,
+    a: Cell,
+    b: Cell,
+    vertices: &[Vertex],
+) -> Result<(), PathFault> {
+    if !BraidPath::is_walk_between(grid, a, b, vertices) {
+        return Err(PathFault::Invalid);
+    }
+    if vertices.iter().all(|&v| occ.reserve(grid, v)) {
+        return Ok(());
+    }
+    let repeats = (1..vertices.len()).any(|i| vertices[..i].contains(&vertices[i]));
+    Err(if repeats {
+        PathFault::Invalid
+    } else {
+        PathFault::Crosses
+    })
 }
 
 #[cfg(test)]

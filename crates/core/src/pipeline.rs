@@ -180,7 +180,7 @@ impl CompileReport {
     /// this string whatever the thread count — the determinism contract of
     /// `docs/RUNTIME.md`, and the equality the conformance oracle checks.
     pub fn canonical_json(&self) -> String {
-        crate::report::canonical_compile_report_json(self).render_compact()
+        crate::report::canonical_report_string(self)
     }
 }
 

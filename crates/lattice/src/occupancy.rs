@@ -24,11 +24,29 @@ use crate::grid::Grid;
 /// assert!(!occ.try_reserve(&grid, [Vertex::new(1, 1)].into_iter()));
 /// # Ok::<(), autobraid_lattice::error::LatticeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Occupancy {
     bits: Vec<u64>,
     occupied: usize,
     capacity: usize,
+}
+
+impl Clone for Occupancy {
+    fn clone(&self) -> Self {
+        Occupancy {
+            bits: self.bits.clone(),
+            occupied: self.occupied,
+            capacity: self.capacity,
+        }
+    }
+
+    /// Reuses `self`'s bitmap: the engine resets its per-layer scratch
+    /// map this way every step.
+    fn clone_from(&mut self, source: &Self) {
+        self.bits.clone_from(&source.bits);
+        self.occupied = source.occupied;
+        self.capacity = source.capacity;
+    }
 }
 
 impl Occupancy {

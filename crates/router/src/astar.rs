@@ -232,19 +232,22 @@ fn reconstruct(grid: &Grid, a: Cell, b: Cell, parent: &[usize], mut idx: usize) 
     BraidPath::from_search(grid, a, b, vertices)
 }
 
-fn reconstruct_arena(
-    grid: &Grid,
-    a: Cell,
-    b: Cell,
-    arena: &SearchArena,
-    mut idx: usize,
-) -> BraidPath {
-    let mut vertices = vec![grid.vertex_at(idx)];
-    while arena.parent(idx) != NO_PARENT {
-        idx = arena.parent(idx) as usize;
-        vertices.push(grid.vertex_at(idx));
+fn reconstruct_arena(grid: &Grid, a: Cell, b: Cell, arena: &SearchArena, goal: usize) -> BraidPath {
+    // Walk the parent chain once to size the path, then fill it from
+    // the goal backwards.
+    let chain = |mut idx: usize| {
+        std::iter::from_fn(move || {
+            let here = idx;
+            (here != NO_PARENT as usize).then(|| {
+                idx = arena.parent(here) as usize;
+                here
+            })
+        })
+    };
+    let mut vertices = vec![Vertex::new(0, 0); chain(goal).count()];
+    for (slot, idx) in vertices.iter_mut().rev().zip(chain(goal)) {
+        *slot = grid.vertex_at(idx);
     }
-    vertices.reverse();
     BraidPath::from_search(grid, a, b, vertices)
 }
 
@@ -272,9 +275,11 @@ fn reconstruct_arena(
 /// assert!(conn.may_connect(&grid, Cell::new(0, 0), Cell::new(3, 1)));
 /// # Ok::<(), autobraid_lattice::LatticeError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Connectivity {
     labels: Vec<u32>,
+    /// Traversal stack, kept for the next [`recompute`](Self::recompute).
+    stack: Vec<usize>,
 }
 
 impl Connectivity {
@@ -283,29 +288,37 @@ impl Connectivity {
 
     /// Labels the free connected components of the grid in O(vertices).
     pub fn compute(grid: &Grid, occupancy: &Occupancy) -> Self {
+        let mut labels = Connectivity::default();
+        labels.recompute(grid, occupancy);
+        labels
+    }
+
+    /// [`compute`](Self::compute) into this value's buffers, which
+    /// allocates nothing once they have grown to the grid.
+    pub fn recompute(&mut self, grid: &Grid, occupancy: &Occupancy) {
         let n = grid.vertex_count();
-        let mut labels = vec![Self::BLOCKED; n];
+        let Connectivity { labels, stack } = self;
+        labels.clear();
+        labels.resize(n, Self::BLOCKED);
         let mut next = 0u32;
-        let mut queue = std::collections::VecDeque::new();
         for start in 0..n {
             if labels[start] != Self::BLOCKED || occupancy.is_occupied(grid, grid.vertex_at(start))
             {
                 continue;
             }
             labels[start] = next;
-            queue.push_back(start);
-            while let Some(i) = queue.pop_front() {
+            stack.push(start);
+            while let Some(i) = stack.pop() {
                 for v in grid.neighbors(grid.vertex_at(i)) {
                     let j = grid.vertex_index(v);
                     if labels[j] == Self::BLOCKED && occupancy.is_free(grid, v) {
                         labels[j] = next;
-                        queue.push_back(j);
+                        stack.push(j);
                     }
                 }
             }
             next += 1;
         }
-        Connectivity { labels }
     }
 
     /// Whether some free corner of `a` shares a component with some free

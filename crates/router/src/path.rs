@@ -80,17 +80,7 @@ impl BraidPath {
     /// or fails to start/end on corners of the two tiles (in either
     /// order).
     pub fn new(grid: &Grid, a: Cell, b: Cell, vertices: Vec<Vertex>) -> Option<Self> {
-        let first = *vertices.first()?;
-        let last = *vertices.last()?;
-        let endpoints_ok = (a.has_corner(first) && b.has_corner(last))
-            || (b.has_corner(first) && a.has_corner(last));
-        if !endpoints_ok {
-            return None;
-        }
-        if !vertices.iter().all(|&v| grid.contains_vertex(v)) {
-            return None;
-        }
-        if vertices.windows(2).any(|w| !w[0].is_adjacent(w[1])) {
+        if !BraidPath::is_walk_between(grid, a, b, &vertices) {
             return None;
         }
         let mut sorted = vertices.clone();
@@ -99,6 +89,20 @@ impl BraidPath {
             return None;
         }
         Some(BraidPath { vertices })
+    }
+
+    /// Every check of [`BraidPath::new`] but the one for a repeated
+    /// vertex, in place: `vertices` is a nonempty walk of adjacent grid
+    /// vertices from a corner of one tile to a corner of the other.
+    pub fn is_walk_between(grid: &Grid, a: Cell, b: Cell, vertices: &[Vertex]) -> bool {
+        let (Some(&first), Some(&last)) = (vertices.first(), vertices.last()) else {
+            return false;
+        };
+        let endpoints_ok = (a.has_corner(first) && b.has_corner(last))
+            || (b.has_corner(first) && a.has_corner(last));
+        endpoints_ok
+            && vertices.iter().all(|&v| grid.contains_vertex(v))
+            && vertices.windows(2).all(|w| w[0].is_adjacent(w[1]))
     }
 
     /// Wraps a vertex sequence produced by a search reconstruction

@@ -16,9 +16,11 @@
 
 use crate::astar::{find_path, Connectivity};
 use crate::interference::InterferenceGraph;
+use crate::llg::LlgSet;
 use crate::path::{BraidPath, CxRequest};
 use autobraid_lattice::{BBox, Grid, Occupancy};
 use autobraid_telemetry as telemetry;
+use std::cell::RefCell;
 
 /// One successfully routed gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,14 +70,27 @@ fn tie_break_key(r: &CxRequest) -> (u64, u32, std::cmp::Reverse<usize>) {
 /// committed reservation invalidates the labels. The precheck only arms
 /// itself after the first A* failure of the pass — uncongested passes pay
 /// nothing, congested tails (where failures cluster) skip their
-/// whole-grid explorations.
-#[derive(Default)]
+/// whole-grid explorations. The label buffers are the thread's, borrowed
+/// for the pass and handed back on drop.
 struct ConnCache {
-    labels: Option<Connectivity>,
+    labels: Connectivity,
+    valid: bool,
     armed: bool,
 }
 
+thread_local! {
+    static CONN_LABELS: RefCell<Connectivity> = RefCell::default();
+}
+
 impl ConnCache {
+    fn new() -> Self {
+        ConnCache {
+            labels: CONN_LABELS.with(|c| std::mem::take(&mut *c.borrow_mut())),
+            valid: false,
+            armed: false,
+        }
+    }
+
     fn may_connect(
         &mut self,
         grid: &Grid,
@@ -86,18 +101,54 @@ impl ConnCache {
         if !self.armed {
             return true;
         }
-        self.labels
-            .get_or_insert_with(|| Connectivity::compute(grid, occupancy))
-            .may_connect(grid, a, b)
+        if !self.valid {
+            self.labels.recompute(grid, occupancy);
+            self.valid = true;
+        }
+        self.labels.may_connect(grid, a, b)
     }
 
     fn invalidate(&mut self) {
-        self.labels = None;
+        self.valid = false;
     }
 
     fn note_failure(&mut self) {
         self.armed = true;
     }
+}
+
+impl Drop for ConnCache {
+    fn drop(&mut self) {
+        let labels = std::mem::take(&mut self.labels);
+        let _ = CONN_LABELS.try_with(|c| *c.borrow_mut() = labels);
+    }
+}
+
+/// Per-thread buffers the stack finder reuses from layer to layer, so a
+/// warm routing pass allocates little beyond the paths it returns.
+#[derive(Default)]
+struct StackScratch {
+    llgs: LlgSet,
+    /// Indices into `llgs` of the groups of ≤ 3 gates.
+    small: Vec<usize>,
+    deferred: Vec<bool>,
+    graph: InterferenceGraph,
+    order: Vec<usize>,
+    /// The greedy fallback's occupancy.
+    greedy: Option<Occupancy>,
+}
+
+thread_local! {
+    static STACK_SCRATCH: RefCell<StackScratch> = RefCell::default();
+}
+
+/// Runs `f` on this thread's [`StackScratch`]. The buffers are moved out
+/// for the call, so a nested call just starts from empty ones.
+fn with_stack_scratch<R>(f: impl FnOnce(&mut StackScratch) -> R) -> R {
+    let mut scratch = STACK_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    let result = f(&mut scratch);
+    let _ = STACK_SCRATCH.try_with(|s| *s.borrow_mut() = scratch);
+    result
 }
 
 /// Routes a batch of concurrent CX requests with the stack-based path
@@ -151,25 +202,31 @@ pub fn route_concurrent_with(
 ) -> RouteOutcome {
     let _span = telemetry::fine_span("route_concurrent");
     telemetry::fine_counter("router.route.requests", requests.len() as u64);
-    let snapshot = occupancy.clone();
-    let outcome = route_stack_order(grid, occupancy, requests, threads);
-    let chosen = if outcome.is_complete() {
-        outcome
-    } else {
+    let chosen = with_stack_scratch(|scratch| {
+        let outcome = route_stack_order(grid, occupancy, requests, threads, scratch);
+        if outcome.is_complete() {
+            return outcome;
+        }
         // The stack order is not always dominant on large, dense
         // interference graphs; when it leaves gates unrouted, also try the
-        // plain shortest-distance order and keep whichever step schedules
-        // more.
-        let mut greedy_occupancy = snapshot;
-        let greedy = route_greedy(grid, &mut greedy_occupancy, requests);
+        // plain shortest-distance order from the pre-step occupancy (the
+        // current one minus the stack order's paths) and keep whichever
+        // step schedules more. The greedy order can only win while it has
+        // failed fewer gates than the stack order, so it stops there.
+        let greedy_occupancy = scratch.greedy.get_or_insert_with(|| occupancy.clone());
+        greedy_occupancy.clone_from(occupancy);
+        for r in &outcome.routed {
+            greedy_occupancy.release_path(grid, r.path.vertices().iter().copied());
+        }
+        let greedy = route_greedy_until(grid, greedy_occupancy, requests, outcome.failed.len());
         if greedy.routed.len() > outcome.routed.len() {
             telemetry::fine_counter("router.route.greedy_fallback_wins", 1);
-            *occupancy = greedy_occupancy;
+            std::mem::swap(occupancy, greedy_occupancy);
             greedy
         } else {
             outcome
         }
-    };
+    });
     // Decision events describe the *final* outcome of the step — emitted
     // once, after any greedy fallback, so a trace never shows a commit
     // that was later discarded.
@@ -219,46 +276,51 @@ pub fn route_stack_flat(
     requests: &[CxRequest],
 ) -> RouteOutcome {
     let mut outcome = RouteOutcome::default();
-    let order = stack_order(requests, InterferenceGraph::build(requests));
-    route_in_order(grid, occupancy, requests, order, &mut outcome);
+    let mut order = Vec::new();
+    let mut graph = InterferenceGraph::build(requests);
+    stack_order(requests, &mut graph, &mut order);
+    route_in_order(grid, occupancy, requests, order, usize::MAX, &mut outcome);
     outcome
 }
 
 /// The stack-based routing order over `graph`'s live nodes (paper
-/// Fig. 13): peel max-degree nodes onto a stack until max degree ≤ 2,
-/// then route the residual nodes by priority (highest first) and
-/// smallest bounding box, then the stack LIFO — the last (most
-/// interfering / largest) node removed routes last.
-fn stack_order(requests: &[CxRequest], mut graph: InterferenceGraph) -> Vec<usize> {
-    let mut stack: Vec<usize> = Vec::new();
+/// Fig. 13), written to `order`: peel max-degree nodes onto a stack
+/// until max degree ≤ 2, then route the residual nodes by priority
+/// (highest first) and smallest bounding box, then the stack LIFO — the
+/// last (most interfering / largest) node removed routes last.
+fn stack_order(requests: &[CxRequest], graph: &mut InterferenceGraph, order: &mut Vec<usize>) {
+    // The peeled nodes collect at the back of `order`, then move behind
+    // the residual nodes in reverse.
+    order.clear();
     while graph.max_degree() > 2 {
-        let candidates = graph.max_degree_nodes();
-        let &chosen = candidates
-            .iter()
-            .max_by_key(|&&i| tie_break_key(&requests[i]))
+        let max = graph.max_degree();
+        let chosen = (0..graph.len())
+            .filter(|&i| graph.degree(i) == max)
+            .max_by_key(|&i| tie_break_key(&requests[i]))
             .expect("max_degree > 2 implies a live node");
         if telemetry::fine_decisions_enabled() {
             telemetry::decision(&telemetry::Decision::StackPeel {
                 gate: requests[chosen].id,
-                degree: graph.max_degree(),
+                degree: max,
             });
         }
-        stack.push(chosen);
+        order.push(chosen);
         graph.remove(chosen);
     }
-    telemetry::fine_observe("router.stack.peel_depth", stack.len() as f64);
+    let peeled = order.len();
+    telemetry::fine_observe("router.stack.peel_depth", peeled as f64);
     telemetry::fine_observe("router.stack.residual_degree", graph.max_degree() as f64);
 
-    let mut order = graph.live_nodes();
-    by_priority_then_box(requests, &mut order);
-    order.extend(stack.into_iter().rev());
-    order
+    order.extend((0..graph.len()).filter(|&i| graph.is_live(i)));
+    by_priority_then_box(requests, &mut order[peeled..]);
+    order[..peeled].reverse();
+    order.rotate_left(peeled);
 }
 
 /// Sorts request indices highest priority first, then by smallest
 /// bounding box (area, then width), then by index.
 fn by_priority_then_box(requests: &[CxRequest], order: &mut [usize]) {
-    order.sort_by_key(|&i| {
+    order.sort_unstable_by_key(|&i| {
         let b = requests[i].outer_bbox();
         (
             std::cmp::Reverse(requests[i].priority),
@@ -274,6 +336,7 @@ fn route_stack_order(
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
     threads: usize,
+    scratch: &mut StackScratch,
 ) -> RouteOutcome {
     let mut outcome = RouteOutcome::default();
 
@@ -282,39 +345,56 @@ fn route_stack_order(
     // cross-LLG contention is possible because LLG boxes have no open
     // overlap), smallest groups first. Larger LLGs fall through to the
     // global stack-based search.
-    let llgs = crate::llg::decompose(requests);
+    let StackScratch {
+        llgs,
+        small,
+        deferred,
+        graph,
+        order,
+        ..
+    } = scratch;
+    llgs.decompose(requests);
     if telemetry::fine_metrics_enabled() {
         telemetry::counter("router.llg.groups", llgs.len() as u64);
-        for group in &llgs {
-            telemetry::observe("router.llg.size", group.size() as f64);
+        for (members, _) in llgs.iter() {
+            telemetry::observe("router.llg.size", members.len() as f64);
         }
     }
     if telemetry::fine_decisions_enabled() {
-        for group in &llgs {
+        for (members, bbox) in llgs.iter() {
             telemetry::decision(&telemetry::Decision::LlgFormed {
-                gates: group.size(),
-                bbox_w: group.bbox.width(),
-                bbox_h: group.bbox.height(),
+                gates: members.len(),
+                bbox_w: bbox.width(),
+                bbox_h: bbox.height(),
             });
         }
     }
-    let mut small: Vec<&crate::llg::Llg> = llgs.iter().filter(|g| g.size() <= 3).collect();
-    small.sort_by_key(|g| (g.bbox.area(), g.bbox.min_row, g.bbox.min_col));
+    small.clear();
+    small.extend((0..llgs.len()).filter(|&g| llgs.group(g).0.len() <= 3));
+    // The group index makes every key distinct, so the unstable sort
+    // keeps the stable order.
+    small.sort_unstable_by_key(|&g| {
+        let bbox = llgs.group(g).1;
+        (bbox.area(), bbox.min_row, bbox.min_col, g)
+    });
     if threads > 1 && small.len() > 1 {
-        route_small_llgs_parallel(grid, occupancy, requests, &small, threads, &mut outcome);
+        let groups: Vec<(&[usize], BBox)> = small.iter().map(|&g| llgs.group(g)).collect();
+        route_small_llgs_parallel(grid, occupancy, requests, &groups, threads, &mut outcome);
     } else {
-        for group in &small {
-            route_small_llg(grid, occupancy, requests, group, &mut outcome);
+        for &g in small.iter() {
+            let (members, bbox) = llgs.group(g);
+            route_small_llg(grid, occupancy, requests, members, bbox, &mut outcome);
         }
     }
 
-    let mut is_deferred = vec![false; requests.len()];
-    for group in llgs.iter().filter(|g| g.size() > 3) {
-        for &i in &group.members {
-            is_deferred[i] = true;
+    deferred.clear();
+    deferred.resize(requests.len(), false);
+    for (members, _) in llgs.iter().filter(|(members, _)| members.len() > 3) {
+        for &i in members {
+            deferred[i] = true;
         }
     }
-    if !is_deferred.iter().any(|&d| d) {
+    if !deferred.iter().any(|&d| d) {
         return outcome;
     }
 
@@ -322,15 +402,22 @@ fn route_stack_order(
     // stack until max degree ≤ 2 (paper Fig. 13). The graph spans all
     // requests; small-LLG members are already routed and isolated, so
     // only deferred nodes matter.
-    let mut graph = InterferenceGraph::build(requests);
-    for (i, deferred) in is_deferred.iter().enumerate() {
+    graph.rebuild(requests);
+    for (i, deferred) in deferred.iter().enumerate() {
         if !deferred {
             graph.remove(i);
         }
     }
     telemetry::fine_observe("router.stack.initial_degree", graph.max_degree() as f64);
-    let order = stack_order(requests, graph);
-    route_in_order(grid, occupancy, requests, order, &mut outcome);
+    stack_order(requests, graph, order);
+    route_in_order(
+        grid,
+        occupancy,
+        requests,
+        order.iter().copied(),
+        usize::MAX,
+        &mut outcome,
+    );
     repair_failures(grid, occupancy, requests, &mut outcome);
     outcome
 }
@@ -364,20 +451,26 @@ fn repair_failures(
         telemetry::fine_counter("router.repair.attempts", 1);
         let req = *request_by_id(id);
         let zone = req.outer_bbox().expanded(1, grid.cells_per_side());
-        let candidates: Vec<usize> = (0..outcome.routed.len())
-            .rev()
-            .filter(|&j| {
-                outcome.routed[j]
-                    .path
-                    .vertices()
-                    .iter()
-                    .any(|&v| zone.contains(v))
-            })
-            .take(MAX_CANDIDATES)
-            .collect();
+        let mut candidates = [0; MAX_CANDIDATES];
+        let mut count = 0;
+        for j in (0..outcome.routed.len()).rev() {
+            if count == MAX_CANDIDATES {
+                break;
+            }
+            if outcome.routed[j]
+                .path
+                .vertices()
+                .iter()
+                .any(|&v| zone.contains(v))
+            {
+                candidates[count] = j;
+                count += 1;
+            }
+        }
         let mut fixed = false;
-        for j in candidates {
-            let victim = outcome.routed[j].clone();
+        for &j in &candidates[..count] {
+            let victim = &outcome.routed[j];
+            let victim_request = victim.request;
             occupancy.release_path(grid, victim.path.vertices().iter().copied());
             let Some(new_path) = find_path(grid, occupancy, req.a, req.b, None) else {
                 let restored = occupancy.try_reserve(grid, victim.path.vertices().iter().copied());
@@ -387,7 +480,7 @@ fn repair_failures(
             let reserved = occupancy.try_reserve(grid, new_path.vertices().iter().copied());
             debug_assert!(reserved);
             if let Some(victim_path) =
-                find_path(grid, occupancy, victim.request.a, victim.request.b, None)
+                find_path(grid, occupancy, victim_request.a, victim_request.b, None)
             {
                 let reserved = occupancy.try_reserve(grid, victim_path.vertices().iter().copied());
                 debug_assert!(reserved);
@@ -402,7 +495,8 @@ fn repair_failures(
             }
             // The victim can no longer route: undo the exchange.
             occupancy.release_path(grid, new_path.vertices().iter().copied());
-            let restored = occupancy.try_reserve(grid, victim.path.vertices().iter().copied());
+            let victim = outcome.routed[j].path.vertices();
+            let restored = occupancy.try_reserve(grid, victim.iter().copied());
             debug_assert!(restored);
         }
         if !fixed {
@@ -411,30 +505,45 @@ fn repair_failures(
     }
 }
 
-/// The full-group attempt of [`route_small_llg`]: tries all member
-/// orderings (≤ 3! = 6) with the search clamped to `region`, and
-/// commits the first ordering that routes the whole group, returning
-/// the routed gates in commit order. On `None` nothing is reserved.
-/// The parallel precompute shares the confined attempt with the serial
-/// path, so both produce identical plans on identical occupancy.
+/// Member orderings of a small LLG, by size: every permutation of up to
+/// 3 positions, lexicographic.
+const PERMUTATIONS: [&[&[usize]]; 4] = [
+    &[&[]],
+    &[&[0]],
+    &[&[0, 1], &[1, 0]],
+    &[
+        &[0, 1, 2],
+        &[0, 2, 1],
+        &[1, 0, 2],
+        &[1, 2, 0],
+        &[2, 0, 1],
+        &[2, 1, 0],
+    ],
+];
+
+/// The full-group attempt of [`route_small_llg`]: tries all orderings of
+/// `members` (≤ 3! = 6) with the search clamped to `region`, and commits
+/// the first ordering that routes the whole group, appending the routed
+/// gates to `routed` in commit order. On `false` nothing is reserved or
+/// appended. The parallel precompute shares the confined attempt with
+/// the serial path, so both produce identical plans on identical
+/// occupancy.
 fn route_permuted(
     grid: &Grid,
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
-    group: &crate::llg::Llg,
+    members: &[usize],
     region: Option<BBox>,
-) -> Option<Vec<RoutedGate>> {
-    permutations(&group.members).into_iter().find_map(|order| {
-        let paths = try_route_all(grid, occupancy, requests, &order, region)?;
-        Some(
-            order
-                .iter()
-                .zip(paths)
-                .map(|(&i, path)| RoutedGate {
-                    request: requests[i],
-                    path,
-                })
-                .collect(),
+    routed: &mut Vec<RoutedGate>,
+) -> bool {
+    PERMUTATIONS[members.len()].iter().any(|order| {
+        try_route_all(
+            grid,
+            occupancy,
+            requests,
+            order.iter().map(|&k| members[k]),
+            region,
+            routed,
         )
     })
 }
@@ -448,20 +557,29 @@ fn route_small_llg(
     grid: &Grid,
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
-    group: &crate::llg::Llg,
+    members: &[usize],
+    bbox: BBox,
     outcome: &mut RouteOutcome,
 ) {
-    debug_assert!(group.size() <= 3);
-    let full = route_permuted(grid, occupancy, requests, group, Some(group.bbox))
-        .or_else(|| route_permuted(grid, occupancy, requests, group, None));
-    match full {
-        Some(routed) => outcome.routed.extend(routed),
-        None => {
-            let mut order = group.members.clone();
-            by_priority_then_box(requests, &mut order);
-            route_in_order(grid, occupancy, requests, order, outcome);
-        }
+    debug_assert!(members.len() <= 3);
+    let routed = &mut outcome.routed;
+    if route_permuted(grid, occupancy, requests, members, Some(bbox), routed)
+        || route_permuted(grid, occupancy, requests, members, None, routed)
+    {
+        return;
     }
+    let mut order = [0; 3];
+    let order = &mut order[..members.len()];
+    order.copy_from_slice(members);
+    by_priority_then_box(requests, order);
+    route_in_order(
+        grid,
+        occupancy,
+        requests,
+        order.iter().copied(),
+        usize::MAX,
+        outcome,
+    );
 }
 
 /// Routes a sorted list of small LLGs using `threads` workers, with
@@ -487,7 +605,7 @@ fn route_small_llgs_parallel(
     grid: &Grid,
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
-    groups: &[&crate::llg::Llg],
+    groups: &[(&[usize], BBox)],
     threads: usize,
     outcome: &mut RouteOutcome,
 ) {
@@ -512,14 +630,17 @@ fn route_small_llgs_parallel(
                         break;
                     }
                     scratch.clone_from(base);
-                    let plan = route_permuted(
+                    let (members, bbox) = groups[i];
+                    let mut plan = Vec::new();
+                    let routed = route_permuted(
                         grid,
                         &mut scratch,
                         requests,
-                        groups[i],
-                        Some(groups[i].bbox),
+                        members,
+                        Some(bbox),
+                        &mut plan,
                     );
-                    *plans[i].lock().expect("plan slot never poisoned") = plan;
+                    *plans[i].lock().expect("plan slot never poisoned") = routed.then_some(plan);
                 }
             });
         }
@@ -532,17 +653,17 @@ fn route_small_llgs_parallel(
     // `outcome.routed`, which starts empty (small LLGs route first).
     debug_assert!(outcome.routed.is_empty());
     let mut committed = Occupancy::new(grid);
-    for (group, plan) in groups.iter().zip(plans) {
+    for (&(members, bbox), plan) in groups.iter().zip(plans) {
         let plan = plan.into_inner().expect("plan slot never poisoned");
         #[allow(unused_mut)]
-        let mut box_untouched = !committed.any_in_bbox(grid, &group.bbox);
+        let mut box_untouched = !committed.any_in_bbox(grid, &bbox);
         #[cfg(any(test, feature = "reference"))]
         if telemetry::reference_mode() {
             box_untouched = outcome
                 .routed
                 .iter()
                 .flat_map(|r| r.path.vertices())
-                .all(|v| !group.bbox.contains(*v));
+                .all(|v| !bbox.contains(*v));
         }
         let before = outcome.routed.len();
         match plan {
@@ -559,7 +680,7 @@ fn route_small_llgs_parallel(
             }
             _ => {
                 telemetry::fine_counter("router.llg.parallel_replans", 1);
-                route_small_llg(grid, occupancy, requests, group, outcome);
+                route_small_llg(grid, occupancy, requests, members, bbox, outcome);
             }
         }
         for r in &outcome.routed[before..] {
@@ -569,51 +690,35 @@ fn route_small_llgs_parallel(
     }
 }
 
-/// Tentatively routes `order` in sequence; on total success the paths stay
-/// reserved and are returned, otherwise every reservation is rolled back.
+/// Tentatively routes `order` in sequence, appending to `routed`; on
+/// total success the paths stay reserved, otherwise every reservation
+/// and append is rolled back.
 fn try_route_all(
     grid: &Grid,
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
-    order: &[usize],
+    order: impl Iterator<Item = usize>,
     region: Option<BBox>,
-) -> Option<Vec<BraidPath>> {
-    let mut paths: Vec<BraidPath> = Vec::with_capacity(order.len());
-    for &i in order {
+    routed: &mut Vec<RoutedGate>,
+) -> bool {
+    let before = routed.len();
+    for i in order {
         let r = requests[i];
         match find_path(grid, occupancy, r.a, r.b, region) {
             Some(path) => {
                 let reserved = occupancy.try_reserve(grid, path.vertices().iter().copied());
                 debug_assert!(reserved, "A* avoids reserved vertices");
-                paths.push(path);
+                routed.push(RoutedGate { request: r, path });
             }
             None => {
-                for path in &paths {
-                    occupancy.release_path(grid, path.vertices().iter().copied());
+                for gate in routed.drain(before..) {
+                    occupancy.release_path(grid, gate.path.vertices().iter().copied());
                 }
-                return None;
+                return false;
             }
         }
     }
-    Some(paths)
-}
-
-/// All orderings of up to 3 elements.
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-    match items {
-        [] => vec![vec![]],
-        [a] => vec![vec![*a]],
-        [a, b] => vec![vec![*a, *b], vec![*b, *a]],
-        [a, b, c] => vec![
-            vec![*a, *b, *c],
-            vec![*a, *c, *b],
-            vec![*b, *a, *c],
-            vec![*b, *c, *a],
-            vec![*c, *a, *b],
-            vec![*c, *b, *a],
-        ],
-        _ => unreachable!("small LLGs have at most 3 members"),
-    }
+    true
 }
 
 /// The baseline greedy policy (GP) of Javadi-Abhari et al. \[10\]: route in
@@ -625,10 +730,21 @@ pub fn route_greedy(
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
 ) -> RouteOutcome {
+    route_greedy_until(grid, occupancy, requests, usize::MAX)
+}
+
+/// [`route_greedy`] that gives up at its `max_failures`-th failure,
+/// leaving the rest of the batch neither routed nor failed.
+fn route_greedy_until(
+    grid: &Grid,
+    occupancy: &mut Occupancy,
+    requests: &[CxRequest],
+    max_failures: usize,
+) -> RouteOutcome {
     let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by_key(|&i| (requests[i].a.corner_distance(requests[i].b), i));
+    order.sort_unstable_by_key(|&i| (requests[i].a.corner_distance(requests[i].b), i));
     let mut outcome = RouteOutcome::default();
-    route_in_order(grid, occupancy, requests, order, &mut outcome);
+    route_in_order(grid, occupancy, requests, order, max_failures, &mut outcome);
     outcome
 }
 
@@ -636,19 +752,26 @@ pub fn route_greedy(
 /// shortest free path at the time, reserving it in `occupancy`. A gate
 /// that finds no path is recorded as failed; once one has, the
 /// connectivity labels skip the A* of gates whose tiles are provably
-/// disconnected until the next reservation.
+/// disconnected until the next reservation. Stops after `max_failures`
+/// failures.
 fn route_in_order(
     grid: &Grid,
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
     order: impl IntoIterator<Item = usize>,
+    max_failures: usize,
     outcome: &mut RouteOutcome,
 ) {
-    let mut conn = ConnCache::default();
+    let mut conn = ConnCache::new();
+    let mut failures = 0;
     for i in order {
+        if failures >= max_failures {
+            return;
+        }
         let r = requests[i];
         if !conn.may_connect(grid, occupancy, r.a, r.b) {
             outcome.failed.push(r.id);
+            failures += 1;
             continue;
         }
         match find_path(grid, occupancy, r.a, r.b, None) {
@@ -661,6 +784,7 @@ fn route_in_order(
             None => {
                 conn.note_failure();
                 outcome.failed.push(r.id);
+                failures += 1;
             }
         }
     }
@@ -688,6 +812,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_stopped_greedy_fallback_picks_what_the_whole_greedy_order_would() {
+        let (grid, start) = setup(4);
+        let cells: Vec<Cell> = (0..4)
+            .flat_map(|r| (0..4).map(move |c| Cell::new(r, c)))
+            .collect();
+        let (mut incomplete, mut greedy_wins) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = telemetry::Rng64::seed_from_u64(seed);
+            let n = rng.gen_range(4..12usize);
+            let requests: Vec<CxRequest> = (0..n)
+                .map(|id| {
+                    let a = rng.gen_range(0..cells.len());
+                    let b = (a + rng.gen_range(1..cells.len())) % cells.len();
+                    CxRequest::new(id, cells[a], cells[b])
+                })
+                .collect();
+            // The fallback as it ran before the stop: the whole greedy
+            // order from the pre-step occupancy, kept if it routes more.
+            let mut stack_occ = start.clone();
+            let stack = with_stack_scratch(|scratch| {
+                route_stack_order(&grid, &mut stack_occ, &requests, 1, scratch)
+            });
+            let mut greedy_occ = start.clone();
+            let greedy = route_greedy(&grid, &mut greedy_occ, &requests);
+            incomplete += usize::from(!stack.is_complete());
+            let (expected, expected_occ) =
+                if !stack.is_complete() && greedy.routed.len() > stack.routed.len() {
+                    greedy_wins += 1;
+                    (greedy, greedy_occ)
+                } else {
+                    (stack, stack_occ)
+                };
+            let mut occ = start.clone();
+            let got = route_concurrent_with(&grid, &mut occ, &requests, 1);
+            assert_eq!(got.routed, expected.routed, "seed {seed}");
+            assert_eq!(got.failed, expected.failed, "seed {seed}");
+            assert_eq!(occ, expected_occ, "seed {seed}");
+        }
+        assert!(incomplete > 0, "no layer left gates unrouted");
+        assert!(greedy_wins > 0, "the greedy order never won");
     }
 
     #[test]

@@ -167,6 +167,18 @@ impl JsonValue {
         out
     }
 
+    /// Appends the compact rendering to `out` — what
+    /// [`render_compact`](Self::render_compact) returns.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
+    /// Appends `s` to `out` as a JSON string, escaped the way a
+    /// [`JsonValue::Str`] renders.
+    pub fn write_str(out: &mut String, s: &str) {
+        write_escaped(out, s);
+    }
+
     /// Renders pretty-printed JSON (two-space indent, `\n` newlines).
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();

@@ -1,8 +1,10 @@
-//! Holds the arena A* core to its zero-allocation claim.
+//! Holds the arena A* core to its zero-allocation claim, and a whole
+//! compile to its allocation budget.
 //!
 //! This test binary installs a counting `System` wrapper as its global
 //! allocator, so [`check_search_allocs`] can watch the heap while it
-//! re-runs warm searches over conformance-case grids. The allocator is
+//! re-runs warm searches over conformance-case grids, and the budget test
+//! can count what one compile allocates. The allocator is
 //! defined here (not in a library) because every workspace crate is
 //! `#![forbid(unsafe_code)]` and a `GlobalAlloc` impl cannot avoid
 //! `unsafe`; the fuzz driver carries its own copy and performs the same
@@ -11,6 +13,9 @@
 //!
 //! [`check_search_allocs`]: autobraid_conformance::alloc_guard::check_search_allocs
 
+use autobraid::pipeline::Pipeline;
+use autobraid_circuit::generators::revlib;
+use autobraid_circuit::qasm;
 use autobraid_conformance::alloc_guard;
 use autobraid_conformance::dsl::generate_case;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,4 +79,33 @@ fn counting_allocator_observes_this_binary() {
         thread_allocs() > before,
         "the counting allocator must be live in this test binary"
     );
+}
+
+/// Heap allocations of one default compile, per input gate: buffers are
+/// sized per circuit or reused from layer to layer, so only the schedule
+/// itself (about one path per routed gate) grows with the gate count.
+const ALLOCS_PER_GATE: u64 = 6;
+
+#[test]
+fn a_default_compile_allocates_per_circuit_not_per_gate() {
+    for name in ["urf2_277", "sqrt8_260"] {
+        let circuit = revlib::build(name).expect("a registry circuit");
+        let source = qasm::emit(&circuit);
+        let pipeline = Pipeline::new();
+        // Warm up first: per-thread search arenas and routing buffers
+        // grow once per thread, not once per compile.
+        let warm = pipeline.compile_qasm(&source).expect("compiles");
+        std::hint::black_box(warm.canonical_json());
+        let before = thread_allocs();
+        let report = pipeline.compile_qasm(&source).expect("compiles");
+        let canonical = report.canonical_json();
+        let allocs = thread_allocs() - before;
+        std::hint::black_box(canonical);
+        let gates = circuit.len() as u64;
+        assert!(
+            allocs <= ALLOCS_PER_GATE * gates,
+            "{name}: {allocs} allocations for {gates} gates ({:.1} per gate, budget {ALLOCS_PER_GATE})",
+            allocs as f64 / gates as f64
+        );
+    }
 }
