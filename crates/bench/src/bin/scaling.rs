@@ -13,7 +13,7 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::pipeline::Pipeline;
-use autobraid::report::{canonical_compile_report_json, Table};
+use autobraid::report::Table;
 use autobraid::runtime::CompileJob;
 use autobraid_bench::{flag_requested, usize_flag};
 use autobraid_circuit::generators::{ising::ising, qaoa::qaoa, qft::qft};
@@ -31,10 +31,7 @@ fn time_batch(threads: usize, jobs: &[CompileJob]) -> (f64, Vec<String>) {
     let seconds = started.elapsed().as_secs_f64();
     let canonical: Vec<String> = reports
         .iter()
-        .map(|r| {
-            canonical_compile_report_json(r.as_ref().expect("scaling jobs compile"))
-                .render_compact()
-        })
+        .map(|r| r.as_ref().expect("scaling jobs compile").canonical_json())
         .collect();
     (seconds, canonical)
 }
@@ -96,8 +93,8 @@ fn main() {
     let parallel_report = pipeline(threads).compile(&big).expect("compiles");
     let intra_parallel_s = started.elapsed().as_secs_f64();
     assert_eq!(
-        canonical_compile_report_json(&serial_report).render_compact(),
-        canonical_compile_report_json(&parallel_report).render_compact(),
+        serial_report.canonical_json(),
+        parallel_report.canonical_json(),
         "determinism violation: intra-circuit parallel compile differs"
     );
 

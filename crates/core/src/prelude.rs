@@ -15,7 +15,7 @@
 //! compilation ([`CompileJob`], [`merged_batch_telemetry`]), the
 //! scheduler front end ([`AutoBraid::schedule`], [`ScheduleConfig`],
 //! [`Step`], [`verify_schedule`], [`critical_path_cycles`]), report rendering
-//! ([`compile_report_json`], [`canonical_compile_report_json`],
+//! ([`compile_report_json`], [`CompileReport::canonical_json`],
 //! [`render_telemetry`]), and the circuit/lattice types every compile
 //! touches ([`Circuit`], [`CircuitStats`], [`Grid`]).
 
@@ -27,7 +27,7 @@ pub use crate::pipeline::{
     CompileOptions, CompileReport, Pipeline, PipelineError, StageTimings, Strategy,
 };
 pub use crate::render::render_telemetry;
-pub use crate::report::{canonical_compile_report_json, compile_report_json};
+pub use crate::report::compile_report_json;
 pub use crate::runtime::{merged_batch_telemetry, CompileJob, WorkerPool};
 pub use crate::strategy::StrategyInfo;
 pub use autobraid_circuit::{Circuit, CircuitStats};

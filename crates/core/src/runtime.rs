@@ -375,7 +375,6 @@ mod tests {
     use super::*;
     use crate::config::ScheduleConfig;
     use crate::pipeline::CompileOptions;
-    use crate::report::canonical_compile_report_json;
     use autobraid_circuit::generators::{ising::ising, qft::qft};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -443,10 +442,7 @@ mod tests {
         for (circuit, batch) in circuits.iter().zip(&batch_reports) {
             let expected = serial.compile(circuit).unwrap();
             let got = batch.as_ref().unwrap();
-            assert_eq!(
-                canonical_compile_report_json(got).render_compact(),
-                canonical_compile_report_json(&expected).render_compact(),
-            );
+            assert_eq!(got.canonical_json(), expected.canonical_json(),);
         }
     }
 

@@ -4,7 +4,7 @@
 //! canonical circuit text, the lattice geometry, and the effective
 //! [`CompileOptions`](autobraid::pipeline::CompileOptions) — to the
 //! canonical compile-report JSON. The determinism contract
-//! (`docs/RUNTIME.md`: `canonical_compile_report_json` is byte-stable
+//! (`docs/RUNTIME.md`: `CompileReport::canonical_json` is byte-stable
 //! for a given input, whatever the thread count or wall clock) is what
 //! makes a hit *provably* equivalent to recompiling: the cached bytes
 //! are exactly the bytes a fresh compile would produce.

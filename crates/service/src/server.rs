@@ -14,7 +14,6 @@ use crate::protocol::{
     Request, ServiceError, SessionOpen, SourceFormat, DEFAULT_MAX_FRAME, MAX_QUBITS,
 };
 use autobraid::pipeline::{CompileReport, Pipeline, PipelineError};
-use autobraid::report::canonical_compile_report_json;
 use autobraid::runtime::{CompileJob, WorkerPool};
 use autobraid::streaming::{StepOutcome, StreamError, StreamingPipeline};
 use autobraid::ScheduleConfig;
@@ -617,9 +616,7 @@ fn process(
             Ok(Reply::Report {
                 status: CacheStatus::Bypass,
                 elapsed_ms: elapsed,
-                report: canonical_compile_report_json(&finished)
-                    .render_compact()
-                    .into(),
+                report: finished.canonical_json().into(),
                 attachments: trace_doc.map(|t| ("trace", t)).into_iter().collect(),
             })
         }
@@ -981,9 +978,7 @@ fn handle_compile(
         other => ServiceError::new(ErrorKind::Internal, other.to_string()),
     })?;
 
-    let canonical: Arc<str> = canonical_compile_report_json(&report)
-        .render_compact()
-        .into();
+    let canonical: Arc<str> = report.canonical_json().into();
     let status = match key {
         Some(key) => {
             shared.cache().insert(key, Arc::clone(&canonical));
@@ -1148,7 +1143,7 @@ mod tests {
             })
             .compile_qasm(BELL)
             .expect("compile");
-        let canonical = canonical_compile_report_json(&report).render_compact();
+        let canonical = report.canonical_json();
         let telemetry = report
             .telemetry
             .as_ref()

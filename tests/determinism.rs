@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 /// The canonical (measurement-free) form of a report, as a JSON string.
 fn canonical(report: &CompileReport) -> String {
-    canonical_compile_report_json(report).render_compact()
+    report.canonical_json()
 }
 
 fn pipeline_with_threads(threads: usize) -> Pipeline {
