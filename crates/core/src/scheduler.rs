@@ -1020,15 +1020,20 @@ impl<'a> Engine<'a> {
     /// Rebuilds [`Self::remaining_cp`] if gates were appended since the
     /// last build. Gate ids are topologically ordered, so one reverse
     /// sweep suffices; appends only ever add successors, so a stream
-    /// pays one sweep per push batch, not one per step.
+    /// pays one sweep per push batch, not one per step. The sweep stops
+    /// at the smallest ready id: an outstanding gate that is not ready
+    /// has an outstanding predecessor with a smaller id, so every
+    /// outstanding gate and all of its successors lie at or above it,
+    /// and only ready gates' entries are ever read. The entries below
+    /// are stale.
     fn refresh_critical_path(&mut self) {
         let dag = self.frontier.dag();
         if self.remaining_cp.len() == dag.len() {
             return;
         }
-        self.remaining_cp.clear();
+        let lowest = self.frontier.ready().iter().min().map_or(dag.len(), |&g| g);
         self.remaining_cp.resize(dag.len(), 0);
-        for g in (0..dag.len()).rev() {
+        for g in (lowest..dag.len()).rev() {
             let tail = dag
                 .successors(g)
                 .iter()
@@ -1405,6 +1410,74 @@ mod tests {
             assert_eq!(timeless(checked.0), timeless(plain.0));
         }
         assert!(policy.incomplete.get() > 0, "no layer reached the fallback");
+    }
+
+    #[test]
+    fn the_partial_critical_path_sweep_agrees_with_a_full_sweep() {
+        // Feed circuits in chunks with one step per chunk, as a stream
+        // does, then drain: whenever the engine has refreshed its
+        // critical paths, every ready gate's entry must equal a full
+        // reverse sweep over everything pushed so far.
+        use autobraid_circuit::generators::random::layered_cx;
+        fn check_ready(engine: &Engine<'_>) -> usize {
+            let dag = engine.frontier.dag();
+            let mut full = vec![0u64; dag.len()];
+            for g in (0..dag.len()).rev() {
+                let tail = dag.successors(g).iter().map(|&s| full[s]).max();
+                full[g] =
+                    tail.unwrap_or(0) + gate_cycles(engine.circuit.gate(g), &engine.config.timing);
+            }
+            for &g in engine.frontier.ready() {
+                assert_eq!(
+                    engine.remaining_cp[g],
+                    full[g],
+                    "ready gate {g} of {}",
+                    dag.len()
+                );
+            }
+            engine.frontier.ready().len()
+        }
+        let circuits = [
+            layered_cx(16, 12, 0.3, 5).unwrap(),
+            qft(10).unwrap(),
+            ising(9, 2).unwrap(),
+        ];
+        for circuit in &circuits {
+            let n = circuit.num_qubits();
+            let grid = Grid::with_capacity_for(n as usize);
+            let mut engine = Engine::new(
+                "stream",
+                Cow::Owned(Circuit::new(n)),
+                Frontier::appendable(n),
+                &grid,
+                Placement::row_major(&grid, n),
+                LayoutMove::None,
+                &ScheduleConfig::default(),
+                Cow::Owned(Occupancy::new(&grid)),
+            );
+            let step = |engine: &mut Engine<'_>| {
+                if let Routing::Braid(layer) = engine.route(&PathFinderPolicy, false).unwrap() {
+                    engine.commit(layer);
+                }
+                check_ready(engine)
+            };
+            let mut checked = 0;
+            for chunk in circuit.gates().chunks(7) {
+                for &gate in chunk {
+                    engine.push(gate);
+                }
+                engine.cycles_lower_bound();
+                checked += check_ready(&engine) + step(&mut engine);
+            }
+            while engine.outstanding() > 0 {
+                checked += step(&mut engine);
+            }
+            assert!(
+                checked > circuit.len(),
+                "{}: {checked} checks",
+                circuit.name()
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! k-LLG (k > 3) cannot be reduced anymore").
 
 use crate::place::Placement;
+use autobraid_circuit::dag::plain_asap_levels;
 use autobraid_circuit::{Circuit, GateId, ParallelismProfile, QubitId};
 use autobraid_lattice::Grid;
 use autobraid_router::llg;
@@ -57,24 +58,37 @@ pub struct AnnealOutcome {
 }
 
 /// The [`MAX_SAMPLED_LAYERS`] widest CX layers of the circuit — where
-/// oversized LLGs can occur.
+/// oversized LLGs can occur: the CX gates of each ASAP level with at
+/// least 4 of them, widest first (ties in level order), in gate order.
+/// Only the sampled layers are collected.
 fn sample_layers(circuit: &Circuit) -> Vec<Vec<GateId>> {
-    let profile = ParallelismProfile::analyze(circuit);
-    let mut cx_layers: Vec<Vec<GateId>> = profile
-        .layers()
+    let levels = plain_asap_levels(circuit);
+    let depth = levels.iter().max().map_or(0, |d| d + 1);
+    let mut width = vec![0usize; depth];
+    for (g, &level) in levels.iter().enumerate() {
+        if circuit.gate(g).is_two_qubit() {
+            width[level] += 1;
+        }
+    }
+    // LLGs of size > 3 need ≥ 4 CXs.
+    let mut sampled: Vec<usize> = (0..depth).filter(|&l| width[l] >= 4).collect();
+    sampled.sort_by_key(|&l| std::cmp::Reverse(width[l]));
+    sampled.truncate(MAX_SAMPLED_LAYERS);
+    // `slot[level]`: the level's position in `sampled`, if any.
+    let mut slot = vec![usize::MAX; depth];
+    for (k, &l) in sampled.iter().enumerate() {
+        slot[l] = k;
+    }
+    let mut layers: Vec<Vec<GateId>> = sampled
         .iter()
-        .map(|layer| {
-            layer
-                .iter()
-                .copied()
-                .filter(|&g| circuit.gate(g).is_two_qubit())
-                .collect::<Vec<_>>()
-        })
-        .filter(|layer| layer.len() >= 4) // LLGs of size > 3 need ≥ 4 CXs
+        .map(|&l| Vec::with_capacity(width[l]))
         .collect();
-    cx_layers.sort_by_key(|layer| std::cmp::Reverse(layer.len()));
-    cx_layers.truncate(MAX_SAMPLED_LAYERS);
-    cx_layers
+    for (g, &level) in levels.iter().enumerate() {
+        if slot[level] != usize::MAX && circuit.gate(g).is_two_qubit() {
+            layers[slot[level]].push(g);
+        }
+    }
+    layers
 }
 
 /// Annealing objective for one placement: over the sampled layers, each
@@ -557,6 +571,42 @@ pub fn anneal_portfolio(
 mod tests {
     use super::*;
     use autobraid_circuit::generators::{ising::ising, qft::qft};
+
+    #[test]
+    fn sampled_layers_are_the_widest_profile_layers() {
+        // The sampler must return what filtering every parallelism
+        // layer to its CX gates and keeping the widest would: widest
+        // first, ties in level order, gates in id order.
+        use autobraid_circuit::generators::{qaoa::qaoa, random::random_circuit, revlib};
+        let circuits = [
+            ising(16, 2).unwrap(),
+            qft(12).unwrap(),
+            qaoa(24, 2, 3, 5).unwrap(),
+            random_circuit(20, 400, 0.7, 9).unwrap(),
+            revlib::build("sqrt8_260").unwrap(),
+        ];
+        let mut truncated = 0;
+        for c in &circuits {
+            let profile = ParallelismProfile::analyze(c);
+            let mut expected: Vec<Vec<GateId>> = profile
+                .layers()
+                .iter()
+                .map(|layer| {
+                    let cx = layer.iter().copied();
+                    cx.filter(|&g| c.gate(g).is_two_qubit()).collect::<Vec<_>>()
+                })
+                .filter(|layer| layer.len() >= 4)
+                .collect();
+            expected.sort_by_key(|layer| std::cmp::Reverse(layer.len()));
+            truncated += usize::from(expected.len() > MAX_SAMPLED_LAYERS);
+            expected.truncate(MAX_SAMPLED_LAYERS);
+            assert_eq!(sample_layers(c), expected, "{}", c.name());
+        }
+        assert!(
+            truncated >= 2,
+            "only {truncated} circuits had layers to drop"
+        );
+    }
 
     #[test]
     fn never_worsens_objective() {

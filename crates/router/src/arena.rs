@@ -3,8 +3,9 @@
 //! Profiling (docs/PERF.md) showed the routers spending more time in the
 //! allocator than in the search: every `find_path` call built fresh
 //! `g_cost`/`parent` vectors (O(vertices) to allocate *and* zero) plus a
-//! `BinaryHeap`, and the negotiated router did the same per iteration.
-//! [`SearchArena`] keeps that scratch alive across searches:
+//! `BinaryHeap`. [`SearchArena`] keeps that scratch alive across
+//! searches (PathFinder's weighted searches keep theirs, the same way,
+//! in its per-thread negotiation state):
 //!
 //! - **Generation-stamped cost arrays.** `g_cost[i]` is valid only when
 //!   `stamp[i]` equals the current generation, so "reset" is a single
@@ -15,9 +16,6 @@
 //!   consistent, so the f-value of popped nodes never decreases. The
 //!   open set is therefore an array of buckets indexed by f with a
 //!   forward-moving cursor — O(1) push, no comparison-heap overhead.
-//! - **A retained binary heap for the weighted search.** PathFinder's
-//!   congestion costs span too wide a range for buckets; its heap is
-//!   kept allocated between negotiation iterations instead.
 //!
 //! Each thread owns one arena through [`with_search_arena`], so the
 //! parallel small-LLG router and multi-chain annealing get warm scratch
@@ -38,8 +36,6 @@
 //! two byte-identical end to end.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Sentinel for "no parent" in the predecessor arrays.
 pub const NO_PARENT: u32 = u32::MAX;
@@ -47,7 +43,6 @@ pub const NO_PARENT: u32 = u32::MAX;
 /// Reusable scratch for grid searches; see the module docs.
 #[derive(Debug, Default)]
 pub struct SearchArena {
-    // --- unweighted (bucket-queue) search ---
     generation: u32,
     stamp: Vec<u32>,
     g_cost: Vec<u32>,
@@ -59,12 +54,6 @@ pub struct SearchArena {
     touched: Vec<u32>,
     cursor: usize,
     live: usize,
-    // --- weighted (heap) search ---
-    w_generation: u32,
-    w_stamp: Vec<u32>,
-    w_g_cost: Vec<u64>,
-    w_parent: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
 }
 
 impl SearchArena {
@@ -79,13 +68,10 @@ impl SearchArena {
     /// measurement loop.
     pub fn warm(&mut self, vertices: usize, max_f: u32) {
         self.begin(vertices);
-        self.begin_weighted(vertices);
         if self.buckets.len() <= max_f as usize {
             self.buckets.resize_with(max_f as usize + 1, Vec::new);
         }
     }
-
-    // --- unweighted search ---
 
     /// Starts a new unweighted search over `n` vertices: invalidates all
     /// cost entries (O(1) generation bump) and empties the open queue.
@@ -198,61 +184,6 @@ impl SearchArena {
         }
         None
     }
-
-    // --- weighted search (PathFinder negotiated costs) ---
-
-    /// Starts a new weighted search over `n` vertices.
-    pub fn begin_weighted(&mut self, n: usize) {
-        if self.w_stamp.len() < n {
-            self.w_stamp.resize(n, 0);
-            self.w_g_cost.resize(n, 0);
-            self.w_parent.resize(n, NO_PARENT);
-        }
-        if self.w_generation == u32::MAX {
-            self.w_stamp.fill(0);
-            self.w_generation = 0;
-        }
-        self.w_generation += 1;
-        self.heap.clear();
-    }
-
-    /// Best-known weighted cost of vertex `i` (`u64::MAX` if unvisited).
-    #[inline]
-    pub fn weighted_g(&self, i: usize) -> u64 {
-        if self.w_stamp[i] == self.w_generation {
-            self.w_g_cost[i]
-        } else {
-            u64::MAX
-        }
-    }
-
-    /// Records an improved weighted cost and predecessor for vertex `i`.
-    #[inline]
-    pub fn weighted_improve(&mut self, i: usize, g: u64, parent: u32) {
-        self.w_stamp[i] = self.w_generation;
-        self.w_g_cost[i] = g;
-        self.w_parent[i] = parent;
-    }
-
-    /// Predecessor of vertex `i` in the weighted search.
-    #[inline]
-    pub fn weighted_parent(&self, i: usize) -> u32 {
-        self.w_parent[i]
-    }
-
-    /// Pushes onto the retained weighted heap (min f, then min g, then
-    /// min index — PathFinder's historical tie-break, unchanged).
-    #[inline]
-    pub fn weighted_push(&mut self, f: u64, g: u64, i: usize) {
-        self.heap.push(Reverse((f, g, i)));
-    }
-
-    /// Pops the weighted heap (stale entries are the caller's to skip,
-    /// matching the original loop structure).
-    #[inline]
-    pub fn weighted_pop(&mut self) -> Option<(u64, u64, usize)> {
-        self.heap.pop().map(|Reverse(t)| t)
-    }
 }
 
 thread_local! {
@@ -323,22 +254,6 @@ mod tests {
         a.begin(4);
         assert_eq!(a.g(0), u32::MAX, "previous search must not leak");
         assert_eq!(a.pop(), None);
-    }
-
-    #[test]
-    fn weighted_scratch_round_trips() {
-        let mut a = SearchArena::new();
-        a.begin_weighted(4);
-        assert_eq!(a.weighted_g(2), u64::MAX);
-        a.weighted_improve(2, 40, 1);
-        assert_eq!(a.weighted_g(2), 40);
-        assert_eq!(a.weighted_parent(2), 1);
-        a.weighted_push(50, 40, 2);
-        a.weighted_push(30, 10, 3);
-        assert_eq!(a.weighted_pop(), Some((30, 10, 3)));
-        a.begin_weighted(4);
-        assert_eq!(a.weighted_pop(), None, "heap cleared between searches");
-        assert_eq!(a.weighted_g(2), u64::MAX);
     }
 
     #[test]

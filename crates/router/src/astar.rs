@@ -333,6 +333,26 @@ impl Connectivity {
         };
         labels_of(a).any(|la| labels_of(b).any(|lb| la == lb))
     }
+
+    /// Whether [`find_path`] (without a region limit) may connect `a` to
+    /// `b` once the reserved `path` is released. Releasing it merges the
+    /// path with every component adjacent to it, so the answer is exact:
+    /// either the tiles already share a component, or each has a corner
+    /// on the path or in a component adjacent to it.
+    pub fn may_connect_freeing(&self, grid: &Grid, path: &[Vertex], a: Cell, b: Cell) -> bool {
+        let joins_path = |cell: Cell| {
+            cell.corners().into_iter().any(|corner| {
+                let label = self.labels[grid.vertex_index(corner)];
+                path.contains(&corner)
+                    || (label != Self::BLOCKED
+                        && path.iter().any(|&v| {
+                            grid.neighbors(v)
+                                .any(|n| self.labels[grid.vertex_index(n)] == label)
+                        }))
+            })
+        };
+        self.may_connect(grid, a, b) || (joins_path(a) && joins_path(b))
+    }
 }
 
 /// Reference shortest path by plain BFS — used to cross-check A*
@@ -497,6 +517,52 @@ mod tests {
                 "trial {trial}: arena and reference searches diverged"
             );
         }
+    }
+
+    #[test]
+    fn freeing_a_path_connects_exactly_what_the_labels_predict() {
+        // Reserve one routed path on a random defect map, label the free
+        // space, and ask whether releasing the path lets random pairs of
+        // tiles connect: the answer must match a search after the
+        // release, both ways.
+        use autobraid_telemetry::Rng64;
+        let mut rng = Rng64::seed_from_u64(43);
+        let cell = |rng: &mut Rng64| Cell::new(rng.gen_range(0..8u32), rng.gen_range(0..8u32));
+        let (mut connecting, mut hopeless) = (0, 0);
+        for _ in 0..200 {
+            let (g, mut occ) = setup(8);
+            for v in g.vertices() {
+                if rng.gen_bool(0.3) {
+                    occ.reserve(&g, v);
+                }
+            }
+            let (c, d) = (cell(&mut rng), cell(&mut rng));
+            let Some(path) = (c != d).then(|| find_path(&g, &occ, c, d, None)).flatten() else {
+                continue;
+            };
+            occ.try_reserve(&g, path.vertices().iter().copied());
+            let labels = Connectivity::compute(&g, &occ);
+            let mut freed = occ.clone();
+            freed.release_path(&g, path.vertices().iter().copied());
+            for _ in 0..10 {
+                let (a, b) = (cell(&mut rng), cell(&mut rng));
+                if a == b {
+                    continue;
+                }
+                let predicted = labels.may_connect_freeing(&g, path.vertices(), a, b);
+                let routes = find_path(&g, &freed, a, b, None).is_some();
+                assert_eq!(predicted, routes, "{a} -> {b} after freeing {path}");
+                if routes {
+                    connecting += 1;
+                } else {
+                    hopeless += 1;
+                }
+            }
+        }
+        assert!(
+            connecting > 100 && hopeless > 100,
+            "{connecting} / {hopeless}"
+        );
     }
 
     #[test]

@@ -59,22 +59,29 @@ pub fn check_route_outcome(
         ));
     }
 
+    // `occ` holds the paths checked so far; `own` holds the current
+    // path's vertices while its simplicity is checked, and is emptied
+    // again before the next one.
     let mut occ = Occupancy::new(grid);
+    let mut own = Occupancy::new(grid);
     for routed in &outcome.routed {
         let r = &routed.request;
-        let vertices = routed.path.vertices().to_vec();
-        if BraidPath::new(grid, r.a, r.b, vertices).is_none() {
+        let vertices = routed.path.vertices();
+        let simple = BraidPath::is_walk_between(grid, r.a, r.b, vertices)
+            && vertices.iter().all(|&v| own.reserve(grid, v));
+        if !simple {
             return Err(format!(
                 "gate {}: recorded path is not a valid {} -> {} channel path",
                 r.id, r.a, r.b
             ));
         }
-        for v in routed.path.vertices() {
+        own.release_path(grid, vertices.iter().copied());
+        for v in vertices {
             if !base.is_free(grid, *v) {
                 return Err(format!("gate {}: path crosses defective vertex {v}", r.id));
             }
         }
-        if !occ.try_reserve(grid, routed.path.vertices().iter().copied()) {
+        if !occ.try_reserve(grid, vertices.iter().copied()) {
             return Err(format!(
                 "gate {}: path shares a vertex with an earlier path",
                 r.id

@@ -98,14 +98,17 @@ impl ConnCache {
         a: autobraid_lattice::Cell,
         b: autobraid_lattice::Cell,
     ) -> bool {
-        if !self.armed {
-            return true;
-        }
+        !self.armed || self.current(grid, occupancy).may_connect(grid, a, b)
+    }
+
+    /// The labels of `occupancy`'s free space, recomputed only if a
+    /// reservation invalidated them.
+    fn current(&mut self, grid: &Grid, occupancy: &Occupancy) -> &Connectivity {
         if !self.valid {
             self.labels.recompute(grid, occupancy);
             self.valid = true;
         }
-        self.labels.may_connect(grid, a, b)
+        &self.labels
     }
 
     fn invalidate(&mut self) {
@@ -427,7 +430,10 @@ fn route_stack_order(
 /// the released gate; keep the exchange only when both succeed. One
 /// successful repair routes a strictly additional gate, so the outcome
 /// only improves. Candidates are limited to paths touching the failed
-/// gate's (expanded) bounding box.
+/// gate's (expanded) bounding box, and a candidate is skipped when
+/// releasing its path provably leaves the failed gate's tiles
+/// disconnected ([`Connectivity::may_connect_freeing`]); the free space
+/// is labelled once and relabelled only after a successful exchange.
 fn repair_failures(
     grid: &Grid,
     occupancy: &mut Occupancy,
@@ -446,6 +452,7 @@ fn repair_failures(
     };
     let mut failed = std::mem::take(&mut outcome.failed);
     failed.sort_by_key(|&id| std::cmp::Reverse(request_by_id(id).priority));
+    let mut conn = ConnCache::new();
 
     for id in failed {
         telemetry::fine_counter("router.repair.attempts", 1);
@@ -470,6 +477,14 @@ fn repair_failures(
         let mut fixed = false;
         for &j in &candidates[..count] {
             let victim = &outcome.routed[j];
+            let freed = victim.path.vertices();
+            if !conn
+                .current(grid, occupancy)
+                .may_connect_freeing(grid, freed, req.a, req.b)
+            {
+                telemetry::fine_counter("router.repair.skips", 1);
+                continue;
+            }
             let victim_request = victim.request;
             occupancy.release_path(grid, victim.path.vertices().iter().copied());
             let Some(new_path) = find_path(grid, occupancy, req.a, req.b, None) else {
@@ -490,6 +505,7 @@ fn repair_failures(
                     path: new_path,
                 });
                 telemetry::fine_counter("router.repair.successes", 1);
+                conn.invalidate();
                 fixed = true;
                 break;
             }

@@ -1,5 +1,6 @@
-//! Holds the arena A* core to its zero-allocation claim, and a whole
-//! compile to its allocation budget.
+//! Holds the arena A* core and PathFinder's negotiated searches to
+//! their zero-allocation claims, and a whole compile to its allocation
+//! budget.
 //!
 //! This test binary installs a counting `System` wrapper as its global
 //! allocator, so [`check_search_allocs`] can watch the heap while it
@@ -14,10 +15,14 @@
 //! [`check_search_allocs`]: autobraid_conformance::alloc_guard::check_search_allocs
 
 use autobraid::pipeline::Pipeline;
+use autobraid_circuit::generators::random::layered_cx;
 use autobraid_circuit::generators::revlib;
 use autobraid_circuit::qasm;
 use autobraid_conformance::alloc_guard;
 use autobraid_conformance::dsl::generate_case;
+use autobraid_lattice::{Grid, Occupancy};
+use autobraid_router::pathfinder::route_negotiated;
+use autobraid_router::CxRequest;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -81,10 +86,54 @@ fn counting_allocator_observes_this_binary() {
     );
 }
 
+#[test]
+fn a_warm_negotiation_allocates_only_its_outcome() {
+    // A full matching of 40 qubits on a 7x7 grid, row-major: more
+    // demand than the lattice carries, so negotiation runs round after
+    // round and searches far more often than it has requests.
+    let grid = Grid::new(7).expect("a 7x7 grid");
+    let circuit = layered_cx(40, 1, 0.0, 3).expect("a layered circuit");
+    let cell = |q: u32| autobraid_lattice::Cell::new(q / 7, q % 7);
+    let requests: Vec<CxRequest> = circuit
+        .gates()
+        .iter()
+        .enumerate()
+        .filter_map(|(id, gate)| {
+            gate.pair()
+                .map(|(a, b)| CxRequest::new(id, cell(a), cell(b)))
+        })
+        .collect();
+    assert_eq!(requests.len(), 20);
+    let base = Occupancy::new(&grid);
+    // Warm up: the thread's negotiation buffers grow once.
+    let (_, warm) = route_negotiated(&grid, &mut base.clone(), &requests);
+    let mut occupancy = base.clone();
+    let before = thread_allocs();
+    let (outcome, stats) = route_negotiated(&grid, &mut occupancy, &requests);
+    let allocs = thread_allocs() - before;
+    assert_eq!(stats, warm);
+    assert!(stats.iterations > 2, "{stats:?}");
+    // One buffer for the routed list, one path per routed gate (debug
+    // builds validate each path on a sorted copy: two more), and the
+    // failed list's growth; searches that allocated even once each
+    // would add at least one allocation per request.
+    let per_path = if cfg!(debug_assertions) { 3 } else { 1 };
+    let budget = 1 + per_path * outcome.routed.len() as u64 + 4;
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations for {} routed and {} failed gates over {} rounds (budget {budget})",
+        outcome.routed.len(),
+        outcome.failed.len(),
+        stats.iterations
+    );
+}
+
 /// Heap allocations of one default compile, per input gate: buffers are
 /// sized per circuit or reused from layer to layer, so only the schedule
 /// itself (about one path per routed gate) grows with the gate count.
-const ALLOCS_PER_GATE: u64 = 6;
+/// Debug builds validate every search's path on a sorted copy, which
+/// costs two more allocations per path.
+const ALLOCS_PER_GATE: u64 = if cfg!(debug_assertions) { 4 } else { 2 };
 
 #[test]
 fn a_default_compile_allocates_per_circuit_not_per_gate() {
