@@ -1,9 +1,8 @@
 //! Scaling benchmark for the parallel batch-compilation runtime: times
 //! `Pipeline::compile_batch` at one thread and at `--threads N`, checks
 //! the outputs are byte-identical (the determinism contract of
-//! `docs/RUNTIME.md`), and reports the wall-clock speedup. A second
-//! table does the same for intra-circuit parallelism on one large
-//! circuit.
+//! `docs/RUNTIME.md`), and reports the wall-clock speedup. `--threads`
+//! sizes the batch pool only: a single compile is serial.
 //!
 //! Run with `cargo run --release -p autobraid-bench --bin scaling`.
 //! Flags: `--threads N` (default 4), `--batch N` circuits (default 8),
@@ -19,13 +18,9 @@ use autobraid_bench::{flag_requested, usize_flag};
 use autobraid_circuit::generators::{ising::ising, qaoa::qaoa, qft::qft};
 use std::time::Instant;
 
-fn pipeline(threads: usize) -> Pipeline {
-    Pipeline::new().with_config(ScheduleConfig::default().with_threads(threads))
-}
-
 /// Wall-clock seconds for one batch compile, panicking on any job error.
 fn time_batch(threads: usize, jobs: &[CompileJob]) -> (f64, Vec<String>) {
-    let p = pipeline(threads);
+    let p = Pipeline::new().with_config(ScheduleConfig::default().with_threads(threads));
     let started = Instant::now();
     let reports = p.compile_batch(jobs);
     let seconds = started.elapsed().as_secs_f64();
@@ -74,40 +69,6 @@ fn main() {
         threads.to_string(),
         format!("{parallel_s:.3}"),
         format!("{:.2}", serial_s / parallel_s.max(1e-9)),
-    ]);
-    println!("{}", table.render());
-    println!("outputs byte-identical across thread counts ✓\n");
-
-    // Intra-circuit parallelism: one circuit, the same thread budget
-    // spent inside the compile (LLG routing + annealing portfolio).
-    let big = if tiny {
-        qft(12).unwrap()
-    } else {
-        qft(40).unwrap()
-    };
-    println!("single {} compile, 1 vs {threads} thread(s):\n", big.name());
-    let started = Instant::now();
-    let serial_report = pipeline(1).compile(&big).expect("compiles");
-    let intra_serial_s = started.elapsed().as_secs_f64();
-    let started = Instant::now();
-    let parallel_report = pipeline(threads).compile(&big).expect("compiles");
-    let intra_parallel_s = started.elapsed().as_secs_f64();
-    assert_eq!(
-        serial_report.canonical_json(),
-        parallel_report.canonical_json(),
-        "determinism violation: intra-circuit parallel compile differs"
-    );
-
-    let mut table = Table::new(["threads", "wall (s)", "speedup"]);
-    table.add_row([
-        "1".to_string(),
-        format!("{intra_serial_s:.3}"),
-        "1.00".into(),
-    ]);
-    table.add_row([
-        threads.to_string(),
-        format!("{intra_parallel_s:.3}"),
-        format!("{:.2}", intra_serial_s / intra_parallel_s.max(1e-9)),
     ]);
     println!("{}", table.render());
     println!("outputs byte-identical across thread counts ✓");

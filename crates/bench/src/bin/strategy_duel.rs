@@ -17,7 +17,7 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::report::Table;
-use autobraid::scheduler::{run, ParallelStackPolicy, PathFinderPolicy, RoutePolicy};
+use autobraid::scheduler::{run, PathFinderPolicy, RoutePolicy, StackPolicy};
 use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::{duel_families, eval_config};
 use autobraid_circuit::Circuit;
@@ -36,7 +36,7 @@ struct LayerScore {
 /// commits the stack result (so the schedule trajectory is the plain
 /// stack run's), and tallies the comparison.
 struct DuelPolicy {
-    stack: ParallelStackPolicy,
+    stack: StackPolicy,
     pathfinder: PathFinderPolicy,
     scores: RefCell<Vec<LayerScore>>,
 }
@@ -44,7 +44,7 @@ struct DuelPolicy {
 impl DuelPolicy {
     fn new() -> Self {
         DuelPolicy {
-            stack: ParallelStackPolicy::new(1),
+            stack: StackPolicy,
             pathfinder: PathFinderPolicy,
             scores: RefCell::new(Vec::new()),
         }

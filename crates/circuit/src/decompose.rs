@@ -1,7 +1,7 @@
 //! Decompositions of composite gates into the braided gate set.
 
 use crate::circuit::Circuit;
-use crate::gate::QubitId;
+use crate::gate::{Gate, QubitId, SingleKind};
 
 /// Appends the standard Clifford+T Toffoli decomposition (6 CX, 7 T/T†,
 /// 2 H) to `circuit`.
@@ -17,22 +17,33 @@ pub fn ccx_into(circuit: &mut Circuit, c0: QubitId, c1: QubitId, target: QubitId
         c0 != c1 && c0 != target && c1 != target,
         "ccx operands must be distinct"
     );
-    circuit
-        .h(target)
-        .cx(c1, target)
-        .tdg(target)
-        .cx(c0, target)
-        .t(target)
-        .cx(c1, target)
-        .tdg(target)
-        .cx(c0, target)
-        .t(c1)
-        .t(target)
-        .h(target)
-        .cx(c0, c1)
-        .t(c0)
-        .tdg(c1)
-        .cx(c0, c1);
+    for gate in ccx_gates(c0, c1, target) {
+        circuit.push(gate);
+    }
+}
+
+/// The gates [`ccx_into`] appends, in order, for pairwise distinct
+/// operands. Operand range is the caller's to check.
+pub(crate) fn ccx_gates(c0: QubitId, c1: QubitId, target: QubitId) -> [Gate; 15] {
+    use SingleKind::{Tdg, H, T};
+    let one = Gate::single;
+    [
+        one(H, target),
+        Gate::cx(c1, target),
+        one(Tdg, target),
+        Gate::cx(c0, target),
+        one(T, target),
+        Gate::cx(c1, target),
+        one(Tdg, target),
+        Gate::cx(c0, target),
+        one(T, c1),
+        one(T, target),
+        one(H, target),
+        Gate::cx(c0, c1),
+        one(T, c0),
+        one(Tdg, c1),
+        Gate::cx(c0, c1),
+    ]
 }
 
 /// Appends a multi-controlled X with `controls.len()` controls using a

@@ -8,6 +8,7 @@
 use crate::circuit::Circuit;
 use crate::error::CircuitError;
 use crate::gate::{Gate, QubitId, SingleKind, TwoKind};
+use std::borrow::Cow;
 use std::f64::consts::PI;
 
 /// Parses an OpenQASM 2.0 subset into a [`Circuit`].
@@ -157,14 +158,14 @@ fn parse_statement(
             Ok(())
         }
         "ccx" => {
-            let qs = parse_qubit_list(rest, line)?;
-            if qs.len() != 3 {
-                return Err(err(format!("ccx expects 3 operands, got {}", qs.len())));
+            let [c0, c1, target] =
+                parse_qubits(rest, line, |n| format!("ccx expects 3 operands, got {n}"))?;
+            if c0 == c1 || c0 == target || c1 == target {
+                return Err(err(format!("ccx with repeated operands in '{rest}'")));
             }
-            // Lower immediately into the braided gate set.
-            let mut tmp = Circuit::new(qs.iter().max().unwrap() + 1);
-            crate::decompose::ccx_into(&mut tmp, qs[0], qs[1], qs[2]);
-            gates.extend_from_slice(tmp.gates());
+            // Lower immediately into the braided gate set; the register
+            // bound is checked with every other gate's, at the end.
+            gates.extend(crate::decompose::ccx_gates(c0, c1, target));
             Ok(())
         }
         other => Err(err(format!("unsupported statement '{other}'"))),
@@ -198,21 +199,37 @@ fn parse_index(text: &str, line: usize) -> Result<u32, CircuitError> {
 }
 
 fn parse_qubit_pair(text: &str, line: usize) -> Result<(QubitId, QubitId), CircuitError> {
-    let qs = parse_qubit_list(text, line)?;
-    if qs.len() == 2 {
-        Ok((qs[0], qs[1]))
+    let [a, b] = parse_qubits(text, line, |n| {
+        format!("expected 2 operands, got {n} in '{text}'")
+    })?;
+    Ok((a, b))
+}
+
+/// Parses exactly `N` comma-separated `q[i]` operands. Every operand is
+/// parsed, so a malformed one is reported before a wrong count, which
+/// `arity_message` describes from the number found.
+fn parse_qubits<const N: usize>(
+    text: &str,
+    line: usize,
+    arity_message: impl FnOnce(usize) -> String,
+) -> Result<[QubitId; N], CircuitError> {
+    let mut qs = [0; N];
+    let mut found = 0;
+    for part in text.split(',') {
+        let q = parse_qubit(part, line)?;
+        if let Some(slot) = qs.get_mut(found) {
+            *slot = q;
+        }
+        found += 1;
+    }
+    if found == N {
+        Ok(qs)
     } else {
         Err(CircuitError::Parse {
             line,
-            message: format!("expected 2 operands, got {} in '{text}'", qs.len()),
+            message: arity_message(found),
         })
     }
-}
-
-fn parse_qubit_list(text: &str, line: usize) -> Result<Vec<QubitId>, CircuitError> {
-    text.split(',')
-        .map(|part| parse_qubit(part, line))
-        .collect()
 }
 
 /// Splits `(angle) q[..], ...` into the evaluated angle and the operand
@@ -236,7 +253,12 @@ fn parse_angle_call(rest: &str, line: usize) -> Result<(f64, &str), CircuitError
 /// Evaluates the restricted angle grammar: `[-] [k*] pi [/ m]` or a float
 /// literal.
 fn eval_angle(expr: &str, line: usize) -> Result<f64, CircuitError> {
-    let expr = expr.trim().replace(' ', "");
+    let expr = expr.trim();
+    let expr = if expr.contains(' ') {
+        Cow::Owned(expr.replace(' ', ""))
+    } else {
+        Cow::Borrowed(expr)
+    };
     let err = || CircuitError::Parse {
         line,
         message: format!("cannot evaluate angle '{expr}'"),
@@ -246,7 +268,7 @@ fn eval_angle(expr: &str, line: usize) -> Result<f64, CircuitError> {
     }
     let (sign, body) = match expr.strip_prefix('-') {
         Some(b) => (-1.0, b),
-        None => (1.0, expr.as_str()),
+        None => (1.0, &*expr),
     };
     if let Ok(v) = body.parse::<f64>() {
         return Ok(sign * v);
@@ -414,6 +436,46 @@ mod tests {
     fn rejects_identical_operands() {
         let src = "qreg q[2];\ncx q[1], q[1];\n";
         assert!(matches!(parse(src), Err(CircuitError::Parse { .. })));
+    }
+
+    #[test]
+    fn rejects_ccx_with_repeated_operands() {
+        let src = "qreg q[2];\nccx q[0],q[0],q[1];\n";
+        match parse(src) {
+            Err(CircuitError::Parse { line, message }) => {
+                assert_eq!(line, 2);
+                assert!(message.contains("repeated"), "{message}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_ccx_beyond_the_register() {
+        let src = "qreg q[2];\nccx q[0],q[1],q[4294967295];\n";
+        assert!(matches!(
+            parse(src),
+            Err(CircuitError::QubitOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn operand_count_errors_keep_their_messages() {
+        for (stmt, expected) in [
+            ("cx q[0];", "expected 2 operands, got 1 in 'q[0]'"),
+            ("cx q[0], q[1], q[2];", "expected 2 operands, got 3"),
+            ("ccx q[0], q[1];", "ccx expects 3 operands, got 2"),
+            ("cx q[0], q[x], q[2];", "bad index in 'q[x]'"),
+            ("rz(pi / 2 + 1) q[0];", "cannot evaluate angle 'pi/2+1'"),
+        ] {
+            let src = format!("qreg q[3];\n{stmt}\n");
+            match parse(&src) {
+                Err(CircuitError::Parse { message, .. }) => {
+                    assert!(message.contains(expected), "{stmt}: {message}")
+                }
+                other => panic!("{stmt}: expected parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

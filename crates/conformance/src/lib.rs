@@ -2,7 +2,7 @@
 //!
 //! Differential testing for the AutoBraid compiler: a seeded circuit
 //! fuzzer, an oracle that compiles every case under every
-//! strategy/optimize/thread combination and cross-checks the results,
+//! strategy/optimize combination and cross-checks the results,
 //! and a delta-debugging shrinker that turns a failure into a
 //! self-contained repro file.
 //!

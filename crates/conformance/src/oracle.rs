@@ -1,26 +1,22 @@
 //! The differential oracle: compiles one case under every
-//! strategy/optimize/thread combination and cross-checks every promise
-//! the compiler makes.
+//! strategy/optimize combination and cross-checks every promise the
+//! compiler makes.
 //!
 //! What counts as a divergence:
 //!
 //! * a compile that panics, or whose built-in verifier
 //!   (`verify_schedule_with_dag`) rejects its own schedule;
-//! * canonical reports that differ across thread counts where
-//!   determinism is promised (`docs/RUNTIME.md`);
 //! * a broken invariant: `total_cycles` below the critical path,
 //!   `Full` scheduling worse than `Stack`, or optimizer gate
 //!   accounting that does not add up;
 //! * an optimized circuit that is not semantically equivalent to the
 //!   original (state-vector simulation, small cases only);
-//! * on defective lattices: outcomes (including `UnroutableGate`) that
-//!   differ across thread counts, braids through defects, or an
-//!   inconsistent final placement;
-//! * at the router layer: a [`check_route_outcome`] violation, or
-//!   batches routed differently at different thread counts;
+//! * on defective lattices: a panic, an invalid schedule, braids through
+//!   defects, or an inconsistent final placement;
+//! * at the router layer: a [`check_route_outcome`] violation;
 //! * on the streaming path: a fully pushed
 //!   [`StreamingPipeline`] that does not reproduce the batch engine's
-//!   schedule byte-for-byte (per strategy, per thread count), or a
+//!   schedule byte-for-byte (per strategy), or a
 //!   mid-frontier fault injection (tile death, magic-state stall) that
 //!   panics, drops a gate, or reports anything other than a valid
 //!   schedule / a typed `Unroutable` error.
@@ -29,8 +25,8 @@ use crate::case::ConformanceCase;
 use autobraid::pipeline::{CompileOptions, CompileReport, Pipeline, Strategy};
 use autobraid::streaming::{FaultEvent, StreamError, StreamingOptions, StreamingPipeline};
 use autobraid::{
-    critical_path_cycles, policy_for, run_with_base_occupancy, verify_schedule_with_dag,
-    ParallelStackPolicy, RoutePolicy, ScheduleConfig, ScheduleError, ScheduleResult, Step,
+    critical_path_cycles, route_policy, run_with_base_occupancy, verify_schedule_with_dag,
+    RoutePolicy, ScheduleConfig, ScheduleError, ScheduleResult, StackPolicy, Step,
 };
 use autobraid_circuit::sim::circuits_equivalent;
 use autobraid_circuit::DependenceDag;
@@ -38,16 +34,13 @@ use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
 use autobraid_router::path::CxRequest;
 use autobraid_router::probe::check_route_outcome;
-use autobraid_router::stack_finder::route_concurrent_with;
+use autobraid_router::stack_finder::route_concurrent;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Oracle tuning knobs.
 #[derive(Debug, Clone)]
 pub struct OracleConfig {
-    /// Thread counts swept for the determinism checks. Must contain at
-    /// least one entry; the first is the reference.
-    pub threads: Vec<usize>,
     /// Skip state-vector equivalence above this qubit count (dense
     /// simulation is exponential).
     pub sim_qubit_limit: u32,
@@ -58,7 +51,6 @@ pub struct OracleConfig {
 impl Default for OracleConfig {
     fn default() -> Self {
         OracleConfig {
-            threads: vec![1, 2, 4],
             sim_qubit_limit: 10,
             tolerance: 1e-6,
         }
@@ -71,7 +63,7 @@ pub struct Divergence {
     /// The case's label ([`ConformanceCase::label`]).
     pub case: String,
     /// The configuration under which it was observed, e.g.
-    /// `"strategy=autobraid-full optimize=true threads=2"`.
+    /// `"strategy=autobraid-full optimize=true"`.
     pub setting: String,
     /// What went wrong.
     pub detail: String,
@@ -86,17 +78,13 @@ impl fmt::Display for Divergence {
 /// Runs every check on one case. An empty vector means the case
 /// conforms.
 pub fn check_case(case: &ConformanceCase, cfg: &OracleConfig) -> Vec<Divergence> {
-    assert!(
-        !cfg.threads.is_empty(),
-        "oracle needs at least one thread count"
-    );
     let mut divergences = Vec::new();
     check_pipeline_matrix(case, cfg, &mut divergences);
-    check_routing_invariants(case, cfg, &mut divergences);
+    check_routing_invariants(case, &mut divergences);
     if !case.defects.is_empty() {
-        check_defective_lattice(case, cfg, &mut divergences);
+        check_defective_lattice(case, &mut divergences);
     }
-    check_streaming_differential(case, cfg, &mut divergences);
+    check_streaming_differential(case, &mut divergences);
     check_streaming_fault_injection(case, &mut divergences);
     divergences
 }
@@ -117,67 +105,46 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The full strategy × optimize × threads compile sweep.
+/// The full strategy × optimize compile sweep.
 fn check_pipeline_matrix(case: &ConformanceCase, cfg: &OracleConfig, out: &mut Vec<Divergence>) {
     for strategy in Strategy::ALL {
         for optimize in [false, true] {
-            let mut canonical: Option<String> = None;
-            for &threads in &cfg.threads {
-                let setting = format!(
-                    "strategy={} optimize={optimize} threads={threads}",
-                    strategy.name()
-                );
-                let diverge = |detail: String| Divergence {
-                    case: case.label(),
-                    setting: setting.clone(),
-                    detail,
-                };
-                let pipeline = Pipeline::new()
-                    .with_config(ScheduleConfig::default().with_threads(threads))
-                    .with_options(CompileOptions {
-                        strategy,
-                        optimize,
-                        verify: true,
-                        telemetry: false,
-                        trace: false,
-                    });
-                let compiled = catch_unwind(AssertUnwindSafe(|| pipeline.compile(&case.circuit)));
-                let report = match compiled {
-                    Err(payload) => {
-                        out.push(diverge(format!("panicked: {}", panic_message(payload))));
-                        continue;
-                    }
-                    Ok(Err(e)) => {
-                        out.push(diverge(format!("pipeline rejected its own output: {e}")));
-                        continue;
-                    }
-                    Ok(Ok(report)) => report,
-                };
-
-                check_report_invariants(case, &report, &diverge, out);
-
-                let rendered = report.canonical_json();
-                match &canonical {
-                    None => canonical = Some(rendered),
-                    Some(reference) if *reference != rendered => {
-                        out.push(diverge(format!(
-                            "canonical report differs from threads={}",
-                            cfg.threads[0]
-                        )));
-                    }
-                    Some(_) => {}
+            let setting = format!("strategy={} optimize={optimize}", strategy.name());
+            let diverge = |detail: String| Divergence {
+                case: case.label(),
+                setting: setting.clone(),
+                detail,
+            };
+            let pipeline = Pipeline::new().with_options(CompileOptions {
+                strategy,
+                optimize,
+                verify: true,
+                telemetry: false,
+                trace: false,
+            });
+            let compiled = catch_unwind(AssertUnwindSafe(|| pipeline.compile(&case.circuit)));
+            let report = match compiled {
+                Err(payload) => {
+                    out.push(diverge(format!("panicked: {}", panic_message(payload))));
+                    continue;
                 }
-
-                if threads == cfg.threads[0]
-                    && optimize
-                    && strategy == Strategy::Full
-                    && case.circuit.num_qubits() <= cfg.sim_qubit_limit
-                    && !circuits_equivalent(&case.circuit, &report.circuit, cfg.tolerance)
-                {
-                    out.push(diverge(
-                        "optimizer changed circuit semantics (state vectors differ)".into(),
-                    ));
+                Ok(Err(e)) => {
+                    out.push(diverge(format!("pipeline rejected its own output: {e}")));
+                    continue;
                 }
+                Ok(Ok(report)) => report,
+            };
+
+            check_report_invariants(case, &report, &diverge, out);
+
+            if optimize
+                && strategy == Strategy::Full
+                && case.circuit.num_qubits() <= cfg.sim_qubit_limit
+                && !circuits_equivalent(&case.circuit, &report.circuit, cfg.tolerance)
+            {
+                out.push(diverge(
+                    "optimizer changed circuit semantics (state vectors differ)".into(),
+                ));
             }
         }
     }
@@ -187,15 +154,13 @@ fn check_pipeline_matrix(case: &ConformanceCase, cfg: &OracleConfig, out: &mut V
     // options.
     for optimize in [false, true] {
         let compile = |strategy| {
-            let pipeline = Pipeline::new()
-                .with_config(ScheduleConfig::default().with_threads(cfg.threads[0]))
-                .with_options(CompileOptions {
-                    strategy,
-                    optimize,
-                    verify: false,
-                    telemetry: false,
-                    trace: false,
-                });
+            let pipeline = Pipeline::new().with_options(CompileOptions {
+                strategy,
+                optimize,
+                verify: false,
+                telemetry: false,
+                trace: false,
+            });
             catch_unwind(AssertUnwindSafe(|| pipeline.compile(&case.circuit)))
         };
         if let (Ok(Ok(full)), Ok(Ok(sp))) = (compile(Strategy::Full), compile(Strategy::Stack)) {
@@ -206,7 +171,7 @@ fn check_pipeline_matrix(case: &ConformanceCase, cfg: &OracleConfig, out: &mut V
             if full > sp {
                 out.push(Divergence {
                     case: case.label(),
-                    setting: format!("optimize={optimize} threads={}", cfg.threads[0]),
+                    setting: format!("optimize={optimize}"),
                     detail: format!(
                         "Full scheduled {full} cycles, worse than Stack's {sp} — \
                          the candidate-minimum contract is broken"
@@ -270,9 +235,8 @@ fn first_cx_batch(case: &ConformanceCase, placement: &Placement) -> Vec<CxReques
     requests
 }
 
-/// Routes the case's first CX batch at every thread count, probing each
-/// outcome and demanding bit-identical routing.
-fn check_routing_invariants(case: &ConformanceCase, cfg: &OracleConfig, out: &mut Vec<Divergence>) {
+/// Routes the case's first CX batch and probes the outcome.
+fn check_routing_invariants(case: &ConformanceCase, out: &mut Vec<Divergence>) {
     let grid = case.grid();
     let placement = Placement::row_major(&grid, case.circuit.num_qubits());
     let requests = first_cx_batch(case, &placement);
@@ -280,212 +244,149 @@ fn check_routing_invariants(case: &ConformanceCase, cfg: &OracleConfig, out: &mu
         return;
     }
     let base = case.base_occupancy();
-    let mut reference: Option<(Vec<_>, Vec<usize>)> = None;
-    for &threads in &cfg.threads {
-        let setting = format!("router threads={threads}");
-        let mut occupancy = base.clone();
-        let outcome = route_concurrent_with(&grid, &mut occupancy, &requests, threads);
-        if let Err(e) = check_route_outcome(&grid, &requests, &base, &outcome) {
-            out.push(Divergence {
-                case: case.label(),
-                setting,
-                detail: format!("route probe: {e}"),
-            });
-            continue;
-        }
-        let key = (outcome.routed, outcome.failed);
-        match &reference {
-            None => reference = Some(key),
-            Some(r) if *r != key => out.push(Divergence {
-                case: case.label(),
-                setting,
-                detail: format!(
-                    "routing differs from threads={}: {} gates routed here vs {}",
-                    cfg.threads[0],
-                    key.0.len(),
-                    r.0.len()
-                ),
-            }),
-            Some(_) => {}
-        }
+    let mut occupancy = base.clone();
+    let outcome = route_concurrent(&grid, &mut occupancy, &requests);
+    if let Err(e) = check_route_outcome(&grid, &requests, &base, &outcome) {
+        out.push(Divergence {
+            case: case.label(),
+            setting: "router".to_string(),
+            detail: format!("route probe: {e}"),
+        });
     }
 }
 
 /// Full-schedule checks on a defective lattice, where the pipeline façade
-/// does not reach: outcome consistency across thread counts, defect
-/// avoidance, and schedule validity. Every registry strategy that
-/// declares defect support (and resolves to a standalone policy via
-/// [`policy_for`]) is swept.
-fn check_defective_lattice(case: &ConformanceCase, cfg: &OracleConfig, out: &mut Vec<Divergence>) {
+/// does not reach: defect avoidance and schedule validity. Every
+/// registry strategy that declares defect support (and resolves to a
+/// standalone policy via [`route_policy`]) is swept.
+fn check_defective_lattice(case: &ConformanceCase, out: &mut Vec<Divergence>) {
     for info in autobraid::REGISTRY {
         // `Full` shares `Stack`'s engine policy — the layout-optimizer
         // layer it adds on top is exercised by the pipeline matrix.
         if !info.supports_defects || info.strategy == Strategy::Full {
             continue;
         }
-        let mut reference: Option<Result<ScheduleResult, ScheduleError>> = None;
-        for &threads in &cfg.threads {
-            let Some(policy) = policy_for(info.strategy, threads) else {
-                break;
-            };
-            let setting = format!("defective lattice strategy={} threads={threads}", info.name);
-            let Some(run) = run_case_with_policy(case, policy.as_ref(), &setting, out) else {
-                continue;
-            };
-            let run = run.map(|mut result| {
-                result.compile_seconds = 0.0;
-                result
-            });
-            match &reference {
-                None => reference = Some(run),
-                Some(r) if *r != run => {
-                    let describe = |o: &Result<ScheduleResult, ScheduleError>| match o {
-                        Ok(res) => format!("{} cycles", res.total_cycles),
-                        Err(e) => format!("error `{e}`"),
-                    };
-                    out.push(Divergence {
-                        case: case.label(),
-                        setting,
-                        detail: format!(
-                            "outcome differs from threads={}: {} vs {}",
-                            cfg.threads[0],
-                            describe(&run),
-                            describe(r)
-                        ),
-                    });
-                }
-                Some(_) => {}
-            }
+        if let Some(policy) = route_policy(info.strategy) {
+            let setting = format!("defective lattice strategy={}", info.name);
+            run_case_with_policy(case, policy.as_ref(), &setting, out);
         }
     }
 }
 
 /// Replays the case through the streaming pipeline (every gate pushed
 /// up front, then drained) and demands the *exact* batch-engine
-/// schedule, for every registry strategy at every thread count. A
-/// fully pushed stream sees the same priorities, interference graphs,
-/// and base occupancy as the batch engine driving the same policy, so
-/// anything short of byte-equality is an online-path bug. `Unroutable`
+/// schedule, for every registry strategy. A fully pushed stream sees
+/// the same priorities, interference graphs, and base occupancy as the
+/// batch engine driving the same policy, so anything short of
+/// byte-equality is an online-path bug. `Unroutable`
 /// outcomes must agree too — same error, same stuck gate.
-fn check_streaming_differential(
-    case: &ConformanceCase,
-    cfg: &OracleConfig,
-    out: &mut Vec<Divergence>,
-) {
+fn check_streaming_differential(case: &ConformanceCase, out: &mut Vec<Divergence>) {
     for info in autobraid::REGISTRY {
-        for &threads in &cfg.threads {
-            let setting = format!("streaming strategy={} threads={threads}", info.name);
-            let diverge = |detail: String| Divergence {
-                case: case.label(),
-                setting: setting.clone(),
-                detail,
-            };
+        let setting = format!("streaming strategy={}", info.name);
+        let diverge = |detail: String| Divergence {
+            case: case.label(),
+            setting: setting.clone(),
+            detail,
+        };
 
-            let options = StreamingOptions::default()
-                .with_strategy(info.strategy)
-                .with_label(case.circuit.name())
-                .with_defects(case.defects.clone());
-            let config = ScheduleConfig::default().with_threads(threads);
-            let streamed = catch_unwind(AssertUnwindSafe(|| {
-                let mut stream = StreamingPipeline::open_with_config(
-                    case.circuit.num_qubits().max(1),
-                    options,
-                    config.clone(),
-                );
-                for (_, gate) in case.circuit.iter() {
-                    stream.push_gate(*gate)?;
-                }
-                stream.finish()
-            }));
-            let streamed = match streamed {
-                Err(payload) => {
-                    out.push(diverge(format!(
-                        "streaming panicked: {}",
-                        panic_message(payload)
-                    )));
-                    continue;
-                }
-                Ok(outcome) => outcome,
-            };
+        let options = StreamingOptions::default()
+            .with_strategy(info.strategy)
+            .with_label(case.circuit.name())
+            .with_defects(case.defects.clone());
+        let streamed = catch_unwind(AssertUnwindSafe(|| {
+            let mut stream = StreamingPipeline::open(case.circuit.num_qubits().max(1), options);
+            for (_, gate) in case.circuit.iter() {
+                stream.push_gate(*gate)?;
+            }
+            stream.finish()
+        }));
+        let streamed = match streamed {
+            Err(payload) => {
+                out.push(diverge(format!(
+                    "streaming panicked: {}",
+                    panic_message(payload)
+                )));
+                continue;
+            }
+            Ok(outcome) => outcome,
+        };
 
-            // The batch twin: same policy (Maslov degrades to the stack
-            // finder online, so its twin is the stack policy), same
-            // row-major placement, same defect overlay, no optimizer.
-            let grid = case.grid();
-            let placement = Placement::row_major(&grid, case.circuit.num_qubits());
-            let policy = policy_for(info.strategy, threads)
-                .unwrap_or_else(|| Box::new(ParallelStackPolicy::new(threads)));
-            let batch = run_with_base_occupancy(
-                info.name,
-                &case.circuit,
-                &grid,
-                placement.clone(),
-                policy.as_ref(),
-                false,
-                &config,
-                &case.base_occupancy(),
-            );
+        // The batch twin: same policy (Maslov degrades to the stack
+        // finder online, so its twin is the stack policy), same
+        // row-major placement, same defect overlay, no optimizer.
+        let grid = case.grid();
+        let placement = Placement::row_major(&grid, case.circuit.num_qubits());
+        let policy = route_policy(info.strategy).unwrap_or_else(|| Box::new(StackPolicy));
+        let batch = run_with_base_occupancy(
+            info.name,
+            &case.circuit,
+            &grid,
+            placement.clone(),
+            policy.as_ref(),
+            false,
+            &ScheduleConfig::default(),
+            &case.base_occupancy(),
+        );
 
-            match (streamed, batch) {
-                (Ok(report), Ok((batch_result, _))) => {
-                    if report.circuit.len() != case.circuit.len() {
-                        out.push(diverge(format!(
-                            "stream dropped gates: {} scheduled vs {} pushed",
-                            report.circuit.len(),
-                            case.circuit.len()
-                        )));
-                    }
-                    let canon = |r: &ScheduleResult| {
-                        let mut r = r.clone();
-                        r.compile_seconds = 0.0;
-                        autobraid::report::schedule_result_json(&r).render_compact()
-                    };
-                    if canon(&report.outcome.result) != canon(&batch_result) {
-                        out.push(diverge(format!(
-                            "streaming schedule differs from the batch engine: \
-                             {} vs {} cycles over {} vs {} braid steps",
-                            report.outcome.result.total_cycles,
-                            batch_result.total_cycles,
-                            report.outcome.result.braid_steps,
-                            batch_result.braid_steps
-                        )));
-                    }
-                    let dag = DependenceDag::new(&case.circuit);
-                    if let Err(e) = verify_schedule_with_dag(
-                        &case.circuit,
-                        &dag,
-                        &report.outcome.grid,
-                        &report.outcome.initial_placement,
-                        &report.outcome.result,
-                    ) {
-                        out.push(diverge(format!("invalid streaming schedule: {e}")));
-                    }
-                }
-                (
-                    Err(StreamError::Unroutable { gate }),
-                    Err(ScheduleError::UnroutableGate { gate: batch_gate }),
-                ) => {
-                    if gate != batch_gate {
-                        out.push(diverge(format!(
-                            "streaming stuck on gate {gate}, batch on gate {batch_gate}"
-                        )));
-                    }
-                }
-                (Err(e), Ok(_)) => {
+        match (streamed, batch) {
+            (Ok(report), Ok((batch_result, _))) => {
+                if report.circuit.len() != case.circuit.len() {
                     out.push(diverge(format!(
-                        "streaming failed (`{e}`) where the batch engine succeeded"
+                        "stream dropped gates: {} scheduled vs {} pushed",
+                        report.circuit.len(),
+                        case.circuit.len()
                     )));
                 }
-                (Ok(_), Err(e)) => {
+                let canon = |r: &ScheduleResult| {
+                    let mut r = r.clone();
+                    r.compile_seconds = 0.0;
+                    autobraid::report::schedule_result_json(&r).render_compact()
+                };
+                if canon(&report.outcome.result) != canon(&batch_result) {
                     out.push(diverge(format!(
-                        "streaming succeeded where the batch engine failed (`{e}`)"
+                        "streaming schedule differs from the batch engine: \
+                         {} vs {} cycles over {} vs {} braid steps",
+                        report.outcome.result.total_cycles,
+                        batch_result.total_cycles,
+                        report.outcome.result.braid_steps,
+                        batch_result.braid_steps
                     )));
                 }
-                (Err(stream_err), Err(batch_err)) => {
+                let dag = DependenceDag::new(&case.circuit);
+                if let Err(e) = verify_schedule_with_dag(
+                    &case.circuit,
+                    &dag,
+                    &report.outcome.grid,
+                    &report.outcome.initial_placement,
+                    &report.outcome.result,
+                ) {
+                    out.push(diverge(format!("invalid streaming schedule: {e}")));
+                }
+            }
+            (
+                Err(StreamError::Unroutable { gate }),
+                Err(ScheduleError::UnroutableGate { gate: batch_gate }),
+            ) => {
+                if gate != batch_gate {
                     out.push(diverge(format!(
-                        "mismatched failures: streaming `{stream_err}` vs batch `{batch_err}`"
+                        "streaming stuck on gate {gate}, batch on gate {batch_gate}"
                     )));
                 }
+            }
+            (Err(e), Ok(_)) => {
+                out.push(diverge(format!(
+                    "streaming failed (`{e}`) where the batch engine succeeded"
+                )));
+            }
+            (Ok(_), Err(e)) => {
+                out.push(diverge(format!(
+                    "streaming succeeded where the batch engine failed (`{e}`)"
+                )));
+            }
+            (Err(stream_err), Err(batch_err)) => {
+                out.push(diverge(format!(
+                    "mismatched failures: streaming `{stream_err}` vs batch `{batch_err}`"
+                )));
             }
         }
     }
@@ -660,26 +561,19 @@ mod tests {
     use super::*;
     use crate::dsl::generate_case;
 
-    fn quick_cfg() -> OracleConfig {
-        OracleConfig {
-            threads: vec![1, 2],
-            ..OracleConfig::default()
-        }
-    }
-
     #[test]
     fn clean_cases_conform() {
         for seed in 0..12 {
             let case = generate_case(seed);
-            let divergences = check_case(&case, &quick_cfg());
+            let divergences = check_case(&case, &OracleConfig::default());
             assert!(divergences.is_empty(), "seed {seed}: {divergences:?}");
         }
     }
 
     #[test]
     fn defective_cases_conform() {
-        // Hunt specifically for defect overlays: the defect branch and its
-        // cross-thread consistency check must hold too.
+        // Hunt specifically for defect overlays: the defect branch must
+        // hold too.
         let mut seen = 0;
         let mut seed = 0;
         while seen < 4 {
@@ -689,7 +583,7 @@ mod tests {
                 continue;
             }
             seen += 1;
-            let divergences = check_case(&case, &quick_cfg());
+            let divergences = check_case(&case, &OracleConfig::default());
             assert!(divergences.is_empty(), "seed {}: {divergences:?}", seed - 1);
         }
     }
@@ -698,10 +592,10 @@ mod tests {
     fn divergence_formats_with_context() {
         let d = Divergence {
             case: "qft4".into(),
-            setting: "threads=2".into(),
+            setting: "optimize=true".into(),
             detail: "boom".into(),
         };
         let s = d.to_string();
-        assert!(s.contains("qft4") && s.contains("threads=2") && s.contains("boom"));
+        assert!(s.contains("qft4") && s.contains("optimize=true") && s.contains("boom"));
     }
 }

@@ -23,12 +23,12 @@
 use crate::config::ScheduleConfig;
 use crate::maslov::schedule_maslov_below;
 use crate::metrics::ScheduleResult;
-use crate::scheduler::{policy_for, run_below, LayoutMove};
+use crate::scheduler::{route_policy, run_below, LayoutMove};
 use crate::strategy::Strategy;
 use autobraid_circuit::{Circuit, DependenceDag};
 use autobraid_lattice::Grid;
 use autobraid_placement::{
-    anneal_portfolio, initial::partition_placement, linear_placement, CouplingGraph, Placement,
+    anneal, initial::partition_placement, linear_placement, CouplingGraph, Placement,
 };
 use autobraid_telemetry as telemetry;
 
@@ -91,10 +91,7 @@ impl AutoBraid {
         }
         let seed = partition_placement(circuit, grid);
         match &self.config.annealing {
-            Some(cfg) => {
-                anneal_portfolio(circuit, grid, seed, cfg, self.config.effective_threads())
-                    .placement
-            }
+            Some(cfg) => anneal(circuit, grid, seed, cfg).placement,
             None => seed,
         }
     }
@@ -124,7 +121,7 @@ impl AutoBraid {
     /// `config.commutation_aware`.
     ///
     /// Each strategy is one choice of initial placement, routing policy
-    /// ([`policy_for`]) and layout move (see the module docs).
+    /// ([`route_policy`]) and layout move (see the module docs).
     /// autobraid-full keeps the best of its candidates, as in §3.3.2: the
     /// engine at the configured `p` threshold, the engine with the
     /// optimizer off (`p = 0`, i.e. autobraid-sp — the paper sweeps `p`
@@ -141,7 +138,7 @@ impl AutoBraid {
     ) -> ScheduleOutcome {
         let config = &self.config;
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
-        let policy = policy_for(strategy, config.effective_threads());
+        let policy = route_policy(strategy);
         let drive = |placement: Placement, layout: LayoutMove, bound: u64| {
             let policy = policy.as_deref().expect("an engine strategy has a policy");
             run_below(

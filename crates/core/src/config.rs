@@ -46,15 +46,11 @@ pub struct ScheduleConfig {
     /// the plain shared-qubit DAG. An extension beyond the paper; exposed
     /// for the ablation study.
     pub commutation_aware: bool,
-    /// The thread budget, and the only one (default 1; `0` and `1` both
-    /// mean fully serial). A single compile or stream spends it inside
-    /// the circuit: concurrent routing of independent LLGs, and the
-    /// annealing chains when [`AnnealConfig::chains`] is above 1.
+    /// The worker count of
     /// [`Pipeline::compile_batch`](crate::pipeline::Pipeline::compile_batch)
-    /// spends it across circuits instead.
-    /// Compile *outputs* are bit-identical for every value — parallel
-    /// paths only precompute what the serial order would have produced
-    /// (see `docs/RUNTIME.md`).
+    /// (default 1; `0` and `1` both mean serial). A single compile or
+    /// stream never reads it: it runs serially. Compile *outputs* are
+    /// bit-identical for every value (see `docs/RUNTIME.md`).
     pub threads: usize,
 }
 
@@ -110,8 +106,7 @@ impl ScheduleConfig {
         self
     }
 
-    /// Sets the intra-circuit worker-thread count (see
-    /// [`ScheduleConfig::threads`]).
+    /// Sets the batch worker count (see [`ScheduleConfig::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

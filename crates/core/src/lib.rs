@@ -20,7 +20,7 @@
 //! * [`metrics::verify_schedule`] — exhaustive schedule validation;
 //! * [`pipeline::Pipeline`] — the end-to-end compile façade, configured
 //!   by [`pipeline::CompileOptions`] (strategy, optimizer, verifier,
-//!   telemetry, thread budget), with opt-in observability: stage spans,
+//!   telemetry, trace), with opt-in observability: stage spans,
 //!   subsystem counters, and histograms snapshotted into
 //!   [`pipeline::CompileReport::telemetry`], rendered by
 //!   [`render::render_telemetry`] / [`report::compile_report_json`].
@@ -28,9 +28,8 @@
 //!   `docs/METRICS.md`;
 //! * [`runtime`] — the std-only parallel runtime:
 //!   [`runtime::WorkerPool`] and [`pipeline::Pipeline::compile_batch`]
-//!   for compiling many circuits at once, plus thread-budgeted
-//!   intra-circuit parallelism (LLG routing, annealing portfolio). The
-//!   design and determinism contract live in `docs/RUNTIME.md`;
+//!   for compiling many circuits at once; a single compile is serial.
+//!   The design and determinism contract live in `docs/RUNTIME.md`;
 //! * [`prelude`] — one-line imports for the common compile workflow.
 //!
 //! The workspace architecture, paper substitutions, and experiment
@@ -81,8 +80,8 @@ pub use metrics::{
     verify_schedule, verify_schedule_with_dag, LayerPolicy, ScheduleResult, Step, SwapOp,
 };
 pub use scheduler::{
-    policy_for, run, run_with_base_occupancy, GreedyPolicy, LayerRoute, ParallelStackPolicy,
-    PathFinderPolicy, PortfolioPolicy, RoutePolicy, ScheduleError, StackPolicy,
+    route_policy, run, run_with_base_occupancy, GreedyPolicy, LayerRoute, PathFinderPolicy,
+    PortfolioPolicy, RoutePolicy, ScheduleError, StackPolicy,
 };
 pub use strategy::{Strategy, StrategyInfo, REGISTRY};
 pub use streaming::{FaultEvent, StepOutcome, StreamError, StreamingOptions, StreamingPipeline};

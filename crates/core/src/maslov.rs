@@ -211,7 +211,7 @@ fn pair_benefit(ready: &[(u32, u32)], p: u32) -> i64 {
 mod tests {
     use super::*;
     use crate::metrics::verify_schedule;
-    use crate::scheduler::{run_with_dag, ParallelStackPolicy};
+    use crate::scheduler::{run_with_dag, StackPolicy};
     use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::{self, qft::qft, random::random_circuit};
 
@@ -270,7 +270,7 @@ mod tests {
         // The same bound on autobraid-full's optimizer-off rerun.
         let grid = Grid::with_capacity_for(16);
         let placement = AutoBraid::new(config.clone()).initial_placement(&circuit, &grid);
-        let policy = ParallelStackPolicy::new(1);
+        let policy = StackPolicy;
         let rerun = |bound| {
             run_below(
                 "rerun",

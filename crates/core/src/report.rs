@@ -206,7 +206,7 @@ pub fn compile_report_json(report: &CompileReport) -> JsonValue {
 /// Renders a [`CompileReport`] compact with every wall-clock measurement
 /// zeroed and telemetry excluded: the *canonical* form of a compile
 /// output ([`CompileReport::canonical_json`]), byte-identical across runs
-/// and thread counts for the same input and seed. This is the value the
+/// and batch pool widths for the same input and seed. This is the value the
 /// determinism suite compares and the contract `docs/RUNTIME.md`
 /// documents — timings and telemetry are measurements of the run, not
 /// part of the compiled result.

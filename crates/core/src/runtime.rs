@@ -5,10 +5,10 @@
 //! panic isolation (a panicking job never takes its worker down) and
 //! graceful shutdown (dropping the pool joins every worker).
 //! [`Pipeline::compile_batch`] fans a slice of [`CompileJob`]s across a
-//! pool sized by the pipeline's one thread budget,
+//! pool sized by
 //! [`ScheduleConfig::threads`](crate::config::ScheduleConfig::threads)
-//! (each job then compiles with one thread), and returns results in
-//! input order, regardless of completion order. The design, determinism
+//! (each job compiles serially), and returns results in input order,
+//! regardless of completion order. The design, determinism
 //! contract, and telemetry-merge semantics are documented in
 //! `docs/RUNTIME.md`.
 
@@ -260,10 +260,8 @@ impl Pipeline {
     /// Results come back **in input order** regardless of completion
     /// order, and each compile output is bit-identical to what a serial
     /// [`Pipeline::compile`] of the same job would produce (see
-    /// `docs/RUNTIME.md`). Jobs inside a batch run with an intra-circuit
-    /// thread budget of 1 — the pool already saturates the configured
-    /// budget. A job that panics reports [`PipelineError::Panicked`]
-    /// without disturbing the others.
+    /// `docs/RUNTIME.md`). A job that panics reports
+    /// [`PipelineError::Panicked`] without disturbing the others.
     ///
     /// # Examples
     ///
@@ -284,20 +282,12 @@ impl Pipeline {
     /// # Ok::<(), autobraid_circuit::CircuitError>(())
     /// ```
     pub fn compile_batch(&self, jobs: &[CompileJob]) -> Vec<Result<CompileReport, PipelineError>> {
-        // Each job gets the whole configuration except the thread
-        // budget, which the pool consumes at the batch level.
-        let worker_pipeline = self
-            .clone()
-            .with_config(self.config().clone().with_threads(1));
         let threads = self.config().effective_threads().min(jobs.len().max(1));
         if threads <= 1 {
-            return jobs
-                .iter()
-                .map(|job| run_job(&worker_pipeline, job))
-                .collect();
+            return jobs.iter().map(|job| run_job(self, job)).collect();
         }
 
-        let pipeline = Arc::new(worker_pipeline);
+        let pipeline = Arc::new(self.clone());
         let pool = WorkerPool::new(threads);
         let thunks: Vec<_> = jobs
             .iter()

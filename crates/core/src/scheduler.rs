@@ -20,7 +20,7 @@ use autobraid_circuit::{Circuit, DependenceDag, Frontier, Gate, GateId};
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
 use autobraid_router::pathfinder::route_negotiated;
-use autobraid_router::stack_finder::{route_concurrent_with, route_greedy, RouteOutcome};
+use autobraid_router::stack_finder::{route_concurrent, route_greedy, RouteOutcome};
 use autobraid_router::{BraidPath, CxRequest, InterferenceGraph};
 use autobraid_telemetry as telemetry;
 use std::borrow::Cow;
@@ -98,8 +98,8 @@ pub trait RoutePolicy {
     }
 }
 
-/// The paper's stack-based path finder (Fig. 13): a serial
-/// [`ParallelStackPolicy`].
+/// The paper's stack-based path finder (Fig. 13):
+/// [`autobraid_router::stack_finder::route_concurrent`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StackPolicy;
 
@@ -114,41 +114,7 @@ impl RoutePolicy for StackPolicy {
         occupancy: &mut Occupancy,
         requests: &[CxRequest],
     ) -> RouteOutcome {
-        ParallelStackPolicy::new(1).route(grid, occupancy, requests)
-    }
-}
-
-/// [`StackPolicy`] with a worker-thread budget: independent small LLGs
-/// of each batch route concurrently
-/// ([`autobraid_router::stack_finder::route_concurrent_with`]). The
-/// routed outcome is bit-identical to [`StackPolicy`] for every thread
-/// count — parallelism is a wall-clock optimization only (the
-/// determinism contract of `docs/RUNTIME.md`).
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelStackPolicy {
-    /// Worker threads per routing pass (0 and 1 both mean serial).
-    pub threads: usize,
-}
-
-impl ParallelStackPolicy {
-    /// A policy routing each batch with up to `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        ParallelStackPolicy { threads }
-    }
-}
-
-impl RoutePolicy for ParallelStackPolicy {
-    fn name(&self) -> &'static str {
-        "stack"
-    }
-
-    fn route(
-        &self,
-        grid: &Grid,
-        occupancy: &mut Occupancy,
-        requests: &[CxRequest],
-    ) -> RouteOutcome {
-        route_concurrent_with(grid, occupancy, requests, self.threads.max(1))
+        route_concurrent(grid, occupancy, requests)
     }
 }
 
@@ -211,19 +177,10 @@ impl RoutePolicy for PathFinderPolicy {
 /// gates (ties broken toward fewer total path vertices, then toward
 /// the stack finder). Every input to the decision is deterministic, so
 /// the per-layer picks — and therefore the schedule — are too.
-#[derive(Debug, Clone, Copy)]
-pub struct PortfolioPolicy {
-    /// Worker threads handed to the stack finder (the PathFinder side
-    /// is single-threaded by construction).
-    pub threads: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PortfolioPolicy;
 
 impl PortfolioPolicy {
-    /// A portfolio over `threads` stack-finder workers.
-    pub fn new(threads: usize) -> Self {
-        PortfolioPolicy { threads }
-    }
-
     /// Interference-graph edge density in `[0, 1]` (1 = every pair of
     /// gates interferes).
     fn interference_density(requests: &[CxRequest]) -> f64 {
@@ -257,7 +214,7 @@ impl RoutePolicy for PortfolioPolicy {
         occupancy: &mut Occupancy,
         requests: &[CxRequest],
     ) -> LayerRoute {
-        let stack = |occ: &mut Occupancy| route_concurrent_with(grid, occ, requests, self.threads);
+        let stack = |occ: &mut Occupancy| route_concurrent(grid, occ, requests);
         let negotiate = |occ: &mut Occupancy| route_negotiated(grid, occ, requests).0;
 
         if requests.len() <= 3 {
@@ -329,13 +286,42 @@ impl RoutePolicy for PortfolioPolicy {
 /// both take their policy from here, as do sweeps like the conformance
 /// oracle's defective-lattice pass over every
 /// [`crate::strategy::StrategyInfo::supports_defects`] row.
-pub fn policy_for(strategy: Strategy, threads: usize) -> Option<Box<dyn RoutePolicy>> {
+pub fn route_policy(strategy: Strategy) -> Option<Box<dyn RoutePolicy>> {
     match strategy {
-        Strategy::Full | Strategy::Stack => Some(Box::new(ParallelStackPolicy::new(threads))),
+        Strategy::Full | Strategy::Stack => Some(Box::new(StackPolicy)),
         Strategy::PathFinder => Some(Box::new(PathFinderPolicy)),
-        Strategy::Portfolio => Some(Box::new(PortfolioPolicy::new(threads))),
+        Strategy::Portfolio => Some(Box::new(PortfolioPolicy)),
         Strategy::Baseline => Some(Box::new(GreedyPolicy)),
         Strategy::Maslov => None,
+    }
+}
+
+pub use shims::{policy_for, ParallelStackPolicy};
+
+/// Thread-count shims with the signatures that perfbench's traced
+/// compile and stream checks call (`perfbench/src/compile.rs` and
+/// `perfbench/src/stream.rs`). Every compile and every stream is serial,
+/// so each one forwards and ignores its count, as does the third,
+/// `autobraid_placement::anneal_portfolio`. All three go once perfbench
+/// reads the program's own phase spans instead of re-running the
+/// compile stages (ROADMAP.md, item 2).
+pub mod shims {
+    use super::{route_policy, RoutePolicy, StackPolicy};
+    use crate::strategy::Strategy;
+
+    /// [`StackPolicy`] under its old name.
+    pub type ParallelStackPolicy = StackPolicy;
+
+    impl StackPolicy {
+        /// [`StackPolicy`]; the thread count is ignored.
+        pub fn new(_threads: usize) -> Self {
+            StackPolicy
+        }
+    }
+
+    /// [`route_policy`]; the thread count is ignored.
+    pub fn policy_for(strategy: Strategy, _threads: usize) -> Option<Box<dyn RoutePolicy>> {
+        route_policy(strategy)
     }
 }
 
@@ -1194,7 +1180,7 @@ mod tests {
     ) -> Vec<(Grid, Placement, Box<dyn RoutePolicy>, LayoutMove)> {
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let annealed = || crate::AutoBraid::new(config.clone()).initial_placement(circuit, &grid);
-        let policy = || policy_for(strategy, 1).expect("an engine strategy");
+        let policy = || route_policy(strategy).expect("an engine strategy");
         match strategy {
             Strategy::Full => vec![
                 (
@@ -1361,7 +1347,7 @@ mod tests {
             requests: &[CxRequest],
         ) -> RouteOutcome {
             let greedy = route_greedy(grid, &mut occupancy.clone(), requests);
-            let outcome = route_concurrent_with(grid, occupancy, requests, 1);
+            let outcome = route_concurrent(grid, occupancy, requests);
             if !outcome.is_complete() {
                 self.incomplete.set(self.incomplete.get() + 1);
                 assert!(outcome.routed.len() >= greedy.routed.len());

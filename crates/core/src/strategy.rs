@@ -12,7 +12,7 @@
 //!
 //! Adding a strategy is: add the variant, add one `StrategyInfo` row,
 //! and give [`AutoBraid::schedule_with_dag`](crate::AutoBraid::schedule_with_dag)
-//! an arm, and [`policy_for`](crate::scheduler::policy_for) one if it
+//! an arm, and [`route_policy`](crate::scheduler::route_policy) one if it
 //! streams — both matches are exhaustive, so a new variant does not
 //! compile until it has them. Everything else (oracle sweep,
 //! `--strategy` parsing, service wire format, report naming) picks it

@@ -11,13 +11,10 @@
 //! ready local gates execute together, ready two-qubit gates become a
 //! braiding layer routed by the strategy's [`RoutePolicy`], and gates
 //! the router defers stay in the frontier for a later step. Because the
-//! stepping reuses the same policies ([`crate::scheduler::policy_for`]),
+//! stepping reuses the same policies ([`crate::scheduler::route_policy`]),
 //! every registry strategy works online; the Maslov swap network — whose
 //! adjacency rule needs its layout move and serpentine placement —
-//! degrades to the stack finder. No layout move runs online. The policy
-//! routes with the thread budget of the [`ScheduleConfig`] the stream
-//! was opened with ([`StreamingPipeline::open_with_config`]; serial by
-//! default), the same knob a batch compile reads.
+//! degrades to the stack finder. No layout move runs online.
 //!
 //! Streaming also accepts *dynamic events* injected mid-run via
 //! [`StreamingPipeline::inject`]:
@@ -54,7 +51,7 @@ use crate::autobraid::ScheduleOutcome;
 use crate::config::ScheduleConfig;
 use crate::pipeline::{CompileReport, StageTimings};
 use crate::scheduler::{
-    policy_for, Engine, LayoutMove, ParallelStackPolicy, RoutePolicy, Routing, ScheduleError,
+    route_policy, Engine, LayoutMove, RoutePolicy, Routing, ScheduleError, StackPolicy,
 };
 use crate::strategy::Strategy;
 use autobraid_circuit::{Circuit, CircuitStats, Frontier, Gate, GateId};
@@ -303,8 +300,7 @@ impl StreamingPipeline {
     }
 
     /// Opens a stream with an explicit engine configuration (timing
-    /// model, recording mode, and the thread budget
-    /// [`ScheduleConfig::threads`] handed to the routing policy).
+    /// model and recording mode).
     pub fn open_with_config(
         num_qubits: u32,
         options: StreamingOptions,
@@ -315,8 +311,7 @@ impl StreamingPipeline {
         // Every registry strategy streams: strategies without an online
         // policy (the Maslov swap network needs its layout move) degrade
         // to the stack finder.
-        let policy = policy_for(options.strategy, config.effective_threads())
-            .unwrap_or_else(|| Box::new(ParallelStackPolicy::new(config.effective_threads())));
+        let policy = route_policy(options.strategy).unwrap_or_else(|| Box::new(StackPolicy));
         let mut base = Occupancy::new(&grid);
         for &(row, col) in &options.defects {
             let v = Vertex::new(row, col);
@@ -657,8 +652,7 @@ mod tests {
             );
             let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
             let placement = Placement::row_major(&grid, circuit.num_qubits());
-            let policy =
-                policy_for(strategy, 1).unwrap_or_else(|| Box::new(ParallelStackPolicy::new(1)));
+            let policy = route_policy(strategy).unwrap_or_else(|| Box::new(StackPolicy));
             let (batch, _) = run_with_base_occupancy(
                 strategy.name(),
                 &circuit,

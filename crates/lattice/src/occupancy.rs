@@ -4,7 +4,7 @@
 //! is exclusively reserved ("the vertices used by this path cannot be used
 //! by other braiding paths"). The scheduler clears the map between steps.
 
-use crate::geometry::{BBox, Vertex};
+use crate::geometry::Vertex;
 use crate::grid::Grid;
 
 /// A bitmap of reserved routing vertices for one braiding step.
@@ -146,58 +146,6 @@ impl Occupancy {
         }
     }
 
-    /// Whether any vertex inside or on the boundary of `bbox` is
-    /// reserved, in O(words of the box) instead of O(vertices of the
-    /// box): each bbox row is a contiguous bit range in the row-major
-    /// bitmap, tested with three masked word operations. Routers use
-    /// this to decide whether a region routed against a snapshot is
-    /// still untouched when its turn to commit arrives.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use autobraid_lattice::{BBox, Grid, Occupancy, Vertex};
-    ///
-    /// let grid = Grid::new(4)?;
-    /// let mut occ = Occupancy::new(&grid);
-    /// occ.reserve(&grid, Vertex::new(2, 2));
-    /// assert!(occ.any_in_bbox(&grid, &BBox::new(1, 1, 3, 3)));
-    /// assert!(!occ.any_in_bbox(&grid, &BBox::new(0, 0, 1, 4)));
-    /// # Ok::<(), autobraid_lattice::LatticeError>(())
-    /// ```
-    pub fn any_in_bbox(&self, grid: &Grid, bbox: &BBox) -> bool {
-        if self.occupied == 0 {
-            return false;
-        }
-        let side = grid.vertices_per_side() as usize;
-        debug_assert!(bbox.max_row < side as u32 && bbox.max_col < side as u32);
-        for row in bbox.min_row..=bbox.max_row {
-            let start = row as usize * side + bbox.min_col as usize;
-            let end = row as usize * side + bbox.max_col as usize;
-            let (w0, w1) = (start / 64, end / 64);
-            let head = u64::MAX << (start % 64);
-            let tail = u64::MAX >> (63 - end % 64);
-            if w0 == w1 {
-                if self.bits[w0] & head & tail != 0 {
-                    return true;
-                }
-            } else if self.bits[w0] & head != 0
-                || self.bits[w1] & tail != 0
-                || self.bits[w0 + 1..w1].iter().any(|&w| w != 0)
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Reference implementation of [`Occupancy::any_in_bbox`]: a plain
-    /// per-vertex scan. Kept for differential tests.
-    #[cfg(any(test, feature = "reference"))]
-    pub fn any_in_bbox_reference(&self, grid: &Grid, bbox: &BBox) -> bool {
-        bbox.vertices().any(|v| self.is_occupied(grid, v))
-    }
-
     /// Marks every vertex reserved in `other` as reserved here too
     /// (set union). Used by time-sliced routers that must find paths free
     /// across several consecutive windows.
@@ -285,44 +233,6 @@ mod tests {
         occ.clear();
         assert_eq!(occ.occupied_count(), 0);
         assert!(g.vertices().all(|v| occ.is_free(&g, v)));
-    }
-
-    #[test]
-    fn any_in_bbox_matches_reference_on_random_maps() {
-        use autobraid_telemetry::Rng64;
-        let mut rng = Rng64::seed_from_u64(17);
-        // Side 9 (grid 8) makes rows span word boundaries at every
-        // alignment; side 4 keeps whole boxes inside one word.
-        for l in [3u32, 8, 12] {
-            let g = Grid::new(l).unwrap();
-            for _ in 0..40 {
-                let mut occ = Occupancy::new(&g);
-                for v in g.vertices() {
-                    if rng.gen_bool(0.15) {
-                        occ.reserve(&g, v);
-                    }
-                }
-                for _ in 0..25 {
-                    let r0 = rng.gen_range(0..l + 1);
-                    let r1 = rng.gen_range(0..l + 1);
-                    let c0 = rng.gen_range(0..l + 1);
-                    let c1 = rng.gen_range(0..l + 1);
-                    let bbox = BBox::new(r0.min(r1), c0.min(c1), r0.max(r1), c0.max(c1));
-                    assert_eq!(
-                        occ.any_in_bbox(&g, &bbox),
-                        occ.any_in_bbox_reference(&g, &bbox),
-                        "grid {l}, bbox {bbox:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn any_in_bbox_empty_map_is_false() {
-        let g = Grid::new(8).unwrap();
-        let occ = Occupancy::new(&g);
-        assert!(!occ.any_in_bbox(&g, &BBox::new(0, 0, 8, 8)));
     }
 
     #[test]

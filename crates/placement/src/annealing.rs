@@ -26,11 +26,6 @@ pub struct AnnealConfig {
     pub iterations: usize,
     /// RNG seed (the optimizer is fully deterministic).
     pub seed: u64,
-    /// Independent annealing chains for [`anneal_portfolio`]: each chain
-    /// runs with its own derived seed and the best final objective wins
-    /// (ties break toward the lowest chain index, so the selection is
-    /// deterministic). `1` reproduces [`anneal`] exactly.
-    pub chains: usize,
 }
 
 impl Default for AnnealConfig {
@@ -38,7 +33,6 @@ impl Default for AnnealConfig {
         AnnealConfig {
             iterations: 600,
             seed: 0xB81D,
-            chains: 1,
         }
     }
 }
@@ -477,94 +471,17 @@ pub fn anneal(
     }
 }
 
-/// The seed of chain `chain` in a portfolio run. Chain 0 keeps the base
-/// seed so a 1-chain portfolio is bit-identical to [`anneal`]; later
-/// chains decorrelate through a splitmix64 finalizer.
-fn chain_seed(base: u64, chain: usize) -> u64 {
-    if chain == 0 {
-        return base;
-    }
-    let mut z = base.wrapping_add((chain as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Runs [`anneal`] as a seeded multi-chain portfolio: `config.chains`
-/// independent chains (chain 0 uses `config.seed` verbatim) explored
-/// with up to `threads` worker threads, keeping the chain with the best
-/// final objective — ties break toward the lowest chain index, so the
-/// result is a pure function of the config, independent of `threads`
-/// and of scheduling order. With `chains <= 1` this *is* [`anneal`].
-///
-/// Worker threads propagate the caller's telemetry recorder
-/// ([`telemetry::current`]), so chain metrics aggregate into one
-/// snapshot.
+/// [`anneal`]; the thread count is ignored. A thread-count shim with the
+/// signature perfbench's traced compile calls, kept with the two in
+/// `autobraid::scheduler::shims` and removed with them.
 pub fn anneal_portfolio(
     circuit: &Circuit,
     grid: &Grid,
     initial: Placement,
     config: &AnnealConfig,
-    threads: usize,
+    _threads: usize,
 ) -> AnnealOutcome {
-    if config.chains <= 1 {
-        return anneal(circuit, grid, initial, config);
-    }
-    let _span = telemetry::fine_span("anneal_portfolio");
-    let chains = config.chains;
-    let mut outcomes: Vec<Option<AnnealOutcome>> = vec![None; chains];
-    if threads <= 1 {
-        for (chain, slot) in outcomes.iter_mut().enumerate() {
-            let chain_config = AnnealConfig {
-                seed: chain_seed(config.seed, chain),
-                chains: 1,
-                ..*config
-            };
-            *slot = Some(anneal(circuit, grid, initial.clone(), &chain_config));
-        }
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let slots: Vec<Mutex<Option<AnnealOutcome>>> =
-            (0..chains).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let recorder = telemetry::current();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(chains) {
-                let recorder = recorder.clone();
-                let (next, slots, initial) = (&next, &slots, &initial);
-                scope.spawn(move || {
-                    let _guard = recorder.map(telemetry::install);
-                    loop {
-                        let chain = next.fetch_add(1, Ordering::Relaxed);
-                        if chain >= chains {
-                            break;
-                        }
-                        let chain_config = AnnealConfig {
-                            seed: chain_seed(config.seed, chain),
-                            chains: 1,
-                            ..*config
-                        };
-                        let outcome = anneal(circuit, grid, initial.clone(), &chain_config);
-                        *slots[chain].lock().expect("chain slot never poisoned") = Some(outcome);
-                    }
-                });
-            }
-        });
-        for (slot, out) in outcomes.iter_mut().zip(slots) {
-            *slot = out.into_inner().expect("chain slot never poisoned");
-        }
-    }
-    telemetry::counter("placement.portfolio.chains", chains as u64);
-    let best = outcomes
-        .into_iter()
-        .map(|o| o.expect("every chain ran"))
-        .enumerate()
-        .min_by_key(|(chain, o)| (o.final_objective, *chain))
-        .map(|(_, o)| o)
-        .expect("chains >= 2");
-    telemetry::counter("placement.portfolio.best_objective", best.final_objective);
-    best
+    anneal(circuit, grid, initial, config)
 }
 
 #[cfg(test)]
@@ -689,37 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_is_thread_invariant() {
-        let c = qft(14).unwrap();
-        let grid = Grid::with_capacity_for(14);
-        let cfg = AnnealConfig {
-            iterations: 150,
-            chains: 4,
-            ..Default::default()
-        };
-        let serial = anneal_portfolio(&c, &grid, Placement::row_major(&grid, 14), &cfg, 1);
-        let threaded = anneal_portfolio(&c, &grid, Placement::row_major(&grid, 14), &cfg, 3);
-        assert_eq!(serial, threaded);
-    }
-
-    #[test]
-    fn portfolio_never_loses_to_its_first_chain() {
-        let c = qft(16).unwrap();
-        let grid = Grid::with_capacity_for(16);
-        let single = AnnealConfig {
-            iterations: 200,
-            ..Default::default()
-        };
-        let multi = AnnealConfig {
-            chains: 4,
-            ..single
-        };
-        let one = anneal(&c, &grid, Placement::row_major(&grid, 16), &single);
-        let best = anneal_portfolio(&c, &grid, Placement::row_major(&grid, 16), &multi, 2);
-        assert!(best.final_objective <= one.final_objective);
-    }
-
-    #[test]
     fn incremental_anneal_is_byte_identical_to_reference() {
         // The cached-delta objective must leave the whole anneal — RNG
         // stream, accepted moves, final placement — bit-identical to the
@@ -737,21 +623,6 @@ mod tests {
             telemetry::set_reference_mode(was);
             assert_eq!(fast, reference);
         }
-    }
-
-    #[test]
-    fn chain_seeds_are_distinct_and_stable() {
-        let base = 0xB81D;
-        assert_eq!(chain_seed(base, 0), base);
-        let seeds: Vec<u64> = (0..8).map(|i| chain_seed(base, i)).collect();
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(
-            unique.len(),
-            seeds.len(),
-            "derived seeds collide: {seeds:?}"
-        );
     }
 
     #[test]

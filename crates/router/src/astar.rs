@@ -211,8 +211,7 @@ pub fn find_path_reference(
 }
 
 /// Emits the per-search decision event. Expansion counts measure *work
-/// done* and may differ across thread counts (`docs/RUNTIME.md`), like
-/// the parallel search counters.
+/// done*, not the routed result.
 fn record_search(expansions: u32, found: bool) {
     if telemetry::fine_decisions_enabled() {
         telemetry::decision(&telemetry::Decision::AstarSearch {

@@ -15,9 +15,9 @@
 //! resolves any residual conflicts.
 //!
 //! All costs are small integers, so the negotiation is bit-for-bit
-//! deterministic across platforms and thread counts; the router itself
-//! is single-threaded per layer (the engine's determinism contract in
-//! `docs/RUNTIME.md` holds trivially).
+//! deterministic across platforms; the router is single-threaded (the
+//! engine's determinism contract in `docs/RUNTIME.md` holds
+//! trivially).
 //!
 //! Knobs, cost model, and the comparison against the stack finder are
 //! documented in `docs/ROUTING.md`; telemetry lands on the

@@ -182,31 +182,10 @@ pub fn route_concurrent(
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
 ) -> RouteOutcome {
-    route_concurrent_with(grid, occupancy, requests, 1)
-}
-
-/// [`route_concurrent`] with an explicit worker-thread budget.
-///
-/// With `threads > 1`, small LLGs (the Theorem 1 groups that dominate
-/// well-placed layers) are routed concurrently: their joint bounding
-/// boxes have no open overlap, so each group's box-confined search is
-/// independent of every other group's. Workers *precompute* confined
-/// routings against the pre-step occupancy; a serial merge pass then
-/// commits each plan only when the serial order would provably have
-/// produced the same paths (no earlier-committed vertex inside the
-/// group's box), falling back to the serial search otherwise. The
-/// routed outcome is therefore **bit-identical for every `threads`
-/// value** — parallelism changes wall-clock time, never the schedule.
-pub fn route_concurrent_with(
-    grid: &Grid,
-    occupancy: &mut Occupancy,
-    requests: &[CxRequest],
-    threads: usize,
-) -> RouteOutcome {
     let _span = telemetry::fine_span("route_concurrent");
     telemetry::fine_counter("router.route.requests", requests.len() as u64);
     let chosen = with_stack_scratch(|scratch| {
-        let outcome = route_stack_order(grid, occupancy, requests, threads, scratch);
+        let outcome = route_stack_order(grid, occupancy, requests, scratch);
         if outcome.is_complete() {
             return outcome;
         }
@@ -338,7 +317,6 @@ fn route_stack_order(
     grid: &Grid,
     occupancy: &mut Occupancy,
     requests: &[CxRequest],
-    threads: usize,
     scratch: &mut StackScratch,
 ) -> RouteOutcome {
     let mut outcome = RouteOutcome::default();
@@ -380,14 +358,9 @@ fn route_stack_order(
         let bbox = llgs.group(g).1;
         (bbox.area(), bbox.min_row, bbox.min_col, g)
     });
-    if threads > 1 && small.len() > 1 {
-        let groups: Vec<(&[usize], BBox)> = small.iter().map(|&g| llgs.group(g)).collect();
-        route_small_llgs_parallel(grid, occupancy, requests, &groups, threads, &mut outcome);
-    } else {
-        for &g in small.iter() {
-            let (members, bbox) = llgs.group(g);
-            route_small_llg(grid, occupancy, requests, members, bbox, &mut outcome);
-        }
+    for &g in small.iter() {
+        let (members, bbox) = llgs.group(g);
+        route_small_llg(grid, occupancy, requests, members, bbox, &mut outcome);
     }
 
     deferred.clear();
@@ -541,9 +514,7 @@ const PERMUTATIONS: [&[&[usize]]; 4] = [
 /// `members` (≤ 3! = 6) with the search clamped to `region`, and commits
 /// the first ordering that routes the whole group, appending the routed
 /// gates to `routed` in commit order. On `false` nothing is reserved or
-/// appended. The parallel precompute shares the confined attempt with
-/// the serial path, so both produce identical plans on identical
-/// occupancy.
+/// appended.
 fn route_permuted(
     grid: &Grid,
     occupancy: &mut Occupancy,
@@ -596,114 +567,6 @@ fn route_small_llg(
         usize::MAX,
         outcome,
     );
-}
-
-/// Routes a sorted list of small LLGs using `threads` workers, with
-/// outcomes bit-identical to the serial loop over [`route_small_llg`].
-///
-/// Workers precompute each group's *confined* routing against a snapshot
-/// of the pre-phase occupancy. The merge pass then walks the groups in
-/// the serial order and commits a precomputed plan only when no vertex
-/// committed earlier in the phase lies inside the group's bounding box —
-/// in that case the serial confined search would have seen exactly the
-/// same occupancy inside the box (the A* region clamp makes the box the
-/// entire footprint of the search) and, being deterministic, produced
-/// exactly the same paths. Any group whose plan is invalidated (a
-/// neighbour spilled onto a shared box boundary) or whose confined
-/// attempt failed is re-routed serially, again matching the serial order
-/// state for state.
-///
-/// Telemetry note: workers install the coordinating thread's recorder
-/// ([`telemetry::current`]), so search counters merge into the same
-/// snapshot; discarded precomputations make those *work* counters a
-/// superset of the serial run's (see `docs/RUNTIME.md`).
-fn route_small_llgs_parallel(
-    grid: &Grid,
-    occupancy: &mut Occupancy,
-    requests: &[CxRequest],
-    groups: &[(&[usize], BBox)],
-    threads: usize,
-    outcome: &mut RouteOutcome,
-) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let base = occupancy.clone();
-    let plans: Vec<Mutex<Option<Vec<RoutedGate>>>> =
-        groups.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let recorder = telemetry::current();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(groups.len()) {
-            let recorder = recorder.clone();
-            let (next, plans, base) = (&next, &plans, &base);
-            scope.spawn(move || {
-                let _guard = recorder.map(telemetry::install);
-                let mut scratch = base.clone();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= groups.len() {
-                        break;
-                    }
-                    scratch.clone_from(base);
-                    let (members, bbox) = groups[i];
-                    let mut plan = Vec::new();
-                    let routed = route_permuted(
-                        grid,
-                        &mut scratch,
-                        requests,
-                        members,
-                        Some(bbox),
-                        &mut plan,
-                    );
-                    *plans[i].lock().expect("plan slot never poisoned") = routed.then_some(plan);
-                }
-            });
-        }
-    });
-
-    // Vertices committed by this phase so far, tracked as a phase-local
-    // bitmap so "is the group's box untouched?" is an O(words)
-    // [`Occupancy::any_in_bbox`] test instead of a walk over every
-    // committed path vertex. Everything the phase commits lands in
-    // `outcome.routed`, which starts empty (small LLGs route first).
-    debug_assert!(outcome.routed.is_empty());
-    let mut committed = Occupancy::new(grid);
-    for (&(members, bbox), plan) in groups.iter().zip(plans) {
-        let plan = plan.into_inner().expect("plan slot never poisoned");
-        #[allow(unused_mut)]
-        let mut box_untouched = !committed.any_in_bbox(grid, &bbox);
-        #[cfg(any(test, feature = "reference"))]
-        if telemetry::reference_mode() {
-            box_untouched = outcome
-                .routed
-                .iter()
-                .flat_map(|r| r.path.vertices())
-                .all(|v| !bbox.contains(*v));
-        }
-        let before = outcome.routed.len();
-        match plan {
-            Some(routed) if box_untouched => {
-                for r in &routed {
-                    let reserved = occupancy.try_reserve(grid, r.path.vertices().iter().copied());
-                    debug_assert!(
-                        reserved,
-                        "confined plans of boundary-disjoint groups cannot collide"
-                    );
-                }
-                telemetry::fine_counter("router.llg.parallel_commits", 1);
-                outcome.routed.extend(routed);
-            }
-            _ => {
-                telemetry::fine_counter("router.llg.parallel_replans", 1);
-                route_small_llg(grid, occupancy, requests, members, bbox, outcome);
-            }
-        }
-        for r in &outcome.routed[before..] {
-            let tracked = committed.try_reserve(grid, r.path.vertices().iter().copied());
-            debug_assert!(tracked, "phase commits are vertex-disjoint");
-        }
-    }
 }
 
 /// Tentatively routes `order` in sequence, appending to `routed`; on
@@ -851,7 +714,7 @@ mod tests {
             // order from the pre-step occupancy, kept if it routes more.
             let mut stack_occ = start.clone();
             let stack = with_stack_scratch(|scratch| {
-                route_stack_order(&grid, &mut stack_occ, &requests, 1, scratch)
+                route_stack_order(&grid, &mut stack_occ, &requests, scratch)
             });
             let mut greedy_occ = start.clone();
             let greedy = route_greedy(&grid, &mut greedy_occ, &requests);
@@ -864,7 +727,7 @@ mod tests {
                     (stack, stack_occ)
                 };
             let mut occ = start.clone();
-            let got = route_concurrent_with(&grid, &mut occ, &requests, 1);
+            let got = route_concurrent(&grid, &mut occ, &requests);
             assert_eq!(got.routed, expected.routed, "seed {seed}");
             assert_eq!(got.failed, expected.failed, "seed {seed}");
             assert_eq!(occ, expected_occ, "seed {seed}");

@@ -633,6 +633,9 @@ pub fn gate_from_json(doc: &JsonValue) -> Result<Gate, ServiceError> {
         _ => Err(arity_err(1)),
     };
     let two = |kind: TwoKind| match qubits.as_slice() {
+        [c, t] if c == t => Err(proto_err(format!(
+            "gate `{op}` has identical operands q[{c}]"
+        ))),
         [c, t] => Ok(Gate::Two {
             kind,
             control: *c,
@@ -1232,6 +1235,25 @@ mod tests {
                     )],
                 ),
                 "gate missing `qubits`",
+            ),
+            (
+                frame(
+                    "session.gate",
+                    vec![(
+                        "gates",
+                        JsonValue::Array(vec![JsonValue::object([
+                            ("op", JsonValue::from("cx")),
+                            (
+                                "qubits",
+                                JsonValue::Array(vec![
+                                    JsonValue::from(1u32),
+                                    JsonValue::from(1u32),
+                                ]),
+                            ),
+                        ])]),
+                    )],
+                ),
+                "identical operands",
             ),
             (frame("session.inject", vec![]), "missing `fault`"),
             (

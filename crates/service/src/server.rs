@@ -27,6 +27,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
@@ -261,10 +262,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 .name("autobraidd-conn".to_string())
                 .spawn(move || {
                     handle_connection(&shared, stream);
-                    // Reached only when the connection ended without a
-                    // panic: a panicked thread keeps its entry, and
-                    // shutdown joins it. Dropping the socket clone
-                    // closes the connection.
+                    // A request that panics is answered and survived
+                    // inside `handle_connection`, so an ending connection
+                    // always gets here. Dropping the socket clone closes
+                    // the connection.
                     shared.connections.lock().expect("poisoned").remove(&id);
                 })
                 .expect("failed to spawn connection thread")
@@ -385,18 +386,36 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         let req_scope = telemetry::begin_request(request_id);
         let started = Instant::now();
         let mut latency_from = None;
-        let (reply, outcome) = match process(
-            shared,
-            &mut session,
-            &payload,
-            request_id,
-            started,
-            &mut latency_from,
-        ) {
-            Ok(ok) => (ok, "ok"),
-            Err(err) => {
+        let processed = catch_unwind(AssertUnwindSafe(|| {
+            process(
+                shared,
+                &mut session,
+                &payload,
+                request_id,
+                started,
+                &mut latency_from,
+            )
+        }));
+        let (reply, outcome) = match processed {
+            Ok(Ok(ok)) => (ok, "ok"),
+            Ok(Err(err)) => {
                 let outcome = err.kind.name();
                 (Reply::Doc(err.to_response()), outcome)
+            }
+            Err(panic) => {
+                // The panic may have left the session half-updated:
+                // drop it, which releases its slot.
+                session = None;
+                let detail = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                let err = ServiceError::new(
+                    ErrorKind::Internal,
+                    format!("request panicked, open session closed: {detail}"),
+                );
+                (Reply::Doc(err.to_response()), err.kind.name())
             }
         };
         telemetry::decision(&Decision::RequestEnd {
@@ -470,6 +489,10 @@ impl Reply {
     }
 }
 
+/// A frame that makes [`process`] panic in this crate's unit tests,
+/// standing in for a defect in decode, cache or session code.
+const PANIC_FRAME: &str = "panic";
+
 /// Handles one request frame, start to finish. A completed compile or
 /// closed session sets `latency_from` to where its `service.latency_ms`
 /// observation starts: the frame's arrival at `received`, or the
@@ -482,6 +505,9 @@ fn process(
     received: Instant,
     latency_from: &mut Option<Instant>,
 ) -> Result<Reply, ServiceError> {
+    if cfg!(test) && payload == PANIC_FRAME {
+        panic!("injected per-frame panic");
+    }
     let doc = JsonValue::parse(payload)
         .map_err(|e| ServiceError::new(ErrorKind::Protocol, format!("invalid JSON: {e}")))?;
     let request = Request::from_json(&doc)?;
@@ -1243,5 +1269,66 @@ mod tests {
         let mut client = Client::connect(server.addr()).expect("connect");
         client.ping().expect("pong");
         assert_eq!(live(), 1);
+    }
+
+    #[test]
+    fn a_panicking_frame_gets_an_internal_error_and_frees_its_connection() {
+        let server = Server::start(ServiceConfig {
+            dump_dir: String::new(),
+            ..ServiceConfig::default()
+        })
+        .expect("server starts");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut exchange = |frame: &str| {
+            write_frame(&mut stream, frame).expect("send");
+            let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+                .expect("the daemon answers")
+                .expect("a frame");
+            JsonValue::parse(&reply).expect("JSON")
+        };
+        let request = |kind: &str| {
+            JsonValue::object([
+                ("proto", JsonValue::from(PROTOCOL)),
+                ("kind", JsonValue::from(kind)),
+            ])
+            .render_compact()
+        };
+        let open = JsonValue::object([
+            ("proto", JsonValue::from(PROTOCOL)),
+            ("kind", JsonValue::from("session.open")),
+            ("qubits", JsonValue::from(4u64)),
+        ]);
+        let opened = exchange(&open.render_compact());
+        assert_eq!(opened.get("status").and_then(JsonValue::as_str), Some("ok"));
+        assert_eq!(server.shared.sessions_active.load(Ordering::SeqCst), 1);
+
+        let reply = exchange(PANIC_FRAME);
+        let kind = reply.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(
+            kind.and_then(JsonValue::as_str),
+            Some("internal"),
+            "{reply:?}"
+        );
+        assert_eq!(server.shared.sessions_active.load(Ordering::SeqCst), 0);
+        assert_eq!(server.shared.in_flight.load(Ordering::SeqCst), 0);
+
+        let pong = exchange(&request("ping"));
+        assert_eq!(pong.get("kind").and_then(JsonValue::as_str), Some("pong"));
+        let closed = exchange(&request("session.close"));
+        assert_eq!(
+            closed.get("status").and_then(JsonValue::as_str),
+            Some("error")
+        );
+
+        drop(stream);
+        let live = || server.shared.connections.lock().expect("lock").len();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while live() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(live(), 0, "the connection kept its entry");
     }
 }

@@ -44,10 +44,7 @@ fn corpus_is_not_empty() {
 
 #[test]
 fn every_corpus_entry_conforms() {
-    let cfg = OracleConfig {
-        threads: vec![1, 2],
-        ..OracleConfig::default()
-    };
+    let cfg = OracleConfig::default();
     for (path, case) in corpus_cases() {
         let divergences = check_case(&case, &cfg);
         assert!(

@@ -8,7 +8,7 @@
 //! once with `autobraid_telemetry::reference_mode` routing every call to
 //! the original allocating implementations — and demands byte-identical
 //! [`canonical_json`](autobraid::pipeline::CompileReport::canonical_json)
-//! reports at 1, 2, and 8 threads.
+//! reports.
 //!
 //! Reference mode is a process-global flag, so every section that
 //! toggles it serializes on [`reference_lock`]. This file is its own
@@ -16,7 +16,6 @@
 //! unaffected.
 
 use autobraid::pipeline::{CompileOptions, Pipeline, Strategy};
-use autobraid::ScheduleConfig;
 use autobraid_circuit::generators::{
     bv::bv_all_ones, cc::counterfeit_coin, ising::ising, qft::qft,
 };
@@ -24,8 +23,6 @@ use autobraid_circuit::Circuit;
 use autobraid_conformance::dsl::generate_case;
 use autobraid_telemetry as telemetry;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// Serializes every test section that flips the global reference-mode
 /// flag, so concurrent tests in this binary cannot interleave modes.
@@ -36,18 +33,16 @@ fn reference_lock() -> MutexGuard<'static, ()> {
         .expect("reference lock never poisoned")
 }
 
-/// Compiles `circuit` under `strategy`/`threads` and returns the
-/// canonical (timing-stripped) report rendering.
-fn canonical(circuit: &Circuit, strategy: Strategy, threads: usize) -> String {
-    let pipeline = Pipeline::new()
-        .with_config(ScheduleConfig::default().with_threads(threads))
-        .with_options(CompileOptions {
-            strategy,
-            optimize: true,
-            verify: true,
-            telemetry: false,
-            trace: false,
-        });
+/// Compiles `circuit` under `strategy` and returns the canonical
+/// (timing-stripped) report rendering.
+fn canonical(circuit: &Circuit, strategy: Strategy) -> String {
+    let pipeline = Pipeline::new().with_options(CompileOptions {
+        strategy,
+        optimize: true,
+        verify: true,
+        telemetry: false,
+        trace: false,
+    });
     pipeline
         .compile(circuit)
         .expect("conformance circuits compile")
@@ -55,33 +50,21 @@ fn canonical(circuit: &Circuit, strategy: Strategy, threads: usize) -> String {
 }
 
 /// The heart of the suite: optimized vs reference compiles of one
-/// circuit must render byte-identically at every thread count, and the
-/// renderings must also agree across thread counts.
+/// circuit must render byte-identically.
 fn assert_kernels_equivalent(label: &str, circuit: &Circuit, strategy: Strategy) {
     let _guard = reference_lock();
     assert!(
         !telemetry::reference_mode(),
         "reference mode leaked into {label}"
     );
-    let mut first: Option<String> = None;
-    for &threads in &THREAD_SWEEP {
-        let optimized = canonical(circuit, strategy, threads);
-        let was = telemetry::set_reference_mode(true);
-        let reference = canonical(circuit, strategy, threads);
-        telemetry::set_reference_mode(was);
-        assert_eq!(
-            optimized, reference,
-            "{label}: optimized kernels diverge from reference \
-             (strategy={strategy:?} threads={threads})"
-        );
-        match &first {
-            None => first = Some(optimized),
-            Some(reference) => assert_eq!(
-                *reference, optimized,
-                "{label}: report differs between threads=1 and threads={threads}"
-            ),
-        }
-    }
+    let optimized = canonical(circuit, strategy);
+    let was = telemetry::set_reference_mode(true);
+    let reference = canonical(circuit, strategy);
+    telemetry::set_reference_mode(was);
+    assert_eq!(
+        optimized, reference,
+        "{label}: optimized kernels diverge from reference (strategy={strategy:?})"
+    );
 }
 
 #[test]

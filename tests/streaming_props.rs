@@ -2,7 +2,7 @@
 //! no injected faults must be *semantically indistinguishable* from the
 //! offline [`Pipeline::compile`] path — same computation (state-vector
 //! oracle), same gate accounting, same critical-path lower bound — for
-//! every registry strategy at every thread budget. Deterministic seeded
+//! every registry strategy. Deterministic seeded
 //! sweeps stand in for property-based generation so the suite stays
 //! zero-dependency.
 
@@ -21,7 +21,6 @@ use autobraid_circuit::{Circuit, DependenceDag, Gate};
 use std::time::Duration;
 
 const EPS: f64 = 1e-9;
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Small enough for the state-vector oracle, varied enough to exercise
 /// every scheduler branch (pure locals, braid contention, mixed layers).
@@ -82,83 +81,73 @@ fn canonical(result: &ScheduleResult) -> String {
 /// An unbudgeted, fault-free stream is semantically equivalent to the
 /// offline pipeline: both execution orders compute the source unitary,
 /// both schedule every gate exactly once, and both respect the
-/// critical-path lower bound — for all strategies × threads 1/2/8.
+/// critical-path lower bound — for every strategy.
 #[test]
 fn unbudgeted_stream_matches_offline_pipeline_semantics() {
     for circuit in sample_circuits() {
         for info in REGISTRY {
-            for threads in THREADS {
-                let context = format!(
-                    "{} strategy={} threads={threads}",
-                    circuit.name(),
-                    info.name
-                );
+            let context = format!("{} strategy={}", circuit.name(), info.name);
 
-                let options = StreamingOptions::default()
-                    .with_strategy(info.strategy)
-                    .with_label(circuit.name());
-                let config = ScheduleConfig::default().with_threads(threads);
-                let mut stream =
-                    StreamingPipeline::open_with_config(circuit.num_qubits(), options, config);
-                for (_, gate) in circuit.iter() {
-                    stream.push_gate(*gate).expect("in-range gate");
-                }
-                let streamed = stream.finish().unwrap_or_else(|e| {
-                    panic!("{context}: streaming compile failed: {e}");
-                });
-
-                let offline = Pipeline::new()
-                    .with_config(ScheduleConfig::default().with_threads(threads))
-                    .with_options(CompileOptions {
-                        strategy: info.strategy,
-                        ..CompileOptions::default()
-                    })
-                    .compile(&circuit)
-                    .unwrap_or_else(|e| panic!("{context}: offline compile failed: {e}"));
-
-                // Gate accounting on both paths. The offline pipeline
-                // optimizes first, so it accounts against its own
-                // (possibly smaller) circuit.
-                let stream_order = execution_order(&streamed.outcome.result.steps);
-                assert_gate_accounting(&streamed.circuit, &stream_order, &context);
-                let offline_order = execution_order(&offline.outcome.result.steps);
-                assert_gate_accounting(&offline.circuit, &offline_order, &context);
-
-                // Sim-oracle agreement: both execution orders compute
-                // the same unitary as the source program — hence as
-                // each other.
-                let streamed_exec = reordered(&streamed.circuit, &stream_order);
-                assert!(
-                    circuits_equivalent(&circuit, &streamed_exec, EPS),
-                    "{context}: streamed execution order changed the computation"
-                );
-                let offline_exec = reordered(&offline.circuit, &offline_order);
-                assert!(
-                    circuits_equivalent(&streamed_exec, &offline_exec, EPS),
-                    "{context}: streamed and offline schedules disagree semantically"
-                );
-
-                // Critical-path lower bound: no online schedule may
-                // beat the ideal.
-                let cp = critical_path_cycles(&circuit, streamed.outcome.result.timing());
-                assert!(
-                    streamed.outcome.result.total_cycles >= cp,
-                    "{context}: streamed {} cycles beats the critical path {cp}",
-                    streamed.outcome.result.total_cycles
-                );
+            let options = StreamingOptions::default()
+                .with_strategy(info.strategy)
+                .with_label(circuit.name());
+            let mut stream = StreamingPipeline::open(circuit.num_qubits(), options);
+            for (_, gate) in circuit.iter() {
+                stream.push_gate(*gate).expect("in-range gate");
             }
+            let streamed = stream.finish().unwrap_or_else(|e| {
+                panic!("{context}: streaming compile failed: {e}");
+            });
+
+            let offline = Pipeline::new()
+                .with_options(CompileOptions {
+                    strategy: info.strategy,
+                    ..CompileOptions::default()
+                })
+                .compile(&circuit)
+                .unwrap_or_else(|e| panic!("{context}: offline compile failed: {e}"));
+
+            // Gate accounting on both paths. The offline pipeline
+            // optimizes first, so it accounts against its own
+            // (possibly smaller) circuit.
+            let stream_order = execution_order(&streamed.outcome.result.steps);
+            assert_gate_accounting(&streamed.circuit, &stream_order, &context);
+            let offline_order = execution_order(&offline.outcome.result.steps);
+            assert_gate_accounting(&offline.circuit, &offline_order, &context);
+
+            // Sim-oracle agreement: both execution orders compute
+            // the same unitary as the source program — hence as
+            // each other.
+            let streamed_exec = reordered(&streamed.circuit, &stream_order);
+            assert!(
+                circuits_equivalent(&circuit, &streamed_exec, EPS),
+                "{context}: streamed execution order changed the computation"
+            );
+            let offline_exec = reordered(&offline.circuit, &offline_order);
+            assert!(
+                circuits_equivalent(&streamed_exec, &offline_exec, EPS),
+                "{context}: streamed and offline schedules disagree semantically"
+            );
+
+            // Critical-path lower bound: no online schedule may
+            // beat the ideal.
+            let cp = critical_path_cycles(&circuit, streamed.outcome.result.timing());
+            assert!(
+                streamed.outcome.result.total_cycles >= cp,
+                "{context}: streamed {} cycles beats the critical path {cp}",
+                streamed.outcome.result.total_cycles
+            );
         }
     }
 }
 
-/// The streaming determinism contract mirrors the batch one: the
-/// canonical schedule is byte-identical across thread budgets.
+/// A stream is serial and must not read the batch pool width: the
+/// canonical schedule is the same at any `ScheduleConfig::threads`.
 #[test]
 fn stream_schedule_is_thread_invariant() {
     for circuit in sample_circuits() {
         for info in REGISTRY {
-            let mut baseline = None;
-            for threads in THREADS {
+            let stream_at = |threads| {
                 let options = StreamingOptions::default()
                     .with_strategy(info.strategy)
                     .with_label(circuit.name());
@@ -169,18 +158,15 @@ fn stream_schedule_is_thread_invariant() {
                     stream.push_gate(*gate).expect("in-range gate");
                 }
                 let report = stream.finish().expect("clean stream compiles");
-                let canon = canonical(&report.outcome.result);
-                match &baseline {
-                    None => baseline = Some(canon),
-                    Some(first) => assert_eq!(
-                        &canon,
-                        first,
-                        "{} strategy={} threads={threads} diverged from serial",
-                        circuit.name(),
-                        info.name
-                    ),
-                }
-            }
+                canonical(&report.outcome.result)
+            };
+            assert_eq!(
+                stream_at(8),
+                stream_at(1),
+                "{} strategy={}: the pool width reached a stream",
+                circuit.name(),
+                info.name
+            );
         }
     }
 }

@@ -15,6 +15,7 @@
 //! [`check_search_allocs`]: autobraid_conformance::alloc_guard::check_search_allocs
 
 use autobraid::pipeline::Pipeline;
+use autobraid_circuit::generators::qft::qft;
 use autobraid_circuit::generators::random::layered_cx;
 use autobraid_circuit::generators::revlib;
 use autobraid_circuit::qasm;
@@ -155,6 +156,32 @@ fn a_default_compile_allocates_per_circuit_not_per_gate() {
             allocs <= ALLOCS_PER_GATE * gates,
             "{name}: {allocs} allocations for {gates} gates ({:.1} per gate, budget {ALLOCS_PER_GATE})",
             allocs as f64 / gates as f64
+        );
+    }
+}
+
+/// Heap allocations of one `qasm::parse`, whatever the gate count: the
+/// gate vector's doublings and the circuit itself, nothing per
+/// statement.
+const ALLOCS_PER_PARSE: u64 = 32;
+
+#[test]
+fn parsing_allocates_per_circuit_not_per_statement() {
+    let circuits = [
+        revlib::build("urf2_277").expect("a registry circuit"),
+        qft(50).expect("qft50"),
+    ];
+    for circuit in circuits {
+        let source = qasm::emit(&circuit);
+        let before = thread_allocs();
+        let parsed = qasm::parse(&source).expect("parses");
+        let allocs = thread_allocs() - before;
+        assert_eq!(parsed.len(), circuit.len());
+        assert!(
+            allocs <= ALLOCS_PER_PARSE,
+            "{}: {allocs} allocations to parse {} gates (budget {ALLOCS_PER_PARSE})",
+            circuit.name(),
+            circuit.len()
         );
     }
 }
