@@ -54,7 +54,7 @@ fn main() {
         let outcome = compiler.schedule(Strategy::Full, &circuit);
         let layout =
             PhysicalLayout::new(outcome.grid.cells_per_side(), distance).expect("valid layout");
-        let program = emit_physical(&circuit, &outcome.result, &layout).expect("full recording");
+        let program = emit_physical(&outcome.result, &layout).expect("full recording");
         table.add_row([
             format!("{kind}-{n}"),
             layout.physical_qubit_count().to_string(),

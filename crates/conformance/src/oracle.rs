@@ -9,8 +9,12 @@
 //! * a broken invariant: `total_cycles` below the critical path,
 //!   `Full` scheduling worse than `Stack`, or optimizer gate
 //!   accounting that does not add up;
-//! * an optimized circuit that is not semantically equivalent to the
-//!   original (state-vector simulation, small cases only);
+//! * a schedule whose execution order, replayed over the optimized (or
+//!   original) circuit, does not compute what the original does
+//!   (state-vector simulation, small cases only);
+//! * a per-qubit clock schedule (`schedule_async` on the annealed
+//!   placement) that the same verifier rejects, that beats the critical
+//!   path, or that does not lower to exactly its cycles;
 //! * on defective lattices: a panic, an invalid schedule, braids through
 //!   defects, or an inconsistent final placement;
 //! * at the router layer: a [`check_route_outcome`] violation;
@@ -22,14 +26,17 @@
 //!   schedule / a typed `Unroutable` error.
 
 use crate::case::ConformanceCase;
+use autobraid::emit::emit_physical;
 use autobraid::pipeline::{CompileOptions, CompileReport, Pipeline, Strategy};
 use autobraid::streaming::{FaultEvent, StreamError, StreamingOptions, StreamingPipeline};
 use autobraid::{
-    critical_path_cycles, route_policy, run_with_base_occupancy, verify_schedule_with_dag,
-    RoutePolicy, ScheduleConfig, ScheduleError, ScheduleResult, StackPolicy, Step,
+    critical_path_cycles, route_policy, run_with_base_occupancy, schedule_async,
+    verify_schedule_with_dag, AutoBraid, RoutePolicy, ScheduleConfig, ScheduleError,
+    ScheduleResult, StackPolicy,
 };
 use autobraid_circuit::sim::circuits_equivalent;
-use autobraid_circuit::DependenceDag;
+use autobraid_circuit::{Circuit, DependenceDag};
+use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
 use autobraid_router::path::CxRequest;
@@ -80,6 +87,7 @@ impl fmt::Display for Divergence {
 pub fn check_case(case: &ConformanceCase, cfg: &OracleConfig) -> Vec<Divergence> {
     let mut divergences = Vec::new();
     check_pipeline_matrix(case, cfg, &mut divergences);
+    check_per_qubit_clock(case, cfg, &mut divergences);
     check_routing_invariants(case, &mut divergences);
     if !case.defects.is_empty() {
         check_defective_lattice(case, &mut divergences);
@@ -136,16 +144,14 @@ fn check_pipeline_matrix(case: &ConformanceCase, cfg: &OracleConfig, out: &mut V
             };
 
             check_report_invariants(case, &report, &diverge, out);
-
-            if optimize
-                && strategy == Strategy::Full
-                && case.circuit.num_qubits() <= cfg.sim_qubit_limit
-                && !circuits_equivalent(&case.circuit, &report.circuit, cfg.tolerance)
-            {
-                out.push(diverge(
-                    "optimizer changed circuit semantics (state vectors differ)".into(),
-                ));
-            }
+            check_replay(
+                case,
+                &report.circuit,
+                &report.outcome.result,
+                cfg,
+                &diverge,
+                out,
+            );
         }
     }
 
@@ -180,6 +186,81 @@ fn check_pipeline_matrix(case: &ConformanceCase, cfg: &OracleConfig, out: &mut V
             }
         }
     }
+}
+
+/// On small cases, replays `scheduled`'s gates (the optimizer's output,
+/// or the case's own circuit) in `result`'s execution order and demands
+/// the case circuit's state: this catches an optimizer that changes
+/// semantics and a schedule that reorders dependent gates alike.
+fn check_replay(
+    case: &ConformanceCase,
+    scheduled: &Circuit,
+    result: &ScheduleResult,
+    cfg: &OracleConfig,
+    diverge: &impl Fn(String) -> Divergence,
+    out: &mut Vec<Divergence>,
+) {
+    if case.circuit.num_qubits() > cfg.sim_qubit_limit {
+        return;
+    }
+    let gates = result.execution_order().into_iter();
+    let replay = Circuit::from_gates(
+        scheduled.num_qubits(),
+        gates.map(|g| *scheduled.gate(g)).collect(),
+    );
+    if !replay.is_ok_and(|replay| circuits_equivalent(&case.circuit, &replay, cfg.tolerance)) {
+        out.push(diverge(
+            "the schedule's execution order changed circuit semantics (state vectors differ)"
+                .into(),
+        ));
+    }
+}
+
+/// The per-qubit clock on the case's annealed placement: the one
+/// verifier accepts its schedule, which is no faster than the critical
+/// path, lowers to exactly its cycles, and (on small cases) replays to
+/// the circuit's state.
+fn check_per_qubit_clock(case: &ConformanceCase, cfg: &OracleConfig, out: &mut Vec<Divergence>) {
+    let diverge = |detail: String| Divergence {
+        case: case.label(),
+        setting: "per-qubit clock".to_string(),
+        detail,
+    };
+    let config = ScheduleConfig::default();
+    let grid = case.grid();
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let placement = AutoBraid::new(config.clone()).initial_placement(&case.circuit, &grid);
+        schedule_async(&case.circuit, &grid, placement, &config)
+    }));
+    let outcome = match run {
+        Err(payload) => {
+            out.push(diverge(format!("panicked: {}", panic_message(payload))));
+            return;
+        }
+        Ok(outcome) => outcome,
+    };
+    let result = &outcome.result;
+    let dag = DependenceDag::new(&case.circuit);
+    let placement = &outcome.initial_placement;
+    if let Err(e) = verify_schedule_with_dag(&case.circuit, &dag, &grid, placement, result) {
+        out.push(diverge(format!("invalid schedule: {e}")));
+        return;
+    }
+    let cp = critical_path_cycles(&case.circuit, result.timing());
+    if result.total_cycles < cp {
+        out.push(diverge(format!(
+            "{} cycles beat the {cp}-cycle critical-path lower bound",
+            result.total_cycles
+        )));
+    }
+    let distance = result.timing().params().distance();
+    let emitted = PhysicalLayout::new(grid.cells_per_side(), distance)
+        .map_err(|e| e.to_string())
+        .and_then(|layout| emit_physical(result, &layout));
+    if let Err(e) = emitted {
+        out.push(diverge(format!("emission failed: {e}")));
+    }
+    check_replay(case, &case.circuit, result, cfg, &diverge, out);
 }
 
 /// Invariants any successful report must satisfy.
@@ -539,19 +620,15 @@ fn check_defect_avoidance(
     if base.occupied_count() == 0 {
         return;
     }
-    for (step_no, step) in result.steps.iter().enumerate() {
-        let paths: Vec<&autobraid_router::BraidPath> = match step {
-            Step::Braid { braids, .. } => braids.iter().map(|(_, p)| p).collect(),
-            Step::SwapLayer { swaps } => swaps.iter().map(|s| &s.path).collect(),
-            Step::Local { .. } => continue,
+    for (i, interval) in result.steps.iter().enumerate() {
+        let Some(path) = interval.path() else {
+            continue;
         };
-        for path in paths {
-            if path.vertices().iter().any(|&v| base.is_occupied(grid, v)) {
-                out.push(diverge(format!(
-                    "step {step_no}: braiding path enters a defective vertex"
-                )));
-                return;
-            }
+        if path.vertices().iter().any(|&v| base.is_occupied(grid, v)) {
+            out.push(diverge(format!(
+                "interval {i}: braiding path enters a defective vertex"
+            )));
+            return;
         }
     }
 }

@@ -13,49 +13,22 @@
 //!
 //! [`schedule_async`] drains the shared [`crate::scheduler`] engine on
 //! its per-qubit clock, with the lock-step schedulers' frontier,
-//! priorities and stack finder.
+//! priorities and stack finder. It records the same
+//! [`crate::metrics::Interval`]s as the lock-step clock, so
+//! [`crate::metrics::verify_schedule_with_dag`] checks it and
+//! [`crate::emit::emit_physical`] lowers it.
 
+use crate::autobraid::ScheduleOutcome;
 use crate::config::ScheduleConfig;
-use crate::metrics::ScheduleResult;
 use crate::scheduler::{Clock, Engine, LayoutMove, SlotClock, StackPolicy};
-use autobraid_circuit::{Circuit, DependenceDag, Frontier, GateId};
+use autobraid_circuit::{Circuit, Frontier};
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
-use autobraid_router::BraidPath;
 use std::borrow::Cow;
 
-/// One scheduled gate in slot time (1 slot = `d` surface-code cycles).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Assignment {
-    /// The gate.
-    pub gate: GateId,
-    /// First slot the gate occupies.
-    pub start_slot: u64,
-    /// Number of slots occupied (1 for local gates, 2 per braid; a SWAP
-    /// takes 6).
-    pub slots: u64,
-    /// The braiding path (None for local gates), reserved for the whole
-    /// duration.
-    pub path: Option<BraidPath>,
-}
-
-/// An event-driven schedule.
-#[derive(Debug, Clone)]
-pub struct AsyncSchedule {
-    /// Aggregate statistics (the `steps` list is empty — the schedule is
-    /// interval-based; see [`AsyncSchedule::assignments`]).
-    pub result: ScheduleResult,
-    /// Per-gate slot assignments.
-    pub assignments: Vec<Assignment>,
-    /// The grid scheduled on.
-    pub grid: Grid,
-    /// The (static) placement used.
-    pub placement: Placement,
-}
-
 /// Schedules `circuit` event-driven style on `grid` from a static
-/// `placement`. Returns the interval schedule; validate with
-/// [`verify_async`].
+/// `placement`, recording one interval per gate (none under
+/// [`crate::config::Recording::StatsOnly`]).
 ///
 /// Statistics note: with no global steps, the result's `braid_steps`
 /// counts *braids started* and `local_steps` counts local gates; the
@@ -65,7 +38,7 @@ pub fn schedule_async(
     grid: &Grid,
     placement: Placement,
     config: &ScheduleConfig,
-) -> AsyncSchedule {
+) -> ScheduleOutcome {
     let dag = config.dag(circuit);
     let mut engine = Engine::new(
         "autobraid-async",
@@ -81,109 +54,39 @@ pub fn schedule_async(
     let engine = engine
         .drain(&StackPolicy, u64::MAX)
         .expect("an empty base occupancy never makes a gate unroutable");
-    let Clock::PerQubit(clock) = engine.clock else {
-        unreachable!("the per-qubit clock was set above")
-    };
-    AsyncSchedule {
+    ScheduleOutcome {
         result: engine.result,
-        assignments: clock.assignments,
         grid: grid.clone(),
-        placement,
+        initial_placement: placement,
     }
-}
-
-/// Independently verifies an [`AsyncSchedule`] built on the plain
-/// dependence DAG; see [`verify_async_with_dag`].
-pub fn verify_async(circuit: &Circuit, schedule: &AsyncSchedule) -> Result<(), String> {
-    verify_async_with_dag(circuit, &DependenceDag::new(circuit), schedule)
-}
-
-/// Independently verifies an [`AsyncSchedule`] against the dependence
-/// DAG it was built with (pass
-/// [`DependenceDag::with_commutation`] for a commutation-aware
-/// schedule): every gate exactly once, dependence order in slot time,
-/// paths valid for the placement, and vertex-disjointness across
-/// overlapping braids.
-///
-/// Returns the first violation as an error message.
-pub fn verify_async_with_dag(
-    circuit: &Circuit,
-    dag: &DependenceDag,
-    schedule: &AsyncSchedule,
-) -> Result<(), String> {
-    let mut finish: Vec<Option<u64>> = vec![None; circuit.len()];
-    for a in &schedule.assignments {
-        if a.gate >= circuit.len() {
-            return Err(format!("unknown gate {}", a.gate));
-        }
-        if finish[a.gate].replace(a.start_slot + a.slots).is_some() {
-            return Err(format!("gate {} scheduled twice", a.gate));
-        }
-    }
-    if let Some(missing) = finish.iter().position(Option::is_none) {
-        return Err(format!("gate {missing} never scheduled"));
-    }
-    for a in &schedule.assignments {
-        for &p in dag.predecessors(a.gate) {
-            let pf = finish[p].expect("all scheduled");
-            if pf > a.start_slot {
-                return Err(format!(
-                    "gate {} starts at slot {} before dependency {} finishes at {}",
-                    a.gate, a.start_slot, p, pf
-                ));
-            }
-        }
-    }
-
-    // Paths valid, and disjoint from every braid still running: in start
-    // order, each vertex remembers the last slot a braid holds it.
-    let grid = &schedule.grid;
-    let mut braids: Vec<&Assignment> = schedule.assignments.iter().collect();
-    braids.sort_by_key(|a| a.start_slot);
-    let mut busy_until = vec![0u64; grid.vertex_count()];
-    for a in braids {
-        match (&a.path, circuit.gate(a.gate).pair()) {
-            (Some(path), Some((qa, qb))) => {
-                let (ca, cb) = (
-                    schedule.placement.cell_of(qa),
-                    schedule.placement.cell_of(qb),
-                );
-                if BraidPath::new(grid, ca, cb, path.vertices().to_vec()).is_none() {
-                    return Err(format!("invalid path for gate {}", a.gate));
-                }
-                for &v in path.vertices() {
-                    let until = &mut busy_until[grid.vertex_index(v)];
-                    if *until > a.start_slot {
-                        return Err(format!(
-                            "gate {} crosses another braid in slot {}",
-                            a.gate, a.start_slot
-                        ));
-                    }
-                    *until = a.start_slot + a.slots;
-                }
-            }
-            (None, None) => {}
-            _ => return Err(format!("gate {} arity/path mismatch", a.gate)),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::critical_path::critical_path_cycles;
+    use crate::metrics::{verify_schedule, verify_schedule_with_dag, ScheduleResult};
     use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::{self, random::random_circuit};
+    use autobraid_circuit::DependenceDag;
 
-    fn run_async(circuit: &Circuit) -> AsyncSchedule {
+    fn run_async(circuit: &Circuit) -> ScheduleOutcome {
         let config = ScheduleConfig::default();
         let compiler = AutoBraid::new(config.clone());
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let placement = compiler.initial_placement(circuit, &grid);
-        let schedule = schedule_async(circuit, &grid, placement, &config);
-        verify_async(circuit, &schedule).expect("async schedule verifies");
-        schedule
+        let outcome = schedule_async(circuit, &grid, placement, &config);
+        verify(circuit, &outcome.result, &outcome).expect("async schedule verifies");
+        outcome
+    }
+
+    /// Checks `result` on `outcome`'s grid and placement.
+    fn verify(
+        circuit: &Circuit,
+        result: &ScheduleResult,
+        outcome: &ScheduleOutcome,
+    ) -> Result<(), String> {
+        verify_schedule(circuit, &outcome.grid, &outcome.initial_placement, result)
     }
 
     /// The event-driven engine's own loop before it ran on the shared
@@ -191,9 +94,9 @@ mod tests {
     /// a slot-weighted critical-path sweep. The per-qubit clock must
     /// reproduce it exactly.
     mod reference {
-        use crate::async_engine::{Assignment, AsyncSchedule};
+        use crate::autobraid::ScheduleOutcome;
         use crate::config::ScheduleConfig;
-        use crate::metrics::ScheduleResult;
+        use crate::metrics::{Interval, Op, ScheduleResult};
         use autobraid_circuit::{Circuit, DependenceDag, Gate, GateId, TwoKind};
         use autobraid_lattice::{Grid, Occupancy};
         use autobraid_placement::Placement;
@@ -207,7 +110,7 @@ mod tests {
             grid: &Grid,
             placement: Placement,
             config: &ScheduleConfig,
-        ) -> AsyncSchedule {
+        ) -> ScheduleOutcome {
             let started = Instant::now();
             let dag = if config.commutation_aware {
                 DependenceDag::with_commutation(circuit)
@@ -252,7 +155,7 @@ mod tests {
 
             // Per-slot occupancy, garbage-collected as time passes.
             let mut occupancy: BTreeMap<u64, Occupancy> = BTreeMap::new();
-            let mut assignments: Vec<Assignment> = Vec::with_capacity(circuit.len());
+            let mut steps: Vec<Interval> = Vec::with_capacity(circuit.len());
             let mut finished = 0usize;
             let mut makespan_slots = 0u64;
             let mut result = ScheduleResult::new("autobraid-async", circuit.name(), config.timing);
@@ -274,11 +177,10 @@ mod tests {
                      agenda: &mut BTreeMap<u64, Vec<GateId>>| {
                         let len = slots_of(circuit.gate(g));
                         let finish = start + len;
-                        assignments.push(Assignment {
-                            gate: g,
+                        steps.push(Interval {
                             start_slot: start,
                             slots: len,
-                            path,
+                            op: Op::Gate { gate: g, path },
                         });
                         makespan_slots = makespan_slots.max(finish);
                         for &s in dag.successors(g) {
@@ -355,17 +257,17 @@ mod tests {
                 result.mean_utilization = utilization_sum / utilization_samples as f64;
             }
             result.compile_seconds = started.elapsed().as_secs_f64();
-            AsyncSchedule {
+            result.steps = steps;
+            ScheduleOutcome {
                 result,
-                assignments,
                 grid: grid.clone(),
-                placement,
+                initial_placement: placement,
             }
         }
     }
 
     /// Schedules `circuit` with both engines from the same placement and
-    /// asserts identical assignments and statistics.
+    /// asserts identical intervals, in order, and statistics.
     fn assert_matches_reference(circuit: &Circuit) {
         let config = ScheduleConfig::default();
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
@@ -373,9 +275,9 @@ mod tests {
         let mut new = schedule_async(circuit, &grid, placement.clone(), &config);
         let mut old = reference::schedule_async(circuit, &grid, placement, &config);
         assert_eq!(
-            new.assignments,
-            old.assignments,
-            "{}: assignments",
+            new.result.steps,
+            old.result.steps,
+            "{}: intervals",
             circuit.name()
         );
         new.result.compile_seconds = 0.0;
@@ -399,32 +301,40 @@ mod tests {
         // BV's CXs share the ancilla as target, so they commute, but the
         // plain DAG still orders them.
         let circuit = generators::bv::bv_all_ones(6).unwrap();
-        let mut schedule = run_async(&circuit);
+        let outcome = run_async(&circuit);
         let relaxed = DependenceDag::with_commutation(&circuit);
-        let cxs: Vec<usize> = (0..schedule.assignments.len())
-            .filter(|&i| schedule.assignments[i].path.is_some())
+        let mut result = outcome.result.clone();
+        let steps = &mut result.steps;
+        steps.sort_by_key(|i| i.gate());
+        let cxs: Vec<usize> = (0..steps.len())
+            .filter(|&i| steps[i].path().is_some())
             .collect();
         // Move the last CX into its predecessor's slot and the
         // predecessor after it, then let the local gates wait for them.
         let (pred, last) = (cxs[cxs.len() - 2], cxs[cxs.len() - 1]);
-        let a = &mut schedule.assignments;
-        let (s_pred, s_last) = (a[pred].start_slot, a[last].start_slot);
-        a[last].start_slot = s_pred;
-        a[pred].start_slot = s_last;
-        a.sort_by_key(|x| x.gate);
-        for g in 0..a.len() {
-            if a[g].path.is_none() {
+        let (s_pred, s_last) = (steps[pred].start_slot, steps[last].start_slot);
+        steps[last].start_slot = s_pred;
+        steps[pred].start_slot = s_last;
+        for g in 0..steps.len() {
+            if steps[g].path().is_none() {
                 let ready = relaxed
                     .predecessors(g)
                     .iter()
-                    .map(|&p| a[p].start_slot + a[p].slots);
-                a[g].start_slot = ready.fold(a[g].start_slot, u64::max);
+                    .map(|&p| steps[p].finish_slot());
+                steps[g].start_slot = ready.fold(steps[g].start_slot, u64::max);
             }
         }
-        assert_eq!(verify_async_with_dag(&circuit, &relaxed, &schedule), Ok(()));
-        assert!(verify_async(&circuit, &schedule)
+        let relaxed_check = verify_schedule_with_dag(
+            &circuit,
+            &relaxed,
+            &outcome.grid,
+            &outcome.initial_placement,
+            &result,
+        );
+        assert_eq!(relaxed_check, Ok(()));
+        assert!(verify(&circuit, &result, &outcome)
             .unwrap_err()
-            .contains("before dependency"));
+            .contains("before its dependency"));
     }
 
     #[test]
@@ -432,10 +342,10 @@ mod tests {
         // The paper's Table 2: AutoBraid equals CP on the block suite.
         for name in ["4gt11_8", "4gt5_75", "alu-v0_26", "rd32-v0"] {
             let circuit = generators::by_name(name, 0).unwrap();
-            let schedule = run_async(&circuit);
-            let cp = critical_path_cycles(&circuit, schedule.result.timing());
+            let outcome = run_async(&circuit);
+            let cp = critical_path_cycles(&circuit, outcome.result.timing());
             assert_eq!(
-                schedule.result.total_cycles, cp,
+                outcome.result.total_cycles, cp,
                 "{name}: async engine must meet CP"
             );
         }
@@ -451,13 +361,13 @@ mod tests {
                 .schedule(Strategy::Stack, &circuit)
                 .result
                 .total_cycles;
-            let schedule = run_async(&circuit);
-            let cp = critical_path_cycles(&circuit, schedule.result.timing());
-            assert!(schedule.result.total_cycles >= cp, "seed {seed}: below CP");
+            let outcome = run_async(&circuit);
+            let cp = critical_path_cycles(&circuit, outcome.result.timing());
+            assert!(outcome.result.total_cycles >= cp, "seed {seed}: below CP");
             assert!(
-                schedule.result.total_cycles <= sync,
+                outcome.result.total_cycles <= sync,
                 "seed {seed}: async ({}) worse than sync ({sync})",
-                schedule.result.total_cycles
+                outcome.result.total_cycles
             );
         }
     }
@@ -468,28 +378,41 @@ mod tests {
             generators::bv::bv_all_ones(24).unwrap(),
             generators::ising::ising(16, 2).unwrap(),
         ] {
-            let schedule = run_async(&circuit);
-            let cp = critical_path_cycles(&circuit, schedule.result.timing());
-            assert_eq!(schedule.result.total_cycles, cp, "{}", circuit.name());
+            let outcome = run_async(&circuit);
+            let cp = critical_path_cycles(&circuit, outcome.result.timing());
+            assert_eq!(outcome.result.total_cycles, cp, "{}", circuit.name());
         }
     }
 
     #[test]
     fn assignment_count_matches_circuit() {
         let circuit = generators::qft::qft(12).unwrap();
-        let schedule = run_async(&circuit);
-        assert_eq!(schedule.assignments.len(), circuit.len());
+        let outcome = run_async(&circuit);
+        assert_eq!(outcome.result.steps.len(), circuit.len());
+    }
+
+    #[test]
+    fn stats_only_recording_skips_intervals() {
+        use crate::config::Recording;
+        let circuit = generators::qft::qft(8).unwrap();
+        let full = run_async(&circuit).result;
+        let config = ScheduleConfig::default().with_recording(Recording::StatsOnly);
+        let grid = Grid::with_capacity_for(8);
+        let placement = AutoBraid::new(config.clone()).initial_placement(&circuit, &grid);
+        let stats = schedule_async(&circuit, &grid, placement, &config).result;
+        assert!(stats.steps.is_empty());
+        assert_eq!(stats.total_cycles, full.total_cycles);
+        assert_eq!(stats.braid_steps, full.braid_steps);
     }
 
     #[test]
     fn verify_catches_corruption() {
         let circuit = generators::qft::qft(8).unwrap();
-        let mut schedule = run_async(&circuit);
-        schedule.assignments[0].start_slot = 0;
-        schedule.assignments.swap(0, 1);
+        let outcome = run_async(&circuit);
+        let mut result = outcome.result.clone();
         // Force a dependence violation: schedule the last gate at slot 0.
-        let last = schedule.assignments.len() - 1;
-        schedule.assignments[last].start_slot = 0;
-        assert!(verify_async(&circuit, &schedule).is_err());
+        let last = result.steps.len() - 1;
+        result.steps[last].start_slot = 0;
+        assert!(verify(&circuit, &result, &outcome).is_err());
     }
 }

@@ -1,20 +1,18 @@
 //! Emission of a complete schedule to the physical lattice instruction
 //! timeline.
 //!
-//! Chains [`autobraid_router::lowering`] over every recorded step, placing
-//! each braid program at its absolute start cycle. The result is what a
+//! Chains [`autobraid_router::lowering`] over every recorded interval,
+//! from either engine clock, placing each braid program at its absolute
+//! start cycle (`start_slot · d`). The result is what a
 //! lattice micro-controller would execute, and its statistics (total
 //! instruction count, peak per-cycle burst) quantify the instruction
 //! bandwidth pressure that hardware-managed QEC controllers (Tannu et al.,
 //! MICRO'17) are designed to absorb.
 
-use crate::critical_path::gate_cycles;
-use crate::metrics::{ScheduleResult, Step};
-use autobraid_circuit::Circuit;
+use crate::metrics::ScheduleResult;
 use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::TimingModel;
 use autobraid_router::lowering::{lower_braid, LatticeInstruction};
-use autobraid_router::BraidPath;
 
 /// A schedule lowered to physical lattice instructions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,23 +57,23 @@ impl PhysicalProgram {
     }
 }
 
-/// Lowers a fully recorded schedule of `circuit` to its physical
-/// instruction timeline.
+/// Lowers a fully recorded schedule to its physical instruction
+/// timeline.
 ///
-/// Step costs mirror the scheduling engine exactly: a local layer advances
-/// the clock `d` cycles (no lattice control traffic — tiles stabilize
-/// autonomously), a braid step as long as its longest gate
-/// ([`gate_cycles`]: `2d` per CX, `6d` per native SWAP), a swap layer
-/// `3 × 2d`. A SWAP, native or inserted by the layout optimizer, is three
-/// chained CX braids re-braided along the same path.
+/// Each interval starts at `start_slot · d` cycles and lasts `slots · d`.
+/// A local gate issues no lattice control traffic (tiles stabilize
+/// autonomously); a path held for `2k` slots is `k` chained CX braids, so
+/// a SWAP, native or inserted by the layout optimizer, is three braids
+/// re-braided along the same path. A slot no interval holds, such as a
+/// magic-state stall, is a gap in the timeline.
 ///
 /// # Errors
 ///
-/// Returns an error if the schedule was recorded stats-only (no steps) for
-/// a circuit that has gates, or if the emitted duration disagrees with the
-/// scheduler's accounting — either indicates a scheduling bug.
+/// Returns an error if the schedule was recorded stats-only (no
+/// intervals) for a circuit that has gates, or if the last interval's
+/// finish disagrees with the scheduler's `total_cycles` — either
+/// indicates a scheduling bug.
 pub fn emit_physical(
-    circuit: &Circuit,
     result: &ScheduleResult,
     layout: &PhysicalLayout,
 ) -> Result<PhysicalProgram, String> {
@@ -83,13 +81,17 @@ pub fn emit_physical(
         autobraid_lattice::CodeParams::with_distance(layout.distance())
             .map_err(|e| e.to_string())?,
     );
-    let braid = timing.braid_step_cycles();
-    let mut cycle = 0u64;
+    let (slot, braid) = (timing.local_step_cycles(), timing.braid_step_cycles());
+    let mut end = 0u64;
     let mut instructions: Vec<LatticeInstruction> = Vec::new();
-    // `cycles / braid` chained braids along `path`, from `start`.
-    let mut chain = |path: &BraidPath, start: u64, cycles: u64| {
+    for interval in &result.steps {
+        let start = interval.start_slot * slot;
+        end = end.max(interval.finish_slot() * slot);
+        let Some(path) = interval.path() else {
+            continue;
+        };
         let program = lower_braid(layout, path);
-        for sub in 0..cycles / braid {
+        for sub in 0..interval.slots * slot / braid {
             for ins in program.instructions() {
                 instructions.push(LatticeInstruction {
                     cycle: start + sub * braid + ins.cycle,
@@ -97,44 +99,21 @@ pub fn emit_physical(
                 });
             }
         }
-    };
-
-    for step in &result.steps {
-        match step {
-            Step::Local { .. } => {
-                cycle += timing.local_step_cycles();
-            }
-            Step::Braid { braids, .. } => {
-                let mut longest = 0;
-                for (g, path) in braids {
-                    let cycles = gate_cycles(circuit.gate(*g), &timing);
-                    chain(path, cycle, cycles);
-                    longest = longest.max(cycles);
-                }
-                cycle += longest;
-            }
-            Step::SwapLayer { swaps } => {
-                for swap in swaps {
-                    chain(&swap.path, cycle, 3 * braid);
-                }
-                cycle += 3 * braid;
-            }
-        }
     }
 
     if result.steps.is_empty() && result.total_cycles > 0 {
         return Err("schedule was recorded stats-only; re-run with Recording::Full".into());
     }
-    if cycle != result.total_cycles {
+    if end != result.total_cycles {
         return Err(format!(
-            "emission accounted {cycle} cycles but the scheduler charged {}",
+            "emission accounted {end} cycles but the scheduler charged {}",
             result.total_cycles
         ));
     }
     instructions.sort_by_key(|i| i.cycle);
     Ok(PhysicalProgram {
         instructions,
-        duration_cycles: cycle,
+        duration_cycles: end,
     })
 }
 
@@ -144,6 +123,7 @@ mod tests {
     use crate::config::{Recording, ScheduleConfig};
     use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::{ising::ising, qft::qft};
+    use autobraid_circuit::Circuit;
     use autobraid_lattice::{CodeParams, TimingModel};
     use autobraid_router::lowering::LatticeOp;
 
@@ -158,7 +138,7 @@ mod tests {
         let compiler = AutoBraid::new(config_d(5));
         let outcome = compiler.schedule(Strategy::Full, &circuit);
         let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 5).unwrap();
-        let program = emit_physical(&circuit, &outcome.result, &layout).unwrap();
+        let program = emit_physical(&outcome.result, &layout).unwrap();
         assert_eq!(program.duration_cycles(), outcome.result.total_cycles);
         assert!(program.instruction_count() > 0);
         // Disables and enables balance exactly.
@@ -178,12 +158,55 @@ mod tests {
         let compiler = AutoBraid::new(config_d(3));
         let outcome = compiler.schedule(Strategy::Stack, &circuit);
         let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 3).unwrap();
-        let program = emit_physical(&circuit, &outcome.result, &layout).unwrap();
+        let program = emit_physical(&outcome.result, &layout).unwrap();
         let cycles: Vec<u64> = program.instructions().iter().map(|i| i.cycle).collect();
         assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
         assert!(cycles.iter().all(|&c| c < program.duration_cycles()));
         assert!(program.peak_instructions_per_cycle() >= 1);
         assert!(program.mean_instructions_per_active_cycle() >= 1.0);
+    }
+
+    #[test]
+    fn a_stream_that_stalls_mid_run_lowers_with_a_gap() {
+        use crate::metrics::verify_schedule;
+        use crate::streaming::{FaultEvent, StreamingOptions, StreamingPipeline};
+        use autobraid_circuit::gate::{Gate, TwoKind};
+        let cx = |a, b| Gate::two(TwoKind::Cx, a, b);
+        let mut stream = StreamingPipeline::open(4, StreamingOptions::default());
+        stream.push_gate(cx(0, 1)).unwrap();
+        stream.push_gate(cx(2, 3)).unwrap();
+        stream.step().unwrap();
+        stream.inject(FaultEvent::MagicStall { steps: 2 }).unwrap();
+        stream.push_gate(cx(1, 2)).unwrap();
+        let report = stream.finish().unwrap();
+        let result = &report.outcome.result;
+        // One braid step (66), two stalled braid slots (132), one braid.
+        assert_eq!(result.total_cycles, 264);
+        let (grid, placement) = (&report.outcome.grid, &report.outcome.initial_placement);
+        verify_schedule(&report.circuit, grid, placement, result).unwrap();
+        let d = result.timing().params().distance();
+        let layout = PhysicalLayout::new(report.outcome.grid.cells_per_side(), d).unwrap();
+        let program = emit_physical(result, &layout).unwrap();
+        assert_eq!(program.duration_cycles(), 264);
+        // The stall is a gap: nothing issues between the first step's
+        // end and the last braid's start.
+        assert_eq!(result.steps.last().unwrap().gate(), Some(2));
+        let late = program.instructions().iter().find(|i| i.cycle >= 66);
+        assert_eq!(late.map(|i| i.cycle), Some(198));
+    }
+
+    #[test]
+    fn per_qubit_schedules_lower() {
+        use crate::async_engine::schedule_async;
+        let circuit = qft(8).unwrap();
+        let config = config_d(3);
+        let grid = autobraid_lattice::Grid::with_capacity_for(8);
+        let placement = AutoBraid::new(config.clone()).initial_placement(&circuit, &grid);
+        let outcome = schedule_async(&circuit, &grid, placement, &config);
+        let layout = PhysicalLayout::new(grid.cells_per_side(), 3).unwrap();
+        let program = emit_physical(&outcome.result, &layout).unwrap();
+        assert_eq!(program.duration_cycles(), outcome.result.total_cycles);
+        assert!(program.instruction_count() > 0);
     }
 
     #[test]
@@ -193,7 +216,7 @@ mod tests {
         let compiler = AutoBraid::new(cfg);
         let outcome = compiler.schedule(Strategy::Stack, &circuit);
         let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 3).unwrap();
-        assert!(emit_physical(&circuit, &outcome.result, &layout).is_err());
+        assert!(emit_physical(&outcome.result, &layout).is_err());
     }
 
     #[test]
@@ -218,14 +241,14 @@ mod tests {
             assert!(result.total_cycles >= cp, "{}: below CP", strategy.name());
             let d = result.timing().params().distance();
             let layout = PhysicalLayout::new(report.outcome.grid.cells_per_side(), d).unwrap();
-            let program = emit_physical(&circuit, result, &layout).unwrap();
+            let program = emit_physical(result, &layout).unwrap();
             assert_eq!(program.duration_cycles(), result.total_cycles);
         }
     }
 
     #[test]
     fn swap_layers_emit_three_braids() {
-        use crate::metrics::{ScheduleResult, Step, SwapOp};
+        use crate::metrics::{Interval, Op, ScheduleResult, SwapOp, SWAP_SLOTS};
         use autobraid_lattice::{Cell, Grid, Vertex};
         let grid = Grid::new(3).unwrap();
         let path = autobraid_router::BraidPath::new(
@@ -237,16 +260,18 @@ mod tests {
         .unwrap();
         let timing = TimingModel::new(CodeParams::with_distance(3).unwrap());
         let mut result = ScheduleResult::new("t", "t", timing);
-        result.steps.push(Step::SwapLayer {
-            swaps: vec![SwapOp {
+        result.steps.push(Interval {
+            start_slot: 0,
+            slots: SWAP_SLOTS,
+            op: Op::Swap(SwapOp {
                 a: 0,
                 b: 1,
                 path: path.clone(),
-            }],
+            }),
         });
         result.total_cycles = 3 * timing.braid_step_cycles();
         let layout = PhysicalLayout::new(3, 3).unwrap();
-        let program = emit_physical(&Circuit::new(2), &result, &layout).unwrap();
+        let program = emit_physical(&result, &layout).unwrap();
         let single = autobraid_router::lowering::lower_braid(&layout, &path);
         assert_eq!(program.instruction_count(), 3 * single.instructions().len());
     }

@@ -72,12 +72,12 @@ pub mod strategy;
 pub mod streaming;
 pub mod swap;
 
-pub use async_engine::{schedule_async, verify_async, AsyncSchedule};
+pub use async_engine::schedule_async;
 pub use autobraid::{AutoBraid, ScheduleOutcome};
 pub use config::{Recording, ScheduleConfig};
 pub use critical_path::{critical_path_cycles, critical_path_cycles_relaxed, critical_path_us};
 pub use metrics::{
-    verify_schedule, verify_schedule_with_dag, LayerPolicy, ScheduleResult, Step, SwapOp,
+    verify_schedule, verify_schedule_with_dag, Interval, LayerPolicy, Op, ScheduleResult, SwapOp,
 };
 pub use scheduler::{
     route_policy, run, run_with_base_occupancy, GreedyPolicy, LayerRoute, PathFinderPolicy,

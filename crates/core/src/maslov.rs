@@ -342,7 +342,7 @@ mod tests {
     mod reference {
         use crate::config::{Recording, ScheduleConfig};
         use crate::critical_path::gate_cycles;
-        use crate::metrics::{ScheduleResult, Step, SwapOp};
+        use crate::metrics::{Interval, Op, ScheduleResult, SwapOp, SWAP_SLOTS};
         use autobraid_circuit::{Circuit, DependenceDag, Frontier, GateId, QubitId};
         use autobraid_lattice::{Grid, Occupancy};
         use autobraid_placement::linear::{place_along_serpentine, serpentine_cells};
@@ -424,29 +424,44 @@ mod tests {
                     for &g in &locals {
                         frontier.complete(g);
                     }
+                    if record {
+                        let start_slot = result.total_cycles / config.timing.local_step_cycles();
+                        for r in outcome.routed {
+                            let gate = circuit.gate(r.request.id);
+                            result.steps.push(Interval {
+                                start_slot,
+                                slots: gate_cycles(gate, &config.timing)
+                                    / config.timing.local_step_cycles(),
+                                op: Op::Gate {
+                                    gate: r.request.id,
+                                    path: Some(r.path),
+                                },
+                            });
+                        }
+                        result.steps.extend(locals.iter().map(|&gate| Interval {
+                            start_slot,
+                            slots: 1,
+                            op: Op::Gate { gate, path: None },
+                        }));
+                    }
                     result.braid_steps += 1;
                     result.total_cycles += cycles;
-                    if record {
-                        result.steps.push(Step::Braid {
-                            braids: outcome
-                                .routed
-                                .into_iter()
-                                .map(|r| (r.request.id, r.path))
-                                .collect(),
-                            locals,
-                        });
-                    }
                     idle_swap_layers = 0;
                     unconditional_mode = false;
                 } else if !any_braid_ready {
                     for &g in &locals {
                         frontier.complete(g);
                     }
+                    if record {
+                        let start_slot = result.total_cycles / config.timing.local_step_cycles();
+                        result.steps.extend(locals.iter().map(|&gate| Interval {
+                            start_slot,
+                            slots: 1,
+                            op: Op::Gate { gate, path: None },
+                        }));
+                    }
                     result.local_steps += 1;
                     result.total_cycles += config.timing.local_step_cycles();
-                    if record {
-                        result.steps.push(Step::Local { gates: locals });
-                    }
                 } else {
                     ready_pairs.clear();
                     ready_pairs.extend(ready.iter().filter_map(|&g| circuit.gate(g).pair()));
@@ -508,13 +523,18 @@ mod tests {
                         position[qb as usize] = pa;
                         placement.swap_qubits(qa, qb);
                     }
+                    if record {
+                        let start_slot = result.total_cycles / config.timing.local_step_cycles();
+                        result.steps.extend(swaps.into_iter().map(|swap| Interval {
+                            start_slot,
+                            slots: SWAP_SLOTS,
+                            op: Op::Swap(swap),
+                        }));
+                    }
                     result.swap_layers += 1;
                     result.swap_count += pairs.len() as u64;
                     result.total_cycles += 3 * config.timing.braid_step_cycles();
                     parity = 1 - parity;
-                    if record {
-                        result.steps.push(Step::SwapLayer { swaps });
-                    }
                     idle_swap_layers += 1;
                     assert!(idle_swap_layers <= 4 * n + 16);
                 }

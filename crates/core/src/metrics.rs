@@ -1,8 +1,17 @@
-//! Schedule results, step records, and verification.
+//! Schedule results, the interval record both engine clocks write, and
+//! the one verifier every schedule is checked by.
+//!
+//! A schedule is a list of [`Interval`]s: each holds one gate (with its
+//! braiding path, if it is two-qubit) or one inserted swap for a run of
+//! `d`-cycle slots. The lock-step clock records a step as intervals that
+//! share a start slot; the per-qubit clock records each gate as it
+//! starts. [`verify_schedule_with_dag`] reads either.
 
+use crate::critical_path::gate_cycles;
 use autobraid_circuit::{Circuit, GateId, QubitId};
-use autobraid_lattice::{Cell, Grid, Occupancy, TimingModel, Vertex};
+use autobraid_lattice::{Grid, TimingModel};
 use autobraid_router::BraidPath;
+use std::collections::VecDeque;
 
 /// A SWAP inserted by the layout optimizer: exchanges the tiles of two
 /// logical qubits via a braiding path (3 chained CX braids).
@@ -16,27 +25,59 @@ pub struct SwapOp {
     pub path: BraidPath,
 }
 
-/// One scheduled braiding step (or local layer, or swap layer).
+/// Slots an inserted swap holds its path: three chained CX braids.
+pub const SWAP_SLOTS: u64 = 6;
+
+/// What an [`Interval`] runs.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Step {
-    /// A layer of local single-qubit gates only (`d` cycles).
-    Local {
-        /// Completed single-qubit gate ids.
-        gates: Vec<GateId>,
+pub enum Op {
+    /// A circuit gate; a two-qubit gate holds its braiding path, a local
+    /// gate has none.
+    Gate {
+        /// The gate.
+        gate: GateId,
+        /// The braiding path, held for the whole interval.
+        path: Option<BraidPath>,
     },
-    /// A braiding step, as long as its longest gate (`2d`, or `6d` with a
-    /// native SWAP): concurrent braids plus any local gates riding along.
-    Braid {
-        /// `(gate id, braiding path)` for each routed CX.
-        braids: Vec<(GateId, BraidPath)>,
-        /// Local gates executed in the same step.
-        locals: Vec<GateId>,
-    },
-    /// A swap layer inserted by the layout optimizer (`3 × 2d` cycles).
-    SwapLayer {
-        /// The simultaneously executed swaps.
-        swaps: Vec<SwapOp>,
-    },
+    /// A swap inserted by a layout move. It takes effect at the
+    /// interval's finish.
+    Swap(SwapOp),
+}
+
+/// One scheduled operation, held from `start_slot` for `slots` slots of
+/// `d` surface-code cycles each.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Interval {
+    /// First slot the operation occupies.
+    pub start_slot: u64,
+    /// Slots occupied: a gate's [`gate_cycles`] over `d` (1 local, 2 per
+    /// CX braid, 6 for a native SWAP), [`SWAP_SLOTS`] for a swap.
+    pub slots: u64,
+    /// The gate or swap.
+    pub op: Op,
+}
+
+impl Interval {
+    /// The first slot after the interval.
+    pub fn finish_slot(&self) -> u64 {
+        self.start_slot + self.slots
+    }
+
+    /// The circuit gate it runs, if it is not a swap.
+    pub fn gate(&self) -> Option<GateId> {
+        match self.op {
+            Op::Gate { gate, .. } => Some(gate),
+            Op::Swap(_) => None,
+        }
+    }
+
+    /// The braiding path it holds, if any.
+    pub fn path(&self) -> Option<&BraidPath> {
+        match &self.op {
+            Op::Gate { path, .. } => path.as_ref(),
+            Op::Swap(swap) => Some(&swap.path),
+        }
+    }
 }
 
 /// Which routing policy handled one committed braiding layer, and why
@@ -77,9 +118,9 @@ pub struct ScheduleResult {
     pub mean_utilization: f64,
     /// Wall-clock compilation time in seconds.
     pub compile_seconds: f64,
-    /// The step-by-step schedule (empty under
+    /// The schedule's intervals, in record order (empty under
     /// [`crate::config::Recording::StatsOnly`]).
-    pub steps: Vec<Step>,
+    pub steps: Vec<Interval>,
     /// Per-committed-braid-layer strategy attribution, in step order
     /// (recorded alongside [`ScheduleResult::steps`], so likewise empty
     /// under [`crate::config::Recording::StatsOnly`]).
@@ -130,20 +171,24 @@ impl ScheduleResult {
     pub fn speedup_over(&self, other: &ScheduleResult) -> f64 {
         other.total_cycles as f64 / self.total_cycles.max(1) as f64
     }
+
+    /// The recorded gate ids in the order they execute: by start slot,
+    /// then record order. Gates that start in the same slot are
+    /// independent, so replaying them in this order computes what the
+    /// circuit does.
+    pub fn execution_order(&self) -> Vec<GateId> {
+        let mut gates: Vec<(u64, GateId)> = self
+            .steps
+            .iter()
+            .filter_map(|i| Some((i.start_slot, i.gate()?)))
+            .collect();
+        gates.sort_by_key(|&(start, _)| start);
+        gates.into_iter().map(|(_, g)| g).collect()
+    }
 }
 
-/// Exhaustively verifies a fully recorded schedule against its circuit:
-///
-/// 1. every gate executes exactly once;
-/// 2. dependence order is respected (a gate runs strictly after all
-///    predecessors);
-/// 3. within each braid step, paths are pairwise vertex-disjoint and each
-///    is a valid path between the gate's operand tiles *under the
-///    placement at that moment* — swap layers update the tracked
-///    placement;
-/// 4. swap-layer paths are pairwise vertex-disjoint too.
-///
-/// Returns an error message describing the first violation.
+/// Exhaustively verifies a fully recorded schedule against its circuit's
+/// plain dependence DAG; see [`verify_schedule_with_dag`].
 pub fn verify_schedule(
     circuit: &Circuit,
     grid: &Grid,
@@ -154,9 +199,25 @@ pub fn verify_schedule(
     verify_schedule_with_dag(circuit, &dag, grid, initial_placement, result)
 }
 
-/// [`verify_schedule`] against an explicit dependence DAG — use this form
-/// for schedules produced with commutation-aware analysis (pass
-/// [`autobraid_circuit::DependenceDag::with_commutation`]).
+/// Exhaustively verifies a fully recorded schedule, from either clock,
+/// against the dependence DAG it was built with (pass
+/// [`autobraid_circuit::DependenceDag::with_commutation`] for a
+/// commutation-aware schedule). It walks the intervals in start order,
+/// record order within a slot, and checks that:
+///
+/// 1. every gate executes exactly once, and no interval names an
+///    unknown gate;
+/// 2. each interval lasts its gate's [`gate_cycles`] over `d`, or
+///    [`SWAP_SLOTS`] for a swap;
+/// 3. each gate starts no earlier than every predecessor finishes;
+/// 4. a gate holds a path exactly when it is two-qubit, and every path
+///    is valid between its operands' tiles *under the placement at its
+///    start* — a swap takes effect at its finish;
+/// 5. no vertex is held by two intervals at once;
+/// 6. no qubit is in two overlapping swaps, and no gate touches a qubit
+///    while a swap on it runs.
+///
+/// Returns an error message describing the first violation.
 pub fn verify_schedule_with_dag(
     circuit: &Circuit,
     dag: &autobraid_circuit::dag::DependenceDag,
@@ -164,148 +225,114 @@ pub fn verify_schedule_with_dag(
     initial_placement: &autobraid_placement::Placement,
     result: &ScheduleResult,
 ) -> Result<(), String> {
+    let timing = result.timing();
+    let d = timing.local_step_cycles();
+    let qubits = circuit.num_qubits();
+    let mut order: Vec<usize> = (0..result.steps.len()).collect();
+    order.sort_by_key(|&i| result.steps[i].start_slot);
+
     let mut placement = initial_placement.clone();
-    let mut done_at: Vec<Option<usize>> = vec![None; circuit.len()];
-    let mut occ = Occupancy::new(grid);
+    let mut finish: Vec<Option<u64>> = vec![None; circuit.len()];
+    // Per vertex, the slot its last path frees it; per qubit, the slot
+    // its last swap and its last gate finish.
+    let mut vertex_until = vec![0u64; grid.vertex_count()];
+    let mut swap_until = vec![0u64; qubits as usize];
+    let mut gate_until = vec![0u64; qubits as usize];
+    // Swaps not yet in effect. They all last `SWAP_SLOTS`, so start
+    // order is finish order.
+    let mut pending: VecDeque<(u64, QubitId, QubitId)> = VecDeque::new();
 
-    for (step_no, step) in result.steps.iter().enumerate() {
-        let complete = |g: GateId, done_at: &mut Vec<Option<usize>>| -> Result<(), String> {
-            if g >= circuit.len() {
-                return Err(format!("step {step_no}: unknown gate {g}"));
-            }
-            if done_at[g].is_some() {
-                return Err(format!("step {step_no}: gate {g} executed twice"));
-            }
-            for &p in dag.predecessors(g) {
-                match done_at[p] {
-                    Some(s) if s < step_no => {}
-                    _ => {
-                        return Err(format!(
-                            "step {step_no}: gate {g} ran before its dependency {p}"
-                        ))
+    for i in order {
+        let interval = &result.steps[i];
+        let (start, end) = (interval.start_slot, interval.finish_slot());
+        while let Some(&(_, a, b)) = pending.front().filter(|swap| swap.0 <= start) {
+            placement.swap_qubits(a, b);
+            pending.pop_front();
+        }
+        let fault = |what: String| Err(format!("interval {i} (slot {start}): {what}"));
+
+        let (expected, tiles, path) = match &interval.op {
+            Op::Gate { gate: g, path } => {
+                let g = *g;
+                if g >= circuit.len() {
+                    return fault(format!("unknown gate {g}"));
+                }
+                if finish[g].replace(end).is_some() {
+                    return fault(format!("gate {g} executed twice"));
+                }
+                for &p in dag.predecessors(g) {
+                    if finish[p].is_none_or(|f| f > start) {
+                        return fault(format!("gate {g} ran before its dependency {p}"));
                     }
                 }
+                let gate = circuit.gate(g);
+                for q in gate.qubits() {
+                    if swap_until[q as usize] > start {
+                        return fault(format!("gate {g} touches qubit {q} during a swap"));
+                    }
+                    let until = &mut gate_until[q as usize];
+                    *until = (*until).max(end);
+                }
+                let tiles = match (path, gate.pair()) {
+                    (Some(_), Some((a, b))) => Some((a, b)),
+                    (None, None) => None,
+                    (Some(_), None) => return fault(format!("local gate {g} holds a path")),
+                    (None, Some(_)) => return fault(format!("two-qubit gate {g} has no path")),
+                };
+                (gate_cycles(gate, timing) / d, tiles, path.as_ref())
             }
-            done_at[g] = Some(step_no);
-            Ok(())
+            Op::Swap(swap) => {
+                for q in [swap.a, swap.b] {
+                    if q >= qubits {
+                        return fault(format!("swap of unknown qubit {q}"));
+                    }
+                    if swap_until[q as usize] > start {
+                        return fault(format!("qubit {q} in two overlapping swaps"));
+                    }
+                    if gate_until[q as usize] > start {
+                        return fault(format!("swap on qubit {q} while a gate on it runs"));
+                    }
+                }
+                swap_until[swap.a as usize] = end;
+                swap_until[swap.b as usize] = end;
+                pending.push_back((end, swap.a, swap.b));
+                (SWAP_SLOTS, Some((swap.a, swap.b)), Some(&swap.path))
+            }
         };
-
-        match step {
-            Step::Local { gates } => {
-                for &g in gates {
-                    if circuit.gate(g).is_two_qubit() {
-                        return Err(format!("step {step_no}: CX {g} in a local layer"));
-                    }
-                    complete(g, &mut done_at)?;
-                }
+        if interval.slots != expected {
+            return fault(format!("lasts {} slots, not {expected}", interval.slots));
+        }
+        if let (Some((a, b)), Some(path)) = (tiles, path) {
+            let (ca, cb) = (placement.cell_of(a), placement.cell_of(b));
+            let vertices = path.vertices();
+            if !BraidPath::is_walk_between(grid, ca, cb, vertices) {
+                return fault(format!("invalid path between {ca} and {cb}"));
             }
-            Step::Braid { braids, locals } => {
-                occ.clear();
-                for (g, path) in braids {
-                    let gate = circuit.gate(*g);
-                    let Some((qa, qb)) = gate.pair() else {
-                        return Err(format!("step {step_no}: gate {g} is not two-qubit"));
-                    };
-                    let (ca, cb) = (placement.cell_of(qa), placement.cell_of(qb));
-                    match reserve_route(grid, &mut occ, ca, cb, path.vertices()) {
-                        Ok(()) => {}
-                        Err(PathFault::Invalid) => {
-                            return Err(format!(
-                                "step {step_no}: invalid path for gate {g} between {ca} and {cb}"
-                            ))
-                        }
-                        Err(PathFault::Crosses) => {
-                            return Err(format!(
-                                "step {step_no}: path for gate {g} crosses another"
-                            ))
-                        }
-                    }
-                    complete(*g, &mut done_at)?;
+            for (k, &v) in vertices.iter().enumerate() {
+                let until = &mut vertex_until[grid.vertex_index(v)];
+                if *until > start {
+                    return fault(if vertices[..k].contains(&v) {
+                        format!("invalid path between {ca} and {cb}: it repeats {v}")
+                    } else {
+                        format!("path crosses another at {v}")
+                    });
                 }
-                for &g in locals {
-                    if circuit.gate(g).is_two_qubit() {
-                        return Err(format!("step {step_no}: CX {g} recorded as local"));
-                    }
-                    complete(g, &mut done_at)?;
-                }
-            }
-            Step::SwapLayer { swaps } => {
-                occ.clear();
-                let mut touched = std::collections::HashSet::new();
-                for swap in swaps {
-                    if !touched.insert(swap.a) || !touched.insert(swap.b) {
-                        return Err(format!(
-                            "step {step_no}: qubit in two swaps ({}, {})",
-                            swap.a, swap.b
-                        ));
-                    }
-                    let (ca, cb) = (placement.cell_of(swap.a), placement.cell_of(swap.b));
-                    match reserve_route(grid, &mut occ, ca, cb, swap.path.vertices()) {
-                        Ok(()) => {}
-                        Err(PathFault::Invalid) => {
-                            return Err(format!(
-                                "step {step_no}: invalid swap path ({},{})",
-                                swap.a, swap.b
-                            ))
-                        }
-                        Err(PathFault::Crosses) => {
-                            return Err(format!(
-                                "step {step_no}: swap path ({},{}) crosses another",
-                                swap.a, swap.b
-                            ))
-                        }
-                    }
-                }
-                for swap in swaps {
-                    placement.swap_qubits(swap.a, swap.b);
-                }
+                *until = end;
             }
         }
     }
 
-    if let Some(missing) = done_at.iter().position(Option::is_none) {
+    if let Some(missing) = finish.iter().position(Option::is_none) {
         return Err(format!("gate {missing} never executed"));
     }
     Ok(())
 }
 
-/// Why [`reserve_route`] rejected a recorded path.
-enum PathFault {
-    /// It would fail [`BraidPath::new`] between its operands' tiles.
-    Invalid,
-    /// It is valid but shares a vertex with a path reserved before it.
-    Crosses,
-}
-
-/// Checks a recorded path between tiles `a` and `b` in place and
-/// reserves it in `occ`. A vertex already reserved is either a repeat
-/// within the path (invalid, as [`BraidPath::new`] would find) or a
-/// crossing; the repeat scan only runs on that rare failure.
-fn reserve_route(
-    grid: &Grid,
-    occ: &mut Occupancy,
-    a: Cell,
-    b: Cell,
-    vertices: &[Vertex],
-) -> Result<(), PathFault> {
-    if !BraidPath::is_walk_between(grid, a, b, vertices) {
-        return Err(PathFault::Invalid);
-    }
-    if vertices.iter().all(|&v| occ.reserve(grid, v)) {
-        return Ok(());
-    }
-    let repeats = (1..vertices.len()).any(|i| vertices[..i].contains(&vertices[i]));
-    Err(if repeats {
-        PathFault::Invalid
-    } else {
-        PathFault::Crosses
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autobraid_lattice::CodeParams;
+    use autobraid_lattice::{CodeParams, Vertex};
+    use autobraid_placement::Placement;
 
     #[test]
     fn time_conversions() {
@@ -314,6 +341,89 @@ mod tests {
         r.total_cycles = 1000;
         assert!((r.time_us() - 2200.0).abs() < 1e-9);
         assert!((r.time_seconds() - 2.2e-3).abs() < 1e-12);
+    }
+
+    /// A 2×2 grid, row-major: q0 (0,0), q1 (0,1), q2 (1,0), q3 (1,1).
+    fn square() -> (Grid, Placement) {
+        let grid = Grid::new(2).unwrap();
+        let placement = Placement::row_major(&grid, 4);
+        (grid, placement)
+    }
+
+    /// A one-vertex path between the tiles of `a` and `b` at `v`.
+    fn corner(grid: &Grid, placement: &Placement, a: QubitId, b: QubitId, v: Vertex) -> BraidPath {
+        BraidPath::new(grid, placement.cell_of(a), placement.cell_of(b), vec![v]).unwrap()
+    }
+
+    fn at(start_slot: u64, slots: u64, op: Op) -> Interval {
+        Interval {
+            start_slot,
+            slots,
+            op,
+        }
+    }
+
+    fn gate(gate: GateId, path: Option<BraidPath>) -> Op {
+        Op::Gate { gate, path }
+    }
+
+    fn check(circuit: &Circuit, intervals: Vec<Interval>) -> Result<(), String> {
+        let (grid, placement) = square();
+        let mut result = ScheduleResult::new("t", "t", TimingModel::default());
+        result.steps = intervals;
+        verify_schedule(circuit, &grid, &placement, &result)
+    }
+
+    #[test]
+    fn the_verifier_tracks_swaps_and_rejects_each_corruption() {
+        let (grid, placement) = square();
+        let mut swapped = placement.clone();
+        swapped.swap_qubits(0, 1);
+        // Swap q0 and q1, then h q0 and cx q0,q3: vertex (1,2) joins the
+        // tiles of q0 and q3 only once q0 has moved to (0,1).
+        let mut circuit = Circuit::new(4);
+        circuit.h(0).cx(0, 3);
+        let swap = SwapOp {
+            a: 0,
+            b: 1,
+            path: corner(&grid, &placement, 0, 1, Vertex::new(0, 1)),
+        };
+        let cx = corner(&grid, &swapped, 0, 3, Vertex::new(1, 2));
+        let schedule = |h: u64, cx_start: u64, cx_slots: u64| {
+            vec![
+                at(0, SWAP_SLOTS, Op::Swap(swap.clone())),
+                at(h, 1, gate(0, None)),
+                at(cx_start, cx_slots, gate(1, Some(cx.clone()))),
+            ]
+        };
+        assert_eq!(check(&circuit, schedule(6, 7, 2)), Ok(()));
+        let fault = |intervals| check(&circuit, intervals).unwrap_err();
+        assert!(fault(schedule(3, 7, 2)).contains("during a swap"));
+        assert!(fault(schedule(6, 6, 2)).contains("before its dependency"));
+        assert!(fault(schedule(6, 7, 1)).contains("lasts 1 slots, not 2"));
+        let mut twice = schedule(6, 7, 2);
+        twice.push(at(2, SWAP_SLOTS, Op::Swap(swap.clone())));
+        assert!(fault(twice).contains("two overlapping swaps"));
+        let mut lost = schedule(6, 7, 2);
+        lost.pop();
+        assert!(fault(lost).contains("gate 1 never executed"));
+
+        // Two CX braids through the grid's centre vertex.
+        let mut pairs = Circuit::new(4);
+        pairs.cx(0, 1).cx(2, 3);
+        let centre = Vertex::new(1, 1);
+        let braids = |second: u64| {
+            vec![
+                at(0, 2, gate(0, Some(corner(&grid, &placement, 0, 1, centre)))),
+                at(
+                    second,
+                    2,
+                    gate(1, Some(corner(&grid, &placement, 2, 3, centre))),
+                ),
+            ]
+        };
+        assert_eq!(check(&pairs, braids(2)), Ok(()));
+        assert!(check(&pairs, braids(1)).unwrap_err().contains("crosses"));
     }
 
     #[test]

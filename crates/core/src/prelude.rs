@@ -14,7 +14,7 @@
 //! [`Strategy`], [`CompileReport`], [`PipelineError`]), batch
 //! compilation ([`CompileJob`], [`merged_batch_telemetry`]), the
 //! scheduler front end ([`AutoBraid::schedule`], [`ScheduleConfig`],
-//! [`Step`], [`verify_schedule`], [`critical_path_cycles`]), report rendering
+//! [`Interval`], [`verify_schedule`], [`critical_path_cycles`]), report rendering
 //! ([`compile_report_json`], [`CompileReport::canonical_json`],
 //! [`render_telemetry`]), and the circuit/lattice types every compile
 //! touches ([`Circuit`], [`CircuitStats`], [`Grid`]).
@@ -22,7 +22,7 @@
 pub use crate::autobraid::{AutoBraid, ScheduleOutcome};
 pub use crate::config::{Recording, ScheduleConfig};
 pub use crate::critical_path::critical_path_cycles;
-pub use crate::metrics::{verify_schedule, ScheduleResult, Step};
+pub use crate::metrics::{verify_schedule, Interval, ScheduleResult};
 pub use crate::pipeline::{
     CompileOptions, CompileReport, Pipeline, PipelineError, StageTimings, Strategy,
 };

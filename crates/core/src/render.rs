@@ -1,10 +1,10 @@
-//! ASCII rendering of grids, placements, and braiding steps — for
+//! ASCII rendering of grids, placements, and the paths held in one slot — for
 //! examples, debugging, and documentation.
 //!
 //! Tiles render as a 2-character cell (`q7`, `..` when empty); channel
 //! vertices render as `+` (free) or the path label occupying them.
 
-use crate::metrics::Step;
+use crate::metrics::Interval;
 use crate::report::Table;
 use autobraid_lattice::{Grid, Vertex};
 use autobraid_placement::Placement;
@@ -30,27 +30,24 @@ pub fn render_placement(grid: &Grid, placement: &Placement) -> String {
     render(grid, placement, &HashMap::new())
 }
 
-/// Renders one braiding step: qubit tiles plus every path's vertices
-/// marked with the gate's label (`a`, `b`, … in routing order).
-pub fn render_step(grid: &Grid, placement: &Placement, step: &Step) -> String {
+/// Renders the paths held in `slot`: qubit tiles plus the vertices of
+/// every interval running in that slot that holds a path, marked with a
+/// label (`a`, `b`, … in record order).
+pub fn render_slot(
+    grid: &Grid,
+    placement: &Placement,
+    intervals: &[Interval],
+    slot: u64,
+) -> String {
     let mut occupied: HashMap<Vertex, char> = HashMap::new();
-    let mut mark_path = |vertices: &[Vertex], label: char| {
-        for &v in vertices {
-            occupied.insert(v, label);
+    let held = intervals
+        .iter()
+        .filter(|i| i.start_slot <= slot && slot < i.finish_slot())
+        .filter_map(Interval::path);
+    for (i, path) in held.enumerate() {
+        for &v in path.vertices() {
+            occupied.insert(v, label_for(i));
         }
-    };
-    match step {
-        Step::Braid { braids, .. } => {
-            for (i, (_, path)) in braids.iter().enumerate() {
-                mark_path(path.vertices(), label_for(i));
-            }
-        }
-        Step::SwapLayer { swaps } => {
-            for (i, swap) in swaps.iter().enumerate() {
-                mark_path(swap.path.vertices(), label_for(i));
-            }
-        }
-        Step::Local { .. } => {}
     }
     render(grid, placement, &occupied)
 }
@@ -154,6 +151,7 @@ pub fn render_telemetry(snapshot: &TelemetrySnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Op;
     use autobraid_lattice::Cell;
     use autobraid_router::BraidPath;
 
@@ -182,12 +180,18 @@ mod tests {
             vec![Vertex::new(0, 1), Vertex::new(0, 2)],
         )
         .unwrap();
-        let step = Step::Braid {
-            braids: vec![(0, path)],
-            locals: vec![],
-        };
-        let art = render_step(&grid, &p, &step);
+        let intervals = [Interval {
+            start_slot: 2,
+            slots: 2,
+            op: Op::Gate {
+                gate: 0,
+                path: Some(path),
+            },
+        }];
+        let art = render_slot(&grid, &p, &intervals, 3);
         assert_eq!(art.matches('a').count(), 2, "{art}");
+        let idle = render_slot(&grid, &p, &intervals, 4);
+        assert_eq!(idle.matches('a').count(), 0, "{idle}");
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! engine's clock. This makes every reported speedup a pure algorithm
 //! comparison.
 
-use crate::async_engine::Assignment;
 use crate::config::{Recording, ScheduleConfig};
 use crate::critical_path::gate_cycles;
 use crate::maslov::SwapNetwork;
-use crate::metrics::{LayerPolicy, ScheduleResult, Step};
+use crate::metrics::{Interval, LayerPolicy, Op, ScheduleResult, SWAP_SLOTS};
 use crate::strategy::Strategy;
 use crate::swap::plan_swap_layer;
 use autobraid_circuit::{Circuit, DependenceDag, Frontier, Gate, GateId};
@@ -505,19 +504,19 @@ pub(crate) struct RoutedLayer {
     reason: &'static str,
 }
 
-/// When engine time advances. Both clocks count `d`-cycle slots and
-/// charge every gate [`gate_cycles`]; they decide only which ready gates
-/// the next step takes, when a committed gate releases its successors,
-/// and what is recorded.
+/// When engine time advances. Both clocks count `d`-cycle slots,
+/// charge every gate [`gate_cycles`] and record each gate as one
+/// [`Interval`]; they decide only which ready gates the next step takes
+/// and when a committed gate releases its successors.
 pub(crate) enum Clock {
     /// The paper's engine: a step takes every ready gate in frontier
     /// order and lasts as long as its longest gate; successors are
-    /// released when the step ends. Records [`Step`]s.
+    /// released when the step ends. A step's intervals share its start
+    /// slot.
     LockStep,
     /// Event-driven: a step takes the ready gates released earliest, in
     /// release order; a gate releases its successors at its own finish
-    /// slot, and a deferred braid retries one slot later. Records
-    /// [`Assignment`]s.
+    /// slot, and a deferred braid retries one slot later.
     PerQubit(SlotClock),
 }
 
@@ -529,10 +528,8 @@ pub(crate) struct SlotClock {
     /// and a sequence number ordering releases.
     release: Vec<(u64, u64)>,
     next_seq: u64,
-    /// Indices into `assignments` of braids that may still hold their
-    /// path.
-    active: Vec<usize>,
-    pub(crate) assignments: Vec<Assignment>,
+    /// The finish slot and path of each braid that may still hold it.
+    active: Vec<(u64, BraidPath)>,
 }
 
 impl SlotClock {
@@ -543,7 +540,6 @@ impl SlotClock {
             release: (0..gates as u64).map(|g| (0, g)).collect(),
             next_seq: gates as u64,
             active: Vec::new(),
-            assignments: Vec::with_capacity(gates),
         }
     }
 
@@ -568,12 +564,10 @@ impl SlotClock {
     /// Reserves in `occupancy` the path of every braid still running at
     /// `now`, forgetting those that have finished.
     fn reserve_active(&mut self, grid: &Grid, occupancy: &mut Occupancy) {
-        let (now, assignments) = (self.now, &self.assignments);
-        self.active
-            .retain(|&i| assignments[i].start_slot + assignments[i].slots > now);
-        for &i in &self.active {
-            let path = assignments[i].path.iter().flat_map(BraidPath::vertices);
-            occupancy.try_reserve(grid, path.copied());
+        let now = self.now;
+        self.active.retain(|&(finish, _)| finish > now);
+        for (_, path) in &self.active {
+            occupancy.try_reserve(grid, path.vertices().iter().copied());
         }
     }
 }
@@ -793,13 +787,16 @@ impl<'a> Engine<'a> {
             for &g in &locals {
                 self.frontier.complete(g);
             }
+            if self.record {
+                let start = self.lock_step_slot();
+                for &g in &locals {
+                    self.record_gate(start, g, None);
+                }
+            }
             self.result.local_steps += 1;
             telemetry::fine_counter("scheduler.steps.local", 1);
             self.result.total_cycles += self.config.timing.local_step_cycles();
             let executed = locals.len();
-            if self.record {
-                self.result.steps.push(Step::Local { gates: locals });
-            }
             self.request_buf = requests;
             return Ok(Routing::Local(executed));
         }
@@ -897,10 +894,17 @@ impl<'a> Engine<'a> {
         self.result.swap_count += swaps.len() as u64;
         telemetry::fine_counter("scheduler.steps.swap", 1);
         telemetry::fine_counter("scheduler.swaps.inserted", swaps.len() as u64);
-        self.result.total_cycles += 3 * self.config.timing.braid_step_cycles();
         if self.record {
-            self.result.steps.push(Step::SwapLayer { swaps });
+            let start_slot = self.lock_step_slot();
+            self.result
+                .steps
+                .extend(swaps.into_iter().map(|swap| Interval {
+                    start_slot,
+                    slots: SWAP_SLOTS,
+                    op: Op::Swap(swap),
+                }));
         }
+        self.result.total_cycles += 3 * self.config.timing.braid_step_cycles();
         true
     }
 
@@ -955,52 +959,71 @@ impl<'a> Engine<'a> {
         for &g in &locals {
             self.frontier.complete(g);
         }
-        self.result.braid_steps += 1;
-        telemetry::fine_counter("scheduler.steps.braid", 1);
-        self.result.total_cycles += cycles;
         if self.record {
             self.result.layer_policies.push(LayerPolicy {
                 step,
                 policy: chosen,
                 reason,
             });
-            self.result.steps.push(Step::Braid {
-                braids: outcome
-                    .routed
-                    .into_iter()
-                    .map(|r| (r.request.id, r.path))
-                    .collect(),
-                locals,
-            });
+            let start = self.lock_step_slot();
+            for routed in outcome.routed {
+                self.record_gate(start, routed.request.id, Some(routed.path));
+            }
+            for &g in &locals {
+                self.record_gate(start, g, None);
+            }
         }
+        self.result.braid_steps += 1;
+        telemetry::fine_counter("scheduler.steps.braid", 1);
+        self.result.total_cycles += cycles;
+    }
+
+    /// The slot the next lock-step step starts in: every cycle charged so
+    /// far, stalls included, lies before it.
+    fn lock_step_slot(&self) -> u64 {
+        self.result.total_cycles / self.config.timing.local_step_cycles()
+    }
+
+    /// The slots `g` holds: its [`gate_cycles`] over `d`.
+    fn slots_of(&self, g: GateId) -> u64 {
+        gate_cycles(self.circuit.gate(g), &self.config.timing)
+            / self.config.timing.local_step_cycles()
+    }
+
+    /// Records `g` running from `start_slot`, on `path` if it braids.
+    fn record_gate(&mut self, start_slot: u64, gate: GateId, path: Option<BraidPath>) {
+        let slots = self.slots_of(gate);
+        let op = Op::Gate { gate, path };
+        self.result.steps.push(Interval {
+            start_slot,
+            slots,
+            op,
+        });
     }
 
     /// Per-qubit clock: runs `g` from the current slot on `path` (`None`
     /// for a local gate) and releases its successors at its finish slot.
     fn start(&mut self, g: GateId, path: Option<BraidPath>) {
+        let slots = self.slots_of(g);
         let Clock::PerQubit(clock) = &mut self.clock else {
             unreachable!("only the per-qubit clock starts gates one by one")
         };
-        let slot_cycles = self.config.timing.local_step_cycles();
-        let slots = gate_cycles(self.circuit.gate(g), &self.config.timing) / slot_cycles;
-        let finish = clock.now + slots;
+        let (start, finish) = (clock.now, clock.now + slots);
         for &s in self.frontier.dag().successors(g) {
             clock.release_at(s, finish);
         }
         self.frontier.complete(g);
-        if path.is_some() {
-            clock.active.push(clock.assignments.len());
+        if let Some(path) = &path {
+            clock.active.push((finish, path.clone()));
             self.result.braid_steps += 1;
         } else {
             self.result.local_steps += 1;
         }
-        clock.assignments.push(Assignment {
-            gate: g,
-            start_slot: clock.now,
-            slots,
-            path,
-        });
+        let slot_cycles = self.config.timing.local_step_cycles();
         self.result.total_cycles = self.result.total_cycles.max(finish * slot_cycles);
+        if self.record {
+            self.record_gate(start, g, path);
+        }
     }
 
     /// Rebuilds [`Self::remaining_cp`] if gates were appended since the
@@ -1088,9 +1111,27 @@ mod tests {
 
     #[test]
     fn layout_optimizer_does_not_break_verification() {
-        let c = qft(16).unwrap();
-        let r = schedule(&c, &StackPolicy, true);
-        assert!(r.total_cycles > 0);
+        // A high `p` makes swap insertion fire: every schedule that moves
+        // qubits must still verify.
+        let config = ScheduleConfig::default().with_layout_threshold(0.9);
+        let mut swap_layers = 0;
+        for circuit in race_inputs() {
+            let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
+            let placement = Placement::row_major(&grid, circuit.num_qubits());
+            let (result, _) = run(
+                "test",
+                &circuit,
+                &grid,
+                placement.clone(),
+                &StackPolicy,
+                true,
+                &config,
+            );
+            verify_schedule(&circuit, &grid, &placement, &result)
+                .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+            swap_layers += result.swap_layers;
+        }
+        assert!(swap_layers > 0, "no input inserted a swap layer");
     }
 
     #[test]

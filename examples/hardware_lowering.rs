@@ -1,5 +1,5 @@
 //! Lower a scheduled circuit all the way to the physical lattice: render
-//! the tile grid, inspect one braiding step's paths, and emit the
+//! the tile grid, inspect the paths held in its busiest slot, and emit the
 //! per-cycle measurement-qubit control stream a hardware micro-controller
 //! would execute.
 //!
@@ -7,8 +7,8 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::emit::emit_physical;
-use autobraid::render::{render_placement, render_step};
-use autobraid::{AutoBraid, Step, Strategy};
+use autobraid::render::{render_placement, render_slot};
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::generators::qft::qft;
 use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::{CodeParams, TimingModel};
@@ -31,26 +31,29 @@ fn main() {
         render_placement(&outcome.grid, &outcome.initial_placement)
     );
 
-    // Show the busiest braiding step.
-    let busiest = outcome
-        .result
-        .steps
+    // Show the slot holding the most braiding paths.
+    let steps = &outcome.result.steps;
+    let held = |slot: u64| {
+        let running = |i: &&autobraid::Interval| i.start_slot <= slot && slot < i.finish_slot();
+        steps
+            .iter()
+            .filter(running)
+            .filter_map(|i| i.path())
+            .count()
+    };
+    let busiest = steps
         .iter()
-        .max_by_key(|s| match s {
-            Step::Braid { braids, .. } => braids.len(),
-            _ => 0,
-        })
-        .expect("schedule has steps");
-    if let Step::Braid { braids, .. } = busiest {
-        println!(
-            "busiest braiding step ({} concurrent braids):",
-            braids.len()
-        );
-        println!(
-            "{}",
-            render_step(&outcome.grid, &outcome.initial_placement, busiest)
-        );
-    }
+        .map(|i| i.start_slot)
+        .max_by_key(|&slot| held(slot))
+        .expect("schedule has intervals");
+    println!(
+        "busiest slot {busiest} ({} concurrent paths):",
+        held(busiest)
+    );
+    println!(
+        "{}",
+        render_slot(&outcome.grid, &outcome.initial_placement, steps, busiest)
+    );
 
     // Lower the whole schedule to lattice control instructions.
     let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), distance).unwrap();
@@ -60,7 +63,7 @@ fn main() {
         layout.physical_qubit_count(),
         distance
     );
-    let program = emit_physical(&circuit, &outcome.result, &layout).expect("full recording");
+    let program = emit_physical(&outcome.result, &layout).expect("full recording");
     println!(
         "control stream: {} instructions over {} cycles",
         program.instruction_count(),

@@ -39,24 +39,25 @@ fn main() {
         100.0 * result.peak_utilization
     );
 
-    // The full schedule is recorded step by step.
+    // The full schedule is recorded as intervals; a lock-step step's
+    // intervals share their start slot (one slot is d cycles).
     println!("\nschedule:");
-    for (i, step) in result.steps.iter().enumerate() {
-        match step {
-            Step::Local { gates } => println!("  step {i}: {} local gate(s)", gates.len()),
-            Step::Braid { braids, locals } => {
-                let paths: Vec<String> = braids
-                    .iter()
-                    .map(|(g, p)| format!("g{g} ({} vertices)", p.len()))
-                    .collect();
-                println!(
-                    "  step {i}: braids [{}] + {} local(s)",
-                    paths.join(", "),
-                    locals.len()
-                );
-            }
-            Step::SwapLayer { swaps } => println!("  step {i}: {} swap(s)", swaps.len()),
+    for step in result.steps.chunk_by(|a, b| a.start_slot == b.start_slot) {
+        let paths: Vec<String> = step
+            .iter()
+            .filter_map(|i| Some(format!("g{} ({} vertices)", i.gate()?, i.path()?.len())))
+            .collect();
+        let locals = step.iter().filter(|i| i.path().is_none()).count();
+        let swaps = step.len() - paths.len() - locals;
+        print!(
+            "  slot {}: braids [{}] + {locals} local(s)",
+            step[0].start_slot,
+            paths.join(", "),
+        );
+        if swaps > 0 {
+            print!(" + {swaps} swap(s)");
         }
+        println!();
     }
 
     // Every schedule is machine-checkable.

@@ -3,9 +3,10 @@
 //! semantics. Deterministic seeded sweeps stand in for property-based
 //! generation so the suite stays zero-dependency.
 
-use autobraid::async_engine::{schedule_async, verify_async};
+use autobraid::async_engine::schedule_async;
 use autobraid::config::ScheduleConfig;
 use autobraid::critical_path::critical_path_cycles;
+use autobraid::metrics::verify_schedule;
 use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::generators::random::random_circuit;
 use autobraid_circuit::sim::circuits_equivalent;
@@ -27,20 +28,21 @@ fn async_schedules_verify_and_bound() {
         let circuit = random_circuit(8, gates, frac, seed).unwrap();
         let grid = Grid::with_capacity_for(8);
         let placement = compiler.initial_placement(&circuit, &grid);
-        let schedule = schedule_async(&circuit, &grid, placement, &config);
-        verify_async(&circuit, &schedule).expect("async schedule verifies");
+        let outcome = schedule_async(&circuit, &grid, placement.clone(), &config);
+        verify_schedule(&circuit, &grid, &placement, &outcome.result)
+            .expect("async schedule verifies");
 
-        let cp = critical_path_cycles(&circuit, schedule.result.timing());
-        assert!(schedule.result.total_cycles >= cp);
+        let cp = critical_path_cycles(&circuit, outcome.result.timing());
+        assert!(outcome.result.total_cycles >= cp);
         let sync = compiler
             .schedule(Strategy::Stack, &circuit)
             .result
             .total_cycles;
-        assert!(schedule.result.total_cycles <= sync);
+        assert!(outcome.result.total_cycles <= sync);
     }
 }
 
-/// Sorting assignments by start slot yields a semantics-preserving
+/// Replaying gates by start slot yields a semantics-preserving
 /// execution order (ties are simultaneous, hence independent — any
 /// tie-break is valid).
 #[test]
@@ -54,10 +56,9 @@ fn async_execution_order_preserves_semantics() {
         let circuit = random_circuit(6, gates, 0.5, seed).unwrap();
         let grid = Grid::with_capacity_for(6);
         let placement = compiler.initial_placement(&circuit, &grid);
-        let schedule = schedule_async(&circuit, &grid, placement, &config);
-        let mut order: Vec<_> = schedule.assignments.clone();
-        order.sort_by_key(|a| (a.start_slot, a.gate));
-        let gates: Vec<Gate> = order.iter().map(|a| *circuit.gate(a.gate)).collect();
+        let outcome = schedule_async(&circuit, &grid, placement, &config);
+        let order = outcome.result.execution_order();
+        let gates: Vec<Gate> = order.iter().map(|&g| *circuit.gate(g)).collect();
         let replay = Circuit::from_gates(circuit.num_qubits(), gates).unwrap();
         assert!(circuits_equivalent(&circuit, &replay, 1e-9));
     }

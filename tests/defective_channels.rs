@@ -3,8 +3,8 @@
 //! or regions reserved for magic-state distillation factories).
 
 use autobraid::config::ScheduleConfig;
+use autobraid::critical_path_cycles;
 use autobraid::scheduler::{run_with_base_occupancy, ScheduleError, StackPolicy};
-use autobraid::{critical_path_cycles, Step};
 use autobraid_circuit::generators::{ising::ising, qft::qft};
 use autobraid_circuit::Circuit;
 use autobraid_lattice::{Grid, Occupancy, Vertex};
@@ -40,13 +40,9 @@ fn schedules_around_scattered_defects() {
     .expect("scattered defects leave the lattice connected");
 
     // Every braid avoids every defective vertex.
-    for step in &result.steps {
-        if let Step::Braid { braids, .. } = step {
-            for (_, path) in braids {
-                for v in path.vertices() {
-                    assert!(base.is_free(&grid, *v), "path crosses defect {v}");
-                }
-            }
+    for path in result.steps.iter().filter_map(|i| i.path()) {
+        for v in path.vertices() {
+            assert!(base.is_free(&grid, *v), "path crosses defect {v}");
         }
     }
     // Defects cost time but not correctness.
@@ -144,19 +140,7 @@ fn reserved_distillation_region_is_respected() {
         &base,
     )
     .unwrap();
-    for step in &result.steps {
-        match step {
-            Step::Braid { braids, .. } => {
-                for (_, path) in braids {
-                    assert!(path.vertices().iter().all(|v| base.is_free(&grid, *v)));
-                }
-            }
-            Step::SwapLayer { swaps } => {
-                for swap in swaps {
-                    assert!(swap.path.vertices().iter().all(|v| base.is_free(&grid, *v)));
-                }
-            }
-            Step::Local { .. } => {}
-        }
+    for path in result.steps.iter().filter_map(|i| i.path()) {
+        assert!(path.vertices().iter().all(|v| base.is_free(&grid, *v)));
     }
 }

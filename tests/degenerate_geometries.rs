@@ -5,7 +5,7 @@
 
 use autobraid::pipeline::Pipeline;
 use autobraid::runtime::CompileJob;
-use autobraid::{run, verify_schedule_with_dag, ScheduleConfig, StackPolicy, Step};
+use autobraid::{run, verify_schedule_with_dag, Op, ScheduleConfig, StackPolicy};
 use autobraid_circuit::{Circuit, DependenceDag};
 use autobraid_lattice::{Cell, Grid, Occupancy};
 use autobraid_placement::Placement;
@@ -125,10 +125,7 @@ fn single_gate_circuit_is_one_braid_step() {
     let dag = DependenceDag::new(&c);
     verify_schedule_with_dag(&c, &dag, &grid, &placement, &result).unwrap();
     assert_eq!(result.braid_steps, 1);
-    assert!(result
-        .steps
-        .iter()
-        .all(|s| !matches!(s, Step::SwapLayer { .. })));
+    assert!(result.steps.iter().all(|i| !matches!(i.op, Op::Swap(_))));
 }
 
 /// The batch pool width degrades gracefully on the smallest grids:

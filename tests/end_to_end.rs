@@ -140,15 +140,8 @@ fn gate_conservation_in_recorded_schedules() {
     let compiler = AutoBraid::new(config.clone());
     let circuit = generators::qft::qft(12).unwrap();
     let outcome = compiler.schedule(Strategy::Stack, &circuit);
-    let mut executed = 0usize;
-    for step in &outcome.result.steps {
-        executed += match step {
-            autobraid::Step::Local { gates } => gates.len(),
-            autobraid::Step::Braid { braids, locals } => braids.len() + locals.len(),
-            autobraid::Step::SwapLayer { .. } => 0,
-        };
-    }
-    assert_eq!(executed, circuit.len());
+    let executed = outcome.result.execution_order();
+    assert_eq!(executed.len(), circuit.len());
 }
 
 #[test]

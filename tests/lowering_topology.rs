@@ -4,7 +4,7 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::emit::emit_physical;
-use autobraid::{AutoBraid, Step, Strategy};
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::generators::{ising::ising, qft::qft};
 use autobraid_lattice::physical::PhysicalLayout;
 use autobraid_lattice::{Cell, CodeParams, Grid, Occupancy, TimingModel, Vertex};
@@ -26,22 +26,20 @@ fn full_qft_schedule_lowers_to_physical_instructions() {
     let compiler = AutoBraid::new(config_d(5));
     let outcome = compiler.schedule(Strategy::Full, &circuit);
     let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 5).unwrap();
-    let program = emit_physical(&circuit, &outcome.result, &layout).unwrap();
+    let program = emit_physical(&outcome.result, &layout).unwrap();
 
     assert_eq!(program.duration_cycles(), outcome.result.total_cycles);
-    // One braid per two-qubit gate plus 3 per swap — every one emits at
-    // least two instructions (≥1 disable + its matching enable).
-    let braids: usize = outcome
+    // One braid per two slots a path is held (a CX holds two, a swap
+    // six) — every one emits at least two instructions (≥1 disable + its
+    // matching enable).
+    let braids: u64 = outcome
         .result
         .steps
         .iter()
-        .map(|s| match s {
-            Step::Braid { braids, .. } => braids.len(),
-            Step::SwapLayer { swaps } => 3 * swaps.len(),
-            Step::Local { .. } => 0,
-        })
+        .filter(|i| i.path().is_some())
+        .map(|i| i.slots / 2)
         .sum();
-    assert!(program.instruction_count() >= 2 * braids);
+    assert!(program.instruction_count() as u64 >= 2 * braids);
     assert!(program.peak_instructions_per_cycle() >= 1);
 }
 
@@ -51,9 +49,14 @@ fn every_scheduled_step_lowers_disjointly() {
     let compiler = AutoBraid::new(config_d(3));
     let outcome = compiler.schedule(Strategy::Stack, &circuit);
     let layout = PhysicalLayout::new(outcome.grid.cells_per_side(), 3).unwrap();
-    for step in &outcome.result.steps {
-        if let Step::Braid { braids, .. } = step {
-            let paths: Vec<&BraidPath> = braids.iter().map(|(_, p)| p).collect();
+    // A lock-step step's intervals share their start slot.
+    for step in outcome
+        .result
+        .steps
+        .chunk_by(|a, b| a.start_slot == b.start_slot)
+    {
+        let paths: Vec<&BraidPath> = step.iter().filter_map(|i| i.path()).collect();
+        if !paths.is_empty() {
             // lower_step panics if two braids share a physical ancilla.
             let programs = lower_step(&layout, &paths);
             assert_eq!(programs.len(), paths.len());

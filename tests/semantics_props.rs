@@ -5,7 +5,7 @@
 //! zero-dependency.
 
 use autobraid::config::ScheduleConfig;
-use autobraid::{AutoBraid, Step, Strategy};
+use autobraid::{AutoBraid, Strategy};
 use autobraid_circuit::generators::random::random_circuit;
 use autobraid_circuit::sim::{circuits_equivalent, StateVector};
 use autobraid_circuit::transform::optimize;
@@ -13,22 +13,6 @@ use autobraid_circuit::{Circuit, Gate};
 use autobraid_telemetry::Rng64;
 
 const EPS: f64 = 1e-9;
-
-/// Flattens a recorded schedule into the order gates actually executed.
-fn execution_order(steps: &[Step]) -> Vec<usize> {
-    let mut order = Vec::new();
-    for step in steps {
-        match step {
-            Step::Local { gates } => order.extend(gates.iter().copied()),
-            Step::Braid { braids, locals } => {
-                order.extend(braids.iter().map(|(g, _)| *g));
-                order.extend(locals.iter().copied());
-            }
-            Step::SwapLayer { .. } => {}
-        }
-    }
-    order
-}
 
 /// Rebuilds a circuit with its gates permuted into `order`.
 fn reordered(circuit: &Circuit, order: &[usize]) -> Circuit {
@@ -48,7 +32,7 @@ fn scheduled_order_preserves_semantics() {
         let seed = rng.next_u64();
         let circuit = random_circuit(6, gates, frac, seed).unwrap();
         let outcome = compiler.schedule(Strategy::Stack, &circuit);
-        let order = execution_order(&outcome.result.steps);
+        let order = outcome.result.execution_order();
         assert_eq!(order.len(), circuit.len());
         let scheduled = reordered(&circuit, &order);
         assert!(
@@ -71,7 +55,7 @@ fn commutation_aware_order_preserves_semantics() {
         let seed = rng.next_u64();
         let circuit = random_circuit(6, gates, frac, seed).unwrap();
         let outcome = compiler.schedule(Strategy::Stack, &circuit);
-        let order = execution_order(&outcome.result.steps);
+        let order = outcome.result.execution_order();
         assert_eq!(order.len(), circuit.len());
         let scheduled = reordered(&circuit, &order);
         assert!(

@@ -10,8 +10,8 @@ use autobraid::critical_path::critical_path_cycles;
 use autobraid::pipeline::{CompileOptions, Pipeline};
 use autobraid::report::schedule_result_json;
 use autobraid::{
-    verify_schedule_with_dag, ScheduleConfig, ScheduleResult, Step, StreamingOptions,
-    StreamingPipeline, REGISTRY,
+    verify_schedule_with_dag, ScheduleConfig, ScheduleResult, StreamingOptions, StreamingPipeline,
+    REGISTRY,
 };
 use autobraid_circuit::generators::ising::ising;
 use autobraid_circuit::generators::qft::qft;
@@ -30,22 +30,6 @@ fn sample_circuits() -> Vec<Circuit> {
         circuits.push(random_circuit(7, 40, 0.5, seed as u64).unwrap());
     }
     circuits
-}
-
-/// Flattens a recorded schedule into the order gates actually executed.
-fn execution_order(steps: &[Step]) -> Vec<usize> {
-    let mut order = Vec::new();
-    for step in steps {
-        match step {
-            Step::Local { gates } => order.extend(gates.iter().copied()),
-            Step::Braid { braids, locals } => {
-                order.extend(braids.iter().map(|(g, _)| *g));
-                order.extend(locals.iter().copied());
-            }
-            Step::SwapLayer { .. } => {}
-        }
-    }
-    order
 }
 
 /// Rebuilds a circuit with its gates permuted into `order`.
@@ -110,9 +94,9 @@ fn unbudgeted_stream_matches_offline_pipeline_semantics() {
             // Gate accounting on both paths. The offline pipeline
             // optimizes first, so it accounts against its own
             // (possibly smaller) circuit.
-            let stream_order = execution_order(&streamed.outcome.result.steps);
+            let stream_order = streamed.outcome.result.execution_order();
             assert_gate_accounting(&streamed.circuit, &stream_order, &context);
-            let offline_order = execution_order(&offline.outcome.result.steps);
+            let offline_order = offline.outcome.result.execution_order();
             assert_gate_accounting(&offline.circuit, &offline_order, &context);
 
             // Sim-oracle agreement: both execution orders compute
@@ -185,7 +169,7 @@ fn interleaved_pushes_and_steps_preserve_semantics() {
         }
         let report = stream.finish().expect("clean stream compiles");
 
-        let order = execution_order(&report.outcome.result.steps);
+        let order = report.outcome.result.execution_order();
         assert_gate_accounting(&report.circuit, &order, circuit.name());
         assert!(
             circuits_equivalent(&circuit, &reordered(&report.circuit, &order), EPS),
@@ -219,7 +203,7 @@ fn budget_trimming_never_corrupts_the_schedule() {
         }
         let report = stream.finish().expect("budgeted stream still completes");
 
-        let order = execution_order(&report.outcome.result.steps);
+        let order = report.outcome.result.execution_order();
         assert_gate_accounting(&report.circuit, &order, circuit.name());
         assert!(
             circuits_equivalent(&circuit, &reordered(&report.circuit, &order), EPS),
