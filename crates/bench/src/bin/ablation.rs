@@ -6,10 +6,10 @@
 //! (`--telemetry <path>` writes the `autobraid.telemetry/v1` JSON
 //! snapshot of the whole run).
 
-use autobraid::async_engine::schedule_async;
-use autobraid::config::ScheduleConfig;
 use autobraid::report::Table;
-use autobraid::scheduler::{run, GreedyPolicy, RoutePolicy, StackPolicy};
+use autobraid::scheduler::{
+    run, Clock, EngineRun, GreedyPolicy, LayoutMove, RoutePolicy, StackPolicy,
+};
 use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::eval_config;
 use autobraid_circuit::{generators, Circuit};
@@ -38,20 +38,14 @@ impl RoutePolicy for FlatStackPolicy {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn engine_row(
-    name: &str,
-    circuit: &Circuit,
-    grid: &Grid,
-    placement: Placement,
-    policy: &dyn RoutePolicy,
-    layout: bool,
-    config: &ScheduleConfig,
-    table: &mut Table,
-) {
-    let (r, _) = run(name, circuit, grid, placement, policy, layout, config);
+/// Runs `drive` and adds its row, labelled with the drive's name.
+fn engine_row(drive: EngineRun<'_>, table: &mut Table) {
+    let (r, _) = run(drive)
+        .ok()
+        .flatten()
+        .expect("an unbounded drive on a defect-free lattice completes");
     table.add_row([
-        name.to_string(),
+        r.scheduler.clone(),
         r.braid_steps.to_string(),
         r.swap_layers.to_string(),
         r.total_cycles.to_string(),
@@ -86,81 +80,33 @@ fn main() {
             "peak util %",
         ]);
 
-        // Routing-order policy (same optimized placement, no dynamic layout).
-        engine_row(
-            "stack finder",
-            circuit,
-            &grid,
-            optimized.clone(),
-            &StackPolicy,
-            false,
-            &config,
-            &mut table,
-        );
-        engine_row(
-            "flat stack (no LLG-local)",
-            circuit,
-            &grid,
-            optimized.clone(),
-            &FlatStackPolicy,
-            false,
-            &config,
-            &mut table,
-        );
-        engine_row(
-            "greedy order",
-            circuit,
-            &grid,
-            optimized.clone(),
-            &GreedyPolicy,
-            false,
-            &config,
-            &mut table,
-        );
-
-        // Initial placement ladder (stack finder).
-        engine_row(
-            "row-major placement",
-            circuit,
-            &grid,
-            row_major,
-            &StackPolicy,
-            false,
-            &config,
-            &mut table,
-        );
-        engine_row(
-            "partition placement",
-            circuit,
-            &grid,
-            partitioned,
-            &StackPolicy,
-            false,
-            &config,
-            &mut table,
-        );
-        engine_row(
-            "partition + LLG tuning",
-            circuit,
-            &grid,
-            optimized.clone(),
-            &StackPolicy,
-            false,
-            &config,
-            &mut table,
-        );
-
-        // Dynamic layout optimizer.
-        engine_row(
-            "with layout optimizer (p=0.5)",
-            circuit,
-            &grid,
-            optimized.clone(),
-            &StackPolicy,
-            true,
-            &config,
-            &mut table,
-        );
+        let drive = |name, placement, policy: &'static dyn RoutePolicy| {
+            EngineRun::new(name, circuit, &grid, placement, policy, &config)
+        };
+        let rows = [
+            // Routing-order policy (same optimized placement, no dynamic layout).
+            drive("stack finder", optimized.clone(), &StackPolicy),
+            drive(
+                "flat stack (no LLG-local)",
+                optimized.clone(),
+                &FlatStackPolicy,
+            ),
+            drive("greedy order", optimized.clone(), &GreedyPolicy),
+            // Initial placement ladder (stack finder).
+            drive("row-major placement", row_major, &StackPolicy),
+            drive("partition placement", partitioned, &StackPolicy),
+            drive("partition + LLG tuning", optimized.clone(), &StackPolicy),
+            // Dynamic layout optimizer.
+            drive(
+                "with layout optimizer (p=0.5)",
+                optimized.clone(),
+                &StackPolicy,
+            )
+            .layout(LayoutMove::SwapInsertion),
+        ];
+        for row in rows {
+            engine_row(row, &mut table);
+        }
 
         // Maslov swap network.
         let maslov = compiler.schedule(Strategy::Maslov, circuit).result;
@@ -173,7 +119,11 @@ fn main() {
         ]);
 
         // Event-driven engine extension.
-        let asynchronous = schedule_async(circuit, &grid, optimized.clone(), &config).result;
+        let per_qubit = drive("autobraid-async", optimized.clone(), &StackPolicy);
+        let (asynchronous, _) = run(per_qubit.clock(Clock::PerQubit))
+            .ok()
+            .flatten()
+            .expect("an unbounded drive on a defect-free lattice completes");
         table.add_row([
             "event-driven engine".to_string(),
             "-".to_string(), // interval-scheduled: no global steps
@@ -185,13 +135,14 @@ fn main() {
         // Commutation-aware DAG extension.
         let relaxed_cfg = config.clone().with_commutation_aware(true);
         engine_row(
-            "commutation-aware DAG",
-            circuit,
-            &grid,
-            optimized,
-            &StackPolicy,
-            false,
-            &relaxed_cfg,
+            EngineRun::new(
+                "commutation-aware DAG",
+                circuit,
+                &grid,
+                optimized,
+                &StackPolicy,
+                &relaxed_cfg,
+            ),
             &mut table,
         );
 

@@ -9,7 +9,7 @@
 //! Run with `cargo run --release -p autobraid-bench --bin fig18`.
 
 use autobraid::report::Table;
-use autobraid::scheduler::{run, StackPolicy};
+use autobraid::scheduler::{run, EngineRun, LayoutMove, StackPolicy};
 use autobraid::AutoBraid;
 use autobraid_bench::{eval_config, full_run_requested};
 use autobraid_circuit::generators;
@@ -37,15 +37,19 @@ fn main() {
         for step in 0..=9u32 {
             let p = f64::from(step) / 10.0;
             let cfg = config.clone().with_layout_threshold(p);
-            let (result, _) = run(
+            let drive = EngineRun::new(
                 "p-sweep",
                 &circuit,
                 &grid,
                 placement.clone(),
                 &StackPolicy,
-                p > 0.0,
                 &cfg,
             );
+            // At p = 0 swap insertion never fires.
+            let (result, _) = run(drive.layout(LayoutMove::SwapInsertion))
+                .ok()
+                .flatten()
+                .expect("an unbounded drive on a defect-free lattice completes");
             let base = *p0_cycles.get_or_insert(result.total_cycles);
             table.add_row([
                 format!("{}", step * 10),

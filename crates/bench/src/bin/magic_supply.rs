@@ -11,7 +11,7 @@
 use autobraid::config::ScheduleConfig;
 use autobraid::magic::{place_with_factories, rewrite_with_factories};
 use autobraid::report::Table;
-use autobraid::scheduler::{run, StackPolicy};
+use autobraid::scheduler::{run, EngineRun, StackPolicy};
 use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::eval_config;
 use autobraid_circuit::Circuit;
@@ -66,15 +66,18 @@ fn main() {
     for factories in [1u32, 2, 4, 8, 16, 32] {
         let rewrite = rewrite_with_factories(&circuit, factories);
         let (grid, placement) = place_with_factories(&rewrite, &data_placement);
-        let (result, _) = run(
+        let drive = EngineRun::new(
             "magic",
             &rewrite.circuit,
             &grid,
             placement,
             &StackPolicy,
-            false,
             &config,
         );
+        let (result, _) = run(drive)
+            .ok()
+            .flatten()
+            .expect("an unbounded drive on a defect-free lattice completes");
         table.add_row([
             factories.to_string(),
             result.total_cycles.to_string(),

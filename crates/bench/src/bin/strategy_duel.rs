@@ -17,7 +17,7 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::report::Table;
-use autobraid::scheduler::{run, PathFinderPolicy, RoutePolicy, StackPolicy};
+use autobraid::scheduler::{run, EngineRun, PathFinderPolicy, RoutePolicy, StackPolicy};
 use autobraid::{AutoBraid, Strategy};
 use autobraid_bench::{duel_families, eval_config};
 use autobraid_circuit::Circuit;
@@ -96,7 +96,9 @@ fn duel_family(family: &'static str, circuit: &Circuit, config: &ScheduleConfig)
     let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
     let placement = compiler.initial_placement(circuit, &grid);
     let policy = DuelPolicy::new();
-    let _ = run("duel", circuit, &grid, placement, &policy, false, config);
+    let _ = run(EngineRun::new(
+        "duel", circuit, &grid, placement, &policy, config,
+    ));
     let scores = policy.scores.into_inner();
     let wins = scores
         .iter()

@@ -12,7 +12,7 @@
 
 use autobraid::config::ScheduleConfig;
 use autobraid::report::{format_us, Table};
-use autobraid::scheduler::{run, StackPolicy};
+use autobraid::scheduler::{run, EngineRun, StackPolicy};
 use autobraid::AutoBraid;
 use autobraid_bench::{eval_config, full_run_requested, TABLE1};
 use autobraid_lattice::Grid;
@@ -45,32 +45,39 @@ fn main() {
         // Before: plain partition placement ("Before LLG").
         let before_placement = partition_placement(&circuit, &grid);
         let before_llgs = count_oversized_llgs(&circuit, &before_placement);
-        let (before, _) = run(
+        let unannealed = ScheduleConfig {
+            annealing: None,
+            ..config.clone()
+        };
+        let drive = EngineRun::new(
             "autobraid-sp",
             &circuit,
             &grid,
             before_placement,
             &StackPolicy,
-            false,
-            &ScheduleConfig {
-                annealing: None,
-                ..config.clone()
-            },
+            &unannealed,
         );
+        let (before, _) = run(drive)
+            .ok()
+            .flatten()
+            .expect("an unbounded drive on a defect-free lattice completes");
 
         // After: the LLG-optimized placement (linear layout or annealing).
         let compiler = AutoBraid::new(config.clone());
         let after_placement = compiler.initial_placement(&circuit, &grid);
         let after_llgs = count_oversized_llgs(&circuit, &after_placement);
-        let (after, _) = run(
+        let drive = EngineRun::new(
             "autobraid-sp",
             &circuit,
             &grid,
             after_placement,
             &StackPolicy,
-            false,
             &config,
         );
+        let (after, _) = run(drive)
+            .ok()
+            .flatten()
+            .expect("an unbounded drive on a defect-free lattice completes");
 
         table.add_row([
             entry.label.to_string(),

@@ -17,7 +17,8 @@
 
 use autobraid::config::{Recording, ScheduleConfig};
 use autobraid::critical_path::critical_path_cycles;
-use autobraid::{schedule_async, AutoBraid, ScheduleResult, Strategy};
+use autobraid::scheduler::{run, Clock, EngineRun, StackPolicy};
+use autobraid::{AutoBraid, ScheduleResult, Strategy};
 use autobraid_circuit::{generators, Circuit, CircuitError};
 use autobraid_lattice::Grid;
 use autobraid_lattice::{CodeParams, TimingModel};
@@ -171,7 +172,18 @@ impl Comparison {
         let full = schedule(Strategy::Full);
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let placement = compiler.initial_placement(circuit, &grid);
-        let asynchronous = schedule_async(circuit, &grid, placement, config).result;
+        let drive = EngineRun::new(
+            "autobraid-async",
+            circuit,
+            &grid,
+            placement,
+            &StackPolicy,
+            config,
+        );
+        let (asynchronous, _) = run(drive.dag(&dag).clock(Clock::PerQubit))
+            .ok()
+            .flatten()
+            .expect("an unbounded drive on a defect-free lattice completes");
         let cp_cycles = critical_path_cycles(circuit, &config.timing);
         Comparison {
             cp_cycles,

@@ -12,9 +12,9 @@
 //! * a schedule whose execution order, replayed over the optimized (or
 //!   original) circuit, does not compute what the original does
 //!   (state-vector simulation, small cases only);
-//! * a per-qubit clock schedule (`schedule_async` on the annealed
-//!   placement) that the same verifier rejects, that beats the critical
-//!   path, or that does not lower to exactly its cycles;
+//! * a per-qubit clock schedule (`run` on `Clock::PerQubit` from the
+//!   annealed placement) that the same verifier rejects, that beats the
+//!   critical path, or that does not lower to exactly its cycles;
 //! * on defective lattices: a panic, an invalid schedule, braids through
 //!   defects, or an inconsistent final placement;
 //! * at the router layer: a [`check_route_outcome`] violation;
@@ -23,16 +23,16 @@
 //!   schedule byte-for-byte (per strategy), or a
 //!   mid-frontier fault injection (tile death, magic-state stall) that
 //!   panics, drops a gate, or reports anything other than a valid
-//!   schedule / a typed `Unroutable` error.
+//!   schedule that lowers to exactly its cycles / a typed `Unroutable`
+//!   error.
 
 use crate::case::ConformanceCase;
-use autobraid::emit::emit_physical;
+use autobraid::emit::{emit_physical, PhysicalProgram};
 use autobraid::pipeline::{CompileOptions, CompileReport, Pipeline, Strategy};
 use autobraid::streaming::{FaultEvent, StreamError, StreamingOptions, StreamingPipeline};
 use autobraid::{
-    critical_path_cycles, route_policy, run_with_base_occupancy, schedule_async,
-    verify_schedule_with_dag, AutoBraid, RoutePolicy, ScheduleConfig, ScheduleError,
-    ScheduleResult, StackPolicy,
+    critical_path_cycles, route_policy, run, verify_schedule_with_dag, AutoBraid, Clock, EngineRun,
+    RoutePolicy, ScheduleConfig, ScheduleError, ScheduleResult, StackPolicy,
 };
 use autobraid_circuit::sim::circuits_equivalent;
 use autobraid_circuit::{Circuit, DependenceDag};
@@ -228,21 +228,30 @@ fn check_per_qubit_clock(case: &ConformanceCase, cfg: &OracleConfig, out: &mut V
     };
     let config = ScheduleConfig::default();
     let grid = case.grid();
-    let run = catch_unwind(AssertUnwindSafe(|| {
+    let drive = catch_unwind(AssertUnwindSafe(|| {
         let placement = AutoBraid::new(config.clone()).initial_placement(&case.circuit, &grid);
-        schedule_async(&case.circuit, &grid, placement, &config)
+        let drive = EngineRun::new(
+            "autobraid-async",
+            &case.circuit,
+            &grid,
+            placement.clone(),
+            &StackPolicy,
+            &config,
+        );
+        let done = run(drive.clock(Clock::PerQubit)).ok().flatten();
+        let (result, _) = done.expect("an unbounded drive on a defect-free lattice finishes");
+        (result, placement)
     }));
-    let outcome = match run {
+    let (result, placement) = match drive {
         Err(payload) => {
             out.push(diverge(format!("panicked: {}", panic_message(payload))));
             return;
         }
-        Ok(outcome) => outcome,
+        Ok(done) => done,
     };
-    let result = &outcome.result;
+    let result = &result;
     let dag = DependenceDag::new(&case.circuit);
-    let placement = &outcome.initial_placement;
-    if let Err(e) = verify_schedule_with_dag(&case.circuit, &dag, &grid, placement, result) {
+    if let Err(e) = verify_schedule_with_dag(&case.circuit, &dag, &grid, &placement, result) {
         out.push(diverge(format!("invalid schedule: {e}")));
         return;
     }
@@ -253,14 +262,20 @@ fn check_per_qubit_clock(case: &ConformanceCase, cfg: &OracleConfig, out: &mut V
             result.total_cycles
         )));
     }
-    let distance = result.timing().params().distance();
-    let emitted = PhysicalLayout::new(grid.cells_per_side(), distance)
-        .map_err(|e| e.to_string())
-        .and_then(|layout| emit_physical(result, &layout));
-    if let Err(e) = emitted {
+    if let Err(e) = lower(result, &grid) {
         out.push(diverge(format!("emission failed: {e}")));
     }
     check_replay(case, &case.circuit, result, cfg, &diverge, out);
+}
+
+/// Lowers `result` on `grid` at its own code distance. `emit_physical`
+/// refuses a schedule whose program would not last exactly its
+/// `total_cycles`.
+fn lower(result: &ScheduleResult, grid: &Grid) -> Result<PhysicalProgram, String> {
+    let distance = result.timing().params().distance();
+    PhysicalLayout::new(grid.cells_per_side(), distance)
+        .map_err(|e| e.to_string())
+        .and_then(|layout| emit_physical(result, &layout))
 }
 
 /// Invariants any successful report must satisfy.
@@ -398,16 +413,16 @@ fn check_streaming_differential(case: &ConformanceCase, out: &mut Vec<Divergence
         let grid = case.grid();
         let placement = Placement::row_major(&grid, case.circuit.num_qubits());
         let policy = route_policy(info.strategy).unwrap_or_else(|| Box::new(StackPolicy));
-        let batch = run_with_base_occupancy(
+        let (config, base) = (ScheduleConfig::default(), case.base_occupancy());
+        let drive = EngineRun::new(
             info.name,
             &case.circuit,
             &grid,
             placement.clone(),
             policy.as_ref(),
-            false,
-            &ScheduleConfig::default(),
-            &case.base_occupancy(),
+            &config,
         );
+        let batch = run(drive.base(&base)).map(|done| done.expect("an unbounded drive finishes"));
 
         match (streamed, batch) {
             (Ok(report), Ok((batch_result, _))) => {
@@ -543,6 +558,9 @@ fn check_streaming_fault_injection(case: &ConformanceCase, out: &mut Vec<Diverge
                     "schedule after fault injection is invalid: {e}"
                 )));
             }
+            if let Err(e) = lower(&report.outcome.result, &report.outcome.grid) {
+                out.push(diverge(format!("emission failed: {e}")));
+            }
         }
     }
 }
@@ -575,19 +593,18 @@ fn run_case_with_policy(
         setting: setting.to_string(),
         detail,
     };
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        run_with_base_occupancy(
+    let attempt = catch_unwind(AssertUnwindSafe(|| {
+        let drive = EngineRun::new(
             "conformance",
             &case.circuit,
             &grid,
             placement.clone(),
             policy,
-            false,
             &config,
-            &base,
-        )
+        );
+        run(drive.base(&base)).map(|done| done.expect("an unbounded drive finishes"))
     }));
-    match run {
+    match attempt {
         Err(payload) => {
             out.push(diverge(format!("panicked: {}", panic_message(payload))));
             None

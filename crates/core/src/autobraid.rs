@@ -21,12 +21,13 @@
 //!   no dynamic placement.
 
 use crate::config::ScheduleConfig;
-use crate::maslov::schedule_maslov_below;
+use crate::maslov::{AdjacentPolicy, SwapNetwork};
 use crate::metrics::ScheduleResult;
-use crate::scheduler::{route_policy, run_below, LayoutMove};
+use crate::scheduler::{route_policy, run, EngineRun, LayoutMove, RoutePolicy};
 use crate::strategy::Strategy;
-use autobraid_circuit::{Circuit, DependenceDag};
+use autobraid_circuit::{Circuit, DependenceDag, QubitId};
 use autobraid_lattice::Grid;
+use autobraid_placement::linear::place_along_serpentine;
 use autobraid_placement::{
     anneal, initial::partition_placement, linear_placement, CouplingGraph, Placement,
 };
@@ -139,20 +140,30 @@ impl AutoBraid {
         let config = &self.config;
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let policy = route_policy(strategy);
+        // One engine drive per candidate, racing an incumbent of `bound`
+        // cycles; the start placement comes back with the result.
         let drive = |placement: Placement, layout: LayoutMove, bound: u64| {
-            let policy = policy.as_deref().expect("an engine strategy has a policy");
-            run_below(
-                strategy.name(),
-                circuit,
-                &grid,
-                placement.clone(),
-                policy,
-                layout,
-                config,
-                dag,
-                bound,
-            )
-            .map(|(result, _)| (result, placement))
+            // Maslov's swap network routes with its adjacency rule. Its
+            // reports have never carried per-layer attribution, and its
+            // canonical bytes keep it so.
+            let network = matches!(layout, LayoutMove::SwapNetwork(_));
+            let (name, policy): (_, &dyn RoutePolicy) = match policy.as_deref() {
+                Some(policy) if !network => (strategy.name(), policy),
+                _ => ("maslov", &AdjacentPolicy),
+            };
+            let drive = EngineRun::new(name, circuit, &grid, placement.clone(), policy, config);
+            let (mut result, _) = run(drive.dag(dag).layout(layout).bound(bound))
+                .expect("a defect-free lattice routes every gate")?;
+            if network {
+                result.layer_policies.clear();
+            }
+            Some((result, placement))
+        };
+        let maslov = |bound| {
+            let n = circuit.num_qubits();
+            let line = place_along_serpentine(&grid, &(0..n).collect::<Vec<QubitId>>());
+            let network = SwapNetwork::along_serpentine(&grid, n);
+            drive(line, LayoutMove::SwapNetwork(network), bound)
         };
         let best = match strategy {
             Strategy::Stack | Strategy::PathFinder | Strategy::Portfolio => drive(
@@ -165,11 +176,12 @@ impl AutoBraid {
                 LayoutMove::None,
                 u64::MAX,
             ),
-            Strategy::Maslov => schedule_maslov_below(circuit, config, dag, u64::MAX),
+            Strategy::Maslov => maslov(u64::MAX),
             Strategy::Full => {
                 let placement = self.initial_placement(circuit, &grid);
                 let optimizer = config.layout_threshold > 0.0;
-                let layout = LayoutMove::swap_insertion_if(optimizer);
+                // At `p = 0` swap insertion never fires: autobraid-sp.
+                let layout = LayoutMove::SwapInsertion;
                 let mut best = drive(placement.clone(), layout, u64::MAX).expect(UNBOUNDED);
                 if optimizer {
                     // The optimizer-off candidate can only differ when the
@@ -182,8 +194,7 @@ impl AutoBraid {
                             drive(placement, LayoutMove::None, best.0.total_cycles).unwrap_or(best);
                     }
                     if is_all_to_all(circuit) {
-                        let bound = best.0.total_cycles;
-                        best = schedule_maslov_below(circuit, config, dag, bound).unwrap_or(best);
+                        best = maslov(best.0.total_cycles).unwrap_or(best);
                     }
                 }
                 Some(best)

@@ -195,17 +195,56 @@ mod tests {
         assert_eq!(late.map(|i| i.cycle), Some(198));
     }
 
+    /// Lowers `report`'s schedule at its own code distance.
+    fn lower(report: &crate::pipeline::CompileReport) -> Result<PhysicalProgram, String> {
+        let result = &report.outcome.result;
+        let d = result.timing().params().distance();
+        let layout = PhysicalLayout::new(report.outcome.grid.cells_per_side(), d).unwrap();
+        emit_physical(result, &layout)
+    }
+
+    #[test]
+    fn a_stall_after_the_last_gate_costs_nothing_and_lowers() {
+        use crate::streaming::{FaultEvent, StreamingOptions, StreamingPipeline};
+        use autobraid_circuit::gate::{Gate, TwoKind};
+        let cx = |a, b| Gate::two(TwoKind::Cx, a, b);
+        let mut stream = StreamingPipeline::open(4, StreamingOptions::default());
+        stream.push_gate(cx(0, 1)).unwrap();
+        stream.push_gate(cx(2, 3)).unwrap();
+        stream.step().unwrap();
+        stream.push_gate(cx(1, 2)).unwrap();
+        stream.step().unwrap();
+        stream.inject(FaultEvent::MagicStall { steps: 1 }).unwrap();
+        let report = stream.finish().unwrap();
+        // Two braid steps; the stall delays no gate.
+        assert_eq!(report.outcome.result.total_cycles, 132);
+        assert_eq!(lower(&report).unwrap().duration_cycles(), 132);
+    }
+
+    #[test]
+    fn a_stream_that_only_stalls_finishes_at_zero_cycles_and_lowers() {
+        use crate::streaming::{FaultEvent, StreamingOptions, StreamingPipeline};
+        let mut stream = StreamingPipeline::open(4, StreamingOptions::default());
+        stream.inject(FaultEvent::MagicStall { steps: 3 }).unwrap();
+        let report = stream.finish().unwrap();
+        assert_eq!(report.outcome.result.total_cycles, 0);
+        let program = lower(&report).unwrap();
+        assert_eq!(program.duration_cycles(), 0);
+        assert_eq!(program.instruction_count(), 0);
+    }
+
     #[test]
     fn per_qubit_schedules_lower() {
-        use crate::async_engine::schedule_async;
+        use crate::scheduler::{run, Clock, EngineRun, StackPolicy};
         let circuit = qft(8).unwrap();
         let config = config_d(3);
         let grid = autobraid_lattice::Grid::with_capacity_for(8);
         let placement = AutoBraid::new(config.clone()).initial_placement(&circuit, &grid);
-        let outcome = schedule_async(&circuit, &grid, placement, &config);
+        let drive = EngineRun::new("t", &circuit, &grid, placement, &StackPolicy, &config);
+        let (result, _) = run(drive.clock(Clock::PerQubit)).unwrap().unwrap();
         let layout = PhysicalLayout::new(grid.cells_per_side(), 3).unwrap();
-        let program = emit_physical(&outcome.result, &layout).unwrap();
-        assert_eq!(program.duration_cycles(), outcome.result.total_cycles);
+        let program = emit_physical(&result, &layout).unwrap();
+        assert_eq!(program.duration_cycles(), result.total_cycles);
         assert!(program.instruction_count() > 0);
     }
 

@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod async_engine;
 pub mod autobraid;
 pub mod config;
 pub mod critical_path;
@@ -72,7 +71,6 @@ pub mod strategy;
 pub mod streaming;
 pub mod swap;
 
-pub use async_engine::schedule_async;
 pub use autobraid::{AutoBraid, ScheduleOutcome};
 pub use config::{Recording, ScheduleConfig};
 pub use critical_path::{critical_path_cycles, critical_path_cycles_relaxed, critical_path_us};
@@ -80,7 +78,7 @@ pub use metrics::{
     verify_schedule, verify_schedule_with_dag, Interval, LayerPolicy, Op, ScheduleResult, SwapOp,
 };
 pub use scheduler::{
-    route_policy, run, run_with_base_occupancy, GreedyPolicy, LayerRoute, PathFinderPolicy,
+    route_policy, run, Clock, EngineRun, GreedyPolicy, LayerRoute, LayoutMove, PathFinderPolicy,
     PortfolioPolicy, RoutePolicy, ScheduleError, StackPolicy,
 };
 pub use strategy::{Strategy, StrategyInfo, REGISTRY};

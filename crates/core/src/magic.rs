@@ -142,7 +142,7 @@ mod tests {
     use crate::config::ScheduleConfig;
     use crate::critical_path::critical_path_cycles;
     use crate::metrics::verify_schedule;
-    use crate::scheduler::{run, StackPolicy};
+    use crate::scheduler::{run, EngineRun, StackPolicy};
     use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::qft::qft;
 
@@ -211,15 +211,15 @@ mod tests {
         let rewrite = rewrite_with_factories(&c, 3);
         let (grid, placement) = place_with_factories(&rewrite, &data_placement);
         assert!(placement.is_consistent(&grid));
-        let (result, _) = run(
+        let drive = EngineRun::new(
             "magic",
             &rewrite.circuit,
             &grid,
             placement.clone(),
             &StackPolicy,
-            false,
             &config,
         );
+        let (result, _) = run(drive).unwrap().unwrap();
         verify_schedule(&rewrite.circuit, &grid, &placement, &result).unwrap();
     }
 
@@ -243,15 +243,15 @@ mod tests {
         let data_placement = compiler.initial_placement(&t_circuit, &data_grid);
         let rewrite = rewrite_with_factories(&t_circuit, 2);
         let (grid, placement) = place_with_factories(&rewrite, &data_placement);
-        let (priced, _) = run(
+        let drive = EngineRun::new(
             "magic",
             &rewrite.circuit,
             &grid,
             placement,
             &StackPolicy,
-            false,
             &config,
         );
+        let (priced, _) = run(drive).unwrap().unwrap();
         assert!(
             priced.total_cycles > free,
             "explicit magic-state delivery must cost cycles: {} vs {free}",

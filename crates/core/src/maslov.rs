@@ -10,78 +10,27 @@
 //! all-to-all program drains in linear depth. Our layers keep only the
 //! swaps that bring the partners of ready gates closer.
 //!
-//! The network runs on the shared braiding engine ([`crate::scheduler`]),
+//! The network runs on the shared braiding engine ([`crate::scheduler::run`]),
 //! as one form of dynamic qubit placement next to swap insertion below
-//! `p`. This module keeps only its two rules: the adjacency policy, which
-//! routes the ready CX whose operands are serpentine neighbours, and the
-//! transposition planner (`SwapNetwork`), the engine's layout move
-//! whenever no ready CX routed.
+//! `p`; [`crate::AutoBraid`] starts it from the serpentine identity
+//! placement, for [`crate::Strategy::Maslov`] and autobraid-full's
+//! all-to-all candidate. This module keeps only its two rules: the
+//! adjacency policy, which routes the ready CX whose operands are
+//! serpentine neighbours, and the transposition planner
+//! ([`SwapNetwork`]), the engine's layout move whenever no ready CX
+//! routed.
 
-use crate::config::ScheduleConfig;
-use crate::metrics::{ScheduleResult, SwapOp};
-use crate::scheduler::{run_below, LayoutMove, RoutePolicy};
-use autobraid_circuit::{Circuit, DependenceDag, QubitId};
+use crate::metrics::SwapOp;
+use crate::scheduler::RoutePolicy;
+use autobraid_circuit::QubitId;
 use autobraid_lattice::{Cell, Grid, Occupancy};
-use autobraid_placement::linear::{place_along_serpentine, serpentine_cells};
+use autobraid_placement::linear::serpentine_cells;
 use autobraid_placement::Placement;
 use autobraid_router::stack_finder::{route_concurrent, RouteOutcome};
 use autobraid_router::CxRequest;
 
-/// Schedules `circuit` with the Maslov swap-network strategy on the
-/// smallest square grid, against a caller-supplied dependence DAG.
-/// Returns the result and the *initial* placement (the serpentine
-/// identity order). `dag` must have been built from `circuit`
-/// consistently with `config.commutation_aware`.
-///
-/// Each step executes every ready CX whose operands are currently
-/// adjacent on the serpentine line (plus ready local gates); when no ready
-/// CX is adjacent, an odd/even transposition layer advances the network.
-pub fn schedule_maslov_with_dag(
-    circuit: &Circuit,
-    config: &ScheduleConfig,
-    dag: &DependenceDag,
-) -> (ScheduleResult, Placement) {
-    schedule_maslov_below(circuit, config, dag, u64::MAX).expect("an unbounded schedule completes")
-}
-
-/// [`schedule_maslov_with_dag`] racing an incumbent of `bound` cycles:
-/// `None` unless it drains in fewer (see
-/// [`run_below`]).
-pub(crate) fn schedule_maslov_below(
-    circuit: &Circuit,
-    config: &ScheduleConfig,
-    dag: &DependenceDag,
-    bound: u64,
-) -> Option<(ScheduleResult, Placement)> {
-    let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
-    let (initial, layout) = swap_network_start(&grid, circuit.num_qubits());
-    let (mut result, _) = run_below(
-        "maslov",
-        circuit,
-        &grid,
-        initial.clone(),
-        &AdjacentPolicy,
-        layout,
-        config,
-        dag,
-        bound,
-    )?;
-    // The engine attributes every committed braid layer to its policy;
-    // a Maslov report has never carried that attribution, and its
-    // canonical bytes keep it so.
-    result.layer_policies.clear();
-    Some((result, initial))
-}
-
-/// The swap network's start on `grid` for `n` qubits: the serpentine
-/// identity placement and the transposition layout move.
-pub(crate) fn swap_network_start(grid: &Grid, n: QubitId) -> (Placement, LayoutMove) {
-    let placement = place_along_serpentine(grid, &(0..n).collect::<Vec<QubitId>>());
-    let layout = LayoutMove::SwapNetwork(SwapNetwork {
-        cells: serpentine_cells(grid)[..n as usize].to_vec(),
-    });
-    (placement, layout)
-}
+#[allow(deprecated)]
+pub use crate::scheduler::shims::schedule_maslov_with_dag;
 
 /// Position of `cell` along the serpentine line of `grid` (the inverse of
 /// [`serpentine_cells`]).
@@ -126,13 +75,29 @@ impl RoutePolicy for AdjacentPolicy {
 }
 
 /// Maslov's transposition planner, the engine's layout move whenever no
-/// ready CX routed.
-pub(crate) struct SwapNetwork {
+/// ready CX routed ([`crate::scheduler::LayoutMove::SwapNetwork`]). Only
+/// this crate builds one.
+#[derive(Debug)]
+pub struct SwapNetwork {
     /// The serpentine cells of the line's positions, one per qubit.
     cells: Vec<Cell>,
 }
 
 impl SwapNetwork {
+    /// The network over the first `n` serpentine positions of `grid`,
+    /// for qubits placed along the line in order
+    /// ([`autobraid_placement::linear::place_along_serpentine`]).
+    pub(crate) fn along_serpentine(grid: &Grid, n: QubitId) -> Self {
+        SwapNetwork {
+            cells: serpentine_cells(grid)[..n as usize].to_vec(),
+        }
+    }
+
+    /// The line's length: one wire per qubit.
+    pub(crate) fn wires(&self) -> usize {
+        self.cells.len()
+    }
+
     /// The next transposition layer for the ready CX `requests` under
     /// `placement`, routed on an empty lattice: at the parity whose swaps
     /// help more in total, every neighbour swap that strictly shortens
@@ -210,13 +175,44 @@ fn pair_benefit(ready: &[(u32, u32)], p: u32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::verify_schedule;
-    use crate::scheduler::{run_with_dag, StackPolicy};
+    use crate::config::ScheduleConfig;
+    use crate::metrics::{verify_schedule, ScheduleResult};
+    use crate::scheduler::{run, EngineRun, LayoutMove, StackPolicy};
     use crate::{AutoBraid, Strategy};
     use autobraid_circuit::generators::{self, qft::qft, random::random_circuit};
+    use autobraid_circuit::{Circuit, DependenceDag};
+    use autobraid_placement::linear::place_along_serpentine;
 
     fn maslov(circuit: &Circuit) -> crate::ScheduleOutcome {
         AutoBraid::default().schedule(Strategy::Maslov, circuit)
+    }
+
+    /// The network from the serpentine identity placement, as
+    /// [`AutoBraid`] races it against an incumbent of `bound` cycles:
+    /// the result and the start placement, or `None` unless it drains
+    /// in fewer.
+    fn maslov_below(
+        circuit: &Circuit,
+        config: &ScheduleConfig,
+        dag: &DependenceDag,
+        bound: u64,
+    ) -> Option<(ScheduleResult, Placement)> {
+        let n = circuit.num_qubits();
+        let grid = Grid::with_capacity_for(n as usize);
+        let line = place_along_serpentine(&grid, &(0..n).collect::<Vec<QubitId>>());
+        let network = LayoutMove::SwapNetwork(SwapNetwork::along_serpentine(&grid, n));
+        let drive = EngineRun::new(
+            "maslov",
+            circuit,
+            &grid,
+            line.clone(),
+            &AdjacentPolicy,
+            config,
+        );
+        let (mut result, _) =
+            run(drive.dag(dag).layout(network).bound(bound)).expect("an empty lattice routes")?;
+        result.layer_policies.clear();
+        Some((result, line))
     }
 
     #[test]
@@ -259,41 +255,30 @@ mod tests {
         let circuit = qft(16).unwrap();
         let config = ScheduleConfig::default();
         let dag = DependenceDag::new(&circuit);
-        let (full, _) = schedule_maslov_with_dag(&circuit, &config, &dag);
-        assert!(schedule_maslov_below(&circuit, &config, &dag, full.total_cycles).is_none());
-        assert!(schedule_maslov_below(&circuit, &config, &dag, 1).is_none());
-        let (below, _) =
-            schedule_maslov_below(&circuit, &config, &dag, full.total_cycles + 1).unwrap();
+        let full = AutoBraid::new(config.clone())
+            .schedule_with_dag(Strategy::Maslov, &circuit, &dag)
+            .result;
+        assert!(maslov_below(&circuit, &config, &dag, full.total_cycles).is_none());
+        assert!(maslov_below(&circuit, &config, &dag, 1).is_none());
+        let (below, _) = maslov_below(&circuit, &config, &dag, full.total_cycles + 1).unwrap();
         assert_eq!(below.steps, full.steps);
         assert_eq!(below.total_cycles, full.total_cycles);
 
         // The same bound on autobraid-full's optimizer-off rerun.
         let grid = Grid::with_capacity_for(16);
         let placement = AutoBraid::new(config.clone()).initial_placement(&circuit, &grid);
-        let policy = StackPolicy;
         let rerun = |bound| {
-            run_below(
+            let drive = EngineRun::new(
                 "rerun",
                 &circuit,
                 &grid,
                 placement.clone(),
-                &policy,
-                LayoutMove::None,
+                &StackPolicy,
                 &config,
-                &dag,
-                bound,
-            )
+            );
+            run(drive.dag(&dag).bound(bound)).expect("an empty lattice routes")
         };
-        let (full, _) = run_with_dag(
-            "rerun",
-            &circuit,
-            &grid,
-            placement.clone(),
-            &policy,
-            false,
-            &config,
-            &dag,
-        );
+        let (full, _) = rerun(u64::MAX).expect("an unbounded drive completes");
         assert!(rerun(full.total_cycles).is_none());
         assert!(rerun(1).is_none());
         let (below, _) = rerun(full.total_cycles + 1).unwrap();
@@ -351,7 +336,7 @@ mod tests {
         use autobraid_router::CxRequest;
         use std::time::Instant;
 
-        pub(super) fn schedule_maslov_below(
+        pub(super) fn maslov_below(
             circuit: &Circuit,
             config: &ScheduleConfig,
             dag: &DependenceDag,
@@ -604,8 +589,8 @@ mod tests {
                     (result, placement)
                 };
                 (
-                    schedule_maslov_below(circuit, &config, &dag, bound).map(timeless),
-                    reference::schedule_maslov_below(circuit, &config, &dag, bound).map(timeless),
+                    maslov_below(circuit, &config, &dag, bound).map(timeless),
+                    reference::maslov_below(circuit, &config, &dag, bound).map(timeless),
                 )
             };
             let (new, old) = schedule(u64::MAX);
@@ -614,6 +599,11 @@ mod tests {
                 circuit.name()
             );
             assert_eq!(new, old, "{label}: unbounded");
+            let mut strategy =
+                AutoBraid::new(config.clone()).schedule_with_dag(Strategy::Maslov, circuit, &dag);
+            strategy.result.compile_seconds = 0.0;
+            let strategy = Some((strategy.result, strategy.initial_placement));
+            assert_eq!(strategy, old, "{label}: the maslov strategy");
             let total = old.expect("an unbounded schedule completes").0.total_cycles;
             for bound in [total.saturating_sub(1), total, total + 1] {
                 let (new, old) = schedule(bound);

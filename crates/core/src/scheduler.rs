@@ -1,13 +1,13 @@
-//! The shared scheduling engine.
+//! The shared scheduling engine and its one entry point, [`run`].
 //!
 //! Every scheduler in this crate — AutoBraid-sp, AutoBraid-full, the
-//! greedy baseline, the Maslov swap network, and the event-driven engine
-//! — drains the dependence DAG through the same engine and is charged by
-//! the same gate-cost function ([`gate_cycles`]); they differ only in
-//! routing policy, initial placement, the layout move (none, swap
-//! insertion below `p`, or Maslov's transposition layers), and the
-//! engine's clock. This makes every reported speedup a pure algorithm
-//! comparison.
+//! greedy baseline, the Maslov swap network, and the per-qubit
+//! (event-driven) clock — drains the dependence DAG through the same
+//! engine and is charged by the same gate-cost function
+//! ([`gate_cycles`]); they differ only in routing policy, initial
+//! placement, the [`LayoutMove`] (none, swap insertion below `p`, or
+//! Maslov's transposition layers), and the engine's [`Clock`]. This makes
+//! every reported speedup a pure algorithm comparison.
 
 use crate::config::{Recording, ScheduleConfig};
 use crate::critical_path::gate_cycles;
@@ -295,185 +295,294 @@ pub fn route_policy(strategy: Strategy) -> Option<Box<dyn RoutePolicy>> {
     }
 }
 
-pub use shims::{policy_for, ParallelStackPolicy};
+#[allow(deprecated)]
+pub use shims::{policy_for, run_with_base_occupancy, run_with_dag, ParallelStackPolicy};
 
-/// Thread-count shims with the signatures that perfbench's traced
-/// compile and stream checks call (`perfbench/src/compile.rs` and
-/// `perfbench/src/stream.rs`). Every compile and every stream is serial,
-/// so each one forwards and ignores its count, as does the third,
-/// `autobraid_placement::anneal_portfolio`. All three go once perfbench
-/// reads the program's own phase spans instead of re-running the
-/// compile stages (ROADMAP.md, item 2).
+/// Deprecated one-line forwards with the signatures perfbench calls
+/// (`perfbench/src/{compile,stream}.rs`): two that ignore a thread count,
+/// as does `autobraid_placement::anneal_portfolio`, and three old engine
+/// entry points that drive [`run`]. All six go once perfbench reads the
+/// program's own phase spans (ROADMAP.md, item 2).
 pub mod shims {
-    use super::{route_policy, RoutePolicy, StackPolicy};
+    use super::{
+        route_policy, run, EngineRun, LayoutMove, RoutePolicy, ScheduleError, StackPolicy,
+    };
+    use crate::config::ScheduleConfig;
+    use crate::metrics::ScheduleResult;
     use crate::strategy::Strategy;
+    use crate::AutoBraid;
+    use autobraid_circuit::{Circuit, DependenceDag};
+    use autobraid_lattice::{Grid, Occupancy};
+    use autobraid_placement::Placement;
 
     /// [`StackPolicy`] under its old name.
     pub type ParallelStackPolicy = StackPolicy;
 
     impl StackPolicy {
         /// [`StackPolicy`]; the thread count is ignored.
+        #[deprecated(note = "perfbench only; deleted by ROADMAP item 2")]
         pub fn new(_threads: usize) -> Self {
             StackPolicy
         }
     }
 
     /// [`route_policy`]; the thread count is ignored.
+    #[deprecated(note = "perfbench only; deleted by ROADMAP item 2")]
     pub fn policy_for(strategy: Strategy, _threads: usize) -> Option<Box<dyn RoutePolicy>> {
         route_policy(strategy)
     }
+
+    /// [`run`] against `dag`, with swap insertion when
+    /// `allow_layout_optimizer` is set.
+    #[deprecated(note = "perfbench only; deleted by ROADMAP item 2")]
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_with_dag(
+        name: &str,
+        circuit: &Circuit,
+        grid: &Grid,
+        placement: Placement,
+        policy: &dyn RoutePolicy,
+        allow_layout_optimizer: bool,
+        config: &ScheduleConfig,
+        dag: &DependenceDag,
+    ) -> (ScheduleResult, Placement) {
+        run(
+            EngineRun::new(name, circuit, grid, placement, policy, config)
+                .dag(dag)
+                .layout(optimizer_layout(allow_layout_optimizer)),
+        )
+        .ok()
+        .flatten()
+        .expect("an unbounded drive on a defect-free lattice completes")
+    }
+
+    /// [`run`] on the defective lattice `base`, with swap insertion when
+    /// `allow_layout_optimizer` is set.
+    #[deprecated(note = "perfbench only; deleted by ROADMAP item 2")]
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_with_base_occupancy(
+        name: &str,
+        circuit: &Circuit,
+        grid: &Grid,
+        placement: Placement,
+        policy: &dyn RoutePolicy,
+        allow_layout_optimizer: bool,
+        config: &ScheduleConfig,
+        base: &Occupancy,
+    ) -> Result<(ScheduleResult, Placement), ScheduleError> {
+        run(
+            EngineRun::new(name, circuit, grid, placement, policy, config)
+                .base(base)
+                .layout(optimizer_layout(allow_layout_optimizer)),
+        )
+        .map(|done| done.expect("an unbounded drive completes"))
+    }
+
+    /// [`AutoBraid::schedule_with_dag`] under [`Strategy::Maslov`]: the
+    /// result and the serpentine start placement.
+    #[deprecated(note = "perfbench only; deleted by ROADMAP item 2")]
+    pub fn schedule_maslov_with_dag(
+        circuit: &Circuit,
+        config: &ScheduleConfig,
+        dag: &DependenceDag,
+    ) -> (ScheduleResult, Placement) {
+        let outcome =
+            AutoBraid::new(config.clone()).schedule_with_dag(Strategy::Maslov, circuit, dag);
+        (outcome.result, outcome.initial_placement)
+    }
+
+    /// Swap insertion when the layout optimizer is allowed.
+    fn optimizer_layout(allow: bool) -> LayoutMove {
+        if allow {
+            LayoutMove::SwapInsertion
+        } else {
+            LayoutMove::None
+        }
+    }
 }
 
-/// Runs the engine: drains `circuit` on `grid` starting from `placement`,
-/// using `policy` for path search; when `allow_layout_optimizer` is set,
-/// steps whose scheduled ratio falls below the configured `p` trigger
-/// swap-insertion layout changes.
-///
-/// Returns the result and the final placement.
-pub fn run(
-    scheduler_name: &str,
-    circuit: &Circuit,
-    grid: &Grid,
+/// One engine drive for [`run`]: the circuit, its lattice and start
+/// placement, the routing policy and configuration, and whatever differs
+/// from an unbounded lock-step drive on a defect-free lattice, set with
+/// the builder methods (`examples/custom_policy.rs` drives one).
+pub struct EngineRun<'a> {
+    name: &'a str,
+    circuit: &'a Circuit,
+    grid: &'a Grid,
     placement: Placement,
-    policy: &dyn RoutePolicy,
-    allow_layout_optimizer: bool,
-    config: &ScheduleConfig,
-) -> (ScheduleResult, Placement) {
-    let dag = config.dag(circuit);
-    run_with_dag(
-        scheduler_name,
-        circuit,
-        grid,
-        placement,
-        policy,
-        allow_layout_optimizer,
-        config,
-        &dag,
-    )
-}
-
-/// [`run`] against a caller-supplied dependence DAG, so one DAG build can
-/// be shared across several engine drives (and the verifier) of the same
-/// circuit. `dag` must have been built from `circuit` consistently with
-/// `config.commutation_aware`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_dag(
-    scheduler_name: &str,
-    circuit: &Circuit,
-    grid: &Grid,
-    placement: Placement,
-    policy: &dyn RoutePolicy,
-    allow_layout_optimizer: bool,
-    config: &ScheduleConfig,
-    dag: &DependenceDag,
-) -> (ScheduleResult, Placement) {
-    run_below(
-        scheduler_name,
-        circuit,
-        grid,
-        placement,
-        policy,
-        LayoutMove::swap_insertion_if(allow_layout_optimizer),
-        config,
-        dag,
-        u64::MAX,
-    )
-    .expect("an unbounded drain completes")
-}
-
-/// [`run_with_dag`] with any layout move, racing an incumbent of `bound`
-/// cycles: `None` once the schedule provably cannot finish below `bound`
-/// ([`Engine::cycles_lower_bound`]), so only a strictly better schedule
-/// comes back.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_below(
-    scheduler_name: &str,
-    circuit: &Circuit,
-    grid: &Grid,
-    placement: Placement,
-    policy: &dyn RoutePolicy,
+    policy: &'a dyn RoutePolicy,
+    config: &'a ScheduleConfig,
+    dag: Option<&'a DependenceDag>,
+    base: Option<&'a Occupancy>,
     layout: LayoutMove,
-    config: &ScheduleConfig,
-    dag: &DependenceDag,
     bound: u64,
-) -> Option<(ScheduleResult, Placement)> {
-    let engine = Engine::new(
-        scheduler_name,
-        Cow::Borrowed(circuit),
-        Frontier::new(dag),
-        grid,
-        placement,
-        layout,
-        config,
-        Cow::Owned(Occupancy::new(grid)),
-    )
-    .drain(policy, bound)
-    .expect("an empty base occupancy never makes a gate unroutable");
-    (engine.outstanding() == 0 && engine.result.total_cycles < bound)
-        .then_some((engine.result, engine.placement))
+    clock: Clock,
 }
 
-/// [`run`] on a lattice with *defective channels*: every vertex reserved
-/// in `base` is permanently unavailable (broken measurement hardware, a
-/// region reserved for magic-state distillation, …). Each braiding step
-/// starts from a copy of `base` instead of an empty map.
+impl<'a> EngineRun<'a> {
+    /// An unbounded lock-step drive of `circuit` on the defect-free
+    /// `grid` from `placement`, routing with `policy`, with no layout
+    /// move; the result is labelled `name`.
+    pub fn new(
+        name: &'a str,
+        circuit: &'a Circuit,
+        grid: &'a Grid,
+        placement: Placement,
+        policy: &'a dyn RoutePolicy,
+        config: &'a ScheduleConfig,
+    ) -> Self {
+        EngineRun {
+            name,
+            circuit,
+            grid,
+            placement,
+            policy,
+            config,
+            dag: None,
+            base: None,
+            layout: LayoutMove::None,
+            bound: u64::MAX,
+            clock: Clock::LockStep,
+        }
+    }
+
+    /// Drains `dag` instead of `config.dag(circuit)`; it must have been
+    /// built from the circuit consistently with `config.commutation_aware`.
+    pub fn dag(mut self, dag: &'a DependenceDag) -> Self {
+        self.dag = Some(dag);
+        self
+    }
+
+    /// Runs on a lattice with *defective channels*: every vertex reserved
+    /// in `base` is permanently unavailable (broken hardware, a region
+    /// reserved for magic-state distillation, …).
+    pub fn base(mut self, base: &'a Occupancy) -> Self {
+        self.base = Some(base);
+        self
+    }
+
+    /// Changes the layout instead of committing some routed layers.
+    pub fn layout(mut self, layout: LayoutMove) -> Self {
+        self.layout = layout;
+        self
+    }
+
+    /// Races an incumbent of `bound` cycles: only a strictly better
+    /// schedule comes back.
+    pub fn bound(mut self, bound: u64) -> Self {
+        self.bound = bound;
+        self
+    }
+
+    /// Advances engine time on `clock`.
+    pub fn clock(mut self, clock: Clock) -> Self {
+        self.clock = clock;
+        self
+    }
+}
+
+/// Runs the engine, the one entry point of every batch compile: drains
+/// the circuit from the start placement and returns the result and the
+/// final placement.
+///
+/// `Ok(None)` means the drive stopped at its [`EngineRun::bound`]: the
+/// schedule provably could not finish below it. An unbounded drive
+/// always finishes.
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError::UnroutableGate`] when a ready gate cannot be
-/// routed even alone on the defective lattice and the layout optimizer
-/// cannot move its operands together — progress is impossible.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_base_occupancy(
-    scheduler_name: &str,
-    circuit: &Circuit,
-    grid: &Grid,
-    placement: Placement,
-    policy: &dyn RoutePolicy,
-    allow_layout_optimizer: bool,
-    config: &ScheduleConfig,
-    base: &Occupancy,
-) -> Result<(ScheduleResult, Placement), ScheduleError> {
-    let dag = config.dag(circuit);
-    let engine = Engine::new(
-        scheduler_name,
+/// Only on a defective [`EngineRun::base`]:
+/// [`ScheduleError::UnroutableGate`] when a ready gate cannot be routed
+/// even alone on the defective lattice and the layout move cannot bring
+/// its operands together — progress is impossible.
+///
+/// # Panics
+///
+/// When the per-qubit clock is combined with a layout move: its braids
+/// outlive their step, so a swap layer would move qubits under them.
+pub fn run(drive: EngineRun<'_>) -> Result<Option<(ScheduleResult, Placement)>, ScheduleError> {
+    assert!(
+        drive.clock == Clock::LockStep || matches!(drive.layout, LayoutMove::None),
+        "the per-qubit clock runs no layout move"
+    );
+    let (circuit, grid, bound) = (drive.circuit, drive.grid, drive.bound);
+    let dag = drive
+        .dag
+        .map_or_else(|| Cow::Owned(drive.config.dag(circuit)), Cow::Borrowed);
+    let base = drive
+        .base
+        .map_or_else(|| Cow::Owned(Occupancy::new(grid)), Cow::Borrowed);
+    let mut engine = Engine::new(
+        drive.name,
         Cow::Borrowed(circuit),
         Frontier::new(&dag),
         grid,
-        placement,
-        LayoutMove::swap_insertion_if(allow_layout_optimizer),
-        config,
-        Cow::Borrowed(base),
-    )
-    .drain(policy, u64::MAX)?;
-    Ok((engine.result, engine.placement))
+        drive.placement,
+        drive.layout,
+        drive.config,
+        base,
+    );
+    if drive.clock == Clock::PerQubit {
+        engine.slot_clock = Some(SlotClock::new(circuit.len()));
+    }
+    let _span = telemetry::span("engine");
+    if telemetry::decisions_enabled() {
+        telemetry::decision(&telemetry::Decision::EngineBegin {
+            scheduler: engine.result.scheduler.clone(),
+            circuit: circuit.name().to_string(),
+            grid_side: grid.cells_per_side(),
+        });
+    }
+    // An unbounded drive skips the bound: no total can reach it.
+    while bound == u64::MAX || engine.cycles_lower_bound() < bound {
+        match engine.route(drive.policy, false)? {
+            Routing::Drained => break,
+            Routing::Braid(layer) => engine.commit(layer),
+            Routing::Local(_) | Routing::Swapped => {}
+        }
+    }
+    engine.finish();
+    let done = engine.outstanding() == 0 && engine.result.total_cycles < bound;
+    Ok(done.then_some((engine.result, engine.placement)))
 }
 
 /// How the engine may change the layout instead of committing a routed
 /// braiding layer: the paper's dynamic qubit placement (§3.3), in both
 /// its forms.
-pub(crate) enum LayoutMove {
+#[derive(Debug)]
+pub enum LayoutMove {
     /// Never: every routed layer commits.
     None,
     /// Swap insertion below `p` (AutoBraid-full): when a layer routes
     /// less than [`ScheduleConfig::layout_threshold`] of its gates, spend
-    /// a [`plan_swap_layer`] layer instead. Holds the swap layers in a
-    /// row so far.
-    SwapInsertion(usize),
+    /// a [`plan_swap_layer`] layer instead, at most two in a row.
+    SwapInsertion,
     /// Maslov's swap network: a transposition layer whenever no ready CX
-    /// routed.
+    /// routed. Only [`crate::AutoBraid`] builds one: it needs the
+    /// serpentine placement and adjacency policy, and a defect-free lattice.
     SwapNetwork(SwapNetwork),
 }
 
-impl LayoutMove {
-    /// The move behind the public entry points' `allow_layout_optimizer`.
-    pub(crate) fn swap_insertion_if(allow: bool) -> Self {
-        if allow {
-            LayoutMove::SwapInsertion(0)
-        } else {
-            LayoutMove::None
-        }
-    }
+/// When engine time advances. Both clocks count `d`-cycle slots, charge
+/// every gate [`gate_cycles`] and record each gate as one [`Interval`];
+/// they decide only which ready gates the next step takes and when a
+/// committed gate releases its successors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock {
+    /// The paper's engine: a step takes every ready gate in frontier
+    /// order and lasts as long as its longest gate; successors are
+    /// released when the step ends. A step's intervals share its start
+    /// slot.
+    LockStep,
+    /// Event-driven, beyond the paper's engine: a step takes the ready
+    /// gates released earliest, in release order; a gate releases its
+    /// successors at its own finish slot, and a deferred braid retries one
+    /// slot later. So no local gate waits out a `2d`-cycle braid window:
+    /// on congestion-free circuits the result meets the critical path
+    /// *exactly*, as the paper's Table 2 reports AutoBraid on the
+    /// building blocks. `braid_steps` counts braids started and
+    /// `local_steps` local gates. It runs no layout move.
+    PerQubit,
 }
 
 /// What [`Engine::route`] did with the ready gates.
@@ -502,22 +611,6 @@ pub(crate) struct RoutedLayer {
     locals: Vec<GateId>,
     chosen: &'static str,
     reason: &'static str,
-}
-
-/// When engine time advances. Both clocks count `d`-cycle slots,
-/// charge every gate [`gate_cycles`] and record each gate as one
-/// [`Interval`]; they decide only which ready gates the next step takes
-/// and when a committed gate releases its successors.
-pub(crate) enum Clock {
-    /// The paper's engine: a step takes every ready gate in frontier
-    /// order and lasts as long as its longest gate; successors are
-    /// released when the step ends. A step's intervals share its start
-    /// slot.
-    LockStep,
-    /// Event-driven: a step takes the ready gates released earliest, in
-    /// release order; a gate releases its successors at its own finish
-    /// slot, and a deferred braid retries one slot later.
-    PerQubit(SlotClock),
 }
 
 /// The per-qubit clock's state.
@@ -578,11 +671,10 @@ impl SlotClock {
 /// step, or routes the ready CX layer and then commits it or spends a
 /// swap layer instead.
 ///
-/// Batch compiles ([`run`] and friends, [`crate::maslov`]) drain it
-/// over a whole circuit. A stream ([`crate::streaming`]) starts it
-/// empty, appends gates between steps, and checks each routed layer
-/// before committing it. The event-driven engine
-/// ([`crate::async_engine`]) drains it on the per-qubit clock.
+/// Batch compiles ([`run`]) drain it over a whole circuit, on either
+/// [`Clock`]. A stream ([`crate::streaming`]) starts it empty, appends
+/// gates between steps, and checks each routed layer before committing
+/// it.
 pub(crate) struct Engine<'a> {
     /// The gates scheduled so far; a stream appends to it.
     pub(crate) circuit: Cow<'a, Circuit>,
@@ -594,9 +686,11 @@ pub(crate) struct Engine<'a> {
     frontier: Frontier<'a>,
     config: ScheduleConfig,
     layout: LayoutMove,
+    /// Swap layers spent since the last committed braiding layer.
+    swap_run: usize,
     record: bool,
-    /// Lock-step unless the entry point sets another clock.
-    pub(crate) clock: Clock,
+    /// The per-qubit clock's state; `None` on the lock-step clock.
+    slot_clock: Option<SlotClock>,
     /// Per-layer scratch occupancy.
     occupancy: Occupancy,
     /// Remaining critical-path weight of each gate (itself included), in
@@ -638,8 +732,9 @@ impl<'a> Engine<'a> {
             frontier,
             config: config.clone(),
             layout,
+            swap_run: 0,
             record: config.recording == Recording::Full,
-            clock: Clock::LockStep,
+            slot_clock: None,
             remaining_cp: Vec::new(),
             request_buf: Vec::new(),
             utilization_sum: 0.0,
@@ -665,36 +760,6 @@ impl<'a> Engine<'a> {
         self.step_index
     }
 
-    /// Drains the frontier, committing every routed layer, until it is
-    /// drained or [`cycles_lower_bound`](Self::cycles_lower_bound)
-    /// reaches `bound`: a candidate racing an incumbent of `bound` cycles
-    /// stops as soon as it provably cannot beat it. A stopped drain
-    /// leaves gates outstanding.
-    pub(crate) fn drain(
-        mut self,
-        policy: &dyn RoutePolicy,
-        bound: u64,
-    ) -> Result<Self, ScheduleError> {
-        let _span = telemetry::span("engine");
-        if telemetry::decisions_enabled() {
-            telemetry::decision(&telemetry::Decision::EngineBegin {
-                scheduler: self.result.scheduler.clone(),
-                circuit: self.circuit.name().to_string(),
-                grid_side: self.grid.cells_per_side(),
-            });
-        }
-        // An unbounded drain skips the bound: no total can reach it.
-        while bound == u64::MAX || self.cycles_lower_bound() < bound {
-            match self.route(policy, false)? {
-                Routing::Drained => break,
-                Routing::Braid(layer) => self.commit(layer),
-                Routing::Local(_) | Routing::Swapped => {}
-            }
-        }
-        self.finish();
-        Ok(self)
-    }
-
     /// A lower bound `B` on the cycles of the finished schedule: on the
     /// lock-step clock, the cycles so far plus the largest remaining
     /// critical path among ready gates; on the per-qubit clock, the
@@ -706,7 +771,7 @@ impl<'a> Engine<'a> {
     /// path, never falls, and ends at `total_cycles`.
     pub(crate) fn cycles_lower_bound(&mut self) -> u64 {
         let cycles = self.result.total_cycles;
-        if !matches!(self.clock, Clock::LockStep) {
+        if self.slot_clock.is_some() {
             return cycles;
         }
         self.refresh_critical_path();
@@ -756,9 +821,9 @@ impl<'a> Engine<'a> {
             )),
             None => locals.push(g),
         };
-        match &mut self.clock {
-            Clock::LockStep => self.frontier.ready().iter().for_each(|&g| sort(g)),
-            Clock::PerQubit(clock) => clock
+        match &mut self.slot_clock {
+            None => self.frontier.ready().iter().for_each(|&g| sort(g)),
+            Some(clock) => clock
                 .next_batch(self.frontier.ready())
                 .into_iter()
                 .for_each(sort),
@@ -772,7 +837,7 @@ impl<'a> Engine<'a> {
         }
         self.step_index += 1;
 
-        if matches!(self.clock, Clock::PerQubit(_)) {
+        if self.slot_clock.is_some() {
             // Local gates start at once, ahead of their batch's braids.
             let executed = locals.len();
             for g in std::mem::take(&mut locals) {
@@ -815,7 +880,7 @@ impl<'a> Engine<'a> {
         }
 
         self.occupancy.clone_from(&self.base);
-        if let Clock::PerQubit(clock) = &mut self.clock {
+        if let Some(clock) = &mut self.slot_clock {
             clock.reserve_active(&self.grid, &mut self.occupancy);
         }
         let LayerRoute {
@@ -835,7 +900,10 @@ impl<'a> Engine<'a> {
             return Ok(Routing::Swapped);
         }
 
-        let in_flight = matches!(&self.clock, Clock::PerQubit(c) if !c.active.is_empty());
+        let in_flight = self
+            .slot_clock
+            .as_ref()
+            .is_some_and(|c| !c.active.is_empty());
         if outcome.routed.is_empty() && !in_flight {
             // On a defect-free lattice with no braid in flight at least
             // one gate always routes; a defective channel map can
@@ -858,32 +926,40 @@ impl<'a> Engine<'a> {
     /// the routed layer when the layout move asks for one, and reports
     /// whether it did.
     fn spend_swap_layer(&mut self, requests: &[CxRequest], outcome: &RouteOutcome) -> bool {
-        let swaps = match &mut self.layout {
+        let swaps = match &self.layout {
             LayoutMove::None => return false,
-            LayoutMove::SwapInsertion(rounds) => {
+            LayoutMove::SwapInsertion => {
                 // At most 64 swap pairs per layer, and two swap layers in
                 // a row before a routed layer must commit (guards against
                 // oscillation).
                 const MAX_SWAPS: usize = 64;
                 const MAX_ROUNDS: usize = 2;
-                let swaps = if outcome.ratio() < self.config.layout_threshold
-                    && *rounds < MAX_ROUNDS
-                {
+                if outcome.ratio() < self.config.layout_threshold && self.swap_run < MAX_ROUNDS {
                     plan_swap_layer(&self.grid, &self.placement, requests, MAX_SWAPS, &self.base)
                 } else {
                     Vec::new()
-                };
-                *rounds = if swaps.is_empty() { 0 } else { *rounds + 1 };
-                swaps
+                }
             }
             LayoutMove::SwapNetwork(network) if outcome.routed.is_empty() => {
+                // While layers run back to back no gate executes, so the
+                // ready CX stay the same, and each layer shortens their
+                // summed partner distance, at most k·(n − 1) for k of
+                // them ([`SwapNetwork::transpose`]): a longer run is a
+                // layout-move bug, not a slow drain.
+                let (k, n, run) = (requests.len(), network.wires(), self.swap_run + 1);
+                assert!(
+                    run <= k * n,
+                    "{run} transposition layers in a row for {k} ready CX on {n} wires"
+                );
                 network.transpose(&self.grid, &self.placement, requests)
             }
-            LayoutMove::SwapNetwork(_) => return false,
+            LayoutMove::SwapNetwork(_) => Vec::new(),
         };
         if swaps.is_empty() {
+            self.swap_run = 0;
             return false;
         }
+        self.swap_run += 1;
         for (a, b) in swaps.iter().map(|swap| (swap.a, swap.b)) {
             self.placement.swap_qubits(a, b);
             if telemetry::fine_decisions_enabled() {
@@ -938,7 +1014,7 @@ impl<'a> Engine<'a> {
                 reason: reason.to_string(),
             });
         }
-        if let Clock::PerQubit(clock) = &mut self.clock {
+        if let Some(clock) = &mut self.slot_clock {
             // Congested braids retry next slot; the routed ones finish
             // later, so the order of the two releases never matters.
             for &g in &outcome.failed {
@@ -1005,7 +1081,7 @@ impl<'a> Engine<'a> {
     /// for a local gate) and releases its successors at its finish slot.
     fn start(&mut self, g: GateId, path: Option<BraidPath>) {
         let slots = self.slots_of(g);
-        let Clock::PerQubit(clock) = &mut self.clock else {
+        let Some(clock) = &mut self.slot_clock else {
             unreachable!("only the per-qubit clock starts gates one by one")
         };
         let (start, finish) = (clock.now, clock.now + slots);
@@ -1057,23 +1133,25 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::verify_schedule;
-    use autobraid_circuit::generators::{bv::bv_all_ones, ising::ising, qft::qft};
+    use crate::autobraid::ScheduleOutcome;
+    use crate::critical_path::critical_path_cycles;
+    use crate::metrics::{verify_schedule, verify_schedule_with_dag};
+    use crate::AutoBraid;
+    use autobraid_circuit::generators::random::random_circuit;
+    use autobraid_circuit::generators::{self, bv::bv_all_ones, ising::ising, qft::qft};
     use autobraid_router::stack_finder::route_greedy;
 
-    fn schedule(circuit: &Circuit, policy: &dyn RoutePolicy, layout: bool) -> ScheduleResult {
+    /// Runs `drive`, which must finish.
+    fn finish(drive: EngineRun<'_>) -> (ScheduleResult, Placement) {
+        run(drive).unwrap().expect("an unbounded drive completes")
+    }
+
+    fn schedule(circuit: &Circuit, policy: &dyn RoutePolicy) -> ScheduleResult {
         let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
         let placement = Placement::row_major(&grid, circuit.num_qubits());
         let config = ScheduleConfig::default();
-        let (result, _) = run(
-            "test",
-            circuit,
-            &grid,
-            placement.clone(),
-            policy,
-            layout,
-            &config,
-        );
+        let drive = EngineRun::new("test", circuit, &grid, placement.clone(), policy, &config);
+        let (result, _) = finish(drive);
         verify_schedule(circuit, &grid, &placement, &result).expect("schedule verifies");
         result
     }
@@ -1081,7 +1159,7 @@ mod tests {
     #[test]
     fn drains_bv_at_critical_path() {
         let c = bv_all_ones(20).unwrap();
-        let r = schedule(&c, &StackPolicy, false);
+        let r = schedule(&c, &StackPolicy);
         let cp = crate::critical_path::critical_path_cycles(&c, r.timing());
         assert_eq!(
             r.total_cycles, cp,
@@ -1092,8 +1170,8 @@ mod tests {
     #[test]
     fn drains_qft_correctly_with_both_policies() {
         let c = qft(12).unwrap();
-        let stack = schedule(&c, &StackPolicy, false);
-        let greedy = schedule(&c, &GreedyPolicy, false);
+        let stack = schedule(&c, &StackPolicy);
+        let greedy = schedule(&c, &GreedyPolicy);
         let cp = crate::critical_path::critical_path_cycles(&c, stack.timing());
         assert!(stack.total_cycles >= cp);
         assert!(greedy.total_cycles >= cp);
@@ -1102,7 +1180,7 @@ mod tests {
     #[test]
     fn ising_parallel_layers_get_packed() {
         let c = ising(16, 1).unwrap();
-        let r = schedule(&c, &StackPolicy, false);
+        let r = schedule(&c, &StackPolicy);
         // 16-qubit Ising on a 4×4 row-major grid: coupled pairs are near
         // each other, braids pack densely; the step count must be far
         // below the serial count of 30 CXs.
@@ -1118,15 +1196,15 @@ mod tests {
         for circuit in race_inputs() {
             let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
             let placement = Placement::row_major(&grid, circuit.num_qubits());
-            let (result, _) = run(
+            let drive = EngineRun::new(
                 "test",
                 &circuit,
                 &grid,
                 placement.clone(),
                 &StackPolicy,
-                true,
                 &config,
             );
+            let (result, _) = finish(drive.layout(LayoutMove::SwapInsertion));
             verify_schedule(&circuit, &grid, &placement, &result)
                 .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
             swap_layers += result.swap_layers;
@@ -1140,37 +1218,37 @@ mod tests {
         let grid = Grid::with_capacity_for(8);
         let placement = Placement::row_major(&grid, 8);
         let config = ScheduleConfig::default().with_recording(Recording::StatsOnly);
-        let (r, _) = run("t", &c, &grid, placement, &StackPolicy, false, &config);
+        let (r, _) = finish(EngineRun::new(
+            "t",
+            &c,
+            &grid,
+            placement,
+            &StackPolicy,
+            &config,
+        ));
         assert!(r.steps.is_empty());
         assert!(r.total_cycles > 0);
     }
 
     #[test]
     fn commutation_aware_mode_schedules_faster_or_equal() {
-        use crate::metrics::verify_schedule_with_dag;
         let c = bv_all_ones(24).unwrap();
         let grid = Grid::with_capacity_for(24);
         let placement = Placement::row_major(&grid, 24);
         let plain_cfg = ScheduleConfig::default();
         let relaxed_cfg = ScheduleConfig::default().with_commutation_aware(true);
-        let (plain, _) = run(
-            "t",
-            &c,
-            &grid,
-            placement.clone(),
-            &StackPolicy,
-            false,
-            &plain_cfg,
-        );
-        let (relaxed, _) = run(
-            "t",
-            &c,
-            &grid,
-            placement.clone(),
-            &StackPolicy,
-            false,
-            &relaxed_cfg,
-        );
+        let drive = |config| {
+            finish(EngineRun::new(
+                "t",
+                &c,
+                &grid,
+                placement.clone(),
+                &StackPolicy,
+                config,
+            ))
+            .0
+        };
+        let (plain, relaxed) = (drive(&plain_cfg), drive(&relaxed_cfg));
         // BV's CX fan-in fully commutes: massive win.
         assert!(relaxed.total_cycles * 2 < plain.total_cycles);
         let dag = autobraid_circuit::DependenceDag::with_commutation(&c);
@@ -1212,6 +1290,17 @@ mod tests {
         circuits
     }
 
+    /// Maslov's swap network over `n` wires of `grid`: the serpentine
+    /// identity placement and the transposition layout move.
+    fn swap_network(grid: &Grid, n: u32) -> (Placement, LayoutMove) {
+        let line =
+            autobraid_placement::linear::place_along_serpentine(grid, &(0..n).collect::<Vec<_>>());
+        (
+            line,
+            LayoutMove::SwapNetwork(SwapNetwork::along_serpentine(grid, n)),
+        )
+    }
+
     /// Every engine drive `strategy` races on `circuit`: its grid, start
     /// placement, policy and layout move.
     fn candidates(
@@ -1228,7 +1317,7 @@ mod tests {
                     grid.clone(),
                     annealed(),
                     policy(),
-                    LayoutMove::SwapInsertion(0),
+                    LayoutMove::SwapInsertion,
                 ),
                 (grid.clone(), annealed(), policy(), LayoutMove::None),
             ],
@@ -1240,8 +1329,7 @@ mod tests {
                 vec![(grid, seed, policy(), LayoutMove::None)]
             }
             Strategy::Maslov => {
-                let (start, layout) =
-                    crate::maslov::swap_network_start(&grid, circuit.num_qubits());
+                let (start, layout) = swap_network(&grid, circuit.num_qubits());
                 vec![(grid, start, Box::new(crate::maslov::AdjacentPolicy), layout)]
             }
         }
@@ -1316,54 +1404,58 @@ mod tests {
     fn a_bounded_drain_returns_the_unbounded_result_only_below_the_bound() {
         // A high `p` makes swap insertion fire on the 16-qubit inputs.
         let config = ScheduleConfig::default().with_layout_threshold(0.9);
-        let (mut swap_layers, mut network_swaps) = (0, 0);
+        let (mut drives, mut swap_layers, mut network_swaps) = (0, 0, 0);
         for circuit in race_inputs() {
             let dag = config.dag(&circuit);
             let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
             let annealed = crate::AutoBraid::new(config.clone()).initial_placement(&circuit, &grid);
             let row_major = Placement::row_major(&grid, circuit.num_qubits());
-            for placement in [annealed, row_major] {
+            let (line, _) = swap_network(&grid, circuit.num_qubits());
+            // Swap insertion from two placements, the per-qubit clock
+            // (the drive autobraid-full will race) and the swap network.
+            let inputs = [
+                (annealed.clone(), Clock::LockStep, true),
+                (row_major, Clock::LockStep, true),
+                (annealed, Clock::PerQubit, false),
+                (line, Clock::LockStep, false),
+            ];
+            for (placement, clock, insert) in inputs {
+                let network = clock == Clock::LockStep && !insert;
                 let drive = |bound| {
-                    let layout = LayoutMove::SwapInsertion(0);
-                    run_below(
-                        "t",
-                        &circuit,
-                        &grid,
-                        placement.clone(),
-                        &StackPolicy,
-                        layout,
-                        &config,
-                        &dag,
-                        bound,
-                    )
+                    let (layout, policy): (LayoutMove, &dyn RoutePolicy) = if network {
+                        (
+                            swap_network(&grid, circuit.num_qubits()).1,
+                            &crate::maslov::AdjacentPolicy,
+                        )
+                    } else if insert {
+                        (LayoutMove::SwapInsertion, &StackPolicy)
+                    } else {
+                        (LayoutMove::None, &StackPolicy)
+                    };
+                    let drive =
+                        EngineRun::new("t", &circuit, &grid, placement.clone(), policy, &config);
+                    run(drive.dag(&dag).layout(layout).clock(clock).bound(bound))
+                        .expect("an empty lattice routes")
                 };
                 let (full, at) = drive(u64::MAX).expect("an unbounded drain completes");
-                swap_layers += full.swap_layers;
+                let name = format!("{} {clock:?} insert={insert}", circuit.name());
+                if network {
+                    network_swaps += full.swap_layers;
+                } else {
+                    swap_layers += full.swap_layers;
+                }
                 let (again, again_at) = drive(full.total_cycles + 1).expect("it finishes below");
-                assert_eq!(
-                    timeless(again),
-                    timeless(full.clone()),
-                    "{}",
-                    circuit.name()
+                assert_eq!(timeless(again), timeless(full.clone()), "{name}");
+                assert_eq!(again_at, at, "{name}");
+                assert!(drive(full.total_cycles).is_none(), "{name}");
+                assert!(
+                    drive(full.total_cycles.saturating_sub(1)).is_none(),
+                    "{name}"
                 );
-                assert_eq!(again_at, at);
-                assert!(drive(full.total_cycles).is_none(), "{}", circuit.name());
+                drives += 1;
             }
-
-            let maslov =
-                |bound| crate::maslov::schedule_maslov_below(&circuit, &config, &dag, bound);
-            let (network, start) = maslov(u64::MAX).expect("an unbounded drain completes");
-            network_swaps += network.swap_layers;
-            let (again, again_start) = maslov(network.total_cycles + 1).expect("it finishes below");
-            assert_eq!(
-                timeless(again),
-                timeless(network.clone()),
-                "{}",
-                circuit.name()
-            );
-            assert_eq!(again_start, start);
-            assert!(maslov(network.total_cycles).is_none(), "{}", circuit.name());
         }
+        assert_eq!(drives, 4 * race_inputs().len());
         assert!(swap_layers > 0, "some input inserts swaps");
         assert!(network_swaps > 0, "some input advances the swap network");
     }
@@ -1414,26 +1506,13 @@ mod tests {
             let dag = config.dag(&circuit);
             let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
             let placement = Placement::row_major(&grid, circuit.num_qubits());
-            let checked = run_with_dag(
-                "t",
-                &circuit,
-                &grid,
-                placement.clone(),
-                &policy,
-                false,
-                &config,
-                &dag,
-            );
-            let plain = run_with_dag(
-                "t",
-                &circuit,
-                &grid,
-                placement,
-                &StackPolicy,
-                false,
-                &config,
-                &dag,
-            );
+            let drive = |policy| {
+                finish(
+                    EngineRun::new("t", &circuit, &grid, placement.clone(), policy, &config)
+                        .dag(&dag),
+                )
+            };
+            let (checked, plain) = (drive(&policy), drive(&StackPolicy));
             assert_eq!(timeless(checked.0), timeless(plain.0));
         }
         assert!(policy.incomplete.get() > 0, "no layer reached the fallback");
@@ -1510,8 +1589,381 @@ mod tests {
     #[test]
     fn utilization_is_within_bounds() {
         let c = ising(25, 2).unwrap();
-        let r = schedule(&c, &StackPolicy, false);
+        let r = schedule(&c, &StackPolicy);
         assert!(r.peak_utilization > 0.0 && r.peak_utilization <= 1.0);
         assert!(r.mean_utilization > 0.0 && r.mean_utilization <= r.peak_utilization + 1e-12);
+    }
+
+    // The per-qubit clock, against its reference loop and the paper's
+    // Table 2 claims.
+
+    /// The per-qubit clock with the stack finder from `placement`.
+    fn per_qubit_clock(
+        circuit: &Circuit,
+        grid: &Grid,
+        placement: Placement,
+        config: &ScheduleConfig,
+    ) -> ScheduleOutcome {
+        let drive = EngineRun::new(
+            "autobraid-async",
+            circuit,
+            grid,
+            placement.clone(),
+            &StackPolicy,
+            config,
+        );
+        let (result, _) = finish(drive.clock(Clock::PerQubit));
+        ScheduleOutcome {
+            result,
+            grid: grid.clone(),
+            initial_placement: placement,
+        }
+    }
+
+    /// The per-qubit clock on `circuit`'s annealed placement, verified.
+    fn run_async(circuit: &Circuit) -> ScheduleOutcome {
+        let config = ScheduleConfig::default();
+        let compiler = AutoBraid::new(config.clone());
+        let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
+        let placement = compiler.initial_placement(circuit, &grid);
+        let outcome = per_qubit_clock(circuit, &grid, placement, &config);
+        verify(circuit, &outcome.result, &outcome).expect("async schedule verifies");
+        outcome
+    }
+
+    /// Checks `result` on `outcome`'s grid and placement.
+    fn verify(
+        circuit: &Circuit,
+        result: &ScheduleResult,
+        outcome: &ScheduleOutcome,
+    ) -> Result<(), String> {
+        verify_schedule(circuit, &outcome.grid, &outcome.initial_placement, result)
+    }
+
+    /// The per-qubit clock's own loop before it ran on the shared
+    /// engine (then the event-driven engine's): an agenda of release slots, a per-slot occupancy map and
+    /// a slot-weighted critical-path sweep. The per-qubit clock must
+    /// reproduce it exactly.
+    mod reference {
+        use crate::autobraid::ScheduleOutcome;
+        use crate::config::ScheduleConfig;
+        use crate::metrics::{Interval, Op, ScheduleResult};
+        use autobraid_circuit::{Circuit, DependenceDag, Gate, GateId, TwoKind};
+        use autobraid_lattice::{Grid, Occupancy};
+        use autobraid_placement::Placement;
+        use autobraid_router::stack_finder::route_concurrent;
+        use autobraid_router::{BraidPath, CxRequest};
+        use std::collections::BTreeMap;
+        use std::time::Instant;
+
+        pub(super) fn schedule(
+            circuit: &Circuit,
+            grid: &Grid,
+            placement: Placement,
+            config: &ScheduleConfig,
+        ) -> ScheduleOutcome {
+            let started = Instant::now();
+            let dag = if config.commutation_aware {
+                DependenceDag::with_commutation(circuit)
+            } else {
+                DependenceDag::new(circuit)
+            };
+            let d_cycles = u64::from(config.timing.params().distance());
+
+            // Slots a gate occupies.
+            let slots_of = |g: &Gate| -> u64 {
+                match g {
+                    Gate::Single { .. } => 1,
+                    Gate::Two {
+                        kind: TwoKind::Swap,
+                        ..
+                    } => 6,
+                    Gate::Two { .. } => 2,
+                }
+            };
+            // Remaining critical path in slots, for routing priority.
+            let mut remaining = vec![0u64; circuit.len()];
+            for g in (0..circuit.len()).rev() {
+                let tail = dag
+                    .successors(g)
+                    .iter()
+                    .map(|&s| remaining[s])
+                    .max()
+                    .unwrap_or(0);
+                remaining[g] = tail + slots_of(circuit.gate(g));
+            }
+
+            // ready_at[g]: earliest slot all predecessors have finished.
+            let mut unmet: Vec<usize> = (0..circuit.len())
+                .map(|g| dag.predecessors(g).len())
+                .collect();
+            let mut ready_at: Vec<u64> = vec![0; circuit.len()];
+            // Gates becoming ready at each slot.
+            let mut agenda: BTreeMap<u64, Vec<GateId>> = BTreeMap::new();
+            for g in dag.roots() {
+                agenda.entry(0).or_default().push(g);
+            }
+
+            // Per-slot occupancy, garbage-collected as time passes.
+            let mut occupancy: BTreeMap<u64, Occupancy> = BTreeMap::new();
+            let mut steps: Vec<Interval> = Vec::with_capacity(circuit.len());
+            let mut finished = 0usize;
+            let mut makespan_slots = 0u64;
+            let mut result = ScheduleResult::new("autobraid-async", circuit.name(), config.timing);
+            let mut utilization_samples = 0u64;
+            let mut utilization_sum = 0.0;
+
+            while finished < circuit.len() {
+                let (&slot, _) = agenda
+                    .iter()
+                    .next()
+                    .expect("unfinished gates have agenda entries");
+                let batch = agenda.remove(&slot).expect("entry exists");
+                occupancy.retain(|&s, _| s >= slot);
+
+                let mut complete =
+                    |g: GateId,
+                     start: u64,
+                     path: Option<BraidPath>,
+                     agenda: &mut BTreeMap<u64, Vec<GateId>>| {
+                        let len = slots_of(circuit.gate(g));
+                        let finish = start + len;
+                        steps.push(Interval {
+                            start_slot: start,
+                            slots: len,
+                            op: Op::Gate { gate: g, path },
+                        });
+                        makespan_slots = makespan_slots.max(finish);
+                        for &s in dag.successors(g) {
+                            unmet[s] -= 1;
+                            ready_at[s] = ready_at[s].max(finish);
+                            if unmet[s] == 0 {
+                                agenda.entry(ready_at[s]).or_default().push(s);
+                            }
+                        }
+                    };
+
+                // Local gates run immediately; braids compete for a path that is
+                // free across their whole duration.
+                let mut braid_gates: Vec<GateId> = Vec::new();
+                for g in batch {
+                    if circuit.gate(g).is_two_qubit() {
+                        braid_gates.push(g);
+                    } else {
+                        complete(g, slot, None, &mut agenda);
+                        finished += 1;
+                        result.local_steps += 1;
+                    }
+                }
+                if braid_gates.is_empty() {
+                    continue;
+                }
+
+                // A braid spanning [slot, slot + span) must avoid every path
+                // active in any of those slots: route against the union map.
+                let span = braid_gates
+                    .iter()
+                    .map(|&g| slots_of(circuit.gate(g)))
+                    .max()
+                    .expect("non-empty braid batch");
+                let mut merged = Occupancy::new(grid);
+                for s in slot..slot + span {
+                    if let Some(o) = occupancy.get(&s) {
+                        merged.union_with(o);
+                    }
+                }
+                let requests: Vec<CxRequest> = braid_gates
+                    .iter()
+                    .map(|&g| {
+                        let (a, b) = circuit.gate(g).pair().expect("two-qubit");
+                        CxRequest::new(g, placement.cell_of(a), placement.cell_of(b))
+                            .with_priority(remaining[g] as i64)
+                    })
+                    .collect();
+                let outcome = route_concurrent(grid, &mut merged, &requests);
+                utilization_samples += 1;
+                utilization_sum += merged.utilization();
+                result.peak_utilization = result.peak_utilization.max(merged.utilization());
+
+                for routed in outcome.routed {
+                    let g = routed.request.id;
+                    let len = slots_of(circuit.gate(g));
+                    for s in slot..slot + len {
+                        let o = occupancy.entry(s).or_insert_with(|| Occupancy::new(grid));
+                        let ok = o.try_reserve(grid, routed.path.vertices().iter().copied());
+                        assert!(ok, "interval reservation conflicts with an active braid");
+                    }
+                    complete(g, slot, Some(routed.path), &mut agenda);
+                    finished += 1;
+                    result.braid_steps += 1;
+                }
+                for id in outcome.failed {
+                    // Congested: retry next slot.
+                    agenda.entry(slot + 1).or_default().push(id);
+                }
+            }
+
+            result.total_cycles = makespan_slots * d_cycles;
+            if utilization_samples > 0 {
+                result.mean_utilization = utilization_sum / utilization_samples as f64;
+            }
+            result.compile_seconds = started.elapsed().as_secs_f64();
+            result.steps = steps;
+            ScheduleOutcome {
+                result,
+                grid: grid.clone(),
+                initial_placement: placement,
+            }
+        }
+    }
+
+    /// Schedules `circuit` with both engines from the same placement and
+    /// asserts identical intervals, in order, and statistics.
+    fn assert_matches_reference(circuit: &Circuit) {
+        let config = ScheduleConfig::default();
+        let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
+        let placement = AutoBraid::new(config.clone()).initial_placement(circuit, &grid);
+        let mut new = per_qubit_clock(circuit, &grid, placement.clone(), &config);
+        let mut old = reference::schedule(circuit, &grid, placement, &config);
+        assert_eq!(
+            new.result.steps,
+            old.result.steps,
+            "{}: intervals",
+            circuit.name()
+        );
+        new.result.compile_seconds = 0.0;
+        old.result.compile_seconds = 0.0;
+        assert_eq!(new.result, old.result, "{}: result", circuit.name());
+    }
+
+    #[test]
+    fn per_qubit_clock_matches_the_reference_loop() {
+        for name in ["4gt11_8", "4gt5_75", "alu-v0_26", "rd32-v0"] {
+            assert_matches_reference(&generators::by_name(name, 0).unwrap());
+        }
+        assert_matches_reference(&generators::qft::qft(16).unwrap());
+        for seed in 0..4 {
+            assert_matches_reference(&random_circuit(10, 300, 0.6, seed).unwrap());
+        }
+    }
+
+    #[test]
+    fn verify_checks_the_dag_the_schedule_was_built_with() {
+        // BV's CXs share the ancilla as target, so they commute, but the
+        // plain DAG still orders them.
+        let circuit = generators::bv::bv_all_ones(6).unwrap();
+        let outcome = run_async(&circuit);
+        let relaxed = DependenceDag::with_commutation(&circuit);
+        let mut result = outcome.result.clone();
+        let steps = &mut result.steps;
+        steps.sort_by_key(|i| i.gate());
+        let cxs: Vec<usize> = (0..steps.len())
+            .filter(|&i| steps[i].path().is_some())
+            .collect();
+        // Move the last CX into its predecessor's slot and the
+        // predecessor after it, then let the local gates wait for them.
+        let (pred, last) = (cxs[cxs.len() - 2], cxs[cxs.len() - 1]);
+        let (s_pred, s_last) = (steps[pred].start_slot, steps[last].start_slot);
+        steps[last].start_slot = s_pred;
+        steps[pred].start_slot = s_last;
+        for g in 0..steps.len() {
+            if steps[g].path().is_none() {
+                let ready = relaxed
+                    .predecessors(g)
+                    .iter()
+                    .map(|&p| steps[p].finish_slot());
+                steps[g].start_slot = ready.fold(steps[g].start_slot, u64::max);
+            }
+        }
+        let relaxed_check = verify_schedule_with_dag(
+            &circuit,
+            &relaxed,
+            &outcome.grid,
+            &outcome.initial_placement,
+            &result,
+        );
+        assert_eq!(relaxed_check, Ok(()));
+        assert!(verify(&circuit, &result, &outcome)
+            .unwrap_err()
+            .contains("before its dependency"));
+    }
+
+    #[test]
+    fn building_blocks_hit_critical_path_exactly() {
+        // The paper's Table 2: AutoBraid equals CP on the block suite.
+        for name in ["4gt11_8", "4gt5_75", "alu-v0_26", "rd32-v0"] {
+            let circuit = generators::by_name(name, 0).unwrap();
+            let outcome = run_async(&circuit);
+            let cp = critical_path_cycles(&circuit, outcome.result.timing());
+            assert_eq!(
+                outcome.result.total_cycles, cp,
+                "{name}: async engine must meet CP"
+            );
+        }
+    }
+
+    #[test]
+    fn never_below_cp_and_never_above_sync() {
+        let config = ScheduleConfig::default();
+        let compiler = AutoBraid::new(config.clone());
+        for seed in 0..4 {
+            let circuit = random_circuit(10, 250, 0.5, seed).unwrap();
+            let sync = compiler
+                .schedule(Strategy::Stack, &circuit)
+                .result
+                .total_cycles;
+            let outcome = run_async(&circuit);
+            let cp = critical_path_cycles(&circuit, outcome.result.timing());
+            assert!(outcome.result.total_cycles >= cp, "seed {seed}: below CP");
+            assert!(
+                outcome.result.total_cycles <= sync,
+                "seed {seed}: async ({}) worse than sync ({sync})",
+                outcome.result.total_cycles
+            );
+        }
+    }
+
+    #[test]
+    fn bv_and_ising_hit_cp() {
+        for circuit in [
+            generators::bv::bv_all_ones(24).unwrap(),
+            generators::ising::ising(16, 2).unwrap(),
+        ] {
+            let outcome = run_async(&circuit);
+            let cp = critical_path_cycles(&circuit, outcome.result.timing());
+            assert_eq!(outcome.result.total_cycles, cp, "{}", circuit.name());
+        }
+    }
+
+    #[test]
+    fn assignment_count_matches_circuit() {
+        let circuit = generators::qft::qft(12).unwrap();
+        let outcome = run_async(&circuit);
+        assert_eq!(outcome.result.steps.len(), circuit.len());
+    }
+
+    #[test]
+    fn stats_only_recording_skips_intervals() {
+        use crate::config::Recording;
+        let circuit = generators::qft::qft(8).unwrap();
+        let full = run_async(&circuit).result;
+        let config = ScheduleConfig::default().with_recording(Recording::StatsOnly);
+        let grid = Grid::with_capacity_for(8);
+        let placement = AutoBraid::new(config.clone()).initial_placement(&circuit, &grid);
+        let stats = per_qubit_clock(&circuit, &grid, placement, &config).result;
+        assert!(stats.steps.is_empty());
+        assert_eq!(stats.total_cycles, full.total_cycles);
+        assert_eq!(stats.braid_steps, full.braid_steps);
+    }
+
+    #[test]
+    fn verify_catches_corruption() {
+        let circuit = generators::qft::qft(8).unwrap();
+        let outcome = run_async(&circuit);
+        let mut result = outcome.result.clone();
+        // Force a dependence violation: schedule the last gate at slot 0.
+        let last = result.steps.len() - 1;
+        result.steps[last].start_slot = 0;
+        assert!(verify(&circuit, &result, &outcome).is_err());
     }
 }

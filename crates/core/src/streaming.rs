@@ -5,8 +5,8 @@
 //! A [`StreamingPipeline`] is opened for a fixed qubit capacity, fed
 //! gates one at a time (or in bursts) with [`StreamingPipeline::push_gate`],
 //! and stepped with [`StreamingPipeline::step`]. It *is* the batch
-//! engine (`scheduler::Engine`, the stepper behind
-//! [`crate::scheduler::run`]) fed gate by gate: pushes append to the
+//! engine (`scheduler::Engine`, the stepper every batch compile drains
+//! through [`crate::scheduler::run`]) fed gate by gate: pushes append to the
 //! engine's dependence frontier, and each step is one engine step —
 //! ready local gates execute together, ready two-qubit gates become a
 //! braiding layer routed by the strategy's [`RoutePolicy`], and gates
@@ -24,7 +24,8 @@
 //!   conformance generator uses for its overlays);
 //! * [`FaultEvent::MagicStall`] — the magic-state supply
 //!   ([`crate::magic`]) runs dry for a number of steps, idling the
-//!   braiding engine while local gates wait.
+//!   braiding engine while local gates wait; the next step starts after
+//!   the stall, and a stall that no gate follows costs nothing.
 //!
 //! Faults surface as `fault.injected` / `fault.recovered`
 //! `autobraid.trace/v1` decision events and `streaming.*` telemetry
@@ -39,8 +40,9 @@
 //!
 //! When the same gate sequence is pushed up front and drained with no
 //! faults and no step budget, the streaming schedule is *identical* to
-//! the batch engine run with the same policy, placement, and base
-//! occupancy, since it is the same loop over the same frontier — the
+//! the batch engine [`crate::scheduler::run`] with the same policy,
+//! placement, and base occupancy, since it is the same loop over the
+//! same frontier — the
 //! equality the conformance oracle's streaming differential check
 //! enforces. With a [`StreamingOptions::step_budget`],
 //! overrunning steps deterministically shrink the next layer to its
@@ -134,9 +136,10 @@ pub enum FaultEvent {
         col: u32,
     },
     /// The magic-state supply stalls for `steps` braiding-step slots:
-    /// the engine idles (charging braid-step cycles) until the supply
-    /// recovers. Models a distillation-factory hiccup for the
-    /// [`crate::magic`] rewrite's factory-CX traffic.
+    /// the engine idles until the supply recovers, and the next step
+    /// starts that many braid-step cycles later. A stall that no gate
+    /// follows costs nothing. Models a distillation-factory hiccup for
+    /// the [`crate::magic`] rewrite's factory-CX traffic.
     MagicStall {
         /// Number of braiding-step slots the supply is dry for.
         steps: u64,
@@ -273,6 +276,9 @@ pub struct StreamingPipeline {
     engine: Engine<'static>,
     /// Remaining magic-stall slots.
     stall_steps: u64,
+    /// Cycles of stall slots taken since the last engine step: charged
+    /// only when a gate runs after them.
+    stalled_cycles: u64,
     /// Fault kinds injected but not yet acknowledged by a committed step.
     pending_recovery: Vec<&'static str>,
     /// Gates deferred by an earlier routing pass (for reroute counting).
@@ -341,6 +347,7 @@ impl StreamingPipeline {
             policy,
             engine,
             stall_steps: 0,
+            stalled_cycles: 0,
             pending_recovery: Vec::new(),
             deferred_before: Vec::new(),
             over_budget: false,
@@ -464,12 +471,16 @@ impl StreamingPipeline {
     pub fn step(&mut self) -> Result<StepOutcome, StreamError> {
         if self.stall_steps > 0 {
             self.stall_steps -= 1;
-            let result = &mut self.engine.result;
-            result.total_cycles += result.timing().braid_step_cycles();
+            self.stalled_cycles += self.engine.result.timing().braid_step_cycles();
             telemetry::counter("streaming.stall.steps", 1);
             return Ok(StepOutcome::Stalled {
                 remaining: self.stall_steps,
             });
+        }
+        // A stall delays only the gates that run after it: the next step
+        // starts after it, a stall that no gate follows costs nothing.
+        if self.outstanding() > 0 {
+            self.engine.result.total_cycles += std::mem::take(&mut self.stalled_cycles);
         }
 
         let route_started = Instant::now();
@@ -556,7 +567,8 @@ impl StreamingPipeline {
         Ok(())
     }
 
-    /// Drains the stream and closes it, producing the same
+    /// Drains the stream and closes it (dropping any stall that no gate
+    /// follows), producing the same
     /// [`CompileReport`] shape a batch [`crate::pipeline::Pipeline`]
     /// compile yields — including the byte-stable
     /// [`CompileReport::canonical_json`] used for replay comparison.
@@ -620,7 +632,7 @@ mod tests {
     use super::*;
     use crate::metrics::{verify_schedule, ScheduleResult};
     use crate::report::schedule_result_json;
-    use crate::scheduler::run_with_base_occupancy;
+    use crate::scheduler::{run, EngineRun};
     use autobraid_circuit::generators::{ising::ising, qft::qft};
     use autobraid_telemetry::trace::{TraceEventKind, TraceRecorder};
     use std::sync::Arc;
@@ -653,17 +665,16 @@ mod tests {
             let grid = Grid::with_capacity_for(circuit.num_qubits() as usize);
             let placement = Placement::row_major(&grid, circuit.num_qubits());
             let policy = route_policy(strategy).unwrap_or_else(|| Box::new(StackPolicy));
-            let (batch, _) = run_with_base_occupancy(
+            let config = ScheduleConfig::default();
+            let drive = EngineRun::new(
                 strategy.name(),
                 &circuit,
                 &grid,
                 placement,
                 policy.as_ref(),
-                false,
-                &ScheduleConfig::default(),
-                &Occupancy::new(&grid),
-            )
-            .unwrap();
+                &config,
+            );
+            let (batch, _) = run(drive).unwrap().unwrap();
             assert_eq!(
                 canonical_schedule(&report.outcome.result),
                 canonical_schedule(&batch),

@@ -472,8 +472,9 @@ pub fn anneal(
 }
 
 /// [`anneal`]; the thread count is ignored. A thread-count shim with the
-/// signature perfbench's traced compile calls, kept with the two in
+/// signature perfbench's traced compile calls, kept with the five in
 /// `autobraid::scheduler::shims` and removed with them.
+#[deprecated(note = "perfbench only; deleted by ROADMAP item 2")]
 pub fn anneal_portfolio(
     circuit: &Circuit,
     grid: &Grid,
@@ -593,6 +594,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn portfolio_with_one_chain_is_anneal() {
         let c = qft(12).unwrap();
         let grid = Grid::with_capacity_for(12);

@@ -37,6 +37,7 @@ pub mod linear;
 pub mod partition;
 pub mod place;
 
+#[allow(deprecated)]
 pub use annealing::{anneal, anneal_portfolio, AnnealConfig, AnnealOutcome};
 pub use coupling::CouplingGraph;
 pub use initial::partition_placement;

@@ -1,7 +1,8 @@
 //! Extending the framework: plug a custom routing-order policy into the
 //! scheduling engine and race it against the built-in stack-based finder.
 //!
-//! The engine ([`autobraid::scheduler::run`]) accepts any
+//! The engine's one entry point ([`autobraid::scheduler::run`]) drives
+//! an [`autobraid::scheduler::EngineRun`] with any
 //! [`autobraid::scheduler::RoutePolicy`]; this example implements a
 //! largest-first policy (route the longest gates first — the opposite of
 //! the greedy baseline) and compares all three orderings on a congested
@@ -11,7 +12,7 @@
 
 use autobraid::config::{Recording, ScheduleConfig};
 use autobraid::report::Table;
-use autobraid::scheduler::{run, GreedyPolicy, RoutePolicy, StackPolicy};
+use autobraid::scheduler::{run, EngineRun, GreedyPolicy, RoutePolicy, StackPolicy};
 use autobraid_circuit::generators::random::random_circuit;
 use autobraid_lattice::{Grid, Occupancy};
 use autobraid_placement::Placement;
@@ -61,15 +62,18 @@ fn main() {
     let policies: [&dyn RoutePolicy; 3] = [&StackPolicy, &GreedyPolicy, &LargestFirstPolicy];
     let mut table = Table::new(["policy", "braid steps", "cycles", "peak util %"]);
     for policy in policies {
-        let (result, _) = run(
+        let drive = EngineRun::new(
             policy.name(),
             &circuit,
             &grid,
             placement.clone(),
             policy,
-            false,
             &config,
         );
+        let (result, _) = run(drive)
+            .ok()
+            .flatten()
+            .expect("an unbounded drive on a defect-free lattice completes");
         table.add_row([
             policy.name().to_string(),
             result.braid_steps.to_string(),

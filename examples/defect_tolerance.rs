@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example defect_tolerance`.
 
 use autobraid::config::ScheduleConfig;
-use autobraid::scheduler::{run_with_base_occupancy, ScheduleError, StackPolicy};
+use autobraid::scheduler::{run, EngineRun, LayoutMove, ScheduleError, StackPolicy};
 use autobraid::AutoBraid;
 use autobraid_circuit::generators::qaoa::qaoa;
 use autobraid_lattice::{Grid, Occupancy, Vertex};
@@ -16,19 +16,24 @@ fn main() {
     let compiler = AutoBraid::new(config.clone());
     let placement = compiler.initial_placement(&circuit, &grid);
 
+    // One unbounded drive with swap insertion from the same placement,
+    // on a lattice whose defective channel vertices are reserved in `base`.
+    let drive = |name: &str, base: &Occupancy| {
+        let drive = EngineRun::new(
+            name,
+            &circuit,
+            &grid,
+            placement.clone(),
+            &StackPolicy,
+            &config,
+        );
+        run(drive.base(base).layout(LayoutMove::SwapInsertion))
+            .map(|done| done.expect("an unbounded drive finishes"))
+    };
+
     // Pristine lattice.
-    let clean_base = Occupancy::new(&grid);
-    let (clean, _) = run_with_base_occupancy(
-        "clean",
-        &circuit,
-        &grid,
-        placement.clone(),
-        &StackPolicy,
-        true,
-        &config,
-        &clean_base,
-    )
-    .expect("clean lattices always schedule");
+    let (clean, _) =
+        drive("clean", &Occupancy::new(&grid)).expect("clean lattices always schedule");
 
     // Progressive damage: break more and more channel intersections.
     println!("defects | cycles | slowdown");
@@ -42,16 +47,7 @@ fn main() {
         for &v in &damage[..count] {
             base.reserve(&grid, v);
         }
-        match run_with_base_occupancy(
-            "damaged",
-            &circuit,
-            &grid,
-            placement.clone(),
-            &StackPolicy,
-            true,
-            &config,
-            &base,
-        ) {
+        match drive("damaged", &base) {
             Ok((result, _)) => println!(
                 "{:>7} | {:>6} | {:.2}x",
                 count,

@@ -1,18 +1,38 @@
-//! Randomized tests for the event-driven engine: CP bounds,
+//! Randomized tests for the engine's per-qubit (event-driven) clock: CP bounds,
 //! verification, and agreement with the synchronous engine's
 //! semantics. Deterministic seeded sweeps stand in for property-based
 //! generation so the suite stays zero-dependency.
 
-use autobraid::async_engine::schedule_async;
 use autobraid::config::ScheduleConfig;
 use autobraid::critical_path::critical_path_cycles;
 use autobraid::metrics::verify_schedule;
-use autobraid::{AutoBraid, Strategy};
+use autobraid::scheduler::{run, Clock, EngineRun, StackPolicy};
+use autobraid::{AutoBraid, ScheduleResult, Strategy};
 use autobraid_circuit::generators::random::random_circuit;
 use autobraid_circuit::sim::circuits_equivalent;
 use autobraid_circuit::{Circuit, Gate};
 use autobraid_lattice::Grid;
+use autobraid_placement::Placement;
 use autobraid_telemetry::Rng64;
+
+/// The per-qubit clock with the stack finder from `placement`.
+fn per_qubit_clock(
+    circuit: &Circuit,
+    grid: &Grid,
+    placement: Placement,
+    config: &ScheduleConfig,
+) -> ScheduleResult {
+    let drive = EngineRun::new(
+        "autobraid-async",
+        circuit,
+        grid,
+        placement,
+        &StackPolicy,
+        config,
+    );
+    let (result, _) = run(drive.clock(Clock::PerQubit)).unwrap().unwrap();
+    result
+}
 
 /// Interval schedules verify, bound CP from above, and beat (or tie)
 /// the synchronous engine.
@@ -28,17 +48,16 @@ fn async_schedules_verify_and_bound() {
         let circuit = random_circuit(8, gates, frac, seed).unwrap();
         let grid = Grid::with_capacity_for(8);
         let placement = compiler.initial_placement(&circuit, &grid);
-        let outcome = schedule_async(&circuit, &grid, placement.clone(), &config);
-        verify_schedule(&circuit, &grid, &placement, &outcome.result)
-            .expect("async schedule verifies");
+        let result = per_qubit_clock(&circuit, &grid, placement.clone(), &config);
+        verify_schedule(&circuit, &grid, &placement, &result).expect("async schedule verifies");
 
-        let cp = critical_path_cycles(&circuit, outcome.result.timing());
-        assert!(outcome.result.total_cycles >= cp);
+        let cp = critical_path_cycles(&circuit, result.timing());
+        assert!(result.total_cycles >= cp);
         let sync = compiler
             .schedule(Strategy::Stack, &circuit)
             .result
             .total_cycles;
-        assert!(outcome.result.total_cycles <= sync);
+        assert!(result.total_cycles <= sync);
     }
 }
 
@@ -56,8 +75,8 @@ fn async_execution_order_preserves_semantics() {
         let circuit = random_circuit(6, gates, 0.5, seed).unwrap();
         let grid = Grid::with_capacity_for(6);
         let placement = compiler.initial_placement(&circuit, &grid);
-        let outcome = schedule_async(&circuit, &grid, placement, &config);
-        let order = outcome.result.execution_order();
+        let result = per_qubit_clock(&circuit, &grid, placement, &config);
+        let order = result.execution_order();
         let gates: Vec<Gate> = order.iter().map(|&g| *circuit.gate(g)).collect();
         let replay = Circuit::from_gates(circuit.num_qubits(), gates).unwrap();
         assert!(circuits_equivalent(&circuit, &replay, 1e-9));
@@ -81,16 +100,16 @@ fn async_is_strictly_better_on_mixed_chains() {
     let compiler = AutoBraid::new(config.clone());
     let grid = Grid::with_capacity_for(6);
     let placement = compiler.initial_placement(&circuit, &grid);
-    let asynchronous = schedule_async(&circuit, &grid, placement, &config);
+    let asynchronous = per_qubit_clock(&circuit, &grid, placement, &config);
     let sync = compiler
         .schedule(Strategy::Stack, &circuit)
         .result
         .total_cycles;
     assert!(
-        asynchronous.result.total_cycles < sync,
+        asynchronous.total_cycles < sync,
         "async {} should beat sync {sync} on mixed chains",
-        asynchronous.result.total_cycles
+        asynchronous.total_cycles
     );
-    let cp = critical_path_cycles(&circuit, asynchronous.result.timing());
-    assert_eq!(asynchronous.result.total_cycles, cp, "and meet CP outright");
+    let cp = critical_path_cycles(&circuit, asynchronous.timing());
+    assert_eq!(asynchronous.total_cycles, cp, "and meet CP outright");
 }

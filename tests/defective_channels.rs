@@ -3,12 +3,18 @@
 //! or regions reserved for magic-state distillation factories).
 
 use autobraid::config::ScheduleConfig;
-use autobraid::critical_path_cycles;
-use autobraid::scheduler::{run_with_base_occupancy, ScheduleError, StackPolicy};
+use autobraid::scheduler::{run, EngineRun, LayoutMove, ScheduleError, StackPolicy};
+use autobraid::{critical_path_cycles, ScheduleResult};
 use autobraid_circuit::generators::{ising::ising, qft::qft};
 use autobraid_circuit::Circuit;
 use autobraid_lattice::{Grid, Occupancy, Vertex};
 use autobraid_placement::Placement;
+
+/// Runs `drive`, which is unbounded: an error only when the defects
+/// make a gate unroutable.
+fn drive(drive: EngineRun<'_>) -> Result<(ScheduleResult, Placement), ScheduleError> {
+    run(drive).map(|done| done.expect("an unbounded drive finishes"))
+}
 
 fn defects(grid: &Grid, vertices: &[(u32, u32)]) -> Occupancy {
     let mut base = Occupancy::new(grid);
@@ -27,15 +33,16 @@ fn schedules_around_scattered_defects() {
     // A diagonal of broken channel intersections.
     let base = defects(&grid, &[(1, 1), (2, 2), (3, 3)]);
 
-    let (result, _) = run_with_base_occupancy(
-        "defective",
-        &circuit,
-        &grid,
-        placement,
-        &StackPolicy,
-        false,
-        &config,
-        &base,
+    let (result, _) = drive(
+        EngineRun::new(
+            "defective",
+            &circuit,
+            &grid,
+            placement,
+            &StackPolicy,
+            &config,
+        )
+        .base(&base),
     )
     .expect("scattered defects leave the lattice connected");
 
@@ -57,28 +64,23 @@ fn defects_degrade_but_do_not_break_ising() {
     let placement = autobraid_placement::linear_placement(&circuit, &grid).unwrap();
 
     let clean_base = Occupancy::new(&grid);
-    let (clean, _) = run_with_base_occupancy(
-        "clean",
-        &circuit,
-        &grid,
-        placement.clone(),
-        &StackPolicy,
-        false,
-        &config,
-        &clean_base,
+    let (clean, _) = drive(
+        EngineRun::new(
+            "clean",
+            &circuit,
+            &grid,
+            placement.clone(),
+            &StackPolicy,
+            &config,
+        )
+        .base(&clean_base),
     )
     .unwrap();
 
     let broken_base = defects(&grid, &[(2, 2), (2, 3), (3, 2)]);
-    let (broken, _) = run_with_base_occupancy(
-        "broken",
-        &circuit,
-        &grid,
-        placement,
-        &StackPolicy,
-        false,
-        &config,
-        &broken_base,
+    let (broken, _) = drive(
+        EngineRun::new("broken", &circuit, &grid, placement, &StackPolicy, &config)
+            .base(&broken_base),
     )
     .unwrap();
 
@@ -101,15 +103,8 @@ fn fully_walled_qubit_reports_unroutable() {
     let config = ScheduleConfig::default();
     let base = defects(&grid, &[(0, 0), (0, 1), (1, 0), (1, 1)]);
 
-    let err = run_with_base_occupancy(
-        "walled",
-        &circuit,
-        &grid,
-        placement,
-        &StackPolicy,
-        false,
-        &config,
-        &base,
+    let err = drive(
+        EngineRun::new("walled", &circuit, &grid, placement, &StackPolicy, &config).base(&base),
     )
     .unwrap_err();
     assert_eq!(err, ScheduleError::UnroutableGate { gate: 0 });
@@ -129,15 +124,10 @@ fn reserved_distillation_region_is_respected() {
     let region: Vec<(u32, u32)> = (1..=3).map(|c| (2, c)).collect();
     let base = defects(&grid, &region);
 
-    let (result, _) = run_with_base_occupancy(
-        "factory",
-        &circuit,
-        &grid,
-        placement,
-        &StackPolicy,
-        true,
-        &config,
-        &base,
+    let (result, _) = drive(
+        EngineRun::new("factory", &circuit, &grid, placement, &StackPolicy, &config)
+            .base(&base)
+            .layout(LayoutMove::SwapInsertion),
     )
     .unwrap();
     for path in result.steps.iter().filter_map(|i| i.path()) {

@@ -5,7 +5,7 @@
 
 use autobraid::pipeline::Pipeline;
 use autobraid::runtime::CompileJob;
-use autobraid::{run, verify_schedule_with_dag, Op, ScheduleConfig, StackPolicy};
+use autobraid::{run, verify_schedule_with_dag, EngineRun, Op, ScheduleConfig, StackPolicy};
 use autobraid_circuit::{Circuit, DependenceDag};
 use autobraid_lattice::{Cell, Grid, Occupancy};
 use autobraid_placement::Placement;
@@ -15,15 +15,16 @@ use autobraid_router::stack_finder::route_concurrent;
 
 fn schedule_and_verify(circuit: &Circuit, grid: &Grid, placement: Placement) {
     let config = ScheduleConfig::default();
-    let (result, final_placement) = run(
+    let (result, final_placement) = run(EngineRun::new(
         "degenerate",
         circuit,
         grid,
         placement.clone(),
         &StackPolicy,
-        false,
         &config,
-    );
+    ))
+    .unwrap()
+    .unwrap();
     let dag = DependenceDag::new(circuit);
     verify_schedule_with_dag(circuit, &dag, grid, &placement, &result).unwrap();
     final_placement.validate(grid).unwrap();
@@ -92,15 +93,16 @@ fn empty_circuit_schedules_to_nothing() {
     let grid = Grid::new(2).unwrap();
     let c = Circuit::new(2);
     let config = ScheduleConfig::default();
-    let (result, _) = run(
+    let (result, _) = run(EngineRun::new(
         "degenerate",
         &c,
         &grid,
         Placement::row_major(&grid, 2),
         &StackPolicy,
-        false,
         &config,
-    );
+    ))
+    .unwrap()
+    .unwrap();
     assert_eq!(result.total_cycles, 0);
     assert!(result.steps.is_empty());
 }
@@ -113,15 +115,16 @@ fn single_gate_circuit_is_one_braid_step() {
     c.cx(0, 1);
     let config = ScheduleConfig::default();
     let placement = Placement::row_major(&grid, 2);
-    let (result, _) = run(
+    let (result, _) = run(EngineRun::new(
         "degenerate",
         &c,
         &grid,
         placement.clone(),
         &StackPolicy,
-        false,
         &config,
-    );
+    ))
+    .unwrap()
+    .unwrap();
     let dag = DependenceDag::new(&c);
     verify_schedule_with_dag(&c, &dag, &grid, &placement, &result).unwrap();
     assert_eq!(result.braid_steps, 1);
