@@ -28,10 +28,10 @@
 //!   via [`mod@export`] and to a per-step terminal narrative via
 //!   [`mod@explain`]. A [`FanoutRecorder`] captures both in one run.
 //!
-//! The crate also hosts two deterministic utilities the zero-dependency
-//! build needs: [`Rng64`], a seeded xoshiro256** PRNG used by circuit
-//! generators, annealing, and randomized tests; and [`mod@bench`], a
-//! `std`-only micro-benchmark harness used by the bench targets.
+//! The crate also hosts the deterministic PRNG the zero-dependency
+//! build needs: [`Rng64`], a seeded xoshiro256** generator used by
+//! circuit generators, annealing, and randomized tests. Timing lives in
+//! one place, `bench regress` (`crates/bench/src/regression.rs`).
 //!
 //! # Example
 //!
@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 mod ambient;
-pub mod bench;
 pub mod explain;
 pub mod export;
 mod flight;
