@@ -15,9 +15,9 @@
 //!   written to `--trace-dir` (default `target/regress-traces`) so the
 //!   slow run can be inspected, not just flagged.
 //!   `--inject-slowdown <factor>` multiplies the fresh scores — a
-//!   self-test hook proving the gate fires (used by CI).
-//! - `observe` — the bare and observed `qft(10)` compiles, interleaved
-//!   over `--repeats N` rounds; `--check` enforces the 2% budget.
+//!   self-test hook proving the gate fires (used by CI). Every run also
+//!   prints `observe/ambient_events` over `compile/qft` and fails past
+//!   2%, the daemon recorder stack's budget (see `ambient_overhead`).
 //! - `serve` — throughput/latency bench of the `autobraidd` compile
 //!   service: starts an in-process daemon, hammers it with `--clients`
 //!   concurrent connections issuing `--requests` compiles each, and
@@ -27,14 +27,14 @@
 //!   round-trips join the regression suite as `serve/roundtrip_hit` /
 //!   `serve/roundtrip_miss`. Protocol details: `docs/SERVICE.md`.
 //!
-//! `baseline`, `regress` and `observe` hold the process to one CPU
+//! `baseline` and `regress` hold the process to one CPU
 //! (`pin_to_one_cpu`).
 //!
 //! Run with `cargo run --release -p autobraid-bench --bin bench -- regress`.
 
 use autobraid_bench::regression::{
-    classify, measure, observe_cases, suite, Baseline, BenchCase, DEFAULT_BASELINE_PATH,
-    DEFAULT_ROUNDS,
+    ambient_overhead, classify, measure, suite, Baseline, BenchCase, AMBIENT_BUDGET,
+    DEFAULT_BASELINE_PATH, DEFAULT_ROUNDS,
 };
 use autobraid_bench::{enforce_flags, flag_requested, string_flag, usize_flag};
 use autobraid_service::{Client, CompileRequest, Server, ServiceConfig};
@@ -52,16 +52,14 @@ const VALID_FLAGS: &[&str] = &[
     "--requests",
     "--threads",
     "--no-cache",
-    "--check",
 ];
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench <baseline|regress|serve|observe> [flags]\n\
+        "usage: bench <baseline|regress|serve> [flags]\n\
          \x20 baseline  --out <path> --repeats <n>\n\
          \x20 regress   --baseline <path> --repeats <n> --trace-dir <dir> --inject-slowdown <f>\n\
-         \x20 serve     --clients <n> --requests <n> --threads <n> [--no-cache]\n\
-         \x20 observe   --repeats <n> [--check]"
+         \x20 serve     --clients <n> --requests <n> --threads <n> [--no-cache]"
     );
     std::process::exit(2);
 }
@@ -73,14 +71,13 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .unwrap_or_else(|| usage());
     let rounds = usize_flag("--repeats", DEFAULT_ROUNDS);
-    if matches!(subcommand.as_str(), "baseline" | "regress" | "observe") {
+    if matches!(subcommand.as_str(), "baseline" | "regress") {
         pin_to_one_cpu();
     }
     match subcommand.as_str() {
         "baseline" => run_baseline_cmd(rounds),
         "regress" => run_regress_cmd(rounds),
         "serve" => run_serve_cmd(),
-        "observe" => run_observe_cmd(rounds),
         _ => usage(),
     }
 }
@@ -113,29 +110,6 @@ fn pin_to_one_cpu() {
 
 #[cfg(not(target_os = "linux"))]
 fn pin_to_one_cpu() {}
-
-/// Measures the cost of the service's always-on observability stack:
-/// the same `qft(10)` compile bare and under the ambient recorder
-/// fanout (lifetime + windowed + flight), interleaved round by round,
-/// reporting the relative overhead of the minima. `--check` enforces
-/// the documented <2% budget (exit nonzero past it) — CI calls it that
-/// way.
-fn run_observe_cmd(rounds: usize) {
-    let (off, on) = observe_cases();
-    eprintln!("observe bench: {} interleaved rounds", rounds.max(1));
-    let measured = measure(&[off, on], rounds);
-    report(&measured);
-    let (off, on) = (measured.entries[0].min_ns, measured.entries[1].min_ns);
-    let overhead = 100.0 * (on - off) / off;
-    println!("observability overhead: {overhead:+.2}% of the bare minimum");
-    if flag_requested("--check") {
-        if overhead > 2.0 {
-            eprintln!("FAIL: overhead {overhead:+.2}% exceeds the 2% budget (docs/METRICS.md)");
-            std::process::exit(1);
-        }
-        eprintln!("OK: within the 2% budget");
-    }
-}
 
 /// Load-tests an in-process daemon: `--clients` concurrent connections
 /// issuing `--requests` compiles of the same circuit each, then reports
@@ -273,13 +247,7 @@ fn run_regress_cmd(rounds: usize) {
     let comparisons = classify(&base, &fresh);
     let trace_dir =
         string_flag("--trace-dir").unwrap_or_else(|| "target/regress-traces".to_string());
-    let trace = |name: &str| {
-        let case = cases
-            .iter()
-            .find(|c| c.name == name)
-            .expect("compared entries come from the suite");
-        write_trace_for(case, &trace_dir);
-    };
+    let write_trace = |name: &str| write_trace_for(&cases, name, &trace_dir);
 
     // Entries inside the "watch" band (past NEAR_THRESHOLD of their
     // allowed ratio but not over it) don't fail the gate, but they ship
@@ -296,46 +264,89 @@ fn run_regress_cmd(rounds: usize) {
                 "  {:<26} x{:.2} of allowed x{:.2} (normalized {:.3} -> {:.3})",
                 c.name, c.ratio, c.allowed, c.base_normalized, c.fresh_normalized
             );
-            trace(&c.name);
+            write_trace(&c.name);
         }
     }
 
     let regressions: Vec<_> = comparisons.iter().filter(|c| c.regressed()).collect();
     if regressions.is_empty() {
         eprintln!("OK: no entry regressed past its noise-aware threshold");
-        return;
+    } else {
+        eprintln!("REGRESSIONS ({}):", regressions.len());
     }
-    eprintln!("REGRESSIONS ({}):", regressions.len());
     for r in &regressions {
         eprintln!(
             "  {:<26} x{:.2} slower (allowed x{:.2}; normalized {:.3} -> {:.3})",
             r.name, r.ratio, r.allowed, r.base_normalized, r.fresh_normalized
         );
-        trace(&r.name);
+        write_trace(&r.name);
     }
-    std::process::exit(1);
+
+    let ambient = ambient_overhead(&fresh).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
+    let over_budget = ambient > AMBIENT_BUDGET;
+    eprintln!(
+        "ambient stack: {:.2}% of compile/qft, {} its {:.0}% budget",
+        100.0 * ambient,
+        if over_budget { "OVER" } else { "within" },
+        100.0 * AMBIENT_BUDGET
+    );
+    if over_budget {
+        write_trace("observe/ambient_events");
+    }
+    if over_budget || !regressions.is_empty() {
+        std::process::exit(1);
+    }
 }
 
-/// Runs a measured suite case once more under a `TraceRecorder` and
+/// Runs the suite case `name` once more under a `TraceRecorder` and
 /// writes the Chrome trace JSON next to the others in `trace_dir`, so
-/// the regression report ships with an inspectable Perfetto trace.
-fn write_trace_for(case: &BenchCase, trace_dir: &str) {
+/// the regression report ships with an inspectable Perfetto trace. A
+/// case that installs its own recorder does so alongside this one.
+fn write_trace_for(cases: &[BenchCase], name: &str, trace_dir: &str) {
+    let case = cases
+        .iter()
+        .find(|c| c.name == name)
+        .expect("traced entries come from the suite");
     let recorder = Arc::new(TraceRecorder::new());
     {
         let _guard = install(recorder.clone());
         (case.run)();
     }
-    let name = case.name;
     let file = format!("{trace_dir}/{}.trace.json", name.replace('/', "_"));
     if let Err(e) = std::fs::create_dir_all(trace_dir)
-        .map_err(|e| e.to_string())
-        .and_then(|()| {
-            std::fs::write(&file, recorder.snapshot().to_chrome_json() + "\n")
-                .map_err(|e| e.to_string())
-        })
+        .and_then(|()| std::fs::write(&file, recorder.snapshot().to_chrome_json() + "\n"))
     {
         eprintln!("  (could not write trace for {name}: {e})");
     } else {
         eprintln!("  trace: {file} (open in https://ui.perfetto.dev)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use autobraid_telemetry::JsonValue;
+
+    #[test]
+    fn traces_of_ambient_entries_are_not_empty() {
+        let dir = std::env::temp_dir().join(format!("bench-traces-{}", std::process::id()));
+        let dir = dir.to_str().expect("temp dir is UTF-8");
+        let cases = suite();
+        for case in cases.iter().filter(|c| c.name.starts_with("observe/")) {
+            write_trace_for(&cases, case.name, dir);
+            let file = format!("{dir}/{}.trace.json", case.name.replace('/', "_"));
+            let json = JsonValue::parse(&std::fs::read_to_string(&file).unwrap()).unwrap();
+            let recorded = json
+                .as_array()
+                .unwrap()
+                .iter()
+                .filter(|e| e.get("ph").and_then(JsonValue::as_str) != Some("M"))
+                .count();
+            assert!(recorded > 0, "{} traced no events", case.name);
+        }
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -22,9 +22,7 @@ use autobraid::{AutoBraid, ScheduleResult, Strategy};
 use autobraid_circuit::{generators, Circuit, CircuitError};
 use autobraid_lattice::Grid;
 use autobraid_lattice::{CodeParams, TimingModel};
-use autobraid_telemetry::{
-    install, MemoryRecorder, RecorderGuard, TelemetrySnapshot, TraceRecorder,
-};
+use autobraid_telemetry::{install, MemoryRecorder, RecorderGuard, TraceRecorder};
 
 pub mod regression;
 
@@ -297,13 +295,9 @@ pub fn flag_requested(name: &str) -> bool {
 /// Parses a `--name <value>` integer flag, falling back to `default`
 /// when the flag is absent or its value does not parse.
 pub fn usize_flag(name: &str, default: usize) -> usize {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return args.next().and_then(|v| v.parse().ok()).unwrap_or(default);
-        }
-    }
-    default
+    string_flag(name)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Parses a `--name <value>` string flag; `None` when the flag is absent
@@ -329,13 +323,6 @@ pub struct TelemetrySink {
     _guard: RecorderGuard,
 }
 
-impl TelemetrySink {
-    /// The aggregate recorded so far.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.recorder.snapshot()
-    }
-}
-
 impl Drop for TelemetrySink {
     fn drop(&mut self) {
         let json = self.recorder.snapshot().to_json();
@@ -354,20 +341,20 @@ impl Drop for TelemetrySink {
 /// whole `main` (`let _telemetry = telemetry_sink();`) so the snapshot
 /// is written on exit.
 pub fn telemetry_sink() -> Option<TelemetrySink> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--telemetry" {
-            let path = args.next().unwrap_or_else(|| "-".into());
-            let recorder = std::sync::Arc::new(MemoryRecorder::new());
-            let guard = install(recorder.clone());
-            return Some(TelemetrySink {
-                recorder,
-                path,
-                _guard: guard,
-            });
-        }
-    }
-    None
+    let path = sink_path("--telemetry")?;
+    let recorder = std::sync::Arc::new(MemoryRecorder::new());
+    let guard = install(recorder.clone());
+    Some(TelemetrySink {
+        recorder,
+        path,
+        _guard: guard,
+    })
+}
+
+/// The path after `flag` (`-`, stdout, when none follows), if `flag` is
+/// on the command line.
+fn sink_path(flag: &str) -> Option<String> {
+    flag_requested(flag).then(|| string_flag(flag).unwrap_or_else(|| "-".into()))
 }
 
 /// Process-wide event tracing for the experiment binaries, activated by
@@ -379,13 +366,6 @@ pub struct TraceSink {
     recorder: std::sync::Arc<TraceRecorder>,
     path: String,
     _guard: RecorderGuard,
-}
-
-impl TraceSink {
-    /// The trace recorded so far.
-    pub fn snapshot(&self) -> autobraid_telemetry::Trace {
-        self.recorder.snapshot()
-    }
 }
 
 impl Drop for TraceSink {
@@ -414,20 +394,14 @@ impl Drop for TraceSink {
 /// `--telemetry x.json --trace y.json` produces complete output of
 /// each. Call `telemetry_sink()` first, then `trace_sink()`.
 pub fn trace_sink() -> Option<TraceSink> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            let path = args.next().unwrap_or_else(|| "-".into());
-            let recorder = std::sync::Arc::new(TraceRecorder::new());
-            let guard = autobraid_telemetry::install_alongside(recorder.clone());
-            return Some(TraceSink {
-                recorder,
-                path,
-                _guard: guard,
-            });
-        }
-    }
-    None
+    let path = sink_path("--trace")?;
+    let recorder = std::sync::Arc::new(TraceRecorder::new());
+    let guard = autobraid_telemetry::install_alongside(recorder.clone());
+    Some(TraceSink {
+        recorder,
+        path,
+        _guard: guard,
+    })
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@ use std::sync::Arc;
 /// metrics window ([`WindowedRecorder`]) and the coarse-decision ring
 /// ([`FlightRecorder`]), installed as one recorder.
 ///
-/// Every sink declines fine-grained metrics and decisions, so compile
-/// hot paths skip their inner-loop calls under this stack; `bench
-/// observe` holds it to a <2% compile-overhead budget. `autobraidd`
+/// Every sink declines fine-grained metrics and decisions, so a compile
+/// makes a handful of sink calls under this stack whatever its size;
+/// `bench regress` holds them to 2% of a compile. `autobraidd`
 /// installs one on every connection thread and its worker pool.
 pub struct AmbientStack {
     lifetime: Arc<MemoryRecorder>,
@@ -46,7 +46,12 @@ impl AmbientStack {
 
     /// Installs the stack on this thread until the guard drops.
     pub fn install(&self) -> RecorderGuard {
-        install(Arc::clone(&self.fanout))
+        install(self.recorder())
+    }
+
+    /// The stack as one recorder, for [`crate::install_alongside`].
+    pub fn recorder(&self) -> Arc<dyn Recorder> {
+        Arc::clone(&self.fanout)
     }
 
     /// Everything recorded since the stack was built.

@@ -15,9 +15,9 @@
 //! decisions ([`crate::Recorder::wants_fine_decisions`] = false), so
 //! per-gate inner loops (route commits, stack peels, A* searches,
 //! annealing accepts) never even build their payloads. What remains is
-//! a handful of events per request — one mutex push each. The
-//! `bench observe` harness pins the total overhead below 2% on
-//! `compile/qft`.
+//! a handful of events per request — one mutex push each. `bench
+//! regress` times the whole ambient stack's calls for one compile
+//! (`observe/ambient_events`) and fails above 2% of `compile/qft`.
 
 use crate::recorder::Recorder;
 use crate::trace::{Decision, Trace, TraceEvent, TraceEventKind};

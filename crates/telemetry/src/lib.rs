@@ -175,7 +175,7 @@ pub fn fine_decisions_enabled() -> bool {
 /// capture still collects the full profile, while the service's
 /// always-on ambient stack (lifetime + windowed + flight) skips the
 /// roughly thousand per-compile sink calls those loops would otherwise
-/// pay for (`bench observe` enforces the <2% budget).
+/// pay for; `bench regress` holds what is left under 2% of a compile.
 pub fn fine_metrics_enabled() -> bool {
     recorder::caps().fine_metrics
 }

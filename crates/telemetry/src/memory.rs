@@ -163,8 +163,8 @@ impl MemoryRecorder {
     /// fine-grained metrics (see [`crate::fine_metrics_enabled`]) so
     /// compile inner loops skip their profiling counters/observations
     /// entirely, keeping service observability inside its <2% overhead
-    /// budget. Lifetime aggregates of spans and coarse metrics are
-    /// still collected.
+    /// budget (enforced by `bench regress`, docs/PERF.md). Lifetime
+    /// aggregates of spans and coarse metrics are still collected.
     pub fn ambient() -> MemoryRecorder {
         MemoryRecorder {
             fine: false,
@@ -202,23 +202,31 @@ impl Recorder for MemoryRecorder {
 
     fn record_span(&self, path: &str, wall: Duration) {
         let mut inner = self.inner.lock().unwrap();
-        let agg = inner.spans.entry(path.to_string()).or_default();
-        agg.count += 1;
-        agg.total += wall;
+        update(&mut inner.spans, path, |agg: &mut SpanAgg| {
+            agg.count += 1;
+            agg.total += wall;
+        });
     }
 
     fn add(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().unwrap();
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut inner.counters, name, |sum| *sum += delta);
     }
 
     fn observe(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().unwrap();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        update(&mut inner.histograms, name, |h: &mut Histogram| {
+            h.observe(value)
+        });
+    }
+}
+
+/// Applies `f` to the value under `key`, inserting a default first;
+/// only that insert copies the key, so a known name allocates nothing.
+pub(crate) fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(value) => f(value),
+        None => f(map.entry(key.to_string()).or_default()),
     }
 }
 

@@ -240,7 +240,7 @@ impl Decision {
     /// engine begin, fault injection/recovery, and the service's
     /// request/session/cache events — which is what keeps the ambient
     /// observability stack inside its <2% overhead budget
-    /// (`bench observe`, docs/METRICS.md).
+    /// (enforced by `bench regress`, docs/PERF.md).
     pub fn is_fine(&self) -> bool {
         !matches!(
             self,

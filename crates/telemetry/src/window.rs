@@ -12,7 +12,7 @@
 //! so an idle daemon pays nothing.
 
 use crate::json::JsonValue;
-use crate::memory::{Histogram, HistogramSummary};
+use crate::memory::{update, Histogram, HistogramSummary};
 use crate::recorder::Recorder;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -93,7 +93,7 @@ impl WindowedRecorder {
     pub fn add_at(&self, name: &str, delta: u64, sec: u64) {
         let mut buckets = self.buckets.lock().unwrap();
         let bucket = Self::bucket_for(&mut buckets, self.window, sec);
-        *bucket.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut bucket.counters, name, |sum| *sum += delta);
     }
 
     /// Records one observation of `value` under histogram `name` in
@@ -101,11 +101,9 @@ impl WindowedRecorder {
     pub fn observe_at(&self, name: &str, value: f64, sec: u64) {
         let mut buckets = self.buckets.lock().unwrap();
         let bucket = Self::bucket_for(&mut buckets, self.window, sec);
-        bucket
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        update(&mut bucket.histograms, name, |h: &mut Histogram| {
+            h.observe(value)
+        });
     }
 
     fn bucket_for(buckets: &mut [Bucket], window: u64, sec: u64) -> &mut Bucket {
