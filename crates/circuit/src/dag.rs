@@ -478,8 +478,10 @@ pub fn plain_asap_levels(circuit: &Circuit) -> Vec<usize> {
         .collect()
 }
 
-/// Longest-path layering by breadth-first traversal — used to cross-check
-/// [`DependenceDag::asap_levels`] in tests and by the parallelism analysis.
+/// Longest-path layering by breadth-first traversal — an independent
+/// implementation the tests use to cross-check
+/// [`DependenceDag::asap_levels`]. The parallelism analysis
+/// ([`crate::layers::ParallelismProfile`]) uses [`plain_asap_levels`].
 pub fn bfs_levels(dag: &DependenceDag) -> Vec<usize> {
     let mut indeg: Vec<usize> = (0..dag.len()).map(|g| dag.predecessors(g).len()).collect();
     let mut level = vec![0usize; dag.len()];

@@ -12,7 +12,7 @@
 //!
 //! Covers the pipeline façade ([`Pipeline`], [`CompileOptions`],
 //! [`Strategy`], [`CompileReport`], [`PipelineError`]), batch
-//! compilation ([`CompileJob`], [`merged_batch_telemetry`]), the
+//! compilation ([`CompileJob`], [`WorkerPool`]), the
 //! scheduler front end ([`AutoBraid::schedule`], [`ScheduleConfig`],
 //! [`Interval`], [`verify_schedule`], [`critical_path_cycles`]), report rendering
 //! ([`compile_report_json`], [`CompileReport::canonical_json`],
@@ -28,7 +28,7 @@ pub use crate::pipeline::{
 };
 pub use crate::render::render_telemetry;
 pub use crate::report::compile_report_json;
-pub use crate::runtime::{merged_batch_telemetry, CompileJob, WorkerPool};
+pub use crate::runtime::{CompileJob, WorkerPool};
 pub use crate::strategy::StrategyInfo;
 pub use autobraid_circuit::{Circuit, CircuitStats};
 pub use autobraid_lattice::Grid;

@@ -14,7 +14,7 @@
 
 use crate::pipeline::{CompileReport, Pipeline, PipelineError};
 use autobraid_circuit::Circuit;
-use autobraid_telemetry::{self as telemetry, TelemetrySnapshot};
+use autobraid_telemetry as telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -342,29 +342,10 @@ fn run_job(pipeline: &Pipeline, job: &CompileJob) -> Result<CompileReport, Pipel
     result
 }
 
-/// Merges the per-job telemetry snapshots of a batch into one
-/// `autobraid.telemetry/v1` snapshot: spans and counters sum exactly;
-/// histogram percentiles merge as count-weighted averages (documented in
-/// `docs/RUNTIME.md`). Returns `None` when no job collected telemetry.
-pub fn merged_batch_telemetry(
-    results: &[Result<CompileReport, PipelineError>],
-) -> Option<TelemetrySnapshot> {
-    let snapshots: Vec<&TelemetrySnapshot> = results
-        .iter()
-        .filter_map(|r| r.as_ref().ok())
-        .filter_map(|report| report.telemetry.as_ref())
-        .collect();
-    if snapshots.is_empty() {
-        return None;
-    }
-    Some(TelemetrySnapshot::merged(snapshots))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ScheduleConfig;
-    use crate::pipeline::CompileOptions;
     use autobraid_circuit::generators::{ising::ising, qft::qft};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -453,31 +434,6 @@ mod tests {
             other => panic!("expected Panicked, got {other:?}"),
         }
         assert!(reports[2].is_ok());
-    }
-
-    #[test]
-    fn batch_telemetry_merges_per_job_snapshots() {
-        let jobs = vec![
-            CompileJob::circuit(qft(8).unwrap()),
-            CompileJob::circuit(qft(8).unwrap()),
-        ];
-        let pipeline = Pipeline::new()
-            .with_config(ScheduleConfig::default().with_threads(2))
-            .with_options(CompileOptions {
-                telemetry: true,
-                ..CompileOptions::default()
-            });
-        let reports = pipeline.compile_batch(&jobs);
-        let merged = merged_batch_telemetry(&reports).expect("telemetry was on");
-        let single = reports[0].as_ref().unwrap().telemetry.as_ref().unwrap();
-        // Identical jobs: the merged counter is exactly double.
-        assert_eq!(
-            merged.counter("scheduler.steps.braid"),
-            2 * single.counter("scheduler.steps.braid"),
-        );
-        // Telemetry off: nothing to merge.
-        let plain = Pipeline::new().compile_batch(&jobs[..1]);
-        assert!(merged_batch_telemetry(&plain).is_none());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! autobraid-client --addr HOST:PORT ping
-//! autobraid-client --addr HOST:PORT stats
 //! autobraid-client --addr HOST:PORT compile FILE [--label NAME]
 //!     [--format qasm|conformance] [--strategy NAME] [--no-cache]
 //!     [--telemetry] [--trace] [--distance D] [--timeout-ms MS]
@@ -43,7 +42,7 @@ use std::io::Read;
 fn usage() -> ! {
     eprintln!(
         "usage: autobraid-client --addr HOST:PORT \
-         <ping|stats|metrics|top|compile FILE|stream FILE> \
+         <ping|metrics|top|compile FILE|stream FILE> \
          [--label NAME] [--format qasm|conformance] [--strategy NAME] \
          [--no-cache] [--telemetry] [--trace] [--distance D] [--timeout-ms MS] \
          [--fault-row R] [--fault-col C] [--stall N] [--trace-out PATH] \
@@ -201,21 +200,6 @@ fn main() {
                     .and_then(JsonValue::as_u64)
                     .unwrap_or(0),
             );
-        }
-        Some("stats") => {
-            let stats = client.stats().unwrap_or_else(|e| fail(e));
-            println!(
-                "version={} uptime_ms={}",
-                stats
-                    .get("version")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?"),
-                stats
-                    .get("uptime_ms")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
-            );
-            println!("{}", stats.render_pretty());
         }
         Some("metrics") => run_metrics(&mut client, &args),
         Some("top") => run_top(&mut client, &addr, &args),
@@ -381,7 +365,6 @@ fn render_top(addr: &str, frame: &JsonValue, interval: std::time::Duration) -> S
 
     let windowed_counter = |name: &str| num(frame, &["window", "counters", name]);
     let requests = windowed_counter("service.requests.ping")
-        + windowed_counter("service.requests.stats")
         + windowed_counter("service.requests.metrics")
         + windowed_counter("service.requests.compile")
         + windowed_counter("service.requests.session");

@@ -129,7 +129,8 @@ impl<K, V> Lru<K, V> {
     }
 }
 
-/// Point-in-time cache counters, reported by the `stats` request.
+/// Point-in-time cache counters, reported under `gauges.cache` in the
+/// `metrics` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.

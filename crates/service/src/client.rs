@@ -143,16 +143,6 @@ impl Client {
         }
     }
 
-    /// Fetches the server's counters, cache statistics, and latency
-    /// percentiles.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] on failure.
-    pub fn stats(&mut self) -> Result<JsonValue, ClientError> {
-        self.request(&Request::Stats.to_json())
-    }
-
     /// Fetches the live-operations frame: the `autobraid.metrics/v1`
     /// windowed snapshot, lifetime aggregates, gauges, daemon version,
     /// and uptime (see `docs/METRICS.md`).

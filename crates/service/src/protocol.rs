@@ -714,8 +714,6 @@ pub fn fault_from_json(doc: &JsonValue) -> Result<FaultEvent, ServiceError> {
 pub enum Request {
     /// Liveness probe; answered with `kind: "pong"`.
     Ping,
-    /// Service counters, cache statistics, and latency percentiles.
-    Stats,
     /// The live-operations frame: the `autobraid.metrics/v1` windowed
     /// snapshot plus lifetime aggregates and gauges (`docs/METRICS.md`).
     Metrics,
@@ -755,7 +753,6 @@ impl Request {
         }
         match doc.get("kind").and_then(JsonValue::as_str) {
             Some("ping") => Ok(Request::Ping),
-            Some("stats") => Ok(Request::Stats),
             Some("metrics") => Ok(Request::Metrics),
             Some("compile") => {
                 let source = doc
@@ -870,7 +867,7 @@ impl Request {
             Some("session.inject") => Ok(Request::SessionInject(fault_from_json(doc)?)),
             Some("session.close") => Ok(Request::SessionClose),
             Some(other) => Err(proto_err(format!(
-                "unknown request kind `{other}` (ping|stats|metrics|compile|\
+                "unknown request kind `{other}` (ping|metrics|compile|\
                  session.open|session.gate|session.step|session.inject|\
                  session.close)"
             ))),
@@ -882,7 +879,6 @@ impl Request {
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Ping => "ping",
-            Request::Stats => "stats",
             Request::Metrics => "metrics",
             Request::Compile(_) => "compile",
             Request::SessionOpen(_) => "session.open",
@@ -908,7 +904,7 @@ impl Request {
                 JsonValue::Object(fault_fields) => fault_fields,
                 _ => Vec::new(),
             },
-            Request::Ping | Request::Stats | Request::Metrics | Request::SessionClose => Vec::new(),
+            Request::Ping | Request::Metrics | Request::SessionClose => Vec::new(),
         };
         let mut fields = request_header(self.kind());
         fields.extend(extra);
@@ -1081,7 +1077,6 @@ mod tests {
     fn every_request_kind_round_trips_through_to_json() {
         let requests = [
             Request::Ping,
-            Request::Stats,
             Request::Metrics,
             Request::Compile(Box::new(
                 CompileRequest::conformance("qreg q[2]; cx q[0],q[1];")
@@ -1119,7 +1114,7 @@ mod tests {
                 kinds.push(request.kind());
             }
         }
-        assert_eq!(kinds.len(), 9);
+        assert_eq!(kinds.len(), 8);
     }
 
     #[test]

@@ -38,6 +38,11 @@ use std::time::{Duration, Instant};
 /// Upper clamp on any request's deadline, in milliseconds.
 const MAX_TIMEOUT_MS: u64 = 300_000;
 
+/// Most flight dumps one daemon writes; later ones only count under
+/// `service.flight.dumps_skipped`, so a client that sends bad frames
+/// in a loop cannot fill the disk.
+const MAX_FLIGHT_DUMPS: u64 = 64;
+
 /// Everything tunable about a daemon instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -112,6 +117,8 @@ struct Shared {
     /// Request-id source; ids are unique per daemon process, assigned
     /// at frame decode.
     next_request_id: AtomicU64,
+    /// Flight dumps attempted so far (see [`MAX_FLIGHT_DUMPS`]).
+    flight_dumps: AtomicU64,
     started: Instant,
     shutting_down: AtomicBool,
     /// Live connections by id: a clone of the socket, shut down to
@@ -164,6 +171,7 @@ impl Server {
             ambient,
             sessions_active: Arc::new(AtomicUsize::new(0)),
             next_request_id: AtomicU64::new(0),
+            flight_dumps: AtomicU64::new(0),
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
             connections: Mutex::new(HashMap::new()),
@@ -202,7 +210,7 @@ impl Server {
 
     /// Snapshot of the trailing metrics window (the same data the
     /// `metrics` wire request serves; see `docs/METRICS.md`).
-    pub fn windowed(&self) -> telemetry::WindowedSnapshot {
+    pub fn windowed(&self) -> telemetry::TelemetrySnapshot {
         self.shared.ambient.windowed().snapshot()
     }
 
@@ -526,10 +534,6 @@ fn process(
                 ],
             )))
         }
-        Request::Stats => {
-            telemetry::counter("service.requests.stats", 1);
-            Ok(Reply::Doc(stats_response(shared)))
-        }
         Request::Metrics => {
             telemetry::counter("service.requests.metrics", 1);
             Ok(Reply::Doc(metrics_response(shared)))
@@ -750,7 +754,8 @@ fn uptime_ms(shared: &Arc<Shared>) -> u64 {
 /// errored (including shed/`overloaded` and timed-out ones) or ran
 /// slower than the configured threshold. The dump is the Perfetto
 /// Chrome-trace JSON of the request's events, written to
-/// `<dump_dir>/req-<id>-<reason>.trace.json`.
+/// `<dump_dir>/req-<id>-<reason>.trace.json`; past
+/// [`MAX_FLIGHT_DUMPS`] the dump is skipped and counted instead.
 fn maybe_dump_flight(shared: &Arc<Shared>, request_id: u64, outcome: &str, elapsed_ms: f64) {
     if shared.config.dump_dir.is_empty() {
         return;
@@ -763,6 +768,10 @@ fn maybe_dump_flight(shared: &Arc<Shared>, request_id: u64, outcome: &str, elaps
     } else {
         return;
     };
+    if shared.flight_dumps.fetch_add(1, Ordering::Relaxed) >= MAX_FLIGHT_DUMPS {
+        telemetry::counter("service.flight.dumps_skipped", 1);
+        return;
+    }
     let trace = shared.ambient.flight().dump_for(request_id);
     let dir = PathBuf::from(&shared.config.dump_dir);
     if std::fs::create_dir_all(&dir).is_err() {
@@ -778,7 +787,7 @@ fn maybe_dump_flight(shared: &Arc<Shared>, request_id: u64, outcome: &str, elaps
 /// counters/histograms, lifetime aggregates, and point-in-time gauges.
 fn metrics_response(shared: &Arc<Shared>) -> JsonValue {
     let cache = shared.cache().stats();
-    let windowed = shared.ambient.windowed().snapshot();
+    let windowed = shared.ambient.windowed();
     let lifetime = shared.ambient.lifetime().snapshot();
     let flight = shared.ambient.flight();
     ok_response(
@@ -787,7 +796,7 @@ fn metrics_response(shared: &Arc<Shared>) -> JsonValue {
             ("schema", JsonValue::from(METRICS_SCHEMA)),
             ("version", JsonValue::from(env!("CARGO_PKG_VERSION"))),
             ("uptime_ms", JsonValue::from(uptime_ms(shared))),
-            ("window", windowed.to_json_value()),
+            ("window", windowed.json_at(windowed.now_sec())),
             ("lifetime", lifetime.to_json_value()),
             (
                 "gauges",
@@ -809,6 +818,7 @@ fn metrics_response(shared: &Arc<Shared>) -> JsonValue {
                         JsonValue::object([
                             ("hits", JsonValue::from(cache.hits)),
                             ("misses", JsonValue::from(cache.misses)),
+                            ("evictions", JsonValue::from(cache.evictions)),
                             ("entries", JsonValue::from(cache.entries)),
                             ("capacity", JsonValue::from(cache.capacity)),
                         ]),
@@ -822,68 +832,6 @@ fn metrics_response(shared: &Arc<Shared>) -> JsonValue {
                     ),
                 ]),
             ),
-        ],
-    )
-}
-
-fn stats_response(shared: &Arc<Shared>) -> JsonValue {
-    let cache = shared.cache().stats();
-    let snapshot = shared.ambient.lifetime().snapshot();
-    let latency = snapshot
-        .histogram("service.latency_ms")
-        .map(|h| {
-            JsonValue::object([
-                ("count", JsonValue::from(h.count)),
-                ("mean", JsonValue::from(h.mean)),
-                ("p50", JsonValue::from(h.p50)),
-                ("p90", JsonValue::from(h.p90)),
-                ("p99", JsonValue::from(h.p99)),
-            ])
-        })
-        .unwrap_or(JsonValue::Null);
-    let counter_names = [
-        "service.requests.ping",
-        "service.requests.stats",
-        "service.requests.metrics",
-        "service.requests.compile",
-        "service.cache.source_memo_hit",
-        "service.overloaded",
-        "service.timeouts",
-        "service.flight.dumps",
-    ];
-    ok_response(
-        "stats",
-        [
-            ("version", JsonValue::from(env!("CARGO_PKG_VERSION"))),
-            ("uptime_ms", JsonValue::from(uptime_ms(shared))),
-            (
-                "in_flight",
-                JsonValue::from(shared.in_flight.load(Ordering::SeqCst)),
-            ),
-            (
-                "queue_capacity",
-                JsonValue::from(shared.config.queue_capacity),
-            ),
-            (
-                "cache",
-                JsonValue::object([
-                    ("hits", JsonValue::from(cache.hits)),
-                    ("misses", JsonValue::from(cache.misses)),
-                    ("evictions", JsonValue::from(cache.evictions)),
-                    ("entries", JsonValue::from(cache.entries)),
-                    ("capacity", JsonValue::from(cache.capacity)),
-                ]),
-            ),
-            (
-                "counters",
-                JsonValue::Object(
-                    counter_names
-                        .iter()
-                        .map(|n| (n.to_string(), JsonValue::from(snapshot.counter(n))))
-                        .collect(),
-                ),
-            ),
-            ("latency_ms", latency),
         ],
     )
 }
@@ -1223,9 +1171,9 @@ mod tests {
             JsonValue::parse(&frame).expect("JSON")
         };
         let compile = CompileRequest::qasm(BELL).to_json();
-        let stats = JsonValue::object([
+        let metrics = JsonValue::object([
             ("proto", JsonValue::from(PROTOCOL)),
-            ("kind", JsonValue::from("stats")),
+            ("kind", JsonValue::from("metrics")),
         ]);
         let cold = exchange(compile.clone());
         assert_eq!(cold.get("cache").and_then(JsonValue::as_str), Some("miss"));
@@ -1238,8 +1186,11 @@ mod tests {
         assert!(poisoner.join().is_err());
         assert!(server.shared.cache.is_poisoned());
 
-        let answer = exchange(stats);
-        let hits = answer.get("cache").and_then(|c| c.get("hits"));
+        let answer = exchange(metrics);
+        let hits = answer
+            .get("gauges")
+            .and_then(|g| g.get("cache"))
+            .and_then(|c| c.get("hits"));
         assert_eq!(hits.and_then(JsonValue::as_u64), Some(0), "{answer:?}");
         let warm = exchange(compile);
         assert_eq!(warm.get("cache").and_then(JsonValue::as_str), Some("hit"));
@@ -1269,6 +1220,46 @@ mod tests {
         let mut client = Client::connect(server.addr()).expect("connect");
         client.ping().expect("pong");
         assert_eq!(live(), 1);
+    }
+
+    #[test]
+    fn flight_dumps_stop_at_the_cap_and_the_daemon_keeps_serving() {
+        let dir = std::env::temp_dir().join(format!("autobraid-dump-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServiceConfig {
+            dump_dir: dir.to_string_lossy().into_owned(),
+            ..ServiceConfig::default()
+        })
+        .expect("server starts");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut exchange = |kind: &str| {
+            let request = JsonValue::object([
+                ("proto", JsonValue::from(PROTOCOL)),
+                ("kind", JsonValue::from(kind)),
+            ]);
+            write_frame(&mut stream, &request.render_compact()).expect("send");
+            let reply = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+                .expect("the daemon answers")
+                .expect("a frame");
+            JsonValue::parse(&reply).expect("JSON")
+        };
+        let extra = 5;
+        for _ in 0..MAX_FLIGHT_DUMPS + extra {
+            let reply = exchange("no-such-kind");
+            let kind = reply.get("error").and_then(|e| e.get("kind"));
+            assert_eq!(kind.and_then(JsonValue::as_str), Some("protocol"));
+        }
+        let pong = exchange("ping");
+        assert_eq!(pong.get("kind").and_then(JsonValue::as_str), Some("pong"));
+        let dumps = std::fs::read_dir(&dir).expect("dump dir exists").count();
+        assert_eq!(dumps as u64, MAX_FLIGHT_DUMPS);
+        let lifetime = server.telemetry();
+        assert_eq!(lifetime.counter("service.flight.dumps"), MAX_FLIGHT_DUMPS);
+        assert_eq!(lifetime.counter("service.flight.dumps_skipped"), extra);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -153,6 +153,14 @@ fn lru_eviction_is_visible_in_stats() {
     let stats = server.cache_stats();
     assert!(stats.evictions >= 2, "evictions recorded: {stats:?}");
     assert_eq!(stats.entries, 1);
+    // The metrics frame's cache gauges carry the same count.
+    let frame = client.metrics().expect("metrics");
+    let evictions = frame
+        .get("gauges")
+        .and_then(|g| g.get("cache"))
+        .and_then(|c| c.get("evictions"))
+        .and_then(JsonValue::as_u64);
+    assert_eq!(evictions, Some(stats.evictions));
 }
 
 #[test]
@@ -364,9 +372,10 @@ fn stats_report_counters_cache_and_latency() {
     let request = CompileRequest::qasm(BELL_QASM);
     client.compile(&request).expect("cold");
     client.compile(&request).expect("warm");
-    let stats = client.stats().expect("stats");
+    let frame = client.metrics().expect("metrics");
+    let lifetime = frame.get("lifetime").expect("lifetime block");
     let counter = |name: &str| {
-        stats
+        lifetime
             .get("counters")
             .and_then(|c| c.get(name))
             .and_then(|v| v.as_u64())
@@ -374,14 +383,25 @@ fn stats_report_counters_cache_and_latency() {
     };
     assert_eq!(counter("service.requests.ping"), 1);
     assert_eq!(counter("service.requests.compile"), 2);
-    let cache = stats.get("cache").expect("cache block");
+    let gauges = frame.get("gauges").expect("gauges block");
+    let cache = gauges.get("cache").expect("cache block");
     assert_eq!(cache.get("hits").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(cache.get("misses").and_then(|v| v.as_u64()), Some(1));
-    let latency = stats.get("latency_ms").expect("latency block");
+    assert_eq!(cache.get("evictions").and_then(|v| v.as_u64()), Some(0));
+    let latency = lifetime_latency(&frame);
     assert_eq!(latency.get("count").and_then(|v| v.as_u64()), Some(2));
     assert!(latency.get("p99").and_then(|v| v.as_f64()).unwrap_or(-1.0) >= 0.0);
     // The queue is idle again.
-    assert_eq!(stats.get("in_flight").and_then(|v| v.as_u64()), Some(0));
+    assert_eq!(gauges.get("in_flight").and_then(|v| v.as_u64()), Some(0));
+}
+
+/// The lifetime `service.latency_ms` histogram of a `metrics` frame.
+fn lifetime_latency(frame: &JsonValue) -> &JsonValue {
+    frame
+        .get("lifetime")
+        .and_then(|l| l.get("histograms"))
+        .and_then(|h| h.get("service.latency_ms"))
+        .expect("latency histogram")
 }
 
 #[test]
@@ -395,8 +415,8 @@ fn latency_histogram_covers_the_whole_compile_request() {
         (miss.cache, hit.cache),
         (CacheStatus::Miss, CacheStatus::Hit)
     );
-    let stats = client.stats().expect("stats");
-    let latency = stats.get("latency_ms").expect("latency block");
+    let frame = client.metrics().expect("metrics");
+    let latency = lifetime_latency(&frame);
     let count = latency.get("count").and_then(|v| v.as_u64());
     let mean = latency.get("mean").and_then(|v| v.as_f64()).expect("mean");
     assert_eq!(count, Some(2));
@@ -411,10 +431,13 @@ fn latency_histogram_covers_the_whole_compile_request() {
 }
 
 #[test]
-fn ping_and_stats_carry_version_and_uptime() {
+fn ping_and_metrics_carry_version_and_uptime() {
     let server = server(|_| {});
     let mut client = Client::connect(server.addr()).expect("connect");
-    for frame in [client.ping().expect("ping"), client.stats().expect("stats")] {
+    for frame in [
+        client.ping().expect("ping"),
+        client.metrics().expect("metrics"),
+    ] {
         assert_eq!(
             frame.get("version").and_then(|v| v.as_str()),
             Some(env!("CARGO_PKG_VERSION"))
@@ -490,12 +513,7 @@ fn flight_dump_is_written_on_error_and_parses_as_chrome_trace() {
     let rendered = json.render_compact();
     assert!(rendered.contains("request"), "request demarcation present");
     // The daemon counted the dump.
-    let stats = client.stats().expect("stats");
-    let dumped = stats
-        .get("counters")
-        .and_then(|c| c.get("service.flight.dumps"))
-        .and_then(|v| v.as_u64());
-    assert_eq!(dumped, Some(1));
+    assert_eq!(lifetime_counter(&mut client, "service.flight.dumps"), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -553,11 +571,12 @@ fn canonical_report_is_byte_identical_with_ambient_observability() {
     assert_eq!(bare, full);
 }
 
-/// The `counters` entry `name` of a `stats` frame.
-fn stats_counter(client: &mut Client, name: &str) -> u64 {
-    let stats = client.stats().expect("stats");
-    stats
-        .get("counters")
+/// The lifetime counter `name` of a `metrics` frame (0 when unset).
+fn lifetime_counter(client: &mut Client, name: &str) -> u64 {
+    let frame = client.metrics().expect("metrics");
+    frame
+        .get("lifetime")
+        .and_then(|l| l.get("counters"))
         .and_then(|c| c.get(name))
         .and_then(JsonValue::as_u64)
         .unwrap_or(0)
@@ -597,7 +616,7 @@ fn one_source_under_two_labels_gives_two_reports_with_their_own_labels() {
     );
     assert_eq!(server.cache_stats().memo_entries, 1);
     assert_eq!(
-        stats_counter(&mut client, "service.cache.source_memo_hit"),
+        lifetime_counter(&mut client, "service.cache.source_memo_hit"),
         3
     );
 }
@@ -613,7 +632,7 @@ fn unparseable_source_is_a_parse_error_every_time_and_never_memoized() {
     }
     assert_eq!(server.cache_stats().memo_entries, 0);
     assert_eq!(
-        stats_counter(&mut client, "service.cache.source_memo_hit"),
+        lifetime_counter(&mut client, "service.cache.source_memo_hit"),
         0
     );
     // The connection and the memo still work for a good source.
@@ -649,7 +668,7 @@ fn the_memo_is_bounded_by_the_cache_capacity() {
     }
     assert_eq!(disabled.cache_stats().memo_entries, 0);
     assert_eq!(
-        stats_counter(&mut client, "service.cache.source_memo_hit"),
+        lifetime_counter(&mut client, "service.cache.source_memo_hit"),
         0
     );
 }

@@ -1,12 +1,12 @@
 //! [`AmbientStack`]: the always-on recorders of a long-running service.
 
 use crate::recorder::{install, FanoutRecorder, Recorder, RecorderGuard};
-use crate::{FlightRecorder, MemoryRecorder, WindowedRecorder};
+use crate::{MemoryRecorder, TraceRecorder, WindowedRecorder, DEFAULT_FLIGHT_CAPACITY};
 use std::sync::Arc;
 
 /// Lifetime aggregates ([`MemoryRecorder::ambient`]), the trailing
 /// metrics window ([`WindowedRecorder`]) and the coarse-decision ring
-/// ([`FlightRecorder`]), installed as one recorder.
+/// ([`TraceRecorder::flight`]), installed as one recorder.
 ///
 /// Every sink declines fine-grained metrics and decisions, so a compile
 /// makes a handful of sink calls under this stack whatever its size;
@@ -15,7 +15,7 @@ use std::sync::Arc;
 pub struct AmbientStack {
     lifetime: Arc<MemoryRecorder>,
     windowed: Arc<WindowedRecorder>,
-    flight: Arc<FlightRecorder>,
+    flight: Arc<TraceRecorder>,
     fanout: Arc<dyn Recorder>,
 }
 
@@ -30,7 +30,7 @@ impl AmbientStack {
     pub fn new() -> AmbientStack {
         let lifetime = Arc::new(MemoryRecorder::ambient());
         let windowed = Arc::new(WindowedRecorder::new());
-        let flight = Arc::new(FlightRecorder::new());
+        let flight = Arc::new(TraceRecorder::flight(DEFAULT_FLIGHT_CAPACITY));
         let fanout = Arc::new(FanoutRecorder::new(vec![
             Arc::clone(&lifetime) as Arc<dyn Recorder>,
             Arc::clone(&windowed) as Arc<dyn Recorder>,
@@ -65,7 +65,7 @@ impl AmbientStack {
     }
 
     /// The ring of coarse decisions.
-    pub fn flight(&self) -> &FlightRecorder {
+    pub fn flight(&self) -> &TraceRecorder {
         &self.flight
     }
 }
@@ -74,7 +74,6 @@ impl AmbientStack {
 mod tests {
     use super::*;
     use crate::trace::Decision;
-    use crate::TraceRecorder;
 
     #[test]
     fn every_sink_sees_coarse_events_and_none_turns_fine_metrics_on() {

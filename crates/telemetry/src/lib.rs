@@ -61,7 +61,6 @@
 mod ambient;
 pub mod explain;
 pub mod export;
-mod flight;
 mod json;
 mod memory;
 mod recorder;
@@ -73,7 +72,6 @@ pub mod trace;
 mod window;
 
 pub use ambient::AmbientStack;
-pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use json::JsonValue;
 pub use memory::{HistogramSummary, MemoryRecorder, SpanStat, TelemetrySnapshot, SCHEMA};
 pub use recorder::{
@@ -83,8 +81,11 @@ pub use reference::{reference_mode, set_reference_mode};
 pub use request::{begin_request, current_request, RequestGuard};
 pub use rng::{Rng64, SampleRange};
 pub use span::Span;
-pub use trace::{Decision, Trace, TraceEvent, TraceEventKind, TraceRecorder, TRACE_SCHEMA};
-pub use window::{WindowedRecorder, WindowedSnapshot, DEFAULT_WINDOW_SECONDS, METRICS_SCHEMA};
+pub use trace::{
+    Decision, Trace, TraceEvent, TraceEventKind, TraceRecorder, DEFAULT_FLIGHT_CAPACITY,
+    TRACE_SCHEMA,
+};
+pub use window::{WindowedRecorder, DEFAULT_WINDOW_SECONDS, METRICS_SCHEMA};
 
 /// Opens a timing span named `name`; the returned [`Span`] reports its
 /// wall-clock duration (under the current nesting path) when dropped.
@@ -160,8 +161,8 @@ pub fn decisions_enabled() -> bool {
 /// accepts — see [`Decision::is_fine`]).
 ///
 /// Inner loops guard on this instead of [`decisions_enabled`], so an
-/// always-on [`FlightRecorder`] — which records only coarse lifecycle
-/// decisions — leaves the hot paths payload-free.
+/// always-on flight ring ([`TraceRecorder::flight`]) — which records
+/// only coarse lifecycle decisions — leaves the hot paths payload-free.
 pub fn fine_decisions_enabled() -> bool {
     recorder::caps().fine_decisions
 }

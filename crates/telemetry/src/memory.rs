@@ -66,10 +66,8 @@ impl Histogram {
     /// Merges `other` into `self`, reservoir included: exact for
     /// count/sum/min/max, and the percentile reservoir becomes the
     /// concatenation of both sides' retained samples (re-decimated if
-    /// the union exceeds the cap). Unlike
-    /// [`TelemetrySnapshot::merge_from`] — which only has summaries to
-    /// work with — this merge keeps percentiles exact as long as both
-    /// inputs were below the cap.
+    /// the union exceeds the cap), so percentiles stay exact as long as
+    /// both inputs were below the cap.
     pub(crate) fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
@@ -262,7 +260,8 @@ pub struct HistogramSummary {
     pub p99: f64,
 }
 
-/// Point-in-time aggregate extracted from a [`MemoryRecorder`].
+/// Point-in-time aggregate extracted from a [`MemoryRecorder`], or
+/// from a [`crate::WindowedRecorder`] (which keeps no spans).
 ///
 /// Serializes to the stable `autobraid.telemetry/v1` JSON layout via
 /// [`TelemetrySnapshot::to_json`]; the schema is documented in
@@ -305,65 +304,6 @@ impl TelemetrySnapshot {
             .collect()
     }
 
-    /// Merges `other` into `self`: spans sum by path (count and total
-    /// wall time), counters sum by name, histograms combine exactly for
-    /// count/sum/min/max/mean and *approximately* for percentiles (the
-    /// merged percentile is the observation-count-weighted average of
-    /// the inputs' percentiles — the reservoirs backing them are not
-    /// retained in a snapshot). The operation is associative and
-    /// commutative up to that approximation, so a batch runtime can fold
-    /// per-worker snapshots in any order; see `docs/RUNTIME.md`.
-    pub fn merge_from(&mut self, other: &TelemetrySnapshot) {
-        for span in &other.spans {
-            match self.spans.iter_mut().find(|s| s.path == span.path) {
-                Some(existing) => {
-                    existing.count += span.count;
-                    existing.total_seconds += span.total_seconds;
-                }
-                None => self.spans.push(span.clone()),
-            }
-        }
-        self.spans.sort_by(|a, b| a.path.cmp(&b.path));
-        for (name, &value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => {
-                    if h.count == 0 {
-                        continue;
-                    }
-                    if mine.count == 0 {
-                        *mine = h.clone();
-                        continue;
-                    }
-                    let (n1, n2) = (mine.count as f64, h.count as f64);
-                    let total = n1 + n2;
-                    mine.p50 = (mine.p50 * n1 + h.p50 * n2) / total;
-                    mine.p90 = (mine.p90 * n1 + h.p90 * n2) / total;
-                    mine.p99 = (mine.p99 * n1 + h.p99 * n2) / total;
-                    mine.count += h.count;
-                    mine.sum += h.sum;
-                    mine.min = mine.min.min(h.min);
-                    mine.max = mine.max.max(h.max);
-                    mine.mean = mine.sum / mine.count as f64;
-                }
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
-            }
-        }
-    }
-
-    /// Folds many snapshots into one with [`TelemetrySnapshot::merge_from`].
-    pub fn merged<'a>(snapshots: impl IntoIterator<Item = &'a TelemetrySnapshot>) -> Self {
-        let mut out = TelemetrySnapshot::default();
-        for snap in snapshots {
-            out.merge_from(snap);
-        }
-        out
-    }
-
     /// Builds the `autobraid.telemetry/v1` JSON tree.
     pub fn to_json_value(&self) -> JsonValue {
         let spans = self
@@ -377,36 +317,43 @@ impl TelemetrySnapshot {
                 ])
             })
             .collect::<Vec<_>>();
+        JsonValue::object(
+            [
+                ("schema", JsonValue::from(SCHEMA)),
+                ("spans", JsonValue::Array(spans)),
+            ]
+            .into_iter()
+            .chain(self.metric_members()),
+        )
+    }
+
+    /// The `counters` and `histograms` members, rendered alike in the
+    /// `autobraid.telemetry/v1` tree and the `window` object of
+    /// `autobraid.metrics/v1` ([`crate::WindowedRecorder::json_at`]).
+    pub(crate) fn metric_members(&self) -> [(&'static str, JsonValue); 2] {
         let counters = self
             .counters
             .iter()
-            .map(|(name, &value)| (name.as_str(), JsonValue::from(value)))
-            .collect::<Vec<_>>();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                (
-                    name.as_str(),
-                    JsonValue::object([
-                        ("count", JsonValue::from(h.count)),
-                        ("sum", JsonValue::from(h.sum)),
-                        ("min", JsonValue::from(h.min)),
-                        ("max", JsonValue::from(h.max)),
-                        ("mean", JsonValue::from(h.mean)),
-                        ("p50", JsonValue::from(h.p50)),
-                        ("p90", JsonValue::from(h.p90)),
-                        ("p99", JsonValue::from(h.p99)),
-                    ]),
-                )
-            })
-            .collect::<Vec<_>>();
-        JsonValue::object([
-            ("schema", JsonValue::from(SCHEMA)),
-            ("spans", JsonValue::Array(spans)),
+            .map(|(name, &value)| (name.as_str(), JsonValue::from(value)));
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            (
+                name.as_str(),
+                JsonValue::object([
+                    ("count", JsonValue::from(h.count)),
+                    ("sum", JsonValue::from(h.sum)),
+                    ("min", JsonValue::from(h.min)),
+                    ("max", JsonValue::from(h.max)),
+                    ("mean", JsonValue::from(h.mean)),
+                    ("p50", JsonValue::from(h.p50)),
+                    ("p90", JsonValue::from(h.p90)),
+                    ("p99", JsonValue::from(h.p99)),
+                ]),
+            )
+        });
+        [
             ("counters", JsonValue::object(counters)),
             ("histograms", JsonValue::object(histograms)),
-        ])
+        ]
     }
 
     /// Renders the snapshot as pretty-printed JSON.
@@ -539,61 +486,36 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_spans() {
-        let a = MemoryRecorder::new();
-        a.add("shared", 2);
-        a.add("only_a", 1);
-        a.record_span("compile", Duration::from_millis(10));
-        let b = MemoryRecorder::new();
-        b.add("shared", 3);
-        b.add("only_b", 7);
-        b.record_span("compile", Duration::from_millis(5));
-        b.record_span("compile/route", Duration::from_millis(1));
-        let merged = TelemetrySnapshot::merged([&a.snapshot(), &b.snapshot()]);
-        assert_eq!(merged.counter("shared"), 5);
-        assert_eq!(merged.counter("only_a"), 1);
-        assert_eq!(merged.counter("only_b"), 7);
-        let compile = merged.span("compile").unwrap();
-        assert_eq!(compile.count, 2);
-        assert!((compile.total_seconds - 0.015).abs() < 1e-9);
-        assert_eq!(merged.span("compile/route").unwrap().count, 1);
-        // Span order stays sorted by path (the v1 layout invariant).
-        let paths: Vec<&str> = merged.spans.iter().map(|s| s.path.as_str()).collect();
-        assert_eq!(paths, vec!["compile", "compile/route"]);
-    }
-
-    #[test]
     fn merge_combines_histogram_extremes_exactly() {
-        let a = MemoryRecorder::new();
+        let mut a = Histogram::default();
         for v in [1.0, 2.0, 3.0] {
-            a.observe("h", v);
+            a.observe(v);
         }
-        let b = MemoryRecorder::new();
+        let mut b = Histogram::default();
         for v in [10.0, 20.0] {
-            b.observe("h", v);
+            b.observe(v);
         }
-        b.observe("b_only", 5.0);
-        let merged = TelemetrySnapshot::merged([&a.snapshot(), &b.snapshot()]);
-        let h = merged.histogram("h").unwrap();
+        a.merge(&b);
+        let h = a.summary();
         assert_eq!(h.count, 5);
         assert_eq!(h.min, 1.0);
         assert_eq!(h.max, 20.0);
         assert!((h.sum - 36.0).abs() < 1e-12);
         assert!((h.mean - 7.2).abs() < 1e-12);
-        assert_eq!(merged.histogram("b_only").unwrap().count, 1);
     }
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let a = MemoryRecorder::new();
-        a.add("c", 4);
-        a.observe("h", 2.0);
-        a.record_span("s", Duration::from_millis(1));
-        let snap = a.snapshot();
-        let merged = TelemetrySnapshot::merged([&snap, &TelemetrySnapshot::default()]);
-        assert_eq!(merged, snap);
-        let merged = TelemetrySnapshot::merged([&TelemetrySnapshot::default(), &snap]);
-        assert_eq!(merged, snap);
+        let mut full = Histogram::default();
+        full.observe(2.0);
+        full.observe(5.0);
+        let expected = full.summary();
+        let mut left = full.clone();
+        left.merge(&Histogram::default());
+        assert_eq!(left.summary(), expected);
+        let mut right = Histogram::default();
+        right.merge(&full);
+        assert_eq!(right.summary(), expected);
     }
 
     #[test]
@@ -624,20 +546,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_with_both_reservoirs_at_the_cap() {
-        // Two snapshots whose histograms each saturated the reservoir:
-        // merge_from must keep exact fields exact and produce in-range,
-        // ordered percentiles (they are approximate by contract).
+    fn histogram_merge_with_both_reservoirs_at_the_cap() {
+        // Two histograms that each saturated the reservoir: the merge
+        // must keep exact fields exact, re-decimate below the cap and
+        // produce in-range, ordered percentiles.
         let n = SAMPLE_CAP as u64 * 2;
-        let a = MemoryRecorder::new();
-        let b = MemoryRecorder::new();
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
         for v in 0..n {
-            a.observe("h", v as f64);
-            b.observe("h", (v + n) as f64);
+            a.observe(v as f64);
+            b.observe((v + n) as f64);
         }
-        let mut merged = a.snapshot();
-        merged.merge_from(&b.snapshot());
-        let h = merged.histogram("h").unwrap();
+        a.merge(&b);
+        assert!(a.samples.len() < SAMPLE_CAP);
+        let h = a.summary();
         assert_eq!(h.count, 2 * n);
         assert_eq!(h.min, 0.0);
         assert_eq!(h.max, (2 * n - 1) as f64);
@@ -645,9 +567,7 @@ mod tests {
         assert!((h.sum - expected_sum).abs() < 1e-6);
         assert!((h.mean - expected_sum / (2 * n) as f64).abs() < 1e-6);
         assert!(h.p50 <= h.p90 && h.p90 <= h.p99, "percentiles unordered");
-        for p in [h.p50, h.p90, h.p99] {
-            assert!((0.0..=(2 * n - 1) as f64).contains(&p));
-        }
+        assert!((h.p50 - n as f64).abs() <= n as f64 / 64.0, "p50={}", h.p50);
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub trait Recorder: Send + Sync {
     /// the per-gate / per-iteration events for which
     /// [`crate::trace::Decision::is_fine`] returns true. Defaults to
     /// [`Recorder::wants_decisions`], so a full [`crate::TraceRecorder`]
-    /// keeps everything; always-on recorders like
-    /// [`crate::FlightRecorder`] override this to false so hot loops
+    /// keeps everything; always-on recorders like a
+    /// [`crate::TraceRecorder::flight`] ring answer false so hot loops
     /// skip building the expensive payloads (path strings, per-accept
     /// events) entirely (see [`crate::fine_decisions_enabled`]).
     fn wants_fine_decisions(&self) -> bool {
@@ -69,7 +69,7 @@ pub trait Recorder: Send + Sync {
     /// so explicitly-installed recorders (a `--telemetry` request, a
     /// trace capture) keep the full profile; always-on ambient sinks
     /// ([`crate::MemoryRecorder::ambient`], [`crate::WindowedRecorder`],
-    /// [`crate::FlightRecorder`]) decline so hot loops skip the calls
+    /// [`crate::TraceRecorder::flight`]) decline so hot loops skip the calls
     /// entirely (see [`crate::fine_metrics_enabled`]) — this is what
     /// keeps service observability inside its <2% overhead budget.
     fn wants_fine_metrics(&self) -> bool {

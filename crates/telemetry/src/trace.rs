@@ -15,6 +15,7 @@
 
 use crate::json::JsonValue;
 use crate::recorder::Recorder;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -232,7 +233,7 @@ impl Decision {
 
     /// Whether this decision is *fine-grained*: emitted per step, per
     /// gate, or per inner-loop iteration during a compile. Always-on
-    /// recorders like [`crate::FlightRecorder`] opt out of fine
+    /// recorders like a [`TraceRecorder::flight`] ring opt out of fine
     /// decisions via [`crate::Recorder::wants_fine_decisions`], and the
     /// emission sites guard payload construction behind
     /// [`crate::fine_decisions_enabled`], so a hot loop never builds a
@@ -411,9 +412,9 @@ pub struct Trace {
     /// The recorded events, in global record order.
     pub events: Vec<TraceEvent>,
     /// Events the recorder received but did not keep: `add`/`observe`
-    /// calls routed to an event recorder, plus ring-buffer evictions in
-    /// a [`crate::FlightRecorder`]. Surfaced as the documented
-    /// `trace.dropped` count (see `docs/METRICS.md`).
+    /// calls routed to a full trace, or evictions from a flight ring
+    /// ([`TraceRecorder::flight`], which ignores metrics). Surfaced as
+    /// the documented `trace.dropped` count (see `docs/METRICS.md`).
     pub dropped: u64,
 }
 
@@ -438,9 +439,13 @@ impl Trace {
 
 #[derive(Default)]
 struct TraceInner {
-    /// `(thread_key, name)` pairs; index = track id.
+    /// `(thread_key, name)` pairs; index = track id. Tracks are never
+    /// evicted, only events rotate out of a flight ring.
     tracks: Vec<(u64, String)>,
-    events: Vec<TraceEvent>,
+    events: VecDeque<TraceEvent>,
+    /// Record order under the lock; survives ring eviction so
+    /// `(track, seq)` stays globally ordered.
+    next_seq: u64,
 }
 
 /// Process-wide source of stable per-thread keys (thread ids are not
@@ -451,18 +456,13 @@ thread_local! {
     static THREAD_KEY: u64 = NEXT_THREAD_KEY.fetch_add(1, Ordering::Relaxed);
 }
 
-/// This thread's stable track key, shared by every event recorder
-/// ([`TraceRecorder`], [`crate::FlightRecorder`]) so the same thread
-/// maps to the same track in each.
-fn thread_key() -> u64 {
-    THREAD_KEY.with(|k| *k)
-}
-
 /// The calling thread's index in a recorder's `(thread_key, name)`
 /// track table, appending a track named after the thread (or
-/// `thread-{key}` when it has no name) the first time it records.
-pub(crate) fn current_track(tracks: &mut Vec<(u64, String)>) -> usize {
-    let key = thread_key();
+/// `thread-{key}` when it has no name) the first time it records. The
+/// key is process-wide, so one thread maps to the same track name in
+/// every recorder.
+fn current_track(tracks: &mut Vec<(u64, String)>) -> usize {
+    let key = THREAD_KEY.with(|k| *k);
     if let Some(i) = tracks.iter().position(|(k, _)| *k == key) {
         return i;
     }
@@ -474,21 +474,44 @@ pub(crate) fn current_track(tracks: &mut Vec<(u64, String)>) -> usize {
     tracks.len() - 1
 }
 
-/// A [`Recorder`] that keeps every event.
+/// Default event capacity of a flight ring ([`TraceRecorder::flight`]).
+pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
+
+/// A [`Recorder`] that keeps events: every one, or the last N coarse
+/// decisions as a flight ring.
 ///
 /// Install it like any recorder ([`crate::install`] / RAII guard);
 /// threads that share the same `Arc` get their own track, named after
-/// the recording thread. `add`/`observe` calls are *dropped* —
-/// aggregates belong to [`crate::MemoryRecorder`]; combine both with
+/// the recording thread, and every event carries the request id active
+/// on that thread ([`crate::begin_request`]).
+///
+/// [`TraceRecorder::new`] keeps every span edge and decision.
+/// `add`/`observe` calls are *dropped* — aggregates belong to
+/// [`crate::MemoryRecorder`]; combine both with
 /// [`crate::FanoutRecorder`] to capture a trace and a snapshot in one
 /// run. Each dropped call increments the [`Trace::dropped`] count so
 /// the loss is visible in the snapshot instead of silent. For the same
 /// reason it declines fine-grained metrics: a trace installed next to
 /// an ambient stack ([`crate::install_alongside`]) must not switch the
 /// inner-loop counters on for the stack's sinks.
+///
+/// [`TraceRecorder::flight`] is the always-on mode a daemon can afford
+/// on every request: a ring of the last N *coarse* decisions (request
+/// begin/end, engine begins, faults, cache lookups). It declines span
+/// events and fine decisions, so per-gate inner loops never build
+/// their payloads, and ignores metrics. When a request errors or runs
+/// slow the service cuts that request's history out of the ring
+/// ([`TraceRecorder::dump_for`]) and writes it to disk, so the
+/// decisions leading up to the incident are there after the fact.
+/// `bench regress` times the whole ambient stack's calls for one
+/// compile (`observe/ambient_events`) and fails above 2% of
+/// `compile/qft`.
 pub struct TraceRecorder {
     epoch: Instant,
+    /// `Some(capacity)` for a flight ring.
+    ring: Option<usize>,
     inner: Mutex<TraceInner>,
+    /// Ignored metric calls of a full trace; evictions of a flight ring.
     dropped: AtomicU64,
 }
 
@@ -499,21 +522,58 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// Creates an empty recorder; timestamps count from now.
+    /// Creates an empty recorder that keeps every event; timestamps
+    /// count from now.
     pub fn new() -> TraceRecorder {
         TraceRecorder {
             epoch: Instant::now(),
+            ring: None,
             inner: Mutex::new(TraceInner::default()),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Extracts everything recorded so far.
+    /// Creates a flight ring: coarse decisions only, at most
+    /// `capacity` events (minimum 1), the oldest evicted first.
+    pub fn flight(capacity: usize) -> TraceRecorder {
+        TraceRecorder {
+            ring: Some(capacity.max(1)),
+            ..TraceRecorder::new()
+        }
+    }
+
+    /// Maximum number of events retained (`usize::MAX` unless built by
+    /// [`TraceRecorder::flight`]).
+    pub fn capacity(&self) -> usize {
+        self.ring.unwrap_or(usize::MAX)
+    }
+
+    /// Events a flight ring has rotated out so far (0 for a full
+    /// trace, which evicts nothing).
+    pub fn overwritten(&self) -> u64 {
+        self.ring
+            .map_or(0, |_| self.dropped.load(Ordering::Relaxed))
+    }
+
+    /// Extracts everything recorded so far (oldest event first).
     pub fn snapshot(&self) -> Trace {
+        self.cut(|_| true)
+    }
+
+    /// Extracts only the events recorded under request `request_id`
+    /// (see [`crate::begin_request`]) — the per-request cut the
+    /// service dumps when that request errors or runs slow. Track
+    /// names are kept so the cut still exports standalone.
+    pub fn dump_for(&self, request_id: u64) -> Trace {
+        self.cut(|e| e.request == request_id)
+    }
+
+    /// Copies the events `keep` accepts, filtering under the lock.
+    fn cut(&self, keep: impl Fn(&TraceEvent) -> bool) -> Trace {
         let inner = self.inner.lock().unwrap();
         Trace {
             tracks: inner.tracks.iter().map(|(_, name)| name.clone()).collect(),
-            events: inner.events.clone(),
+            events: inner.events.iter().filter(|e| keep(e)).cloned().collect(),
             dropped: self.dropped.load(Ordering::Relaxed),
         }
     }
@@ -523,8 +583,13 @@ impl TraceRecorder {
         let request = crate::current_request();
         let mut inner = self.inner.lock().unwrap();
         let track = current_track(&mut inner.tracks);
-        let seq = inner.events.len() as u64;
-        inner.events.push(TraceEvent {
+        if inner.events.len() >= self.capacity() {
+            inner.events.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        inner.events.push_back(TraceEvent {
             ts_ns,
             track,
             seq,
@@ -536,17 +601,23 @@ impl TraceRecorder {
 
 impl Recorder for TraceRecorder {
     fn record_span(&self, path: &str, _wall: Duration) {
-        self.push(TraceEventKind::SpanEnd {
-            path: path.to_string(),
-        });
+        if self.ring.is_none() {
+            self.push(TraceEventKind::SpanEnd {
+                path: path.to_string(),
+            });
+        }
     }
 
     fn add(&self, _name: &str, _delta: u64) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
+        if self.ring.is_none() {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn observe(&self, _name: &str, _value: f64) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
+        if self.ring.is_none() {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn record_span_begin(&self, path: &str) {
@@ -556,7 +627,7 @@ impl Recorder for TraceRecorder {
     }
 
     fn wants_span_events(&self) -> bool {
-        true
+        self.ring.is_none()
     }
 
     fn record_decision(&self, decision: &Decision) {
@@ -565,6 +636,10 @@ impl Recorder for TraceRecorder {
 
     fn wants_decisions(&self) -> bool {
         true
+    }
+
+    fn wants_fine_decisions(&self) -> bool {
+        self.ring.is_none()
     }
 
     fn wants_fine_metrics(&self) -> bool {
@@ -726,5 +801,103 @@ mod tests {
         let sorted = trace.normalized();
         let keys: Vec<(usize, u64)> = sorted.events.iter().map(|e| (e.track, e.seq)).collect();
         assert_eq!(keys, vec![(0, 1), (0, 3), (1, 0), (1, 2)]);
+    }
+
+    #[test]
+    fn keeps_coarse_drops_fine() {
+        let rec = Arc::new(TraceRecorder::flight(DEFAULT_FLIGHT_CAPACITY));
+        {
+            let _guard = crate::install(rec.clone());
+            assert!(crate::decisions_enabled());
+            assert!(!crate::fine_decisions_enabled());
+            crate::decision(&Decision::RequestBegin {
+                id: 7,
+                kind: "compile".to_string(),
+            });
+            // Fine decisions are filtered by the dispatch layer —
+            // per-step and inner-loop events never reach the ring.
+            crate::decision(&Decision::StepBegin {
+                step: 0,
+                braids: 2,
+                locals: 1,
+            });
+            crate::decision(&Decision::StackPeel { gate: 1, degree: 1 });
+            crate::decision(&Decision::AstarSearch {
+                expansions: 10,
+                found: true,
+            });
+        }
+        let trace = rec.snapshot();
+        assert_eq!(trace.events.len(), 1);
+        assert_eq!(
+            match &trace.events[0].kind {
+                TraceEventKind::Decision(d) => d.name(),
+                _ => unreachable!(),
+            },
+            "request.begin"
+        );
+    }
+
+    #[test]
+    fn ring_evicts_oldest_and_counts_overwrites() {
+        let rec = TraceRecorder::flight(3);
+        for step in 0..5u64 {
+            rec.record_decision(&Decision::StepBegin {
+                step,
+                braids: 0,
+                locals: 0,
+            });
+        }
+        let trace = rec.snapshot();
+        assert_eq!(trace.events.len(), 3);
+        assert_eq!(trace.dropped, 2);
+        assert_eq!(rec.overwritten(), 2);
+        let steps: Vec<u64> = trace
+            .events
+            .iter()
+            .map(|e| match &e.kind {
+                TraceEventKind::Decision(Decision::StepBegin { step, .. }) => *step,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(steps, vec![2, 3, 4]);
+        // Sequence numbers survive eviction, so normalization order is
+        // still the record order.
+        let seqs: Vec<u64> = trace.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn dump_for_cuts_one_request() {
+        let rec = Arc::new(TraceRecorder::flight(DEFAULT_FLIGHT_CAPACITY));
+        let _guard = crate::install(rec.clone());
+        for id in [1u64, 2, 1] {
+            let _req = crate::begin_request(id);
+            crate::decision(&Decision::RequestBegin {
+                id,
+                kind: "compile".into(),
+            });
+        }
+        let cut = rec.dump_for(1);
+        assert_eq!(cut.events.len(), 2);
+        assert!(cut.events.iter().all(|e| e.request == 1));
+        // The cut still exports as valid trace JSON on its own.
+        let json = crate::JsonValue::parse(&cut.to_chrome_json()).unwrap();
+        assert!(json.as_array().is_some());
+    }
+
+    #[test]
+    fn spans_and_metrics_cost_nothing() {
+        let rec = Arc::new(TraceRecorder::flight(DEFAULT_FLIGHT_CAPACITY));
+        {
+            let _guard = crate::install(rec.clone());
+            let _span = crate::span("work");
+            crate::counter("c", 1);
+            crate::observe("h", 1.0);
+        }
+        let trace = rec.snapshot();
+        assert_eq!(trace.events.len(), 0);
+        // A ring's `dropped` counts evictions only, not ignored metrics.
+        assert_eq!(trace.dropped, 0);
     }
 }

@@ -1,5 +1,5 @@
-//! Rolling time-window aggregation: [`WindowedRecorder`] and the
-//! [`WindowedSnapshot`] it produces (`autobraid.metrics/v1`).
+//! Rolling time-window aggregation: [`WindowedRecorder`], the source
+//! of the `window` object in `autobraid.metrics/v1`.
 //!
 //! Lifetime aggregates ([`crate::MemoryRecorder`]) answer "what has
 //! this process done since it started"; a live daemon also needs
@@ -12,7 +12,7 @@
 //! so an idle daemon pays nothing.
 
 use crate::json::JsonValue;
-use crate::memory::{update, Histogram, HistogramSummary};
+use crate::memory::{update, Histogram, TelemetrySnapshot};
 use crate::recorder::Recorder;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -118,15 +118,15 @@ impl WindowedRecorder {
         bucket
     }
 
-    /// Snapshots the trailing window as of now.
-    pub fn snapshot(&self) -> WindowedSnapshot {
+    /// Snapshots the trailing window as of now (no spans).
+    pub fn snapshot(&self) -> TelemetrySnapshot {
         self.snapshot_at(self.now_sec())
     }
 
     /// Snapshots the trailing window as of absolute second `now_sec`:
     /// buckets with `now_sec - sec < window` contribute; everything
     /// older is ignored (it will be recycled by the next write).
-    pub fn snapshot_at(&self, now_sec: u64) -> WindowedSnapshot {
+    pub fn snapshot_at(&self, now_sec: u64) -> TelemetrySnapshot {
         let buckets = self.buckets.lock().unwrap();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
@@ -141,14 +141,23 @@ impl WindowedRecorder {
                 histograms.entry(name.clone()).or_default().merge(h);
             }
         }
-        WindowedSnapshot {
-            window_seconds: self.window,
+        TelemetrySnapshot {
+            spans: Vec::new(),
             counters,
             histograms: histograms
                 .into_iter()
                 .map(|(name, h)| (name, h.summary()))
                 .collect(),
         }
+    }
+
+    /// The `window` object of the `autobraid.metrics/v1` frame as of
+    /// absolute second `now_sec` (the service passes [`Self::now_sec`]
+    /// and wraps it with schema/version/uptime/gauges; see
+    /// `docs/METRICS.md`).
+    pub fn json_at(&self, now_sec: u64) -> JsonValue {
+        let window = ("window_seconds", JsonValue::from(self.window));
+        JsonValue::object(std::iter::once(window).chain(self.snapshot_at(now_sec).metric_members()))
     }
 }
 
@@ -167,65 +176,6 @@ impl Recorder for WindowedRecorder {
 
     fn observe(&self, name: &str, value: f64) {
         self.observe_at(name, value, self.now_sec());
-    }
-}
-
-/// Aggregate of the trailing window, extracted from a
-/// [`WindowedRecorder`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WindowedSnapshot {
-    /// Window length the snapshot covers, in seconds.
-    pub window_seconds: u64,
-    /// Counter totals over the window, sorted by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Histogram summaries over the window, sorted by name.
-    pub histograms: BTreeMap<String, HistogramSummary>,
-}
-
-impl WindowedSnapshot {
-    /// Value of counter `name` over the window, or 0.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Histogram summary for `name` over the window, if observed.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
-        self.histograms.get(name)
-    }
-
-    /// Builds the windowed half of the `autobraid.metrics/v1` JSON
-    /// tree (the service wraps it with schema/version/uptime/gauges;
-    /// see `docs/METRICS.md`).
-    pub fn to_json_value(&self) -> JsonValue {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, &value)| (name.as_str(), JsonValue::from(value)))
-            .collect::<Vec<_>>();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                (
-                    name.as_str(),
-                    JsonValue::object([
-                        ("count", JsonValue::from(h.count)),
-                        ("sum", JsonValue::from(h.sum)),
-                        ("min", JsonValue::from(h.min)),
-                        ("max", JsonValue::from(h.max)),
-                        ("mean", JsonValue::from(h.mean)),
-                        ("p50", JsonValue::from(h.p50)),
-                        ("p90", JsonValue::from(h.p90)),
-                        ("p99", JsonValue::from(h.p99)),
-                    ]),
-                )
-            })
-            .collect::<Vec<_>>();
-        JsonValue::object([
-            ("window_seconds", JsonValue::from(self.window_seconds)),
-            ("counters", JsonValue::object(counters)),
-            ("histograms", JsonValue::object(histograms)),
-        ])
     }
 }
 
@@ -283,29 +233,28 @@ mod tests {
         assert_eq!(h.max, 1.0);
     }
 
+    /// Pins the bytes of the metrics/v1 `window` object: field order,
+    /// number formatting and name order. A change here is a change to
+    /// the wire layout scrapers parse, so it needs a schema bump.
     #[test]
     fn json_layout_has_window_counters_histograms() {
         let rec = WindowedRecorder::with_window(60);
-        rec.add_at("requests", 2, 0);
-        rec.observe_at("latency_ms", 4.0, 0);
-        let json = rec.snapshot_at(0).to_json_value();
-        assert_eq!(
-            json.get("window_seconds").and_then(JsonValue::as_u64),
-            Some(60)
+        rec.add_at("service.requests.compile", 2, 0);
+        rec.add_at("service.requests.ping", 1, 1);
+        rec.add_at("service.cache.source_memo_hit", 3, 2);
+        rec.observe_at("service.latency_ms", 4.0, 0);
+        rec.observe_at("service.latency_ms", 1.5, 1);
+        rec.observe_at("service.latency_ms", 2.25, 2);
+        rec.observe_at("a.histogram", 0.1, 2);
+        let expected = concat!(
+            r#"{"window_seconds":60,"counters":{"service.cache.source_memo_hit":3,"#,
+            r#""service.requests.compile":2,"service.requests.ping":1},"histograms":{"#,
+            r#""a.histogram":{"count":1,"sum":0.1,"min":0.1,"max":0.1,"mean":0.1,"#,
+            r#""p50":0.1,"p90":0.1,"p99":0.1},"service.latency_ms":{"count":3,"#,
+            r#""sum":7.75,"min":1.5,"max":4,"mean":2.5833333333333335,"p50":2.25,"#,
+            r#""p90":4,"p99":4}}}"#,
         );
-        assert_eq!(
-            json.get("counters")
-                .and_then(|c| c.get("requests"))
-                .and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            json.get("histograms")
-                .and_then(|h| h.get("latency_ms"))
-                .and_then(|h| h.get("count"))
-                .and_then(JsonValue::as_u64),
-            Some(1)
-        );
+        assert_eq!(rec.json_at(2).render_compact(), expected);
     }
 
     #[test]

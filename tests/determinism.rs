@@ -8,6 +8,8 @@
 
 use autobraid::prelude::*;
 use autobraid_circuit::generators::{cc::counterfeit_coin, ising::ising, qft::qft};
+use autobraid_telemetry::{self as telemetry, MemoryRecorder};
+use std::sync::Arc;
 
 /// The canonical (measurement-free) form of a report, as a JSON string.
 fn canonical(report: &CompileReport) -> String {
@@ -131,26 +133,22 @@ fn poisoned_job_fails_alone() {
     }
 }
 
+/// A recorder installed around `compile_batch` (per-compile telemetry
+/// off) aggregates the whole batch exactly: the pool installs it on
+/// every worker, so the counters equal the sum over jobs.
 #[test]
-fn merged_batch_telemetry_sums_job_counters() {
-    let jobs = vec![
-        CompileJob::circuit(qft(10).unwrap()),
-        CompileJob::circuit(qft(10).unwrap()),
-        CompileJob::circuit(qft(10).unwrap()),
-    ];
-    let pipeline = pipeline_with_threads(2).with_options(CompileOptions {
-        telemetry: true,
-        ..CompileOptions::default()
-    });
-    let reports = pipeline.compile_batch(&jobs);
-    let merged = merged_batch_telemetry(&reports).expect("telemetry enabled");
-    let per_job: u64 = reports[0]
-        .as_ref()
-        .unwrap()
-        .telemetry
-        .as_ref()
-        .unwrap()
-        .counter("scheduler.steps.braid");
+fn batch_telemetry_sums_job_counters() {
+    let braid_steps = |threads: usize, copies: usize| {
+        let jobs = vec![CompileJob::circuit(qft(10).unwrap()); copies];
+        let recorder = Arc::new(MemoryRecorder::new());
+        let _guard = telemetry::install(recorder.clone());
+        let reports = pipeline_with_threads(threads).compile_batch(&jobs);
+        assert!(reports.iter().all(Result::is_ok), "threads={threads}");
+        recorder.snapshot().counter("scheduler.steps.braid")
+    };
+    let per_job = braid_steps(1, 1);
     assert!(per_job > 0);
-    assert_eq!(merged.counter("scheduler.steps.braid"), 3 * per_job);
+    for threads in [1, 4] {
+        assert_eq!(braid_steps(threads, 3), 3 * per_job, "threads={threads}");
+    }
 }
