@@ -63,7 +63,14 @@ impl Occupancy {
     /// Whether `v` is currently reserved.
     #[inline]
     pub fn is_occupied(&self, grid: &Grid, v: Vertex) -> bool {
-        let i = grid.vertex_index(v);
+        self.is_occupied_at(grid.vertex_index(v))
+    }
+
+    /// Whether the vertex at dense index `i` ([`Grid::vertex_index`]) is
+    /// reserved: [`Occupancy::is_occupied`] for callers that already
+    /// walk indices.
+    #[inline]
+    pub fn is_occupied_at(&self, i: usize) -> bool {
         self.bits[i / 64] & (1 << (i % 64)) != 0
     }
 

@@ -203,11 +203,12 @@ impl Negotiation {
     ) -> (RouteOutcome, NegotiationStats) {
         let n = grid.vertex_count();
         let side = grid.vertices_per_side() as usize;
-        // Heap keys pack f into the high 64 bits, and the heuristic and
-        // the vertex index into 32 bits each, which is exact while these
-        // bounds hold: a vertex's usage is at most one per request, each
-        // round adds less than that to its history, and a search's f is
-        // at most a simple path's cost plus one step and the heuristic.
+        // Heap keys pack f into the high 64 bits, then the heuristic in
+        // 32 bits and the vertex's row and column in 16 bits each, which
+        // is exact while these bounds hold: a vertex's usage is at most
+        // one per request, each round adds less than that to its
+        // history, and a search's f is at most a simple path's cost plus
+        // one step and the heuristic.
         let most = requests.len() as u128;
         let max_cost = (u128::from(BASE_COST)
             + u128::from(HISTORY_WEIGHT) * u128::from(MAX_ITERATIONS) * most)
@@ -215,6 +216,7 @@ impl Negotiation {
         let max_h = u128::from(BASE_COST) * 2 * side as u128;
         assert!(
             n <= u32::MAX as usize
+                && side <= 1 << 16
                 && max_h <= u128::from(u32::MAX)
                 && (n as u128 + 1) * max_cost + max_h <= u128::from(u64::MAX),
             "{}x{} grid with {} requests is too large for negotiated routing",
@@ -247,7 +249,7 @@ impl Negotiation {
         self.history.resize(n, 0);
         self.cost.clear();
         self.cost.extend((0..n).map(|i| {
-            if occupancy.is_occupied(grid, grid.vertex_at(i)) {
+            if occupancy.is_occupied_at(i) {
                 BLOCKED
             } else {
                 0
@@ -441,10 +443,13 @@ impl Negotiation {
     /// Congestion-cost shortest path from the free corners of `a` to
     /// those of `b`: A* with the admissible heuristic `BASE_COST` ×
     /// Manhattan distance, reading each vertex's cost from the cost
-    /// array and walking vertex indices (`±1`, `±side`) directly.
-    /// Vertices of other paths are merely expensive, blocked ones are
-    /// impassable. Ties break on `(f, g, vertex index)`, all ascending,
-    /// so the result is deterministic.
+    /// array. Open entries carry their vertex's row and column, so a pop
+    /// recovers the vertex index with one multiply, tests it against
+    /// `b`'s four corner indices and steps to the neighbours (`±side`,
+    /// `±1`) behind plain bounds checks. Vertices of other paths are
+    /// merely expensive, blocked ones are impassable. Ties break on
+    /// `(f, g, vertex index)`, all ascending, so the result is
+    /// deterministic.
     fn search(&mut self, side: usize, a: Cell, b: Cell, path: &mut Vec<u32>) -> bool {
         telemetry::fine_counter("router.pathfinder.searches", 1);
         path.clear();
@@ -460,15 +465,12 @@ impl Negotiation {
         if target_count == 0 {
             return false;
         }
-        let targets = &targets[..target_count];
-        let heuristic = |row: u32, col: u32| -> u32 {
-            let d = targets
-                .iter()
-                .map(|&(r, c)| row.abs_diff(r) + col.abs_diff(c))
-                .min()
-                .unwrap_or(0);
-            d * BASE_COST as u32
-        };
+        // Repeating a free corner keeps the minimum and makes the
+        // heuristic a fixed four-way one.
+        let first = targets[0];
+        targets[target_count..].fill(first);
+        // A blocked corner is never entered, so a popped corner is free.
+        let goals = b.corners().map(index);
 
         if self.generation == u32::MAX {
             self.visits.fill(Visit::default());
@@ -481,18 +483,23 @@ impl Negotiation {
             let g = self.cost[i];
             if g != BLOCKED && g < self.g(i) {
                 self.improve(i, g, NO_PARENT);
-                self.push(g, heuristic(start.row, start.col), i);
+                self.push(
+                    g,
+                    heuristic(&targets, start.row, start.col),
+                    start.row,
+                    start.col,
+                );
             }
         }
 
         let last = side as u32 - 1;
         while let Some(Reverse(key)) = self.open.pop() {
-            let (g, idx) = Negotiation::unpack(key);
+            let (g, row, col) = Negotiation::unpack(key);
+            let idx = row as usize * side + col as usize;
             if g > self.g(idx) {
                 continue; // stale entry
             }
-            let (row, col) = ((idx / side) as u32, (idx % side) as u32);
-            if b.has_corner(Vertex::new(row, col)) {
+            if goals.contains(&idx) {
                 let mut at = idx as u32;
                 while at != NO_PARENT {
                     path.push(at);
@@ -501,25 +508,43 @@ impl Negotiation {
                 path.reverse();
                 return true;
             }
-            let neighbours = [
-                (row > 0).then(|| (idx - side, row - 1, col)),
-                (row < last).then(|| (idx + side, row + 1, col)),
-                (col > 0).then(|| (idx - 1, row, col - 1)),
-                (col < last).then(|| (idx + 1, row, col + 1)),
-            ];
-            for (next, r, c) in neighbours.into_iter().flatten() {
-                let step = self.cost[next];
-                if step == BLOCKED {
-                    continue;
-                }
-                let ng = g + step;
-                if ng < self.g(next) {
-                    self.improve(next, ng, idx as u32);
-                    self.push(ng, heuristic(r, c), next);
-                }
+            if row > 0 {
+                self.relax(g, idx, idx - side, row - 1, col, &targets);
+            }
+            if row < last {
+                self.relax(g, idx, idx + side, row + 1, col, &targets);
+            }
+            if col > 0 {
+                self.relax(g, idx, idx - 1, row, col - 1, &targets);
+            }
+            if col < last {
+                self.relax(g, idx, idx + 1, row, col + 1, &targets);
             }
         }
         false
+    }
+
+    /// Offers the step from `from` (reached at cost `g`) to its
+    /// neighbour `next`, at `(row, col)`.
+    #[inline]
+    fn relax(
+        &mut self,
+        g: u64,
+        from: usize,
+        next: usize,
+        row: u32,
+        col: u32,
+        targets: &[(u32, u32); 4],
+    ) {
+        let step = self.cost[next];
+        if step == BLOCKED {
+            return;
+        }
+        let ng = g + step;
+        if ng < self.g(next) {
+            self.improve(next, ng, from as u32);
+            self.push(ng, heuristic(targets, row, col), row, col);
+        }
     }
 
     /// Best-known cost of vertex `i` this search (`u64::MAX` if unvisited).
@@ -542,23 +567,38 @@ impl Negotiation {
         };
     }
 
-    /// Pushes vertex `i` at cost `g` and heuristic `h` as one key whose
-    /// order is `(f, g, i)`'s: `f = g + h` in the high 64 bits, then
-    /// `u32::MAX - h` (at equal f, a larger g is a smaller h), then `i`.
+    /// Pushes the vertex at `(row, col)` at cost `g` and heuristic `h`
+    /// as one key whose order is `(f, g, index)`'s: `f = g + h` in the
+    /// high 64 bits, then `u32::MAX - h` (at equal f, a larger g is a
+    /// smaller h), then `row << 16 | col`, which orders like the
+    /// row-major index because every column is below 2^16.
     #[inline]
-    fn push(&mut self, g: u64, h: u32, i: usize) {
+    fn push(&mut self, g: u64, h: u32, row: u32, col: u32) {
         let f = g + u64::from(h);
-        let key = (u128::from(f) << 64) | (u128::from(u32::MAX - h) << 32) | i as u128;
+        let key =
+            (u128::from(f) << 64) | (u128::from(u32::MAX - h) << 32) | u128::from(row << 16 | col);
         self.open.push(Reverse(key));
     }
 
-    /// The `(g, i)` a [`push`](Self::push) packed into `key`.
+    /// The `(g, row, col)` a [`push`](Self::push) packed into `key`.
     #[inline]
-    fn unpack(key: u128) -> (u64, usize) {
+    fn unpack(key: u128) -> (u64, u32, u32) {
         let f = (key >> 64) as u64;
         let h = u32::MAX - (key >> 32) as u32;
-        (f - u64::from(h), key as u32 as usize)
+        let at = key as u32;
+        (f - u64::from(h), at >> 16, at & 0xFFFF)
     }
+}
+
+/// `BASE_COST` × the Manhattan distance from `(row, col)` to the
+/// nearest of `targets`.
+#[inline]
+fn heuristic(targets: &[(u32, u32); 4], row: u32, col: u32) -> u32 {
+    let d = targets
+        .iter()
+        .map(|&(r, c)| row.abs_diff(r) + col.abs_diff(c))
+        .fold(u32::MAX, u32::min);
+    d * BASE_COST as u32
 }
 
 /// Reference implementation of the negotiated search: the original
@@ -914,13 +954,92 @@ mod tests {
         (g, occ, rs)
     }
 
+    /// Layers at the edges of the index walk: operand tiles on the last
+    /// row and column, target tiles with one to three corners reserved,
+    /// operand tiles that share corners, every gate of the smallest grid
+    /// that holds two tiles, and a 16×16 grid with 60 gates and about a
+    /// tenth of its vertices reserved.
+    fn edge_layers() -> Vec<(Grid, Occupancy, Vec<CxRequest>)> {
+        let gates = |pairs: &[(u32, u32, u32, u32)]| -> Vec<CxRequest> {
+            pairs
+                .iter()
+                .enumerate()
+                .map(|(id, &(ar, ac, br, bc))| {
+                    CxRequest::new(id, Cell::new(ar, ac), Cell::new(br, bc))
+                })
+                .collect()
+        };
+        let mut layers = Vec::new();
+
+        let (g, occ) = setup(6);
+        let rs = gates(&[(5, 0, 5, 4), (0, 5, 4, 5), (5, 5, 2, 2), (3, 5, 5, 2)]);
+        layers.push((g, occ, rs));
+
+        let (g, mut occ) = setup(6);
+        for (cell, reserved) in [
+            ((1, 1), &[0][..]),
+            ((1, 4), &[1, 2]),
+            ((4, 1), &[0, 1, 3]),
+            ((4, 4), &[1, 2, 3]),
+        ] {
+            let corners = Cell::new(cell.0, cell.1).corners();
+            for &k in reserved {
+                occ.reserve(&g, corners[k]);
+            }
+        }
+        let rs = gates(&[(5, 5, 1, 1), (5, 0, 1, 4), (0, 5, 4, 1), (0, 0, 4, 4)]);
+        layers.push((g, occ, rs));
+
+        let (g, occ) = setup(5);
+        let rs = gates(&[
+            (1, 1, 2, 2),
+            (2, 1, 1, 2),
+            (3, 3, 3, 4),
+            (0, 4, 1, 3),
+            (4, 0, 3, 0),
+        ]);
+        layers.push((g, occ, rs));
+
+        let (g, occ) = setup(2);
+        let rs = gates(&[
+            (0, 0, 1, 1),
+            (0, 1, 1, 0),
+            (0, 0, 0, 1),
+            (1, 0, 1, 1),
+            (0, 0, 1, 0),
+            (0, 1, 1, 1),
+        ]);
+        layers.push((g, occ, rs));
+
+        let mut rng = autobraid_telemetry::Rng64::seed_from_u64(16);
+        let (g, mut occ) = setup(16);
+        while occ.occupied_count() < g.vertex_count() / 10 {
+            occ.reserve(
+                &g,
+                Vertex::new(rng.gen_range(0u32..17), rng.gen_range(0u32..17)),
+            );
+        }
+        let mut rs: Vec<CxRequest> = Vec::new();
+        while rs.len() < 60 {
+            let a = Cell::new(rng.gen_range(0u32..16), rng.gen_range(0u32..16));
+            let b = Cell::new(rng.gen_range(0u32..16), rng.gen_range(0u32..16));
+            if a != b {
+                rs.push(
+                    CxRequest::new(rs.len(), a, b).with_priority(rng.gen_range(0u32..5) as i64),
+                );
+            }
+        }
+        layers.push((g, occ, rs));
+        layers
+    }
+
     #[test]
     fn arena_negotiation_is_byte_identical_to_reference() {
         // The cost-array search must reproduce the original
         // allocate-per-call implementation exactly — same paths, same
         // stats, same final occupancy — across random congested batches,
-        // captured stream layers that stall, the shared-gap layer, and
-        // defect walls.
+        // captured stream layers that stall, the shared-gap layer, defect
+        // walls, and the edge layers.
         use autobraid_telemetry::Rng64;
         let mut layers = Vec::new();
         let mut rng = Rng64::seed_from_u64(31);
@@ -952,6 +1071,7 @@ mod tests {
         }
         layers.push(shared_gap_layer());
         layers.push(defect_wall_layer());
+        layers.extend(edge_layers());
 
         let mut unconverged = 0;
         for (g, occ, rs) in &layers {
@@ -977,30 +1097,39 @@ mod tests {
     #[test]
     fn heap_keys_order_like_the_tuples() {
         // (f, g, index) pairs in tuple order must come out of the packed
-        // keys in the same order, and unpack to their (g, index).
+        // keys in the same order, and unpack to their (g, row, col): on
+        // a small grid, where ties cross row ends, and on the widest one
+        // the key admits, where rows and columns fill their 16 bits.
         let entries = [
             (5u64, 3u32, 9usize),
             (5, 3, 10),
+            (5, 3, 11),
             (6, 2, 1),
             (7, 1, 0),
             (5, 0, 2),
             (4, 40, 7),
             (0, 0, 0),
+            (9, 0, 65_535),
+            (9, 0, 65_536),
+            (9, 0, (1 << 32) - 1),
+            (9, 0, (1 << 32) - 2),
         ];
-        let mut negotiation = Negotiation::default();
-        for &(g, h, i) in &entries {
-            negotiation.push(g, h, i);
+        for side in [11usize, 1 << 16] {
+            let mut negotiation = Negotiation::default();
+            let mut expected = Vec::new();
+            for &(g, h, i) in &entries {
+                let i = i % (side * side);
+                let (row, col) = ((i / side) as u32, (i % side) as u32);
+                negotiation.push(g, h, row, col);
+                expected.push((g + u64::from(h), g, i, row, col));
+            }
+            expected.sort_unstable();
+            for (_, g, _, row, col) in expected {
+                let Reverse(key) = negotiation.open.pop().unwrap();
+                assert_eq!(Negotiation::unpack(key), (g, row, col), "side {side}");
+            }
+            assert!(negotiation.open.is_empty());
         }
-        let mut expected: Vec<(u64, u64, usize)> = entries
-            .iter()
-            .map(|&(g, h, i)| (g + u64::from(h), g, i))
-            .collect();
-        expected.sort_unstable();
-        for (_, g, i) in expected {
-            let Reverse(key) = negotiation.open.pop().unwrap();
-            assert_eq!(Negotiation::unpack(key), (g, i));
-        }
-        assert!(negotiation.open.is_empty());
     }
 
     #[test]

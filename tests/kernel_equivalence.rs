@@ -8,7 +8,8 @@
 //! once with `autobraid_telemetry::reference_mode` routing every call to
 //! the original allocating implementations — and demands byte-identical
 //! [`canonical_json`](autobraid::pipeline::CompileReport::canonical_json)
-//! reports.
+//! reports. A chunked PathFinder stream session, the way perfbench's
+//! `stream-congested` workload runs one, is diffed the same way.
 //!
 //! Reference mode is a process-global flag, so every section that
 //! toggles it serializes on [`reference_lock`]. This file is its own
@@ -16,13 +17,18 @@
 //! unaffected.
 
 use autobraid::pipeline::{CompileOptions, Pipeline, Strategy};
+use autobraid::streaming::{StreamingOptions, StreamingPipeline};
 use autobraid_circuit::generators::{
-    bv::bv_all_ones, cc::counterfeit_coin, ising::ising, qft::qft,
+    bv::bv_all_ones,
+    cc::counterfeit_coin,
+    ising::ising,
+    qft::qft,
+    random::{layered_cx, neighbor_chain},
 };
 use autobraid_circuit::Circuit;
 use autobraid_conformance::dsl::generate_case;
-use autobraid_telemetry as telemetry;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use autobraid_telemetry::{self as telemetry, MemoryRecorder};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Serializes every test section that flips the global reference-mode
 /// flag, so concurrent tests in this binary cannot interleave modes.
@@ -102,6 +108,59 @@ fn every_strategy_is_byte_identical_on_a_shared_case() {
         Strategy::Maslov,
     ] {
         assert_kernels_equivalent("qft8", &circuit, strategy);
+    }
+}
+
+/// One PathFinder stream session fed 32 gates per `step()`, then
+/// finished: its canonical report and the negotiation's
+/// `(searches, iterations)` totals under a fresh recorder.
+fn chunked_stream(circuit: &Circuit) -> (String, u64, f64) {
+    let recorder = Arc::new(MemoryRecorder::new());
+    let _install = telemetry::install(recorder.clone());
+    let options = StreamingOptions::default().with_strategy(Strategy::PathFinder);
+    let mut stream = StreamingPipeline::open(circuit.num_qubits(), options);
+    for chunk in circuit.gates().chunks(32) {
+        for gate in chunk {
+            stream.push_gate(*gate).expect("gates fit the stream");
+        }
+        stream.step().expect("a clean stream steps");
+    }
+    let report = stream.finish().expect("a clean stream finishes");
+    let snapshot = recorder.snapshot();
+    let iterations = snapshot
+        .histogram("router.pathfinder.iterations")
+        .map_or(0.0, |h| h.sum);
+    (
+        report.canonical_json(),
+        snapshot.counter("router.pathfinder.searches"),
+        iterations,
+    )
+}
+
+#[test]
+fn chunked_pathfinder_streams_are_byte_identical() {
+    // The stream path reaches `route_negotiated` once per braiding step,
+    // on layers the batch compiles above never offer: a congested
+    // all-pairs class and an uncongested neighbour class. Equal search
+    // and round totals show the two modes negotiated the same way, not
+    // just to the same schedule.
+    for (label, circuit) in [
+        ("layered_cx", layered_cx(40, 16, 0.0, 3).unwrap()),
+        ("neighbor_chain", neighbor_chain(64, 80, 3).unwrap()),
+    ] {
+        let _guard = reference_lock();
+        let optimized = chunked_stream(&circuit);
+        let was = telemetry::set_reference_mode(true);
+        let reference = chunked_stream(&circuit);
+        telemetry::set_reference_mode(was);
+        assert!(
+            optimized.1 > 0,
+            "{label}: the stream ran no negotiated search"
+        );
+        assert_eq!(
+            optimized, reference,
+            "{label}: optimized stream diverges from reference"
+        );
     }
 }
 
