@@ -2,7 +2,6 @@
 //! on them; edge weights count interactions.
 
 use autobraid_circuit::{Circuit, QubitId};
-use std::collections::BTreeMap;
 
 /// Weighted interaction graph of a circuit's two-qubit gates.
 ///
@@ -22,29 +21,55 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CouplingGraph {
     num_qubits: u32,
-    weights: BTreeMap<(QubitId, QubitId), u64>,
-    adjacency: Vec<Vec<QubitId>>,
+    /// The distinct interacting pairs `(a, b, weight)`, `a < b`, sorted.
+    edges: Vec<(QubitId, QubitId, u64)>,
+    /// `partners[offsets[q]..offsets[q + 1]]` are `q`'s partners, ascending.
+    offsets: Vec<usize>,
+    partners: Vec<QubitId>,
 }
 
 impl CouplingGraph {
-    /// Builds the coupling graph of `circuit`.
+    /// Builds the coupling graph of `circuit`: one sort of the packed
+    /// qubit pairs of its two-qubit gates, whose runs are the edges and
+    /// their weights.
     pub fn of(circuit: &Circuit) -> Self {
-        let mut weights: BTreeMap<(QubitId, QubitId), u64> = BTreeMap::new();
-        for gate in circuit.gates() {
-            if let Some((a, b)) = gate.pair() {
-                let key = (a.min(b), a.max(b));
-                *weights.entry(key).or_insert(0) += 1;
-            }
+        let mut pairs: Vec<u64> = circuit
+            .gates()
+            .iter()
+            .filter_map(|gate| gate.pair())
+            .map(|(a, b)| u64::from(a.min(b)) << 32 | u64::from(a.max(b)))
+            .collect();
+        pairs.sort_unstable();
+        let edges: Vec<(QubitId, QubitId, u64)> = pairs
+            .chunk_by(|x, y| x == y)
+            .map(|run| (run[0] >> 32, run[0], run.len()))
+            .map(|(a, b, w)| (a as QubitId, b as QubitId, w as u64))
+            .collect();
+        let n = circuit.num_qubits() as usize;
+        let mut offsets = vec![0; n + 1];
+        for &(a, b, _) in &edges {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-        let mut adjacency = vec![Vec::new(); circuit.num_qubits() as usize];
-        for &(a, b) in weights.keys() {
-            adjacency[a as usize].push(b);
-            adjacency[b as usize].push(a);
+        for q in 0..n {
+            offsets[q + 1] += offsets[q];
+        }
+        // Walking the sorted edges fills each qubit's partners in
+        // ascending order: every `(p, q)` with `p < q` comes before
+        // every `(q, r)`.
+        let mut partners = vec![0; offsets[n]];
+        let mut fill = offsets.clone();
+        for &(a, b, _) in &edges {
+            partners[fill[a as usize]] = b;
+            fill[a as usize] += 1;
+            partners[fill[b as usize]] = a;
+            fill[b as usize] += 1;
         }
         CouplingGraph {
             num_qubits: circuit.num_qubits(),
-            weights,
-            adjacency,
+            edges,
+            offsets,
+            partners,
         }
     }
 
@@ -55,35 +80,38 @@ impl CouplingGraph {
 
     /// Number of distinct interacting pairs (edges).
     pub fn edge_count(&self) -> usize {
-        self.weights.len()
+        self.edges.len()
     }
 
     /// Interaction count between `a` and `b` (0 when they never interact).
     pub fn weight(&self, a: QubitId, b: QubitId) -> u64 {
-        self.weights
-            .get(&(a.min(b), a.max(b)))
-            .copied()
-            .unwrap_or(0)
+        self.edges
+            .binary_search_by_key(&(a.min(b), a.max(b)), |&(a, b, _)| (a, b))
+            .map_or(0, |i| self.edges[i].2)
     }
 
-    /// Distinct interaction partners of `q`.
+    /// Distinct interaction partners of `q`, ascending.
     pub fn neighbors(&self, q: QubitId) -> &[QubitId] {
-        &self.adjacency[q as usize]
+        &self.partners[self.offsets[q as usize]..self.offsets[q as usize + 1]]
     }
 
     /// Number of distinct partners of `q`.
     pub fn degree(&self, q: QubitId) -> usize {
-        self.adjacency[q as usize].len()
+        self.neighbors(q).len()
     }
 
     /// Maximum degree over all qubits.
     pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
+        self.offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Iterates over `(a, b, weight)` edges with `a < b`.
+    /// Iterates over `(a, b, weight)` edges with `a < b`, sorted.
     pub fn edges(&self) -> impl Iterator<Item = (QubitId, QubitId, u64)> + '_ {
-        self.weights.iter().map(|(&(a, b), &w)| (a, b, w))
+        self.edges.iter().copied()
     }
 
     /// Whether every qubit has degree ≤ 2 — the "special graphs" case the
@@ -135,7 +163,7 @@ impl CouplingGraph {
     /// Fraction of total interaction weight between qubit pairs — used by
     /// reports.
     pub fn total_weight(&self) -> u64 {
-        self.weights.values().sum()
+        self.edges.iter().map(|&(_, _, w)| w).sum()
     }
 }
 
@@ -154,6 +182,54 @@ mod tests {
         assert_eq!(g.weight(0, 2), 0);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.total_weight(), 3);
+    }
+
+    #[test]
+    fn sorted_runs_match_a_map_count_per_gate() {
+        // Random circuits, repeated pairs and both gate directions
+        // included: the same sorted edges and weights as one map insert
+        // per two-qubit gate, and the same partners in the order that
+        // map's keys listed them.
+        use std::collections::BTreeMap;
+        let mut rng = autobraid_telemetry::Rng64::seed_from_u64(7);
+        for n in [1u32, 2, 3, 9, 40] {
+            let mut c = Circuit::new(n);
+            for _ in 0..rng.gen_range(0..200usize) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a == b {
+                    c.h(a);
+                } else if rng.gen_bool(0.5) {
+                    c.cx(a, b);
+                } else {
+                    c.cz(b, a);
+                }
+            }
+            let mut map: BTreeMap<(QubitId, QubitId), u64> = BTreeMap::new();
+            for (a, b) in c.gates().iter().filter_map(|g| g.pair()) {
+                *map.entry((a.min(b), a.max(b))).or_insert(0) += 1;
+            }
+            let mut adjacency = vec![Vec::new(); n as usize];
+            for &(a, b) in map.keys() {
+                adjacency[a as usize].push(b);
+                adjacency[b as usize].push(a);
+            }
+            let g = CouplingGraph::of(&c);
+            let edges: Vec<_> = map.iter().map(|(&(a, b), &w)| (a, b, w)).collect();
+            assert_eq!(g.edges().collect::<Vec<_>>(), edges, "n = {n}");
+            for a in 0..n {
+                assert_eq!(g.neighbors(a), adjacency[a as usize].as_slice());
+                for b in 0..n {
+                    assert_eq!(
+                        g.weight(a, b),
+                        map.get(&(a.min(b), a.max(b))).copied().unwrap_or(0)
+                    );
+                }
+            }
+            assert_eq!(
+                g.max_degree(),
+                adjacency.iter().map(Vec::len).max().unwrap_or(0)
+            );
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::arena::{with_search_arena, SearchArena, NO_PARENT};
 use crate::path::BraidPath;
+use crate::walk;
 use autobraid_lattice::{BBox, Cell, Grid, Occupancy, Vertex};
 use autobraid_telemetry as telemetry;
 
@@ -72,59 +73,59 @@ pub fn search_in(
     region: Option<BBox>,
 ) -> Option<usize> {
     telemetry::fine_counter("router.astar.searches", 1);
-    let allowed =
-        |v: Vertex| -> bool { occupancy.is_free(grid, v) && region.is_none_or(|r| r.contains(v)) };
-    let mut targets = [Vertex::new(0, 0); 4];
-    let mut target_count = 0usize;
-    for v in b.corners() {
-        if allowed(v) {
-            targets[target_count] = v;
-            target_count += 1;
-        }
-    }
-    if target_count == 0 {
+    let side = grid.vertices_per_side() as usize;
+    // The region clamped to the grid; a box that starts past the last
+    // row or column still admits no vertex.
+    let whole = walk::whole(side);
+    let limits = region.map_or(whole, |r| BBox {
+        max_row: r.max_row.min(whole.max_row),
+        max_col: r.max_col.min(whole.max_col),
+        ..r
+    });
+    let allowed = move |row: u32, col: u32| -> bool {
+        (limits.min_row..=limits.max_row).contains(&row)
+            && (limits.min_col..=limits.max_col).contains(&col)
+            && !occupancy.is_occupied_at(row as usize * side + col as usize)
+    };
+    let Some(targets) = walk::free_corners(b, allowed) else {
         telemetry::fine_counter("router.astar.failures", 1);
         record_search(0, false);
         return None;
-    }
-    let targets = &targets[..target_count];
-    let heuristic = |v: Vertex| -> u32 {
-        targets
-            .iter()
-            .map(|t| v.manhattan_distance(*t))
-            .min()
-            .unwrap()
     };
+    // A corner that is not allowed is never entered, so a popped corner
+    // is a target.
+    let goals = walk::corner_indices(b, side);
 
-    arena.begin(grid.vertex_count());
+    arena.begin(side);
     for start in a.corners() {
-        if allowed(start) {
-            let i = grid.vertex_index(start);
+        if allowed(start.row, start.col) {
+            let i = start.row as usize * side + start.col as usize;
             arena.improve(i, 0, NO_PARENT);
-            arena.push(heuristic(start), 0, i as u32);
+            let h = walk::nearest(&targets, start.row, start.col);
+            arena.push(h, 0, walk::pack(start.row, start.col));
         }
     }
 
     let mut expansions = 0u32;
-    while let Some((g, idx)) = arena.pop() {
+    while let Some((g, at)) = arena.pop() {
         expansions += 1;
-        let v = grid.vertex_at(idx as usize);
-        if b.has_corner(v) {
+        let (row, col) = walk::unpack(at);
+        let idx = row as usize * side + col as usize;
+        if goals.contains(&idx) {
             telemetry::fine_observe("router.astar.expansions", f64::from(expansions));
             record_search(expansions, true);
-            return Some(idx as usize);
+            return Some(idx);
         }
-        for next in grid.neighbors(v) {
-            if !allowed(next) {
-                continue;
+        // Popped vertices lie in the limits, which keeps every step
+        // inside both the region and the grid.
+        let ng = g + 1;
+        walk::neighbours(side, idx, (row, col), limits, |next, row, col| {
+            if !occupancy.is_occupied_at(next) && ng < arena.g(next) {
+                arena.improve(next, ng, idx as u32);
+                let h = walk::nearest(&targets, row, col);
+                arena.push(ng + h, ng, walk::pack(row, col));
             }
-            let ni = grid.vertex_index(next);
-            let ng = g + 1;
-            if ng < arena.g(ni) {
-                arena.improve(ni, ng, idx);
-                arena.push(ng + heuristic(next), ng, ni as u32);
-            }
-        }
+        });
     }
     telemetry::fine_counter("router.astar.failures", 1);
     telemetry::fine_observe("router.astar.expansions", f64::from(expansions));
@@ -231,22 +232,34 @@ fn reconstruct(grid: &Grid, a: Cell, b: Cell, parent: &[usize], mut idx: usize) 
     BraidPath::from_search(grid, a, b, vertices)
 }
 
+/// The path [`search_in`] found to `goal`, rebuilt from the arena's
+/// parent chain in one walk: each step costs 1, so the path has
+/// `g(goal) + 1` vertices, and each parent is a grid neighbour, so its
+/// vertex follows from the index step.
 fn reconstruct_arena(grid: &Grid, a: Cell, b: Cell, arena: &SearchArena, goal: usize) -> BraidPath {
-    // Walk the parent chain once to size the path, then fill it from
-    // the goal backwards.
-    let chain = |mut idx: usize| {
-        std::iter::from_fn(move || {
-            let here = idx;
-            (here != NO_PARENT as usize).then(|| {
-                idx = arena.parent(here) as usize;
-                here
-            })
-        })
-    };
-    let mut vertices = vec![Vertex::new(0, 0); chain(goal).count()];
-    for (slot, idx) in vertices.iter_mut().rev().zip(chain(goal)) {
-        *slot = grid.vertex_at(idx);
+    let side = grid.vertices_per_side() as usize;
+    let mut at = grid.vertex_at(goal);
+    let mut vertices = vec![at; arena.g(goal) as usize + 1];
+    let mut idx = goal;
+    for slot in vertices.iter_mut().rev().skip(1) {
+        let parent = arena.parent(idx) as usize;
+        if parent + side == idx {
+            at.row -= 1;
+        } else if parent == idx + side {
+            at.row += 1;
+        } else if parent + 1 == idx {
+            at.col -= 1;
+        } else {
+            at.col += 1;
+        }
+        *slot = at;
+        idx = parent;
     }
+    debug_assert_eq!(
+        arena.parent(idx),
+        NO_PARENT,
+        "the walk ends at a start corner"
+    );
     BraidPath::from_search(grid, a, b, vertices)
 }
 
@@ -277,13 +290,17 @@ fn reconstruct_arena(grid: &Grid, a: Cell, b: Cell, arena: &SearchArena, goal: u
 #[derive(Debug, Clone, Default)]
 pub struct Connectivity {
     labels: Vec<u32>,
-    /// Traversal stack, kept for the next [`recompute`](Self::recompute).
-    stack: Vec<usize>,
+    /// Traversal stack of [`walk::pack`]ed vertices, kept for the next
+    /// [`recompute`](Self::recompute).
+    stack: Vec<u32>,
 }
 
 impl Connectivity {
     /// Label reserved/unreachable vertices carry.
     const BLOCKED: u32 = u32::MAX;
+    /// Label of a free vertex no component has reached yet; only seen
+    /// during [`recompute`](Self::recompute).
+    const UNSEEN: u32 = u32::MAX - 1;
 
     /// Labels the free connected components of the grid in O(vertices).
     pub fn compute(grid: &Grid, occupancy: &Occupancy) -> Self {
@@ -293,28 +310,39 @@ impl Connectivity {
     }
 
     /// [`compute`](Self::compute) into this value's buffers, which
-    /// allocates nothing once they have grown to the grid.
+    /// allocates nothing once they have grown to the grid. Components are
+    /// numbered in the row-major order of their first vertex and
+    /// flood-filled by index.
     pub fn recompute(&mut self, grid: &Grid, occupancy: &Occupancy) {
-        let n = grid.vertex_count();
+        let side = grid.vertices_per_side() as usize;
+        assert!(side <= walk::MAX_SIDE, "{side} vertices per side");
+        let whole = walk::whole(side);
         let Connectivity { labels, stack } = self;
         labels.clear();
-        labels.resize(n, Self::BLOCKED);
+        labels.extend((0..grid.vertex_count()).map(|i| {
+            if occupancy.is_occupied_at(i) {
+                Self::BLOCKED
+            } else {
+                Self::UNSEEN
+            }
+        }));
         let mut next = 0u32;
-        for start in 0..n {
-            if labels[start] != Self::BLOCKED || occupancy.is_occupied(grid, grid.vertex_at(start))
-            {
+        for start in 0..labels.len() {
+            if labels[start] != Self::UNSEEN {
                 continue;
             }
             labels[start] = next;
-            stack.push(start);
-            while let Some(i) = stack.pop() {
-                for v in grid.neighbors(grid.vertex_at(i)) {
-                    let j = grid.vertex_index(v);
-                    if labels[j] == Self::BLOCKED && occupancy.is_free(grid, v) {
+            let v = grid.vertex_at(start);
+            stack.push(walk::pack(v.row, v.col));
+            while let Some(at) = stack.pop() {
+                let (row, col) = walk::unpack(at);
+                let i = row as usize * side + col as usize;
+                walk::neighbours(side, i, (row, col), whole, |j, row, col| {
+                    if labels[j] == Self::UNSEEN {
                         labels[j] = next;
-                        stack.push(j);
+                        stack.push(walk::pack(row, col));
                     }
-                }
+                });
             }
             next += 1;
         }
@@ -337,20 +365,51 @@ impl Connectivity {
     /// `b` once the reserved `path` is released. Releasing it merges the
     /// path with every component adjacent to it, so the answer is exact:
     /// either the tiles already share a component, or each has a corner
-    /// on the path or in a component adjacent to it.
+    /// on the path or in a component adjacent to it. One walk along the
+    /// path marks the tiles it touches: a tile is touched where a path
+    /// vertex is one of its corners or a neighbour of one carries the
+    /// label of one of its free corners.
     pub fn may_connect_freeing(&self, grid: &Grid, path: &[Vertex], a: Cell, b: Cell) -> bool {
-        let joins_path = |cell: Cell| {
-            cell.corners().into_iter().any(|corner| {
-                let label = self.labels[grid.vertex_index(corner)];
-                path.contains(&corner)
-                    || (label != Self::BLOCKED
-                        && path.iter().any(|&v| {
-                            grid.neighbors(v)
-                                .any(|n| self.labels[grid.vertex_index(n)] == label)
-                        }))
-            })
-        };
-        self.may_connect(grid, a, b) || (joins_path(a) && joins_path(b))
+        let side = grid.vertices_per_side() as usize;
+        let whole = walk::whole(side);
+        // The distinct labels of the tiles' free corners, each with the
+        // tiles it marks (bit 0: `a`, bit 1: `b`); a label that marks
+        // both already connects them.
+        let mut wanted = [(Self::BLOCKED, 0u8); 8];
+        let mut count = 0;
+        for (tile, cell) in [(1u8, a), (2, b)] {
+            for i in walk::corner_indices(cell, side) {
+                let label = self.labels[i];
+                match wanted[..count].iter_mut().find(|(l, _)| *l == label) {
+                    Some((_, tiles)) => *tiles |= tile,
+                    None if label != Self::BLOCKED => {
+                        wanted[count] = (label, tile);
+                        count += 1;
+                    }
+                    None => {}
+                }
+            }
+        }
+        let wanted = &wanted[..count];
+        if wanted.iter().any(|&(_, tiles)| tiles == 3) {
+            return true;
+        }
+        let mut touched = 0u8;
+        for &v in path {
+            touched |= u8::from(a.has_corner(v)) | u8::from(b.has_corner(v)) << 1;
+            let i = v.row as usize * side + v.col as usize;
+            walk::neighbours(side, i, (v.row, v.col), whole, |j, _, _| {
+                for &(label, tiles) in wanted {
+                    if label == self.labels[j] {
+                        touched |= tiles;
+                    }
+                }
+            });
+            if touched == 3 {
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -562,6 +621,154 @@ mod tests {
             connecting > 100 && hopeless > 100,
             "{connecting} / {hopeless}"
         );
+    }
+
+    /// Random defect maps for the index kernels' differential tests:
+    /// every grid from the 1×1 one up to 9×9, each with its last row
+    /// and last column reserved in some trials, and about a quarter of
+    /// the other vertices reserved.
+    fn defect_maps(rng: &mut autobraid_telemetry::Rng64) -> Vec<(Grid, Occupancy)> {
+        let mut maps = Vec::new();
+        for l in 1..=9u32 {
+            for trial in 0..12 {
+                let (g, mut occ) = setup(l);
+                for v in g.vertices() {
+                    let edge = (trial % 3 == 1 && v.row == l) || (trial % 3 == 2 && v.col == l);
+                    if edge || rng.gen_bool(0.25) {
+                        occ.reserve(&g, v);
+                    }
+                }
+                maps.push((g, occ));
+            }
+        }
+        maps
+    }
+
+    /// Free-space labels by a plain `Vertex` BFS, components numbered in
+    /// row-major order of their first vertex: the labelling the index
+    /// flood fill replaced.
+    fn reference_labels(g: &Grid, occ: &Occupancy) -> Vec<u32> {
+        let mut labels = vec![Connectivity::BLOCKED; g.vertex_count()];
+        let mut next = 0;
+        for start in g.vertices() {
+            if labels[g.vertex_index(start)] != Connectivity::BLOCKED || occ.is_occupied(g, start) {
+                continue;
+            }
+            labels[g.vertex_index(start)] = next;
+            let mut queue = std::collections::VecDeque::from([start]);
+            while let Some(v) = queue.pop_front() {
+                for n in g.neighbors(v) {
+                    let j = g.vertex_index(n);
+                    if labels[j] == Connectivity::BLOCKED && occ.is_free(g, n) {
+                        labels[j] = next;
+                        queue.push_back(n);
+                    }
+                }
+            }
+            next += 1;
+        }
+        labels
+    }
+
+    #[test]
+    fn labels_induce_the_reference_partition() {
+        let mut rng = autobraid_telemetry::Rng64::seed_from_u64(53);
+        let mut conn = Connectivity::default();
+        for (g, occ) in defect_maps(&mut rng) {
+            conn.recompute(&g, &occ);
+            let reference = reference_labels(&g, &occ);
+            // Same blocked set, and label equality agrees on every pair.
+            for i in 0..g.vertex_count() {
+                for j in 0..g.vertex_count() {
+                    assert_eq!(
+                        conn.labels[i] == conn.labels[j],
+                        reference[i] == reference[j],
+                        "{:?}: vertices {i} and {j}",
+                        g
+                    );
+                }
+                assert_eq!(
+                    conn.labels[i] == Connectivity::BLOCKED,
+                    reference[i] == Connectivity::BLOCKED
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn may_connect_freeing_equals_release_and_relabel() {
+        // Reserve a routed path (or, on grids too small or blocked to
+        // route one, a single free vertex) and ask every pair of tiles
+        // whether releasing it lets them connect: the answer must equal
+        // labelling the released map from scratch.
+        let mut rng = autobraid_telemetry::Rng64::seed_from_u64(59);
+        let mut changed = 0;
+        for (g, mut occ) in defect_maps(&mut rng) {
+            let l = g.cells_per_side();
+            let cells: Vec<Cell> = g.cells().collect();
+            let (c, d) = (
+                cells[rng.gen_range(0..cells.len())],
+                cells[rng.gen_range(0..cells.len())],
+            );
+            let path: Vec<Vertex> = match (c != d).then(|| find_path(&g, &occ, c, d, None)) {
+                Some(Some(p)) => p.vertices().to_vec(),
+                _ => {
+                    let v = Vertex::new(rng.gen_range(0..l + 1), rng.gen_range(0..l + 1));
+                    if occ.is_occupied(&g, v) {
+                        continue;
+                    }
+                    vec![v]
+                }
+            };
+            occ.try_reserve(&g, path.iter().copied());
+            let labels = Connectivity::compute(&g, &occ);
+            occ.release_path(&g, path.iter().copied());
+            let relabelled = Connectivity::compute(&g, &occ);
+            for &a in &cells {
+                for &b in &cells {
+                    let predicted = labels.may_connect_freeing(&g, &path, a, b);
+                    let actual = relabelled.may_connect(&g, a, b);
+                    assert_eq!(predicted, actual, "{a} -> {b} freeing {path:?} on {g:?}");
+                    changed += usize::from(actual && !labels.may_connect(&g, a, b));
+                }
+            }
+        }
+        assert!(changed > 100, "only {changed} pairs joined by a release");
+    }
+
+    #[test]
+    fn region_limited_search_matches_reference_at_grid_edges() {
+        // Boxes that touch or overhang the last row and column, or the
+        // first, so the clamped region limits meet the grid bounds.
+        let mut rng = autobraid_telemetry::Rng64::seed_from_u64(61);
+        let mut found = 0;
+        for (g, occ) in defect_maps(&mut rng) {
+            let l = g.cells_per_side();
+            if l < 2 {
+                continue;
+            }
+            for _ in 0..6 {
+                let (lo_r, lo_c) = (rng.gen_range(0..l), rng.gen_range(0..l));
+                let over = rng.gen_range(0..3u32);
+                let region = match rng.gen_range(0..3u32) {
+                    0 => BBox::new(lo_r, lo_c, l + over, l + over),
+                    1 => BBox::new(0, 0, rng.gen_range(lo_r..l + 1), rng.gen_range(lo_c..l + 1)),
+                    _ => BBox::new(0, lo_c, l + over, rng.gen_range(lo_c..l + 1)),
+                };
+                let cell = |rng: &mut autobraid_telemetry::Rng64| {
+                    Cell::new(rng.gen_range(0..l), rng.gen_range(0..l))
+                };
+                let (a, b) = (cell(&mut rng), cell(&mut rng));
+                if a == b {
+                    continue;
+                }
+                let optimized = find_path(&g, &occ, a, b, Some(region));
+                let reference = find_path_reference(&g, &occ, a, b, Some(region));
+                assert_eq!(optimized, reference, "{a} -> {b} in {region:?} on {g:?}");
+                found += usize::from(optimized.is_some());
+            }
+        }
+        assert!(found > 50, "only {found} region searches routed");
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod pathfinder;
 pub mod probe;
 pub mod stack_finder;
 pub mod topology;
+mod walk;
 
 pub use arena::{warm_thread_arena, with_search_arena, SearchArena};
 pub use astar::find_path;

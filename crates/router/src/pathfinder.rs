@@ -27,7 +27,8 @@ use crate::arena::NO_PARENT;
 use crate::astar::find_path;
 use crate::path::{BraidPath, CxRequest};
 use crate::stack_finder::{RouteOutcome, RoutedGate};
-use autobraid_lattice::{Cell, Grid, Occupancy, Vertex};
+use crate::walk;
+use autobraid_lattice::{Cell, Grid, Occupancy};
 use autobraid_telemetry as telemetry;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -216,7 +217,7 @@ impl Negotiation {
         let max_h = u128::from(BASE_COST) * 2 * side as u128;
         assert!(
             n <= u32::MAX as usize
-                && side <= 1 << 16
+                && side <= walk::MAX_SIDE
                 && max_h <= u128::from(u32::MAX)
                 && (n as u128 + 1) * max_cost + max_h <= u128::from(u64::MAX),
             "{}x{} grid with {} requests is too large for negotiated routing",
@@ -270,6 +271,7 @@ impl Negotiation {
         let mut iterations = 0u32;
         let mut fewest_overused = usize::MAX;
         let mut stale_rounds = 0u32;
+        let mut searches = 0u64;
 
         while iterations < MAX_ITERATIONS {
             let first_round = iterations == 0;
@@ -295,6 +297,7 @@ impl Negotiation {
                 }
                 let mut path = std::mem::take(&mut self.paths[i]);
                 self.charge(&path, present_factor, false);
+                searches += 1;
                 if self.route(grid, occupancy, present_factor, &requests[i], &mut path) {
                     self.charge(&path, present_factor, true);
                     rerouted += 1;
@@ -337,6 +340,7 @@ impl Negotiation {
         }
 
         telemetry::fine_observe("router.pathfinder.iterations", f64::from(iterations));
+        telemetry::fine_counter("router.pathfinder.searches", searches);
         if converged {
             telemetry::fine_counter("router.pathfinder.converged", 1);
         } else if stale_rounds == STALL_ROUNDS {
@@ -451,26 +455,14 @@ impl Negotiation {
     /// `(f, g, vertex index)`, all ascending, so the result is
     /// deterministic.
     fn search(&mut self, side: usize, a: Cell, b: Cell, path: &mut Vec<u32>) -> bool {
-        telemetry::fine_counter("router.pathfinder.searches", 1);
         path.clear();
-        let index = |v: Vertex| v.row as usize * side + v.col as usize;
-        let mut targets = [(0u32, 0u32); 4];
-        let mut target_count = 0usize;
-        for corner in b.corners() {
-            if self.cost[index(corner)] != BLOCKED {
-                targets[target_count] = (corner.row, corner.col);
-                target_count += 1;
-            }
-        }
-        if target_count == 0 {
+        let index = |row: u32, col: u32| row as usize * side + col as usize;
+        let Some(targets) = walk::free_corners(b, |row, col| self.cost[index(row, col)] != BLOCKED)
+        else {
             return false;
-        }
-        // Repeating a free corner keeps the minimum and makes the
-        // heuristic a fixed four-way one.
-        let first = targets[0];
-        targets[target_count..].fill(first);
+        };
         // A blocked corner is never entered, so a popped corner is free.
-        let goals = b.corners().map(index);
+        let goals = walk::corner_indices(b, side);
 
         if self.generation == u32::MAX {
             self.visits.fill(Visit::default());
@@ -479,7 +471,7 @@ impl Negotiation {
         self.generation += 1;
         self.open.clear();
         for start in a.corners() {
-            let i = index(start);
+            let i = index(start.row, start.col);
             let g = self.cost[i];
             if g != BLOCKED && g < self.g(i) {
                 self.improve(i, g, NO_PARENT);
@@ -492,10 +484,10 @@ impl Negotiation {
             }
         }
 
-        let last = side as u32 - 1;
+        let whole = walk::whole(side);
         while let Some(Reverse(key)) = self.open.pop() {
             let (g, row, col) = Negotiation::unpack(key);
-            let idx = row as usize * side + col as usize;
+            let idx = index(row, col);
             if g > self.g(idx) {
                 continue; // stale entry
             }
@@ -508,18 +500,9 @@ impl Negotiation {
                 path.reverse();
                 return true;
             }
-            if row > 0 {
-                self.relax(g, idx, idx - side, row - 1, col, &targets);
-            }
-            if row < last {
-                self.relax(g, idx, idx + side, row + 1, col, &targets);
-            }
-            if col > 0 {
-                self.relax(g, idx, idx - 1, row, col - 1, &targets);
-            }
-            if col < last {
-                self.relax(g, idx, idx + 1, row, col + 1, &targets);
-            }
+            walk::neighbours(side, idx, (row, col), whole, |next, row, col| {
+                self.relax(g, idx, next, row, col, &targets)
+            });
         }
         false
     }
@@ -575,8 +558,9 @@ impl Negotiation {
     #[inline]
     fn push(&mut self, g: u64, h: u32, row: u32, col: u32) {
         let f = g + u64::from(h);
-        let key =
-            (u128::from(f) << 64) | (u128::from(u32::MAX - h) << 32) | u128::from(row << 16 | col);
+        let key = (u128::from(f) << 64)
+            | (u128::from(u32::MAX - h) << 32)
+            | u128::from(walk::pack(row, col));
         self.open.push(Reverse(key));
     }
 
@@ -585,8 +569,8 @@ impl Negotiation {
     fn unpack(key: u128) -> (u64, u32, u32) {
         let f = (key >> 64) as u64;
         let h = u32::MAX - (key >> 32) as u32;
-        let at = key as u32;
-        (f - u64::from(h), at >> 16, at & 0xFFFF)
+        let (row, col) = walk::unpack(key as u32);
+        (f - u64::from(h), row, col)
     }
 }
 
@@ -594,11 +578,7 @@ impl Negotiation {
 /// nearest of `targets`.
 #[inline]
 fn heuristic(targets: &[(u32, u32); 4], row: u32, col: u32) -> u32 {
-    let d = targets
-        .iter()
-        .map(|&(r, c)| row.abs_diff(r) + col.abs_diff(c))
-        .fold(u32::MAX, u32::min);
-    d * BASE_COST as u32
+    walk::nearest(targets, row, col) * BASE_COST as u32
 }
 
 /// Reference implementation of the negotiated search: the original
@@ -615,7 +595,8 @@ fn find_negotiated_reference(
     a: Cell,
     b: Cell,
 ) -> Option<BraidPath> {
-    telemetry::fine_counter("router.pathfinder.searches", 1);
+    use autobraid_lattice::Vertex;
+
     let allowed = |v: Vertex| -> bool { base.is_free(grid, v) };
     let targets: Vec<Vertex> = b.corners().into_iter().filter(|&v| allowed(v)).collect();
     if targets.is_empty() {
@@ -687,6 +668,7 @@ fn find_negotiated_reference(
 mod tests {
     use super::*;
     use crate::probe::check_route_outcome;
+    use autobraid_lattice::Vertex;
 
     fn setup(l: u32) -> (Grid, Occupancy) {
         let g = Grid::new(l).unwrap();
