@@ -20,8 +20,8 @@
 
 use autobraid::pipeline::{CompileOptions, Pipeline, Strategy};
 use autobraid::streaming::{StreamingOptions, StreamingPipeline};
-use autobraid_circuit::generators::{cc::counterfeit_coin, ising::ising, qft::qft, random};
-use autobraid_circuit::{Circuit, DependenceDag};
+use autobraid_circuit::generators::{cc::counterfeit_coin, ising::ising, qft::qft, random, revlib};
+use autobraid_circuit::{qasm, Circuit, DependenceDag};
 use autobraid_lattice::{Cell, Grid, Occupancy};
 use autobraid_placement::partition::bisect::Balance;
 use autobraid_placement::partition::graph::PartGraph;
@@ -444,6 +444,30 @@ pub fn suite() -> Vec<BenchCase> {
                 .lock()
                 .expect("client usable")
                 .compile(&hit_request)
+                .expect("hit round-trip");
+            black_box(outcome.elapsed_ms);
+        }));
+    }
+
+    // Hit round-trip on a paper circuit (sqrt8_260: about 40 KB of
+    // QASM, 900 braiding steps): request size and report size, which
+    // the 4-qubit hit above cannot see, scale its decode, key, frame
+    // and client parse.
+    let large = revlib::build("sqrt8_260").expect("a registry circuit");
+    let large_request = CompileRequest::qasm(qasm::emit(&large)).with_label(large.name());
+    let mut primer = Client::connect(addr).expect("service connect");
+    primer
+        .compile(&large_request)
+        .expect("cache priming compile");
+    let large_client = Mutex::new(primer);
+    {
+        let server = Arc::clone(&server);
+        cases.push(BenchCase::new("serve/roundtrip_hit_large", move || {
+            let _keepalive = &server;
+            let outcome = large_client
+                .lock()
+                .expect("client usable")
+                .compile(&large_request)
                 .expect("hit round-trip");
             black_box(outcome.elapsed_ms);
         }));

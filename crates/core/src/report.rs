@@ -103,39 +103,55 @@ impl Table {
 /// a measurement, so it also appears in — and is byte-checked by — the
 /// canonical report.
 pub fn schedule_result_json(result: &ScheduleResult) -> JsonValue {
-    schedule_json(result, result.compile_seconds)
-}
-
-/// [`schedule_result_json`] with `compile_seconds` rendered as given.
-fn schedule_json(result: &ScheduleResult, compile_seconds: f64) -> JsonValue {
-    let mut layer_policies = String::new();
-    write_layer_policies(&mut layer_policies, &result.layer_policies);
-    let layer_policies =
-        JsonValue::parse(&layer_policies).expect("layer policies render as valid JSON");
     JsonValue::object(
-        schedule_fields(result, compile_seconds)
+        schedule_fields(result, result.compile_seconds)
             .into_iter()
-            .chain([("layer_policies", layer_policies)]),
+            .chain([(
+                "layer_policies",
+                layer_policies_json(&result.layer_policies),
+            )]),
     )
 }
 
-/// Writes a schedule's `layer_policies` array, one `{step, policy,
-/// reason}` object per braiding step, compact — the one home of its
-/// layout. The canonical report writes it straight into its output
-/// rather than building one [`JsonValue`] per step.
-fn write_layer_policies(out: &mut String, policies: &[LayerPolicy]) {
-    out.push('[');
-    for (i, lp) in policies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// A schedule's `layer_policies` — the one home of its layout. Each
+/// distinct `(policy, reason)` pair appears once, in order of first use,
+/// with `runs`: its maximal runs of consecutive braiding-step indices as
+/// inclusive `first, last` pairs in ascending order. Steps ascend in a
+/// schedule, so the per-step list expands back exactly and has exactly
+/// one such encoding; a layer per step costs a few numbers per change of
+/// policy instead of one object per step.
+fn layer_policies_json(policies: &[LayerPolicy]) -> JsonValue {
+    debug_assert!(policies.windows(2).all(|w| w[0].step < w[1].step));
+    let mut groups: Vec<(&str, &str, Vec<u64>)> = Vec::new();
+    for lp in policies {
+        let at = groups
+            .iter()
+            .position(|&(policy, reason, _)| policy == lp.policy && reason == lp.reason)
+            .unwrap_or_else(|| {
+                groups.push((lp.policy, lp.reason, Vec::new()));
+                groups.len() - 1
+            });
+        let runs = &mut groups[at].2;
+        match runs.last_mut() {
+            Some(last) if *last + 1 == lp.step => *last = lp.step,
+            _ => runs.extend([lp.step, lp.step]),
         }
-        let _ = write!(out, "{{\"step\":{},\"policy\":", lp.step);
-        JsonValue::write_str(out, lp.policy);
-        out.push_str(",\"reason\":");
-        JsonValue::write_str(out, lp.reason);
-        out.push('}');
     }
-    out.push(']');
+    JsonValue::Array(
+        groups
+            .into_iter()
+            .map(|(policy, reason, runs)| {
+                JsonValue::object([
+                    ("policy", JsonValue::from(policy)),
+                    ("reason", JsonValue::from(reason)),
+                    (
+                        "runs",
+                        JsonValue::Array(runs.into_iter().map(JsonValue::from).collect()),
+                    ),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// A schedule's fields ahead of its trailing `layer_policies`.
@@ -218,7 +234,7 @@ pub(crate) fn canonical_report_string(report: &CompileReport) -> String {
         out.push(',');
     }
     let result = &report.outcome.result;
-    let mut out = String::with_capacity(512 + 64 * result.layer_policies.len());
+    let mut out = String::with_capacity(1024);
     out.push('{');
     let header = [
         ("circuit", JsonValue::from(report.stats.name.as_str())),
@@ -234,7 +250,7 @@ pub(crate) fn canonical_report_string(report: &CompileReport) -> String {
         field(&mut out, key, value);
     }
     out.push_str("\"layer_policies\":");
-    write_layer_policies(&mut out, &result.layer_policies);
+    layer_policies_json(&result.layer_policies).write_compact(&mut out);
     out.push_str("}}");
     out
 }
@@ -275,10 +291,11 @@ mod tests {
                         "{key}"
                     );
                 }
-                let schedule = schedule_json(&report.outcome.result, 0.0);
+                let mut result = report.outcome.result.clone();
+                result.compile_seconds = 0.0;
                 assert_eq!(
                     parsed.get("schedule").map(JsonValue::render_compact),
-                    Some(schedule.render_compact()),
+                    Some(schedule_result_json(&result).render_compact()),
                     "{} {}",
                     circuit.name(),
                     strategy.name()
@@ -294,6 +311,37 @@ mod tests {
             !layered.outcome.result.layer_policies.is_empty(),
             "the check covers layer policies"
         );
+    }
+
+    /// Interleaved policies become one group each in order of first use,
+    /// consecutive steps merge into one run, and a step gap (a layer
+    /// discarded for a swap layer) splits a run.
+    #[test]
+    fn layer_policies_encode_as_runs_per_pair() {
+        let lp = |step, policy, reason| LayerPolicy {
+            step,
+            policy,
+            reason,
+        };
+        let policies = [
+            lp(0, "stack", "tiny-layer"),
+            lp(1, "stack", "tiny-layer"),
+            lp(2, "pathfinder", "dense-interference"),
+            lp(3, "stack", "tiny-layer"),
+            lp(5, "stack", "tiny-layer"),
+            lp(6, "stack", "race-stack-won"),
+            lp(7, "pathfinder", "dense-interference"),
+            lp(8, "pathfinder", "dense-interference"),
+        ];
+        assert_eq!(
+            layer_policies_json(&policies).render_compact(),
+            concat!(
+                r#"[{"policy":"stack","reason":"tiny-layer","runs":[0,1,3,3,5,5]},"#,
+                r#"{"policy":"pathfinder","reason":"dense-interference","runs":[2,2,7,8]},"#,
+                r#"{"policy":"stack","reason":"race-stack-won","runs":[6,6]}]"#
+            )
+        );
+        assert_eq!(layer_policies_json(&[]).render_compact(), "[]");
     }
 
     #[test]

@@ -54,7 +54,21 @@ impl CacheKey {
     /// are joined with `\x1f` separators so no concatenation of
     /// different components can alias.
     pub fn new(circuit: &str, geometry: &str, options: &str) -> CacheKey {
-        let text = format!("{circuit}\x1f{geometry}\x1f{options}");
+        CacheKey::joined(&[circuit, "\x1f", geometry, "\x1f", options])
+    }
+
+    /// [`CacheKey::new`] whose circuit component is `name`, a newline and
+    /// `qasm` — a named source's content address — copied once into the
+    /// key rather than joined into a circuit string first.
+    pub fn for_source(name: &str, qasm: &str, geometry: &str, options: &str) -> CacheKey {
+        CacheKey::joined(&[name, "\n", qasm, "\x1f", geometry, "\x1f", options])
+    }
+
+    fn joined(parts: &[&str]) -> CacheKey {
+        let mut text = String::with_capacity(parts.iter().map(|part| part.len()).sum());
+        for part in parts {
+            text.push_str(part);
+        }
         CacheKey {
             hash: fnv1a64(text.as_bytes()),
             text,
@@ -293,6 +307,24 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// The one-pass key is the two-step one: the circuit text joined
+    /// first, then joined again with the other components.
+    #[test]
+    fn a_source_key_equals_the_two_step_construction() {
+        let qasm = "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n";
+        for name in ["", "bell", "é\x1f🦀"] {
+            for (geometry, options) in [("", ""), ("distance=3", "strategy=baseline")] {
+                let key = CacheKey::for_source(name, qasm, geometry, options);
+                let circuit = format!("{name}\n{qasm}");
+                let text = format!("{circuit}\x1f{geometry}\x1f{options}");
+                assert_eq!(key.hash, fnv1a64(text.as_bytes()));
+                assert_eq!(key.text, text);
+                assert_eq!(key.text.capacity(), text.len(), "sized once");
+                assert_eq!(key, CacheKey::new(&circuit, geometry, options));
+            }
+        }
     }
 
     #[test]

@@ -984,8 +984,9 @@ fn handle_compile(
 /// one entry.
 fn content_key(canonical: &CanonicalSource, req: &CompileRequest) -> CacheKey {
     let name = req.label.as_deref().unwrap_or(&canonical.name);
-    CacheKey::new(
-        &format!("{name}\n{}", canonical.qasm),
+    CacheKey::for_source(
+        name,
+        &canonical.qasm,
         &match req.distance {
             Some(d) => format!("distance={d}"),
             None => "distance=default".to_string(),

@@ -96,6 +96,7 @@ impl JsonValue {
     /// levels.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -248,6 +249,8 @@ impl JsonValue {
 
 /// Recursive-descent JSON parser over raw bytes.
 struct Parser<'a> {
+    /// The document; `bytes` is the same text as bytes.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -367,17 +370,20 @@ impl Parser<'_> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        // Unsized: a string without escapes allocates its one run exactly,
+        // and pre-sizing an escaped one by a scan to the closing quote
+        // cost more than the doublings it saved.
         let mut out = String::new();
         loop {
             let start = self.pos;
-            // Copy unescaped UTF-8 runs wholesale.
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\') {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 near byte {start}"))?,
-            );
+            let rest = &self.bytes[start..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            // `"` and `\` are ASCII, so the run between them ends on a
+            // char boundary of the `&str` input and copies as it stands.
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -421,9 +427,8 @@ impl Parser<'_> {
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
         let hex = self
-            .bytes
+            .text
             .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
         let code = u32::from_str_radix(hex, 16)
             .map_err(|_| format!("invalid \\u escape at byte {}", self.pos))?;
@@ -447,7 +452,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII slice");
+        let text = &self.text[start..self.pos];
         if integral {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(JsonValue::UInt(u));
@@ -619,6 +624,101 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "nul", "{\"a\" 1}", "1 2", "{]"] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// The string reader as it stood before it sliced its input: a
+    /// UTF-8 check per unescaped run. `doc` is one JSON string literal.
+    fn reference_string(doc: &str) -> Result<String, String> {
+        let bytes = doc.as_bytes();
+        if bytes.first() != Some(&b'"') {
+            return Err("expected '\"' at byte 0".to_string());
+        }
+        let mut pos = 1;
+        let mut out = String::new();
+        loop {
+            let start = pos;
+            while matches!(bytes.get(pos), Some(&b) if b != b'"' && b != b'\\') {
+                pos += 1;
+            }
+            out.push_str(
+                std::str::from_utf8(&bytes[start..pos])
+                    .map_err(|_| format!("invalid UTF-8 near byte {start}"))?,
+            );
+            match bytes.get(pos) {
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => {
+                    pos += 1;
+                    let esc = *bytes
+                        .get(pos)
+                        .ok_or_else(|| format!("unterminated escape at byte {pos}"))?;
+                    pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = bytes
+                                .get(pos..pos + 4)
+                                .and_then(|b| std::str::from_utf8(b).ok())
+                                .ok_or_else(|| format!("truncated \\u escape at byte {pos}"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("invalid \\u escape at byte {pos}"))?;
+                            pos += 4;
+                            out.push(if (0xd800..0xe000).contains(&code) {
+                                '\u{fffd}'
+                            } else {
+                                char::from_u32(code).unwrap_or('\u{fffd}')
+                            });
+                        }
+                        _ => return Err(format!("invalid escape at byte {}", pos - 1)),
+                    }
+                }
+                _ => return Err(format!("unterminated string at byte {pos}")),
+            }
+        }
+    }
+
+    /// Random string literals — plain and multi-byte text, every simple
+    /// escape, `\u` escapes (surrogates, malformed hex and hex cut by a
+    /// multi-byte character among them), unknown escapes and truncated
+    /// endings — read the same through the slicing reader as through the
+    /// reference, errors included.
+    #[test]
+    fn string_reader_matches_the_run_validating_reference() {
+        const PIECES: [&str; 21] = [
+            "a", "QASM ", "q[12];", "é", "中文", "🦀", "\u{2028}", "\n", "\\\"", "\\\\", "\\/",
+            "\\b", "\\f", "\\r", "\\t", "\\u00e9", "\\ud83e", "\\uDFFF", "\\u12g4", "\\u000é",
+            "\\x",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut errors = 0;
+        for _ in 0..4000 {
+            let mut doc = String::from('"');
+            for _ in 0..next(12) {
+                doc.push_str(PIECES[next(PIECES.len() as u64) as usize]);
+            }
+            match next(8) {
+                0 => {}
+                1 => doc.push('\\'),
+                2 => doc.push_str("\\u0"),
+                _ => doc.push('"'),
+            }
+            let expected = reference_string(&doc).map(JsonValue::Str);
+            errors += usize::from(expected.is_err());
+            assert_eq!(JsonValue::parse(&doc), expected, "{doc:?}");
+        }
+        assert!(errors > 0, "the sample covers malformed literals");
     }
 
     #[test]
